@@ -9,7 +9,7 @@ import numpy as np
 
 from .catalog import VmSpec
 from .errors import CoverageError, GapError, OutOfRangeError
-from .prices import CAP_MULTIPLIER, CAP_RELATIVE_EPS, PriceTrace
+from .prices import CAP_MULTIPLIER, CAP_RELATIVE_EPS, PriceTrace, left_sum, step_slice
 
 DEFAULT_PERIOD = 300
 
@@ -271,7 +271,16 @@ class IndexCurve:
 
     def integrate(self, t0: int, t1: int) -> float:
         """Time integral of the index over [t0, t1), in value * seconds."""
-        return sum((end - start) * value for start, end, value in self.segments(t0, t1))
+        if t1 <= t0:
+            return 0
+        if t0 < self.start:
+            raise OutOfRangeError(f"index curve starts at {self.start}, asked for {t0}")
+        span, widths = step_slice(self.timestamps, t0, t1)
+        gaps = np.flatnonzero(self._counts[span] == 0)
+        if gaps.size:
+            at = max(t0, int(self.timestamps[span.start + int(gaps[0])]))
+            raise GapError(f"no effective composition members at {at}")
+        return left_sum(widths * self._values[span])
 
     def window_mean(self, t: int, window: int) -> float:
         """Time-weighted mean over [t - window, t), clipped to curve start."""
@@ -279,22 +288,3 @@ class IndexCurve:
         if t <= t0:
             return self.value_at(t)
         return self.integrate(t0, t) / (t - t0)
-
-    def segments(self, t0: int, t1: int):
-        """Yield (start, end, value) covering [t0, t1), split at breakpoints."""
-        if t1 <= t0:
-            return
-        if t0 < self.start:
-            raise OutOfRangeError(f"index curve starts at {self.start}, asked for {t0}")
-        i = int(np.searchsorted(self.timestamps, t0, side="right")) - 1
-        cursor = t0
-        while cursor < t1:
-            if self._counts[i] == 0:
-                raise GapError(f"no effective composition members at {cursor}")
-            seg_end = (
-                int(self.timestamps[i + 1]) if i + 1 < len(self.timestamps) else t1
-            )
-            seg_end = min(seg_end, t1)
-            yield cursor, seg_end, float(self._values[i])
-            cursor = seg_end
-            i += 1

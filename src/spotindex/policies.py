@@ -46,14 +46,6 @@ def sharpe(index_reference: float, utilized_mean: float, sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class VolatilityEstimate:
-    vm_id: str
-    sigma: float
-    window: int
-    n_samples: int
-
-
-@dataclass(frozen=True)
 class CandidateView:
     """Everything a policy may inspect about one candidate VM."""
 

@@ -82,25 +82,51 @@ class PriceTrace:
         idx = np.searchsorted(self.timestamps, grid, side="right") - 1
         return self.prices[idx]
 
-    def segments(self, t0: int, t1: int):
-        """Yield (start, end, price) covering [t0, t1), split at price changes."""
-        if t1 <= t0:
-            return
+    def steps(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Prices and clipped widths of the steps covering [t0, t1), t0 < t1."""
         if t0 < self.timestamps[0]:
             raise OutOfRangeError(
                 f"trace {self.vm_id!r} starts at {self.first_ts}, asked for {t0}"
             )
-        lo = int(np.searchsorted(self.timestamps, t0, side="right")) - 1
-        hi = int(np.searchsorted(self.timestamps, t1, side="left"))
+        span, widths = step_slice(self.timestamps, t0, t1)
+        return self.prices[span], widths
+
+    def segments(self, t0: int, t1: int):
+        """Yield (start, end, price) covering [t0, t1), split at price changes."""
+        if t1 <= t0:
+            return
+        prices, widths = self.steps(t0, t1)
         cursor = t0
-        for i in range(lo, hi):
-            seg_end = int(self.timestamps[i + 1]) if i + 1 < len(self.timestamps) else t1
-            seg_end = min(seg_end, t1)
-            if seg_end > cursor:
-                yield cursor, seg_end, float(self.prices[i])
-                cursor = seg_end
-        if cursor < t1:
-            yield cursor, t1, float(self.prices[-1])
+        for price, width in zip(prices.tolist(), widths.tolist()):
+            if width:
+                yield cursor, cursor + width, price
+                cursor += width
+
+
+def step_slice(timestamps: np.ndarray, t0: int, t1: int) -> tuple[slice, np.ndarray]:
+    """The steps of a right-continuous step function that cover [t0, t1).
+
+    `timestamps` are the sorted step starts, the last step never ends, and
+    timestamps[0] <= t0 < t1. Returns the slice of steps and each one's width
+    clipped to [t0, t1).
+    """
+    lo = int(timestamps.searchsorted(t0, side="right")) - 1
+    hi = int(timestamps.searchsorted(t1))
+    edges = np.empty(hi - lo + 1, dtype=np.int64)
+    edges[:-1] = timestamps[lo:hi]
+    edges[0] = t0
+    edges[-1] = t1
+    return slice(lo, hi), edges[1:] - edges[:-1]
+
+
+def left_sum(terms: np.ndarray) -> float:
+    """Sum from the first term to the last, rounding after each addition.
+
+    This is what a Python loop or the built-in sum() gives on Python 3.11,
+    bit for bit; numpy's pairwise sum() and prefix sums over a longer range
+    would round differently.
+    """
+    return float(np.add.accumulate(terms)[-1])
 
 
 def is_capped(price: float, spec: VmSpec, rel_eps: float = CAP_RELATIVE_EPS) -> bool:

@@ -1,9 +1,18 @@
 """Deterministic discrete-event simulator of VM selection policies.
 
-The engine walks integer seconds, records every VM holding as (t0, t1, vm,
-working) segments plus acquire/migrate/revoke events, and derives all money
-totals afterwards from that event log with one canonical segment biller.
-Replaying a serialized report therefore reproduces the totals bit for bit.
+Time is in integer seconds, and each second runs the same steps in the same
+order: stall ends, revocation checks, scripted migrations, policy decisions
+at epoch ticks, then work. The engine advances by next event: after a second
+in which nothing happened it skips straight to the next second at which
+something can (an epoch tick, a price change on a held VM, a stall end, a
+scripted migration, a task's last second of work), crediting the seconds in
+between as the same second repeated. Reports are the same as a one-second
+loop would give.
+
+The engine records every VM holding as (t0, t1, vm, working) segments plus
+acquire/migrate/revoke events, and derives all money totals afterwards from
+that event log with one canonical segment biller. Replaying a serialized
+report therefore reproduces the totals bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import SelectionError, SimulationError, SpotIndexError
 from .index import IndexCurve
 from .policies import CandidateView, Policy, PolicyContext, PolicyDecision, build_policy
-from .prices import PriceTrace, is_capped
+from .prices import PriceTrace, is_capped, left_sum
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
 log = logging.getLogger(__name__)
@@ -231,7 +240,10 @@ class SimReport:
 
 def interval_cost(trace: PriceTrace, t0: int, t1: int) -> float:
     """Money spent holding one VM over [t0, t1): price times seconds / 3600."""
-    return sum(p * (b - a) for a, b, p in trace.segments(t0, t1)) / 3600.0
+    if t1 <= t0:
+        return 0.0
+    prices, widths = trace.steps(t0, t1)
+    return left_sum(prices * widths) / 3600.0
 
 
 def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
@@ -243,16 +255,10 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     t0 = max(t - window, int(trace.first_ts))
     if t <= t0:
         return trace.price_at(t), 0.0
-    weighted = 0.0
-    squared = 0.0
-    span = 0
-    for a, b, price in trace.segments(t0, t):
-        dt = b - a
-        weighted += price * dt
-        squared += price * price * dt
-        span += dt
-    mean = weighted / span
-    variance = max(squared / span - mean * mean, 0.0)
+    prices, widths = trace.steps(t0, t)
+    span = t - t0
+    mean = left_sum(prices * widths) / span
+    variance = max(left_sum(prices * prices * widths) / span - mean * mean, 0.0)
     return mean, math.sqrt(variance)
 
 
@@ -392,18 +398,20 @@ class _Engine:
     def _price(self, vm: str, t: int) -> float:
         return self.traces[vm].price_at(t)
 
-    def _crossed(self, vm: str, t: int) -> bool:
-        price = self._price(vm, t)
+    def _over(self, vm: str, price: float) -> bool:
         if price > self.max_price:
             return True
         return self.params.treat_cap_as_revocation and is_capped(price, self.catalog[vm])
 
+    def _crossed(self, vm: str, t: int) -> bool:
+        return self._over(vm, self._price(vm, t))
+
     def _views(self, t: int) -> tuple[CandidateView, ...]:
         views = []
         for spec in self.candidates:
-            if self._crossed(spec.id, t):
-                continue
             price = self._price(spec.id, t)
+            if self._over(spec.id, price):
+                continue
             mean, std = window_stats(self.traces[spec.id], t, self.params.sigma_window)
             views.append(CandidateView(spec=spec, price=price, window_mean=mean, window_std=std))
         return tuple(views)
@@ -545,28 +553,116 @@ class _Engine:
             }
         )
 
-    # per-second predicates
+    # one second's work
 
-    def _unfinished(self):
-        return [task for task in self.tasks if task.state != DONE]
+    def _gang_low(self) -> int | None:
+        """The work a BSP task must be at to work now: the least among the
+        unfinished tasks, or None while any of them migrates or restarts."""
+        live = [task for task in self.tasks if task.state != DONE]
+        if any(task.state != WORKING for task in live):
+            return None
+        return min(task.work for task in live)
 
-    def _works_now(self, task: _Task) -> bool:
-        if task.state != WORKING:
-            return False
-        if self.bsp:
-            unfinished = self._unfinished()
-            if any(peer.state in (MIGRATING, RESTARTING) for peer in unfinished):
-                return False
-            min_work = min(peer.work for peer in unfinished)
-            if task.work > min_work:
-                return False
-        return True
+    def _works_now(self, task: _Task, low: int | None) -> bool:
+        return task.state == WORKING and (not self.bsp or task.work == low)
+
+    def _work(self, t: int) -> list:
+        """Run second t's work step; returns each task's works flag, None
+        once done.
+
+        Tasks go in index order and a BSP task's work is raised in place, so
+        a task sees the gang's low mark as the tasks before it left it.
+        """
+        low = self._gang_low() if self.bsp else None
+        if low is not None:
+            at_low = sum(1 for task in self.tasks if task.state != DONE and task.work == low)
+        flags = []
+        for task in self.tasks:
+            if task.state == DONE:
+                flags.append(None)
+                continue
+            works = self._works_now(task, low)
+            self._set_flags(task, t, works)
+            flags.append(works)
+            if not works:
+                continue
+            task.work += 1
+            if low is not None:
+                at_low -= 1
+                if at_low == 0:
+                    low += 1
+                    at_low = sum(
+                        1 for peer in self.tasks if peer.state != DONE and peer.work == low
+                    )
+        if False in flags:
+            self.downtime += 1
+        return flags
+
+    # next-event advance
+
+    def _next_change(self, vm: str, t: int) -> float:
+        """The first price change of vm at or after t."""
+        stamps = self.traces[vm].timestamps
+        i = int(stamps.searchsorted(t))
+        return int(stamps[i]) if i < len(stamps) else math.inf
+
+    def _next_instant(self, t: int, flags: list, forced_queue, limit: int) -> int:
+        """The first second from t on whose steps can differ from those of
+        second t - 1, given that second t - 1 logged no event and worked
+        like the second before it."""
+        epoch = self.params.epoch
+        nxt = min(limit + 1, -(-t // epoch) * epoch)
+        if forced_queue and forced_queue[0][0] >= t:
+            nxt = min(nxt, forced_queue[0][0])
+        working = [task.work for task, works in zip(self.tasks, flags) if works]
+        if working:
+            top = max(working)
+            # the second that completes the furthest task is stepped
+            nxt = min(nxt, t + self.job.total_work - top - 1)
+            # A BSP task held back by the gang rejoins once the working tasks
+            # catch up with it; from one second before that on, the in-place
+            # work updates are stepped second by second.
+            idle = [
+                task.work
+                for task, works in zip(self.tasks, flags)
+                if works is False and task.state == WORKING
+            ]
+            if idle:
+                nxt = min(nxt, t + min(idle) - top - 1)
+        for task in self.tasks:
+            if nxt <= t:
+                return t
+            if task.state in (MIGRATING, RESTARTING):
+                nxt = min(nxt, task.stall_until)
+            for vm in task.holds:
+                nxt = min(nxt, self._next_change(vm, t))
+        return max(nxt, t)
+
+    def _decide(self, t: int):
+        low = self._gang_low() if self.bsp else None
+        decisions = []
+        for task in self.tasks:
+            if not self._works_now(task, low):
+                continue
+            decision = self.policy.decide(self._ctx(t, task))
+            decisions.append((task, decision))
+        for task, decision in decisions:
+            if decision.action != PolicyDecision.MIGRATE:
+                continue
+            if decision.target == task.vm:
+                continue
+            if decision.target not in self.candidate_ids:
+                raise SimulationError(
+                    f"policy chose non-candidate {decision.target!r} at t={t}"
+                )
+            self._start_migration(
+                task, t, decision.target, reason=decision.reason, forced=False
+            )
 
     # main loop
 
     def run(self) -> SimReport:
-        job = self.job
-        total_work = job.total_work
+        total_work = self.job.total_work
         limit = self.params.max_wallclock or (10 * total_work + 86400)
         forced_queue = list(self.forced)
 
@@ -575,9 +671,11 @@ class _Engine:
             self._open_hold(task, vm, 0, True)
 
         t = 0
+        flags = None
         while any(task.state != DONE for task in self.tasks):
             if t > limit:
                 raise SimulationError(f"no convergence after {limit} simulated seconds")
+            logged = len(self.events)
 
             # stall completions scheduled for this instant
             for task in self.tasks:
@@ -618,41 +716,10 @@ class _Engine:
                     continue
                 self._start_migration(task, t, target, reason="forced", forced=True)
 
-            # policy decision tick
             if t > 0 and t % self.params.epoch == 0:
-                decisions = []
-                for task in self.tasks:
-                    if task.state != WORKING or not self._works_now(task):
-                        continue
-                    decision = self.policy.decide(self._ctx(t, task))
-                    decisions.append((task, decision))
-                for task, decision in decisions:
-                    if decision.action != PolicyDecision.MIGRATE:
-                        continue
-                    if decision.target == task.vm:
-                        continue
-                    if decision.target not in self.candidate_ids:
-                        raise SimulationError(
-                            f"policy chose non-candidate {decision.target!r} at t={t}"
-                        )
-                    self._start_migration(
-                        task, t, decision.target, reason=decision.reason, forced=False
-                    )
+                self._decide(t)
 
-            # advance one second
-            any_down = False
-            for task in self.tasks:
-                if task.state == DONE:
-                    continue
-                works = self._works_now(task)
-                self._set_flags(task, t, works)
-                if works:
-                    task.work += 1
-                else:
-                    any_down = True
-            if any_down:
-                self.downtime += 1
-
+            last_flags, flags = flags, self._work(t)
             t += 1
             for task in self.tasks:
                 if task.state != DONE and task.work >= total_work:
@@ -662,7 +729,23 @@ class _Engine:
                     task.done_at = t
                     self.events.append({"event": "finish", "t": t, "task": task.idx})
 
-        t_end = max(task.done_at for task in self.tasks)
+            # A quiet second repeats until the next instant something can
+            # change. A changed works flag closes a hold and so logs an event
+            # too; testing the flags as well keeps the rule from resting on that.
+            if len(self.events) == logged and flags == last_flags:
+                skip = self._next_instant(t, flags, forced_queue, limit) - t
+                if skip:
+                    for task, works in zip(self.tasks, flags):
+                        if works:
+                            task.work += skip
+                    if False in flags:
+                        self.downtime += skip
+                    t += skip
+
+        return self._report(max(task.done_at for task in self.tasks))
+
+    def _report(self, t_end: int) -> SimReport:
+        job = self.job
         totals = compute_totals(
             self.events,
             self.traces,
@@ -696,7 +779,7 @@ class _Engine:
             candidates=[s.id for s in self.candidates],
             params=params_dict,
             seed=self.seed,
-            work_seconds=total_work,
+            work_seconds=job.total_work,
             wallclock_seconds=t_end,
             downtime_seconds=self.downtime,
             availability=availability,

@@ -1,0 +1,359 @@
+"""The next-event engine against the one-second reference engine.
+
+Random small markets go through both engines, which must produce the same
+report JSON, or raise the same error. The same runs check the engine's
+invariants: hold segments tile each task's lifetime, replay reproduces the
+totals, availability lies in [0, 1], and downtime counts the seconds in
+which some unfinished task did not work.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spotindex import (
+    GapError,
+    IndexCurve,
+    JobSpec,
+    MigrationModel,
+    Phase,
+    PricePoint,
+    PriceTrace,
+    RunParams,
+    SimulationError,
+    SpotIndexError,
+    replay,
+    run_simulation,
+)
+
+from spotindex.simulator import interval_cost, window_stats
+
+from conftest import COMPOSITION, build_catalog
+from reference_engine import run_per_second
+from test_simulator import flat_traces, one_phase_job, unit_params
+
+CATALOG = build_catalog()
+POLICIES = ("static", "cost", "avail", "balanced")
+TARGETS = ("c4.2xlarge", "m4.2xlarge", "r4.xlarge")
+
+
+@st.composite
+def markets(draw, duration):
+    """One step-function trace per market. Periods are drawn independently,
+    so they rarely divide the decision epoch, and a few steps jump to a
+    price far above any max_price or onto the provider cap."""
+    traces = {}
+    for vm in COMPOSITION:
+        spec = CATALOG[vm]
+        period = draw(st.integers(3, 97))
+        spikes = (40.0, 10.0 * spec.on_demand_price)
+        levels = draw(
+            st.lists(
+                st.tuples(st.integers(0, 19), st.floats(2.0, 10.0)).map(
+                    lambda drawn: spikes[drawn[0]] if drawn[0] < len(spikes) else drawn[1]
+                ),
+                min_size=1,
+                max_size=max(1, duration // period),
+            )
+        )
+        points = [PricePoint(i * period, price) for i, price in enumerate(levels)]
+        traces[vm] = PriceTrace(vm, points)
+    return traces
+
+
+@st.composite
+def scenarios(draw):
+    kind = draw(st.sampled_from(("long_running", "bsp")))
+    tasks = draw(st.integers(2, 4)) if kind == "bsp" else 1
+    phases = tuple(
+        Phase(draw(st.integers(20, 150)), cpu, mem)
+        for cpu, mem in draw(
+            st.lists(st.sampled_from(((2.0, 8.0), (4.0, 16.0))), min_size=1, max_size=3)
+        )
+    )
+    job = JobSpec(
+        name="random",
+        kind=kind,
+        tasks=tasks,
+        phases=phases,
+        mem_footprint=draw(st.sampled_from((1.0, 4.0, 12.5, 30.0))),
+        max_price=draw(st.sampled_from((None, 8.0, 9.5, 100.0, 500.0))),
+        reference_capacity=(8.0, 32.0),
+    )
+    migration = MigrationModel(
+        rate=1.0,
+        revocation_restart=draw(st.sampled_from((0, 1, 7, 30))),
+        pin_seconds=draw(st.sampled_from((None, 0, 1, 5))),
+    )
+    params = RunParams(
+        epoch=draw(st.integers(3, 45)),
+        horizon=draw(st.sampled_from((15, 60, 600))),
+        sigma_window=draw(st.integers(5, 240)),
+        index_reference=draw(st.sampled_from(("window", "instant"))),
+        bsp_superstep=draw(st.integers(10, 90)),
+        treat_cap_as_revocation=draw(st.booleans()),
+        migration=migration,
+        max_wallclock=draw(st.sampled_from((None, None, None, 150, 400))),
+    )
+    forced = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 300), st.integers(0, tasks - 1), st.sampled_from(TARGETS)
+            ),
+            max_size=3,
+        )
+    )
+    return {
+        "job": job,
+        "policy": draw(st.sampled_from(POLICIES)),
+        "traces": draw(markets(duration=3 * job.total_work)),
+        "params": params,
+        "forced_migrations": forced,
+    }
+
+
+def outcome(run, scenario):
+    try:
+        report = run(
+            scenario["job"],
+            scenario["policy"],
+            scenario["traces"],
+            CATALOG,
+            COMPOSITION,
+            params=scenario["params"],
+            forced_migrations=scenario["forced_migrations"],
+        )
+    except SpotIndexError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+    return report, json.dumps(report.to_dict(), sort_keys=True)
+
+
+def check_invariants(report, traces):
+    holds = [e for e in report.events if e["event"] == "hold"]
+    t_end = report.wallclock_seconds
+    down = np.zeros(t_end, dtype=bool)
+    for task, done_at in enumerate(report.finish_times):
+        mine = [e for e in holds if e["task"] == task]
+        covered = np.zeros(done_at, dtype=np.int64)
+        working = np.zeros(done_at, dtype=np.int64)
+        for vm in {e["vm"] for e in mine}:
+            on_vm = np.zeros(done_at, dtype=np.int64)
+            for e in mine:
+                if e["vm"] == vm:
+                    assert 0 <= e["t0"] < e["t1"] <= done_at
+                    on_vm[e["t0"]:e["t1"]] += 1
+            # one VM is never held twice at once by the same task
+            assert on_vm.max() <= 1
+            covered += on_vm
+        for e in mine:
+            if e["working"]:
+                working[e["t0"]:e["t1"]] += 1
+        # the holds tile [0, done_at): always a VM, at most two during a
+        # move, and never two working at once
+        assert covered.min() >= 1 and covered.max() <= 2
+        assert working.max() <= 1
+        revokes = [e for e in report.events if e["event"] == "revoke" and e["task"] == task]
+        lost = sum(e["work_lost"] for e in revokes)
+        assert working.sum() == report.work_seconds + lost
+        down[:done_at] |= working == 0
+    assert report.downtime_seconds == int(down.sum())
+    assert 0.0 <= report.availability <= 1.0
+    totals = replay(report, traces, CATALOG)
+    for key, value in totals.items():
+        assert getattr(report, key) == value, key
+
+
+def check_scenario(scenario):
+    report, text = outcome(run_simulation, scenario)
+    _, reference = outcome(run_per_second, scenario)
+    assert text == reference
+    if report is not None:
+        check_invariants(report, scenario["traces"])
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scenarios())
+def test_next_event_engine_matches_per_second_engine(scenario):
+    check_scenario(scenario)
+
+
+# edge cases of the next-event rules
+
+
+def both_engines(*args, **kwargs):
+    report = run_simulation(*args, **kwargs)
+    reference = run_per_second(*args, **kwargs)
+    assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+        reference.to_dict(), sort_keys=True
+    )
+    return report
+
+
+def test_max_wallclock_bounds_the_run():
+    # the 600 s job's last second of work is second 599
+    report = both_engines(
+        one_phase_job(), "static", flat_traces(), CATALOG, COMPOSITION,
+        params=unit_params(max_wallclock=599),
+    )
+    assert report.wallclock_seconds == 600
+    for run in (run_simulation, run_per_second):
+        with pytest.raises(SimulationError, match="no convergence after 598 simulated seconds"):
+            run(
+                one_phase_job(), "static", flat_traces(), CATALOG, COMPOSITION,
+                params=unit_params(max_wallclock=598),
+            )
+
+
+def test_forced_move_onto_capped_target_aborts_next_second():
+    # the cap is not above max_price, so the scripted move starts; the
+    # revocation check one second later sees the capped destination
+    traces = flat_traces()
+    cap = 10.0 * CATALOG["r4.xlarge"].on_demand_price
+    traces["r4.xlarge"] = PriceTrace("r4.xlarge", [PricePoint(0, 6.0), PricePoint(200, cap)])
+    report = both_engines(
+        one_phase_job(max_price=2 * cap), "static", traces, CATALOG, COMPOSITION,
+        params=unit_params(treat_cap_as_revocation=True),
+        forced_migrations=[(300, 0, "r4.xlarge")],
+    )
+    abort = [e for e in report.events if e["event"] == "abort_migration"]
+    assert [(e["t"], e["cause"]) for e in abort] == [(301, "dst_price")]
+    assert report.aborted_migrations == 1
+    assert report.migrations == 0
+    assert report.downtime_seconds == 1
+    assert report.final_vms == ["c4.2xlarge"]
+
+
+def test_bsp_lockstep_slips_after_partial_revocation():
+    # Pins current behaviour, not the intended one: after task 0 is revoked
+    # and catches up alone, the in-place per-task work update lets tasks 1
+    # and 2 start the next second in the same pass, one second ahead of it.
+    traces = flat_traces()
+    traces["r4.xlarge"] = PriceTrace("r4.xlarge", [PricePoint(0, 6.0), PricePoint(400, 30.0)])
+    report = both_engines(
+        one_phase_job(kind="bsp", tasks=3, phases=(Phase(1200, 4.0, 16.0),)),
+        "static", traces, CATALOG, COMPOSITION,
+        params=unit_params(),
+        forced_migrations=[(150, 0, "r4.xlarge")],
+    )
+    assert report.revocations == 1
+    assert report.finish_times == [1390, 1389, 1389]
+
+
+def test_aborted_moves_in_a_partly_revoked_gang():
+    # task 0 moves off the shared VM; task 1's destination spikes mid-copy;
+    # then task 0's source spikes mid-copy, which revokes task 0 alone
+    traces = flat_traces()
+    traces["r4.xlarge"] = PriceTrace(
+        "r4.xlarge", [PricePoint(0, 6.0), PricePoint(110, 30.0), PricePoint(150, 6.0)]
+    )
+    traces["m4.2xlarge"] = PriceTrace(
+        "m4.2xlarge", [PricePoint(0, 6.0), PricePoint(215, 30.0), PricePoint(300, 6.0)]
+    )
+    report = both_engines(
+        one_phase_job(kind="bsp", tasks=3, mem_footprint=20.0),
+        "static", traces, CATALOG, COMPOSITION,
+        params=unit_params(bsp_superstep=50),
+        forced_migrations=[(50, 0, "m4.2xlarge"), (100, 1, "r4.xlarge"), (200, 0, "r4.xlarge")],
+    )
+    aborts = [(e["task"], e["cause"]) for e in report.events if e["event"] == "abort_migration"]
+    assert aborts == [(1, "dst_price"), (0, "src_price")]
+    assert [e["task"] for e in report.events if e["event"] == "revoke"] == [0]
+
+
+# the slice sums against the Python loops they replaced
+
+
+def loop_steps(timestamps, values, t0, t1):
+    lo = int(np.searchsorted(timestamps, t0, side="right")) - 1
+    hi = int(np.searchsorted(timestamps, t1, side="left"))
+    cursor = t0
+    for i in range(lo, hi):
+        end = min(int(timestamps[i + 1]) if i + 1 < len(timestamps) else t1, t1)
+        if end > cursor:
+            yield cursor, end, float(values[i]), i
+            cursor = end
+
+
+def loop_window_stats(trace, t, window):
+    t0 = max(t - window, trace.first_ts)
+    if t <= t0:
+        return trace.price_at(t), 0.0
+    weighted = 0.0
+    squared = 0.0
+    span = 0
+    for a, b, price, _ in loop_steps(trace.timestamps, trace.prices, t0, t):
+        dt = b - a
+        weighted += price * dt
+        squared += price * price * dt
+        span += dt
+    mean = weighted / span
+    return mean, math.sqrt(max(squared / span - mean * mean, 0.0))
+
+
+def loop_integrate(curve, t0, t1):
+    total = 0
+    for a, b, value, i in loop_steps(curve.timestamps, curve._values, t0, t1):
+        if curve._counts[i] == 0:
+            raise GapError(f"no effective composition members at {a}")
+        total += (b - a) * value
+    return total
+
+
+def bits(*values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def stepped(draw):
+    stamps = draw(st.lists(st.integers(0, 4000), min_size=1, max_size=120))
+    # prices with full mantissas: sums of round numbers come out exact in
+    # any order and would hide a change of summation order
+    prices = draw(
+        st.lists(
+            st.integers(0, 500_000).map(lambda k: k / 1000.3),
+            min_size=len(stamps),
+            max_size=len(stamps),
+        )
+    )
+    trace = PriceTrace("m4.large", list(map(PricePoint, stamps, prices)))
+    return trace, draw(st.integers(min(stamps), 4500)), draw(st.integers(0, 1500))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stepped())
+def test_slice_sums_match_loops_bit_for_bit(drawn):
+    trace, t, window = drawn
+    assert bits(*window_stats(trace, t, window)) == bits(*loop_window_stats(trace, t, window))
+    t0 = max(t - window, trace.first_ts)
+    steps = loop_steps(trace.timestamps, trace.prices, t0, t)
+    old_cost = sum(p * (b - a) for a, b, p, _ in steps) / 3600.0
+    assert bits(interval_cost(trace, t0, t)) == bits(old_cost)
+    # a one-member index, capped wherever the price is high: it has gaps
+    capped = 10.0 * CATALOG["m4.large"].on_demand_price
+    gappy = PriceTrace(
+        "m4.large",
+        [
+            PricePoint(ts, capped if p > 400.0 else p)
+            for ts, p in zip(trace.timestamps.tolist(), trace.prices.tolist())
+        ],
+    )
+    curve = IndexCurve({"m4.large": gappy}, CATALOG, ["m4.large"])
+    t0 = max(t - window, curve.start)
+    try:
+        expected = loop_integrate(curve, t0, t)
+    except GapError as exc:
+        with pytest.raises(GapError, match=f"^{exc}$"):
+            curve.integrate(t0, t)
+    else:
+        got = curve.integrate(t0, t)
+        assert type(got) is type(expected)
+        assert bits(got) == bits(expected)
