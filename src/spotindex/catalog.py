@@ -11,8 +11,6 @@ from pathlib import Path
 
 from .errors import ConflictError, InvariantError, ParseError
 
-FAMILIES = ("general", "compute", "memory", "storage", "accelerated", "other")
-
 
 class VmFamily(str, Enum):
     GENERAL = "general"
@@ -165,9 +163,10 @@ def _record_to_spec(record: dict, source, line) -> VmSpec:
                 f"not a number: {record[field]!r}", source=source, line=line, field=field
             ) from None
     family = str(values["family"])
-    if family not in FAMILIES:
+    families = tuple(f.value for f in VmFamily)
+    if family not in families:
         raise ParseError(
-            f"unknown family {family!r}, expected one of {FAMILIES}",
+            f"unknown family {family!r}, expected one of {families}",
             source=source,
             line=line,
             field="family",
@@ -187,21 +186,16 @@ def _record_to_spec(record: dict, source, line) -> VmSpec:
         raise ParseError(str(exc), source=source, line=line) from None
 
 
-def load_catalog(path) -> Catalog:
-    """Load a catalog from a .csv or .jsonl/.json file.
-
-    CSV needs a header row with the exact VmSpec field names; JSON-lines needs
-    one object per line with the same keys.
-    """
+def read_records(path):
+    """Yield (line number, record dict) from a .csv file with a header row,
+    or from any other file as one JSON object per non-blank line."""
     path = Path(path)
-    specs = []
     if path.suffix.lower() == ".csv":
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise ParseError("empty file", source=path)
-            for line, row in enumerate(reader, start=2):
-                specs.append(_record_to_spec(row, path, line))
+            yield from enumerate(reader, start=2)
     else:
         with open(path) as fh:
             for line, raw in enumerate(fh, start=1):
@@ -214,8 +208,17 @@ def load_catalog(path) -> Catalog:
                     raise ParseError(f"invalid JSON: {exc}", source=path, line=line) from None
                 if not isinstance(record, dict):
                     raise ParseError("expected a JSON object", source=path, line=line)
-                specs.append(_record_to_spec(record, path, line))
-    return Catalog(specs)
+                yield line, record
+
+
+def load_catalog(path) -> Catalog:
+    """Load a catalog from a .csv or .jsonl/.json file.
+
+    CSV needs a header row with the exact VmSpec field names; JSON-lines needs
+    one object per line with the same keys.
+    """
+    path = Path(path)
+    return Catalog(_record_to_spec(record, path, line) for line, record in read_records(path))
 
 
 def filter_candidates(

@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -21,7 +22,7 @@ from .catalog import Scope, load_catalog
 from .errors import ConflictError, SpotIndexError
 from .index import index_series
 from .policies import POLICIES, build_policy
-from .prices import ingest_traces, load_trace_dir, read_trace_records, write_trace_jsonl
+from .prices import ingest_traces, load_trace_dir, read_trace_records, trace_files, write_trace_jsonl
 from .simulator import (
     JobSpec,
     MigrationModel,
@@ -30,7 +31,7 @@ from .simulator import (
     on_demand_baseline,
     run_simulation,
 )
-from .synth import SynthMarketSpec, generate_market_suite
+from .synth import DEFAULT_SEED, SynthMarketSpec, generate_market_suite
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +90,19 @@ def _comma_list(value):
     return [part.strip() for part in str(value).split(",") if part.strip()]
 
 
+def _given(args, **fields) -> dict:
+    """The options that were set, as field name -> value cast to its type.
+
+    `fields` maps each field name to (option dest, type). Unset options are
+    left out, so their fields keep the defaults their callee declares.
+    """
+    return {
+        name: kind(getattr(args, dest))
+        for name, (dest, kind) in fields.items()
+        if getattr(args, dest) is not None
+    }
+
+
 def _provenance(args, seed=None) -> dict:
     return {"version": __version__, "seed": seed, "config": _effective_config(args)}
 
@@ -102,8 +116,17 @@ def _write_json(doc: dict, path) -> None:
             fh.write(text + "\n")
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path is not None else sys.stdout
+@contextmanager
+def _csv_out(args):
+    """The --out file, or stdout, with the version and config header written."""
+    fh = open(args.out, "w", newline="") if args.out is not None else sys.stdout
+    try:
+        fh.write(f"# spotindex {__version__}\n")
+        fh.write(f"# config: {json.dumps(_effective_config(args), sort_keys=True)}\n")
+        yield fh
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _scope_from_args(args) -> Scope | None:
@@ -112,8 +135,19 @@ def _scope_from_args(args) -> Scope | None:
     return Scope(region=args.region, zone=args.zone, family=args.family)
 
 
-def _safe_name(vm_id: str) -> str:
-    return vm_id.replace("/", "_")
+def _write_traces(traces, out, manifest: dict) -> int:
+    """Write each trace as canonical JSONL into the `out` directory, next to
+    a manifest.json that lists them; returns how many were written."""
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = {}
+    for vm_id, trace in traces.items():
+        name = f"{vm_id.replace('/', '_')}.jsonl"
+        write_trace_jsonl(trace, out_dir / name)
+        written[vm_id] = {"file": name, "points": len(trace)}
+    manifest["traces"] = written
+    _write_json(manifest, out_dir / "manifest.json")
+    return len(written)
 
 
 # command handlers
@@ -125,55 +159,29 @@ def cmd_ingest(args, parser) -> int:
     paths = []
     for raw in args.inputs:
         p = Path(raw)
-        if p.is_dir():
-            paths.extend(
-                sorted(
-                    q
-                    for q in p.iterdir()
-                    if q.is_file()
-                    and q.suffix.lower() in (".csv", ".jsonl", ".json")
-                    and q.name != "manifest.json"
-                )
-            )
-        else:
-            paths.append(p)
+        paths.extend(trace_files(p) if p.is_dir() else [p])
     records = (record for path in paths for record in read_trace_records(path))
-    traces = ingest_traces(records, catalog, on_unknown=args.unknown or "warn")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = {}
-    for vm_id, trace in traces.items():
-        name = f"{_safe_name(vm_id)}.jsonl"
-        write_trace_jsonl(trace, out_dir / name)
-        written[vm_id] = {"file": name, "points": len(trace)}
-    manifest = _provenance(args)
-    manifest["traces"] = written
-    _write_json(manifest, out_dir / "manifest.json")
-    log.info("ingested %d traces into %s", len(written), out_dir)
+    traces = ingest_traces(records, catalog, **_given(args, on_unknown=("unknown", str)))
+    written = _write_traces(traces, args.out, _provenance(args))
+    log.info("ingested %d traces into %s", written, args.out)
     return 0
 
 
 def cmd_index(args, parser) -> int:
     _require(args, parser, "traces", "catalog", "start", "end")
     catalog = load_catalog(args.catalog)
-    traces = load_trace_dir(args.traces, catalog, on_unknown=args.unknown or "warn")
+    traces = load_trace_dir(args.traces, catalog, **_given(args, on_unknown=("unknown", str)))
     composition = _comma_list(args.composition) or sorted(traces)
-    period = int(args.period) if args.period is not None else 300
+    period = _given(args, period=("period", int))
     series = index_series(
-        traces, catalog, composition, int(args.start), int(args.end), period
+        traces, catalog, composition, int(args.start), int(args.end), **period
     )
     if series.gaps:
         log.warning("index has %d gap samples (first at %d)", len(series.gaps), series.gaps[0])
-    fh = _open_out(args.out)
-    try:
-        fh.write(f"# spotindex {__version__}\n")
-        fh.write(f"# config: {json.dumps(_effective_config(args), sort_keys=True)}\n")
+    with _csv_out(args) as fh:
         fh.write("timestamp,value,min,max,n_effective\n")
         for s in series.samples:
             fh.write(f"{s.timestamp},{s.value!r},{s.low!r},{s.high!r},{s.n_effective}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -185,33 +193,26 @@ def cmd_synth(args, parser) -> int:
         raw = raw.get("markets", raw)
     if not isinstance(raw, list):
         raise ValueError(f"market spec {args.spec} must hold a list of markets")
+    optional = {
+        "change_period": int,
+        "duration": int,
+        "volatility_scale": float,
+        "enforce_sample_moments": bool,
+    }
     specs = [
         SynthMarketSpec(
             vm_id=str(m["vm_id"]),
             mean=float(m["mean"]),
             stddev=float(m["stddev"]),
-            change_period=int(m.get("change_period", 60)),
-            duration=int(m.get("duration", 3600)),
-            volatility_scale=float(m.get("volatility_scale", 1.0)),
-            enforce_sample_moments=bool(m.get("enforce_sample_moments", True)),
+            **{key: cast(m[key]) for key, cast in optional.items() if key in m},
         )
         for m in raw
     ]
-    seed = int(args.seed) if args.seed is not None else 0
-    start = int(args.start) if args.start is not None else 0
-    warmup = int(args.warmup) if args.warmup is not None else 0
-    traces = generate_market_suite(specs, seed=seed, start=start, warmup=warmup)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = {}
-    for vm_id, trace in traces.items():
-        name = f"{_safe_name(vm_id)}.jsonl"
-        write_trace_jsonl(trace, out_dir / name)
-        written[vm_id] = {"file": name, "points": len(trace)}
-    manifest = _provenance(args, seed=seed)
-    manifest["traces"] = written
-    _write_json(manifest, out_dir / "manifest.json")
-    log.info("wrote %d synthetic traces into %s", len(written), out_dir)
+    options = _given(args, seed=("seed", int), start=("start", int), warmup=("warmup", int))
+    traces = generate_market_suite(specs, **options)
+    manifest = _provenance(args, seed=options.get("seed", DEFAULT_SEED))
+    written = _write_traces(traces, args.out, manifest)
+    log.info("wrote %d synthetic traces into %s", written, args.out)
     return 0
 
 
@@ -227,27 +228,34 @@ def cmd_simulate(args, parser) -> int:
         parser.error("--sufficiency and --target-rule only apply to --policy balanced")
     policy = build_policy(args.policy, **options)
     catalog = load_catalog(args.catalog)
-    traces = load_trace_dir(args.traces, catalog, on_unknown=args.unknown or "warn")
+    traces = load_trace_dir(args.traces, catalog, **_given(args, on_unknown=("unknown", str)))
     with open(args.job) as fh:
         job = JobSpec.from_dict(json.load(fh))
     composition = _comma_list(args.composition) or sorted(traces)
     migration = MigrationModel(
-        rate=float(args.migration_rate) if args.migration_rate is not None else 1.0,
-        fixed_floor=float(args.migration_floor) if args.migration_floor is not None else 0.0,
-        revocation_restart=int(args.restart) if args.restart is not None else 90,
-        pin_seconds=float(args.pin_migration) if args.pin_migration is not None else None,
+        **_given(
+            args,
+            rate=("migration_rate", float),
+            fixed_floor=("migration_floor", float),
+            revocation_restart=("restart", int),
+            pin_seconds=("pin_migration", float),
+        )
     )
     params = RunParams(
-        epoch=int(args.epoch) if args.epoch is not None else 300,
-        horizon=int(args.horizon) if args.horizon is not None else 3600,
-        sigma_window=int(args.sigma_window) if args.sigma_window is not None else 3600,
-        index_reference=args.index_reference or "window",
-        bsp_superstep=int(args.bsp_superstep) if args.bsp_superstep is not None else 300,
-        treat_cap_as_revocation=bool(args.cap_as_revocation),
         migration=migration,
-        max_wallclock=int(args.max_wallclock) if args.max_wallclock is not None else None,
+        **_given(
+            args,
+            epoch=("epoch", int),
+            horizon=("horizon", int),
+            sigma_window=("sigma_window", int),
+            index_reference=("index_reference", str),
+            bsp_superstep=("bsp_superstep", int),
+            treat_cap_as_revocation=("cap_as_revocation", bool),
+            max_wallclock=("max_wallclock", int),
+        ),
     )
-    seed = int(args.seed) if args.seed is not None else None
+    seed = _given(args, seed=("seed", int))
+    scope = _scope_from_args(args)
     report = run_simulation(
         job,
         policy,
@@ -255,15 +263,15 @@ def cmd_simulate(args, parser) -> int:
         catalog,
         composition,
         params=params,
-        scope=_scope_from_args(args),
-        seed=seed,
+        scope=scope,
+        **seed,
     )
-    normalize_report(report, on_demand_baseline(job, catalog, _scope_from_args(args)))
+    normalize_report(report, on_demand_baseline(job, catalog, scope))
     if args.events is not None:
         with open(args.events, "w") as fh:
             for event in report.events:
                 fh.write(json.dumps(event, sort_keys=True) + "\n")
-    doc = _provenance(args, seed=seed)
+    doc = _provenance(args, **seed)
     doc["report"] = report.to_dict()
     _write_json(doc, args.out)
     log.info(
@@ -302,10 +310,7 @@ def cmd_report(args, parser) -> int:
         "revocations",
         "net",
     )
-    fh = _open_out(args.out)
-    try:
-        fh.write(f"# spotindex {__version__}\n")
-        fh.write(f"# config: {json.dumps(_effective_config(args), sort_keys=True)}\n")
+    with _csv_out(args) as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             cells = []
@@ -313,9 +318,6 @@ def cmd_report(args, parser) -> int:
                 value = row.get(col)
                 cells.append("" if value is None else (f"{value!r}" if isinstance(value, float) else str(value)))
             fh.write(",".join(cells) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 

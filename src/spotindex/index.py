@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .catalog import VmSpec
 from .errors import CoverageError, GapError, OutOfRangeError
-from .prices import CAP_MULTIPLIER, CAP_RELATIVE_EPS, PriceTrace, left_sum, step_slice
+from .prices import PriceTrace, is_capped, left_sum, step_slice
 
 DEFAULT_PERIOD = 300
 
@@ -94,34 +93,13 @@ def index_at(
     Members whose price sits on the provider cap are excluded from both the
     numerator and the member count. Missing traces raise unless skip_missing.
     """
-    value, _, _, _ = index_sample(traces, catalog, composition, t, skip_missing)
-    return value
+    return _curve(traces, catalog, composition, skip_missing).value_at(t)
 
 
 def index_sample(traces, catalog, composition, t, skip_missing=False):
     """index_at plus (low, high, n_effective) for the contributing members."""
-    total = 0.0
-    low = math.inf
-    high = -math.inf
-    n_effective = 0
-    for spec in _member_specs(catalog, composition):
-        trace = traces.get(spec.id)
-        if trace is None:
-            if skip_missing:
-                continue
-            raise GapError(f"no trace for composition member {spec.id!r}")
-        price = trace.price_at(t)
-        cap = CAP_MULTIPLIER * spec.on_demand_price
-        if abs(price - cap) <= CAP_RELATIVE_EPS * cap:
-            continue
-        normalized = price / spec.capacity_scale
-        total += normalized
-        low = min(low, normalized)
-        high = max(high, normalized)
-        n_effective += 1
-    if n_effective == 0:
-        raise GapError(f"no effective composition members at {t}")
-    return total / n_effective, low, high, n_effective
+    sample = _curve(traces, catalog, composition, skip_missing).sample_at(t)
+    return sample.value, sample.low, sample.high, sample.n_effective
 
 
 def index_series(
@@ -141,19 +119,24 @@ def index_series(
         raise ValueError("period must be positive")
     if end <= start:
         raise ValueError("end must be after start")
-    samples = []
-    gaps = []
-    for t in range(start, end, period):
-        try:
-            value, low, high, n_eff = index_sample(
-                traces, catalog, composition, t, skip_missing
-            )
-        except (GapError, OutOfRangeError):
-            gaps.append(t)
-            continue
-        samples.append(IndexSample(t, value, low, high, n_eff))
+    grid = range(start, end, period)
+    try:
+        samples, gaps = _curve(traces, catalog, composition, skip_missing).sample_grid(grid)
+    except GapError:
+        samples, gaps = [], list(grid)
     composition_key = tuple(sorted(composition))
     return IndexSeries(composition_key, period, samples, gaps)
+
+
+def _curve(traces, catalog, composition, skip_missing: bool) -> IndexCurve:
+    """The composition's curve; with skip_missing, over the members that
+    have traces."""
+    if skip_missing:
+        specs = _member_specs(catalog, composition)  # validates the full composition
+        composition = [spec.id for spec in specs if spec.id in traces]
+        if not composition:
+            raise GapError("no composition member has a trace")
+    return IndexCurve(traces, catalog, composition)
 
 
 def on_demand_index(catalog, composition) -> float:
@@ -238,36 +221,64 @@ class IndexCurve:
         stamps = stamps[stamps >= self.start]
         totals = np.zeros(len(stamps))
         counts = np.zeros(len(stamps), dtype=np.int64)
+        # min and max of the live members' normalized prices at each step
+        self._low = np.full(len(stamps), np.inf)
+        self._high = np.full(len(stamps), -np.inf)
         for spec in specs:
             values = traces[spec.id].values_at(stamps)
-            cap = CAP_MULTIPLIER * spec.on_demand_price
-            live = np.abs(values - cap) > CAP_RELATIVE_EPS * cap
-            totals[live] += values[live] / spec.capacity_scale
+            live = ~is_capped(values, spec)
+            normalized = values / spec.capacity_scale
+            totals[live] += normalized[live]
             counts += live.astype(np.int64)
+            np.minimum(self._low, normalized, out=self._low, where=live)
+            np.maximum(self._high, normalized, out=self._high, where=live)
         self.timestamps = stamps
         self._counts = counts
         with np.errstate(invalid="ignore", divide="ignore"):
             self._values = np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
 
-    def value_at(self, t: int) -> float:
+    def _step(self, t: int) -> int:
+        """The step in force at t, which must have a live member."""
         if t < self.start:
             raise OutOfRangeError(f"index curve starts at {self.start}, asked for {t}")
         idx = int(np.searchsorted(self.timestamps, t, side="right")) - 1
         if self._counts[idx] == 0:
             raise GapError(f"no effective composition members at {t}")
-        return float(self._values[idx])
+        return idx
 
-    def values_at(self, grid) -> np.ndarray:
-        grid = np.asarray(grid, dtype=np.int64)
-        if grid.size and grid.min() < self.start:
-            raise OutOfRangeError(
-                f"index curve starts at {self.start}, asked for {int(grid.min())}"
-            )
-        idx = np.searchsorted(self.timestamps, grid, side="right") - 1
-        if np.any(self._counts[idx] == 0):
-            bad = grid[self._counts[idx] == 0][0]
-            raise GapError(f"no effective composition members at {int(bad)}")
-        return self._values[idx]
+    def value_at(self, t: int) -> float:
+        return float(self._values[self._step(t)])
+
+    def sample_at(self, t: int) -> IndexSample:
+        idx = self._step(t)
+        return IndexSample(
+            t,
+            float(self._values[idx]),
+            float(self._low[idx]),
+            float(self._high[idx]),
+            int(self._counts[idx]),
+        )
+
+    def sample_grid(self, grid) -> tuple[list[IndexSample], list[int]]:
+        """Samples at the grid instants, and the instants that are gaps:
+        before the curve start or on a step with no live member."""
+        stamps = np.asarray(grid, dtype=np.int64)
+        idx = np.searchsorted(self.timestamps, stamps, side="right") - 1
+        live = (stamps >= self.start) & (self._counts[idx] > 0)
+        samples, gaps = [], []
+        for t, ok, value, low, high, n in zip(
+            stamps.tolist(),
+            live.tolist(),
+            self._values[idx].tolist(),
+            self._low[idx].tolist(),
+            self._high[idx].tolist(),
+            self._counts[idx].tolist(),
+        ):
+            if ok:
+                samples.append(IndexSample(t, value, low, high, n))
+            else:
+                gaps.append(t)
+        return samples, gaps
 
     def integrate(self, t0: int, t1: int) -> float:
         """Time integral of the index over [t0, t1), in value * seconds."""

@@ -172,30 +172,28 @@ def decide_avail(ctx: PolicyContext) -> PolicyDecision:
     scores = tuple((c.spec.id, ctx.utilized_sigma(c)) for c in ctx.candidates)
     if current.normalized() <= ctx.index_reference:
         return PolicyDecision(PolicyDecision.STAY, reason="at or below index", scores=scores)
-    pool = [
-        c
-        for c in ctx.candidates
-        if c.spec.id != current.spec.id and c.normalized() < ctx.index_reference
-    ]
-    if not pool:
-        raise SelectionError(
-            f"no candidate priced below the index at t={ctx.t}"
-        )
-    target = _argmin(pool, ctx.utilized_sigma)
+    # the current VM is above the index here, so select_avail's pool leaves it out
     return PolicyDecision(
         PolicyDecision.MIGRATE,
-        target=target.spec.id,
+        target=select_avail(ctx),
         reason="current above index, moving to lowest volatility",
         scores=scores,
     )
 
 
+def _sharpe_scores(ctx: PolicyContext) -> dict[str, float]:
+    """Each candidate's Sharpe score, by vm id in candidate order."""
+    return {
+        c.spec.id: sharpe(ctx.index_reference, ctx.utilized_mean(c), ctx.utilized_sigma(c))
+        for c in ctx.candidates
+    }
+
+
 def select_balanced(ctx: PolicyContext) -> str:
     """Candidate with the best risk-adjusted saving (Sharpe-style score)."""
-    scored = [(sharpe(ctx.index_reference, ctx.utilized_mean(c), ctx.utilized_sigma(c)), c) for c in ctx.candidates]
-    best_score = max(score for score, _ in scored)
-    pool = [c for score, c in scored if score >= best_score - TIE_TOLERANCE]
-    return min(pool, key=lambda c: c.spec.id).spec.id
+    scores = _sharpe_scores(ctx)
+    best_score = max(scores.values())
+    return min(vm for vm, score in scores.items() if score >= best_score - TIE_TOLERANCE)
 
 
 def decide_balanced(
@@ -205,23 +203,20 @@ def decide_balanced(
     to pay for the move end to end (source price plus twice destination).
     sufficiency="off" drops that gate and migrates on score alone."""
     current = ctx.view(ctx.current)
-
-    def score(c):
-        return sharpe(ctx.index_reference, ctx.utilized_mean(c), ctx.utilized_sigma(c))
-
-    scores = tuple((c.spec.id, score(c)) for c in ctx.candidates)
-    current_score = score(current)
+    score = _sharpe_scores(ctx)
+    scores = tuple(score.items())
+    current_score = score[current.spec.id]
     others = [c for c in ctx.candidates if c.spec.id != current.spec.id]
     if not others:
         return PolicyDecision(PolicyDecision.STAY, reason="no alternative", scores=scores)
-    best = max(others, key=lambda c: (score(c), c.spec.id))
-    if current_score >= score(best) - TIE_TOLERANCE:
+    best = max(others, key=lambda c: (score[c.spec.id], c.spec.id))
+    if current_score >= score[best.spec.id] - TIE_TOLERANCE:
         return PolicyDecision(PolicyDecision.STAY, reason="score already best", scores=scores)
     if target_rule == "sharpe":
         pool = [best]
     elif target_rule == "first_feasible":
         pool = sorted(
-            (c for c in others if score(c) > current_score + TIE_TOLERANCE),
+            (c for c in others if score[c.spec.id] > current_score + TIE_TOLERANCE),
             key=lambda c: c.spec.id,
         )
     else:

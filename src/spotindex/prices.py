@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import OutOfRangeError, ParseError
-from .catalog import VmSpec
+from .catalog import VmSpec, read_records
 
 log = logging.getLogger(__name__)
 
@@ -190,26 +189,8 @@ def read_trace_records(path):
     either `vm_id` or `instance_type` and `zone`, and provenance for errors.
     """
     path = Path(path)
-    if path.suffix.lower() == ".csv":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ParseError("empty file", source=path)
-            for line, row in enumerate(reader, start=2):
-                yield _normalize_record(row, path, line)
-    else:
-        with open(path) as fh:
-            for line, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc}", source=path, line=line) from None
-                if not isinstance(record, dict):
-                    raise ParseError("expected a JSON object", source=path, line=line)
-                yield _normalize_record(record, path, line)
+    for line, record in read_records(path):
+        yield _normalize_record(record, path, line)
 
 
 def _normalize_record(record: dict, source, line) -> dict:
@@ -304,19 +285,23 @@ def write_trace_jsonl(trace: PriceTrace, path) -> None:
             )
 
 
-def load_trace_dir(directory, catalog, on_unknown: str = "warn") -> dict[str, PriceTrace]:
-    """Ingest every .csv/.jsonl/.json trace file in a directory.
+def trace_files(directory) -> list[Path]:
+    """The .csv/.jsonl/.json trace files in a directory, sorted.
 
     A manifest.json (written next to the traces by the CLI) is not a trace
     and is skipped.
     """
-    directory = Path(directory)
-    paths = sorted(
+    return sorted(
         p
-        for p in directory.iterdir()
+        for p in Path(directory).iterdir()
         if p.suffix.lower() in (".csv", ".jsonl", ".json")
         and p.is_file()
         and p.name != "manifest.json"
     )
+
+
+def load_trace_dir(directory, catalog, on_unknown: str = "warn") -> dict[str, PriceTrace]:
+    """Ingest every trace file in a directory (see trace_files)."""
+    paths = trace_files(directory)
     records = (record for path in paths for record in read_trace_records(path))
     return ingest_traces(records, catalog, on_unknown=on_unknown)

@@ -135,24 +135,19 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "JobSpec":
-        requirement = raw.get("requirement")
+        """The inverse of to_dict; an absent or null key takes the default."""
+        casts = {
+            "kind": str,
+            "tasks": int,
+            "requirement": lambda r: ResourceRequirement(float(r[0]), float(r[1])),
+            "mem_footprint": float,
+            "max_price": float,
+            "reference_capacity": tuple,
+        }
         return cls(
             name=str(raw["name"]),
-            kind=str(raw.get("kind", LONG_RUNNING)),
-            tasks=int(raw.get("tasks", 1)),
             phases=tuple(Phase(int(d), float(c), float(m)) for d, c, m in raw["phases"]),
-            requirement=(
-                None
-                if requirement is None
-                else ResourceRequirement(float(requirement[0]), float(requirement[1]))
-            ),
-            mem_footprint=float(raw.get("mem_footprint", 4.0)),
-            max_price=(None if raw.get("max_price") is None else float(raw["max_price"])),
-            reference_capacity=(
-                None
-                if raw.get("reference_capacity") is None
-                else tuple(raw["reference_capacity"])
-            ),
+            **{key: cast(raw[key]) for key, cast in casts.items() if raw.get(key) is not None},
         )
 
 
@@ -262,35 +257,44 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     return mean, math.sqrt(variance)
 
 
+def _billed_holds(events, traces, catalog, curve: IndexCurve):
+    """Yield (event, cost, index_cost) for each hold in an event log: what
+    the hold cost, and for a working hold what its VM's capacity cost at the
+    index over the same span (None otherwise). The one billing loop, read by
+    compute_totals and ledger_from_report."""
+    for event in events:
+        if event.get("event") != "hold":
+            continue
+        cost = interval_cost(traces[event["vm"]], event["t0"], event["t1"])
+        index_cost = None
+        if event["working"]:
+            scale = catalog[event["vm"]].capacity_scale
+            index_cost = curve.integrate(event["t0"], event["t1"]) * scale / 3600.0
+        yield event, cost, index_cost
+
+
 def compute_totals(
     events,
     traces,
     catalog,
-    composition,
+    curve: IndexCurve,
     reference_capacity,
     tasks: int,
     t_end: int,
 ) -> dict:
     """Derive all money totals from hold segments in the event log.
 
-    This is the single source of truth for billing: the simulator calls it
-    on its own log and replay calls it on a deserialized one, so the two
-    agree exactly.
+    The simulator calls it on its own log and replay calls it on a
+    deserialized one, so the two agree exactly.
     """
-    curve = IndexCurve(traces, catalog, composition)
     total_cost = 0.0
     productive_cost = 0.0
     index_cost_held = 0.0
-    for event in events:
-        if event.get("event") != "hold":
-            continue
-        trace = traces[event["vm"]]
-        cost = interval_cost(trace, event["t0"], event["t1"])
+    for event, cost, index_cost in _billed_holds(events, traces, catalog, curve):
         total_cost += cost
         if event["working"]:
             productive_cost += cost
-            scale = catalog[event["vm"]].capacity_scale
-            index_cost_held += curve.integrate(event["t0"], event["t1"]) * scale / 3600.0
+            index_cost_held += index_cost
     gain = index_cost_held - productive_cost
     loss = total_cost - productive_cost
     ref_scale = math.sqrt(reference_capacity[0] * reference_capacity[1])
@@ -360,6 +364,15 @@ class _Engine:
             job.requirement.min_mem,
         )
         self.forced = sorted(forced_migrations or [], key=lambda f: (f[0], f[1]))
+        for entry in self.forced:
+            t, idx, _ = entry
+            if t < 0:
+                raise SimulationError(f"forced migration {entry!r} has a negative time")
+            if not 0 <= idx < job.tasks:
+                raise SimulationError(
+                    f"forced migration {entry!r} names task {idx}, "
+                    f"but the job's tasks are 0..{job.tasks - 1}"
+                )
         self.tasks = [_Task(i) for i in range(job.tasks)]
         self.bsp = job.kind == BSP
         self.events: list[dict] = []
@@ -750,7 +763,7 @@ class _Engine:
             self.events,
             self.traces,
             self.catalog,
-            self.composition,
+            self.curve,
             self.reference_capacity,
             job.tasks,
             t_end,
@@ -786,18 +799,12 @@ class _Engine:
             migrations=self.migrations,
             aborted_migrations=self.aborted,
             revocations=self.revocations,
-            total_cost=totals["total_cost"],
-            productive_cost=totals["productive_cost"],
-            gain=totals["gain"],
-            loss=totals["loss"],
-            net=totals["net"],
-            index_cost_reference=totals["index_cost_reference"],
-            index_cost_held=totals["index_cost_held"],
             cost_vs_on_demand=None,
             cost_vs_index=None,
             final_vms=[task.vm for task in self.tasks],
             finish_times=[task.done_at for task in self.tasks],
             events=self.events,
+            **totals,
         )
 
 
@@ -864,7 +871,7 @@ def replay(report: SimReport | dict, traces: dict, catalog: Catalog) -> dict:
         raw["events"],
         traces,
         catalog,
-        raw["composition"],
+        IndexCurve(traces, catalog, raw["composition"]),
         tuple(raw["params"]["reference_capacity"]),
         raw["tasks"],
         raw["wallclock_seconds"],
@@ -876,24 +883,14 @@ def ledger_from_report(report: SimReport | dict, traces: dict, catalog: Catalog)
     raw = report.to_dict() if isinstance(report, SimReport) else report
     curve = IndexCurve(traces, catalog, raw["composition"])
     ledger = TrackingLedger()
-    for event in raw["events"]:
-        if event.get("event") != "hold":
-            continue
-        cost = interval_cost(traces[event["vm"]], event["t0"], event["t1"])
+    for event, cost, index_cost in _billed_holds(raw["events"], traces, catalog, curve):
         if event["working"]:
-            scale = catalog[event["vm"]].capacity_scale
-            index_cost = curve.integrate(event["t0"], event["t1"]) * scale / 3600.0
             ledger.add_gain(
                 event["t0"], event["t1"], event["vm"], index_cost - cost, detail="hold"
             )
         else:
             ledger.add_loss(event["t0"], event["t1"], event["vm"], cost, detail="stall")
     return ledger
-
-
-def _min_mean_max(values) -> dict:
-    values = list(values)
-    return {"min": min(values), "mean": sum(values) / len(values), "max": max(values)}
 
 
 def run_trials(
@@ -906,7 +903,8 @@ def run_trials(
     scope: Scope | None = None,
     seeds=None,
 ) -> dict:
-    """One run per trace set, plus min/mean/max of cost and availability."""
+    """One run per trace set under "trials", plus aggregate_reports' summary
+    of them."""
     trace_sets = list(trace_sets)
     if not trace_sets:
         raise ValueError("no trace sets to run")
@@ -929,13 +927,7 @@ def run_trials(
             )
         except SpotIndexError as exc:
             raise SimulationError(f"trial {i} failed: {exc}") from exc
-    return {
-        "trials": reports,
-        "total_cost": _min_mean_max(r.total_cost for r in reports),
-        "availability": _min_mean_max(r.availability for r in reports),
-        "migrations": _min_mean_max(r.migrations for r in reports),
-        "revocations": _min_mean_max(r.revocations for r in reports),
-    }
+    return {"trials": reports, **aggregate_reports(reports)}
 
 
 def aggregate_reports(reports) -> dict:

@@ -14,6 +14,7 @@ from .prices import PricePoint, PriceTrace
 log = logging.getLogger(__name__)
 
 NEGATIVE_PRICE_TOLERANCE = 1e-9
+DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def _exact_moments(values: np.ndarray, mean: float, std: float) -> np.ndarray:
     return mean + (values - values.mean()) * (std / spread)
 
 
-def generate(spec: SynthMarketSpec, seed: int = 0, start: int = 0, salt: int = 0) -> PriceTrace:
+def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, salt: int = 0) -> PriceTrace:
     """One uniform i.i.d. price per change_period on [start, start + duration).
 
     Draws are uniform on mean +/- stddev * sqrt(3) * volatility_scale; with
@@ -99,7 +100,7 @@ def generate(spec: SynthMarketSpec, seed: int = 0, start: int = 0, salt: int = 0
 
 
 def generate_with_warmup(
-    spec: SynthMarketSpec, seed: int = 0, start: int = 0, warmup: int = 0
+    spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, warmup: int = 0
 ) -> PriceTrace:
     """The run-proper trace, preceded by a separately drawn warmup block.
 
@@ -117,7 +118,7 @@ def generate_with_warmup(
 
 
 def generate_market_suite(
-    specs, seed: int = 0, start: int = 0, warmup: int = 0
+    specs, seed: int = DEFAULT_SEED, start: int = 0, warmup: int = 0
 ) -> dict[str, PriceTrace]:
     """Generate one trace per market spec, keyed by vm id.
 

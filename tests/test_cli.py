@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from spotindex import MigrationModel, RunParams, SynthMarketSpec, generate_market_suite, write_trace_jsonl
 from spotindex.cli import main
+from spotindex.synth import DEFAULT_SEED
 
 from conftest import MARKET_ROWS
 
@@ -253,3 +255,46 @@ def test_domain_error_exit_code(workspace):
         ]
     )
     assert code == 1
+
+
+def test_simulate_defaults_come_from_the_dataclasses(workspace):
+    traces = workspace / "traces"
+    assert run(["synth", "--spec", workspace / "markets.json", "--out", traces]) == 0
+    out = workspace / "report.json"
+    code = run(
+        [
+            "simulate",
+            "--job", workspace / "job.json",
+            "--policy", "static",
+            "--traces", traces,
+            "--catalog", workspace / "catalog.csv",
+            "--out", out,
+        ]
+    )
+    assert code == 0
+    params = json.loads(out.read_text())["report"]["params"]
+    defaults, migration = RunParams(), MigrationModel()
+    expected = {
+        "epoch": defaults.epoch,
+        "horizon": defaults.horizon,
+        "sigma_window": defaults.sigma_window,
+        "index_reference": defaults.index_reference,
+        "bsp_superstep": defaults.bsp_superstep,
+        "treat_cap_as_revocation": defaults.treat_cap_as_revocation,
+        "migration_rate": migration.rate,
+        "migration_fixed_floor": migration.fixed_floor,
+        "revocation_restart": migration.revocation_restart,
+        "migration_seconds": migration.seconds(JOB_JSON["mem_footprint"]),
+    }
+    assert {key: params[key] for key in expected} == expected
+
+
+def test_synth_defaults_come_from_the_dataclasses(workspace):
+    spec_path = workspace / "minimal.json"
+    spec_path.write_text(json.dumps([{"vm_id": "m4.large", "mean": 4.5, "stddev": 0.5}]))
+    out = workspace / "minimal"
+    assert run(["synth", "--spec", spec_path, "--out", out]) == 0
+    suite = generate_market_suite([SynthMarketSpec("m4.large", mean=4.5, stddev=0.5)])
+    write_trace_jsonl(suite["m4.large"], workspace / "expected.jsonl")
+    assert (out / "m4.large.jsonl").read_bytes() == (workspace / "expected.jsonl").read_bytes()
+    assert json.loads((out / "manifest.json").read_text())["seed"] == DEFAULT_SEED

@@ -207,3 +207,80 @@ def test_curve_integrate_additive_and_window_mean():
     assert curve.window_mean(50, 500) == pytest.approx(2.0)
     with pytest.raises(OutOfRangeError):
         curve.value_at(-1)
+
+
+def brute_force_sample(points, catalog, members, t):
+    """(mean, low, high, count) of the live members' normalized prices at t,
+    from the raw points; None when t is a gap (before a member's first point,
+    or every member on its cap)."""
+    live = []
+    for vm in members:
+        before = [p for p in points[vm] if p.timestamp <= t]
+        if not before:
+            return None
+        price = max(before, key=lambda p: p.timestamp).price
+        s = catalog[vm]
+        cap = 10.0 * s.on_demand_price
+        if abs(price - cap) > 1e-9 * cap:
+            live.append(price / math.sqrt(s.cpu_capacity * s.mem_capacity))
+    if not live:
+        return None
+    return math.fsum(live) / len(live), min(live), max(live), len(live)
+
+
+def test_index_matches_brute_force_oracle():
+    rng = random.Random(31)
+    for _ in range(60):
+        specs = [
+            spec(f"v{i}", rng.uniform(1, 16), rng.uniform(1, 64), rng.uniform(0.5, 5.0))
+            for i in range(rng.randrange(1, 6))
+        ]
+        catalog = Catalog(specs)
+        points = {}
+        for s in specs:
+            if rng.random() < 0.15:
+                continue  # no trace: only skip_missing can sample it
+            start = rng.choice([0, 0, 120, 600])  # some traces start late
+            points[s.id] = [
+                PricePoint(
+                    start + 60 * k,
+                    10.0 * s.on_demand_price
+                    if rng.random() < 0.25  # on the provider cap
+                    else rng.uniform(0.1, 6.0 * s.on_demand_price),
+                )
+                for k in range(rng.randrange(1, 25))
+            ]
+        traces = {vm: PriceTrace(vm, pts) for vm, pts in points.items()}
+        ids = [s.id for s in specs]
+        rng.shuffle(ids)
+        skip_missing = len(points) < len(ids)
+        members = [vm for vm in ids if vm in points]
+        if not members:
+            with pytest.raises(GapError):
+                index_sample(traces, catalog, ids, 0, skip_missing=True)
+            assert index_series(traces, catalog, ids, 0, 600, 60, skip_missing=True).samples == []
+            continue
+        curve = IndexCurve(traces, catalog, members)
+        instants = sorted(rng.sample(range(0, 2000), 25))
+        for t in instants:
+            expected = brute_force_sample(points, catalog, members, t)
+            if expected is None:
+                with pytest.raises((GapError, OutOfRangeError)):
+                    index_sample(traces, catalog, ids, t, skip_missing)
+                with pytest.raises((GapError, OutOfRangeError)):
+                    curve.value_at(t)
+                continue
+            mean, low, high, n = expected
+            got = index_sample(traces, catalog, ids, t, skip_missing)
+            assert got[0] == pytest.approx(mean, rel=1e-12)
+            assert got[1:3] == pytest.approx((low, high), rel=1e-12)
+            assert got[3] == n
+            assert curve.value_at(t) == pytest.approx(mean, rel=1e-12)
+        series = index_series(traces, catalog, ids, 0, 2000, 97, skip_missing)
+        oracle = {t: brute_force_sample(points, catalog, members, t) for t in range(0, 2000, 97)}
+        assert series.gaps == [t for t, sample in oracle.items() if sample is None]
+        for sample in series.samples:
+            mean, low, high, n = oracle[sample.timestamp]
+            assert sample.value == pytest.approx(mean, rel=1e-12)
+            assert (sample.low, sample.high) == pytest.approx((low, high), rel=1e-12)
+            assert sample.n_effective == n

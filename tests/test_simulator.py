@@ -181,6 +181,26 @@ def test_forced_migration_validation():
         )
 
 
+def test_forced_migration_negative_time_rejected():
+    # a negative time used to leave every later scripted move unvisited
+    with pytest.raises(SimulationError, match="negative time"):
+        run_simulation(
+            one_phase_job(), "static", flat_traces(), CATALOG, COMPOSITION,
+            params=unit_params(),
+            forced_migrations=[(-5, 0, "r4.xlarge"), (300, 0, "r4.xlarge")],
+        )
+
+
+@pytest.mark.parametrize("idx", [1, -1])
+def test_forced_migration_task_out_of_range_rejected(idx):
+    with pytest.raises(SimulationError, match=f"names task {idx}"):
+        run_simulation(
+            one_phase_job(), "static", flat_traces(), CATALOG, COMPOSITION,
+            params=unit_params(),
+            forced_migrations=[(300, idx, "r4.xlarge")],
+        )
+
+
 def test_revocation_rolls_back_to_phase_boundary():
     traces = flat_traces()
     traces["c4.2xlarge"] = PriceTrace(
