@@ -238,7 +238,6 @@ def cmd_simulate(args, parser) -> int:
             rate=("migration_rate", float),
             fixed_floor=("migration_floor", float),
             revocation_restart=("restart", int),
-            pin_seconds=("pin_migration", float),
         )
     )
     params = RunParams(
@@ -372,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bsp-superstep", type=int, help="BSP superstep length in work seconds")
     p.add_argument("--migration-rate", type=float, help="seconds per GB migrated")
     p.add_argument("--migration-floor", type=float, help="minimum migration seconds")
-    p.add_argument("--pin-migration", type=float, help="override migration seconds exactly")
     p.add_argument("--restart", type=int, help="revocation restart seconds")
     p.add_argument(
         "--cap-as-revocation",

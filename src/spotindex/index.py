@@ -81,24 +81,18 @@ def _member_specs(catalog, composition) -> list[VmSpec]:
     return specs
 
 
-def index_at(
-    traces: dict[str, PriceTrace],
-    catalog,
-    composition,
-    t: int,
-    skip_missing: bool = False,
-) -> float:
+def index_at(traces: dict[str, PriceTrace], catalog, composition, t: int) -> float:
     """Equal-weighted mean of member normalized prices at time t.
 
     Members whose price sits on the provider cap are excluded from both the
-    numerator and the member count. Missing traces raise unless skip_missing.
+    numerator and the member count. A member without a trace raises GapError.
     """
-    return _curve(traces, catalog, composition, skip_missing).value_at(t)
+    return IndexCurve(traces, catalog, composition).value_at(t)
 
 
-def index_sample(traces, catalog, composition, t, skip_missing=False):
+def index_sample(traces, catalog, composition, t):
     """index_at plus (low, high, n_effective) for the contributing members."""
-    sample = _curve(traces, catalog, composition, skip_missing).sample_at(t)
+    sample = IndexCurve(traces, catalog, composition).sample_at(t)
     return sample.value, sample.low, sample.high, sample.n_effective
 
 
@@ -109,34 +103,19 @@ def index_series(
     start: int,
     end: int,
     period: int = DEFAULT_PERIOD,
-    skip_missing: bool = False,
 ) -> IndexSeries:
     """Sample the index on [start, end) every `period` seconds.
 
-    Instants where no member contributes are recorded as gaps, not errors.
+    Instants before the curve starts, or where every member is capped, are
+    recorded as gaps; a composition the curve cannot be built from raises.
     """
     if period <= 0:
         raise ValueError("period must be positive")
     if end <= start:
         raise ValueError("end must be after start")
-    grid = range(start, end, period)
-    try:
-        samples, gaps = _curve(traces, catalog, composition, skip_missing).sample_grid(grid)
-    except GapError:
-        samples, gaps = [], list(grid)
+    samples, gaps = IndexCurve(traces, catalog, composition).sample_grid(range(start, end, period))
     composition_key = tuple(sorted(composition))
     return IndexSeries(composition_key, period, samples, gaps)
-
-
-def _curve(traces, catalog, composition, skip_missing: bool) -> IndexCurve:
-    """The composition's curve; with skip_missing, over the members that
-    have traces."""
-    if skip_missing:
-        specs = _member_specs(catalog, composition)  # validates the full composition
-        composition = [spec.id for spec in specs if spec.id in traces]
-        if not composition:
-            raise GapError("no composition member has a trace")
-    return IndexCurve(traces, catalog, composition)
 
 
 def on_demand_index(catalog, composition) -> float:

@@ -62,11 +62,12 @@ class PriceTrace:
             for t, p in zip(self.timestamps, self.prices)
         ]
 
+    def _before_start(self, t: int) -> OutOfRangeError:
+        return OutOfRangeError(f"trace {self.vm_id!r} starts at {self.first_ts}, asked for {t}")
+
     def price_at(self, t: int) -> float:
         if t < self.timestamps[0]:
-            raise OutOfRangeError(
-                f"trace {self.vm_id!r} starts at {self.first_ts}, asked for {t}"
-            )
+            raise self._before_start(t)
         idx = int(np.searchsorted(self.timestamps, t, side="right")) - 1
         return float(self.prices[idx])
 
@@ -74,19 +75,14 @@ class PriceTrace:
         """Vectorized price_at over an array of timestamps."""
         grid = np.asarray(grid, dtype=np.int64)
         if grid.size and grid.min() < self.timestamps[0]:
-            raise OutOfRangeError(
-                f"trace {self.vm_id!r} starts at {self.first_ts}, "
-                f"asked for {int(grid.min())}"
-            )
+            raise self._before_start(int(grid.min()))
         idx = np.searchsorted(self.timestamps, grid, side="right") - 1
         return self.prices[idx]
 
     def steps(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
         """Prices and clipped widths of the steps covering [t0, t1), t0 < t1."""
         if t0 < self.timestamps[0]:
-            raise OutOfRangeError(
-                f"trace {self.vm_id!r} starts at {self.first_ts}, asked for {t0}"
-            )
+            raise self._before_start(t0)
         span, widths = step_slice(self.timestamps, t0, t1)
         return self.prices[span], widths
 

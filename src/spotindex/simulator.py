@@ -158,17 +158,12 @@ class MigrationModel:
     rate: float = 1.0
     fixed_floor: float = 0.0
     revocation_restart: int = 90
-    pin_seconds: float | None = None
 
     def __post_init__(self):
         if self.rate < 0 or self.fixed_floor < 0 or self.revocation_restart < 0:
             raise ValueError("migration model parameters must be non-negative")
-        if self.pin_seconds is not None and self.pin_seconds < 0:
-            raise ValueError("pin_seconds must be non-negative")
 
     def seconds(self, mem_footprint: float) -> int:
-        if self.pin_seconds is not None:
-            return int(math.ceil(self.pin_seconds))
         return int(math.ceil(max(self.rate * mem_footprint, self.fixed_floor)))
 
 
@@ -311,7 +306,7 @@ def compute_totals(
 
 
 class _Task:
-    __slots__ = ("idx", "vm", "work", "state", "stall_until", "mig_src", "mig_dst", "holds", "done_at")
+    __slots__ = ("idx", "vm", "work", "state", "stall_until", "mig_dst", "holds", "done_at")
 
     def __init__(self, idx: int):
         self.idx = idx
@@ -319,7 +314,6 @@ class _Task:
         self.work = 0
         self.state = WORKING
         self.stall_until = 0
-        self.mig_src = None
         self.mig_dst = None
         self.holds = {}
         self.done_at = None
@@ -493,22 +487,17 @@ class _Engine:
                 "reason": reason,
             }
         )
-        if self.t_m == 0:
-            self._close_hold(task, src, t)
-            self._open_hold(task, target, t, False)
-            task.vm = target
-            self.migrations += 1
-            return
         task.state = MIGRATING
         task.stall_until = t + self.t_m
-        task.mig_src = src
         task.mig_dst = target
         self._open_hold(task, target, t, False)
+        if self.t_m == 0:
+            self._finish_migration(task, t)
 
     def _finish_migration(self, task: _Task, t: int):
-        self._close_hold(task, task.mig_src, t)
+        # task.vm is the source until the move finishes, aborts or is revoked
+        self._close_hold(task, task.vm, t)
         task.vm = task.mig_dst
-        task.mig_src = None
         task.mig_dst = None
         task.state = WORKING
         self.migrations += 1
@@ -519,7 +508,7 @@ class _Engine:
                 "event": "abort_migration",
                 "t": t,
                 "task": task.idx,
-                "src": task.mig_src,
+                "src": task.vm,
                 "dst": task.mig_dst,
                 "cause": cause,
             }
@@ -527,8 +516,6 @@ class _Engine:
         self.aborted += 1
         if cause == "dst_price":
             self._close_hold(task, task.mig_dst, t)
-            task.vm = task.mig_src
-            task.mig_src = None
             task.mig_dst = None
             task.state = WORKING
 
@@ -545,7 +532,6 @@ class _Engine:
         rolled = self._rollback_point(task.work)
         work_lost = task.work - rolled
         task.work = rolled
-        task.mig_src = None
         task.mig_dst = None
         self.revocations += 1
         new_vm = self._acquire(task, t, reason="revocation")
@@ -581,14 +567,9 @@ class _Engine:
 
     def _work(self, t: int) -> list:
         """Run second t's work step; returns each task's works flag, None
-        once done.
-
-        Tasks go in index order and a BSP task's work is raised in place, so
-        a task sees the gang's low mark as the tasks before it left it.
-        """
+        once done. A BSP task works when it is at the gang's low mark as the
+        second starts."""
         low = self._gang_low() if self.bsp else None
-        if low is not None:
-            at_low = sum(1 for task in self.tasks if task.state != DONE and task.work == low)
         flags = []
         for task in self.tasks:
             if task.state == DONE:
@@ -597,16 +578,8 @@ class _Engine:
             works = self._works_now(task, low)
             self._set_flags(task, t, works)
             flags.append(works)
-            if not works:
-                continue
-            task.work += 1
-            if low is not None:
-                at_low -= 1
-                if at_low == 0:
-                    low += 1
-                    at_low = sum(
-                        1 for peer in self.tasks if peer.state != DONE and peer.work == low
-                    )
+            if works:
+                task.work += 1
         if False in flags:
             self.downtime += 1
         return flags
@@ -632,16 +605,15 @@ class _Engine:
             top = max(working)
             # the second that completes the furthest task is stepped
             nxt = min(nxt, t + self.job.total_work - top - 1)
-            # A BSP task held back by the gang rejoins once the working tasks
-            # catch up with it; from one second before that on, the in-place
-            # work updates are stepped second by second.
+            # a BSP task held back by the gang rejoins once the working
+            # tasks catch up with it
             idle = [
                 task.work
                 for task, works in zip(self.tasks, flags)
                 if works is False and task.state == WORKING
             ]
             if idle:
-                nxt = min(nxt, t + min(idle) - top - 1)
+                nxt = min(nxt, t + min(idle) - top)
         for task in self.tasks:
             if nxt <= t:
                 return t
@@ -702,7 +674,7 @@ class _Engine:
                 if task.state == DONE:
                     continue
                 if task.state == MIGRATING:
-                    if self._crossed(task.mig_src, t):
+                    if self._crossed(task.vm, t):
                         self._abort_migration(task, t, cause="src_price")
                         self._revoke(task, t)
                     elif self._crossed(task.mig_dst, t):
@@ -720,9 +692,10 @@ class _Engine:
                     )
                 if target not in self.candidate_ids:
                     raise SimulationError(f"forced migration target {target!r} not a candidate")
-                if self._price(target, t) > self.max_price:
+                if self._crossed(target, t):
                     raise SimulationError(
-                        f"forced migration target {target!r} priced above max at t={t}"
+                        f"forced migration target {target!r} is above max price "
+                        f"or on the cap at t={t}"
                     )
                 if target == task.vm:
                     log.warning("forced migration at t=%d targets the held vm, skipped", t)

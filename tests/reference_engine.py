@@ -63,7 +63,7 @@ class PerSecondEngine(_Engine):
                 if task.state == DONE:
                     continue
                 if task.state == MIGRATING:
-                    if self._crossed(task.mig_src, t):
+                    if self._crossed(task.vm, t):
                         self._abort_migration(task, t, cause="src_price")
                         self._revoke(task, t)
                     elif self._crossed(task.mig_dst, t):
@@ -81,9 +81,10 @@ class PerSecondEngine(_Engine):
                     )
                 if target not in self.candidate_ids:
                     raise SimulationError(f"forced migration target {target!r} not a candidate")
-                if self._price(target, t) > self.max_price:
+                if self._crossed(target, t):
                     raise SimulationError(
-                        f"forced migration target {target!r} priced above max at t={t}"
+                        f"forced migration target {target!r} is above max price "
+                        f"or on the cap at t={t}"
                     )
                 if target == task.vm:
                     log.warning("forced migration at t=%d targets the held vm, skipped", t)
@@ -111,12 +112,12 @@ class PerSecondEngine(_Engine):
                         task, t, decision.target, reason=decision.reason, forced=False
                     )
 
-            # advance one second
+            # advance one second; every task sees the gang's work as the
+            # second started
             any_down = False
-            for task in self.tasks:
-                if task.state == DONE:
-                    continue
-                works = self._works_this_second(task)
+            live = self._unfinished()
+            flags = [self._works_this_second(task) for task in live]
+            for task, works in zip(live, flags):
                 self._set_flags(task, t, works)
                 if works:
                     task.work += 1

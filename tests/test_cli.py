@@ -172,6 +172,47 @@ def test_config_unknown_key_is_usage_error(workspace):
     assert err.value.code == 2
 
 
+def test_config_pin_migration_is_usage_error(workspace, capsys):
+    # a fixed migration time is migration_rate 0 plus migration_floor
+    traces = workspace / "traces"
+    run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])
+    config = workspace / "pinned.json"
+    config.write_text(json.dumps({"pin_migration": 4.0}))
+    with pytest.raises(SystemExit) as err:
+        run(
+            [
+                "simulate",
+                "--job", workspace / "job.json",
+                "--policy", "static",
+                "--traces", traces,
+                "--catalog", workspace / "catalog.csv",
+                "--out", workspace / "report.json",
+                "--config", config,
+            ]
+        )
+    assert err.value.code == 2
+    assert "'pin_migration'" in capsys.readouterr().err
+
+
+def test_index_misspelled_member_is_domain_error(workspace):
+    traces = workspace / "traces"
+    run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])
+    out = workspace / "index.csv"
+    code = run(
+        [
+            "index",
+            "--traces", traces,
+            "--catalog", workspace / "catalog.csv",
+            "--composition", "m4.large,m4.lrage",
+            "--start", 0,
+            "--end", 900,
+            "--out", out,
+        ]
+    )
+    assert code == 1
+    assert not out.exists()
+
+
 def test_simulate_and_report(workspace):
     traces = workspace / "traces"
     run(["synth", "--spec", workspace / "markets.json", "--seed", 5, "--out", traces])

@@ -85,9 +85,9 @@ def scenarios(draw):
         reference_capacity=(8.0, 32.0),
     )
     migration = MigrationModel(
-        rate=1.0,
+        rate=draw(st.sampled_from((1.0, 0.0))),
+        fixed_floor=draw(st.sampled_from((0, 1, 5))),
         revocation_restart=draw(st.sampled_from((0, 1, 7, 30))),
-        pin_seconds=draw(st.sampled_from((None, 0, 1, 5))),
     )
     params = RunParams(
         epoch=draw(st.integers(3, 45)),
@@ -213,29 +213,24 @@ def test_max_wallclock_bounds_the_run():
             )
 
 
-def test_forced_move_onto_capped_target_aborts_next_second():
-    # the cap is not above max_price, so the scripted move starts; the
-    # revocation check one second later sees the capped destination
+def test_forced_move_onto_capped_target_is_rejected():
+    # the cap is below max_price, but under treat_cap_as_revocation a capped
+    # target is as priced out as one above max_price
     traces = flat_traces()
     cap = 10.0 * CATALOG["r4.xlarge"].on_demand_price
     traces["r4.xlarge"] = PriceTrace("r4.xlarge", [PricePoint(0, 6.0), PricePoint(200, cap)])
-    report = both_engines(
-        one_phase_job(max_price=2 * cap), "static", traces, CATALOG, COMPOSITION,
-        params=unit_params(treat_cap_as_revocation=True),
-        forced_migrations=[(300, 0, "r4.xlarge")],
-    )
-    abort = [e for e in report.events if e["event"] == "abort_migration"]
-    assert [(e["t"], e["cause"]) for e in abort] == [(301, "dst_price")]
-    assert report.aborted_migrations == 1
-    assert report.migrations == 0
-    assert report.downtime_seconds == 1
-    assert report.final_vms == ["c4.2xlarge"]
+    for run in (run_simulation, run_per_second):
+        with pytest.raises(SimulationError, match="'r4.xlarge' is above max price or on the cap at t=300"):
+            run(
+                one_phase_job(max_price=2 * cap), "static", traces, CATALOG, COMPOSITION,
+                params=unit_params(treat_cap_as_revocation=True),
+                forced_migrations=[(300, 0, "r4.xlarge")],
+            )
 
 
-def test_bsp_lockstep_slips_after_partial_revocation():
-    # Pins current behaviour, not the intended one: after task 0 is revoked
-    # and catches up alone, the in-place per-task work update lets tasks 1
-    # and 2 start the next second in the same pass, one second ahead of it.
+def test_bsp_lockstep_holds_after_partial_revocation():
+    # task 0 is revoked alone and catches up alone; the gang then works in
+    # lockstep again and finishes together
     traces = flat_traces()
     traces["r4.xlarge"] = PriceTrace("r4.xlarge", [PricePoint(0, 6.0), PricePoint(400, 30.0)])
     report = both_engines(
@@ -245,7 +240,33 @@ def test_bsp_lockstep_slips_after_partial_revocation():
         forced_migrations=[(150, 0, "r4.xlarge")],
     )
     assert report.revocations == 1
-    assert report.finish_times == [1390, 1389, 1389]
+    assert report.finish_times == [1390, 1390, 1390]
+
+
+def test_bsp_gang_catches_up_after_partial_revocations():
+    # tasks 0 and 2 are each revoked alone, in different supersteps; each
+    # time the gang stalls through the restart, waits while the revoked task
+    # redoes its lost work, then works in lockstep again
+    traces = flat_traces()
+    traces["r4.xlarge"] = PriceTrace("r4.xlarge", [PricePoint(0, 6.0), PricePoint(470, 30.0)])
+    traces["m4.2xlarge"] = PriceTrace(
+        "m4.2xlarge", [PricePoint(0, 6.0), PricePoint(1010, 30.0)]
+    )
+    report = both_engines(
+        one_phase_job(kind="bsp", tasks=3, phases=(Phase(1500, 4.0, 16.0),)),
+        "static", traces, CATALOG, COMPOSITION,
+        params=unit_params(bsp_superstep=100),
+        forced_migrations=[(150, 0, "r4.xlarge"), (700, 2, "m4.2xlarge")],
+    )
+    revokes = [e for e in report.events if e["event"] == "revoke"]
+    assert [(e["task"], e["work_lost"]) for e in revokes] == [(0, 40), (2, 20)]
+    migration = unit_params().migration
+    stalls = report.migrations * migration.seconds(30.0) + sum(
+        migration.revocation_restart + e["work_lost"] for e in revokes
+    )
+    assert report.migrations == 2
+    assert report.downtime_seconds == stalls
+    assert report.finish_times == [1500 + stalls] * 3
 
 
 def test_aborted_moves_in_a_partly_revoked_gang():

@@ -99,7 +99,6 @@ def test_index_missing_member():
     traces = {"a": flat("a", 2.0)}
     with pytest.raises(GapError):
         index_at(traces, catalog, ["a", "b"], 0)
-    assert index_at(traces, catalog, ["a", "b"], 0, skip_missing=True) == 2.0
 
 
 def test_index_duplicate_member_rejected():
@@ -239,7 +238,7 @@ def test_index_matches_brute_force_oracle():
         points = {}
         for s in specs:
             if rng.random() < 0.15:
-                continue  # no trace: only skip_missing can sample it
+                continue  # no trace: a composition naming it raises
             start = rng.choice([0, 0, 120, 600])  # some traces start late
             points[s.id] = [
                 PricePoint(
@@ -253,12 +252,13 @@ def test_index_matches_brute_force_oracle():
         traces = {vm: PriceTrace(vm, pts) for vm, pts in points.items()}
         ids = [s.id for s in specs]
         rng.shuffle(ids)
-        skip_missing = len(points) < len(ids)
         members = [vm for vm in ids if vm in points]
+        if len(members) < len(ids):
+            with pytest.raises(GapError, match="no trace for composition member"):
+                index_sample(traces, catalog, ids, 0)
+            with pytest.raises(GapError, match="no trace for composition member"):
+                index_series(traces, catalog, ids, 0, 600, 60)
         if not members:
-            with pytest.raises(GapError):
-                index_sample(traces, catalog, ids, 0, skip_missing=True)
-            assert index_series(traces, catalog, ids, 0, 600, 60, skip_missing=True).samples == []
             continue
         curve = IndexCurve(traces, catalog, members)
         instants = sorted(rng.sample(range(0, 2000), 25))
@@ -266,17 +266,17 @@ def test_index_matches_brute_force_oracle():
             expected = brute_force_sample(points, catalog, members, t)
             if expected is None:
                 with pytest.raises((GapError, OutOfRangeError)):
-                    index_sample(traces, catalog, ids, t, skip_missing)
+                    index_sample(traces, catalog, members, t)
                 with pytest.raises((GapError, OutOfRangeError)):
                     curve.value_at(t)
                 continue
             mean, low, high, n = expected
-            got = index_sample(traces, catalog, ids, t, skip_missing)
+            got = index_sample(traces, catalog, members, t)
             assert got[0] == pytest.approx(mean, rel=1e-12)
             assert got[1:3] == pytest.approx((low, high), rel=1e-12)
             assert got[3] == n
             assert curve.value_at(t) == pytest.approx(mean, rel=1e-12)
-        series = index_series(traces, catalog, ids, 0, 2000, 97, skip_missing)
+        series = index_series(traces, catalog, members, 0, 2000, 97)
         oracle = {t: brute_force_sample(points, catalog, members, t) for t in range(0, 2000, 97)}
         assert series.gaps == [t for t, sample in oracle.items() if sample is None]
         for sample in series.samples:

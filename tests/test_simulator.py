@@ -101,7 +101,7 @@ def test_migration_model_seconds():
     assert model.seconds(30.5) == 31
     assert MigrationModel(rate=0.5, fixed_floor=20.0).seconds(30.0) == 20
     assert MigrationModel(rate=2.0, fixed_floor=10.0).seconds(30.0) == 60
-    assert MigrationModel(pin_seconds=4.0).seconds(999.0) == 4
+    assert MigrationModel(rate=0.0, fixed_floor=4.0).seconds(999.0) == 4
     with pytest.raises(ValueError):
         MigrationModel(rate=-1.0)
 
