@@ -124,6 +124,40 @@ def left_sum(terms: np.ndarray) -> float:
     return float(np.add.accumulate(terms)[-1])
 
 
+# The most cells one padded matrix of window_sums may hold.
+WINDOW_CELLS = 1 << 16
+
+
+def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1) -> np.ndarray:
+    """left_sum(values[span] * widths) over step_slice(timestamps, t0[i],
+    t1[i]) for every window i, bit for bit; an empty window sums to 0.0.
+
+    Each window's terms fill one row of a matrix, padded after its last term
+    with 0.0, which adding leaves every sum exactly as it was, and each row
+    is folded from left to right. Rows are taken in chunks of at most
+    WINDOW_CELLS cells.
+    """
+    t0 = np.asarray(t0, dtype=np.int64)
+    t1 = np.asarray(t1, dtype=np.int64)
+    lo = timestamps.searchsorted(t0, side="right") - 1
+    count = timestamps.searchsorted(t1) - lo
+    last = len(timestamps) - 1
+    sums = np.empty(len(t0))
+    rows = max(1, WINDOW_CELLS // max(1, int(count.max(initial=0))))
+    for a in range(0, len(t0), rows):
+        b = a + rows
+        n = count[a:b, None]
+        cols = np.arange(max(1, int(n.max())) + 1)
+        steps = np.minimum(lo[a:b, None] + cols, last)
+        # step edges clipped to the window; past a row's last step both
+        # edges sit on t1, so the padding cells have width 0
+        edges = np.where(cols < n, timestamps[steps], t1[a:b, None])
+        edges[:, 0] = t0[a:b]
+        terms = np.where(cols[:-1] < n, values[steps[:, :-1]] * np.diff(edges, axis=1), 0.0)
+        sums[a:b] = np.add.accumulate(terms, axis=1)[:, -1]
+    return sums
+
+
 def is_capped(price: float, spec: VmSpec, rel_eps: float = CAP_RELATIVE_EPS) -> bool:
     """True when a price sits on the provider cap (CAP_MULTIPLIER x on-demand)."""
     cap = CAP_MULTIPLIER * spec.on_demand_price

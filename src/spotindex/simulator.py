@@ -7,7 +7,8 @@ in which nothing happened it skips straight to the next second at which
 something can (an epoch tick, a price change on a held VM, a stall end, a
 scripted migration, a task's last second of work), crediting the seconds in
 between as the same second repeated. Reports are the same as a one-second
-loop would give.
+loop would give. The market the policies see at epoch ticks is computed for
+a block of ticks at a time, vectorized and bit for bit (see _Engine._market).
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke events, and derives all money totals afterwards from
@@ -21,11 +22,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import SelectionError, SimulationError, SpotIndexError
 from .index import IndexCurve
 from .policies import CandidateView, Policy, PolicyContext, PolicyDecision, build_policy
-from .prices import PriceTrace, is_capped, left_sum
+from .prices import PriceTrace, is_capped, left_sum, window_sums
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
 log = logging.getLogger(__name__)
@@ -37,6 +40,9 @@ WORKING = "working"
 MIGRATING = "migrating"
 RESTARTING = "restarting"
 DONE = "done"
+
+# The most epoch ticks one market table covers.
+TABLE_TICKS = 1024
 
 
 @dataclass(frozen=True)
@@ -246,10 +252,14 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     if t <= t0:
         return trace.price_at(t), 0.0
     prices, widths = trace.steps(t0, t)
-    span = t - t0
-    mean = left_sum(prices * widths) / span
-    variance = max(left_sum(prices * prices * widths) / span - mean * mean, 0.0)
-    return mean, math.sqrt(variance)
+    return _moments(left_sum(prices * widths), left_sum(prices * prices * widths), t - t0)
+
+
+def _moments(weighted: float, squared: float, span: int) -> tuple[float, float]:
+    """Mean and population std from the time-weighted sums of p and p * p
+    over span seconds."""
+    mean = weighted / span
+    return mean, math.sqrt(max(squared / span - mean * mean, 0.0))
 
 
 def _billed_holds(events, traces, catalog, curve: IndexCurve):
@@ -319,6 +329,22 @@ class _Task:
         self.done_at = None
 
 
+@dataclass
+class _EpochTable:
+    """The market at the epoch ticks first, first + epoch, ..., last, as
+    Python lists indexed by tick: the index value and reference, and per
+    candidate its price, the time-weighted sums of p and p * p over its
+    trailing window, and the window's span. The scalar path serves every
+    tick i with ok[i] false."""
+
+    first: int
+    last: int
+    ok: list
+    index_now: list
+    index_reference: list
+    columns: list
+
+
 class _Engine:
     def __init__(
         self,
@@ -353,6 +379,7 @@ class _Engine:
         else:
             self.max_price = min(s.on_demand_price for s in specs)
         self.t_m = params.migration.seconds(job.mem_footprint)
+        self.total_work = job.total_work
         self.reference_capacity = job.reference_capacity or (
             job.requirement.min_cpu,
             job.requirement.min_mem,
@@ -374,6 +401,9 @@ class _Engine:
         self.aborted = 0
         self.revocations = 0
         self.downtime = 0
+        self._table = None
+        self._market_t = None
+        self._market_row = None
 
     # hold segment bookkeeping
 
@@ -423,17 +453,86 @@ class _Engine:
             views.append(CandidateView(spec=spec, price=price, window_mean=mean, window_std=std))
         return tuple(views)
 
-    def _ctx(self, t: int, task: _Task | None, work: int | None = None) -> PolicyContext:
-        reference_work = work if work is not None else (task.work if task else 0)
-        phase = self.job.phase_at(reference_work)
+    def _scalar_market(self, t: int) -> tuple:
+        """(views, index_now, index_reference) at t, raising the domain
+        error that applies where the market is undefined."""
         index_now = self.curve.value_at(t)
         if self.params.index_reference == "window":
             index_reference = self.curve.window_mean(t, self.params.sigma_window)
         else:
             index_reference = index_now
+        return self._views(t), index_now, index_reference
+
+    def _build_table(self, t: int) -> _EpochTable:
+        """The epoch table from tick t on, up to TABLE_TICKS ticks and none
+        at or past the earliest second the run can end: the least-advanced
+        task still has its remaining work to do."""
+        epoch, window = self.params.epoch, self.params.sigma_window
+        remaining = self.total_work - min(task.work for task in self.tasks if task.state != DONE)
+        ticks = t + epoch * np.arange(max(1, min(TABLE_TICKS, -(-remaining // epoch))))
+        index_now, index_mean, ok = self.curve.window_means(ticks, window)
+        columns = []
+        for spec in self.candidates:
+            trace = self.traces[spec.id]
+            ok &= ticks >= trace.first_ts
+            t1 = np.maximum(ticks, trace.first_ts)
+            t0 = np.maximum(t1 - window, trace.first_ts)
+            columns.append(
+                (
+                    trace.values_at(t1).tolist(),
+                    window_sums(trace.timestamps, trace.prices, t0, t1).tolist(),
+                    window_sums(trace.timestamps, trace.prices * trace.prices, t0, t1).tolist(),
+                    (t1 - t0).tolist(),
+                )
+            )
+        reference = index_mean if self.params.index_reference == "window" else index_now
+        return _EpochTable(
+            int(ticks[0]), int(ticks[-1]), ok.tolist(), index_now.tolist(), reference.tolist(), columns
+        )
+
+    def _table_row(self, t: int) -> tuple | None:
+        """The market at epoch tick t from the table, refilled once t is
+        past its block (ticks only move forward); None where the table
+        cannot serve t."""
+        table = self._table
+        if table is None or t > table.last:
+            table = self._table = self._build_table(t)
+        i = (t - table.first) // self.params.epoch
+        if not table.ok[i]:
+            return None
+        views = []
+        for spec, (prices, weighted, squared, spans) in zip(self.candidates, table.columns):
+            price = prices[i]
+            if self._over(spec.id, price):
+                continue
+            if spans[i]:
+                mean, std = _moments(weighted[i], squared[i], spans[i])
+            else:
+                mean, std = price, 0.0
+            views.append(CandidateView(spec=spec, price=price, window_mean=mean, window_std=std))
+        return tuple(views), table.index_now[i], table.index_reference[i]
+
+    def _market(self, t: int) -> tuple:
+        """(views, index_now, index_reference) at t: what a context takes
+        from the market, which depends on t alone. An epoch tick reads the
+        table; any other instant, or a tick the table cannot serve, takes
+        the scalar path. The last instant's market is kept, so the tasks
+        deciding at one tick share it."""
+        if t != self._market_t:
+            row = None
+            if t > 0 and t % self.params.epoch == 0:
+                row = self._table_row(t)
+            self._market_row = row or self._scalar_market(t)
+            self._market_t = t
+        return self._market_row
+
+    def _ctx(self, t: int, task: _Task | None, work: int | None = None) -> PolicyContext:
+        reference_work = work if work is not None else (task.work if task else 0)
+        phase = self.job.phase_at(reference_work)
+        views, index_now, index_reference = self._market(t)
         return PolicyContext(
             t=t,
-            candidates=self._views(t),
+            candidates=views,
             cpu_used=phase.cpu,
             mem_used=phase.mem,
             index_now=index_now,
@@ -604,7 +703,7 @@ class _Engine:
         if working:
             top = max(working)
             # the second that completes the furthest task is stepped
-            nxt = min(nxt, t + self.job.total_work - top - 1)
+            nxt = min(nxt, t + self.total_work - top - 1)
             # a BSP task held back by the gang rejoins once the working
             # tasks catch up with it
             idle = [
@@ -647,7 +746,7 @@ class _Engine:
     # main loop
 
     def run(self) -> SimReport:
-        total_work = self.job.total_work
+        total_work = self.total_work
         limit = self.params.max_wallclock or (10 * total_work + 86400)
         forced_queue = list(self.forced)
 

@@ -3,8 +3,10 @@ next-event engine must reproduce report for report.
 
 `PerSecondEngine` runs every simulated second through the same steps as
 `spotindex.simulator._Engine`, shares its state transitions, and differs only
-in how time advances: it never skips a second, and it re-derives the BSP
-lockstep rule from scratch for every task in every second.
+in how time advances and how a context reads the market: it never skips a
+second, it re-derives the BSP lockstep rule from scratch for every task in
+every second, and it computes every context's market by the scalar path,
+never from the epoch table.
 """
 
 from spotindex.errors import SimulationError
@@ -21,6 +23,9 @@ from spotindex.simulator import (
 
 
 class PerSecondEngine(_Engine):
+    def _market(self, t):
+        return self._scalar_market(t)
+
     def _unfinished(self):
         return [task for task in self.tasks if task.state != DONE]
 

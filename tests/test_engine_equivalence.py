@@ -9,6 +9,8 @@ which some unfinished task did not work.
 
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spotindex import (
+    Catalog,
     GapError,
     IndexCurve,
     JobSpec,
@@ -26,11 +29,14 @@ from spotindex import (
     RunParams,
     SimulationError,
     SpotIndexError,
+    VmSpec,
     replay,
     run_simulation,
 )
 
-from spotindex.simulator import interval_cost, window_stats
+from spotindex.policies import build_policy
+from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
+from spotindex.simulator import _Engine, interval_cost, window_stats
 
 from conftest import COMPOSITION, build_catalog
 from reference_engine import run_per_second
@@ -346,13 +352,45 @@ def stepped(draw):
         )
     )
     trace = PriceTrace("m4.large", list(map(PricePoint, stamps, prices)))
-    return trace, draw(st.integers(min(stamps), 4500)), draw(st.integers(0, 1500))
+    windows = draw(
+        st.lists(
+            st.tuples(st.integers(min(stamps), 4500), st.integers(1, 1500)).map(
+                lambda drawn: (drawn[0], drawn[0] + drawn[1])
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return trace, draw(st.integers(min(stamps), 4500)), draw(st.integers(0, 1500)), windows
+
+
+def with_step_windows(timestamps, windows):
+    """The windows, plus for each step a one-second window at its start,
+    the whole step, and a window ending on the next step's start."""
+    stamps = timestamps.tolist()
+    windows = list(windows)
+    for a, b in zip(stamps, stamps[1:]):
+        if b > a:
+            windows += [(a, a + 1), (a, b), (max(stamps[0], b - 17), b)]
+    return windows
+
+
+def check_window_sums(timestamps, values, windows):
+    expected = []
+    for t0, t1 in windows:
+        span, widths = step_slice(timestamps, t0, t1)
+        expected.append(float.hex(left_sum(values[span] * widths)))
+    t0, t1 = np.array(windows).T
+    # the default budget and one that forces several row chunks
+    for cells in (WINDOW_CELLS, 5):
+        with mock.patch("spotindex.prices.WINDOW_CELLS", cells):
+            assert bits(*window_sums(timestamps, values, t0, t1)) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(stepped())
 def test_slice_sums_match_loops_bit_for_bit(drawn):
-    trace, t, window = drawn
+    trace, t, window, windows = drawn
     assert bits(*window_stats(trace, t, window)) == bits(*loop_window_stats(trace, t, window))
     t0 = max(t - window, trace.first_ts)
     steps = loop_steps(trace.timestamps, trace.prices, t0, t)
@@ -378,3 +416,73 @@ def test_slice_sums_match_loops_bit_for_bit(drawn):
         got = curve.integrate(t0, t)
         assert type(got) is type(expected)
         assert bits(got) == bits(expected)
+    # every window's sum at once, over the trace and over the gappy curve
+    check_window_sums(trace.timestamps, trace.prices, with_step_windows(trace.timestamps, windows))
+    check_window_sums(curve.timestamps, curve._values, with_step_windows(curve.timestamps, windows))
+
+
+# the epoch table against the scalar market path
+
+
+def market_bits(market):
+    views, index_now, index_reference = market
+    return [(v.spec.id, *bits(v.price, v.window_mean, v.window_std)) for v in views], bits(
+        index_now, index_reference
+    )
+
+
+@pytest.mark.parametrize("index_reference", ["window", "instant"])
+def test_epoch_table_matches_scalar_market(index_reference):
+    # The index starts at t=42 with m4.large and has a gap wherever all its
+    # members sit on the cap; r4.xlarge is also capped alone for a while and
+    # c4.2xlarge priced over max_price. m4.4xlarge, a candidate outside the
+    # index, starts at t=501. Each tick's table row must equal the scalar
+    # market, and where the scalar path raises, _market must raise the same.
+    # Under "instant", ticks whose window holds the gap fall back to the
+    # scalar path and succeed.
+    extra = VmSpec(
+        id="m4.4xlarge",
+        instance_type="m4.4xlarge",
+        zone="us-east-1a",
+        region="us-east-1",
+        family="general",
+        cpu_capacity=16.0,
+        mem_capacity=64.0,
+        on_demand_price=80.0,
+    )
+    catalog = Catalog([*CATALOG, extra])
+    rng = np.random.default_rng(11)
+    traces = {}
+    for vm in catalog.ids:
+        stamps = np.arange({"m4.large": 42, "m4.4xlarge": 501}.get(vm, 0), 2000, rng.integers(5, 13))
+        levels = rng.integers(2000, 10000, len(stamps)) / 1000.3
+        cap = 10.0 * catalog[vm].on_demand_price
+        levels[(stamps >= 1300) & (stamps < 1360)] = cap
+        if vm == "r4.xlarge":
+            levels[(stamps >= 700) & (stamps < 800)] = cap
+        if vm == "c4.2xlarge":
+            levels[(stamps >= 1000) & (stamps < 1100)] = 40.0
+        traces[vm] = PriceTrace(vm, list(map(PricePoint, stamps.tolist(), levels.tolist())))
+    params = unit_params(
+        epoch=3, sigma_window=30, index_reference=index_reference, treat_cap_as_revocation=True
+    )
+    engine = _Engine(
+        one_phase_job(), build_policy("static"), traces, catalog, COMPOSITION, params,
+        None, None, None,
+    )
+    served, blocks = 0, set()
+    for t in range(3, 1800, 3):
+        try:
+            expected = market_bits(engine._scalar_market(t))
+        except SpotIndexError as exc:
+            with pytest.raises(SpotIndexError, match=f"^{re.escape(str(exc))}$") as raised:
+                engine._market(t)
+            assert type(raised.value) is type(exc)
+            assert engine._table_row(t) is None
+        else:
+            assert market_bits(engine._market(t)) == expected
+            served += engine._table_row(t) is not None
+        blocks.add(engine._table.first)
+    # the 600 s job's tables hold 200 ticks each
+    assert blocks == {3, 603, 1203}
+    assert served > 400
