@@ -85,17 +85,19 @@ class PolicyContext:
                 return candidate
         raise SelectionError(f"vm {vm_id!r} is not among candidates at t={self.t}")
 
-    def utilized_now(self, candidate: CandidateView) -> float:
+    def _divisor(self, candidate: CandidateView) -> float:
+        """utilized_price's sqrt(cpu * mem), over the floored utilization."""
         cpu_u, mem_u = floored_utilization(candidate.spec, self.cpu_used, self.mem_used)
-        return utilized_price(candidate.price, cpu_u, mem_u)
+        return math.sqrt(cpu_u * mem_u)
+
+    def utilized_now(self, candidate: CandidateView) -> float:
+        return candidate.price / self._divisor(candidate)
 
     def utilized_mean(self, candidate: CandidateView) -> float:
-        cpu_u, mem_u = floored_utilization(candidate.spec, self.cpu_used, self.mem_used)
-        return utilized_price(candidate.window_mean, cpu_u, mem_u)
+        return candidate.window_mean / self._divisor(candidate)
 
     def utilized_sigma(self, candidate: CandidateView) -> float:
-        cpu_u, mem_u = floored_utilization(candidate.spec, self.cpu_used, self.mem_used)
-        return candidate.window_std / math.sqrt(cpu_u * mem_u)
+        return candidate.window_std / self._divisor(candidate)
 
 
 @dataclass(frozen=True)
@@ -116,128 +118,19 @@ class PolicyDecision:
         object.__setattr__(self, "scores", tuple(self.scores))
 
 
-def _argmin(candidates, key):
-    # min() with lexicographic vm id as the deterministic tie-break
-    return min(candidates, key=lambda c: (key(c), c.spec.id))
+def _lowest(scores: dict[str, float]) -> str:
+    """The id with the lowest score; the smallest id wins an exact tie."""
+    return min(scores, key=lambda vm: (scores[vm], vm))
 
 
-def select_static(ctx: PolicyContext) -> str:
-    """Cheapest candidate by trailing-window mean utilized price."""
-    return _argmin(ctx.candidates, ctx.utilized_mean).spec.id
-
-
-def decide_static(ctx: PolicyContext) -> PolicyDecision:
-    return PolicyDecision(PolicyDecision.STAY, reason="static policy never migrates")
-
-
-def select_cost(ctx: PolicyContext) -> str:
-    """Cheapest candidate by instantaneous utilized price."""
-    return _argmin(ctx.candidates, ctx.utilized_now).spec.id
-
-
-def decide_cost(ctx: PolicyContext) -> PolicyDecision:
-    """Move to the instantaneous cheapest VM when the projected saving over
-    the planning horizon beats the double-payment cost of the move."""
-    current = ctx.view(ctx.current)
-    scores = tuple((c.spec.id, ctx.utilized_now(c)) for c in ctx.candidates)
-    best = _argmin(ctx.candidates, ctx.utilized_now)
-    if best.spec.id == current.spec.id:
-        return PolicyDecision(PolicyDecision.STAY, reason="already cheapest", scores=scores)
-    saving = (current.price - best.price) * ctx.horizon
-    cost = (current.price + best.price) * ctx.migration_seconds
-    if saving > cost:
-        return PolicyDecision(
-            PolicyDecision.MIGRATE,
-            target=best.spec.id,
-            reason=f"saving {saving / 3600.0:.6g} beats move cost {cost / 3600.0:.6g}",
-            scores=scores,
-        )
-    return PolicyDecision(PolicyDecision.STAY, reason="saving below move cost", scores=scores)
-
-
-def select_avail(ctx: PolicyContext) -> str:
-    """Lowest-volatility candidate among those priced below the index."""
-    pool = [c for c in ctx.candidates if c.normalized() < ctx.index_reference]
-    if not pool:
-        raise SelectionError(
-            f"no candidate priced below the index at t={ctx.t}"
-        )
-    return _argmin(pool, ctx.utilized_sigma).spec.id
-
-
-def decide_avail(ctx: PolicyContext) -> PolicyDecision:
-    """Hold while the current VM is at or below the index reference; once it
-    drifts above, move to the calmest candidate still priced below it."""
-    current = ctx.view(ctx.current)
-    scores = tuple((c.spec.id, ctx.utilized_sigma(c)) for c in ctx.candidates)
-    if current.normalized() <= ctx.index_reference:
-        return PolicyDecision(PolicyDecision.STAY, reason="at or below index", scores=scores)
-    # the current VM is above the index here, so select_avail's pool leaves it out
-    return PolicyDecision(
-        PolicyDecision.MIGRATE,
-        target=select_avail(ctx),
-        reason="current above index, moving to lowest volatility",
-        scores=scores,
-    )
-
-
-def _sharpe_scores(ctx: PolicyContext) -> dict[str, float]:
-    """Each candidate's Sharpe score, by vm id in candidate order."""
-    return {
-        c.spec.id: sharpe(ctx.index_reference, ctx.utilized_mean(c), ctx.utilized_sigma(c))
-        for c in ctx.candidates
-    }
-
-
-def select_balanced(ctx: PolicyContext) -> str:
-    """Candidate with the best risk-adjusted saving (Sharpe-style score)."""
-    scores = _sharpe_scores(ctx)
-    best_score = max(scores.values())
-    return min(vm for vm, score in scores.items() if score >= best_score - TIE_TOLERANCE)
-
-
-def decide_balanced(
-    ctx: PolicyContext, target_rule: str = "sharpe", sufficiency: str = "eq5"
-) -> PolicyDecision:
-    """Migrate toward a better-scored VM only when the index is high enough
-    to pay for the move end to end (source price plus twice destination).
-    sufficiency="off" drops that gate and migrates on score alone."""
-    current = ctx.view(ctx.current)
-    score = _sharpe_scores(ctx)
-    scores = tuple(score.items())
-    current_score = score[current.spec.id]
-    others = [c for c in ctx.candidates if c.spec.id != current.spec.id]
-    if not others:
-        return PolicyDecision(PolicyDecision.STAY, reason="no alternative", scores=scores)
-    best = max(others, key=lambda c: (score[c.spec.id], c.spec.id))
-    if current_score >= score[best.spec.id] - TIE_TOLERANCE:
-        return PolicyDecision(PolicyDecision.STAY, reason="score already best", scores=scores)
-    if target_rule == "sharpe":
-        pool = [best]
-    elif target_rule == "first_feasible":
-        pool = sorted(
-            (c for c in others if score[c.spec.id] > current_score + TIE_TOLERANCE),
-            key=lambda c: c.spec.id,
-        )
-    else:
-        raise ValueError(f"unknown balanced target rule {target_rule!r}")
-    for candidate in pool:
-        if sufficiency == "off" or should_migrate(
-            ctx.index_now, current.normalized(), candidate.normalized()
-        ):
-            return PolicyDecision(
-                PolicyDecision.MIGRATE,
-                target=candidate.spec.id,
-                reason="better score and index covers the move",
-                scores=scores,
-            )
-    return PolicyDecision(
-        PolicyDecision.STAY, reason="sufficiency condition", scores=scores
-    )
+def _highest(scores: dict[str, float]) -> str:
+    """The smallest id whose score is within TIE_TOLERANCE of the highest."""
+    best = max(scores.values())
+    return min(vm for vm, score in scores.items() if score >= best - TIE_TOLERANCE)
 
 
 class Policy:
-    """Strategy wrapper so user code can deal in objects, not functions."""
+    """A VM selection (`select`) and migration (`decide`) rule."""
 
     name = "base"
 
@@ -252,24 +145,95 @@ class Policy:
 
 
 class StaticPolicy(Policy):
+    """Cheapest candidate by trailing-window mean utilized price; never moves."""
+
     name = "static"
-    select = staticmethod(select_static)
-    decide = staticmethod(decide_static)
+
+    def select(self, ctx: PolicyContext) -> str:
+        return _lowest({c.spec.id: ctx.utilized_mean(c) for c in ctx.candidates})
+
+    def decide(self, ctx: PolicyContext) -> PolicyDecision:
+        return PolicyDecision(PolicyDecision.STAY, reason="static policy never migrates")
 
 
 class CostCentricPolicy(Policy):
+    """Cheapest candidate by instantaneous utilized price. Moves to it when
+    the projected saving over the planning horizon beats the double-payment
+    cost of the move."""
+
     name = "cost"
-    select = staticmethod(select_cost)
-    decide = staticmethod(decide_cost)
+
+    @staticmethod
+    def _scores(ctx: PolicyContext) -> dict[str, float]:
+        return {c.spec.id: ctx.utilized_now(c) for c in ctx.candidates}
+
+    def select(self, ctx: PolicyContext) -> str:
+        return _lowest(self._scores(ctx))
+
+    def decide(self, ctx: PolicyContext) -> PolicyDecision:
+        current = ctx.view(ctx.current)
+        score = self._scores(ctx)
+        scores = tuple(score.items())
+        best = ctx.view(_lowest(score))
+        if best.spec.id == current.spec.id:
+            return PolicyDecision(PolicyDecision.STAY, reason="already cheapest", scores=scores)
+        saving = (current.price - best.price) * ctx.horizon
+        cost = (current.price + best.price) * ctx.migration_seconds
+        if saving > cost:
+            return PolicyDecision(
+                PolicyDecision.MIGRATE,
+                target=best.spec.id,
+                reason=f"saving {saving / 3600.0:.6g} beats move cost {cost / 3600.0:.6g}",
+                scores=scores,
+            )
+        return PolicyDecision(PolicyDecision.STAY, reason="saving below move cost", scores=scores)
 
 
 class AvailabilityAwarePolicy(Policy):
+    """Lowest-volatility candidate among those priced below the index
+    reference, or among all of them when none is. Holds while the current VM
+    is at or below the reference."""
+
     name = "avail"
-    select = staticmethod(select_avail)
-    decide = staticmethod(decide_avail)
+
+    @staticmethod
+    def _calmest(ctx: PolicyContext) -> tuple[str, dict[str, float]]:
+        """The pick, and every candidate's utilized sigma it was made from."""
+        sigma = {c.spec.id: ctx.utilized_sigma(c) for c in ctx.candidates}
+        below = {
+            c.spec.id: sigma[c.spec.id]
+            for c in ctx.candidates
+            if c.normalized() < ctx.index_reference
+        }
+        return _lowest(below or sigma), sigma
+
+    def select(self, ctx: PolicyContext) -> str:
+        return self._calmest(ctx)[0]
+
+    def decide(self, ctx: PolicyContext) -> PolicyDecision:
+        current = ctx.view(ctx.current)
+        target, sigma = self._calmest(ctx)
+        scores = tuple(sigma.items())
+        if current.normalized() <= ctx.index_reference:
+            return PolicyDecision(PolicyDecision.STAY, reason="at or below index", scores=scores)
+        if target == current.spec.id:
+            return PolicyDecision(
+                PolicyDecision.STAY, reason="no candidate below index", scores=scores
+            )
+        return PolicyDecision(
+            PolicyDecision.MIGRATE,
+            target=target,
+            reason="current above index, moving to lowest volatility",
+            scores=scores,
+        )
 
 
 class BalancedPolicy(Policy):
+    """Best risk-adjusted saving (Sharpe-style score). Moves toward a
+    better-scored VM only when the index is high enough to pay for the move
+    end to end (source price plus twice destination); sufficiency="off"
+    drops that gate and migrates on score alone."""
+
     name = "balanced"
 
     def __init__(self, target_rule: str = "sharpe", sufficiency: str = "eq5"):
@@ -280,11 +244,40 @@ class BalancedPolicy(Policy):
         self.target_rule = target_rule
         self.sufficiency = sufficiency
 
+    @staticmethod
+    def _scores(ctx: PolicyContext) -> dict[str, float]:
+        return {
+            c.spec.id: sharpe(ctx.index_reference, ctx.utilized_mean(c), ctx.utilized_sigma(c))
+            for c in ctx.candidates
+        }
+
     def select(self, ctx: PolicyContext) -> str:
-        return select_balanced(ctx)
+        return _highest(self._scores(ctx))
 
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
-        return decide_balanced(ctx, self.target_rule, self.sufficiency)
+        current = ctx.view(ctx.current)
+        others = self._scores(ctx)
+        scores = tuple(others.items())
+        current_score = others.pop(current.spec.id)
+        if not others:
+            return PolicyDecision(PolicyDecision.STAY, reason="no alternative", scores=scores)
+        if current_score >= max(others.values()) - TIE_TOLERANCE:
+            return PolicyDecision(PolicyDecision.STAY, reason="score already best", scores=scores)
+        if self.target_rule == "sharpe":
+            pool = [_highest(others)]
+        else:
+            pool = sorted(vm for vm, s in others.items() if s > current_score + TIE_TOLERANCE)
+        for vm in pool:
+            if self.sufficiency == "off" or should_migrate(
+                ctx.index_now, current.normalized(), ctx.view(vm).normalized()
+            ):
+                return PolicyDecision(
+                    PolicyDecision.MIGRATE,
+                    target=vm,
+                    reason="better score and index covers the move",
+                    scores=scores,
+                )
+        return PolicyDecision(PolicyDecision.STAY, reason="sufficiency condition", scores=scores)
 
     def __repr__(self):
         return (
@@ -294,10 +287,8 @@ class BalancedPolicy(Policy):
 
 
 POLICIES = {
-    "static": StaticPolicy,
-    "cost": CostCentricPolicy,
-    "avail": AvailabilityAwarePolicy,
-    "balanced": BalancedPolicy,
+    cls.name: cls
+    for cls in (StaticPolicy, CostCentricPolicy, AvailabilityAwarePolicy, BalancedPolicy)
 }
 
 

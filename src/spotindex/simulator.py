@@ -526,9 +526,8 @@ class _Engine:
             self._market_t = t
         return self._market_row
 
-    def _ctx(self, t: int, task: _Task | None, work: int | None = None) -> PolicyContext:
-        reference_work = work if work is not None else (task.work if task else 0)
-        phase = self.job.phase_at(reference_work)
+    def _ctx(self, t: int, work: int, current: str | None) -> PolicyContext:
+        phase = self.job.phase_at(work)
         views, index_now, index_reference = self._market(t)
         return PolicyContext(
             t=t,
@@ -537,19 +536,24 @@ class _Engine:
             mem_used=phase.mem,
             index_now=index_now,
             index_reference=index_reference,
-            current=task.vm if task else None,
+            current=current,
             horizon=self.params.horizon,
             migration_seconds=float(self.t_m),
         )
 
+    def _ask(self, ask, t: int, task: _Task, current: str | None):
+        """ask (the policy's select or decide) on task's context at t. A
+        SelectionError from the policy ends the run as a SimulationError that
+        names t and the task."""
+        try:
+            return ask(self._ctx(t, task.work, current))
+        except SelectionError as exc:
+            raise SimulationError(f"selection failed at t={t} for task {task.idx}: {exc}") from exc
+
     # state transitions
 
     def _acquire(self, task: _Task, t: int, reason: str):
-        try:
-            ctx = self._ctx(t, None, work=task.work)
-            vm = self.policy.select(ctx)
-        except SelectionError as exc:
-            raise SimulationError(f"selection failed at t={t}: {exc}") from exc
+        vm = self._ask(self.policy.select, t, task, None)
         task.vm = vm
         self.events.append(
             {
@@ -728,7 +732,7 @@ class _Engine:
         for task in self.tasks:
             if not self._works_now(task, low):
                 continue
-            decision = self.policy.decide(self._ctx(t, task))
+            decision = self._ask(self.policy.decide, t, task, task.vm)
             decisions.append((task, decision))
         for task, decision in decisions:
             if decision.action != PolicyDecision.MIGRATE:

@@ -102,7 +102,7 @@ class PerSecondEngine(_Engine):
                 for task in self.tasks:
                     if task.state != WORKING or not self._works_this_second(task):
                         continue
-                    decision = self.policy.decide(self._ctx(t, task))
+                    decision = self._ask(self.policy.decide, t, task, task.vm)
                     decisions.append((task, decision))
                 for task, decision in decisions:
                     if decision.action != PolicyDecision.MIGRATE:

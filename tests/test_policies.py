@@ -20,17 +20,15 @@ from spotindex import (
 from spotindex.policies import (
     CPU_FLOOR_FRACTION,
     MEM_FLOOR_GB,
+    POLICIES,
     SIGMA_FLOOR,
-    decide_avail,
-    decide_balanced,
-    decide_cost,
-    decide_static,
     floored_utilization,
-    select_avail,
-    select_balanced,
-    select_cost,
-    select_static,
 )
+
+STATIC = StaticPolicy()
+COST = CostCentricPolicy()
+AVAIL = AvailabilityAwarePolicy()
+BALANCED = BalancedPolicy()
 
 
 def spec(vm_id, cpu=4.0, mem=16.0, od=50.0):
@@ -112,13 +110,13 @@ def test_select_static_uses_window_mean():
     ctx = ctx_of(
         [view("spiky", 1.0, mean=5.0), view("steady", 4.0, mean=3.0)]
     )
-    assert select_static(ctx) == "steady"
-    assert decide_static(ctx).action == PolicyDecision.STAY
+    assert STATIC.select(ctx) == "steady"
+    assert STATIC.decide(ctx).action == PolicyDecision.STAY
 
 
 def test_select_cost_uses_instant_price():
     ctx = ctx_of([view("spiky", 1.0, mean=5.0), view("steady", 4.0, mean=3.0)])
-    assert select_cost(ctx) == "spiky"
+    assert COST.select(ctx) == "spiky"
 
 
 def test_decide_cost_threshold():
@@ -129,7 +127,7 @@ def test_decide_cost_threshold():
         horizon=300,
         migration_seconds=30.0,
     )
-    decision = decide_cost(ctx)
+    decision = COST.decide(ctx)
     assert decision.action == PolicyDecision.MIGRATE
     assert decision.target == "cheap"
     assert dict(decision.scores)["cheap"] == pytest.approx(4.0 / 8.0)
@@ -141,11 +139,11 @@ def test_decide_cost_threshold():
         horizon=90,
         migration_seconds=30.0,
     )
-    assert decide_cost(ctx).action == PolicyDecision.STAY
+    assert COST.decide(ctx).action == PolicyDecision.STAY
 
     # already cheapest
     ctx = ctx_of([view("cur", 1.0), view("other", 2.0)], current="cur")
-    assert decide_cost(ctx).reason == "already cheapest"
+    assert COST.decide(ctx).reason == "already cheapest"
 
 
 def test_select_avail_filters_and_picks_calmest():
@@ -156,58 +154,80 @@ def test_select_avail_filters_and_picks_calmest():
         view("c", 12.0, std=0.01),
     ]
     ctx = ctx_of(views, index_reference=1.0)
-    assert select_avail(ctx) == "b"
-    with pytest.raises(SelectionError):
-        select_avail(ctx_of(views, index_reference=0.1))
+    assert AVAIL.select(ctx) == "b"
+    # nothing below the reference: the calmest of all
+    assert AVAIL.select(ctx_of(views, index_reference=0.1)) == "c"
 
 
 def test_decide_avail_holds_then_moves():
     views = [view("cur", 8.0, std=0.5), view("calm", 4.0, std=0.1)]
     # current normalized 1.0 equals the reference: hold
     ctx = ctx_of(views, current="cur", index_reference=1.0)
-    assert decide_avail(ctx).action == PolicyDecision.STAY
+    assert AVAIL.decide(ctx).action == PolicyDecision.STAY
     # reference drops below the current price: move to the calm one
     ctx = ctx_of(views, current="cur", index_reference=0.9)
-    decision = decide_avail(ctx)
+    decision = AVAIL.decide(ctx)
     assert decision.action == PolicyDecision.MIGRATE
     assert decision.target == "calm"
-    # nothing below the reference: selection fails loudly
-    with pytest.raises(SelectionError):
-        decide_avail(ctx_of(views, current="cur", index_reference=0.01))
+    # nothing below the reference: move to the calmest of all
+    decision = AVAIL.decide(ctx_of(views, current="cur", index_reference=0.01))
+    assert decision.action == PolicyDecision.MIGRATE
+    assert decision.target == "calm"
+
+
+def test_decide_avail_stays_on_calmest_when_none_below_index():
+    views = [view("cur", 8.0, std=0.1), view("wild", 4.0, std=0.5)]
+    ctx = ctx_of(views, current="cur", index_reference=0.01)
+    assert AVAIL.select(ctx) == "cur"
+    decision = AVAIL.decide(ctx)
+    assert decision.action == PolicyDecision.STAY
+    assert decision.reason == "no candidate below index"
+    assert dict(decision.scores) == {"cur": 0.1 / 8.0, "wild": 0.5 / 8.0}
 
 
 def test_select_balanced_argmax_and_tie():
     # equal scores: lexicographically smaller id wins
     views = [view("b", 4.0, std=0.2), view("a", 4.0, std=0.2)]
     ctx = ctx_of(views, index_reference=1.0)
-    assert select_balanced(ctx) == "a"
+    assert BALANCED.select(ctx) == "a"
     # better score wins regardless of id order
     views = [view("a", 4.0, std=0.2), view("z", 4.0, std=0.1)]
-    assert select_balanced(ctx_of(views, index_reference=1.0)) == "z"
+    assert BALANCED.select(ctx_of(views, index_reference=1.0)) == "z"
+
+
+def test_decide_balanced_tie_targets_what_select_picks():
+    # "b" and "a" score exactly alike and both beat "cur"
+    views = [view("cur", 6.0, std=0.5), view("b", 4.0, std=0.1), view("a", 4.0, std=0.1)]
+    ctx = ctx_of(views, current="cur", index_now=10.0, index_reference=1.0)
+    decision = BALANCED.decide(ctx)
+    scores = dict(decision.scores)
+    assert scores["a"] == scores["b"] > scores["cur"]
+    assert decision.action == PolicyDecision.MIGRATE
+    assert decision.target == BALANCED.select(ctx) == "a"
 
 
 def test_decide_balanced_gate():
     views = [view("cur", 6.0, std=0.5), view("good", 4.0, std=0.1)]
     # index covers src + 2*dst = 0.75 + 2*0.5 = 1.75
     ctx = ctx_of(views, current="cur", index_now=1.8, index_reference=1.0)
-    decision = decide_balanced(ctx)
+    decision = BALANCED.decide(ctx)
     assert decision.action == PolicyDecision.MIGRATE
     assert decision.target == "good"
     # gate fails on equality
     ctx = ctx_of(views, current="cur", index_now=1.75, index_reference=1.0)
-    decision = decide_balanced(ctx)
+    decision = BALANCED.decide(ctx)
     assert decision.action == PolicyDecision.STAY
     assert decision.reason == "sufficiency condition"
     # dropping the gate migrates anyway
     assert (
-        decide_balanced(ctx, sufficiency="off").action == PolicyDecision.MIGRATE
+        BalancedPolicy(sufficiency="off").decide(ctx).action == PolicyDecision.MIGRATE
     )
 
 
 def test_decide_balanced_stays_on_best_score():
     views = [view("cur", 4.0, std=0.1), view("other", 6.0, std=0.5)]
     ctx = ctx_of(views, current="cur", index_now=10.0, index_reference=1.0)
-    assert decide_balanced(ctx).action == PolicyDecision.STAY
+    assert BALANCED.decide(ctx).action == PolicyDecision.STAY
 
 
 def test_decide_balanced_first_feasible():
@@ -217,10 +237,10 @@ def test_decide_balanced_first_feasible():
         view("best", 4.0, std=0.1),
     ]
     ctx = ctx_of(views, current="cur", index_now=10.0, index_reference=1.0)
-    assert decide_balanced(ctx, target_rule="sharpe").target == "best"
-    assert decide_balanced(ctx, target_rule="first_feasible").target == "best"
+    assert BalancedPolicy(target_rule="sharpe").decide(ctx).target == "best"
+    assert BalancedPolicy(target_rule="first_feasible").decide(ctx).target == "best"
     with pytest.raises(ValueError):
-        decide_balanced(ctx, target_rule="random")
+        BalancedPolicy(target_rule="random")
 
 
 def test_first_feasible_moves_when_top_score_is_gated():
@@ -232,15 +252,16 @@ def test_first_feasible_moves_when_top_score_is_gated():
         view("cheap", 4.0, std=0.4),
     ]
     ctx = ctx_of(views, current="cur", index_now=2.0, index_reference=1.0)
-    gated = decide_balanced(ctx, target_rule="sharpe")
+    gated = BalancedPolicy(target_rule="sharpe").decide(ctx)
     assert gated.action == PolicyDecision.STAY
     assert gated.reason == "sufficiency condition"
-    moved = decide_balanced(ctx, target_rule="first_feasible")
+    moved = BalancedPolicy(target_rule="first_feasible").decide(ctx)
     assert moved.action == PolicyDecision.MIGRATE
     assert moved.target == "cheap"
 
 
 def test_build_policy():
+    assert list(POLICIES) == ["static", "cost", "avail", "balanced"]
     assert isinstance(build_policy("static"), StaticPolicy)
     assert isinstance(build_policy("cost"), CostCentricPolicy)
     assert isinstance(build_policy("avail"), AvailabilityAwarePolicy)
@@ -267,19 +288,16 @@ def test_selection_invariant_under_candidate_order():
             )
             for i in range(n)
         ]
-        reference = max(v.normalized() for v in views) + 0.5
+        # every candidate below the index, and none
+        references = (max(v.normalized() for v in views) + 0.5, 0.0)
         picks = {}
-        for name, select in (
-            ("static", select_static),
-            ("cost", select_cost),
-            ("avail", select_avail),
-            ("balanced", select_balanced),
-        ):
-            shuffled = views[:]
-            rng.shuffle(shuffled)
-            a = select(ctx_of(views, index_reference=reference))
-            b = select(ctx_of(shuffled, index_reference=reference))
-            picks[name] = (a, b)
+        for name, cls in POLICIES.items():
+            for reference in references:
+                shuffled = views[:]
+                rng.shuffle(shuffled)
+                a = cls().select(ctx_of(views, index_reference=reference))
+                b = cls().select(ctx_of(shuffled, index_reference=reference))
+                picks[name, reference] = (a, b)
         for name, (a, b) in picks.items():
             assert a == b, f"{name} selection depends on candidate order"
 

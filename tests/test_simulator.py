@@ -7,10 +7,14 @@ from spotindex import (
     JobSpec,
     MigrationModel,
     Phase,
+    POLICIES,
+    Policy,
     PricePoint,
     PriceTrace,
     ResourceRequirement,
     RunParams,
+    Scope,
+    SelectionError,
     SimReport,
     SimulationError,
     aggregate_reports,
@@ -23,7 +27,8 @@ from spotindex import (
 )
 from spotindex.simulator import interval_cost, window_stats
 
-from conftest import COMPOSITION, build_catalog
+from conftest import COMPOSITION, build_catalog, study_params, traces_for
+from reference_engine import run_per_second
 
 CATALOG = build_catalog()
 
@@ -307,6 +312,101 @@ def test_all_candidates_priced_out():
         run_simulation(
             job, "static", flat_traces(6.0), CATALOG, COMPOSITION, params=unit_params()
         )
+
+
+class Refusing(Policy):
+    """Starts on the first candidate; raises SelectionError from `refuses`."""
+
+    name = "refusing"
+
+    def __init__(self, refuses):
+        self.refuses = refuses
+
+    def select(self, ctx):
+        if self.refuses == "select":
+            raise SelectionError("no pick")
+        return ctx.candidates[0].spec.id
+
+    def decide(self, ctx):
+        raise SelectionError("no pick")
+
+
+@pytest.mark.parametrize("runner", [run_simulation, run_per_second])
+@pytest.mark.parametrize("refuses, t", [("select", 0), ("decide", 60)])
+def test_policy_selection_error_names_time_and_task(runner, refuses, t):
+    with pytest.raises(SimulationError, match=rf"at t={t} for task 0: no pick$"):
+        runner(
+            one_phase_job(), Refusing(refuses), flat_traces(), CATALOG, COMPOSITION,
+            params=unit_params(),
+        )
+
+
+# (shocked vm, max_price) -> policy -> (migrations, revocations,
+# cost/index, availability)
+SHOCK_OUTCOMES = {
+    ("m4.2xlarge", None): {
+        "static": (0, 0, 1.275055089585943, 1.0),
+        "cost": (0, 0, 1.275055089585943, 1.0),
+        "avail": (0, 1, 1.5404874294733104, 0.9815950920245399),
+        "balanced": (0, 0, 1.275055089585943, 1.0),
+    },
+    ("m4.2xlarge", 100.0): {
+        "static": (0, 0, 1.275055089585943, 1.0),
+        "cost": (0, 0, 1.275055089585943, 1.0),
+        "avail": (1, 0, 1.777648608665368, 0.9988901220865705),
+        "balanced": (0, 0, 1.275055089585943, 1.0),
+    },
+    ("m4.large", None): {
+        "static": (0, 1, 1.6505860348299481, 0.9815950920245399),
+        "cost": (0, 1, 1.6505860348299481, 0.9815950920245399),
+        "avail": (0, 0, 1.9571864545745432, 1.0),
+        "balanced": (0, 1, 1.6505860348299481, 0.9815950920245399),
+    },
+    ("m4.large", 100.0): {
+        "static": (0, 0, 2.4395406655578866, 1.0),
+        "cost": (1, 0, 1.6457361734796494, 0.9988901220865705),
+        "avail": (0, 0, 1.9571864545745432, 1.0),
+        "balanced": (0, 0, 2.4395406655578866, 1.0),
+    },
+}
+
+
+@pytest.mark.parametrize("shocked, max_price", list(SHOCK_OUTCOMES))
+def test_price_shock_outcomes(shocked, max_price):
+    """One general-purpose market's price triples from t=1200 on. Pins what
+    each policy does, on both engines. `avail` starts on m4.2xlarge: once
+    the shock leaves no candidate below the index it falls back to the
+    calmest candidate, by revocation under the default max_price and by
+    migration under max_price 100. `balanced` holds the shocked m4.large at
+    static's cost while `cost` moves off it: the Eq. 5 gate never passes
+    for a source priced above the index."""
+    traces = traces_for(3)
+    traces[shocked] = PriceTrace(
+        shocked,
+        [
+            PricePoint(p.timestamp, 3 * p.price if p.timestamp >= 1200 else p.price)
+            for p in traces[shocked].points
+        ],
+    )
+    job = JobSpec(name="shock", phases=(Phase(3600, 2.0, 8.0),), max_price=max_price)
+    scope = Scope(family="general")
+    baseline = on_demand_baseline(job, CATALOG, scope)
+    for name, expected in SHOCK_OUTCOMES[shocked, max_price].items():
+        report = run_simulation(
+            job, name, traces, CATALOG, COMPOSITION, params=study_params(), scope=scope
+        )
+        reference = run_per_second(
+            job, name, traces, CATALOG, COMPOSITION, params=study_params(), scope=scope
+        )
+        assert reference.to_dict() == report.to_dict(), name
+        normalize_report(report, baseline)
+        outcome = (
+            report.migrations,
+            report.revocations,
+            report.cost_vs_index,
+            report.availability,
+        )
+        assert outcome == pytest.approx(expected, rel=1e-12), name
 
 
 def test_missing_candidate_trace():

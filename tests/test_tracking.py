@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spotindex import (
     Catalog,
@@ -103,6 +105,20 @@ def test_should_migrate_strict():
     assert should_migrate(1.0, 0.5, 0.2)
     assert not should_migrate(0.9, 0.5, 0.2)  # 0.5 + 0.4 = 0.9, equality fails
     assert not should_migrate(0.89, 0.5, 0.2)
+
+
+PRICES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@given(index=PRICES, src=PRICES, dst=PRICES)
+@example(index=5e-324, src=0.0, dst=0.0)
+def test_should_migrate_never_passes_for_a_dear_source_or_destination(index, src, dst):
+    # Eq. 5 as implemented: no move from a VM at or above the index, and
+    # none to a VM at or above half of it. "Half" is tested as 2 * dst >=
+    # index: doubling is exact in floats, while index / 2 underflows to 0.0
+    # for the smallest subnormal index
+    if src >= index or 2 * dst >= index:
+        assert not should_migrate(index, src, dst)
 
 
 def test_ledger_totals_and_round_trip():
