@@ -9,6 +9,8 @@ scripted migration, a task's last second of work), crediting the seconds in
 between as the same second repeated. Reports are the same as a one-second
 loop would give. The market the policies see at epoch ticks is computed for
 a block of ticks at a time, vectorized and bit for bit (see _Engine._market).
+The one-second reference in tests/reference_engine.py is this engine with
+the slow form of each shortcut: _next_instant, _works_now and _market.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke events, and derives all money totals afterwards from
@@ -373,7 +375,6 @@ class _Engine:
         if missing:
             raise SimulationError(f"candidates without price traces: {missing}")
         self.candidates = specs
-        self.candidate_ids = {s.id for s in specs}
         if job.max_price is not None:
             self.max_price = job.max_price
         else:
@@ -385,8 +386,9 @@ class _Engine:
             job.requirement.min_mem,
         )
         self.forced = sorted(forced_migrations or [], key=lambda f: (f[0], f[1]))
+        candidate_ids = {s.id for s in specs}
         for entry in self.forced:
-            t, idx, _ = entry
+            t, idx, target = entry
             if t < 0:
                 raise SimulationError(f"forced migration {entry!r} has a negative time")
             if not 0 <= idx < job.tasks:
@@ -394,6 +396,8 @@ class _Engine:
                     f"forced migration {entry!r} names task {idx}, "
                     f"but the job's tasks are 0..{job.tasks - 1}"
                 )
+            if target not in candidate_ids:
+                raise SimulationError(f"forced migration target {target!r} not a candidate")
         self.tasks = [_Task(i) for i in range(job.tasks)]
         self.bsp = job.kind == BSP
         self.events: list[dict] = []
@@ -543,12 +547,26 @@ class _Engine:
 
     def _ask(self, ask, t: int, task: _Task, current: str | None):
         """ask (the policy's select or decide) on task's context at t. A
-        SelectionError from the policy ends the run as a SimulationError that
-        names t and the task."""
+        SelectionError from the policy, or a pick or migration target that is
+        not among the context's candidates, ends the run as a
+        SimulationError that names t and the task."""
         try:
-            return ask(self._ctx(t, task.work, current))
+            ctx = self._ctx(t, task.work, current)
+            answer = ask(ctx)
         except SelectionError as exc:
             raise SimulationError(f"selection failed at t={t} for task {task.idx}: {exc}") from exc
+        if not isinstance(answer, PolicyDecision):
+            pick = answer
+        elif answer.action == PolicyDecision.MIGRATE:
+            pick = answer.target
+        else:
+            return answer
+        if all(view.spec.id != pick for view in ctx.candidates):
+            raise SimulationError(
+                f"policy chose {pick!r} at t={t} for task {task.idx}, "
+                f"which is not among its candidates"
+            )
+        return answer
 
     # state transitions
 
@@ -670,17 +688,14 @@ class _Engine:
 
     def _work(self, t: int) -> list:
         """Run second t's work step; returns each task's works flag, None
-        once done. A BSP task works when it is at the gang's low mark as the
-        second starts."""
+        once done. Every flag is taken before any work is added, so a BSP
+        task works when it is at the gang's low mark as the second starts."""
         low = self._gang_low() if self.bsp else None
-        flags = []
-        for task in self.tasks:
-            if task.state == DONE:
-                flags.append(None)
+        flags = [None if task.state == DONE else self._works_now(task, low) for task in self.tasks]
+        for task, works in zip(self.tasks, flags):
+            if works is None:
                 continue
-            works = self._works_now(task, low)
             self._set_flags(task, t, works)
-            flags.append(works)
             if works:
                 task.work += 1
         if False in flags:
@@ -735,23 +750,68 @@ class _Engine:
             decision = self._ask(self.policy.decide, t, task, task.vm)
             decisions.append((task, decision))
         for task, decision in decisions:
-            if decision.action != PolicyDecision.MIGRATE:
+            if decision.action != PolicyDecision.MIGRATE or decision.target == task.vm:
                 continue
-            if decision.target == task.vm:
-                continue
-            if decision.target not in self.candidate_ids:
-                raise SimulationError(
-                    f"policy chose non-candidate {decision.target!r} at t={t}"
-                )
             self._start_migration(
                 task, t, decision.target, reason=decision.reason, forced=False
             )
 
+    # one second
+
+    def _step(self, t: int, forced_queue: list):
+        """Second t's steps before its work: stall ends, revocation checks
+        against the prices now in force, scripted migrations, then the
+        policy decision tick."""
+        for task in self.tasks:
+            if task.state == MIGRATING and task.stall_until == t:
+                self._finish_migration(task, t)
+            elif task.state == RESTARTING and task.stall_until == t:
+                task.state = WORKING
+
+        for task in self.tasks:
+            if task.state == DONE:
+                continue
+            if task.state == MIGRATING:
+                if self._crossed(task.vm, t):
+                    self._abort_migration(task, t, cause="src_price")
+                    self._revoke(task, t)
+                elif self._crossed(task.mig_dst, t):
+                    self._abort_migration(task, t, cause="dst_price")
+            elif self._crossed(task.vm, t):
+                self._revoke(task, t)
+
+        while forced_queue and forced_queue[0][0] == t:
+            _, idx, target = forced_queue.pop(0)
+            task = self.tasks[idx]
+            if task.state != WORKING:
+                raise SimulationError(f"forced migration at t={t}: task {idx} is {task.state}")
+            if self._crossed(target, t):
+                raise SimulationError(
+                    f"forced migration target {target!r} is above max price "
+                    f"or on the cap at t={t}"
+                )
+            if target == task.vm:
+                log.warning("forced migration at t=%d targets the held vm, skipped", t)
+                continue
+            self._start_migration(task, t, target, reason="forced", forced=True)
+
+        if t > 0 and t % self.params.epoch == 0:
+            self._decide(t)
+
+    def _finish(self, t: int):
+        """Finish every task whose work is complete as second t begins."""
+        for task in self.tasks:
+            if task.state != DONE and task.work >= self.total_work:
+                for vm in list(task.holds):
+                    self._close_hold(task, vm, t)
+                task.state = DONE
+                task.done_at = t
+                self.events.append({"event": "finish", "t": t, "task": task.idx})
+
     # main loop
 
     def run(self) -> SimReport:
-        total_work = self.total_work
-        limit = self.params.max_wallclock or (10 * total_work + 86400)
+        limit = self.params.max_wallclock or (10 * self.total_work + 86400)
         forced_queue = list(self.forced)
 
         for task in self.tasks:
@@ -764,59 +824,10 @@ class _Engine:
             if t > limit:
                 raise SimulationError(f"no convergence after {limit} simulated seconds")
             logged = len(self.events)
-
-            # stall completions scheduled for this instant
-            for task in self.tasks:
-                if task.state == MIGRATING and task.stall_until == t:
-                    self._finish_migration(task, t)
-                elif task.state == RESTARTING and task.stall_until == t:
-                    task.state = WORKING
-
-            # revocation checks against the prices now in force
-            for task in self.tasks:
-                if task.state == DONE:
-                    continue
-                if task.state == MIGRATING:
-                    if self._crossed(task.vm, t):
-                        self._abort_migration(task, t, cause="src_price")
-                        self._revoke(task, t)
-                    elif self._crossed(task.mig_dst, t):
-                        self._abort_migration(task, t, cause="dst_price")
-                elif self._crossed(task.vm, t):
-                    self._revoke(task, t)
-
-            # externally scripted migrations
-            while forced_queue and forced_queue[0][0] == t:
-                _, idx, target = forced_queue.pop(0)
-                task = self.tasks[idx]
-                if task.state != WORKING:
-                    raise SimulationError(
-                        f"forced migration at t={t}: task {idx} is {task.state}"
-                    )
-                if target not in self.candidate_ids:
-                    raise SimulationError(f"forced migration target {target!r} not a candidate")
-                if self._crossed(target, t):
-                    raise SimulationError(
-                        f"forced migration target {target!r} is above max price "
-                        f"or on the cap at t={t}"
-                    )
-                if target == task.vm:
-                    log.warning("forced migration at t=%d targets the held vm, skipped", t)
-                    continue
-                self._start_migration(task, t, target, reason="forced", forced=True)
-
-            if t > 0 and t % self.params.epoch == 0:
-                self._decide(t)
-
+            self._step(t, forced_queue)
             last_flags, flags = flags, self._work(t)
             t += 1
-            for task in self.tasks:
-                if task.state != DONE and task.work >= total_work:
-                    for vm in list(task.holds):
-                        self._close_hold(task, vm, t)
-                    task.state = DONE
-                    task.done_at = t
-                    self.events.append({"event": "finish", "t": t, "task": task.idx})
+            self._finish(t)
 
             # A quiet second repeats until the next instant something can
             # change. A changed works flag closes a hold and so logs an event
@@ -899,7 +910,8 @@ def run_simulation(
 
     `policy` may be a Policy instance or a registry name. forced_migrations
     is a list of (t, task_index, target_vm_id) the engine executes
-    unconditionally, for experiments that script a move. The run itself is
+    unconditionally, for experiments that script a move; each target must be
+    a candidate, which is checked before the run starts. The run itself is
     deterministic; `seed` only tags the report with the traces' provenance.
     """
     if isinstance(policy, str):

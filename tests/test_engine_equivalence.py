@@ -40,7 +40,7 @@ from spotindex.simulator import _Engine, interval_cost, window_stats
 
 from conftest import COMPOSITION, build_catalog
 from reference_engine import run_per_second
-from test_simulator import flat_traces, one_phase_job, unit_params
+from test_simulator import Choosing, flat_traces, one_phase_job, unit_params
 
 CATALOG = build_catalog()
 POLICIES = ("static", "cost", "avail", "balanced")
@@ -294,6 +294,40 @@ def test_aborted_moves_in_a_partly_revoked_gang():
     aborts = [(e["task"], e["cause"]) for e in report.events if e["event"] == "abort_migration"]
     assert aborts == [(1, "dst_price"), (0, "src_price")]
     assert [e["task"] for e in report.events if e["event"] == "revoke"] == [0]
+
+
+# the step order, which both engines share (_Engine._step), so the oracle
+# above cannot see it
+
+
+def test_step_order_stall_end_before_revocation_check():
+    # the 30 s move onto r4.xlarge ends at t=330, the second r4.xlarge goes
+    # over max_price: the move completes, then the new VM is revoked (checking
+    # first would abort the move instead)
+    traces = flat_traces()
+    traces["r4.xlarge"] = PriceTrace("r4.xlarge", [PricePoint(0, 6.0), PricePoint(330, 30.0)])
+    report = both_engines(
+        one_phase_job(), "static", traces, CATALOG, COMPOSITION,
+        params=unit_params(),
+        forced_migrations=[(300, 0, "r4.xlarge")],
+    )
+    assert (report.migrations, report.aborted_migrations, report.revocations) == (1, 0, 1)
+    revoke = [e for e in report.events if e["event"] == "revoke"]
+    assert [(e["t"], e["vm"], e["work_lost"]) for e in revoke] == [(330, "r4.xlarge", 300)]
+
+
+def test_step_order_scripted_move_before_decision_tick():
+    # at the epoch tick t=60 the scripted move starts first, so the policy,
+    # which would move to m4.2xlarge, is not asked until the next tick (asking
+    # first would leave the scripted move a migrating task)
+    report = both_engines(
+        one_phase_job(), Choosing("decide", "m4.2xlarge"), flat_traces(), CATALOG, COMPOSITION,
+        params=unit_params(),
+        forced_migrations=[(60, 0, "r4.xlarge")],
+    )
+    moves = [(e["t"], e["dst"], e["forced"]) for e in report.events if e["event"] == "migrate"]
+    assert moves == [(60, "r4.xlarge", True), (120, "m4.2xlarge", False)]
+    assert report.final_vms == ["m4.2xlarge"]
 
 
 # the slice sums against the Python loops they replaced

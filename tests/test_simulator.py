@@ -9,6 +9,7 @@ from spotindex import (
     Phase,
     POLICIES,
     Policy,
+    PolicyDecision,
     PricePoint,
     PriceTrace,
     ResourceRequirement,
@@ -196,6 +197,18 @@ def test_forced_migration_negative_time_rejected():
         )
 
 
+@pytest.mark.parametrize("runner", [run_simulation, run_per_second])
+def test_forced_migration_target_checked_up_front(runner):
+    # the move is scripted long after the 600 s job ends, so only a check
+    # made before the run starts can see its target
+    with pytest.raises(SimulationError, match="target 'nope' not a candidate"):
+        runner(
+            one_phase_job(), "static", flat_traces(), CATALOG, COMPOSITION,
+            params=unit_params(),
+            forced_migrations=[(10**6, 0, "nope")],
+        )
+
+
 @pytest.mark.parametrize("idx", [1, -1])
 def test_forced_migration_task_out_of_range_rejected(idx):
     with pytest.raises(SimulationError, match=f"names task {idx}"):
@@ -337,6 +350,47 @@ def test_policy_selection_error_names_time_and_task(runner, refuses, t):
     with pytest.raises(SimulationError, match=rf"at t={t} for task 0: no pick$"):
         runner(
             one_phase_job(), Refusing(refuses), flat_traces(), CATALOG, COMPOSITION,
+            params=unit_params(),
+        )
+
+
+class Choosing(Policy):
+    """`select` answers `pick` when `asked` is "select", else the first
+    candidate; `decide` always moves to `pick`."""
+
+    name = "choosing"
+
+    def __init__(self, asked, pick):
+        self.asked = asked
+        self.pick = pick
+
+    def select(self, ctx):
+        return self.pick if self.asked == "select" else ctx.candidates[0].spec.id
+
+    def decide(self, ctx):
+        return PolicyDecision(PolicyDecision.MIGRATE, self.pick, reason="told")
+
+
+@pytest.mark.parametrize("runner", [run_simulation, run_per_second])
+@pytest.mark.parametrize(
+    "asked, pick, t",
+    [
+        ("select", "nope", 0),  # no such VM
+        ("select", "m4.large", 0),  # below the job's (4, 16) requirement
+        ("select", "r4.xlarge", 0),  # above max_price
+        ("decide", "nope", 60),
+        ("decide", "r4.xlarge", 60),
+    ],
+)
+def test_policy_pick_outside_its_candidates_is_rejected(runner, asked, pick, t):
+    traces = flat_traces()
+    traces["r4.xlarge"] = PriceTrace("r4.xlarge", [PricePoint(0, 30.0)])
+    with pytest.raises(
+        SimulationError,
+        match=rf"policy chose '{pick}' at t={t} for task 0, which is not among its candidates",
+    ):
+        runner(
+            one_phase_job(), Choosing(asked, pick), traces, CATALOG, COMPOSITION,
             params=unit_params(),
         )
 
