@@ -52,10 +52,6 @@ class PriceTrace:
         return int(self.timestamps[0])
 
     @property
-    def last_ts(self) -> int:
-        return int(self.timestamps[-1])
-
-    @property
     def points(self):
         return [
             PricePoint(int(t), float(p))

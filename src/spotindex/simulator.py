@@ -13,15 +13,16 @@ The one-second reference in tests/reference_engine.py is this engine with
 the slow form of each shortcut: _next_instant, _works_now and _market.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
-acquire/migrate/revoke events, and derives all money totals afterwards from
-that event log with one canonical segment biller. Replaying a serialized
-report therefore reproduces the totals bit for bit.
+acquire/migrate/revoke/finish events, and derives every run output afterwards
+from that event log, the money totals with one canonical segment biller.
+Replaying a serialized report therefore reproduces all of them bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,21 +288,40 @@ def compute_totals(
     curve: IndexCurve,
     reference_capacity,
     tasks: int,
-    t_end: int,
 ) -> dict:
-    """Derive all money totals from hold segments in the event log.
+    """Derive every run output from the event log: the money totals from
+    the hold segments, the downtime from the union of the non-working ones,
+    and the rest from the other events.
 
     The simulator calls it on its own log and replay calls it on a
-    deserialized one, so the two agree exactly.
+    deserialized one, so the two agree exactly. A log without some task's
+    finish event raises SimulationError.
     """
     total_cost = 0.0
     productive_cost = 0.0
     index_cost_held = 0.0
+    final_vms = [None] * tasks
+    stalls = []
     for event, cost, index_cost in _billed_holds(events, traces, catalog, curve):
         total_cost += cost
+        final_vms[event["task"]] = event["vm"]
         if event["working"]:
             productive_cost += cost
             index_cost_held += index_cost
+        else:
+            stalls.append((event["t0"], event["t1"]))
+    counts = Counter(event["event"] for event in events)
+    finished = {event["task"]: event["t"] for event in events if event["event"] == "finish"}
+    for task in range(tasks):
+        if task not in finished:
+            raise SimulationError(f"event log has no finish event for task {task}")
+    finish_times = [finished[task] for task in range(tasks)]
+    t_end = max(finish_times)
+    downtime = reach = 0
+    for t0, t1 in sorted(stalls):
+        if t1 > reach:
+            downtime += t1 - max(t0, reach)
+            reach = t1
     gain = index_cost_held - productive_cost
     loss = total_cost - productive_cost
     ref_scale = math.sqrt(reference_capacity[0] * reference_capacity[1])
@@ -314,11 +334,19 @@ def compute_totals(
         "net": gain - loss,
         "index_cost_held": index_cost_held,
         "index_cost_reference": index_cost_reference,
+        "finish_times": finish_times,
+        "wallclock_seconds": t_end,
+        "final_vms": final_vms,
+        "migrations": counts["migrate"] - counts["abort_migration"],
+        "aborted_migrations": counts["abort_migration"],
+        "revocations": counts["revoke"],
+        "downtime_seconds": downtime,
+        "availability": 1.0 - downtime / t_end if t_end > 0 else 1.0,
     }
 
 
 class _Task:
-    __slots__ = ("idx", "vm", "work", "state", "stall_until", "mig_dst", "holds", "done_at")
+    __slots__ = ("idx", "vm", "work", "state", "stall_until", "mig_dst", "holds")
 
     def __init__(self, idx: int):
         self.idx = idx
@@ -328,7 +356,6 @@ class _Task:
         self.stall_until = 0
         self.mig_dst = None
         self.holds = {}
-        self.done_at = None
 
 
 @dataclass
@@ -401,10 +428,6 @@ class _Engine:
         self.tasks = [_Task(i) for i in range(job.tasks)]
         self.bsp = job.kind == BSP
         self.events: list[dict] = []
-        self.migrations = 0
-        self.aborted = 0
-        self.revocations = 0
-        self.downtime = 0
         self._table = None
         self._market_t = None
         self._market_row = None
@@ -621,7 +644,6 @@ class _Engine:
         task.vm = task.mig_dst
         task.mig_dst = None
         task.state = WORKING
-        self.migrations += 1
 
     def _abort_migration(self, task: _Task, t: int, cause: str):
         self.events.append(
@@ -634,7 +656,6 @@ class _Engine:
                 "cause": cause,
             }
         )
-        self.aborted += 1
         if cause == "dst_price":
             self._close_hold(task, task.mig_dst, t)
             task.mig_dst = None
@@ -654,7 +675,6 @@ class _Engine:
         work_lost = task.work - rolled
         task.work = rolled
         task.mig_dst = None
-        self.revocations += 1
         new_vm = self._acquire(task, t, reason="revocation")
         restart = self.params.migration.revocation_restart
         task.state = RESTARTING if restart > 0 else WORKING
@@ -698,8 +718,6 @@ class _Engine:
             self._set_flags(task, t, works)
             if works:
                 task.work += 1
-        if False in flags:
-            self.downtime += 1
         return flags
 
     # next-event advance
@@ -805,7 +823,6 @@ class _Engine:
                 for vm in list(task.holds):
                     self._close_hold(task, vm, t)
                 task.state = DONE
-                task.done_at = t
                 self.events.append({"event": "finish", "t": t, "task": task.idx})
 
     # main loop
@@ -838,13 +855,11 @@ class _Engine:
                     for task, works in zip(self.tasks, flags):
                         if works:
                             task.work += skip
-                    if False in flags:
-                        self.downtime += skip
                     t += skip
 
-        return self._report(max(task.done_at for task in self.tasks))
+        return self._report()
 
-    def _report(self, t_end: int) -> SimReport:
+    def _report(self) -> SimReport:
         job = self.job
         totals = compute_totals(
             self.events,
@@ -853,9 +868,7 @@ class _Engine:
             self.curve,
             self.reference_capacity,
             job.tasks,
-            t_end,
         )
-        availability = 1.0 - self.downtime / t_end if t_end > 0 else 1.0
         params_dict = {
             "epoch": self.params.epoch,
             "horizon": self.params.horizon,
@@ -880,16 +893,8 @@ class _Engine:
             params=params_dict,
             seed=self.seed,
             work_seconds=job.total_work,
-            wallclock_seconds=t_end,
-            downtime_seconds=self.downtime,
-            availability=availability,
-            migrations=self.migrations,
-            aborted_migrations=self.aborted,
-            revocations=self.revocations,
             cost_vs_on_demand=None,
             cost_vs_index=None,
-            final_vms=[task.vm for task in self.tasks],
-            finish_times=[task.done_at for task in self.tasks],
             events=self.events,
             **totals,
         )
@@ -940,20 +945,18 @@ def on_demand_baseline(job: JobSpec, catalog: Catalog, scope: Scope | None = Non
     return cheapest * job.total_work * job.tasks / 3600.0
 
 
-def normalize_report(
-    report: SimReport, baseline_on_demand_cost: float, index_cost: float | None = None
-) -> SimReport:
+def normalize_report(report: SimReport, baseline_on_demand_cost: float) -> SimReport:
     """Fill in the cost ratios against the on-demand and index baselines."""
     if baseline_on_demand_cost <= 0:
         raise ValueError("baseline_on_demand_cost must be positive")
-    reference = report.index_cost_reference if index_cost is None else index_cost
+    reference = report.index_cost_reference
     report.cost_vs_on_demand = report.total_cost / baseline_on_demand_cost
     report.cost_vs_index = report.total_cost / reference if reference > 0 else None
     return report
 
 
 def replay(report: SimReport | dict, traces: dict, catalog: Catalog) -> dict:
-    """Recompute a report's money totals from its serialized event log."""
+    """Recompute every run output of a report from its serialized event log."""
     raw = report.to_dict() if isinstance(report, SimReport) else report
     return compute_totals(
         raw["events"],
@@ -962,7 +965,6 @@ def replay(report: SimReport | dict, traces: dict, catalog: Catalog) -> dict:
         IndexCurve(traces, catalog, raw["composition"]),
         tuple(raw["params"]["reference_capacity"]),
         raw["tasks"],
-        raw["wallclock_seconds"],
     )
 
 

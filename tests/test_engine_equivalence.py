@@ -48,14 +48,14 @@ TARGETS = ("c4.2xlarge", "m4.2xlarge", "r4.xlarge")
 
 
 @st.composite
-def markets(draw, duration):
+def markets(draw, duration, periods):
     """One step-function trace per market. Periods are drawn independently,
     so they rarely divide the decision epoch, and a few steps jump to a
     price far above any max_price or onto the provider cap."""
     traces = {}
     for vm in COMPOSITION:
         spec = CATALOG[vm]
-        period = draw(st.integers(3, 97))
+        period = draw(periods)
         spikes = (40.0, 10.0 * spec.on_demand_price)
         levels = draw(
             st.lists(
@@ -75,6 +75,15 @@ def markets(draw, duration):
 def scenarios(draw):
     kind = draw(st.sampled_from(("long_running", "bsp")))
     tasks = draw(st.integers(2, 4)) if kind == "bsp" else 1
+    # Some BSP runs script one task alone onto a market that goes over every
+    # max_price once the move is done, and so revoke that task alone. Their
+    # epochs and price periods are longer than a superstep, so the revoked
+    # task's catch-up, which is shorter, ends between other stops rather
+    # than on one. Their max_price stays above the ordinary price levels and
+    # they have no wall-clock limit, so most of them get that far.
+    alone = kind == "bsp" and draw(st.booleans())
+    superstep = draw(st.integers(10, 90))
+    slow = st.integers(superstep + 1, 2 * superstep)
     phases = tuple(
         Phase(draw(st.integers(20, 150)), cpu, mem)
         for cpu, mem in draw(
@@ -87,7 +96,7 @@ def scenarios(draw):
         tasks=tasks,
         phases=phases,
         mem_footprint=draw(st.sampled_from((1.0, 4.0, 12.5, 30.0))),
-        max_price=draw(st.sampled_from((None, 8.0, 9.5, 100.0, 500.0))),
+        max_price=draw(st.sampled_from((None, 100.0, 500.0, *(() if alone else (8.0, 9.5))))),
         reference_capacity=(8.0, 32.0),
     )
     migration = MigrationModel(
@@ -96,27 +105,34 @@ def scenarios(draw):
         revocation_restart=draw(st.sampled_from((0, 1, 7, 30))),
     )
     params = RunParams(
-        epoch=draw(st.integers(3, 45)),
+        epoch=draw(slow if alone else st.integers(3, 45)),
         horizon=draw(st.sampled_from((15, 60, 600))),
         sigma_window=draw(st.integers(5, 240)),
         index_reference=draw(st.sampled_from(("window", "instant"))),
-        bsp_superstep=draw(st.integers(10, 90)),
+        bsp_superstep=superstep,
         treat_cap_as_revocation=draw(st.booleans()),
         migration=migration,
-        max_wallclock=draw(st.sampled_from((None, None, None, 150, 400))),
+        max_wallclock=None if alone else draw(st.sampled_from((None, None, None, 150, 400))),
     )
-    forced = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, 300), st.integers(0, tasks - 1), st.sampled_from(TARGETS)
-            ),
-            max_size=3,
-        )
+    traces = draw(markets(3 * job.total_work, slow if alone else st.integers(3, 97)))
+    move = st.tuples(
+        st.integers(0, job.total_work // 2 if alone else 300),
+        st.integers(0, tasks - 1),
+        st.sampled_from(TARGETS),
     )
+    if alone:
+        t, idx, target = draw(move)
+        done = t + migration.seconds(job.mem_footprint)
+        spike = draw(st.integers(done + 1, done + 2 * superstep))
+        points = [p for p in traces[target].points if p.timestamp < spike]
+        traces[target] = PriceTrace(target, [*points, PricePoint(spike, 1000.0)])
+        forced = [(t, idx, target)]
+    else:
+        forced = draw(st.lists(move, max_size=3))
     return {
         "job": job,
         "policy": draw(st.sampled_from(POLICIES)),
-        "traces": draw(markets(duration=3 * job.total_work)),
+        "traces": traces,
         "params": params,
         "forced_migrations": forced,
     }

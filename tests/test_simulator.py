@@ -494,11 +494,35 @@ def test_replay_is_bitwise_and_survives_json():
     assert direct["net"] == report.net
     round_tripped = json.loads(json.dumps(report.to_dict(), sort_keys=True))
     again = replay(round_tripped, traces, CATALOG)
-    assert again["total_cost"] == report.total_cost
-    assert again["gain"] == report.gain
-    assert again["loss"] == report.loss
-    assert again["index_cost_held"] == report.index_cost_held
+    # the log alone gives back the run's shape as well as its money
+    assert {
+        "finish_times",
+        "wallclock_seconds",
+        "final_vms",
+        "migrations",
+        "aborted_migrations",
+        "revocations",
+        "downtime_seconds",
+        "availability",
+    } <= again.keys()
+    for key, value in again.items():
+        assert value == getattr(report, key), key
     assert SimReport.from_dict(round_tripped).total_cost == report.total_cost
+
+
+def test_replay_names_a_task_the_log_never_finishes():
+    traces = flat_traces()
+    report = run_simulation(
+        one_phase_job(kind="bsp", tasks=2), "static", traces, CATALOG, COMPOSITION,
+        params=unit_params(),
+    )
+    events = report.to_dict()["events"]
+    edited = [e for e in events if e != {"event": "finish", "t": 600, "task": 1}]
+    truncated = events[: events.index({"event": "finish", "t": 600, "task": 0})]
+    for log, task in ((edited, 1), (truncated, 0)):
+        assert len(log) < len(events)
+        with pytest.raises(SimulationError, match=f"^event log has no finish event for task {task}$"):
+            replay({**report.to_dict(), "events": log}, traces, CATALOG)
 
 
 def test_net_equals_index_cost_minus_total_cost():
