@@ -8,7 +8,7 @@ import numpy as np
 
 from .catalog import VmSpec
 from .errors import CoverageError, GapError, OutOfRangeError
-from .prices import PriceTrace, is_capped, left_sum, step_slice, window_sums
+from .prices import PriceTrace, is_capped, left_sum, step_slice, trailing_means
 
 DEFAULT_PERIOD = 300
 
@@ -285,15 +285,10 @@ class IndexCurve:
         live member in the step at the tick and in every step of its window.
         Where the mask is false the two values mean nothing."""
         ticks = np.asarray(ticks, dtype=np.int64)
-        t1 = np.maximum(ticks, self.start)
-        t0 = np.maximum(t1 - window, self.start)
-        at = self.timestamps.searchsorted(t1, side="right") - 1
-        lo = self.timestamps.searchsorted(t0, side="right") - 1
+        values, means = trailing_means(self.timestamps, self._values, self.start, ticks, window)
+        at = self.timestamps.searchsorted(np.maximum(ticks, self.start), side="right") - 1
+        lo = self.timestamps.searchsorted(np.maximum(ticks - window, self.start), side="right") - 1
         # gaps[i]: the steps before step i that have no live member
         gaps = np.concatenate(([0], np.cumsum(self._counts == 0)))
         ok = (ticks >= self.start) & (gaps[at + 1] == gaps[lo])
-        values = self._values[at]
-        span = t1 - t0
-        sums = window_sums(self.timestamps, self._values, t0, t1)
-        means = np.where(span > 0, sums / np.maximum(span, 1), values)
         return values, means, ok

@@ -113,9 +113,9 @@ def step_slice(timestamps: np.ndarray, t0: int, t1: int) -> tuple[slice, np.ndar
 def left_sum(terms: np.ndarray) -> float:
     """Sum from the first term to the last, rounding after each addition.
 
-    This is what a Python loop or the built-in sum() gives on Python 3.11,
-    bit for bit; numpy's pairwise sum() and prefix sums over a longer range
-    would round differently.
+    This is what a Python `+=` loop gives, bit for bit. numpy's pairwise
+    sum(), prefix sums over a longer range, and the built-in sum(), which
+    compensates float rounding from Python 3.12 on, would round differently.
     """
     return float(np.add.accumulate(terms)[-1])
 
@@ -152,6 +152,19 @@ def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1) -> np.ndarra
         terms = np.where(cols[:-1] < n, values[steps[:, :-1]] * np.diff(edges, axis=1), 0.0)
         sums[a:b] = np.add.accumulate(terms, axis=1)[:, -1]
     return sums
+
+
+def trailing_means(timestamps: np.ndarray, values: np.ndarray, start: int, ticks, window: int):
+    """The step value at each tick, and the time-weighted mean over the
+    trailing window [tick - window, tick), both clipped to start; where the
+    clipped window is empty, the value at the tick stands in for the mean.
+    Each mean is window_sums' sum divided by the window's span."""
+    t1 = np.maximum(np.asarray(ticks, dtype=np.int64), start)
+    t0 = np.maximum(t1 - window, start)
+    span = t1 - t0
+    now = values[timestamps.searchsorted(t1, side="right") - 1]
+    sums = window_sums(timestamps, values, t0, t1)
+    return now, np.where(span > 0, sums / np.maximum(span, 1), now)
 
 
 def is_capped(price: float, spec: VmSpec, rel_eps: float = CAP_RELATIVE_EPS) -> bool:
@@ -256,25 +269,17 @@ def ingest_traces(records, catalog, on_unknown: str = "warn") -> dict[str, Price
     by_vm: dict[str, dict[int, float]] = {}
     skipped = 0
     for record in records:
-        vm_id = record.get("vm_id")
+        vm_id = ref = record.get("vm_id")
         if vm_id is None:
             spec = catalog.resolve_instance(record["instance_type"], record["zone"])
-            if spec is None:
-                ref = f"{record['instance_type']}@{record['zone']}"
-                if on_unknown == "error":
-                    raise ParseError(
-                        f"unknown vm {ref!r}", record.get("source"), record.get("line")
-                    )
-                log.warning("skipping record for unknown vm %s", ref)
-                skipped += 1
-                continue
-            vm_id = spec.id
-        elif vm_id not in catalog:
+            vm_id = None if spec is None else spec.id
+            ref = f"{record['instance_type']}@{record['zone']}"
+        if vm_id not in catalog:
             if on_unknown == "error":
                 raise ParseError(
-                    f"unknown vm {vm_id!r}", record.get("source"), record.get("line")
+                    f"unknown vm {ref!r}", record.get("source"), record.get("line")
                 )
-            log.warning("skipping record for unknown vm %s", vm_id)
+            log.warning("skipping record for unknown vm %s", ref)
             skipped += 1
             continue
         series = by_vm.setdefault(vm_id, {})

@@ -31,7 +31,7 @@ from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import SelectionError, SimulationError, SpotIndexError
 from .index import IndexCurve
 from .policies import CandidateView, Policy, PolicyContext, PolicyDecision, build_policy
-from .prices import PriceTrace, is_capped, left_sum, window_sums
+from .prices import PriceTrace, is_capped, left_sum, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
 log = logging.getLogger(__name__)
@@ -198,6 +198,8 @@ class RunParams:
             raise ValueError("index_reference must be 'window' or 'instant'")
         if self.bsp_superstep <= 0:
             raise ValueError("bsp_superstep must be positive")
+        if self.max_wallclock is not None and not self.max_wallclock > 0:
+            raise ValueError("max_wallclock must be positive")
 
 
 @dataclass
@@ -255,14 +257,9 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     if t <= t0:
         return trace.price_at(t), 0.0
     prices, widths = trace.steps(t0, t)
-    return _moments(left_sum(prices * widths), left_sum(prices * prices * widths), t - t0)
-
-
-def _moments(weighted: float, squared: float, span: int) -> tuple[float, float]:
-    """Mean and population std from the time-weighted sums of p and p * p
-    over span seconds."""
-    mean = weighted / span
-    return mean, math.sqrt(max(squared / span - mean * mean, 0.0))
+    span = t - t0
+    mean = left_sum(prices * widths) / span
+    return mean, math.sqrt(max(left_sum(prices * prices * widths) / span - mean * mean, 0.0))
 
 
 def _billed_holds(events, traces, catalog, curve: IndexCurve):
@@ -362,9 +359,8 @@ class _Task:
 class _EpochTable:
     """The market at the epoch ticks first, first + epoch, ..., last, as
     Python lists indexed by tick: the index value and reference, and per
-    candidate its price, the time-weighted sums of p and p * p over its
-    trailing window, and the window's span. The scalar path serves every
-    tick i with ok[i] false."""
+    candidate its (price, window mean, window std) rows. The scalar path
+    serves every tick i with ok[i] false."""
 
     first: int
     last: int
@@ -470,25 +466,30 @@ class _Engine:
     def _crossed(self, vm: str, t: int) -> bool:
         return self._over(vm, self._price(vm, t))
 
-    def _views(self, t: int) -> tuple[CandidateView, ...]:
-        views = []
-        for spec in self.candidates:
-            price = self._price(spec.id, t)
-            if self._over(spec.id, price):
-                continue
-            mean, std = window_stats(self.traces[spec.id], t, self.params.sigma_window)
-            views.append(CandidateView(spec=spec, price=price, window_mean=mean, window_std=std))
-        return tuple(views)
+    def _views(self, rows) -> tuple[CandidateView, ...]:
+        """The views of the candidates from their (price, window mean,
+        window std) rows, one per candidate in order, leaving out those
+        over max_price or on the cap."""
+        return tuple(
+            CandidateView(spec=spec, price=price, window_mean=mean, window_std=std)
+            for spec, (price, mean, std) in zip(self.candidates, rows)
+            if not self._over(spec.id, price)
+        )
 
     def _scalar_market(self, t: int) -> tuple:
         """(views, index_now, index_reference) at t, raising the domain
         error that applies where the market is undefined."""
         index_now = self.curve.value_at(t)
+        window = self.params.sigma_window
         if self.params.index_reference == "window":
-            index_reference = self.curve.window_mean(t, self.params.sigma_window)
+            index_reference = self.curve.window_mean(t, window)
         else:
             index_reference = index_now
-        return self._views(t), index_now, index_reference
+        rows = [
+            (self._price(spec.id, t), *window_stats(self.traces[spec.id], t, window))
+            for spec in self.candidates
+        ]
+        return self._views(rows), index_now, index_reference
 
     def _build_table(self, t: int) -> _EpochTable:
         """The epoch table from tick t on, up to TABLE_TICKS ticks and none
@@ -502,16 +503,12 @@ class _Engine:
         for spec in self.candidates:
             trace = self.traces[spec.id]
             ok &= ticks >= trace.first_ts
-            t1 = np.maximum(ticks, trace.first_ts)
-            t0 = np.maximum(t1 - window, trace.first_ts)
-            columns.append(
-                (
-                    trace.values_at(t1).tolist(),
-                    window_sums(trace.timestamps, trace.prices, t0, t1).tolist(),
-                    window_sums(trace.timestamps, trace.prices * trace.prices, t0, t1).tolist(),
-                    (t1 - t0).tolist(),
-                )
-            )
+            stamps, first = trace.timestamps, trace.first_ts
+            prices, means = trailing_means(stamps, trace.prices, first, ticks, window)
+            _, squares = trailing_means(stamps, trace.prices * trace.prices, first, ticks, window)
+            # an empty window's mean of p * p is price * price, so its std is 0.0
+            stds = np.sqrt(np.maximum(squares - means * means, 0.0))
+            columns.append(list(zip(prices.tolist(), means.tolist(), stds.tolist())))
         reference = index_mean if self.params.index_reference == "window" else index_now
         return _EpochTable(
             int(ticks[0]), int(ticks[-1]), ok.tolist(), index_now.tolist(), reference.tolist(), columns
@@ -527,27 +524,18 @@ class _Engine:
         i = (t - table.first) // self.params.epoch
         if not table.ok[i]:
             return None
-        views = []
-        for spec, (prices, weighted, squared, spans) in zip(self.candidates, table.columns):
-            price = prices[i]
-            if self._over(spec.id, price):
-                continue
-            if spans[i]:
-                mean, std = _moments(weighted[i], squared[i], spans[i])
-            else:
-                mean, std = price, 0.0
-            views.append(CandidateView(spec=spec, price=price, window_mean=mean, window_std=std))
-        return tuple(views), table.index_now[i], table.index_reference[i]
+        views = self._views(column[i] for column in table.columns)
+        return views, table.index_now[i], table.index_reference[i]
 
     def _market(self, t: int) -> tuple:
         """(views, index_now, index_reference) at t: what a context takes
-        from the market, which depends on t alone. An epoch tick reads the
-        table; any other instant, or a tick the table cannot serve, takes
-        the scalar path. The last instant's market is kept, so the tasks
-        deciding at one tick share it."""
+        from the market, which depends on t alone. An epoch tick, t = 0
+        among them, reads the table; any other instant, or a tick the table
+        cannot serve, takes the scalar path. The last instant's market is
+        kept, so the tasks deciding at one tick share it."""
         if t != self._market_t:
             row = None
-            if t > 0 and t % self.params.epoch == 0:
+            if t % self.params.epoch == 0:
                 row = self._table_row(t)
             self._market_row = row or self._scalar_market(t)
             self._market_t = t
@@ -828,7 +816,9 @@ class _Engine:
     # main loop
 
     def run(self) -> SimReport:
-        limit = self.params.max_wallclock or (10 * self.total_work + 86400)
+        limit = self.params.max_wallclock
+        if limit is None:
+            limit = 10 * self.total_work + 86400
         forced_queue = list(self.forced)
 
         for task in self.tasks:
@@ -857,6 +847,10 @@ class _Engine:
                             task.work += skip
                     t += skip
 
+        if forced_queue:
+            raise SimulationError(
+                f"forced migration {forced_queue[0]!r} is never reached: the run ends at t={t}"
+            )
         return self._report()
 
     def _report(self) -> SimReport:
@@ -916,7 +910,10 @@ def run_simulation(
     `policy` may be a Policy instance or a registry name. forced_migrations
     is a list of (t, task_index, target_vm_id) the engine executes
     unconditionally, for experiments that script a move; each target must be
-    a candidate, which is checked before the run starts. The run itself is
+    a candidate, which is checked before the run starts. At its time the
+    task must be working and the target not over max_price or on the cap,
+    and the run must not end before it; otherwise the run raises
+    SimulationError. The run itself is
     deterministic; `seed` only tags the report with the traces' provenance.
     """
     if isinstance(policy, str):

@@ -298,6 +298,26 @@ def test_domain_error_exit_code(workspace):
     assert code == 1
 
 
+def test_simulate_rejects_a_max_wallclock_below_one(workspace):
+    # 0 must not read as "no limit given"
+    traces = workspace / "traces"
+    assert run(["synth", "--spec", workspace / "markets.json", "--out", traces]) == 0
+    out = workspace / "report.json"
+    code = run(
+        [
+            "simulate",
+            "--job", workspace / "job.json",
+            "--policy", "static",
+            "--traces", traces,
+            "--catalog", workspace / "catalog.csv",
+            "--max-wallclock", 0,
+            "--out", out,
+        ]
+    )
+    assert code == 1
+    assert not out.exists()
+
+
 def test_simulate_defaults_come_from_the_dataclasses(workspace):
     traces = workspace / "traces"
     assert run(["synth", "--spec", workspace / "markets.json", "--out", traces]) == 0

@@ -160,15 +160,24 @@ def test_ingest_collapses_unchanged_prices():
 
 
 def test_ingest_unknown_vm_warn_vs_error(caplog):
-    records = [
-        {"timestamp": 0, "vm_id": "ghost", "price": 1.0},
-        {"timestamp": 0, "vm_id": "vm-a", "price": 1.0},
-    ]
-    with caplog.at_level(logging.WARNING):
-        traces = ingest_traces(records, make_catalog(), on_unknown="warn")
-    assert list(traces) == ["vm-a"]
-    with pytest.raises(ParseError):
-        ingest_traces(records, make_catalog(), on_unknown="error")
+    # an unknown VM named by id, and one named by instance type and zone:
+    # the catalog has m4.large in z1 and z2, not in z3
+    for unknown, ref in (
+        ({"vm_id": "ghost"}, "ghost"),
+        ({"instance_type": "m4.large", "zone": "z3"}, "m4.large@z3"),
+    ):
+        records = [
+            {"timestamp": 0, "price": 1.0, "source": "raw.csv", "line": 2, **unknown},
+            {"timestamp": 0, "vm_id": "vm-a", "price": 1.0},
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            traces = ingest_traces(records, make_catalog(), on_unknown="warn")
+        assert list(traces) == ["vm-a"]
+        assert f"skipping record for unknown vm {ref}" in caplog.messages
+        assert "ingest skipped 1 records for unknown vms" in caplog.messages
+        with pytest.raises(ParseError, match=f"^raw.csv: line 2: unknown vm '{ref}'$"):
+            ingest_traces(records, make_catalog(), on_unknown="error")
     with pytest.raises(ValueError):
         ingest_traces(records, make_catalog(), on_unknown="ignore")
 

@@ -119,6 +119,11 @@ def test_run_params_validation():
         RunParams(index_reference="yesterday")
     with pytest.raises(ValueError):
         RunParams(bsp_superstep=0)
+    # no run can meet a limit below one second, and 0 must not read as
+    # "no limit given"
+    for limit in (0, -5, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="max_wallclock must be positive"):
+            RunParams(max_wallclock=limit)
 
 
 def test_interval_cost_value():
@@ -206,6 +211,21 @@ def test_forced_migration_target_checked_up_front(runner):
             one_phase_job(), "static", flat_traces(), CATALOG, COMPOSITION,
             params=unit_params(),
             forced_migrations=[(10**6, 0, "nope")],
+        )
+
+
+@pytest.mark.parametrize("runner", [run_simulation, run_per_second])
+@pytest.mark.parametrize("tasks", [1, 2])
+def test_forced_migration_the_run_never_reaches_is_rejected(runner, tasks):
+    # every task of the 600 s job is done at t=600, before the scripted move
+    with pytest.raises(
+        SimulationError,
+        match=r"^forced migration \(900, 0, 'r4.xlarge'\) is never reached: the run ends at t=600$",
+    ):
+        runner(
+            one_phase_job(tasks=tasks), "static", flat_traces(), CATALOG, COMPOSITION,
+            params=unit_params(),
+            forced_migrations=[(900, 0, "r4.xlarge"), (1200, 0, "m4.2xlarge")],
         )
 
 
