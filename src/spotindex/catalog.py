@@ -132,10 +132,6 @@ class Catalog:
     def __iter__(self):
         return iter(self._by_id.values())
 
-    @property
-    def ids(self) -> list[str]:
-        return list(self._by_id)
-
     def get(self, vm_id: str):
         return self._by_id.get(vm_id)
 
@@ -145,9 +141,6 @@ class Catalog:
             if spec.instance_type == instance_type and spec.zone == zone:
                 return spec
         return None
-
-    def filter(self, requirement: ResourceRequirement, scope: Scope = GLOBAL_SCOPE):
-        return filter_candidates(self, requirement, scope)
 
 
 def _record_to_spec(record: dict, source, line) -> VmSpec:

@@ -3,9 +3,10 @@
 Subcommands: ingest raw traces to canonical JSONL, sample an index to CSV,
 synthesize market traces, simulate a job under a policy, and tabulate
 reports. Every flag can also come from a --config JSON file whose keys are
-the flag names with dashes as underscores; explicit flags win. Outputs embed
-the tool version, the seed, and the effective config. Exit status is 0 on
-success, 1 on a domain error, 2 on a usage error.
+the flag names with dashes as underscores; explicit flags win, and each
+config value is parsed as the words that would follow its flag. Outputs
+embed the tool version, the seed, and the effective config. Exit status is
+0 on success, 1 on a domain error, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .simulator import (
     JobSpec,
     MigrationModel,
     RunParams,
+    exact,
     normalize_report,
     on_demand_baseline,
     run_simulation,
@@ -34,6 +36,10 @@ from .simulator import (
 from .synth import DEFAULT_SEED, SynthMarketSpec, generate_market_suite
 
 log = logging.getLogger(__name__)
+
+# parsed values that are neither options a config file sets nor part of the
+# effective config an output echoes
+NOT_OPTIONS = ("command", "config", "verbose", "func")
 
 
 def _load_config(path) -> dict:
@@ -47,33 +53,35 @@ def _load_config(path) -> dict:
 
 
 def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fill unset options from the config file, then report the result.
+    """Fill unset options from the config file.
 
+    Each value is parsed as the words that would follow its flag, so the
+    flag's type and choices apply: a string or number is one word, a list is
+    several, true gives a switch, and false or null leaves the option unset.
     Every option defaults to None so a config value is distinguishable from
     an explicit flag; built-in defaults are applied by the handlers after
     this merge.
     """
-    config = _load_config(args.config)
-    known = set(vars(args))
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest == "in":
-            dest = "inputs"
-        if dest not in known or dest in ("command", "config"):
+    words = [args.command]
+    for key, value in _load_config(args.config).items():
+        dest = {"in": "inputs"}.get(key, key.replace("-", "_"))
+        flag = "--in" if dest == "inputs" else "--" + dest.replace("_", "-")
+        if dest not in vars(args) or dest in NOT_OPTIONS:
             parser.error(f"config key {key!r} does not match any {args.command} option")
+        if value is True:
+            words.append(flag)
+        elif isinstance(value, list):
+            words += [flag, *map(str, value)]
+        elif value is not None and value is not False:
+            words.append(f"{flag}={value}")
+    for dest, value in vars(parser.parse_args(words)).items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     return args
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    skip = {"command", "config", "verbose"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or callable(value):
-            continue
-        out[key] = str(value) if isinstance(value, Path) else value
-    return out
+    return {key: value for key, value in vars(args).items() if key not in NOT_OPTIONS}
 
 
 def _require(args, parser, *names):
@@ -85,20 +93,18 @@ def _require(args, parser, *names):
 def _comma_list(value):
     if value is None:
         return None
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [part.strip() for part in str(value).split(",") if part.strip()]
+    return [part.strip() for part in value.split(",") if part.strip()]
 
 
 def _given(args, **fields) -> dict:
-    """The options that were set, as field name -> value cast to its type.
+    """The options that were set, as field name -> value.
 
-    `fields` maps each field name to (option dest, type). Unset options are
-    left out, so their fields keep the defaults their callee declares.
+    `fields` maps each field name to its option dest. Unset options are left
+    out, so their fields keep the defaults their callee declares.
     """
     return {
-        name: kind(getattr(args, dest))
-        for name, (dest, kind) in fields.items()
+        name: getattr(args, dest)
+        for name, dest in fields.items()
         if getattr(args, dest) is not None
     }
 
@@ -161,7 +167,7 @@ def cmd_ingest(args, parser) -> int:
         p = Path(raw)
         paths.extend(trace_files(p) if p.is_dir() else [p])
     records = (record for path in paths for record in read_trace_records(path))
-    traces = ingest_traces(records, catalog, **_given(args, on_unknown=("unknown", str)))
+    traces = ingest_traces(records, catalog, **_given(args, on_unknown="unknown"))
     written = _write_traces(traces, args.out, _provenance(args))
     log.info("ingested %d traces into %s", written, args.out)
     return 0
@@ -170,12 +176,10 @@ def cmd_ingest(args, parser) -> int:
 def cmd_index(args, parser) -> int:
     _require(args, parser, "traces", "catalog", "start", "end")
     catalog = load_catalog(args.catalog)
-    traces = load_trace_dir(args.traces, catalog, **_given(args, on_unknown=("unknown", str)))
+    traces = load_trace_dir(args.traces, catalog, **_given(args, on_unknown="unknown"))
     composition = _comma_list(args.composition) or sorted(traces)
-    period = _given(args, period=("period", int))
-    series = index_series(
-        traces, catalog, composition, int(args.start), int(args.end), **period
-    )
+    period = _given(args, period="period")
+    series = index_series(traces, catalog, composition, args.start, args.end, **period)
     if series.gaps:
         log.warning("index has %d gap samples (first at %d)", len(series.gaps), series.gaps[0])
     with _csv_out(args) as fh:
@@ -202,13 +206,13 @@ def cmd_synth(args, parser) -> int:
     specs = [
         SynthMarketSpec(
             vm_id=str(m["vm_id"]),
-            mean=float(m["mean"]),
-            stddev=float(m["stddev"]),
-            **{key: cast(m[key]) for key, cast in optional.items() if key in m},
+            mean=exact(float, m["mean"], "mean"),
+            stddev=exact(float, m["stddev"], "stddev"),
+            **{key: exact(kind, m[key], key) for key, kind in optional.items() if key in m},
         )
         for m in raw
     ]
-    options = _given(args, seed=("seed", int), start=("start", int), warmup=("warmup", int))
+    options = _given(args, seed="seed", start="start", warmup="warmup")
     traces = generate_market_suite(specs, **options)
     manifest = _provenance(args, seed=options.get("seed", DEFAULT_SEED))
     written = _write_traces(traces, args.out, manifest)
@@ -218,42 +222,37 @@ def cmd_synth(args, parser) -> int:
 
 def cmd_simulate(args, parser) -> int:
     _require(args, parser, "job", "policy", "traces", "catalog")
-    options = {}
-    if args.policy == "balanced":
-        if args.sufficiency is not None:
-            options["sufficiency"] = args.sufficiency
-        if args.target_rule is not None:
-            options["target_rule"] = args.target_rule
-    elif args.sufficiency is not None or args.target_rule is not None:
+    options = _given(args, sufficiency="sufficiency", target_rule="target_rule")
+    if options and args.policy != "balanced":
         parser.error("--sufficiency and --target-rule only apply to --policy balanced")
     policy = build_policy(args.policy, **options)
     catalog = load_catalog(args.catalog)
-    traces = load_trace_dir(args.traces, catalog, **_given(args, on_unknown=("unknown", str)))
+    traces = load_trace_dir(args.traces, catalog, **_given(args, on_unknown="unknown"))
     with open(args.job) as fh:
         job = JobSpec.from_dict(json.load(fh))
     composition = _comma_list(args.composition) or sorted(traces)
     migration = MigrationModel(
         **_given(
             args,
-            rate=("migration_rate", float),
-            fixed_floor=("migration_floor", float),
-            revocation_restart=("restart", int),
+            rate="migration_rate",
+            fixed_floor="migration_floor",
+            revocation_restart="restart",
         )
     )
     params = RunParams(
         migration=migration,
         **_given(
             args,
-            epoch=("epoch", int),
-            horizon=("horizon", int),
-            sigma_window=("sigma_window", int),
-            index_reference=("index_reference", str),
-            bsp_superstep=("bsp_superstep", int),
-            treat_cap_as_revocation=("cap_as_revocation", bool),
-            max_wallclock=("max_wallclock", int),
+            epoch="epoch",
+            horizon="horizon",
+            sigma_window="sigma_window",
+            index_reference="index_reference",
+            bsp_superstep="bsp_superstep",
+            treat_cap_as_revocation="cap_as_revocation",
+            max_wallclock="max_wallclock",
         ),
     )
-    seed = _given(args, seed=("seed", int))
+    seed = _given(args, seed="seed")
     scope = _scope_from_args(args)
     report = run_simulation(
         job,

@@ -8,7 +8,7 @@ import numpy as np
 
 from .catalog import VmSpec
 from .errors import CoverageError, GapError, OutOfRangeError
-from .prices import PriceTrace, is_capped, left_sum, step_slice, trailing_means
+from .prices import fold_sum, is_capped, left_sum, step_slice, trailing_means
 
 DEFAULT_PERIOD = 300
 
@@ -46,18 +46,8 @@ class IndexSeries:
             raise ValueError("sample grid must be strictly increasing")
 
     @property
-    def timestamps(self) -> np.ndarray:
-        return np.array([s.timestamp for s in self.samples], dtype=np.int64)
-
-    @property
     def values(self) -> np.ndarray:
         return np.array([s.value for s in self.samples], dtype=np.float64)
-
-    def value_at(self, t: int) -> float:
-        for sample in self.samples:
-            if sample.timestamp == t:
-                return sample.value
-        raise CoverageError(f"index series has no sample at {t}")
 
     def mean(self) -> float:
         if not self.samples:
@@ -79,21 +69,6 @@ def _member_specs(catalog, composition) -> list[VmSpec]:
     if not specs:
         raise ValueError("composition is empty")
     return specs
-
-
-def index_at(traces: dict[str, PriceTrace], catalog, composition, t: int) -> float:
-    """Equal-weighted mean of member normalized prices at time t.
-
-    Members whose price sits on the provider cap are excluded from both the
-    numerator and the member count. A member without a trace raises GapError.
-    """
-    return IndexCurve(traces, catalog, composition).value_at(t)
-
-
-def index_sample(traces, catalog, composition, t):
-    """index_at plus (low, high, n_effective) for the contributing members."""
-    sample = IndexCurve(traces, catalog, composition).sample_at(t)
-    return sample.value, sample.low, sample.high, sample.n_effective
 
 
 def index_series(
@@ -121,7 +96,7 @@ def index_series(
 def on_demand_index(catalog, composition) -> float:
     """Equal-weighted mean of member normalized on-demand prices."""
     specs = _member_specs(catalog, composition)
-    return sum(s.on_demand_price / s.capacity_scale for s in specs) / len(specs)
+    return fold_sum(normalize(s, s.on_demand_price) for s in specs) / len(specs)
 
 
 @dataclass(frozen=True)
@@ -185,7 +160,9 @@ class IndexCurve:
     """The index as a step function, for integration and window statistics.
 
     Breakpoints are the union of member price-change instants; between
-    breakpoints every member price is constant, so the index is too.
+    breakpoints every member price is constant, so the index is too. Members
+    whose price sits on the provider cap are left out of both the mean and
+    the member count at that step.
     """
 
     def __init__(self, traces, catalog, composition):
@@ -206,7 +183,7 @@ class IndexCurve:
         for spec in specs:
             values = traces[spec.id].values_at(stamps)
             live = ~is_capped(values, spec)
-            normalized = values / spec.capacity_scale
+            normalized = normalize(spec, values)
             totals[live] += normalized[live]
             counts += live.astype(np.int64)
             np.minimum(self._low, normalized, out=self._low, where=live)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .catalog import VmSpec
 from .errors import SelectionError
+from .index import normalize
 from .tracking import should_migrate
 
 SIGMA_FLOOR = 1e-9
@@ -55,7 +56,7 @@ class CandidateView:
     window_std: float
 
     def normalized(self) -> float:
-        return self.price / self.spec.capacity_scale
+        return normalize(self.spec, self.price)
 
 
 @dataclass(frozen=True)
@@ -85,19 +86,19 @@ class PolicyContext:
                 return candidate
         raise SelectionError(f"vm {vm_id!r} is not among candidates at t={self.t}")
 
-    def _divisor(self, candidate: CandidateView) -> float:
-        """utilized_price's sqrt(cpu * mem), over the floored utilization."""
-        cpu_u, mem_u = floored_utilization(candidate.spec, self.cpu_used, self.mem_used)
-        return math.sqrt(cpu_u * mem_u)
+    # Called directly in each method: a shared helper, or star-unpacking the
+    # floors into utilized_price, costs measurably more on this hot path.
+    def utilized_now(self, c: CandidateView) -> float:
+        cpu_u, mem_u = floored_utilization(c.spec, self.cpu_used, self.mem_used)
+        return utilized_price(c.price, cpu_u, mem_u)
 
-    def utilized_now(self, candidate: CandidateView) -> float:
-        return candidate.price / self._divisor(candidate)
+    def utilized_mean(self, c: CandidateView) -> float:
+        cpu_u, mem_u = floored_utilization(c.spec, self.cpu_used, self.mem_used)
+        return utilized_price(c.window_mean, cpu_u, mem_u)
 
-    def utilized_mean(self, candidate: CandidateView) -> float:
-        return candidate.window_mean / self._divisor(candidate)
-
-    def utilized_sigma(self, candidate: CandidateView) -> float:
-        return candidate.window_std / self._divisor(candidate)
+    def utilized_sigma(self, c: CandidateView) -> float:
+        cpu_u, mem_u = floored_utilization(c.spec, self.cpu_used, self.mem_used)
+        return utilized_price(c.window_std, cpu_u, mem_u)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,14 @@ def left_sum(terms: np.ndarray) -> float:
     return float(np.add.accumulate(terms)[-1])
 
 
+def fold_sum(values) -> float:
+    """left_sum over any iterable of numbers, starting from 0.0."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 # The most cells one padded matrix of window_sums may hold.
 WINDOW_CELLS = 1 << 16
 
@@ -167,10 +175,10 @@ def trailing_means(timestamps: np.ndarray, values: np.ndarray, start: int, ticks
     return now, np.where(span > 0, sums / np.maximum(span, 1), now)
 
 
-def is_capped(price: float, spec: VmSpec, rel_eps: float = CAP_RELATIVE_EPS) -> bool:
+def is_capped(price: float, spec: VmSpec) -> bool:
     """True when a price sits on the provider cap (CAP_MULTIPLIER x on-demand)."""
     cap = CAP_MULTIPLIER * spec.on_demand_price
-    return abs(price - cap) <= rel_eps * cap
+    return abs(price - cap) <= CAP_RELATIVE_EPS * cap
 
 
 def _parse_timestamp(value, source, line) -> int:

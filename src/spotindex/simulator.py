@@ -29,9 +29,9 @@ import numpy as np
 
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import SelectionError, SimulationError, SpotIndexError
-from .index import IndexCurve
+from .index import IndexCurve, denormalize, normalize
 from .policies import CandidateView, Policy, PolicyContext, PolicyDecision, build_policy
-from .prices import PriceTrace, is_capped, left_sum, trailing_means
+from .prices import PriceTrace, fold_sum, is_capped, left_sum, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
 log = logging.getLogger(__name__)
@@ -46,6 +46,19 @@ DONE = "done"
 
 # The most epoch ticks one market table covers.
 TABLE_TICKS = 1024
+
+
+def exact(kind, value, key: str):
+    """value as kind (int, float or bool), or a ValueError naming key where
+    the cast would change it: a boolean or string where a number is due, a
+    fraction where an int is due, or anything but a boolean for a bool."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = type(value) in (int, float) and (kind is float or value % 1 == 0)
+    if not ok:
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -144,19 +157,27 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "JobSpec":
-        """The inverse of to_dict; an absent or null key takes the default."""
+        """The inverse of to_dict; an absent or null key takes the default.
+        A number its field's type would change raises ValueError (see exact)."""
+
+        def floats(key):
+            return tuple(exact(float, v, key) for v in raw[key])
+
         casts = {
-            "kind": str,
-            "tasks": int,
-            "requirement": lambda r: ResourceRequirement(float(r[0]), float(r[1])),
-            "mem_footprint": float,
-            "max_price": float,
-            "reference_capacity": tuple,
+            "kind": lambda key: str(raw[key]),
+            "tasks": lambda key: exact(int, raw[key], key),
+            "requirement": lambda key: ResourceRequirement(*floats(key)[:2]),
+            "mem_footprint": lambda key: exact(float, raw[key], key),
+            "max_price": lambda key: exact(float, raw[key], key),
+            "reference_capacity": floats,
         }
         return cls(
             name=str(raw["name"]),
-            phases=tuple(Phase(int(d), float(c), float(m)) for d, c, m in raw["phases"]),
-            **{key: cast(raw[key]) for key, cast in casts.items() if raw.get(key) is not None},
+            phases=tuple(
+                Phase(exact(int, d, "phases"), exact(float, c, "phases"), exact(float, m, "phases"))
+                for d, c, m in raw["phases"]
+            ),
+            **{key: cast(key) for key, cast in casts.items() if raw.get(key) is not None},
         )
 
 
@@ -273,8 +294,8 @@ def _billed_holds(events, traces, catalog, curve: IndexCurve):
         cost = interval_cost(traces[event["vm"]], event["t0"], event["t1"])
         index_cost = None
         if event["working"]:
-            scale = catalog[event["vm"]].capacity_scale
-            index_cost = curve.integrate(event["t0"], event["t1"]) * scale / 3600.0
+            spec = catalog[event["vm"]]
+            index_cost = denormalize(spec, curve.integrate(event["t0"], event["t1"])) / 3600.0
         yield event, cost, index_cost
 
 
@@ -602,8 +623,8 @@ class _Engine:
         price_dst = self._price(target, t)
         sufficiency_ok = should_migrate(
             self.curve.value_at(t),
-            price_src / self.catalog[src].capacity_scale,
-            price_dst / self.catalog[target].capacity_scale,
+            normalize(self.catalog[src], price_src),
+            normalize(self.catalog[target], price_dst),
         )
         self.events.append(
             {
@@ -1025,8 +1046,8 @@ def aggregate_reports(reports) -> dict:
 
     def stats(key):
         values = [d[key] for d in dicts]
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
+        mean = fold_sum(values) / len(values)
+        variance = fold_sum((v - mean) ** 2 for v in values) / len(values)
         return {"mean": mean, "std": math.sqrt(variance), "min": min(values), "max": max(values)}
 
     return {

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 from .catalog import VmSpec
 from .errors import CoverageError, OutOfRangeError
-from .index import IndexSeries
-from .prices import PriceTrace
+from .index import IndexSeries, denormalize, normalize
+from .prices import PriceTrace, fold_sum
 
 
 def gain(
@@ -22,7 +22,9 @@ def gain(
     Riemann sum over the index sampling grid: each sample contributes
     (index - normalized price) * capacity scale * period seconds, converted
     from price-hours to plain price units. Samples where the member trace
-    has no price are a coverage failure, not a silent skip.
+    has no price are a coverage failure, not a silent skip. The run ledger
+    and the report's gain do not call this: they integrate each hold
+    exactly over the index curve.
     """
     total = 0.0
     missing = []
@@ -37,8 +39,8 @@ def gain(
         except OutOfRangeError:
             missing.append(t)
             continue
-        normalized = price / spec.capacity_scale
-        total += (sample.value - normalized) * spec.capacity_scale * index.period
+        normalized = normalize(spec, price)
+        total += denormalize(spec, sample.value - normalized) * index.period
     if missing:
         raise CoverageError(
             f"trace {trace.vm_id!r} missing samples at {missing}"
@@ -111,11 +113,11 @@ class TrackingLedger:
 
     @property
     def total_gain(self) -> float:
-        return sum(e.amount for e in self.events if e.kind == "gain")
+        return fold_sum(e.amount for e in self.events if e.kind == "gain")
 
     @property
     def total_loss(self) -> float:
-        return sum(e.amount for e in self.events if e.kind == "loss")
+        return fold_sum(e.amount for e in self.events if e.kind == "loss")
 
     @property
     def net(self) -> float:

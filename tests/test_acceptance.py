@@ -16,6 +16,7 @@ import pytest
 from spotindex import (
     Catalog,
     GapError,
+    IndexCurve,
     IndexSeries,
     JobSpec,
     MigrationModel,
@@ -26,7 +27,6 @@ from spotindex import (
     SynthMarketSpec,
     VmSpec,
     generate_market_suite,
-    index_sample,
     index_series,
     ledger_from_report,
     migration_loss,
@@ -195,14 +195,15 @@ def test_criterion_1_oracle_suite():
             for _, c, m, o, p in members
             if abs(p - 10.0 * o) > 1e-9 * 10.0 * o
         ]
+        curve = IndexCurve(traces, catalog, ids)
         if not live:
             with pytest.raises(GapError):
-                index_sample(traces, catalog, ids, 0)
+                curve.sample_at(0)
         else:
-            value, low, high, n_eff = index_sample(traces, catalog, ids, 0)
-            assert n_eff == len(live)
-            assert isclose(value, math.fsum(live) / len(live))
-            assert isclose(low, min(live)) and isclose(high, max(live))
+            sample = curve.sample_at(0)
+            assert sample.n_effective == len(live)
+            assert isclose(sample.value, math.fsum(live) / len(live))
+            assert isclose(sample.low, min(live)) and isclose(sample.high, max(live))
 
         # gain as an explicit Riemann sum
         period = rng.choice([60, 300])

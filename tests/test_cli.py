@@ -2,7 +2,20 @@ import json
 
 import pytest
 
-from spotindex import MigrationModel, RunParams, SynthMarketSpec, generate_market_suite, write_trace_jsonl
+from spotindex import (
+    BalancedPolicy,
+    JobSpec,
+    MigrationModel,
+    RunParams,
+    SynthMarketSpec,
+    generate_market_suite,
+    load_catalog,
+    load_trace_dir,
+    normalize_report,
+    on_demand_baseline,
+    run_simulation,
+    write_trace_jsonl,
+)
 from spotindex.cli import main
 from spotindex.synth import DEFAULT_SEED
 
@@ -359,3 +372,105 @@ def test_synth_defaults_come_from_the_dataclasses(workspace):
     write_trace_jsonl(suite["m4.large"], workspace / "expected.jsonl")
     assert (out / "m4.large.jsonl").read_bytes() == (workspace / "expected.jsonl").read_bytes()
     assert json.loads((out / "manifest.json").read_text())["seed"] == DEFAULT_SEED
+
+
+def simulate_argv(workspace, traces, *extra):
+    return [
+        "simulate",
+        "--job", workspace / "job.json",
+        "--policy", "static",
+        "--traces", traces,
+        "--catalog", workspace / "catalog.csv",
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"epoch": True}, {"epoch": 60.7}, {"cap_as_revocation": "false"}, {"verbose": True}],
+)
+def test_config_value_gets_its_flags_parsing(workspace, config):
+    traces = workspace / "traces"
+    run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])
+    path = workspace / "config.json"
+    path.write_text(json.dumps(config))
+    out = workspace / "report.json"
+    with pytest.raises(SystemExit) as err:
+        run(simulate_argv(workspace, traces, "--out", out, "--config", path))
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+def test_config_values_match_their_flags(workspace):
+    traces = workspace / "traces"
+    run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])
+    by_flags = workspace / "flags.json"
+    flags = ["--epoch", 120, "--cap-as-revocation", "--seed", 5, "--out", by_flags]
+    assert run(simulate_argv(workspace, traces, *flags)) == 0
+    path = workspace / "config.json"
+    path.write_text(
+        json.dumps({"epoch": 120, "cap_as_revocation": True, "seed": 5, "horizon": False})
+    )
+    by_config = workspace / "config-report.json"
+    assert run(simulate_argv(workspace, traces, "--out", by_config, "--config", path)) == 0
+    a, b = json.loads(by_flags.read_text()), json.loads(by_config.read_text())
+    assert a["report"] == b["report"]
+    del a["config"]["out"], b["config"]["out"]
+    assert a["config"] == b["config"]
+    assert b["config"]["horizon"] is None
+
+
+def test_config_in_takes_one_path_or_a_list(workspace):
+    raw = workspace / "raw"
+    raw.mkdir()
+    (raw / "a.csv").write_text("timestamp,vm_id,price\n0,m4.large,4.5\n")
+    (raw / "b.csv").write_text("timestamp,vm_id,price\n0,r4.xlarge,5.5\n")
+    cases = (
+        (str(raw / "a.csv"), {"m4.large"}),
+        ([str(raw / "a.csv"), str(raw / "b.csv")], {"m4.large", "r4.xlarge"}),
+    )
+    for inputs, written in cases:
+        out = workspace / f"canon{len(written)}"
+        path = workspace / "ingest.json"
+        path.write_text(
+            json.dumps({"in": inputs, "catalog": str(workspace / "catalog.csv"), "out": str(out)})
+        )
+        assert run(["ingest", "--config", path]) == 0
+        assert set(json.loads((out / "manifest.json").read_text())["traces"]) == written
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("change_period", 60.9), ("enforce_sample_moments", "false"), ("duration", True), ("mean", "6.5")],
+)
+def test_synth_rejects_values_a_cast_would_change(workspace, key, value, caplog):
+    markets = json.loads(json.dumps(MARKETS_JSON))
+    markets["markets"][0][key] = value
+    spec_path = workspace / "bad.json"
+    spec_path.write_text(json.dumps(markets))
+    assert run(["synth", "--spec", spec_path, "--out", workspace / "out"]) == 1
+    assert f"{key} must be" in caplog.text
+
+
+def test_simulate_balanced_options_match_the_library(workspace):
+    traces = workspace / "traces"
+    run(["synth", "--spec", workspace / "markets.json", "--seed", 5, "--out", traces])
+    out = workspace / "report.json"
+    options = ["--sufficiency", "off", "--target-rule", "first_feasible"]
+    argv = simulate_argv(workspace, traces, "--epoch", 60, "--seed", 5, "--out", out, *options)
+    argv[argv.index("static")] = "balanced"
+    assert run(argv) == 0
+    catalog = load_catalog(workspace / "catalog.csv")
+    job = JobSpec.from_dict(JOB_JSON)
+    loaded = load_trace_dir(traces, catalog)
+    policy = BalancedPolicy(sufficiency="off", target_rule="first_feasible")
+    report = run_simulation(
+        job, policy, loaded, catalog, sorted(loaded), params=RunParams(epoch=60), seed=5
+    )
+    normalize_report(report, on_demand_baseline(job, catalog))
+    expected = json.loads(json.dumps(report.to_dict(), sort_keys=True))
+    assert json.loads(out.read_text())["report"] == expected
+    argv[argv.index("balanced")] = "cost"
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2

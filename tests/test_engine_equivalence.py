@@ -534,7 +534,7 @@ def test_epoch_table_matches_scalar_market(index_reference):
     catalog = Catalog([*CATALOG, extra])
     rng = np.random.default_rng(11)
     traces = {}
-    for vm in catalog.ids:
+    for vm in [s.id for s in catalog]:
         stamps = np.arange({"m4.large": 42, "m4.4xlarge": 501}.get(vm, 0), 2000, rng.integers(5, 13))
         levels = rng.integers(2000, 10000, len(stamps)) / 1000.3
         cap = 10.0 * catalog[vm].on_demand_price

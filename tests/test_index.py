@@ -14,8 +14,6 @@ from spotindex import (
     VmSpec,
     compare_indices,
     denormalize,
-    index_at,
-    index_sample,
     index_series,
     normalize,
     on_demand_index,
@@ -63,49 +61,49 @@ def test_index_two_members():
     catalog = Catalog([spec("a", 4.0, 4.0, 50.0), spec("b", 3.0, 3.0, 50.0)])
     traces = {"a": flat("a", 4.0), "b": flat("b", 9.0)}
     # normalized: 4/4 = 1, 9/3 = 3; equal-weighted mean = 2
-    assert index_at(traces, catalog, ["a", "b"], 0) == 2.0
+    assert IndexCurve(traces, catalog, ["a", "b"]).value_at(0) == 2.0
 
 
 def test_index_permutation_invariant():
     catalog = Catalog([spec(f"v{i}", 2.0 + i, 8.0, 50.0) for i in range(5)])
     traces = {f"v{i}": flat(f"v{i}", 3.0 + i) for i in range(5)}
     ids = [f"v{i}" for i in range(5)]
-    base = index_at(traces, catalog, ids, 0)
+    base = IndexCurve(traces, catalog, ids).value_at(0)
     rng = random.Random(4)
     for _ in range(10):
         shuffled = ids[:]
         rng.shuffle(shuffled)
-        assert index_at(traces, catalog, shuffled, 0) == pytest.approx(base, rel=1e-15)
+        assert IndexCurve(traces, catalog, shuffled).value_at(0) == pytest.approx(base, rel=1e-15)
 
 
 def test_index_excludes_capped_members():
     catalog = Catalog([spec("a", 1.0, 1.0, 1.0), spec("b", 1.0, 1.0, 1.0)])
     traces = {"a": flat("a", 2.0), "b": flat("b", 10.0)}  # b sits on 10x cap
-    value, low, high, n = index_sample(traces, catalog, ["a", "b"], 0)
-    assert value == 2.0
-    assert n == 1
-    assert low == 2.0 and high == 2.0
+    sample = IndexCurve(traces, catalog, ["a", "b"]).sample_at(0)
+    assert sample.value == 2.0
+    assert sample.n_effective == 1
+    assert sample.low == 2.0 and sample.high == 2.0
 
 
 def test_index_all_capped_is_gap():
     catalog = Catalog([spec("a", 1.0, 1.0, 1.0)])
     traces = {"a": flat("a", 10.0)}
     with pytest.raises(GapError):
-        index_at(traces, catalog, ["a"], 0)
+        IndexCurve(traces, catalog, ["a"]).value_at(0)
 
 
 def test_index_missing_member():
     catalog = Catalog([spec("a", 1.0, 1.0, 1.0), spec("b", 1.0, 1.0, 1.0)])
     traces = {"a": flat("a", 2.0)}
     with pytest.raises(GapError):
-        index_at(traces, catalog, ["a", "b"], 0)
+        IndexCurve(traces, catalog, ["a", "b"])
 
 
 def test_index_duplicate_member_rejected():
     catalog = Catalog([spec("a", 1.0, 1.0, 1.0)])
     traces = {"a": flat("a", 2.0)}
     with pytest.raises(ValueError):
-        index_at(traces, catalog, ["a", "a"], 0)
+        IndexCurve(traces, catalog, ["a", "a"])
 
 
 def test_index_bounds_within_member_range():
@@ -114,11 +112,11 @@ def test_index_bounds_within_member_range():
     ids = [f"v{i}" for i in range(6)]
     for _ in range(50):
         traces = {i: flat(i, rng.uniform(0.5, 20.0)) for i in ids}
-        value, low, high, n = index_sample(traces, catalog, ids, 0)
-        assert n == 6
-        assert low <= value <= high
+        sample = IndexCurve(traces, catalog, ids).sample_at(0)
+        assert sample.n_effective == 6
+        assert sample.low <= sample.value <= sample.high
         normalized = [traces[i].price_at(0) / catalog[i].capacity_scale for i in ids]
-        assert low == min(normalized) and high == max(normalized)
+        assert sample.low == min(normalized) and sample.high == max(normalized)
 
 
 def test_index_series_grid_and_gaps():
@@ -128,10 +126,8 @@ def test_index_series_grid_and_gaps():
     series = index_series(traces, catalog, ["a"], 0, 900, 300)
     assert series.gaps == [0]
     assert [s.timestamp for s in series.samples] == [300, 600]
-    assert series.value_at(300) == 2.0
+    assert [s.value for s in series.samples] == [2.0, 2.0]
     assert series.mean() == 2.0
-    with pytest.raises(CoverageError):
-        series.value_at(450)
 
 
 def test_on_demand_index_value():
@@ -188,9 +184,8 @@ def test_curve_matches_pointwise_index():
         curve = IndexCurve(traces, catalog, ids)
         for _ in range(40):
             t = rng.randrange(0, 30 * 60)
-            assert curve.value_at(t) == pytest.approx(
-                index_at(traces, catalog, ids, t), rel=1e-12
-            )
+            pointwise = [traces[i].price_at(t) / catalog[i].capacity_scale for i in ids]
+            assert curve.value_at(t) == pytest.approx(math.fsum(pointwise) / 4, rel=1e-12)
 
 
 def test_curve_integrate_additive_and_window_mean():
@@ -255,7 +250,7 @@ def test_index_matches_brute_force_oracle():
         members = [vm for vm in ids if vm in points]
         if len(members) < len(ids):
             with pytest.raises(GapError, match="no trace for composition member"):
-                index_sample(traces, catalog, ids, 0)
+                IndexCurve(traces, catalog, ids)
             with pytest.raises(GapError, match="no trace for composition member"):
                 index_series(traces, catalog, ids, 0, 600, 60)
         if not members:
@@ -266,15 +261,15 @@ def test_index_matches_brute_force_oracle():
             expected = brute_force_sample(points, catalog, members, t)
             if expected is None:
                 with pytest.raises((GapError, OutOfRangeError)):
-                    index_sample(traces, catalog, members, t)
+                    curve.sample_at(t)
                 with pytest.raises((GapError, OutOfRangeError)):
                     curve.value_at(t)
                 continue
             mean, low, high, n = expected
-            got = index_sample(traces, catalog, members, t)
-            assert got[0] == pytest.approx(mean, rel=1e-12)
-            assert got[1:3] == pytest.approx((low, high), rel=1e-12)
-            assert got[3] == n
+            got = curve.sample_at(t)
+            assert got.value == pytest.approx(mean, rel=1e-12)
+            assert (got.low, got.high) == pytest.approx((low, high), rel=1e-12)
+            assert got.n_effective == n
             assert curve.value_at(t) == pytest.approx(mean, rel=1e-12)
         series = index_series(traces, catalog, members, 0, 2000, 97)
         oracle = {t: brute_force_sample(points, catalog, members, t) for t in range(0, 2000, 97)}

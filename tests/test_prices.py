@@ -205,6 +205,24 @@ def test_fractional_timestamp_rejected(tmp_path):
         list(read_trace_records(path))
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ('{"timestamp": true, "vm_id": "vm-a", "price": 1.0}', "timestamp"),
+        ('{"timestamp": "2024-01-01T00:00:00.5Z", "vm_id": "vm-a", "price": 1.0}', "timestamp"),
+        ('{"timestamp": 60, "vm_id": "vm-a", "price": "cheap"}', "price"),
+        ('{"vm_id": "vm-a", "price": 1.0}', "timestamp"),
+        ('{"timestamp": 60, "vm_id": "vm-a"}', "price"),
+    ],
+)
+def test_bad_trace_record_is_located(tmp_path, record, field):
+    path = tmp_path / "raw.jsonl"
+    path.write_text('{"timestamp": 0, "vm_id": "vm-a", "price": 1.0}\n' + record + "\n")
+    with pytest.raises(ParseError) as err:
+        list(read_trace_records(path))
+    assert (err.value.source, err.value.line, err.value.field) == (path, 2, field)
+
+
 def test_record_needs_identity(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text('{"timestamp": 0, "price": 1.0}\n')

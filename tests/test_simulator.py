@@ -112,6 +112,32 @@ def test_migration_model_seconds():
         MigrationModel(rate=-1.0)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("phases", [[600.5, 4, 16]]),
+        ("phases", [[600, True, 16]]),
+        ("tasks", 2.5),
+        ("tasks", True),
+        ("mem_footprint", "4"),
+        ("reference_capacity", [8, True]),
+    ],
+)
+def test_job_from_dict_rejects_values_a_cast_would_change(key, value):
+    raw = one_phase_job().to_dict()
+    raw[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        JobSpec.from_dict(raw)
+
+
+def test_job_from_dict_takes_whole_floats_for_integers():
+    raw = one_phase_job().to_dict()
+    raw.update(phases=[[600.0, 4, 16]], tasks=2.0)
+    job = JobSpec.from_dict(raw)
+    assert job == one_phase_job(tasks=2)
+    assert type(job.phases[0].duration) is int and type(job.tasks) is int
+
+
 def test_run_params_validation():
     with pytest.raises(ValueError):
         RunParams(epoch=0)

@@ -12,9 +12,11 @@ from spotindex import (
     PriceTrace,
     TrackingLedger,
     VmSpec,
+    aggregate_reports,
     gain,
     index_series,
     migration_loss,
+    on_demand_index,
     should_migrate,
 )
 from spotindex.tracking import LedgerEvent
@@ -137,3 +139,18 @@ def test_ledger_totals_and_round_trip():
 def test_ledger_event_round_trip():
     event = LedgerEvent("loss", 5, 9, "vm", 0.125, "stall")
     assert LedgerEvent.from_dict(event.to_dict()) == event
+
+
+def test_float_totals_fold_left_to_right():
+    # the built-in sum() of ten 0.1s is 1.0 from Python 3.12 on
+    ledger = TrackingLedger()
+    for t in range(10):
+        ledger.add_gain(t, t + 1, "a", 0.1)
+        ledger.add_loss(t, t + 1, "a", 0.1)
+    assert ledger.total_gain == ledger.total_loss == 0.9999999999999999
+    assert TrackingLedger().total_gain == 0.0
+    fields = ("total_cost", "availability", "migrations", "revocations", "net")
+    row = {"policy": "p", **dict.fromkeys(fields, 0.1)}
+    assert aggregate_reports([row] * 10)["total_cost"]["mean"] == 0.9999999999999999 / 10
+    catalog = Catalog([spec(f"v{i}", 1.0, 1.0, 0.1) for i in range(10)])
+    assert on_demand_index(catalog, [s.id for s in catalog]) == 0.9999999999999999 / 10
