@@ -193,15 +193,27 @@ def read_records(path):
         with open(path) as fh:
             for line, raw in enumerate(fh, start=1):
                 raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc}", source=path, line=line) from None
-                if not isinstance(record, dict):
-                    raise ParseError("expected a JSON object", source=path, line=line)
-                yield line, record
+                if raw:
+                    yield line, json_record(raw, path, line)
+
+
+# On a stripped line, json.loads(text) gives raw_decode(text)'s object when
+# that ends at the end of the line, and raises raw_decode's error when that
+# raises; raw_decode alone skips json.loads' two whitespace scans.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def json_record(text: str, source, line) -> dict:
+    """The JSON object on a stripped, non-blank line of a JSON-lines file."""
+    try:
+        record, end = _raw_decode(text)
+        if end != len(text):
+            json.loads(text)  # raises json.loads' "Extra data" error
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", source=source, line=line) from None
+    if not isinstance(record, dict):
+        raise ParseError("expected a JSON object", source=source, line=line)
+    return record
 
 
 def load_catalog(path) -> Catalog:

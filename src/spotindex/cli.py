@@ -23,7 +23,7 @@ from .catalog import Scope, load_catalog
 from .errors import ConflictError, SpotIndexError
 from .index import index_series
 from .policies import POLICIES, build_policy
-from .prices import ingest_traces, load_trace_dir, read_trace_records, trace_files, write_trace_jsonl
+from .prices import ingest_traces, load_trace_dir, trace_files, write_trace_jsonl
 from .simulator import (
     JobSpec,
     MigrationModel,
@@ -143,17 +143,48 @@ def _scope_from_args(args) -> Scope | None:
 
 def _write_traces(traces, out, manifest: dict) -> int:
     """Write each trace as canonical JSONL into the `out` directory, next to
-    a manifest.json that lists them; returns how many were written."""
+    a manifest.json that lists them; returns how many were written. Two vm
+    ids that map to one file name raise ConflictError before any write."""
+    names = {}
+    for vm_id in traces:
+        name = f"{vm_id.replace('/', '_')}.jsonl"
+        if name in names:
+            raise ConflictError(
+                f"vm ids {names[name]!r} and {vm_id!r} would both be written to {name}"
+            )
+        names[name] = vm_id
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
-    for vm_id, trace in traces.items():
-        name = f"{vm_id.replace('/', '_')}.jsonl"
+    for name, vm_id in names.items():
+        trace = traces[vm_id]
         write_trace_jsonl(trace, out_dir / name)
         written[vm_id] = {"file": name, "points": len(trace)}
     manifest["traces"] = written
     _write_json(manifest, out_dir / "manifest.json")
     return len(written)
+
+
+def _market_spec(i, entry) -> SynthMarketSpec:
+    """Entry i of a market spec list; a malformed entry raises ValueError
+    naming its index and key."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"market {i} must be a JSON object, got {entry!r}")
+    for key in ("vm_id", "mean", "stddev"):
+        if key not in entry:
+            raise ValueError(f"market {i} has no {key!r}")
+    optional = {
+        "change_period": int,
+        "duration": int,
+        "volatility_scale": float,
+        "enforce_sample_moments": bool,
+    }
+    return SynthMarketSpec(
+        vm_id=str(entry["vm_id"]),
+        mean=exact(float, entry["mean"], "mean"),
+        stddev=exact(float, entry["stddev"], "stddev"),
+        **{key: exact(kind, entry[key], key) for key, kind in optional.items() if key in entry},
+    )
 
 
 # command handlers
@@ -166,8 +197,7 @@ def cmd_ingest(args, parser) -> int:
     for raw in args.inputs:
         p = Path(raw)
         paths.extend(trace_files(p) if p.is_dir() else [p])
-    records = (record for path in paths for record in read_trace_records(path))
-    traces = ingest_traces(records, catalog, **_given(args, on_unknown="unknown"))
+    traces = ingest_traces(paths, catalog, **_given(args, on_unknown="unknown"))
     written = _write_traces(traces, args.out, _provenance(args))
     log.info("ingested %d traces into %s", written, args.out)
     return 0
@@ -197,21 +227,7 @@ def cmd_synth(args, parser) -> int:
         raw = raw.get("markets", raw)
     if not isinstance(raw, list):
         raise ValueError(f"market spec {args.spec} must hold a list of markets")
-    optional = {
-        "change_period": int,
-        "duration": int,
-        "volatility_scale": float,
-        "enforce_sample_moments": bool,
-    }
-    specs = [
-        SynthMarketSpec(
-            vm_id=str(m["vm_id"]),
-            mean=exact(float, m["mean"], "mean"),
-            stddev=exact(float, m["stddev"], "stddev"),
-            **{key: exact(kind, m[key], key) for key, kind in optional.items() if key in m},
-        )
-        for m in raw
-    ]
+    specs = [_market_spec(i, entry) for i, entry in enumerate(raw)]
     options = _given(args, seed="seed", start="start", warmup="warmup")
     traces = generate_market_suite(specs, **options)
     manifest = _provenance(args, seed=options.get("seed", DEFAULT_SEED))

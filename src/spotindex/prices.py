@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import compress, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import OutOfRangeError, ParseError
-from .catalog import VmSpec, read_records
+from .catalog import VmSpec, json_record
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +46,16 @@ class PriceTrace:
         self.vm_id = vm_id
         self.timestamps = np.array([p.timestamp for p in pts], dtype=np.int64)
         self.prices = np.array([p.price for p in pts], dtype=np.float64)
+
+    @classmethod
+    def from_arrays(cls, vm_id: str, timestamps: np.ndarray, prices: np.ndarray) -> "PriceTrace":
+        """A trace over non-empty, sorted, distinct int64 timestamps and
+        their float64 prices, taken as they are."""
+        trace = cls.__new__(cls)
+        trace.vm_id = vm_id
+        trace.timestamps = timestamps
+        trace.prices = prices
+        return trace
 
     def __len__(self):
         return len(self.timestamps)
@@ -185,6 +198,11 @@ def _parse_timestamp(value, source, line) -> int:
     if isinstance(value, bool):
         raise ParseError(f"bad timestamp {value!r}", source, line, "timestamp")
     if isinstance(value, (int, float)):
+        # NaN fails this test too
+        if not -(2**63) <= value < 2**63:
+            raise ParseError(
+                f"timestamp must fit in int64 seconds, got {value!r}", source, line, "timestamp"
+            )
         if float(value) != int(value):
             raise ParseError(
                 f"timestamp must be whole seconds, got {value!r}",
@@ -220,7 +238,7 @@ def _parse_timestamp(value, source, line) -> int:
 def _parse_price(value, source, line) -> float:
     try:
         price = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"bad price {value!r}", source, line, "price") from None
     if not np.isfinite(price) or price < 0:
         raise ParseError(
@@ -229,99 +247,273 @@ def _parse_price(value, source, line) -> float:
     return price
 
 
-def read_trace_records(path):
-    """Read raw trace records from a .csv or .jsonl file.
+# The one timestamp form parsed in bulk, by numpy: ASCII digits only (`\d`
+# alone also matches other scripts' digits), UTC, whole seconds, and a year
+# from 0001 on (numpy takes year 0000, which datetime rejects). numpy warns
+# about the `Z`, so it gets the text without it.
+_STRICT_ISO = re.compile(r"(?!0000)\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+# the value of an absent timestamp or price key
+_MISSING = object()
+# records read and checked at a time, which bounds the memory a file takes
+_BLOCK = 1024
+# each field a trace record is read for, and its value when absent
+_TRACE_FIELDS = {
+    "timestamp": _MISSING,
+    "price": _MISSING,
+    "vm_id": None,
+    "instance_type": None,
+    "zone": None,
+}
 
-    Yields dicts with parsed `timestamp` (int seconds) and `price` (float) plus
-    either `vm_id` or `instance_type` and `zone`, and provenance for errors.
+
+def _csv_blocks(path: Path):
+    """Yield (lines, columns, error) for each block of up to _BLOCK rows of a
+    CSV file with a header row: each record's line number and a dict of
+    each trace field's values in record order. As csv.DictReader reads it,
+    blank rows are skipped and not numbered, a repeated column name takes
+    the later column, and a short row gives None. An empty file yields one
+    empty block with its error."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            yield [], {field: [] for field in _TRACE_FIELDS}, ParseError("empty file", source=path)
+            return
+        at = {name: i for i, name in enumerate(header)}
+        line = 2
+        while block := list(islice(reader, _BLOCK)):
+            rows = [row for row in block if row]
+            columns = {}
+            for field, absent in _TRACE_FIELDS.items():
+                i = at.get(field)
+                if i is None:
+                    columns[field] = [absent] * len(rows)
+                else:
+                    columns[field] = [row[i] if i < len(row) else None for row in rows]
+            yield range(line, line + len(rows)), columns, None
+            line += len(rows)
+
+
+def _jsonl_blocks(path: Path):
+    """Yield (lines, columns, error) for each block of up to _BLOCK lines of
+    a file of one JSON object per non-blank line. A block with a line that
+    is not one object ends at the line before it, with the error
+    catalog.json_record raises for it."""
+    with open(path) as fh:
+        first = 1
+        while block := list(islice(fh, _BLOCK)):
+            lines, records, error = [], [], None
+            try:
+                for line, raw in enumerate(block, start=first):
+                    text = raw.strip()
+                    if text:
+                        records.append(json_record(text, path, line))
+                        lines.append(line)
+            except ParseError as exc:
+                error = exc
+            first += len(block)
+            columns = {
+                field: [record.get(field, absent) for record in records]
+                for field, absent in _TRACE_FIELDS.items()
+            }
+            yield lines, columns, error
+            if error is not None:
+                return
+
+
+def _blocks(paths):
+    """(path, lines, columns, error) for each block of each file, in order:
+    a .csv file has a header row, any other holds JSON lines."""
+    for path in map(Path, paths):
+        blocks = _csv_blocks if path.suffix.lower() == ".csv" else _jsonl_blocks
+        for lines, columns, error in blocks(path):
+            yield path, lines, columns, error
+
+
+def _scalar(parse, values, indices, out, source, lines):
+    """Parse values[i] for each i in indices into out[i] with a scalar
+    parser; returns (i, its ParseError) for the first value it rejects, or
+    None."""
+    for i in indices:
+        try:
+            out[i] = parse(values[i], source, lines[i])
+        except ParseError as exc:
+            return i, exc
+    return None
+
+
+def _timestamps(values, source, lines):
+    """Epoch seconds for a column of raw timestamps, and _scalar's result.
+
+    Plain ints and strict ISO strings are converted in bulk; every other
+    value, every int of a column with one outside int64, and every ISO
+    string of a column numpy rejects (Feb 30, hour 24, ...), goes through
+    _parse_timestamp.
     """
-    path = Path(path)
-    for line, record in read_records(path):
-        yield _normalize_record(record, path, line)
-
-
-def _normalize_record(record: dict, source, line) -> dict:
-    if "timestamp" not in record:
-        raise ParseError("missing value", source, line, "timestamp")
-    if "price" not in record:
-        raise ParseError("missing value", source, line, "price")
-    out = {
-        "timestamp": _parse_timestamp(record["timestamp"], source, line),
-        "price": _parse_price(record["price"], source, line),
-        "source": str(source),
-        "line": line,
-    }
-    vm_id = record.get("vm_id")
-    if vm_id:
-        out["vm_id"] = str(vm_id)
-        return out
-    instance_type, zone = record.get("instance_type"), record.get("zone")
-    if instance_type and zone:
-        out["instance_type"] = str(instance_type)
-        out["zone"] = str(zone)
-        return out
-    raise ParseError(
-        "record needs either vm_id or instance_type + zone", source, line, "vm_id"
+    stamps = np.zeros(len(values), dtype=np.int64)
+    ints = np.array([type(v) is int for v in values], dtype=bool)
+    isos = np.array(
+        [type(v) is str and _STRICT_ISO.fullmatch(v) is not None for v in values], dtype=bool
     )
+    if ints.any():
+        try:
+            stamps[ints] = list(compress(values, ints))
+        except OverflowError:
+            ints[:] = False
+    if isos.any():
+        try:
+            parsed = np.array([v[:-1] for v in compress(values, isos)], dtype="datetime64[s]")
+            stamps[isos] = parsed.astype(np.int64)
+        except ValueError:
+            isos[:] = False
+    rest = np.flatnonzero(~(ints | isos)).tolist()
+    return stamps, _scalar(_parse_timestamp, values, rest, stamps, source, lines)
 
 
-def ingest_traces(records, catalog, on_unknown: str = "warn") -> dict[str, PriceTrace]:
-    """Build per-VM traces from raw records.
+def _prices(values, source, lines):
+    """Prices for a column of raw prices, and _scalar's result: float() over
+    the column and one finite and >= 0 check; _parse_price takes over from
+    the first value that fails either."""
+    try:
+        prices = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+    except (TypeError, ValueError, OverflowError):
+        prices, start = np.zeros(len(values)), 0
+    else:
+        bad = np.flatnonzero(~(np.isfinite(prices) & (prices >= 0)))
+        start = int(bad[0]) if bad.size else len(values)
+    return prices, _scalar(_parse_price, values, range(start, len(values)), prices, source, lines)
 
-    Records for VMs missing from the catalog are skipped with a warning, or
-    rejected when on_unknown="error". Duplicate timestamps keep the last record
-    seen (with a warning); consecutive points at an unchanged price collapse.
+
+def _parse_columns(path: Path, lines, columns):
+    """Check one file's columns record by record, in the order a record's
+    checks run: timestamp and price present, timestamp, price, identity.
+
+    Returns (timestamps, prices, keys, error) for the records before the
+    first one that fails a check, and that record's error (None if every
+    record passes). A key is the vm id, or the (instance_type, zone) pair.
+    """
+    failures = []
+    for rank, field in enumerate(("timestamp", "price")):
+        if _MISSING in columns[field]:
+            i = columns[field].index(_MISSING)
+            failures.append((i, rank, ParseError("missing value", path, lines[i], field)))
+    stamps, failure = _timestamps(columns["timestamp"], path, lines)
+    if failure:
+        failures.append((failure[0], 2, failure[1]))
+    prices, failure = _prices(columns["price"], path, lines)
+    if failure:
+        failures.append((failure[0], 3, failure[1]))
+    keys = [
+        str(vm_id) if vm_id else (str(itype), str(zone)) if itype and zone else None
+        for vm_id, itype, zone in zip(columns["vm_id"], columns["instance_type"], columns["zone"])
+    ]
+    if None in keys:
+        i = keys.index(None)
+        message = "record needs either vm_id or instance_type + zone"
+        failures.append((i, 4, ParseError(message, path, lines[i], "vm_id")))
+    if not failures:
+        return stamps, prices, keys, None
+    cut, _, error = min(failures, key=lambda failure: failure[:2])
+    return stamps[:cut], prices[:cut], keys[:cut], error
+
+
+def _resolve(key, catalog):
+    """(vm id or None when the catalog lacks it, reference for messages)."""
+    if isinstance(key, str):
+        return (key if key in catalog else None), key
+    spec = catalog.resolve_instance(*key)
+    return (None if spec is None else spec.id), f"{key[0]}@{key[1]}"
+
+
+def ingest_traces(paths, catalog, on_unknown: str = "warn") -> dict[str, PriceTrace]:
+    """Read raw trace files (.csv with a header row, else JSON lines) and
+    build per-VM traces.
+
+    A record has a timestamp (epoch seconds, or ISO-8601 with UTC assumed
+    when no offset is given), a finite price >= 0, and either a vm_id or an
+    instance_type and zone. The first bad value raises ParseError with its
+    file, line and field. Records for VMs missing from the catalog are
+    skipped with a warning, or rejected when on_unknown="error". Duplicate
+    timestamps keep the record read last, in file order (with a warning);
+    consecutive points at an unchanged price collapse. Files are read in
+    the order given, and none after the one with the first error.
     """
     if on_unknown not in ("warn", "error"):
         raise ValueError(f"on_unknown must be 'warn' or 'error', got {on_unknown!r}")
-    by_vm: dict[str, dict[int, float]] = {}
-    skipped = 0
-    for record in records:
-        vm_id = ref = record.get("vm_id")
-        if vm_id is None:
-            spec = catalog.resolve_instance(record["instance_type"], record["zone"])
-            vm_id = None if spec is None else spec.id
-            ref = f"{record['instance_type']}@{record['zone']}"
-        if vm_id not in catalog:
-            if on_unknown == "error":
-                raise ParseError(
-                    f"unknown vm {ref!r}", record.get("source"), record.get("line")
-                )
-            log.warning("skipping record for unknown vm %s", ref)
-            skipped += 1
-            continue
-        series = by_vm.setdefault(vm_id, {})
-        ts = record["timestamp"]
-        if ts in series:
-            log.warning(
-                "duplicate timestamp %s for vm %s, keeping the later record", ts, vm_id
+    # each distinct key is resolved once: its code indexes `resolved`
+    codes_of, resolved = {}, []
+    parts = []
+    error = None
+    for path, lines, columns, read_error in _blocks(paths):
+        stamps, prices, keys, error = _parse_columns(path, lines, columns)
+        error = error or read_error
+        for key in set(keys).difference(codes_of):
+            codes_of[key] = len(resolved)
+            resolved.append(_resolve(key, catalog))
+        codes = np.fromiter(map(codes_of.__getitem__, keys), dtype=np.intp, count=len(keys))
+        if on_unknown == "error":
+            unknown = np.array([vm_id is None for vm_id, _ in resolved], dtype=bool)[codes]
+            if unknown.any():
+                i = int(unknown.argmax())
+                error = ParseError(f"unknown vm {resolved[codes[i]][1]!r}", str(path), lines[i])
+                stamps, prices, codes = stamps[:i], prices[:i], codes[:i]
+        parts.append((stamps, prices, codes))
+        if error is not None:
+            break
+    stamps, prices, codes = (
+        np.concatenate([np.zeros(0, dtype)] + [part[k] for part in parts])
+        for k, dtype in enumerate((np.int64, np.float64, np.intp))
+    )
+    names = sorted({resolved[code][0] for code in np.unique(codes).tolist()} - {None})
+    rank = {vm_id: r for r, vm_id in enumerate(names)}
+    vm = np.array([rank.get(vm_id, -1) for vm_id, _ in resolved], dtype=np.intp)[codes]
+    unknown = np.flatnonzero(vm < 0).tolist()
+    notes = [(i, "skipping record for unknown vm %s", resolved[codes[i]][1]) for i in unknown]
+    # each VM's records by timestamp, ties in file order
+    known = np.flatnonzero(vm >= 0)
+    order = known[np.lexsort((stamps[known], vm[known]))]
+    vm, stamps, prices = vm[order], stamps[order], prices[order]
+    repeat = (vm[1:] == vm[:-1]) & (stamps[1:] == stamps[:-1])
+    for k in np.flatnonzero(repeat).tolist():
+        notes.append(
+            (
+                int(order[k + 1]),
+                "duplicate timestamp %s for vm %s, keeping the later record",
+                int(stamps[k + 1]),
+                names[vm[k + 1]],
             )
-        series[ts] = record["price"]
-    if skipped:
-        log.warning("ingest skipped %d records for unknown vms", skipped)
-    traces = {}
-    for vm_id, series in sorted(by_vm.items()):
-        points = []
-        for ts in sorted(series):
-            price = series[ts]
-            if points and points[-1].price == price:
-                continue
-            points.append(PricePoint(ts, price))
-        traces[vm_id] = PriceTrace(vm_id, points)
-    return traces
+        )
+    for _, message, *args in sorted(notes):
+        log.warning(message, *args)
+    if error is not None:
+        raise error
+    if unknown:
+        log.warning("ingest skipped %d records for unknown vms", len(unknown))
+    keep = np.ones(len(order), dtype=bool)
+    keep[:-1] = ~repeat
+    vm, stamps, prices = vm[keep], stamps[keep], prices[keep]
+    change = np.ones(len(vm), dtype=bool)
+    change[1:] = (vm[1:] != vm[:-1]) | (prices[1:] != prices[:-1])
+    vm, stamps, prices = vm[change], stamps[change], prices[change]
+    bounds = np.searchsorted(vm, np.arange(len(names) + 1)).tolist()
+    return {
+        vm_id: PriceTrace.from_arrays(vm_id, stamps[a:b], prices[a:b])
+        for vm_id, a, b in zip(names, bounds, bounds[1:])
+    }
 
 
 def write_trace_jsonl(trace: PriceTrace, path) -> None:
-    """Write a trace in the canonical JSON-lines form (sorted, collapsed)."""
+    """Write a trace in the canonical JSON-lines form (sorted, collapsed):
+    each line is what json.dumps(point, sort_keys=True) gives, with every
+    number formatted by the json encoder."""
+    vm_id = json.dumps(trace.vm_id)
+    prices = json.dumps(trace.prices.tolist())[1:-1].split(", ")
+    stamps = json.dumps(trace.timestamps.tolist())[1:-1].split(", ")
     with open(path, "w") as fh:
-        for ts, price in zip(trace.timestamps, trace.prices):
-            fh.write(
-                json.dumps(
-                    {"timestamp": int(ts), "vm_id": trace.vm_id, "price": float(price)},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        fh.writelines(
+            f'{{"price": {price}, "timestamp": {stamp}, "vm_id": {vm_id}}}\n'
+            for price, stamp in zip(prices, stamps)
+        )
 
 
 def trace_files(directory) -> list[Path]:
@@ -341,6 +533,4 @@ def trace_files(directory) -> list[Path]:
 
 def load_trace_dir(directory, catalog, on_unknown: str = "warn") -> dict[str, PriceTrace]:
     """Ingest every trace file in a directory (see trace_files)."""
-    paths = trace_files(directory)
-    records = (record for path in paths for record in read_trace_records(path))
-    return ingest_traces(records, catalog, on_unknown=on_unknown)
+    return ingest_traces(trace_files(directory), catalog, on_unknown=on_unknown)

@@ -158,25 +158,37 @@ class JobSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "JobSpec":
         """The inverse of to_dict; an absent or null key takes the default.
-        A number its field's type would change raises ValueError (see exact)."""
+        A value of the wrong shape, or a number its field's type would
+        change (see exact), raises ValueError naming its key."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"job spec must be a JSON object, got {raw!r}")
+
+        def shaped(key, value, size, what):
+            """value, when it is a list (of `size` items unless size is None)."""
+            if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
+            return value
 
         def floats(key):
-            return tuple(exact(float, v, key) for v in raw[key])
+            pair = shaped(key, raw[key], 2, "a list of two numbers")
+            return tuple(exact(float, v, key) for v in pair)
+
+        def phase(i, entry):
+            d, c, m = shaped(f"phases[{i}]", entry, 3, "a [seconds, cpu, mem] list")
+            return Phase(exact(int, d, "phases"), exact(float, c, "phases"), exact(float, m, "phases"))
 
         casts = {
             "kind": lambda key: str(raw[key]),
             "tasks": lambda key: exact(int, raw[key], key),
-            "requirement": lambda key: ResourceRequirement(*floats(key)[:2]),
+            "requirement": lambda key: ResourceRequirement(*floats(key)),
             "mem_footprint": lambda key: exact(float, raw[key], key),
             "max_price": lambda key: exact(float, raw[key], key),
             "reference_capacity": floats,
         }
+        phases = shaped("phases", raw["phases"], None, "a list of [seconds, cpu, mem] lists")
         return cls(
             name=str(raw["name"]),
-            phases=tuple(
-                Phase(exact(int, d, "phases"), exact(float, c, "phases"), exact(float, m, "phases"))
-                for d, c, m in raw["phases"]
-            ),
+            phases=tuple(phase(i, entry) for i, entry in enumerate(phases)),
             **{key: cast(key) for key, cast in casts.items() if raw.get(key) is not None},
         )
 

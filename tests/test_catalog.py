@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -15,6 +16,7 @@ from spotindex import (
     filter_candidates,
     load_catalog,
 )
+from spotindex.catalog import json_record
 
 
 def make_spec(vm_id="vm-a", cpu=8.0, mem=32.0, od=40.0, **kw):
@@ -214,3 +216,33 @@ def test_load_catalog_locates_unreadable_input(tmp_path, name, text, line):
     with pytest.raises(ParseError) as err:
         load_catalog(path)
     assert (err.value.source, err.value.line, err.value.field) == (path, line, None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"a": 1}',
+        '{"a": [1, {"b": null}], "c": "}{"}',
+        "{}{}",
+        '{"a": 1} 7',
+        '{"a": 1} \t x',
+        "[1]",
+        '"x"',
+        '{"a": 1',
+        "{not json",
+        '{"a": NaN}',
+    ],
+)
+def test_json_record_is_json_loads_of_one_object(text):
+    try:
+        expected = json.loads(text)
+    except json.JSONDecodeError as exc:
+        expected = f"f.jsonl: line 3: invalid JSON: {exc}"
+    else:
+        if not isinstance(expected, dict):
+            expected = "f.jsonl: line 3: expected a JSON object"
+    try:
+        got = json_record(text, "f.jsonl", 3)
+    except ParseError as exc:
+        got = str(exc)
+    assert got == expected

@@ -474,3 +474,78 @@ def test_simulate_balanced_options_match_the_library(workspace):
     with pytest.raises(SystemExit) as err:
         run(argv)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "job, key",
+    [
+        ({**JOB_JSON, "requirement": [4]}, "requirement"),
+        ({**JOB_JSON, "phases": 5}, "phases"),
+        ([JOB_JSON], "job spec"),
+        ({**JOB_JSON, "phases": [{"seconds": 600}]}, "phases[0]"),
+        ({**JOB_JSON, "phases": ["abc"]}, "phases[0]"),
+    ],
+)
+def test_simulate_malformed_job_is_a_located_domain_error(workspace, job, key, caplog):
+    traces = workspace / "traces"
+    assert run(["synth", "--spec", workspace / "markets.json", "--out", traces]) == 0
+    (workspace / "job.json").write_text(json.dumps(job))
+    out = workspace / "report.json"
+    assert run(simulate_argv(workspace, traces, "--out", out)) == 1
+    assert f"{key} must be" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([1], "market 0 must be a JSON object, got 1"),
+        ([MARKETS_JSON["markets"][0], {"vm_id": "m4.large", "stddev": 0.5}], "market 1 has no 'mean'"),
+    ],
+)
+def test_synth_malformed_market_is_a_located_domain_error(workspace, spec, message, caplog):
+    spec_path = workspace / "bad.json"
+    spec_path.write_text(json.dumps(spec))
+    out = workspace / "out"
+    assert run(["synth", "--spec", spec_path, "--out", out]) == 1
+    assert message in caplog.messages
+    assert not out.exists()
+
+
+def test_vm_ids_sharing_a_file_name_are_a_conflict(workspace, caplog):
+    # "a/b" would be written to a_b.jsonl, the file of "a_b"
+    catalog = workspace / "slash.csv"
+    catalog.write_text(
+        "id,instance_type,zone,region,family,cpu_capacity,mem_capacity,on_demand_price\n"
+        "a/b,m4.large,z1,r1,general,2,8,10\n"
+        "a_b,m4.large,z2,r1,general,2,8,10\n"
+    )
+    raw = workspace / "raw.csv"
+    raw.write_text("timestamp,vm_id,price\n0,a/b,1.0\n0,a_b,2.0\n")
+    spec = workspace / "slash.json"
+    spec.write_text(json.dumps([{"vm_id": vm, "mean": 4.5, "stddev": 0.5} for vm in ("a/b", "a_b")]))
+    commands = (
+        ["ingest", "--in", raw, "--catalog", catalog, "--out"],
+        ["synth", "--spec", spec, "--out"],
+    )
+    for command in commands:
+        out = workspace / command[0]
+        caplog.clear()
+        assert run([*command, out]) == 1
+        assert "vm ids 'a/b' and 'a_b' would both be written to a_b.jsonl" in caplog.messages
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("stamp", ["Infinity", "1e300", "9223372036854775808"])
+def test_ingest_timestamp_outside_int64_is_a_located_domain_error(workspace, stamp, caplog):
+    # the record's VM is unknown and skipped under --unknown warn, but its
+    # timestamp is still checked
+    raw = workspace / "raw.jsonl"
+    raw.write_text(
+        '{"timestamp": 0, "vm_id": "m4.large", "price": 4.5}\n'
+        f'{{"timestamp": {stamp}, "vm_id": "ghost", "price": 4.5}}\n'
+    )
+    out = workspace / "canon"
+    assert run(["ingest", "--in", raw, "--catalog", workspace / "catalog.csv", "--out", out]) == 1
+    assert f"{raw}: line 2: field 'timestamp': timestamp must fit in int64 seconds" in caplog.text
+    assert not out.exists()

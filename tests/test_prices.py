@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from spotindex import (
     load_trace_dir,
     write_trace_jsonl,
 )
-from spotindex.prices import read_trace_records
 
 
 def make_catalog():
@@ -109,6 +109,11 @@ def test_is_capped_boundary():
     assert not is_capped(0.9, spec)
 
 
+def write_jsonl(path, records):
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return path
+
+
 def test_ingest_csv_and_jsonl_round_trip(tmp_path):
     csv_path = tmp_path / "raw.csv"
     csv_path.write_text(
@@ -117,13 +122,12 @@ def test_ingest_csv_and_jsonl_round_trip(tmp_path):
         "60,vm-a,2.5\n"
         "1970-01-01T00:02:00Z,vm-a,3.5\n"
     )
-    records = list(read_trace_records(csv_path))
-    assert [r["timestamp"] for r in records] == [0, 60, 120]
-    traces = ingest_traces(records, make_catalog())
+    traces = ingest_traces([csv_path], make_catalog())
     assert list(traces) == ["vm-a"]
+    assert traces["vm-a"].timestamps.tolist() == [0, 60, 120]
     out = tmp_path / "vm-a.jsonl"
     write_trace_jsonl(traces["vm-a"], out)
-    again = ingest_traces(read_trace_records(out), make_catalog())
+    again = ingest_traces([out], make_catalog())
     assert np.array_equal(again["vm-a"].timestamps, traces["vm-a"].timestamps)
     assert np.array_equal(again["vm-a"].prices, traces["vm-a"].prices)
 
@@ -133,67 +137,72 @@ def test_ingest_resolves_instance_zone(tmp_path):
     path.write_text(
         '{"timestamp": 0, "instance_type": "m4.large", "zone": "z2", "price": 2.0}\n'
     )
-    traces = ingest_traces(read_trace_records(path), make_catalog())
+    traces = ingest_traces([path], make_catalog())
     assert list(traces) == ["vm-b"]
 
 
-def test_ingest_duplicate_timestamp_keeps_last(caplog):
-    records = [
-        {"timestamp": 0, "vm_id": "vm-a", "price": 1.0},
-        {"timestamp": 0, "vm_id": "vm-a", "price": 2.0},
-    ]
+def test_ingest_duplicate_timestamp_keeps_last(tmp_path, caplog):
+    path = write_jsonl(
+        tmp_path / "raw.jsonl",
+        [
+            {"timestamp": 0, "vm_id": "vm-a", "price": 1.0},
+            {"timestamp": 0, "vm_id": "vm-a", "price": 2.0},
+        ],
+    )
     with caplog.at_level(logging.WARNING):
-        traces = ingest_traces(records, make_catalog())
+        traces = ingest_traces([path], make_catalog())
     assert traces["vm-a"].price_at(0) == 2.0
     assert any("duplicate timestamp" in m for m in caplog.messages)
 
 
-def test_ingest_collapses_unchanged_prices():
-    records = [
-        {"timestamp": 0, "vm_id": "vm-a", "price": 1.0},
-        {"timestamp": 60, "vm_id": "vm-a", "price": 1.0},
-        {"timestamp": 120, "vm_id": "vm-a", "price": 2.0},
-    ]
-    traces = ingest_traces(records, make_catalog())
+def test_ingest_collapses_unchanged_prices(tmp_path):
+    path = write_jsonl(
+        tmp_path / "raw.jsonl",
+        [
+            {"timestamp": 0, "vm_id": "vm-a", "price": 1.0},
+            {"timestamp": 60, "vm_id": "vm-a", "price": 1.0},
+            {"timestamp": 120, "vm_id": "vm-a", "price": 2.0},
+        ],
+    )
+    traces = ingest_traces([path], make_catalog())
     assert len(traces["vm-a"]) == 2
     assert traces["vm-a"].price_at(60) == 1.0
 
 
-def test_ingest_unknown_vm_warn_vs_error(caplog):
+def test_ingest_unknown_vm_warn_vs_error(tmp_path, caplog):
     # an unknown VM named by id, and one named by instance type and zone:
     # the catalog has m4.large in z1 and z2, not in z3
-    for unknown, ref in (
-        ({"vm_id": "ghost"}, "ghost"),
-        ({"instance_type": "m4.large", "zone": "z3"}, "m4.large@z3"),
-    ):
-        records = [
-            {"timestamp": 0, "price": 1.0, "source": "raw.csv", "line": 2, **unknown},
-            {"timestamp": 0, "vm_id": "vm-a", "price": 1.0},
-        ]
+    path = tmp_path / "raw.csv"
+    for unknown, ref in (("ghost,,", "ghost"), (",m4.large,z3", "m4.large@z3")):
+        path.write_text(
+            "timestamp,vm_id,instance_type,zone,price\n"
+            f"0,{unknown},1.0\n"
+            "0,vm-a,,,1.0\n"
+        )
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            traces = ingest_traces(records, make_catalog(), on_unknown="warn")
+            traces = ingest_traces([path], make_catalog(), on_unknown="warn")
         assert list(traces) == ["vm-a"]
         assert f"skipping record for unknown vm {ref}" in caplog.messages
         assert "ingest skipped 1 records for unknown vms" in caplog.messages
-        with pytest.raises(ParseError, match=f"^raw.csv: line 2: unknown vm '{ref}'$"):
-            ingest_traces(records, make_catalog(), on_unknown="error")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: unknown vm '{ref}'$"):
+            ingest_traces([path], make_catalog(), on_unknown="error")
     with pytest.raises(ValueError):
-        ingest_traces(records, make_catalog(), on_unknown="ignore")
+        ingest_traces([path], make_catalog(), on_unknown="ignore")
 
 
 def test_parse_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("timestamp,vm_id,price\n0,vm-a,1.0\nnoon,vm-a,1.0\n")
     with pytest.raises(ParseError) as err:
-        list(read_trace_records(path))
+        ingest_traces([path], make_catalog())
     assert err.value.line == 3
     assert err.value.field == "timestamp"
 
     path2 = tmp_path / "raw.jsonl"
     path2.write_text('{"timestamp": 0, "vm_id": "vm-a", "price": -1}\n')
     with pytest.raises(ParseError) as err:
-        list(read_trace_records(path2))
+        ingest_traces([path2], make_catalog())
     assert err.value.line == 1
     assert err.value.field == "price"
 
@@ -202,7 +211,7 @@ def test_fractional_timestamp_rejected(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text('{"timestamp": 0.5, "vm_id": "vm-a", "price": 1.0}\n')
     with pytest.raises(ParseError):
-        list(read_trace_records(path))
+        ingest_traces([path], make_catalog())
 
 
 @pytest.mark.parametrize(
@@ -213,13 +222,24 @@ def test_fractional_timestamp_rejected(tmp_path):
         ('{"timestamp": 60, "vm_id": "vm-a", "price": "cheap"}', "price"),
         ('{"vm_id": "vm-a", "price": 1.0}', "timestamp"),
         ('{"timestamp": 60, "vm_id": "vm-a"}', "price"),
+        # timestamps outside int64 seconds, also for a VM the catalog lacks
+        ('{"timestamp": 9223372036854775808, "vm_id": "vm-a", "price": 1.0}', "timestamp"),
+        ('{"timestamp": -9223372036854775809, "vm_id": "ghost", "price": 1.0}', "timestamp"),
+        ('{"timestamp": 1e300, "vm_id": "ghost", "price": 1.0}', "timestamp"),
+        ('{"timestamp": Infinity, "vm_id": "vm-a", "price": 1.0}', "timestamp"),
+        ('{"timestamp": NaN, "vm_id": "vm-a", "price": 1.0}', "timestamp"),
+        pytest.param(
+            '{"timestamp": 60, "vm_id": "vm-a", "price": 1%s}' % ("0" * 400),
+            "price",
+            id="price-int-too-large-for-a-float",
+        ),
     ],
 )
 def test_bad_trace_record_is_located(tmp_path, record, field):
     path = tmp_path / "raw.jsonl"
     path.write_text('{"timestamp": 0, "vm_id": "vm-a", "price": 1.0}\n' + record + "\n")
     with pytest.raises(ParseError) as err:
-        list(read_trace_records(path))
+        ingest_traces([path], make_catalog())
     assert (err.value.source, err.value.line, err.value.field) == (path, 2, field)
 
 
@@ -227,7 +247,7 @@ def test_record_needs_identity(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text('{"timestamp": 0, "price": 1.0}\n')
     with pytest.raises(ParseError) as err:
-        list(read_trace_records(path))
+        ingest_traces([path], make_catalog())
     assert err.value.field == "vm_id"
 
 

@@ -130,6 +130,25 @@ def test_job_from_dict_rejects_values_a_cast_would_change(key, value):
         JobSpec.from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"requirement": [4]}, "requirement must be a list of two numbers, got [4]"),
+        ({"reference_capacity": 8}, "reference_capacity must be a list of two numbers, got 8"),
+        ({"phases": 5}, "phases must be a list of [seconds, cpu, mem] lists, got 5"),
+        ({"phases": [{"seconds": 600}]}, "phases[0] must be a [seconds, cpu, mem] list, got {'seconds': 600}"),
+        ({"phases": [[600, 4, 16], "abc"]}, "phases[1] must be a [seconds, cpu, mem] list, got 'abc'"),
+        ([1], "job spec must be a JSON object, got [1]"),
+    ],
+)
+def test_job_from_dict_names_the_key_of_a_malformed_shape(raw, message):
+    if isinstance(raw, dict):
+        raw = {**one_phase_job().to_dict(), **raw}
+    with pytest.raises(ValueError) as err:
+        JobSpec.from_dict(raw)
+    assert str(err.value) == message
+
+
 def test_job_from_dict_takes_whole_floats_for_integers():
     raw = one_phase_job().to_dict()
     raw.update(phases=[[600.0, 4, 16]], tasks=2.0)

@@ -1,0 +1,271 @@
+"""prices.ingest_traces, which reads trace files as columns, against the
+per-record reader kept in trace_oracle: random trace directories must give
+bit-equal traces or the same exception, and the same warnings in the same
+order. The canonical files and index CSV the CLI writes must be the bytes the
+per-record path and the per-line json.dumps writer wrote.
+"""
+
+import csv
+import io
+import json
+import logging
+import shutil
+import tempfile
+from contextlib import contextmanager
+from datetime import datetime, timezone
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from spotindex import SynthMarketSpec, generate_market_suite, ingest_traces, write_trace_jsonl
+from spotindex import cli, prices
+from spotindex.errors import ParseError
+from spotindex.prices import trace_files
+
+import trace_oracle
+from test_cli import CATALOG_CSV
+from test_prices import make_catalog
+
+CATALOG = make_catalog()
+FIELDS = ("timestamp", "vm_id", "instance_type", "zone", "price")
+
+
+def iso(seconds: int) -> str:
+    return datetime.fromtimestamp(seconds, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+# a few distinct instants, so timestamps repeat within and across files
+STAMPS = st.integers(0, 12).map(lambda k: k * 60)
+GOOD_TIMESTAMPS = st.one_of(
+    STAMPS,
+    STAMPS.map(float),
+    STAMPS.map(str),
+    STAMPS.map(lambda s: f"{s}.0"),
+    STAMPS.map(iso),
+    STAMPS.map(lambda s: iso(s + 3600)[:-1] + "+01:00"),
+    STAMPS.map(lambda s: iso(s)[:-1]),
+    st.sampled_from(["0001-01-01T00:00:00Z", "١٢٠"]),
+)
+# ISO strings numpy or datetime would take but the other rejects, or that
+# only look like the strict form numpy parses in bulk
+NEAR_ISO = st.sampled_from(
+    [
+        "0000-01-01T00:00:00Z",
+        "2017-02-30T00:00:00Z",
+        "2017-01-01T24:00:00Z",
+        "2016-12-31T23:59:60Z",
+        "١٩٧٠-01-01T00:01:00Z",
+        "1970-01-01T00:00:00.5Z",
+    ]
+)
+# numbers outside int64 seconds: ints among ints overflow the bulk path
+HUGE = st.sampled_from([2**63, -(2**63) - 1, 10**20, 1e300, float("inf"), float("nan")])
+BAD_TIMESTAMPS = st.one_of(NEAR_ISO, HUGE, st.sampled_from([30.5, True, "noon", None]))
+# a file's timestamps: epoch ints, strict ISO as provider feeds give, mixed,
+# strict ISO with near-ISO strings among them, or epoch ints with numbers
+# outside int64 among them
+TIMESTAMP_STYLES = st.sampled_from(
+    [
+        STAMPS,
+        STAMPS.map(iso),
+        GOOD_TIMESTAMPS,
+        st.one_of(STAMPS.map(iso), NEAR_ISO),
+        st.one_of(STAMPS, STAMPS, STAMPS, HUGE),
+    ]
+)
+GOOD_PRICES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 3, "1.5"]),
+    st.floats(0, 100, allow_nan=False),
+)
+# True is a price of 1.0 in JSON, and not a number in a CSV file
+BAD_PRICES = st.sampled_from([-1.0, float("inf"), float("nan"), "cheap", "-inf", None, True])
+KNOWN = st.sampled_from(
+    [
+        {"vm_id": "vm-a"},
+        {"vm_id": "vm-b"},
+        {"instance_type": "m4.large", "zone": "z1"},
+        {"vm_id": "", "instance_type": "m4.large", "zone": "z2"},
+    ]
+)
+UNKNOWN = st.sampled_from([{"vm_id": "ghost"}, {"instance_type": "m4.large", "zone": "z3"}])
+NO_IDENTITY = st.sampled_from([{"instance_type": "m4.large"}, {"vm_id": ""}, {}])
+# lines that are not one JSON object each; in a CSV file, a row too short
+BAD_JSON_LINES = st.sampled_from(
+    ['{"timestamp": 60', "{not json", "[1, 2]", '"vm-a"', "42", '{"price": 1.0} 7', "{}{}"]
+)
+BAD_CSV_LINES = st.sampled_from(["60,vm-a", "60"])
+
+
+@st.composite
+def records(draw, odds, stamps, vms):
+    """A record with a timestamp drawn from `stamps` and a VM from `vms`,
+    whose every value is bad or absent with probability 1/odds, never when
+    odds is None."""
+
+    def mostly(good, odd):
+        return draw(odd if odds and draw(st.integers(1, odds)) == 1 else good)
+
+    record = {"timestamp": mostly(stamps, BAD_TIMESTAMPS)}
+    record.update(mostly(vms, NO_IDENTITY))
+    record["price"] = mostly(GOOD_PRICES, BAD_PRICES)
+    if odds and draw(st.integers(1, 2 * odds)) == 1:
+        del record[draw(st.sampled_from(["timestamp", "price"]))]
+    return record
+
+
+def csv_line(record) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerow([record.get(field, "") for field in FIELDS])
+    return out.getvalue().rstrip("\r\n")
+
+
+@st.composite
+def trace_files_text(draw):
+    """1 to 3 (file name, text) pairs, CSV and JSON lines mixed, with blank
+    lines, and sometimes one bad line at a random place."""
+    files = []
+    for n in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["csv", "jsonl"]))
+        encode = csv_line if kind == "csv" else json.dumps
+        odds = draw(st.sampled_from([None, None, 60, 15]))
+        stamps = draw(TIMESTAMP_STYLES)
+        vms = draw(st.sampled_from([KNOWN, st.one_of(KNOWN, KNOWN, KNOWN, UNKNOWN)]))
+        lines = [encode(r) for r in draw(st.lists(records(odds, stamps, vms), max_size=12))]
+        for _ in range(draw(st.integers(0, 2))):
+            # a row of spaces is a record in a CSV file, and a blank line in JSON lines
+            blank = draw(st.sampled_from(["", "  "] if kind == "jsonl" else [""]))
+            lines.insert(draw(st.integers(0, len(lines))), blank)
+        if odds and draw(st.integers(0, 3)) == 0:
+            bad = draw(BAD_CSV_LINES if kind == "csv" else BAD_JSON_LINES)
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+        if kind == "csv":
+            lines.insert(0, ",".join(FIELDS))
+        files.append((f"{n}.{kind}", "".join(line + "\n" for line in lines)))
+    return files
+
+
+@contextmanager
+def patched(owner, attr, value):
+    saved = getattr(owner, attr)
+    setattr(owner, attr, value)
+    try:
+        yield
+    finally:
+        setattr(owner, attr, saved)
+
+
+@contextmanager
+def warnings_logged():
+    """The messages of the warnings spotindex.prices logs, in order."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("spotindex.prices")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def outcome(ingest, paths, on_unknown):
+    with warnings_logged() as messages:
+        try:
+            traces = ingest(paths, CATALOG, on_unknown)
+        except Exception as exc:  # either path's exception is compared, whatever it is
+            result = ("raised", type(exc), str(exc))
+        else:
+            result = [
+                (vm, t.timestamps.dtype, t.timestamps.tobytes(), t.prices.dtype, t.prices.tobytes())
+                for vm, t in traces.items()
+            ]
+    return result, messages
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(trace_files_text(), st.sampled_from(["warn", "error"]), st.sampled_from([1, 4, 1024]))
+def test_columnar_ingest_matches_per_record_ingest(files, on_unknown, block):
+    # small blocks put block boundaries inside the files
+    with tempfile.TemporaryDirectory() as tmp, patched(prices, "_BLOCK", block):
+        paths = []
+        for name, text in files:
+            path = Path(tmp) / name
+            path.write_text(text)
+            paths.append(path)
+        assert outcome(ingest_traces, paths, on_unknown) == outcome(
+            trace_oracle.ingest_files, paths, on_unknown
+        )
+
+
+def test_unknown_vm_in_an_earlier_file_stops_before_later_files(tmp_path):
+    first = tmp_path / "a.jsonl"
+    first.write_text('{"timestamp": 0, "vm_id": "ghost", "price": 1.0}\n')
+    missing = tmp_path / "b.jsonl"
+    for ingest in (ingest_traces, trace_oracle.ingest_files):
+        with pytest.raises(ParseError, match="unknown vm 'ghost'"):
+            ingest([first, missing], CATALOG, "error")
+
+
+# the CLI's canonical files, manifest and index CSV
+
+
+def write_week(raw: Path):
+    """A week of two markets: one as a provider CSV with ISO timestamps and
+    instance type + zone, one as JSON lines with epoch seconds."""
+    week = 7 * 86400
+    suite = generate_market_suite(
+        [
+            SynthMarketSpec("m4.large", mean=4.5, stddev=0.5, duration=week, change_period=3600),
+            SynthMarketSpec("r4.xlarge", mean=6.5, stddev=1.1, duration=week, change_period=3600),
+        ],
+        seed=3,
+        start=1483228800,
+    )
+    with open(raw / "m4.large.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "instance_type", "zone", "price"])
+        trace = suite["m4.large"]
+        for ts, price in zip(trace.timestamps.tolist(), trace.prices.tolist()):
+            writer.writerow([iso(ts), "m4.large", "us-east-1a", repr(price)])
+    write_trace_jsonl(suite["r4.xlarge"], raw / "r4.xlarge.jsonl")
+
+
+def ingest_and_index(workspace: Path) -> dict:
+    out, index = workspace / "canonical", workspace / "index.csv"
+    if out.exists():
+        shutil.rmtree(out)
+    catalog = str(workspace / "catalog.csv")
+    argv = ["ingest", "--in", str(workspace / "raw"), "--catalog", catalog, "--out", str(out)]
+    assert cli.main(argv + ["--unknown", "error"]) == 0
+    start = 1483228800
+    argv = ["index", "--traces", str(out), "--catalog", catalog, "--start", str(start)]
+    argv += ["--end", str(start + 7 * 86400), "--period", "300", "--out", str(index)]
+    assert cli.main(argv) == 0
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    files["index.csv"] = index.read_bytes()
+    return files
+
+
+def test_cli_outputs_match_the_per_record_path(tmp_path, monkeypatch):
+    (tmp_path / "raw").mkdir()
+    (tmp_path / "catalog.csv").write_text(CATALOG_CSV)
+    write_week(tmp_path / "raw")
+    columnar = ingest_and_index(tmp_path)
+    monkeypatch.setattr(cli, "ingest_traces", trace_oracle.ingest_files)
+    monkeypatch.setattr(
+        cli,
+        "load_trace_dir",
+        lambda directory, catalog, on_unknown="warn": trace_oracle.ingest_files(
+            trace_files(directory), catalog, on_unknown
+        ),
+    )
+    monkeypatch.setattr(cli, "write_trace_jsonl", trace_oracle.write_trace_jsonl)
+    assert ingest_and_index(tmp_path) == columnar
+    assert sorted(columnar) == ["index.csv", "m4.large.jsonl", "manifest.json", "r4.xlarge.jsonl"]
