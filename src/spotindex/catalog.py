@@ -147,6 +147,11 @@ def _record_to_spec(record: dict, source, line) -> VmSpec:
     for field in _FIELDS:
         if field not in record or record[field] in (None, ""):
             raise ParseError("missing value", source=source, line=line, field=field)
+        if isinstance(record[field], (bool, list, dict)):
+            kind = "number" if field in _NUMERIC_FIELDS else "string"
+            raise ParseError(
+                f"not a {kind}: {record[field]!r}", source=source, line=line, field=field
+            )
     values = dict(record)
     for field in _NUMERIC_FIELDS:
         try:

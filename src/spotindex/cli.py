@@ -173,6 +173,8 @@ def _market_spec(i, entry) -> SynthMarketSpec:
     for key in ("vm_id", "mean", "stddev"):
         if key not in entry:
             raise ValueError(f"market {i} has no {key!r}")
+    if not isinstance(entry["vm_id"], str):
+        raise ValueError(f"market {i}: vm_id must be a string, got {entry['vm_id']!r}")
     optional = {
         "change_period": int,
         "duration": int,
@@ -180,7 +182,7 @@ def _market_spec(i, entry) -> SynthMarketSpec:
         "enforce_sample_moments": bool,
     }
     return SynthMarketSpec(
-        vm_id=str(entry["vm_id"]),
+        vm_id=entry["vm_id"],
         mean=exact(float, entry["mean"], "mean"),
         stddev=exact(float, entry["stddev"], "stddev"),
         **{key: exact(kind, entry[key], key) for key, kind in optional.items() if key in entry},
@@ -305,12 +307,17 @@ def cmd_report(args, parser) -> int:
     for raw in args.inputs:
         with open(raw) as fh:
             doc = json.load(fh)
-        body = doc.get("report", doc)
-        jobs.add(body.get("job"))
+        body = doc.get("report", doc) if isinstance(doc, dict) else doc
+        if not isinstance(body, dict):
+            raise ValueError(f"report {raw} must hold a JSON object, got {body!r}")
+        job = body.get("job")
+        if job is not None and not isinstance(job, str):
+            raise ValueError(f"report {raw}: job must be a string, got {job!r}")
+        jobs.add(job)
         rows.append(body)
     if len(jobs) > 1 and not args.force:
         raise ConflictError(
-            f"reports cover different jobs {sorted(jobs)}; pass --force to tabulate anyway"
+            f"reports cover different jobs {sorted(jobs, key=str)}; pass --force to tabulate anyway"
         )
     rows.sort(key=lambda r: (str(r.get("policy")), str(r.get("job"))))
     columns = (

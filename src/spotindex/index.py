@@ -256,16 +256,17 @@ class IndexCurve:
             return self.value_at(t)
         return self.integrate(t0, t) / (t - t0)
 
-    def window_means(self, ticks, window: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """value_at and window_mean at every tick, bit for bit, and a mask of
-        the ticks where both are defined: from the curve start on, with a
-        live member in the step at the tick and in every step of its window.
-        Where the mask is false the two values mean nothing."""
+    def window_means(self, ticks, window: int) -> tuple[np.ndarray, ...]:
+        """value_at and window_mean at every tick, bit for bit, and two masks
+        of the ticks from the curve start on: with a live member in the step
+        at the tick (value_at is defined), and in every step of its window
+        too (window_mean is defined). Where its mask is false a value means
+        nothing."""
         ticks = np.asarray(ticks, dtype=np.int64)
         values, means = trailing_means(self.timestamps, self._values, self.start, ticks, window)
         at = self.timestamps.searchsorted(np.maximum(ticks, self.start), side="right") - 1
         lo = self.timestamps.searchsorted(np.maximum(ticks - window, self.start), side="right") - 1
         # gaps[i]: the steps before step i that have no live member
         gaps = np.concatenate(([0], np.cumsum(self._counts == 0)))
-        ok = (ticks >= self.start) & (gaps[at + 1] == gaps[lo])
-        return values, means, ok
+        started = ticks >= self.start
+        return values, means, started & (self._counts[at] > 0), started & (gaps[at + 1] == gaps[lo])

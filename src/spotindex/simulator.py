@@ -7,10 +7,12 @@ in which nothing happened it skips straight to the next second at which
 something can (an epoch tick, a price change on a held VM, a stall end, a
 scripted migration, a task's last second of work), crediting the seconds in
 between as the same second repeated. Reports are the same as a one-second
-loop would give. The market the policies see at epoch ticks is computed for
-a block of ticks at a time, vectorized and bit for bit (see _Engine._market).
-The one-second reference in tests/reference_engine.py is this engine with
-the slow form of each shortcut: _next_instant, _works_now and _market.
+loop would give. The market the policies see is built by one vectorized
+rule (_Engine._block): for a block of epoch ticks at a time, or for one
+instant off the epoch grid (see _Engine._market). The one-second reference
+in tests/reference_engine.py is this engine with the slow form of each
+shortcut: _next_instant, _works_now, and _market, which it computes with
+its own scalar code.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
@@ -284,7 +286,8 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     """Time-weighted mean and population std over [t - window, t).
 
     The window is clipped to the trace start; with no lookback at all the
-    instantaneous price stands in and the std is zero.
+    instantaneous price stands in and the std is zero. The scalar reference
+    for the candidates' columns of _Engine._block.
     """
     t0 = max(t - window, int(trace.first_ts))
     if t <= t0:
@@ -390,10 +393,10 @@ class _Task:
 
 @dataclass
 class _EpochTable:
-    """The market at the epoch ticks first, first + epoch, ..., last, as
-    Python lists indexed by tick: the index value and reference, and per
-    candidate its (price, window mean, window std) rows. The scalar path
-    serves every tick i with ok[i] false."""
+    """The market at the ticks first, first + epoch, ..., last, as Python
+    lists indexed by tick: whether it is defined (ok), the index value and
+    reference, and per candidate its (price, window mean, window std) rows.
+    The epoch table is one; a one-row block holds any other instant."""
 
     first: int
     last: int
@@ -509,29 +512,16 @@ class _Engine:
             if not self._over(spec.id, price)
         )
 
-    def _scalar_market(self, t: int) -> tuple:
-        """(views, index_now, index_reference) at t, raising the domain
-        error that applies where the market is undefined."""
-        index_now = self.curve.value_at(t)
+    def _block(self, ticks) -> _EpochTable:
+        """The market at ticks, evenly spaced by the epoch: the one market
+        rule, vectorized. ok is false where the index the reference mode
+        reads, or a candidate's trace, is undefined."""
         window = self.params.sigma_window
+        index_now, index_mean, live, live_window = self.curve.window_means(ticks, window)
         if self.params.index_reference == "window":
-            index_reference = self.curve.window_mean(t, window)
+            reference, ok = index_mean, live_window
         else:
-            index_reference = index_now
-        rows = [
-            (self._price(spec.id, t), *window_stats(self.traces[spec.id], t, window))
-            for spec in self.candidates
-        ]
-        return self._views(rows), index_now, index_reference
-
-    def _build_table(self, t: int) -> _EpochTable:
-        """The epoch table from tick t on, up to TABLE_TICKS ticks and none
-        at or past the earliest second the run can end: the least-advanced
-        task still has its remaining work to do."""
-        epoch, window = self.params.epoch, self.params.sigma_window
-        remaining = self.total_work - min(task.work for task in self.tasks if task.state != DONE)
-        ticks = t + epoch * np.arange(max(1, min(TABLE_TICKS, -(-remaining // epoch))))
-        index_now, index_mean, ok = self.curve.window_means(ticks, window)
+            reference, ok = index_now, live
         columns = []
         for spec in self.candidates:
             trace = self.traces[spec.id]
@@ -542,35 +532,44 @@ class _Engine:
             # an empty window's mean of p * p is price * price, so its std is 0.0
             stds = np.sqrt(np.maximum(squares - means * means, 0.0))
             columns.append(list(zip(prices.tolist(), means.tolist(), stds.tolist())))
-        reference = index_mean if self.params.index_reference == "window" else index_now
         return _EpochTable(
             int(ticks[0]), int(ticks[-1]), ok.tolist(), index_now.tolist(), reference.tolist(), columns
         )
 
-    def _table_row(self, t: int) -> tuple | None:
-        """The market at epoch tick t from the table, refilled once t is
-        past its block (ticks only move forward); None where the table
-        cannot serve t."""
-        table = self._table
-        if table is None or t > table.last:
-            table = self._table = self._build_table(t)
-        i = (t - table.first) // self.params.epoch
-        if not table.ok[i]:
-            return None
-        views = self._views(column[i] for column in table.columns)
-        return views, table.index_now[i], table.index_reference[i]
+    def _raise_undefined(self, t: int):
+        """Raise the domain error of the first check that fails at t, where a
+        block's mask says the market is undefined: the index at t, under
+        "window" the index over t's window, then each candidate's price."""
+        self.curve.value_at(t)
+        if self.params.index_reference == "window":
+            self.curve.integrate(max(t - self.params.sigma_window, self.curve.start), t)
+        for spec in self.candidates:
+            self._price(spec.id, t)
+        raise AssertionError(f"the market mask rejects t={t}, but every check passes")
 
     def _market(self, t: int) -> tuple:
         """(views, index_now, index_reference) at t: what a context takes
         from the market, which depends on t alone. An epoch tick, t = 0
-        among them, reads the table; any other instant, or a tick the table
-        cannot serve, takes the scalar path. The last instant's market is
-        kept, so the tasks deciding at one tick share it."""
+        among them, reads the epoch table, refilled once t is past its block
+        (ticks only move forward) with up to TABLE_TICKS ticks and none at or
+        past the earliest second the run can end: the least-advanced task
+        still has its remaining work to do. Any other instant gets a one-row
+        block of its own. The last instant's market is kept, so the tasks
+        deciding at one tick share it."""
         if t != self._market_t:
-            row = None
-            if t % self.params.epoch == 0:
-                row = self._table_row(t)
-            self._market_row = row or self._scalar_market(t)
+            epoch = self.params.epoch
+            table = self._table
+            if t % epoch:
+                table = self._block(np.array([t]))
+            elif table is None or t > table.last:
+                work = min(task.work for task in self.tasks if task.state != DONE)
+                count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
+                table = self._table = self._block(t + epoch * np.arange(count))
+            i = (t - table.first) // epoch
+            if not table.ok[i]:
+                self._raise_undefined(t)
+            views = self._views(column[i] for column in table.columns)
+            self._market_row = views, table.index_now[i], table.index_reference[i]
             self._market_t = t
         return self._market_row
 

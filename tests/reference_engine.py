@@ -7,8 +7,12 @@ of the engine's three shortcuts, and nothing else:
 - `_next_instant` returns t, so the loop never skips a second;
 - `_works_now` re-derives the BSP lockstep rule from the unfinished tasks
   for every task in every second, instead of reading the gang's low mark;
-- `_market` computes every context's market by the scalar path, never from
-  the epoch table.
+- `_market` computes every context's market by its own scalar code, over
+  `window_stats` and `IndexCurve.window_mean`, never by the engine's one
+  vectorized rule (`_Engine._block`), so the oracle checks that rule
+  against independent code. Where the market is undefined it raises at the
+  first check that fails: the index at t, under "window" the index over
+  t's window, then each candidate's price at t.
 
 Everything else, the per-second step (`_Engine._step`), the work step and
 the finish, is the engine's own code, so the equivalence oracle in
@@ -20,7 +24,7 @@ tests/test_simulator.py.
 """
 
 from spotindex.policies import build_policy
-from spotindex.simulator import DONE, WORKING, RunParams, _Engine
+from spotindex.simulator import DONE, WORKING, RunParams, _Engine, window_stats
 
 
 class PerSecondEngine(_Engine):
@@ -39,7 +43,17 @@ class PerSecondEngine(_Engine):
         return True
 
     def _market(self, t):
-        return self._scalar_market(t)
+        index_now = self.curve.value_at(t)
+        window = self.params.sigma_window
+        if self.params.index_reference == "window":
+            index_reference = self.curve.window_mean(t, window)
+        else:
+            index_reference = index_now
+        rows = [
+            (self._price(spec.id, t), *window_stats(self.traces[spec.id], t, window))
+            for spec in self.candidates
+        ]
+        return self._views(rows), index_now, index_reference
 
 
 def run_per_second(

@@ -219,6 +219,26 @@ def test_load_catalog_locates_unreadable_input(tmp_path, name, text, line):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cpu_capacity", True, "not a number: True"),
+        ("on_demand_price", [26.6], "not a number: [26.6]"),
+        ("id", ["b"], "not a string: ['b']"),
+        ("zone", {"z": 1}, "not a string: {'z': 1}"),
+        ("family", False, "not a string: False"),
+    ],
+)
+def test_load_catalog_rejects_json_values_of_the_wrong_kind(tmp_path, field, value, message):
+    row = json.loads(VALID_JSONL)
+    path = tmp_path / "catalog.jsonl"
+    path.write_text(VALID_JSONL + json.dumps({**row, "id": "b", field: value}) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_catalog(path)
+    assert (err.value.source, err.value.line, err.value.field) == (path, 2, field)
+    assert str(err.value).endswith(message)
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"a": 1}',

@@ -296,6 +296,30 @@ def test_report_conflicting_jobs(workspace):
     assert run(["report", "--in", a, b, "--force", "--out", workspace / "s.csv"]) == 0
 
 
+@pytest.mark.parametrize(
+    "docs, message",
+    [
+        ([[1]], "report {0} must hold a JSON object, got [1]"),
+        (["str"], "report {0} must hold a JSON object, got 'str'"),
+        ([{"report": 5}], "report {0} must hold a JSON object, got 5"),
+        ([{"job": ["a"], "policy": "x"}], "report {0}: job must be a string, got ['a']"),
+        (
+            [{"policy": "x"}, {"report": {"job": "a", "policy": "x"}}],
+            "reports cover different jobs [None, 'a']; pass --force to tabulate anyway",
+        ),
+    ],
+)
+def test_report_malformed_file_is_a_located_domain_error(workspace, docs, message, caplog):
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(workspace / f"r{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    out = workspace / "s.csv"
+    assert run(["report", "--in", *paths, "--out", out]) == 1
+    assert message.format(*paths) in caplog.messages
+    assert not out.exists()
+
+
 def test_domain_error_exit_code(workspace):
     empty = workspace / "empty"
     empty.mkdir()
@@ -501,6 +525,7 @@ def test_simulate_malformed_job_is_a_located_domain_error(workspace, job, key, c
     [
         ([1], "market 0 must be a JSON object, got 1"),
         ([MARKETS_JSON["markets"][0], {"vm_id": "m4.large", "stddev": 0.5}], "market 1 has no 'mean'"),
+        ([{"vm_id": None, "mean": 4.5, "stddev": 0.5}], "market 0: vm_id must be a string, got None"),
     ],
 )
 def test_synth_malformed_market_is_a_located_domain_error(workspace, spec, message, caplog):

@@ -41,7 +41,7 @@ from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
 from spotindex.simulator import _Engine, interval_cost, window_stats
 
 from conftest import COMPOSITION, build_catalog
-from reference_engine import run_per_second
+from reference_engine import PerSecondEngine, run_per_second
 from test_simulator import Choosing, flat_traces, one_phase_job, unit_params
 
 CATALOG = build_catalog()
@@ -53,8 +53,14 @@ TARGETS = ("c4.2xlarge", "m4.2xlarge", "r4.xlarge")
 def markets(draw, duration, periods):
     """One step-function trace per market. Periods are drawn independently,
     so they rarely divide the decision epoch, and a few steps jump to a
-    price far above any max_price or onto the provider cap."""
+    price far above any max_price or onto the provider cap. Some markets
+    also put every index member on the cap at once over one span, where
+    the index is undefined, so ticks and revocations can land in it."""
     traces = {}
+    gap = None
+    if draw(st.booleans()):
+        gap = draw(st.integers(0, duration // 3))
+        gap = (gap, gap + draw(st.integers(1, 20)))
     for vm in COMPOSITION:
         spec = CATALOG[vm]
         period = draw(periods)
@@ -69,6 +75,15 @@ def markets(draw, duration, periods):
             )
         )
         points = [PricePoint(i * period, price) for i, price in enumerate(levels)]
+        if gap is not None:
+            a, b = gap
+            after = PriceTrace(vm, points).price_at(b)
+            points = [
+                *(p for p in points if p.timestamp < a),
+                PricePoint(a, spikes[1]),
+                PricePoint(b, after),
+                *(p for p in points if p.timestamp > b),
+            ]
         traces[vm] = PriceTrace(vm, points)
     return traces
 
@@ -502,7 +517,7 @@ def test_slice_sums_match_loops_bit_for_bit(drawn):
     check_window_sums(curve.timestamps, curve._values, with_step_windows(curve.timestamps, windows))
 
 
-# the epoch table against the scalar market path
+# the engine's one market rule against the reference engine's scalar market
 
 
 def market_bits(market):
@@ -513,14 +528,14 @@ def market_bits(market):
 
 
 @pytest.mark.parametrize("index_reference", ["window", "instant"])
-def test_epoch_table_matches_scalar_market(index_reference):
+def test_market_matches_the_reference_market_every_second(index_reference):
     # The index starts at t=42 with m4.large and has a gap wherever all its
     # members sit on the cap; r4.xlarge is also capped alone for a while and
     # c4.2xlarge priced over max_price. m4.4xlarge, a candidate outside the
-    # index, starts at t=501. Each tick's table row must equal the scalar
-    # market, and where the scalar path raises, _market must raise the same.
-    # Under "instant", ticks whose window holds the gap fall back to the
-    # scalar path and succeed.
+    # index, starts at t=501. At every second, epoch tick or not, the
+    # engine's market must equal the reference's bit for bit, or raise the
+    # same error. Under "instant", the seconds whose window holds the gap
+    # but whose index is live are served.
     extra = VmSpec(
         id="m4.4xlarge",
         instance_type="m4.4xlarge",
@@ -547,23 +562,30 @@ def test_epoch_table_matches_scalar_market(index_reference):
     params = unit_params(
         epoch=3, sigma_window=30, index_reference=index_reference, treat_cap_as_revocation=True
     )
-    engine = _Engine(
-        one_phase_job(), build_policy("static"), traces, catalog, COMPOSITION, params,
-        None, None, None,
-    )
-    served, blocks = 0, set()
-    for t in range(3, 1800, 3):
+    args = (one_phase_job(), build_policy("static"), traces, catalog, COMPOSITION, params)
+    engine = _Engine(*args, None, None, None)
+    reference = PerSecondEngine(*args, None, None, None)
+    served, gappy_windows, blocks = 0, 0, set()
+    for t in range(1800):
+        table = engine._table
         try:
-            expected = market_bits(engine._scalar_market(t))
+            expected = market_bits(reference._market(t))
         except SpotIndexError as exc:
             with pytest.raises(SpotIndexError, match=f"^{re.escape(str(exc))}$") as raised:
                 engine._market(t)
             assert type(raised.value) is type(exc)
-            assert engine._table_row(t) is None
         else:
             assert market_bits(engine._market(t)) == expected
-            served += engine._table_row(t) is not None
+            served += 1
+            try:
+                reference.curve.window_mean(t, 30)
+            except GapError:
+                gappy_windows += 1
+        if t % 3:
+            # a one-row block leaves the epoch table alone
+            assert engine._table is table
         blocks.add(engine._table.first)
     # the 600 s job's tables hold 200 ticks each
-    assert blocks == {3, 603, 1203}
-    assert served > 400
+    assert blocks == {0, 600, 1200}
+    assert served > 1200
+    assert (gappy_windows > 0) == (index_reference == "instant")
