@@ -1,4 +1,5 @@
-"""VM catalog: machine specs, resource requirements, and candidate filtering."""
+"""VM catalog: machine specs, resource requirements, and candidate filtering;
+and record_blocks, the one reader of catalog and trace record files."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 from .errors import ConflictError, InvariantError, ParseError
@@ -145,7 +147,7 @@ class Catalog:
 
 def _record_to_spec(record: dict, source, line) -> VmSpec:
     for field in _FIELDS:
-        if field not in record or record[field] in (None, ""):
+        if record[field] in (None, ""):
             raise ParseError("missing value", source=source, line=line, field=field)
         if isinstance(record[field], (bool, list, dict)):
             kind = "number" if field in _NUMERIC_FIELDS else "string"
@@ -184,24 +186,6 @@ def _record_to_spec(record: dict, source, line) -> VmSpec:
         raise ParseError(str(exc), source=source, line=line) from None
 
 
-def read_records(path):
-    """Yield (line number, record dict) from a .csv file with a header row,
-    or from any other file as one JSON object per non-blank line."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ParseError("empty file", source=path)
-            yield from enumerate(reader, start=2)
-    else:
-        with open(path) as fh:
-            for line, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if raw:
-                    yield line, json_record(raw, path, line)
-
-
 # On a stripped line, json.loads(text) gives raw_decode(text)'s object when
 # that ends at the end of the line, and raises raw_decode's error when that
 # raises; raw_decode alone skips json.loads' two whitespace scans.
@@ -221,14 +205,91 @@ def json_record(text: str, source, line) -> dict:
     return record
 
 
+# records read and checked at a time, which bounds the memory a file takes
+_BLOCK = 1024
+
+
+def _csv_blocks(path: Path, fields: dict):
+    """Yield (lines, columns, error) for each block of up to _BLOCK rows of a
+    CSV file with a header row: each record's line number and a dict of
+    each field's values in record order. As csv.DictReader reads it, blank
+    rows are skipped and not numbered, a repeated column name takes the
+    later column, and a short row gives None. An empty file yields one
+    empty block with its error."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            yield [], {field: [] for field in fields}, ParseError("empty file", source=path)
+            return
+        at = {name: i for i, name in enumerate(header)}
+        line = 2
+        while block := list(islice(reader, _BLOCK)):
+            rows = [row for row in block if row]
+            columns = {}
+            for field, absent in fields.items():
+                i = at.get(field)
+                if i is None:
+                    columns[field] = [absent] * len(rows)
+                else:
+                    columns[field] = [row[i] if i < len(row) else None for row in rows]
+            yield range(line, line + len(rows)), columns, None
+            line += len(rows)
+
+
+def _jsonl_blocks(path: Path, fields: dict):
+    """Yield (lines, columns, error) for each block of up to _BLOCK lines of
+    a file of one JSON object per non-blank line. A block with a line that
+    is not one object ends at the line before it, with the error
+    json_record raises for it."""
+    with open(path) as fh:
+        first = 1
+        while block := list(islice(fh, _BLOCK)):
+            lines, records, error = [], [], None
+            try:
+                for line, raw in enumerate(block, start=first):
+                    text = raw.strip()
+                    if text:
+                        records.append(json_record(text, path, line))
+                        lines.append(line)
+            except ParseError as exc:
+                error = exc
+            first += len(block)
+            columns = {
+                field: [record.get(field, absent) for record in records]
+                for field, absent in fields.items()
+            }
+            yield lines, columns, error
+            if error is not None:
+                return
+
+
+def record_blocks(paths, fields: dict):
+    """(path, lines, columns, error) for each block of each file, in order:
+    a .csv file has a header row, any other holds JSON lines. `fields` maps
+    each field read to its value in a record that lacks it."""
+    for path in map(Path, paths):
+        blocks = _csv_blocks if path.suffix.lower() == ".csv" else _jsonl_blocks
+        for lines, columns, error in blocks(path, fields):
+            yield path, lines, columns, error
+
+
 def load_catalog(path) -> Catalog:
     """Load a catalog from a .csv or .jsonl/.json file.
 
     CSV needs a header row with the exact VmSpec field names; JSON-lines needs
-    one object per line with the same keys.
+    one object per line with the same keys. A duplicate id raises before any
+    later record is checked, and a block's read error after its records.
     """
-    path = Path(path)
-    return Catalog(_record_to_spec(record, path, line) for line, record in read_records(path))
+
+    def specs():
+        for source, lines, columns, error in record_blocks([path], dict.fromkeys(_FIELDS)):
+            for line, values in zip(lines, zip(*columns.values())):
+                yield _record_to_spec(dict(zip(columns, values)), source, line)
+            if error is not None:
+                raise error
+
+    return Catalog(specs())
 
 
 def filter_candidates(

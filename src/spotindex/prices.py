@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import compress, islice
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .errors import OutOfRangeError, ParseError
-from .catalog import VmSpec, json_record
+from .catalog import VmSpec, record_blocks
 
 log = logging.getLogger(__name__)
 
@@ -63,13 +62,6 @@ class PriceTrace:
     @property
     def first_ts(self) -> int:
         return int(self.timestamps[0])
-
-    @property
-    def points(self):
-        return [
-            PricePoint(int(t), float(p))
-            for t, p in zip(self.timestamps, self.prices)
-        ]
 
     def _before_start(self, t: int) -> OutOfRangeError:
         return OutOfRangeError(f"trace {self.vm_id!r} starts at {self.first_ts}, asked for {t}")
@@ -254,8 +246,6 @@ def _parse_price(value, source, line) -> float:
 _STRICT_ISO = re.compile(r"(?!0000)\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 # the value of an absent timestamp or price key
 _MISSING = object()
-# records read and checked at a time, which bounds the memory a file takes
-_BLOCK = 1024
 # each field a trace record is read for, and its value when absent
 _TRACE_FIELDS = {
     "timestamp": _MISSING,
@@ -264,70 +254,6 @@ _TRACE_FIELDS = {
     "instance_type": None,
     "zone": None,
 }
-
-
-def _csv_blocks(path: Path):
-    """Yield (lines, columns, error) for each block of up to _BLOCK rows of a
-    CSV file with a header row: each record's line number and a dict of
-    each trace field's values in record order. As csv.DictReader reads it,
-    blank rows are skipped and not numbered, a repeated column name takes
-    the later column, and a short row gives None. An empty file yields one
-    empty block with its error."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            yield [], {field: [] for field in _TRACE_FIELDS}, ParseError("empty file", source=path)
-            return
-        at = {name: i for i, name in enumerate(header)}
-        line = 2
-        while block := list(islice(reader, _BLOCK)):
-            rows = [row for row in block if row]
-            columns = {}
-            for field, absent in _TRACE_FIELDS.items():
-                i = at.get(field)
-                if i is None:
-                    columns[field] = [absent] * len(rows)
-                else:
-                    columns[field] = [row[i] if i < len(row) else None for row in rows]
-            yield range(line, line + len(rows)), columns, None
-            line += len(rows)
-
-
-def _jsonl_blocks(path: Path):
-    """Yield (lines, columns, error) for each block of up to _BLOCK lines of
-    a file of one JSON object per non-blank line. A block with a line that
-    is not one object ends at the line before it, with the error
-    catalog.json_record raises for it."""
-    with open(path) as fh:
-        first = 1
-        while block := list(islice(fh, _BLOCK)):
-            lines, records, error = [], [], None
-            try:
-                for line, raw in enumerate(block, start=first):
-                    text = raw.strip()
-                    if text:
-                        records.append(json_record(text, path, line))
-                        lines.append(line)
-            except ParseError as exc:
-                error = exc
-            first += len(block)
-            columns = {
-                field: [record.get(field, absent) for record in records]
-                for field, absent in _TRACE_FIELDS.items()
-            }
-            yield lines, columns, error
-            if error is not None:
-                return
-
-
-def _blocks(paths):
-    """(path, lines, columns, error) for each block of each file, in order:
-    a .csv file has a header row, any other holds JSON lines."""
-    for path in map(Path, paths):
-        blocks = _csv_blocks if path.suffix.lower() == ".csv" else _jsonl_blocks
-        for lines, columns, error in blocks(path):
-            yield path, lines, columns, error
 
 
 def _scalar(parse, values, indices, out, source, lines):
@@ -444,7 +370,7 @@ def ingest_traces(paths, catalog, on_unknown: str = "warn") -> dict[str, PriceTr
     codes_of, resolved = {}, []
     parts = []
     error = None
-    for path, lines, columns, read_error in _blocks(paths):
+    for path, lines, columns, read_error in record_blocks(paths, _TRACE_FIELDS):
         stamps, prices, keys, error = _parse_columns(path, lines, columns)
         error = error or read_error
         for key in set(keys).difference(codes_of):

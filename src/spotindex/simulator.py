@@ -51,16 +51,25 @@ TABLE_TICKS = 1024
 
 
 def exact(kind, value, key: str):
-    """value as kind (int, float or bool), or a ValueError naming key where
-    the cast would change it: a boolean or string where a number is due, a
-    fraction where an int is due, or anything but a boolean for a bool."""
-    if kind is bool:
-        ok = isinstance(value, bool)
+    """value as kind (int, float, bool or str), or a ValueError naming key
+    where the cast would change it: a boolean or string where a number is
+    due, a fraction where an int is due, or any other type where a bool or
+    str is due."""
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
     else:
         ok = type(value) in (int, float) and (kind is float or value % 1 == 0)
     if not ok:
         raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def finite(value, name: str, minimum=0, strict: bool = True):
+    """A ValueError naming `name` unless value is finite and above minimum
+    (or equal to it, when not strict); NaN and infinities always fail."""
+    if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+        bound = f"{'>' if strict else '>='} {minimum}"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +79,9 @@ class Phase:
     mem: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("phase duration must be positive")
-        if self.cpu <= 0 or self.mem <= 0:
-            raise ValueError("phase demands must be positive")
+        finite(self.duration, "phase duration")
+        finite(self.cpu, "phase cpu")
+        finite(self.mem, "phase mem")
 
 
 @dataclass(frozen=True)
@@ -104,12 +112,10 @@ class JobSpec:
         if not self.phases:
             raise ValueError("job needs at least one phase")
         object.__setattr__(self, "phases", tuple(self.phases))
-        if self.tasks < 1:
-            raise ValueError("tasks must be at least 1")
-        if self.mem_footprint <= 0:
-            raise ValueError("mem_footprint must be positive")
-        if self.max_price is not None and self.max_price <= 0:
-            raise ValueError("max_price must be positive")
+        finite(self.tasks, "tasks", minimum=1, strict=False)
+        finite(self.mem_footprint, "mem_footprint")
+        if self.max_price is not None:
+            finite(self.max_price, "max_price")
         if self.requirement is None:
             object.__setattr__(
                 self,
@@ -121,8 +127,8 @@ class JobSpec:
             )
         if self.reference_capacity is not None:
             cpu, mem = self.reference_capacity
-            if cpu <= 0 or mem <= 0:
-                raise ValueError("reference_capacity must be positive")
+            finite(cpu, "reference_capacity cpu")
+            finite(mem, "reference_capacity mem")
             object.__setattr__(self, "reference_capacity", (float(cpu), float(mem)))
 
     @property
@@ -159,9 +165,9 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "JobSpec":
-        """The inverse of to_dict; an absent or null key takes the default.
-        A value of the wrong shape, or a number its field's type would
-        change (see exact), raises ValueError naming its key."""
+        """The inverse of to_dict; an absent or null key takes the default,
+        and name and phases, which have none, must be given. A value of the
+        wrong shape or type (see exact) raises ValueError naming its key."""
         if not isinstance(raw, dict):
             raise ValueError(f"job spec must be a JSON object, got {raw!r}")
 
@@ -180,16 +186,16 @@ class JobSpec:
             return Phase(exact(int, d, "phases"), exact(float, c, "phases"), exact(float, m, "phases"))
 
         casts = {
-            "kind": lambda key: str(raw[key]),
+            "kind": lambda key: exact(str, raw[key], key),
             "tasks": lambda key: exact(int, raw[key], key),
             "requirement": lambda key: ResourceRequirement(*floats(key)),
             "mem_footprint": lambda key: exact(float, raw[key], key),
             "max_price": lambda key: exact(float, raw[key], key),
             "reference_capacity": floats,
         }
-        phases = shaped("phases", raw["phases"], None, "a list of [seconds, cpu, mem] lists")
+        phases = shaped("phases", raw.get("phases"), None, "a list of [seconds, cpu, mem] lists")
         return cls(
-            name=str(raw["name"]),
+            name=exact(str, raw.get("name"), "name"),
             phases=tuple(phase(i, entry) for i, entry in enumerate(phases)),
             **{key: cast(key) for key, cast in casts.items() if raw.get(key) is not None},
         )
@@ -204,8 +210,9 @@ class MigrationModel:
     revocation_restart: int = 90
 
     def __post_init__(self):
-        if self.rate < 0 or self.fixed_floor < 0 or self.revocation_restart < 0:
-            raise ValueError("migration model parameters must be non-negative")
+        finite(self.rate, "migration rate", strict=False)
+        finite(self.fixed_floor, "migration fixed_floor", strict=False)
+        finite(self.revocation_restart, "migration revocation_restart", strict=False)
 
     def seconds(self, mem_footprint: float) -> int:
         return int(math.ceil(max(self.rate * mem_footprint, self.fixed_floor)))

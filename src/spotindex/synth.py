@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConflictError, InvariantError
-from .prices import PricePoint, PriceTrace
+from .prices import PriceTrace
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +68,8 @@ def _exact_moments(values: np.ndarray, mean: float, std: float) -> np.ndarray:
 
 
 def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, salt: int = 0) -> PriceTrace:
-    """One uniform i.i.d. price per change_period on [start, start + duration).
+    """One uniform i.i.d. price per change_period on [start, start + duration),
+    built straight from its int64 timestamp and float64 price arrays.
 
     Draws are uniform on mean +/- stddev * sqrt(3) * volatility_scale; with
     enforce_sample_moments the samples are affinely rescaled so the realized
@@ -77,7 +78,10 @@ def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, sa
     something to clamp away. `salt` separates the randomness of otherwise
     identical calls (warmup block versus the run proper).
     """
-    stamps = list(range(start, start + spec.duration, spec.change_period))
+    # range() rejects a start, duration or period that is not an integer,
+    # which np.arange would truncate
+    grid = range(start, start + spec.duration, spec.change_period)
+    stamps = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
     rng = _market_rng(seed, spec.vm_id, salt)
     half_width = spec.target_std * np.sqrt(3.0)
     values = rng.uniform(spec.mean - half_width, spec.mean + half_width, len(stamps))
@@ -95,8 +99,7 @@ def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, sa
             "market %s: clamped %d tiny negative prices", spec.vm_id, int(negatives.sum())
         )
         values = np.where(negatives, 0.0, values)
-    points = [PricePoint(t, float(p)) for t, p in zip(stamps, values)]
-    return PriceTrace(spec.vm_id, points)
+    return PriceTrace.from_arrays(spec.vm_id, stamps, values)
 
 
 def generate_with_warmup(
@@ -114,7 +117,11 @@ def generate_with_warmup(
     if warmup == 0:
         return run
     head = generate(replace(spec, duration=warmup), seed=seed, start=start - warmup, salt=1)
-    return PriceTrace(spec.vm_id, head.points + run.points)
+    return PriceTrace.from_arrays(
+        spec.vm_id,
+        np.concatenate([head.timestamps, run.timestamps]),
+        np.concatenate([head.prices, run.prices]),
+    )
 
 
 def generate_market_suite(

@@ -1,8 +1,15 @@
+import csv
+import io
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spotindex import (
     Catalog,
@@ -16,7 +23,10 @@ from spotindex import (
     filter_candidates,
     load_catalog,
 )
-from spotindex.catalog import json_record
+from spotindex import catalog as catalog_mod
+from spotindex.catalog import _FIELDS, _record_to_spec, json_record
+
+import trace_oracle
 
 
 def make_spec(vm_id="vm-a", cpu=8.0, mem=32.0, od=40.0, **kw):
@@ -266,3 +276,118 @@ def test_json_record_is_json_loads_of_one_object(text):
     except ParseError as exc:
         got = str(exc)
     assert got == expected
+
+
+# load_catalog reads through the block reader; trace_oracle.read_records is
+# the per-record reader it replaced
+
+# values a catalog field may hold in a file, good or not
+TEXTS = st.sampled_from(
+    ["", " ", "x", "general", "compute", "warp", "2", "8.5", "0", "-1", "nan", "inf", "1e400", "a,b", 'q"x', "l\nm"]
+)
+WILD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 64),
+    st.floats(),
+    TEXTS,
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 9), max_size=1),
+)
+GOOD = {
+    "id": st.sampled_from("abcdefghijkl"),  # few, so ids may repeat
+    "instance_type": st.sampled_from(["m4.large", "c4.2xlarge"]),
+    "zone": st.sampled_from(["z1", "z2"]),
+    "region": st.just("r1"),
+    "family": st.sampled_from(["general", "compute", "memory"]),
+    "cpu_capacity": st.sampled_from([2, 4.0, "8", "0.5"]),
+    "mem_capacity": st.sampled_from([8, 30.5, "16"]),
+    "on_demand_price": st.sampled_from([10, 26.6, "39.8"]),
+}
+
+
+@st.composite
+def catalog_records(draw):
+    """A record of good values, one in four with a field dropped or replaced
+    by WILD."""
+    record = {field: draw(values) for field, values in GOOD.items()}
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.sampled_from(_FIELDS))
+        if draw(st.booleans()):
+            record.pop(field, None)
+        else:
+            record[field] = draw(WILD)
+    return record
+
+
+@st.composite
+def catalog_files(draw):
+    """(file name, text) of a CSV or JSON-lines catalog."""
+    records = draw(st.lists(catalog_records(), max_size=9))
+    blank = st.sampled_from(["", "  "])
+    lines = []
+    if draw(st.booleans()):
+        if draw(st.integers(0, 20)) == 0:
+            return "catalog.csv", ""
+        # the header may lack a field, repeat one, or carry one no record has
+        header = draw(st.permutations(_FIELDS + ("extra",)))
+        if draw(st.integers(0, 5)) == 0:
+            header.pop(draw(st.integers(0, len(header) - 1)))
+        for field in draw(st.lists(st.sampled_from(_FIELDS), max_size=1)):
+            header.insert(draw(st.integers(0, len(header))), field)
+        rows = [[r.get(field) for field in header] for r in records]
+        for row in rows:
+            # a repeated name's later column holds a value of its own
+            for i, field in enumerate(header):
+                if header.index(field) != i:
+                    row[i] = draw(GOOD[field])
+        for values in [header] + rows:
+            if values is not header and draw(st.integers(0, 19)) == 0:
+                # a short row or a long one
+                values = values[: draw(st.integers(len(values) - 2, len(values)))]
+                values += draw(st.lists(TEXTS, max_size=1))
+            text = io.StringIO()
+            csv.writer(text, lineterminator="\n").writerow(values)
+            lines.append(text.getvalue().rstrip("\n"))
+            if draw(st.integers(0, 5)) == 0:
+                lines.append("")
+        return "catalog.csv", "\n".join(lines) + "\n"
+    for record in records:
+        lines.append(json.dumps(record))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(blank))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(['{"id": "a",', "[1]", '"x"', '{"id": "a"} 7']))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "catalog.jsonl", "\n".join(lines) + "\n"
+
+
+def reference_catalog(path):
+    # an absent field is None, as it is to the block reader
+    return Catalog(
+        _record_to_spec({field: record.get(field) for field in _FIELDS}, path, line)
+        for line, record in trace_oracle.read_records(path)
+    )
+
+
+def catalog_outcome(load, path):
+    try:
+        return "loaded", list(load(path))
+    except Exception as exc:  # either reader's exception is compared, whatever it is
+        return "raised", type(exc), str(exc)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(catalog_files(), st.sampled_from([1, 4, 1024]))
+def test_load_catalog_matches_the_per_record_reader(file, block):
+    # small blocks put block boundaries inside the file
+    name, text = file
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(catalog_mod, "_BLOCK", block):
+        path = Path(tmp) / name
+        path.write_text(text)
+        assert catalog_outcome(load_catalog, path) == catalog_outcome(reference_catalog, path)

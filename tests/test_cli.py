@@ -508,6 +508,13 @@ def test_simulate_balanced_options_match_the_library(workspace):
         ([JOB_JSON], "job spec"),
         ({**JOB_JSON, "phases": [{"seconds": 600}]}, "phases[0]"),
         ({**JOB_JSON, "phases": ["abc"]}, "phases[0]"),
+        ({**JOB_JSON, "name": ["a"]}, "name"),
+        ({**JOB_JSON, "name": 5}, "name"),
+        ({k: v for k, v in JOB_JSON.items() if k != "name"}, "name"),
+        ({k: v for k, v in JOB_JSON.items() if k != "phases"}, "phases"),
+        ({**JOB_JSON, "max_price": float("nan")}, "max_price"),
+        ({**JOB_JSON, "mem_footprint": float("inf")}, "mem_footprint"),
+        ({**JOB_JSON, "phases": [[600, float("nan"), 16.0]]}, "phase cpu"),
     ],
 )
 def test_simulate_malformed_job_is_a_located_domain_error(workspace, job, key, caplog):
@@ -517,6 +524,17 @@ def test_simulate_malformed_job_is_a_located_domain_error(workspace, job, key, c
     out = workspace / "report.json"
     assert run(simulate_argv(workspace, traces, "--out", out)) == 1
     assert f"{key} must be" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--migration-rate", "--migration-floor"])
+def test_simulate_non_finite_migration_option_is_a_domain_error(workspace, flag, caplog):
+    traces = workspace / "traces"
+    assert run(["synth", "--spec", workspace / "markets.json", "--out", traces]) == 0
+    (workspace / "job.json").write_text(json.dumps(JOB_JSON))
+    out = workspace / "report.json"
+    assert run(simulate_argv(workspace, traces, flag, "inf", "--out", out)) == 1
+    assert "must be finite" in caplog.text
     assert not out.exists()
 
 

@@ -142,7 +142,9 @@ def scenarios(draw):
         t, idx, target = draw(move)
         done = t + migration.seconds(job.mem_footprint)
         spike = draw(st.integers(done + 1, done + 2 * superstep))
-        points = [p for p in traces[target].points if p.timestamp < spike]
+        trace = traces[target]
+        stamps, prices = trace.timestamps.tolist(), trace.prices.tolist()
+        points = [PricePoint(t, p) for t, p in zip(stamps, prices) if t < spike]
         traces[target] = PriceTrace(target, [*points, PricePoint(spike, 1000.0)])
         forced = [(t, idx, target)]
     else:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -112,6 +113,10 @@ def test_migration_model_seconds():
         MigrationModel(rate=-1.0)
 
 
+# stands for a key left out of the job dict
+ABSENT = object()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -121,13 +126,50 @@ def test_migration_model_seconds():
         ("tasks", True),
         ("mem_footprint", "4"),
         ("reference_capacity", [8, True]),
+        ("name", ["a"]),
+        ("name", 5),
+        ("kind", 5),
+        ("name", ABSENT),
+        ("phases", ABSENT),
     ],
 )
 def test_job_from_dict_rejects_values_a_cast_would_change(key, value):
     raw = one_phase_job().to_dict()
     raw[key] = value
+    if value is ABSENT:
+        del raw[key]
     with pytest.raises(ValueError, match=f"^{key} must be"):
         JobSpec.from_dict(raw)
+
+
+def one_phase(**fields):
+    return JobSpec(name="j", phases=(Phase(10, 1.0, 1.0),), **fields)
+
+
+# each numeric field of Phase, JobSpec and MigrationModel, by the name its
+# error gives, and a constructor that sets it to a value
+NUMERIC_FIELDS = {
+    "phase duration": lambda v: Phase(v, 1.0, 1.0),
+    "phase cpu": lambda v: Phase(10, v, 1.0),
+    "phase mem": lambda v: Phase(10, 1.0, v),
+    "tasks": lambda v: one_phase(tasks=v),
+    "mem_footprint": lambda v: one_phase(mem_footprint=v),
+    "max_price": lambda v: one_phase(max_price=v),
+    "reference_capacity cpu": lambda v: one_phase(reference_capacity=(v, 1.0)),
+    "reference_capacity mem": lambda v: one_phase(reference_capacity=(1.0, v)),
+    "migration rate": lambda v: MigrationModel(rate=v),
+    "migration fixed_floor": lambda v: MigrationModel(fixed_floor=v),
+    "migration revocation_restart": lambda v: MigrationModel(revocation_restart=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", list(NUMERIC_FIELDS))
+def test_non_finite_numbers_are_rejected_naming_the_field(field, value):
+    # NaN passes a `<= 0` check, and an infinity overflows int() later on
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >=? [01], got -?(nan|inf)$"):
+        NUMERIC_FIELDS[field](value)
+    NUMERIC_FIELDS[field](1)
 
 
 @pytest.mark.parametrize(
@@ -500,11 +542,12 @@ def test_price_shock_outcomes(shocked, max_price):
     static's cost while `cost` moves off it: the Eq. 5 gate never passes
     for a source priced above the index."""
     traces = traces_for(3)
+    before = traces[shocked]
     traces[shocked] = PriceTrace(
         shocked,
         [
-            PricePoint(p.timestamp, 3 * p.price if p.timestamp >= 1200 else p.price)
-            for p in traces[shocked].points
+            PricePoint(t, 3 * p if t >= 1200 else p)
+            for t, p in zip(before.timestamps.tolist(), before.prices.tolist())
         ],
     )
     job = JobSpec(name="shock", phases=(Phase(3600, 2.0, 8.0),), max_price=max_price)

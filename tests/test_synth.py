@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spotindex import (
     ConflictError,
     InvariantError,
+    PricePoint,
+    PriceTrace,
     SynthMarketSpec,
     generate,
     generate_market_suite,
@@ -36,6 +40,15 @@ def test_generate_shape_and_grid():
     assert np.all(np.diff(trace.timestamps) == 60)
     trace = generate(spec_of(duration=3600, change_period=60), seed=1, start=7200)
     assert trace.first_ts == 7200
+
+
+@pytest.mark.parametrize(
+    "spec, start", [(spec_of(change_period=60.5), 0), (spec_of(duration=300.0), 0), (spec_of(), 0.5)]
+)
+def test_a_grid_that_is_not_whole_seconds_is_rejected(spec, start):
+    # the grid is never truncated to whole seconds
+    with pytest.raises(TypeError):
+        generate(spec, start=start)
 
 
 def test_exact_sample_moments():
@@ -105,3 +118,35 @@ def test_suite_independence_and_order():
     assert np.array_equal(suite["c"].prices, partial["c"].prices)
     with pytest.raises(ConflictError):
         generate_market_suite([spec_of("a"), spec_of("a")], seed=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.floats(1.0, 10.0),
+    st.one_of(st.just(0.0), st.floats(0.01, 0.25)),
+    st.integers(1, 600),
+    st.integers(1, 7200),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 3600),
+)
+def test_trace_arrays_are_what_price_points_give(
+    mean, spread, period, duration, exact_moments, seed, start, warmup
+):
+    spec = spec_of(
+        mean=mean,
+        stddev=spread * mean,
+        change_period=period,
+        duration=duration,
+        enforce_sample_moments=exact_moments,
+    )
+    trace = generate_with_warmup(spec, seed=seed, start=start, warmup=warmup)
+    assert trace.timestamps.dtype == np.int64 and trace.prices.dtype == np.float64
+    assert np.all(np.diff(trace.timestamps) > 0)
+    stamps = [*range(start - warmup, start, period), *range(start, start + duration, period)]
+    assert len(stamps) == len(trace)
+    points = [PricePoint(t, p) for t, p in zip(stamps, trace.prices.tolist())]
+    reference = PriceTrace(spec.vm_id, points)
+    assert trace.timestamps.tobytes() == reference.timestamps.tobytes()
+    assert trace.prices.tobytes() == reference.prices.tobytes()

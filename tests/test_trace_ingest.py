@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spotindex import SynthMarketSpec, generate_market_suite, ingest_traces, write_trace_jsonl
-from spotindex import cli, prices
+from spotindex import catalog as catalog_mod
+from spotindex import cli
 from spotindex.errors import ParseError
 from spotindex.prices import trace_files
 
@@ -193,7 +194,7 @@ def outcome(ingest, paths, on_unknown):
 @given(trace_files_text(), st.sampled_from(["warn", "error"]), st.sampled_from([1, 4, 1024]))
 def test_columnar_ingest_matches_per_record_ingest(files, on_unknown, block):
     # small blocks put block boundaries inside the files
-    with tempfile.TemporaryDirectory() as tmp, patched(prices, "_BLOCK", block):
+    with tempfile.TemporaryDirectory() as tmp, patched(catalog_mod, "_BLOCK", block):
         paths = []
         for name, text in files:
             path = Path(tmp) / name
