@@ -11,7 +11,7 @@ from enum import Enum
 from itertools import islice
 from pathlib import Path
 
-from .errors import ConflictError, InvariantError, ParseError
+from .errors import ConflictError, InvariantError, ParseError, finite
 
 
 class VmFamily(str, Enum):
@@ -21,13 +21,6 @@ class VmFamily(str, Enum):
     STORAGE = "storage"
     ACCELERATED = "accelerated"
     OTHER = "other"
-
-
-def _positive_finite(value, name):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise InvariantError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value) or value <= 0:
-        raise InvariantError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,9 +39,9 @@ class VmSpec:
     def __post_init__(self):
         if not self.id:
             raise InvariantError("vm id must be non-empty")
-        _positive_finite(self.cpu_capacity, "cpu_capacity")
-        _positive_finite(self.mem_capacity, "mem_capacity")
-        _positive_finite(self.on_demand_price, "on_demand_price")
+        finite(self.cpu_capacity, "cpu_capacity")
+        finite(self.mem_capacity, "mem_capacity")
+        finite(self.on_demand_price, "on_demand_price")
         if not isinstance(self.family, VmFamily):
             object.__setattr__(self, "family", VmFamily(self.family))
 
@@ -66,9 +59,8 @@ class ResourceRequirement:
     min_mem: float
 
     def __post_init__(self):
-        for name, value in (("min_cpu", self.min_cpu), ("min_mem", self.min_mem)):
-            if not math.isfinite(value) or value < 0:
-                raise InvariantError(f"{name} must be finite and >= 0, got {value!r}")
+        finite(self.min_cpu, "min_cpu", strict=False)
+        finite(self.min_mem, "min_mem", strict=False)
 
     def satisfied_by(self, spec: VmSpec) -> bool:
         return spec.cpu_capacity >= self.min_cpu and spec.mem_capacity >= self.min_mem

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import Scope, load_catalog
-from .errors import ConflictError, SpotIndexError
+from .errors import ConflictError, SpotIndexError, exact
 from .index import index_series
 from .policies import POLICIES, build_policy
 from .prices import ingest_traces, load_trace_dir, trace_files, write_trace_jsonl
@@ -28,7 +28,6 @@ from .simulator import (
     JobSpec,
     MigrationModel,
     RunParams,
-    exact,
     normalize_report,
     on_demand_baseline,
     run_simulation,

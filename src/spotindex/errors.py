@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks every
+number that enters it goes through: exact for its type, finite for its
+range."""
+
+import math
+from numbers import Real
 
 
 class SpotIndexError(Exception):
@@ -30,8 +35,10 @@ class ConflictError(SpotIndexError):
     """Two records claim the same identity (e.g. duplicate catalog id)."""
 
 
-class InvariantError(SpotIndexError):
-    """A value violates a type invariant (non-positive capacity, NaN price, ...)."""
+class InvariantError(SpotIndexError, ValueError):
+    """A value violates a type invariant (non-positive capacity, NaN price, ...).
+
+    Also a ValueError, so callers that catch either class catch it."""
 
 
 class OutOfRangeError(SpotIndexError):
@@ -52,3 +59,30 @@ class SelectionError(SpotIndexError):
 
 class SimulationError(SpotIndexError):
     """The simulator cannot run or continue with the given inputs."""
+
+
+def exact(kind, value, key: str):
+    """value as kind (int, float, bool or str), or an InvariantError naming
+    key where the cast would change it: a boolean or string where a number
+    is due, a fraction where an int is due, or any other type where a bool
+    or str is due."""
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        ok = type(value) in (int, float) and (kind is float or value % 1 == 0)
+    if not ok:
+        raise InvariantError(f"{key} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def finite(value, name: str, minimum=0, strict: bool = True):
+    """An InvariantError naming `name` unless value is a real number (not a
+    boolean), finite, and above minimum (or equal to it, when not strict)."""
+    if not (
+        isinstance(value, Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > minimum if strict else value >= minimum)
+    ):
+        bound = f"{'>' if strict else '>='} {minimum}"
+        raise InvariantError(f"{name} must be finite and {bound}, got {value!r}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import VmSpec
-from .errors import CoverageError, GapError, OutOfRangeError
+from .errors import CoverageError, GapError, OutOfRangeError, finite
 from .prices import fold_sum, is_capped, left_sum, step_slice, trailing_means
 
 DEFAULT_PERIOD = 300
@@ -84,8 +84,7 @@ def index_series(
     Instants before the curve starts, or where every member is capped, are
     recorded as gaps; a composition the curve cannot be built from raises.
     """
-    if period <= 0:
-        raise ValueError("period must be positive")
+    finite(period, "period")
     if end <= start:
         raise ValueError("end must be after start")
     samples, gaps = IndexCurve(traces, catalog, composition).sample_grid(range(start, end, period))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
-from .errors import SelectionError, SimulationError, SpotIndexError
+from .errors import SelectionError, SimulationError, SpotIndexError, exact, finite
 from .index import IndexCurve, denormalize, normalize
 from .policies import CandidateView, Policy, PolicyContext, PolicyDecision, build_policy
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, trailing_means
@@ -48,28 +48,6 @@ DONE = "done"
 
 # The most epoch ticks one market table covers.
 TABLE_TICKS = 1024
-
-
-def exact(kind, value, key: str):
-    """value as kind (int, float, bool or str), or a ValueError naming key
-    where the cast would change it: a boolean or string where a number is
-    due, a fraction where an int is due, or any other type where a bool or
-    str is due."""
-    if kind in (bool, str):
-        ok = isinstance(value, kind)
-    else:
-        ok = type(value) in (int, float) and (kind is float or value % 1 == 0)
-    if not ok:
-        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def finite(value, name: str, minimum=0, strict: bool = True):
-    """A ValueError naming `name` unless value is finite and above minimum
-    (or equal to it, when not strict); NaN and infinities always fail."""
-    if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
-        bound = f"{'>' if strict else '>='} {minimum}"
-        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -230,18 +208,14 @@ class RunParams:
     max_wallclock: int | None = None
 
     def __post_init__(self):
-        if self.epoch <= 0:
-            raise ValueError("epoch must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.sigma_window <= 0:
-            raise ValueError("sigma_window must be positive")
+        finite(self.epoch, "epoch")
+        finite(self.horizon, "horizon")
+        finite(self.sigma_window, "sigma_window")
         if self.index_reference not in ("window", "instant"):
             raise ValueError("index_reference must be 'window' or 'instant'")
-        if self.bsp_superstep <= 0:
-            raise ValueError("bsp_superstep must be positive")
-        if self.max_wallclock is not None and not self.max_wallclock > 0:
-            raise ValueError("max_wallclock must be positive")
+        finite(self.bsp_superstep, "bsp_superstep")
+        if self.max_wallclock is not None:
+            finite(self.max_wallclock, "max_wallclock")
 
 
 @dataclass
@@ -983,8 +957,7 @@ def on_demand_baseline(job: JobSpec, catalog: Catalog, scope: Scope | None = Non
 
 def normalize_report(report: SimReport, baseline_on_demand_cost: float) -> SimReport:
     """Fill in the cost ratios against the on-demand and index baselines."""
-    if baseline_on_demand_cost <= 0:
-        raise ValueError("baseline_on_demand_cost must be positive")
+    finite(baseline_on_demand_cost, "baseline_on_demand_cost")
     reference = report.index_cost_reference
     report.cost_vs_on_demand = report.total_cost / baseline_on_demand_cost
     report.cost_vs_index = report.total_cost / reference if reference > 0 else None

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConflictError, InvariantError
+from .errors import ConflictError, InvariantError, finite
 from .prices import PriceTrace
 
 log = logging.getLogger(__name__)
@@ -32,16 +32,11 @@ class SynthMarketSpec:
     def __post_init__(self):
         if not self.vm_id:
             raise ValueError("vm_id must be non-empty")
-        if not np.isfinite(self.mean) or self.mean <= 0:
-            raise ValueError(f"mean must be finite and positive, got {self.mean}")
-        if not np.isfinite(self.stddev) or self.stddev < 0:
-            raise ValueError(f"stddev must be finite and non-negative, got {self.stddev}")
-        if self.change_period <= 0:
-            raise ValueError("change_period must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.volatility_scale < 0:
-            raise ValueError("volatility_scale must be non-negative")
+        finite(self.mean, "mean")
+        finite(self.stddev, "stddev", strict=False)
+        finite(self.change_period, "change_period")
+        finite(self.duration, "duration")
+        finite(self.volatility_scale, "volatility_scale", strict=False)
 
     @property
     def target_std(self) -> float:
@@ -59,11 +54,10 @@ def _market_rng(seed: int, vm_id: str, salt: int = 0) -> np.random.Generator:
 
 def _exact_moments(values: np.ndarray, mean: float, std: float) -> np.ndarray:
     """Affinely rescale so the sample mean and population std are exact."""
-    if len(values) == 1 or std == 0.0:
-        return np.full_like(values, mean)
     spread = values.std()
-    if spread <= 0:
-        raise InvariantError("degenerate draw, cannot rescale to target std")
+    # one draw, or draws all equal at float resolution: nothing to rescale
+    if std == 0.0 or spread == 0.0:
+        return np.full_like(values, mean)
     return mean + (values - values.mean()) * (std / spread)
 
 
@@ -111,8 +105,7 @@ def generate_with_warmup(
     trailing-window statistics are defined from the first run instant without
     disturbing the run block (which is identical to a warmup-free generate).
     """
-    if warmup < 0:
-        raise ValueError("warmup must be non-negative")
+    finite(warmup, "warmup", strict=False)
     run = generate(spec, seed=seed, start=start, salt=0)
     if warmup == 0:
         return run

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .catalog import VmSpec
-from .errors import CoverageError, OutOfRangeError
+from .errors import CoverageError, OutOfRangeError, finite
 from .index import IndexSeries, denormalize, normalize
 from .prices import PriceTrace, fold_sum
 
@@ -50,8 +50,7 @@ def gain(
 
 def migration_loss(price_src: float, price_dst: float, t_m: float) -> float:
     """Cost of paying both VMs for the t_m seconds a migration takes."""
-    if t_m < 0:
-        raise ValueError("migration time must be non-negative")
+    finite(t_m, "migration time", strict=False)
     return (price_src + price_dst) * t_m / 3600.0
 
 

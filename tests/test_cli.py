@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from spotindex import (
     JobSpec,
     MigrationModel,
     RunParams,
+    SpotIndexError,
     SynthMarketSpec,
     generate_market_suite,
     load_catalog,
@@ -544,6 +547,9 @@ def test_simulate_non_finite_migration_option_is_a_domain_error(workspace, flag,
         ([1], "market 0 must be a JSON object, got 1"),
         ([MARKETS_JSON["markets"][0], {"vm_id": "m4.large", "stddev": 0.5}], "market 1 has no 'mean'"),
         ([{"vm_id": None, "mean": 4.5, "stddev": 0.5}], "market 0: vm_id must be a string, got None"),
+        # a non-finite scale once reached numpy's uniform draw and overflowed there
+        ([{**MARKETS_JSON["markets"][0], "volatility_scale": float("nan")}], "volatility_scale must be finite and >= 0, got nan"),
+        ([{**MARKETS_JSON["markets"][0], "volatility_scale": float("inf")}], "volatility_scale must be finite and >= 0, got inf"),
     ],
 )
 def test_synth_malformed_market_is_a_located_domain_error(workspace, spec, message, caplog):
@@ -592,3 +598,134 @@ def test_ingest_timestamp_outside_int64_is_a_located_domain_error(workspace, sta
     assert run(["ingest", "--in", raw, "--catalog", workspace / "catalog.csv", "--out", out]) == 1
     assert f"{raw}: line 2: field 'timestamp': timestamp must fit in int64 seconds" in caplog.text
     assert not out.exists()
+
+
+# Malformed inputs: each key of a valid input document, and the whole
+# document, replaced in turn by each of these JSON values. Numbers stay
+# small: a valid but huge task count would simulate that many tasks.
+JSON_VALUES = [None, True, False, -1, 0, 0.5, 2, math.nan, math.inf, -math.inf, "", "x", [], [1], {}, {"a": 1}]
+
+FULL_JOB = {**JOB_JSON, "kind": "long_running", "tasks": 1, "requirement": [2.0, 8.0], "max_price": 100.0}
+
+FULL_MARKET = {
+    **MARKETS_JSON["markets"][0],
+    "change_period": 60,
+    "volatility_scale": 1.0,
+    "enforce_sample_moments": True,
+}
+
+CATALOG_ROW = {
+    "id": "m4.large",
+    "instance_type": "m4.large",
+    "zone": "us-east-1a",
+    "region": "us-east-1",
+    "family": "general",
+    "cpu_capacity": 2.0,
+    "mem_capacity": 8.0,
+    "on_demand_price": 10.0,
+}
+
+TRACE_RECORD = {"timestamp": 0, "vm_id": "m4.large", "price": 4.5}
+
+
+def simulate_config(inputs):
+    return {
+        "job": str(inputs / "job.json"),
+        "policy": "static",
+        "traces": str(inputs / "traces"),
+        "catalog": str(inputs / "catalog.csv"),
+        "epoch": 300,
+        "horizon": 3600,
+        "sigma_window": 3600,
+        "bsp_superstep": 300,
+        "migration_rate": 1.0,
+        "migration_floor": 0.0,
+        "restart": 90,
+        "max_wallclock": 7200,
+        "seed": 0,
+        "out": "report.json",
+    }
+
+
+def write_doc(name, *docs):
+    """docs as JSON lines in file `name` of the working directory."""
+    path = Path(name).resolve()
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    return path
+
+
+# document -> (its valid form, given the shared inputs directory; the argv
+# that reads a version of it)
+DOCUMENTS = {
+    "job": (
+        lambda inputs: FULL_JOB,
+        lambda inputs, doc: [
+            "simulate", "--job", write_doc("job.json", doc), "--policy", "static",
+            "--traces", inputs / "traces", "--catalog", inputs / "catalog.csv", "--out", "report.json",
+        ],
+    ),
+    "market": (
+        lambda inputs: FULL_MARKET,
+        lambda inputs, doc: ["synth", "--spec", write_doc("spec.json", [doc]), "--out", "out"],
+    ),
+    "config": (
+        simulate_config,
+        lambda inputs, doc: ["simulate", "--config", write_doc("config.json", doc)],
+    ),
+    "catalog row": (
+        lambda inputs: CATALOG_ROW,
+        lambda inputs, doc: [
+            "ingest", "--in", inputs / "raw.jsonl", "--catalog", write_doc("catalog.jsonl", doc), "--out", "out",
+        ],
+    ),
+    "trace record": (
+        lambda inputs: TRACE_RECORD,
+        lambda inputs, doc: [
+            "ingest", "--in", write_doc("raw.jsonl", doc), "--catalog", inputs / "catalog.csv", "--out", "out",
+        ],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The catalog, traces, job and raw trace file that the documents not
+    under test point at."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "catalog.csv").write_text(CATALOG_CSV)
+    (root / "markets.json").write_text(json.dumps(MARKETS_JSON))
+    (root / "job.json").write_text(json.dumps(FULL_JOB))
+    (root / "raw.jsonl").write_text(json.dumps(TRACE_RECORD) + "\n")
+    assert run(["synth", "--spec", root / "markets.json", "--out", root / "traces"]) == 0
+    return root
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [(name, key) for name, (valid, _) in DOCUMENTS.items() for key in [*valid(Path()), None]],
+)
+def test_malformed_input_is_a_domain_or_usage_error(inputs, tmp_path, monkeypatch, document, key):
+    # key None replaces the whole document
+    valid, argv = DOCUMENTS[document]
+    monkeypatch.chdir(tmp_path)
+    escaped = []
+    for value in JSON_VALUES:
+        doc = value if key is None else {**valid(inputs), key: value}
+        try:
+            outcome = run(argv(inputs, doc))
+        except SystemExit as exc:
+            outcome = "usage" if exc.code == 2 else exc
+        except Exception as exc:
+            outcome = exc
+        if outcome not in (0, 1, "usage"):
+            escaped.append((value, outcome))
+    assert not escaped
+
+
+@pytest.mark.parametrize("key", [*FULL_JOB, None])
+def test_job_from_dict_raises_only_domain_errors(key):
+    for value in JSON_VALUES:
+        try:
+            JobSpec.from_dict(value if key is None else {**FULL_JOB, key: value})
+        except (ValueError, SpotIndexError):
+            pass

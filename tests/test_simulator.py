@@ -209,8 +209,13 @@ def test_run_params_validation():
     # no run can meet a limit below one second, and 0 must not read as
     # "no limit given"
     for limit in (0, -5, 0.0, float("nan")):
-        with pytest.raises(ValueError, match="max_wallclock must be positive"):
+        with pytest.raises(ValueError, match="max_wallclock must be finite and > 0"):
             RunParams(max_wallclock=limit)
+    # NaN passes a `<= 0` check
+    for field in ("epoch", "horizon", "sigma_window", "bsp_superstep", "max_wallclock"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got -?(nan|inf)$"):
+                RunParams(**{field: value})
 
 
 def test_interval_cost_value():
