@@ -41,11 +41,20 @@ log = logging.getLogger(__name__)
 NOT_OPTIONS = ("command", "config", "verbose", "func")
 
 
+def _load_json(path, what: str):
+    """The JSON document in the file at path; a file that is not JSON raises
+    ValueError naming it as `what` and path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{what} {path}: {exc}") from exc
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        config = json.load(fh)
+    config = _load_json(path, "config")
     if not isinstance(config, dict):
         raise ValueError(f"config {path} must hold a JSON object")
     return config
@@ -164,9 +173,10 @@ def _write_traces(traces, out, manifest: dict) -> int:
     return len(written)
 
 
-def _market_spec(i, entry) -> SynthMarketSpec:
-    """Entry i of a market spec list; a malformed entry raises ValueError
-    naming its index and key."""
+def _market_spec(path, i, entry) -> SynthMarketSpec:
+    """Entry i of the market spec list in file path; a malformed entry
+    raises ValueError naming its index and key, and a bad value the file
+    too."""
     if not isinstance(entry, dict):
         raise ValueError(f"market {i} must be a JSON object, got {entry!r}")
     for key in ("vm_id", "mean", "stddev"):
@@ -180,12 +190,15 @@ def _market_spec(i, entry) -> SynthMarketSpec:
         "volatility_scale": float,
         "enforce_sample_moments": bool,
     }
-    return SynthMarketSpec(
-        vm_id=entry["vm_id"],
-        mean=exact(float, entry["mean"], "mean"),
-        stddev=exact(float, entry["stddev"], "stddev"),
-        **{key: exact(kind, entry[key], key) for key, kind in optional.items() if key in entry},
-    )
+    try:
+        return SynthMarketSpec(
+            vm_id=entry["vm_id"],
+            mean=exact(float, entry["mean"], "mean"),
+            stddev=exact(float, entry["stddev"], "stddev"),
+            **{key: exact(kind, entry[key], key) for key, kind in optional.items() if key in entry},
+        )
+    except ValueError as exc:
+        raise ValueError(f"market spec {path}: market {i}: {exc}") from exc
 
 
 # command handlers
@@ -222,13 +235,12 @@ def cmd_index(args, parser) -> int:
 
 def cmd_synth(args, parser) -> int:
     _require(args, parser, "spec", "out")
-    with open(args.spec) as fh:
-        raw = json.load(fh)
+    raw = _load_json(args.spec, "market spec")
     if isinstance(raw, dict):
         raw = raw.get("markets", raw)
     if not isinstance(raw, list):
         raise ValueError(f"market spec {args.spec} must hold a list of markets")
-    specs = [_market_spec(i, entry) for i, entry in enumerate(raw)]
+    specs = [_market_spec(args.spec, i, entry) for i, entry in enumerate(raw)]
     options = _given(args, seed="seed", start="start", warmup="warmup")
     traces = generate_market_suite(specs, **options)
     manifest = _provenance(args, seed=options.get("seed", DEFAULT_SEED))
@@ -245,8 +257,11 @@ def cmd_simulate(args, parser) -> int:
     policy = build_policy(args.policy, **options)
     catalog = load_catalog(args.catalog)
     traces = load_trace_dir(args.traces, catalog, **_given(args, on_unknown="unknown"))
-    with open(args.job) as fh:
-        job = JobSpec.from_dict(json.load(fh))
+    doc = _load_json(args.job, "job")
+    try:
+        job = JobSpec.from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"job {args.job}: {exc}") from exc
     composition = _comma_list(args.composition) or sorted(traces)
     migration = MigrationModel(
         **_given(
@@ -304,8 +319,7 @@ def cmd_report(args, parser) -> int:
     rows = []
     jobs = set()
     for raw in args.inputs:
-        with open(raw) as fh:
-            doc = json.load(fh)
+        doc = _load_json(raw, "report")
         body = doc.get("report", doc) if isinstance(doc, dict) else doc
         if not isinstance(body, dict):
             raise ValueError(f"report {raw} must hold a JSON object, got {body!r}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
-from .errors import SelectionError, SimulationError, SpotIndexError, exact, finite
+from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
 from .index import IndexCurve, denormalize, normalize
 from .policies import CandidateView, Policy, PolicyContext, PolicyDecision, build_policy
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, trailing_means
@@ -48,6 +48,8 @@ DONE = "done"
 
 # The most epoch ticks one market table covers.
 TABLE_TICKS = 1024
+# The most tasks a job may have: the engine visits every task at every stop.
+MAX_TASKS = 4096
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,8 @@ class JobSpec:
             raise ValueError("job needs at least one phase")
         object.__setattr__(self, "phases", tuple(self.phases))
         finite(self.tasks, "tasks", minimum=1, strict=False)
+        if self.tasks > MAX_TASKS:
+            raise InvariantError(f"tasks must be at most {MAX_TASKS}, got {self.tasks!r}")
         finite(self.mem_footprint, "mem_footprint")
         if self.max_price is not None:
             finite(self.max_price, "max_price")
@@ -372,21 +376,6 @@ class _Task:
         self.holds = {}
 
 
-@dataclass
-class _EpochTable:
-    """The market at the ticks first, first + epoch, ..., last, as Python
-    lists indexed by tick: whether it is defined (ok), the index value and
-    reference, and per candidate its (price, window mean, window std) rows.
-    The epoch table is one; a one-row block holds any other instant."""
-
-    first: int
-    last: int
-    ok: list
-    index_now: list
-    index_reference: list
-    columns: list
-
-
 class _Engine:
     def __init__(
         self,
@@ -441,7 +430,9 @@ class _Engine:
         self.tasks = [_Task(i) for i in range(job.tasks)]
         self.bsp = job.kind == BSP
         self.events: list[dict] = []
-        self._table = None
+        # the epoch table: the market at _table_first, _table_first + epoch, ...
+        self._table = []
+        self._table_first = 0
         self._market_t = None
         self._market_row = None
 
@@ -483,26 +474,22 @@ class _Engine:
     def _crossed(self, vm: str, t: int) -> bool:
         return self._over(vm, self._price(vm, t))
 
-    def _views(self, rows) -> tuple[CandidateView, ...]:
-        """The views of the candidates from their (price, window mean,
-        window std) rows, one per candidate in order, leaving out those
-        over max_price or on the cap."""
-        return tuple(
-            CandidateView(spec=spec, price=price, window_mean=mean, window_std=std)
-            for spec, (price, mean, std) in zip(self.candidates, rows)
-            if not self._over(spec.id, price)
-        )
-
-    def _block(self, ticks) -> _EpochTable:
-        """The market at ticks, evenly spaced by the epoch: the one market
-        rule, vectorized. ok is false where the index the reference mode
-        reads, or a candidate's trace, is undefined."""
+    def _block(self, ticks) -> list:
+        """The market at each of ticks, an int64 array evenly spaced by the
+        epoch: the one market rule, vectorized. Each entry is the
+        (views, index_now, index_reference) a context takes, or None where
+        the market is undefined: before the index or a candidate's trace
+        starts, or where the index the reference mode reads is NaN, which a
+        step with no live member holds. The views leave out the candidates
+        over max_price or, under treat_cap_as_revocation, on the cap."""
         window = self.params.sigma_window
-        index_now, index_mean, live, live_window = self.curve.window_means(ticks, window)
+        index_now, index_mean = self.curve.window_means(ticks, window)
+        ok = (ticks >= self.curve.start) & ~np.isnan(index_now)
         if self.params.index_reference == "window":
-            reference, ok = index_mean, live_window
+            reference = index_mean
+            ok &= ~np.isnan(index_mean)
         else:
-            reference, ok = index_now, live
+            reference = index_now
         columns = []
         for spec in self.candidates:
             trace = self.traces[spec.id]
@@ -512,10 +499,24 @@ class _Engine:
             _, squares = trailing_means(stamps, trace.prices * trace.prices, first, ticks, window)
             # an empty window's mean of p * p is price * price, so its std is 0.0
             stds = np.sqrt(np.maximum(squares - means * means, 0.0))
-            columns.append(list(zip(prices.tolist(), means.tolist(), stds.tolist())))
-        return _EpochTable(
-            int(ticks[0]), int(ticks[-1]), ok.tolist(), index_now.tolist(), reference.tolist(), columns
-        )
+            over = prices > self.max_price
+            if self.params.treat_cap_as_revocation:
+                over |= is_capped(prices, spec)
+            columns.append(
+                [
+                    None if dropped else CandidateView(spec, price, mean, std)
+                    for dropped, price, mean, std in zip(
+                        over.tolist(), prices.tolist(), means.tolist(), stds.tolist()
+                    )
+                ]
+            )
+        # None marks a dropped candidate, and a CandidateView is always true
+        return [
+            (tuple(filter(None, views)), now, ref) if defined else None
+            for defined, now, ref, *views in zip(
+                ok.tolist(), index_now.tolist(), reference.tolist(), *columns
+            )
+        ]
 
     def _raise_undefined(self, t: int):
         """Raise the domain error of the first check that fails at t, where a
@@ -531,7 +532,7 @@ class _Engine:
     def _market(self, t: int) -> tuple:
         """(views, index_now, index_reference) at t: what a context takes
         from the market, which depends on t alone. An epoch tick, t = 0
-        among them, reads the epoch table, refilled once t is past its block
+        among them, reads the epoch table, refilled once t is past its end
         (ticks only move forward) with up to TABLE_TICKS ticks and none at or
         past the earliest second the run can end: the least-advanced task
         still has its remaining work to do. Any other instant gets a one-row
@@ -539,18 +540,18 @@ class _Engine:
         deciding at one tick share it."""
         if t != self._market_t:
             epoch = self.params.epoch
-            table = self._table
             if t % epoch:
-                table = self._block(np.array([t]))
-            elif table is None or t > table.last:
-                work = min(task.work for task in self.tasks if task.state != DONE)
-                count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
-                table = self._table = self._block(t + epoch * np.arange(count))
-            i = (t - table.first) // epoch
-            if not table.ok[i]:
+                market = self._block(np.array([t]))[0]
+            else:
+                if t >= self._table_first + epoch * len(self._table):
+                    work = min(task.work for task in self.tasks if task.state != DONE)
+                    count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
+                    self._table = self._block(t + epoch * np.arange(count))
+                    self._table_first = t
+                market = self._table[(t - self._table_first) // epoch]
+            if market is None:
                 self._raise_undefined(t)
-            views = self._views(column[i] for column in table.columns)
-            self._market_row = views, table.index_now[i], table.index_reference[i]
+            self._market_row = market
             self._market_t = t
         return self._market_row
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,10 +38,19 @@ class SynthMarketSpec:
         finite(self.change_period, "change_period")
         finite(self.duration, "duration")
         finite(self.volatility_scale, "volatility_scale", strict=False)
+        # generate draws on [mean - half_width, mean + half_width), and
+        # numpy's draw overflows unless its upper bound and width are finite
+        finite(self.mean + self.half_width, "mean + half_width")
+        finite(2 * self.half_width, "2 * half_width", strict=False)
 
     @property
     def target_std(self) -> float:
         return self.stddev * self.volatility_scale
+
+    @property
+    def half_width(self) -> float:
+        """Half the width of the uniform draw: target_std * sqrt(3)."""
+        return self.target_std * math.sqrt(3.0)
 
 
 def _market_rng(seed: int, vm_id: str, salt: int = 0) -> np.random.Generator:
@@ -77,8 +87,7 @@ def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, sa
     grid = range(start, start + spec.duration, spec.change_period)
     stamps = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
     rng = _market_rng(seed, spec.vm_id, salt)
-    half_width = spec.target_std * np.sqrt(3.0)
-    values = rng.uniform(spec.mean - half_width, spec.mean + half_width, len(stamps))
+    values = rng.uniform(spec.mean - spec.half_width, spec.mean + spec.half_width, len(stamps))
     if spec.enforce_sample_moments:
         values = _exact_moments(values, spec.mean, spec.target_std)
     negatives = values < 0

@@ -9,10 +9,11 @@ of the engine's three shortcuts, and nothing else:
   for every task in every second, instead of reading the gang's low mark;
 - `_market` computes every context's market by its own scalar code, over
   `window_stats` and `IndexCurve.window_mean`, never by the engine's one
-  vectorized rule (`_Engine._block`), so the oracle checks that rule
-  against independent code. Where the market is undefined it raises at the
-  first check that fails: the index at t, under "window" the index over
-  t's window, then each candidate's price at t.
+  vectorized rule (`_Engine._block`), and leaves out the candidates over
+  max_price or on the cap by the scalar `_over`, so the oracle checks that
+  rule and its view filter against independent code. Where the market is
+  undefined it raises at the first check that fails: the index at t, under
+  "window" the index over t's window, then each candidate's price at t.
 
 Everything else, the per-second step (`_Engine._step`), the work step and
 the finish, is the engine's own code, so the equivalence oracle in
@@ -23,7 +24,7 @@ and scripted-move checks by the `test_policy_*` and `test_forced_*` tests in
 tests/test_simulator.py.
 """
 
-from spotindex.policies import build_policy
+from spotindex.policies import CandidateView, build_policy
 from spotindex.simulator import DONE, WORKING, RunParams, _Engine, window_stats
 
 
@@ -49,11 +50,12 @@ class PerSecondEngine(_Engine):
             index_reference = self.curve.window_mean(t, window)
         else:
             index_reference = index_now
-        rows = [
-            (self._price(spec.id, t), *window_stats(self.traces[spec.id], t, window))
-            for spec in self.candidates
-        ]
-        return self._views(rows), index_now, index_reference
+        views = []
+        for spec in self.candidates:
+            price = self._price(spec.id, t)
+            if not self._over(spec.id, price):
+                views.append(CandidateView(spec, price, *window_stats(self.traces[spec.id], t, window)))
+        return tuple(views), index_now, index_reference
 
 
 def run_per_second(

@@ -518,6 +518,9 @@ def test_simulate_balanced_options_match_the_library(workspace):
         ({**JOB_JSON, "max_price": float("nan")}, "max_price"),
         ({**JOB_JSON, "mem_footprint": float("inf")}, "mem_footprint"),
         ({**JOB_JSON, "phases": [[600, float("nan"), 16.0]]}, "phase cpu"),
+        ({**JOB_JSON, "tasks": "x"}, "tasks"),
+        # would build one task per task, until memory ran out
+        ({**JOB_JSON, "tasks": 1e300}, "tasks"),
     ],
 )
 def test_simulate_malformed_job_is_a_located_domain_error(workspace, job, key, caplog):
@@ -526,7 +529,7 @@ def test_simulate_malformed_job_is_a_located_domain_error(workspace, job, key, c
     (workspace / "job.json").write_text(json.dumps(job))
     out = workspace / "report.json"
     assert run(simulate_argv(workspace, traces, "--out", out)) == 1
-    assert f"{key} must be" in caplog.text
+    assert f"job {workspace / 'job.json'}: {key} must be" in caplog.text
     assert not out.exists()
 
 
@@ -550,6 +553,11 @@ def test_simulate_non_finite_migration_option_is_a_domain_error(workspace, flag,
         # a non-finite scale once reached numpy's uniform draw and overflowed there
         ([{**MARKETS_JSON["markets"][0], "volatility_scale": float("nan")}], "volatility_scale must be finite and >= 0, got nan"),
         ([{**MARKETS_JSON["markets"][0], "volatility_scale": float("inf")}], "volatility_scale must be finite and >= 0, got inf"),
+        ([MARKETS_JSON["markets"][0], {**MARKETS_JSON["markets"][1], "volatility_scale": -1}], "volatility_scale must be finite and >= 0, got -1.0"),
+        ([{"vm_id": "m4.large", "mean": "6.5", "stddev": 0.5}], "mean must be float, got '6.5'"),
+        # finite, but the draw's upper bound or its width overflows
+        ([{"vm_id": "m4.large", "mean": 1.7e308, "stddev": 1e307}], "mean + half_width must be finite and > 0, got inf"),
+        ([{"vm_id": "m4.large", "mean": 1.0, "stddev": 6e307}], "2 * half_width must be finite and >= 0, got inf"),
     ],
 )
 def test_synth_malformed_market_is_a_located_domain_error(workspace, spec, message, caplog):
@@ -557,8 +565,27 @@ def test_synth_malformed_market_is_a_located_domain_error(workspace, spec, messa
     spec_path.write_text(json.dumps(spec))
     out = workspace / "out"
     assert run(["synth", "--spec", spec_path, "--out", out]) == 1
+    # a bad value is located by the file and its market, the last entry
+    if not message.startswith("market "):
+        message = f"market spec {spec_path}: market {len(spec) - 1}: {message}"
     assert message in caplog.messages
     assert not out.exists()
+
+
+@pytest.mark.parametrize("document", ["config", "market spec", "job", "report"])
+def test_input_file_that_is_not_json_names_the_file(workspace, document, caplog):
+    bad = workspace / "bad.json"
+    bad.write_text("not json\n")
+    traces = workspace / "traces"
+    assert run(["synth", "--spec", workspace / "markets.json", "--out", traces]) == 0
+    argv = {
+        "config": ["simulate", "--config", bad],
+        "market spec": ["synth", "--spec", bad, "--out", workspace / "out"],
+        "job": [*simulate_argv(workspace, traces), "--job", bad],
+        "report": ["report", "--in", bad],
+    }[document]
+    assert run(argv) == 1
+    assert f"{document} {bad}: Expecting value: line 1 column 1 (char 0)" in caplog.messages
 
 
 def test_vm_ids_sharing_a_file_name_are_a_conflict(workspace, caplog):

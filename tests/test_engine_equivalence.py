@@ -586,7 +586,7 @@ def test_market_matches_the_reference_market_every_second(index_reference):
         if t % 3:
             # a one-row block leaves the epoch table alone
             assert engine._table is table
-        blocks.add(engine._table.first)
+        blocks.add(engine._table_first)
     # the 600 s job's tables hold 200 ticks each
     assert blocks == {0, 600, 1200}
     assert served > 1200

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spotindex import (
     Catalog,
@@ -279,3 +281,47 @@ def test_index_matches_brute_force_oracle():
             assert sample.value == pytest.approx(mean, rel=1e-12)
             assert (sample.low, sample.high) == pytest.approx((low, high), rel=1e-12)
             assert sample.n_effective == n
+
+
+@st.composite
+def capped_curves(draw):
+    """An index of three members whose grids start apart, each capped alone
+    at some steps and all capped over one span [c0, c1), with ticks from the
+    curve start on, some of them in the span, and a window."""
+    specs = [spec("a", 2, 8, 1.0), spec("b", 4, 16, 2.5), spec("c", 8, 30, 4.0)]
+    c0 = draw(st.integers(0, 2500))
+    c1 = c0 + draw(st.integers(1, 600))
+    traces = {}
+    for s in specs:
+        cap = 10.0 * s.on_demand_price
+        start = draw(st.integers(0, 300))
+        stamps = sorted({start, c0, c1, *draw(st.lists(st.integers(start, 3200), max_size=40))})
+        points = []
+        for t in stamps:
+            # full mantissas, so a change of summation order shows
+            price = draw(st.integers(100, 5000).map(lambda k: k / 1000.3))
+            if c0 <= t < c1 or draw(st.integers(0, 5)) == 0:
+                price = cap
+            points.append(PricePoint(t, price))
+        traces[s.id] = PriceTrace(s.id, points)
+    curve = IndexCurve(traces, Catalog(specs), [s.id for s in specs])
+    ticks = draw(st.lists(st.integers(curve.start, 3500), min_size=1, max_size=60))
+    ticks += [t for t in range(c0, c1, 37) if t >= curve.start]
+    return curve, ticks, draw(st.integers(1, 1500))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(capped_curves())
+def test_window_means_read_a_gap_as_nan(drawn):
+    # window_means is value_at and window_mean at every tick, bit for bit,
+    # and NaN exactly where the scalar method raises GapError
+    curve, ticks, window = drawn
+    values, means = curve.window_means(ticks, window)
+    for t, value, mean in zip(ticks, values.tolist(), means.tolist()):
+        for got, scalar in ((value, curve.value_at), (mean, lambda t: curve.window_mean(t, window))):
+            try:
+                expected = scalar(t)
+            except GapError:
+                assert math.isnan(got)
+            else:
+                assert got.hex() == float(expected).hex()

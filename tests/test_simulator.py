@@ -27,7 +27,7 @@ from spotindex import (
     run_simulation,
     run_trials,
 )
-from spotindex.simulator import interval_cost, window_stats
+from spotindex.simulator import MAX_TASKS, interval_cost, window_stats
 
 from conftest import COMPOSITION, build_catalog, study_params, traces_for
 from reference_engine import run_per_second
@@ -94,6 +94,10 @@ def test_job_spec_validation():
         JobSpec(name="j", phases=(Phase(10, 1.0, 1.0),), kind="gang")
     with pytest.raises(ValueError):
         JobSpec(name="j", phases=(Phase(10, 1.0, 1.0),), tasks=0)
+    # the engine builds one task per task: a huge count would exhaust memory
+    with pytest.raises(ValueError, match=f"^tasks must be at most {MAX_TASKS}, got {MAX_TASKS + 1}$"):
+        JobSpec(name="j", phases=(Phase(10, 1.0, 1.0),), tasks=MAX_TASKS + 1)
+    assert JobSpec(name="j", phases=(Phase(10, 1.0, 1.0),), tasks=MAX_TASKS).tasks == MAX_TASKS
     with pytest.raises(ValueError):
         JobSpec(name="j", phases=(Phase(10, 1.0, 1.0),), mem_footprint=0.0)
     with pytest.raises(ValueError):

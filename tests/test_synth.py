@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,23 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         spec_of(duration=0)
     assert spec_of(stddev=0.4, volatility_scale=1.5).target_std == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(mean=1.7e308, stddev=1e307), "mean + half_width must be finite and > 0, got inf"),
+        (dict(mean=1.0, stddev=6e307), "2 * half_width must be finite and >= 0, got inf"),
+        (dict(mean=1.0, stddev=1e300, volatility_scale=1e10), "mean + half_width must be finite and > 0, got inf"),
+    ],
+)
+def test_a_spec_whose_draw_overflows_is_rejected(fields, message):
+    # these once ended in numpy's OverflowError inside generate
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        spec_of(duration=60, **fields)
+    # a huge draw that fits is generated
+    spec = spec_of(mean=1e300, stddev=1e299, duration=60, enforce_sample_moments=False)
+    assert np.isfinite(generate(spec).prices).all()
 
 
 def test_generate_shape_and_grid():
