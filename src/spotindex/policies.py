@@ -2,7 +2,9 @@
 
 Policies are pure decision rules: they look at a PolicyContext snapshot
 (current prices, trailing-window statistics, the index) and answer either
-"which VM do I start on" (select) or "do I stay or move" (decide). All
+"which VM do I start on" (select) or "do I stay or move" (decide). A policy
+may also answer "at which of these instants do I surely stay" over a
+MarketBlock (stays), so the simulator need not ask decide there. All
 accounting and trace bookkeeping lives in the simulator.
 """
 
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalog import VmSpec
 from .errors import SelectionError
 from .index import normalize
@@ -18,6 +22,9 @@ from .tracking import should_migrate
 
 SIGMA_FLOOR = 1e-9
 TIE_TOLERANCE = 1e-9
+# The relative gap by which a stays mask's comparisons must hold: a tick
+# nearer a tie than this is left to decide.
+STAY_MARGIN = 1e-9
 CPU_FLOOR_FRACTION = 0.05
 MEM_FLOOR_GB = 0.05
 
@@ -101,6 +108,65 @@ class PolicyContext:
         return utilized_price(c.window_std, cpu_u, mem_u)
 
 
+def _surely_below(a, b):
+    """a < b by more than STAY_MARGIN of their size, elementwise: False near
+    a tie and wherever either side is NaN."""
+    return a < b - STAY_MARGIN * (np.abs(a) + np.abs(b))
+
+
+@dataclass(frozen=True, eq=False)
+class MarketBlock:
+    """The contexts of a block of instants as arrays, less the task's
+    current VM and utilization: what the simulator forms for a table of
+    decision ticks. Row c of each (candidates, instants) array belongs to
+    specs[c]. `over` marks where a candidate is left out of the context's
+    candidates (over max_price or, when caps count as revocations, on the
+    cap), and `ok` where the market is defined at all; elsewhere the
+    arrays mean nothing."""
+
+    specs: tuple[VmSpec, ...]
+    ok: np.ndarray
+    index_now: np.ndarray
+    index_reference: np.ndarray
+    prices: np.ndarray
+    means: np.ndarray
+    stds: np.ndarray
+    over: np.ndarray
+    horizon: int
+    migration_seconds: float
+
+    def __len__(self):
+        return len(self.ok)
+
+    def market(self, k: int):
+        """(views, index_now, index_reference) at instant k, what a
+        PolicyContext takes from the market, or None where it is undefined."""
+        if not self.ok[k]:
+            return None
+        columns = (self.over, self.prices, self.means, self.stds)
+        views = tuple(
+            CandidateView(spec, price, mean, std)
+            for spec, dropped, price, mean, std in zip(
+                self.specs, *(column[:, k].tolist() for column in columns)
+            )
+            if not dropped
+        )
+        return views, float(self.index_now[k]), float(self.index_reference[k])
+
+    def utilized(self, values: np.ndarray, cpu_used: float, mem_used: float) -> np.ndarray:
+        """utilized_price of each candidate's row of values."""
+        return np.array(
+            [
+                utilized_price(row, *floored_utilization(spec, cpu_used, mem_used))
+                for spec, row in zip(self.specs, values)
+            ]
+        )
+
+    def normalized(self) -> np.ndarray:
+        """normalize of each candidate's row of prices."""
+        return np.array([normalize(spec, row) for spec, row in zip(self.specs, self.prices)])
+
+
 @dataclass(frozen=True)
 class PolicyDecision:
     action: str
@@ -141,8 +207,23 @@ class Policy:
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
         raise NotImplementedError
 
+    def stays(self, block: MarketBlock, current: str, cpu_used: float, mem_used: float):
+        """A bool array over the block's instants, True where decide, asked
+        with current held and the given utilization, surely returns stay;
+        or None, which covers no instant. The simulator does not ask decide
+        at a covered instant, so a near tie must be left uncovered, and so
+        must every instant where the market is undefined or current is left
+        out. This default covers none."""
+        return None
+
     def __repr__(self):
         return f"{type(self).__name__}()"
+
+
+def _held(block: MarketBlock, current: str) -> tuple[int, np.ndarray]:
+    """current's row in the block, and where a context can hold it."""
+    i = [spec.id for spec in block.specs].index(current)
+    return i, block.ok & ~block.over[i]
 
 
 class StaticPolicy(Policy):
@@ -155,6 +236,9 @@ class StaticPolicy(Policy):
 
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
         return PolicyDecision(PolicyDecision.STAY, reason="static policy never migrates")
+
+    def stays(self, block, current, cpu_used, mem_used):
+        return _held(block, current)[1]
 
 
 class CostCentricPolicy(Policy):
@@ -188,6 +272,18 @@ class CostCentricPolicy(Policy):
                 scores=scores,
             )
         return PolicyDecision(PolicyDecision.STAY, reason="saving below move cost", scores=scores)
+
+    def stays(self, block, current, cpu_used, mem_used):
+        # whichever candidate is cheapest, the move to it does not pay when
+        # every other live one scores worse or saves less than its move costs
+        i, held = _held(block, current)
+        score = block.utilized(block.prices, cpu_used, mem_used)
+        price = block.prices
+        saving = (price[i] - price) * block.horizon
+        cost = (price[i] + price) * block.migration_seconds
+        fine = block.over | _surely_below(score[i], score) | _surely_below(saving, cost)
+        fine[i] = True
+        return held & fine.all(axis=0)
 
 
 class AvailabilityAwarePolicy(Policy):
@@ -227,6 +323,10 @@ class AvailabilityAwarePolicy(Policy):
             reason="current above index, moving to lowest volatility",
             scores=scores,
         )
+
+    def stays(self, block, current, cpu_used, mem_used):
+        i, held = _held(block, current)
+        return held & _surely_below(block.normalized()[i], block.index_reference)
 
 
 class BalancedPolicy(Policy):
@@ -279,6 +379,24 @@ class BalancedPolicy(Policy):
                     scores=scores,
                 )
         return PolicyDecision(PolicyDecision.STAY, reason="sufficiency condition", scores=scores)
+
+    def stays(self, block, current, cpu_used, mem_used):
+        # the score branch: no other live candidate scores above current's
+        # by the tolerance; or Eq. 5 fails for every other live candidate
+        i, held = _held(block, current)
+        mean = block.utilized(block.means, cpu_used, mem_used)
+        sigma = block.utilized(block.stds, cpu_used, mem_used)
+        # sharpe, over the block
+        score = (block.index_reference - mean) / np.maximum(sigma, SIGMA_FLOOR)
+        best = block.over | _surely_below(score - TIE_TOLERANCE, score[i])
+        best[i] = True
+        covered = best.all(axis=0)
+        if self.sufficiency == "eq5":
+            normalized = block.normalized()
+            fails = block.over | _surely_below(block.index_now, normalized[i] + 2.0 * normalized)
+            fails[i] = True
+            covered |= fails.all(axis=0)
+        return held & covered
 
     def __repr__(self):
         return (

@@ -4,15 +4,16 @@ Time is in integer seconds, and each second runs the same steps in the same
 order: stall ends, revocation checks, scripted migrations, policy decisions
 at epoch ticks, then work. The engine advances by next event: after a second
 in which nothing happened it skips straight to the next second at which
-something can (an epoch tick, a price change on a held VM, a stall end, a
+something can (an epoch tick that the policy's stays mask does not cover, a
+held VM's price crossing over max_price or onto the cap, a stall end, a
 scripted migration, a task's last second of work), crediting the seconds in
 between as the same second repeated. Reports are the same as a one-second
 loop would give. The market the policies see is built by one vectorized
 rule (_Engine._block): for a block of epoch ticks at a time, or for one
 instant off the epoch grid (see _Engine._market). The one-second reference
 in tests/reference_engine.py is this engine with the slow form of each
-shortcut: _next_instant, _works_now, and _market, which it computes with
-its own scalar code.
+shortcut: _next_instant, which also stands for the masks and crossings,
+_works_now, and _market, which it computes with its own scalar code.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -32,7 +34,7 @@ import numpy as np
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
 from .index import IndexCurve, denormalize, normalize
-from .policies import CandidateView, Policy, PolicyContext, PolicyDecision, build_policy
+from .policies import MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
@@ -283,6 +285,31 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     return mean, math.sqrt(max(left_sum(prices * prices * widths) / span - mean * mean, 0.0))
 
 
+# The keys each kind of event must carry for compute_totals and the ledger
+# to read it, beyond "event" itself.
+_READ_KEYS = {"hold": ("t0", "t1", "task", "vm", "working"), "finish": ("t", "task")}
+
+
+def _malformed(events, traces, catalog, tasks: int) -> SimulationError | None:
+    """A SimulationError naming the first event, by index, and its first
+    key that the billing cannot read; None when every event reads. Called
+    only once reading a log has failed, so valid logs pay nothing."""
+    for i, event in enumerate(events):
+        if not isinstance(event, dict) or not isinstance(event.get("event"), str):
+            return SimulationError(f"event {i} has no 'event' kind: {event!r}")
+        for key in _READ_KEYS.get(event["event"], ()):
+            value = event.get(key)
+            if key == "vm":
+                ok = isinstance(value, str) and value in traces and value in catalog
+            elif key == "working":
+                ok = isinstance(value, bool)
+            else:
+                ok = type(value) is int and (key != "task" or 0 <= value < tasks)
+            if not ok:
+                return SimulationError(f"event {i} ({event['event']}) has a bad {key!r}: {value!r}")
+    return None
+
+
 def _billed_holds(events, traces, catalog, curve: IndexCurve):
     """Yield (event, cost, index_cost) for each hold in an event log: what
     the hold cost, and for a working hold what its VM's capacity cost at the
@@ -313,8 +340,16 @@ def compute_totals(
 
     The simulator calls it on its own log and replay calls it on a
     deserialized one, so the two agree exactly. A log without some task's
-    finish event raises SimulationError.
+    finish event, or with an event that cannot be read, raises
+    SimulationError.
     """
+    try:
+        return _totals(events, traces, catalog, curve, reference_capacity, tasks)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise _malformed(events, traces, catalog, tasks) or exc
+
+
+def _totals(events, traces, catalog, curve, reference_capacity, tasks) -> dict:
     total_cost = 0.0
     productive_cost = 0.0
     index_cost_held = 0.0
@@ -430,11 +465,18 @@ class _Engine:
         self.tasks = [_Task(i) for i in range(job.tasks)]
         self.bsp = job.kind == BSP
         self.events: list[dict] = []
+        self._phase_ends = job.phase_boundaries()[1:]
         # the epoch table: the market at _table_first, _table_first + epoch, ...
-        self._table = []
+        self._table = ()
         self._table_first = 0
+        # per (vm, cpu, mem): the first tick index from each one on that the
+        # policy's stays mask over the epoch table leaves uncovered
+        self._stay_until = {}
         self._market_t = None
         self._market_row = None
+        # per held vm: its sorted step starts over max_price or on the cap,
+        # and the first of them at or after the last second asked
+        self._crossings = {}
 
     # hold segment bookkeeping
 
@@ -474,14 +516,22 @@ class _Engine:
     def _crossed(self, vm: str, t: int) -> bool:
         return self._over(vm, self._price(vm, t))
 
-    def _block(self, ticks) -> list:
+    def _dropped(self, spec, prices: np.ndarray) -> np.ndarray:
+        """_over, over an array of spec's prices."""
+        over = prices > self.max_price
+        if self.params.treat_cap_as_revocation:
+            over |= is_capped(prices, spec)
+        return over
+
+    def _block(self, ticks) -> MarketBlock:
         """The market at each of ticks, an int64 array evenly spaced by the
-        epoch: the one market rule, vectorized. Each entry is the
-        (views, index_now, index_reference) a context takes, or None where
-        the market is undefined: before the index or a candidate's trace
+        epoch: the one market rule, vectorized, as the arrays that a
+        policy's stays mask reads and whose row k becomes a context's market
+        only when _market reads it (MarketBlock.market). The market is
+        undefined (ok is False) before the index or a candidate's trace
         starts, or where the index the reference mode reads is NaN, which a
-        step with no live member holds. The views leave out the candidates
-        over max_price or, under treat_cap_as_revocation, on the cap."""
+        step with no live member holds. `over` marks the candidates over
+        max_price or, under treat_cap_as_revocation, on the cap."""
         window = self.params.sigma_window
         index_now, index_mean = self.curve.window_means(ticks, window)
         ok = (ticks >= self.curve.start) & ~np.isnan(index_now)
@@ -490,33 +540,27 @@ class _Engine:
             ok &= ~np.isnan(index_mean)
         else:
             reference = index_now
-        columns = []
+        prices, means, stds, over = [], [], [], []
         for spec in self.candidates:
             trace = self.traces[spec.id]
             ok &= ticks >= trace.first_ts
             stamps, first = trace.timestamps, trace.first_ts
-            prices, means = trailing_means(stamps, trace.prices, first, ticks, window)
-            _, squares = trailing_means(stamps, trace.prices * trace.prices, first, ticks, window)
+            price, mean = trailing_means(stamps, trace.prices, first, ticks, window)
+            _, square = trailing_means(stamps, trace.prices * trace.prices, first, ticks, window)
+            prices.append(price)
+            means.append(mean)
             # an empty window's mean of p * p is price * price, so its std is 0.0
-            stds = np.sqrt(np.maximum(squares - means * means, 0.0))
-            over = prices > self.max_price
-            if self.params.treat_cap_as_revocation:
-                over |= is_capped(prices, spec)
-            columns.append(
-                [
-                    None if dropped else CandidateView(spec, price, mean, std)
-                    for dropped, price, mean, std in zip(
-                        over.tolist(), prices.tolist(), means.tolist(), stds.tolist()
-                    )
-                ]
-            )
-        # None marks a dropped candidate, and a CandidateView is always true
-        return [
-            (tuple(filter(None, views)), now, ref) if defined else None
-            for defined, now, ref, *views in zip(
-                ok.tolist(), index_now.tolist(), reference.tolist(), *columns
-            )
-        ]
+            stds.append(np.sqrt(np.maximum(square - mean * mean, 0.0)))
+            over.append(self._dropped(spec, price))
+        return MarketBlock(
+            tuple(self.candidates),
+            ok,
+            index_now,
+            reference,
+            *map(np.array, (prices, means, stds, over)),
+            horizon=self.params.horizon,
+            migration_seconds=float(self.t_m),
+        )
 
     def _raise_undefined(self, t: int):
         """Raise the domain error of the first check that fails at t, where a
@@ -532,23 +576,26 @@ class _Engine:
     def _market(self, t: int) -> tuple:
         """(views, index_now, index_reference) at t: what a context takes
         from the market, which depends on t alone. An epoch tick, t = 0
-        among them, reads the epoch table, refilled once t is past its end
-        (ticks only move forward) with up to TABLE_TICKS ticks and none at or
-        past the earliest second the run can end: the least-advanced task
-        still has its remaining work to do. Any other instant gets a one-row
-        block of its own. The last instant's market is kept, so the tasks
-        deciding at one tick share it."""
+        among them, reads its row of the epoch table, refilled once t is
+        past its end (ticks only move forward) with up to TABLE_TICKS ticks
+        and none at or past the earliest second the run can end: the
+        least-advanced task still has its remaining work to do. A refill
+        drops the stays masks of the old table. Any other instant gets a
+        one-row block of its own. Views are built only for the row read,
+        and the last instant's market is kept, so the tasks deciding at one
+        tick share it."""
         if t != self._market_t:
             epoch = self.params.epoch
             if t % epoch:
-                market = self._block(np.array([t]))[0]
+                market = self._block(np.array([t])).market(0)
             else:
                 if t >= self._table_first + epoch * len(self._table):
                     work = min(task.work for task in self.tasks if task.state != DONE)
                     count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
                     self._table = self._block(t + epoch * np.arange(count))
                     self._table_first = t
-                market = self._table[(t - self._table_first) // epoch]
+                    self._stay_until = {}
+                market = self._table.market((t - self._table_first) // epoch)
             if market is None:
                 self._raise_undefined(t)
             self._market_row = market
@@ -724,18 +771,80 @@ class _Engine:
 
     # next-event advance
 
-    def _next_change(self, vm: str, t: int) -> float:
-        """The first price change of vm at or after t."""
-        stamps = self.traces[vm].timestamps
-        i = int(stamps.searchsorted(t))
-        return int(stamps[i]) if i < len(stamps) else math.inf
+    def _over_starts(self, vm: str) -> np.ndarray:
+        """The sorted step starts of vm's trace priced over max_price or, under
+        treat_cap_as_revocation, on the cap."""
+        trace = self.traces[vm]
+        return trace.timestamps[self._dropped(self.catalog[vm], trace.prices)]
+
+    def _next_crossing(self, vm: str, t: int) -> float:
+        """The first second at or after t at which vm's price crosses over
+        max_price or onto the cap: the one price change of a held VM that
+        the step acts on. Looked up once per crossing passed, since t only
+        moves forward."""
+        cached = self._crossings.get(vm)
+        if cached is None:
+            cached = self._crossings[vm] = [self._over_starts(vm), -1]
+        starts, crossing = cached
+        if crossing < t:
+            i = int(starts.searchsorted(t))
+            crossing = cached[1] = int(starts[i]) if i < len(starts) else math.inf
+        return crossing
+
+    def _stays_from(self, vm: str, cpu: float, mem: float) -> list:
+        """Per index k of the epoch table, and one past its end, the first
+        index from k on at which the policy's stays mask, holding vm at this
+        cpu and mem, does not cover its tick. Computed once per table."""
+        key = (vm, cpu, mem)
+        until = self._stay_until.get(key)
+        if until is None:
+            count = len(self._table)
+            indices = np.arange(count + 1)
+            mask = self.policy.stays(self._table, vm, cpu, mem)
+            if mask is not None:
+                mask = np.asarray(mask, dtype=bool)
+                if mask.shape != (count,):
+                    raise SimulationError(
+                        f"policy {self.policy.name!r} returned a stays mask of shape "
+                        f"{mask.shape} for {count} ticks"
+                    )
+                indices[:count][mask] = count
+            until = self._stay_until[key] = np.minimum.accumulate(indices[::-1])[::-1].tolist()
+        return until
+
+    def _next_decision(self, t: int, flags: list) -> int:
+        """The first epoch tick from t on at which some working task may not
+        stay. Within the epoch table, that is the first tick that a working
+        task's stays mask leaves uncovered, or that its next phase boundary
+        reaches, since the mask holds for one phase's cpu and mem; otherwise
+        the table's end, where _market refills it. Past the table's end,
+        the first tick from t on."""
+        epoch = self.params.epoch
+        tick = -(-t // epoch) * epoch
+        first = self._table_first
+        k = (tick - first) // epoch
+        stop = len(self._table)
+        if k >= stop:
+            return tick
+        for task, works in zip(self.tasks, flags):
+            if not works:
+                continue
+            i = bisect_right(self._phase_ends, task.work)
+            phase, end = self.job.phases[i], self._phase_ends[i]
+            boundary = int(-(-(t + end - task.work - first) // epoch))
+            stop = min(stop, boundary, self._stays_from(task.vm, phase.cpu, phase.mem)[k])
+            if stop <= k:
+                return tick
+        return first + epoch * stop
 
     def _next_instant(self, t: int, flags: list, forced_queue, limit: int) -> int:
         """The first second from t on whose steps can differ from those of
         second t - 1, given that second t - 1 logged no event and worked
-        like the second before it."""
-        epoch = self.params.epoch
-        nxt = min(limit + 1, -(-t // epoch) * epoch)
+        like the second before it: the next decision that may move a task
+        (_next_decision), the next crossing of a held VM, the next stall
+        end or scripted migration, the furthest task's last second and a
+        held-back BSP task's rejoining."""
+        nxt = min(limit + 1, self._next_decision(t, flags))
         if forced_queue and forced_queue[0][0] >= t:
             nxt = min(nxt, forced_queue[0][0])
         working = [task.work for task, works in zip(self.tasks, flags) if works]
@@ -758,7 +867,7 @@ class _Engine:
             if task.state in (MIGRATING, RESTARTING):
                 nxt = min(nxt, task.stall_until)
             for vm in task.holds:
-                nxt = min(nxt, self._next_change(vm, t))
+                nxt = min(nxt, self._next_crossing(vm, t))
         return max(nxt, t)
 
     def _decide(self, t: int):
@@ -983,13 +1092,16 @@ def ledger_from_report(report: SimReport | dict, traces: dict, catalog: Catalog)
     raw = report.to_dict() if isinstance(report, SimReport) else report
     curve = IndexCurve(traces, catalog, raw["composition"])
     ledger = TrackingLedger()
-    for event, cost, index_cost in _billed_holds(raw["events"], traces, catalog, curve):
-        if event["working"]:
-            ledger.add_gain(
-                event["t0"], event["t1"], event["vm"], index_cost - cost, detail="hold"
-            )
-        else:
-            ledger.add_loss(event["t0"], event["t1"], event["vm"], cost, detail="stall")
+    try:
+        for event, cost, index_cost in _billed_holds(raw["events"], traces, catalog, curve):
+            if event["working"]:
+                ledger.add_gain(
+                    event["t0"], event["t1"], event["vm"], index_cost - cost, detail="hold"
+                )
+            else:
+                ledger.add_loss(event["t0"], event["t1"], event["vm"], cost, detail="stall")
+    except (KeyError, TypeError, IndexError) as exc:
+        raise _malformed(raw["events"], traces, catalog, raw["tasks"]) or exc
     return ledger
 
 

@@ -63,12 +63,20 @@ def _market_rng(seed: int, vm_id: str, salt: int = 0) -> np.random.Generator:
 
 
 def _exact_moments(values: np.ndarray, mean: float, std: float) -> np.ndarray:
-    """Affinely rescale so the sample mean and population std are exact."""
-    spread = values.std()
+    """Affinely rescale so the sample mean and population std are exact.
+
+    The values are draws within mean +/- 2 * std. Their moments are taken
+    of them scaled by the power of two that brings that bound into
+    [0.5, 1), then scaled back: exact, so the result is the same bits as
+    unscaled moments, but the squares stay finite for a spread near the
+    float range's top."""
+    scale = math.ldexp(1.0, -math.frexp(abs(mean) + 2.0 * std)[1])
+    scaled = values * scale
+    spread = scaled.std() / scale
     # one draw, or draws all equal at float resolution: nothing to rescale
     if std == 0.0 or spread == 0.0:
         return np.full_like(values, mean)
-    return mean + (values - values.mean()) * (std / spread)
+    return mean + (values - scaled.mean() / scale) * (std / spread)
 
 
 def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, salt: int = 0) -> PriceTrace:

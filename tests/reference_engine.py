@@ -4,7 +4,11 @@ next-event engine must reproduce report for report.
 `PerSecondEngine` is `spotindex.simulator._Engine` with the slow form of each
 of the engine's three shortcuts, and nothing else:
 
-- `_next_instant` returns t, so the loop never skips a second;
+- `_next_instant` returns t, so the loop never skips a second. It so
+  also stands in for the two rules the engine's `_next_instant` skips by:
+  the reference asks `decide` at every epoch tick, those the policy's
+  `stays` mask covers among them, and checks every held VM's price every
+  second, not only where it crosses over max_price or onto the cap;
 - `_works_now` re-derives the BSP lockstep rule from the unfinished tasks
   for every task in every second, instead of reading the gang's low mark;
 - `_market` computes every context's market by its own scalar code, over

@@ -2,7 +2,9 @@
 
 Random small markets go through both engines, which must produce the same
 report JSON, or raise the same error, after asking their policies on the
-same contexts, bit for bit. The same runs check the engine's invariants:
+same contexts, bit for bit, except for the decisions that the policy's
+stays mask lets the next-event engine skip: each of those must be a stay in
+the reference. The same runs check the engine's invariants:
 hold segments tile each task's lifetime, replay reproduces the totals,
 availability lies in [0, 1], and downtime counts the seconds in which some
 unfinished task did not work.
@@ -36,16 +38,23 @@ from spotindex import (
     run_simulation,
 )
 
-from spotindex.policies import build_policy
+from spotindex.policies import CostCentricPolicy, PolicyContext, PolicyDecision, build_policy
 from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
 from spotindex.simulator import _Engine, interval_cost, window_stats
 
-from conftest import COMPOSITION, build_catalog
+from conftest import COMPOSITION, baseline_job, build_catalog, study_params, traces_for
 from reference_engine import PerSecondEngine, run_per_second
 from test_simulator import Choosing, flat_traces, one_phase_job, unit_params
 
 CATALOG = build_catalog()
 POLICIES = ("static", "cost", "avail", "balanced")
+# (name, options) for build_policy: every built-in policy and both of
+# balanced's non-default rules
+POLICY_CHOICES = (
+    *((name, {}) for name in POLICIES),
+    ("balanced", {"target_rule": "first_feasible"}),
+    ("balanced", {"sufficiency": "off"}),
+)
 TARGETS = ("c4.2xlarge", "m4.2xlarge", "r4.xlarge")
 
 
@@ -55,7 +64,10 @@ def markets(draw, duration, periods):
     so they rarely divide the decision epoch, and a few steps jump to a
     price far above any max_price or onto the provider cap. Some markets
     also put every index member on the cap at once over one span, where
-    the index is undefined, so ticks and revocations can land in it."""
+    the index is undefined, so ticks and revocations can land in it. Some
+    give one market another's trace, at the same prices or one ulp above
+    them: the two candidates then tie on utilized price and on score, or
+    miss a tie by one ulp."""
     traces = {}
     gap = None
     if draw(st.booleans()):
@@ -85,6 +97,13 @@ def markets(draw, duration, periods):
                 *(p for p in points if p.timestamp > b),
             ]
         traces[vm] = PriceTrace(vm, points)
+    tie = draw(st.sampled_from((None, None, "equal", "ulp")))
+    if tie is not None:
+        a, b = draw(st.permutations(COMPOSITION))[:2]
+        prices = traces[a].prices
+        if tie == "ulp":
+            prices = np.nextafter(prices, np.inf)
+        traces[b] = PriceTrace.from_arrays(b, traces[a].timestamps.copy(), prices.copy())
     return traces
 
 
@@ -151,7 +170,7 @@ def scenarios(draw):
         forced = draw(st.lists(move, max_size=3))
     return {
         "job": job,
-        "policy": draw(st.sampled_from(POLICIES)),
+        "policy": draw(st.sampled_from(POLICY_CHOICES)),
         "traces": traces,
         "params": params,
         "forced_migrations": forced,
@@ -160,30 +179,36 @@ def scenarios(draw):
 
 class Recording(Policy):
     """Another policy, logging the context of each select and decide call
-    with every float as float.hex."""
+    with every float as float.hex, and the pick or the action it returned.
+    Its stays mask is the other policy's."""
 
     def __init__(self, inner: Policy):
         self.inner = inner
         self.name = inner.name
         self.asked = []
 
-    def _log(self, call, ctx):
+    def _log(self, call, ask, ctx):
         views = [(v.spec.id, *bits(v.price, v.window_mean, v.window_std)) for v in ctx.candidates]
-        index = bits(ctx.index_now, ctx.index_reference)
-        self.asked.append((call, ctx.t, ctx.current, *index, views))
+        entry = [call, ctx.t, ctx.current, *bits(ctx.index_now, ctx.index_reference), views]
+        self.asked.append(entry)
+        answer = ask(ctx)
+        entry.append(answer.action if call == "decide" else answer)
+        return answer
 
     def select(self, ctx):
-        self._log("select", ctx)
-        return self.inner.select(ctx)
+        return self._log("select", self.inner.select, ctx)
 
     def decide(self, ctx):
-        self._log("decide", ctx)
-        return self.inner.decide(ctx)
+        return self._log("decide", self.inner.decide, ctx)
+
+    def stays(self, block, current, cpu_used, mem_used):
+        return self.inner.stays(block, current, cpu_used, mem_used)
 
 
 def outcome(run, scenario):
     """The report, its JSON or the error's text, and the policy's log."""
-    policy = Recording(build_policy(scenario["policy"]))
+    name, options = scenario["policy"]
+    policy = Recording(build_policy(name, **options))
     try:
         report = run(
             scenario["job"],
@@ -234,11 +259,23 @@ def check_invariants(report, traces):
         assert getattr(report, key) == value, key
 
 
+def check_asked(asked, reference_asked):
+    """asked is reference_asked less some decide calls, each of which
+    returned stay: the ones a stays mask covered."""
+    matched = 0
+    for entry in reference_asked:
+        if matched < len(asked) and asked[matched] == entry:
+            matched += 1
+        else:
+            assert entry[0] == "decide" and entry[-1] == PolicyDecision.STAY, entry
+    assert matched == len(asked)
+
+
 def check_scenario(scenario):
     report, text, asked = outcome(run_simulation, scenario)
     _, reference, reference_asked = outcome(run_per_second, scenario)
     assert text == reference
-    assert asked == reference_asked
+    check_asked(asked, reference_asked)
     if report is not None:
         check_invariants(report, scenario["traces"])
 
@@ -252,6 +289,191 @@ def check_scenario(scenario):
 @given(scenarios())
 def test_next_event_engine_matches_per_second_engine(scenario):
     check_scenario(scenario)
+
+
+# the stays masks against the scalar decide
+
+
+def check_stays(scenario, policy):
+    """At every epoch tick that policy's stays mask covers, for each
+    candidate held at each phase's utilization, decide on the reference
+    engine's scalar market at that tick returns stay; and the mask covers
+    no tick at which a context cannot hold the candidate. static's mask
+    covers every other tick."""
+    job, params = scenario["job"], scenario["params"]
+    args = (job, policy, scenario["traces"], CATALOG, COMPOSITION, params, None, None, None)
+    engine = _Engine(*args)
+    reference = PerSecondEngine(*args)
+    ticks = params.epoch * np.arange(1, 3 * job.total_work // params.epoch + 1)
+    block = engine._block(ticks)
+    markets = {}
+    for t in ticks.tolist():
+        try:
+            markets[t] = reference._market(t)
+        except SpotIndexError:
+            markets[t] = None
+    for spec in engine.candidates:
+        for phase in set(job.phases):
+            mask = policy.stays(block, spec.id, phase.cpu, phase.mem)
+            for t, covered in zip(ticks.tolist(), mask.tolist()):
+                market = markets[t]
+                held = market is not None and any(v.spec.id == spec.id for v in market[0])
+                if policy.name == "static":
+                    assert covered == held
+                if not covered:
+                    continue
+                assert held, t
+                views, index_now, index_reference = market
+                ctx = PolicyContext(
+                    t=t,
+                    candidates=views,
+                    cpu_used=phase.cpu,
+                    mem_used=phase.mem,
+                    index_now=index_now,
+                    index_reference=index_reference,
+                    current=spec.id,
+                    horizon=params.horizon,
+                    migration_seconds=float(engine.t_m),
+                )
+                assert policy.decide(ctx).action == PolicyDecision.STAY, (t, spec.id, phase)
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [pytest.param(*choice, id="-".join([choice[0], *choice[1].values()])) for choice in POLICY_CHOICES],
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scenario=scenarios())
+def test_stays_mask_covers_only_ticks_that_stay(name, options, scenario):
+    check_stays(scenario, build_policy(name, **options))
+
+
+def test_stays_masks_skip_most_decisions_of_a_study_run():
+    # a study run asks decide at every epoch tick on the reference engine;
+    # with the masks, the next-event engine asks at few of them
+    scenario = {
+        "job": baseline_job(),
+        "traces": traces_for(0),
+        "params": study_params(),
+        "forced_migrations": [],
+    }
+    for name in POLICIES:
+        scenario["policy"] = (name, {})
+        report, text, asked = outcome(run_simulation, scenario)
+        _, reference, reference_asked = outcome(run_per_second, scenario)
+        assert text == reference
+        check_asked(asked, reference_asked)
+        decided = sum(entry[0] == "decide" for entry in asked)
+        assert decided < 0.5 * sum(entry[0] == "decide" for entry in reference_asked), name
+
+
+# pinned mutants: each breaks one of the engine's shortcuts, on a scenario
+# the oracle above found, and must change the report
+
+
+def literal_traces(steps):
+    return {vm: PriceTrace(vm, [PricePoint(t, p) for t, p in points]) for vm, points in steps.items()}
+
+
+def reports_of_both(scenario):
+    return [outcome(run, scenario)[1] for run in (run_simulation, run_per_second)]
+
+
+def check_mutant_changes_report(scenario, patch):
+    engine, reference = reports_of_both(scenario)
+    assert engine == reference
+    with patch:
+        mutant, unchanged = reports_of_both(scenario)
+    assert unchanged == reference
+    assert mutant != reference
+
+
+def test_mutant_mask_one_tick_too_wide_changes_the_report():
+    # c4.2xlarge and r4.xlarge tie at 2.0 until c4.2xlarge, which both tasks
+    # hold, rises to 3.0 at t=11: cost stays at ticks 3, 6 and 9, where the
+    # move saves nothing, and moves at tick 12. A mask that also covers the
+    # tick after each covered one skips that move.
+    covering = CostCentricPolicy.stays
+
+    def wider(self, block, current, cpu_used, mem_used):
+        mask = covering(self, block, current, cpu_used, mem_used)
+        mask[1:] |= mask[:-1].copy()
+        return mask
+
+    scenario = {
+        "job": JobSpec(
+            name="random",
+            phases=(Phase(20, 2.0, 8.0),),
+            tasks=2,
+            mem_footprint=1.0,
+            reference_capacity=(8.0, 32.0),
+        ),
+        "policy": ("cost", {}),
+        "traces": literal_traces(
+            {
+                "c4.2xlarge": [(0, 2.0), (11, 3.0)],
+                "m4.2xlarge": [(0, 40.0)],
+                "m4.large": [(0, 40.0)],
+                "r4.xlarge": [(0, 2.0)],
+            }
+        ),
+        "params": RunParams(
+            epoch=3,
+            horizon=15,
+            sigma_window=5,
+            migration=MigrationModel(rate=1.0, revocation_restart=0),
+        ),
+        "forced_migrations": [],
+    }
+    check_mutant_changes_report(scenario, mock.patch.object(CostCentricPolicy, "stays", wider))
+
+
+def test_mutant_crossing_lookup_blind_to_the_cap_changes_the_report():
+    # Every market sits on its cap for the one second t=11, below max_price
+    # 500, and under treat_cap_as_revocation that revokes the gang there. A
+    # crossing lookup that sees only the steps over max_price does not stop
+    # at t=11, so the run never revokes it.
+    def over_max_price_only(self, vm):
+        trace = self.traces[vm]
+        return trace.timestamps[trace.prices > self.max_price]
+
+    scenario = {
+        "job": JobSpec(
+            name="random",
+            kind="bsp",
+            phases=(Phase(20, 2.0, 8.0),),
+            tasks=2,
+            mem_footprint=1.0,
+            max_price=500.0,
+            reference_capacity=(8.0, 32.0),
+        ),
+        "policy": ("static", {}),
+        "traces": literal_traces(
+            {
+                "c4.2xlarge": [(0, 40.0), (2, 1000.0)],
+                "m4.2xlarge": [(0, 40.0), (11, 400.0), (12, 40.0)],
+                "m4.large": [(0, 40.0), (11, 100.0), (12, 40.0)],
+                "r4.xlarge": [(0, 40.0), (11, 266.0), (12, 40.0)],
+            }
+        ),
+        "params": RunParams(
+            epoch=22,
+            horizon=15,
+            sigma_window=5,
+            bsp_superstep=21,
+            treat_cap_as_revocation=True,
+            migration=MigrationModel(rate=1.0, revocation_restart=0),
+        ),
+        "forced_migrations": [(0, 0, "c4.2xlarge")],
+    }
+    check_mutant_changes_report(
+        scenario, mock.patch.object(_Engine, "_over_starts", over_max_price_only)
+    )
 
 
 # edge cases of the next-event rules

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -511,6 +512,22 @@ def test_policy_pick_outside_its_candidates_is_rejected(runner, asked, pick, t):
         )
 
 
+def test_policy_stays_mask_of_the_wrong_shape_is_rejected():
+    # a bare True would cover every tick of the table by broadcasting
+    class Everywhere(Choosing):
+        def stays(self, block, current, cpu_used, mem_used):
+            return True
+
+    # the 600 s job's table holds 10 ticks of 60 s
+    with pytest.raises(
+        SimulationError, match=r"^policy 'choosing' returned a stays mask of shape \(\) for 10 ticks$"
+    ):
+        run_simulation(
+            one_phase_job(), Everywhere("decide", "m4.2xlarge"), flat_traces(), CATALOG,
+            COMPOSITION, params=unit_params(),
+        )
+
+
 # (shocked vm, max_price) -> policy -> (migrations, revocations,
 # cost/index, availability)
 SHOCK_OUTCOMES = {
@@ -640,6 +657,39 @@ def test_replay_names_a_task_the_log_never_finishes():
         assert len(log) < len(events)
         with pytest.raises(SimulationError, match=f"^event log has no finish event for task {task}$"):
             replay({**report.to_dict(), "events": log}, traces, CATALOG)
+
+
+@pytest.mark.parametrize(
+    "key, value, readers",
+    [
+        ("vm", "zz", (replay, ledger_from_report)),
+        ("t1", "x", (replay, ledger_from_report)),
+        ("t0", None, (replay, ledger_from_report)),
+        ("task", 5, (replay,)),
+        ("event", None, (replay,)),
+    ],
+)
+def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
+    # event 2 is the first hold; None stands for a missing key
+    traces = flat_traces()
+    report = run_simulation(
+        one_phase_job(), "static", traces, CATALOG, COMPOSITION,
+        params=unit_params(),
+        forced_migrations=[(300, 0, "r4.xlarge")],
+    ).to_dict()
+    events = [dict(event) for event in report["events"]]
+    assert events[2]["event"] == "hold"
+    if value is None:
+        del events[2][key]
+    else:
+        events[2][key] = value
+    message = (
+        "^event 2 has no 'event' kind" if key == "event"
+        else f"^event 2 \\(hold\\) has a bad '{key}': {re.escape(repr(value))}$"
+    )
+    for reader in readers:
+        with pytest.raises(SimulationError, match=message):
+            reader({**report, "events": events}, traces, CATALOG)
 
 
 def test_net_equals_index_cost_minus_total_cost():

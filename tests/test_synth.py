@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from spotindex import (
     generate_market_suite,
     generate_with_warmup,
 )
+from spotindex.synth import _exact_moments
 
 
 def spec_of(vm_id="m", mean=6.5, stddev=1.0, **kw):
@@ -111,6 +113,40 @@ def test_stddev_below_float_resolution_is_flat():
     # every draw rounds to the mean, so there is no spread to rescale
     trace = generate(SynthMarketSpec("m", 1.0, 1e-17, duration=3600))
     assert np.all(trace.prices == 1.0)
+
+
+def test_spreads_near_the_float_range_top_keep_their_moments():
+    # the squares of a 1e200 spread overflow; its moments must not
+    rng = np.random.default_rng(0)
+    values = _exact_moments(rng.uniform(-1.7e200, 1.7e200, 10), 1.0, 1e200)
+    assert (values / 1e200).std() == pytest.approx(1.0, rel=1e-12)
+    huge = generate(SynthMarketSpec("m", 1e300, 1e299, duration=6000))
+    assert (huge.prices / 1e300).mean() == pytest.approx(1.0, rel=1e-12)
+    assert (huge.prices / 1e300).std() == pytest.approx(0.1, rel=1e-12)
+    # a 1e200 spread around 1.0 goes far below zero, which is located
+    with pytest.raises(InvariantError, match="market 'm' produced price -"):
+        generate(SynthMarketSpec("m", 1.0, 1e200, duration=600))
+
+
+@pytest.mark.parametrize(
+    "spec, seed, digest",
+    [
+        (
+            SynthMarketSpec("c4.2xlarge", 6.5, 1.0, change_period=23, duration=4 * 3600),
+            0,
+            "6bf2f4962140e278a540c54e5231a99fe90aa1dbf5123aa139d8a422fc476bc6",
+        ),
+        (
+            SynthMarketSpec("r4.xlarge", 6.5, 1.1, duration=7 * 86400, volatility_scale=1.5),
+            7919 * 64,
+            "7ac75dc64bd3caeb9062170f70cd39070dedb940f3abd3f63f2fc2ab3e8f3c10",
+        ),
+    ],
+)
+def test_benchmark_traces_keep_their_bytes(spec, seed, digest):
+    # a bsp and a week market of the benchmark, as the unscaled moments gave them
+    trace = generate(spec, seed=seed)
+    assert hashlib.sha256(trace.timestamps.tobytes() + trace.prices.tobytes()).hexdigest() == digest
 
 
 def test_negative_prices_rejected():
