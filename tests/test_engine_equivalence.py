@@ -39,8 +39,10 @@ from spotindex import (
 )
 
 from spotindex.policies import CostCentricPolicy, PolicyContext, PolicyDecision, build_policy
+from spotindex import simulator
+from spotindex.index import denormalize
 from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
-from spotindex.simulator import _Engine, interval_cost, window_stats
+from spotindex.simulator import _billed_holds, _Engine, interval_cost, window_stats
 
 from conftest import COMPOSITION, baseline_job, build_catalog, study_params, traces_for
 from reference_engine import PerSecondEngine, run_per_second
@@ -696,6 +698,9 @@ def with_step_windows(timestamps, windows):
 def check_window_sums(timestamps, values, windows):
     expected = []
     for t0, t1 in windows:
+        if t1 <= t0:
+            expected.append(float.hex(0.0))
+            continue
         span, widths = step_slice(timestamps, t0, t1)
         expected.append(float.hex(left_sum(values[span] * widths)))
     t0, t1 = np.array(windows).T
@@ -703,6 +708,9 @@ def check_window_sums(timestamps, values, windows):
     for cells in (WINDOW_CELLS, 5):
         with mock.patch("spotindex.prices.WINDOW_CELLS", cells):
             assert bits(*window_sums(timestamps, values, t0, t1)) == expected
+    # each window alone, the one-row case
+    alone = [bits(*window_sums(timestamps, values, [a], [b]))[0] for a, b in windows]
+    assert alone == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -736,9 +744,139 @@ def test_slice_sums_match_loops_bit_for_bit(drawn):
         got = curve.integrate(t0, t)
         assert type(got) is type(expected)
         assert bits(got) == bits(expected)
-    # every window's sum at once, over the trace and over the gappy curve
+    # every window's sum at once, over the trace and over the gappy curve,
+    # with an empty and a reversed window at each drawn window's start
+    windows = [*windows, *((a, a) for a, _ in windows), *((a, a - 1) for a, _ in windows)]
     check_window_sums(trace.timestamps, trace.prices, with_step_windows(trace.timestamps, windows))
     check_window_sums(curve.timestamps, curve._values, with_step_windows(curve.timestamps, windows))
+
+
+def test_window_sums_in_step_count_order_match_loops_bit_for_bit():
+    # many short windows and a few long ones: padding would fill most of one
+    # matrix, so the rows are summed in order of step count
+    rng = np.random.default_rng(5)
+    timestamps = np.cumsum(rng.integers(1, 40, 3000))
+    values = rng.integers(0, 500_000, 3000) / 1000.3
+    values[rng.integers(0, 3000, 100)] = np.nan
+    t0 = rng.integers(timestamps[0], timestamps[-1], 600)
+    t1 = t0 + np.where(rng.random(600) < 0.05, rng.integers(1, 20_000, 600), rng.integers(-5, 60, 600))
+    check_window_sums(timestamps, values, list(zip(t0.tolist(), t1.tolist())))
+
+
+# batched billing against each hold priced alone
+
+
+@st.composite
+def billed_logs(draw):
+    """Traces for a few VMs, the capped one-member index over m4.large of
+    test_slice_sums_match_loops_bit_for_bit (so it has gaps), and a log of
+    holds on those VMs: working or not, empty, reversed, starting on a
+    trace's first stamp, and now and then before a trace or the curve
+    starts. Some traces are priced -0.0 throughout."""
+    vms = draw(st.lists(st.sampled_from(TARGETS), unique=True, min_size=1, max_size=3))
+    capped = 10.0 * CATALOG["m4.large"].on_demand_price
+    traces = {}
+    for vm in ("m4.large", *vms):
+        first = draw(st.sampled_from((0, 0, 0, 40)))
+        stamps = sorted({first, *draw(st.lists(st.integers(first, 3000), max_size=60))})
+        if vm != "m4.large" and draw(st.sampled_from((False, False, True))):
+            levels = [-0.0] * len(stamps)
+        else:
+            levels = draw(
+                st.lists(
+                    st.integers(0, 500_000).map(lambda k: k / 1000.3),
+                    min_size=len(stamps),
+                    max_size=len(stamps),
+                )
+            )
+        if vm == "m4.large":
+            levels = [capped if p > 470.0 else p for p in levels]
+        traces[vm] = PriceTrace(vm, list(map(PricePoint, stamps, levels)))
+    curve = IndexCurve({"m4.large": traces["m4.large"]}, CATALOG, ["m4.large"])
+    events = [{"event": "acquire", "t": 0, "task": 0, "vm": "m4.large"}]
+    for _ in range(draw(st.integers(5, 40))):
+        vm = draw(st.sampled_from(sorted(traces)))
+        first = traces[vm].first_ts
+        start = draw(st.sampled_from(("inside",) * 24 + ("first",) * 5 + ("before",)))
+        if start == "before":
+            t0 = draw(st.integers(first - 30, first - 1))
+        elif start == "first":
+            t0 = first
+        else:
+            t0 = draw(st.integers(first, 3500))
+        t1 = t0 + draw(st.sampled_from((1, 1, 1, -1))) * draw(st.integers(0, 1500))
+        events.append(
+            {"event": "hold", "t0": t0, "t1": t1, "task": 0, "vm": vm, "working": draw(st.booleans())}
+        )
+    return traces, curve, events
+
+
+def bill_each_alone(events, traces, curve):
+    """Each hold's (event, cost bits, index cost bits) from interval_cost and
+    IndexCurve.integrate, up to the first hold that raises, and that error."""
+    billed = []
+    for event in events:
+        if event["event"] != "hold":
+            continue
+        t0, t1, vm = event["t0"], event["t1"], event["vm"]
+        try:
+            cost = interval_cost(traces[vm], t0, t1)
+            index_cost = None
+            if event["working"]:
+                index_cost = denormalize(CATALOG[vm], curve.integrate(t0, t1)) / 3600.0
+        except SpotIndexError as exc:
+            return billed, exc
+        billed.append((event, bits(cost), None if index_cost is None else bits(index_cost)))
+    return billed, None
+
+
+def check_billing(events, traces, curve):
+    expected, error = bill_each_alone(events, traces, curve)
+    billed = []
+    try:
+        for event, cost, index_cost in _billed_holds(events, traces, CATALOG, curve):
+            billed.append((event, bits(cost), None if index_cost is None else bits(index_cost)))
+    except SpotIndexError as exc:
+        assert (type(exc), str(exc)) == (type(error), str(error))
+    else:
+        assert error is None
+    assert billed == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(billed_logs())
+def test_batched_billing_matches_each_hold_billed_alone(drawn):
+    traces, curve, events = drawn
+    check_billing(events, traces, curve)
+
+
+def prefix_window_sums(timestamps, values, t0, t1):
+    """Window sums as differences of one running integral over the whole
+    step function: equal on paper, but rounded differently."""
+    t0 = np.asarray(t0, dtype=np.int64)
+    t1 = np.asarray(t1, dtype=np.int64)
+    running = np.concatenate([[0.0], np.cumsum(values[:-1] * np.diff(timestamps))])
+
+    def integral(t):
+        step = timestamps.searchsorted(t, side="right") - 1
+        return running[step] + values[step] * (t - timestamps[step])
+
+    return np.where(t1 > t0, integral(t1) - integral(t0), 0.0)
+
+
+def test_billing_oracle_catches_prefix_sums():
+    stamps = list(range(0, 600, 60))
+    prices = [k / 1000.3 for k in (4567, 8901, 2345, 6789, 1234, 5678, 9012, 3456, 7890, 4321)]
+    traces = {vm: PriceTrace(vm, list(map(PricePoint, stamps, prices))) for vm in ("m4.large", "r4.xlarge")}
+    curve = IndexCurve({"m4.large": traces["m4.large"]}, CATALOG, ["m4.large"])
+    events = [
+        {"event": "hold", "t0": t0, "t1": t1, "task": 0, "vm": "r4.xlarge", "working": True}
+        for t0, t1 in ((130, 470), (250, 590), (70, 530))
+    ]
+    check_billing(events, traces, curve)
+    with mock.patch.object(simulator, "window_sums", prefix_window_sums):
+        with pytest.raises(AssertionError):
+            check_billing(events, traces, curve)
 
 
 # the engine's one market rule against the reference engine's scalar market

@@ -1,11 +1,13 @@
 import json
 import math
 import re
+from unittest import mock
 
 import pytest
 
 from spotindex import (
     GapError,
+    IndexCurve,
     JobSpec,
     MigrationModel,
     Phase,
@@ -28,9 +30,11 @@ from spotindex import (
     run_simulation,
     run_trials,
 )
+from spotindex import index, simulator
+from spotindex.prices import window_sums
 from spotindex.simulator import MAX_TASKS, interval_cost, window_stats
 
-from conftest import COMPOSITION, build_catalog, study_params, traces_for
+from conftest import COMPOSITION, baseline_job, build_catalog, study_params, traces_for
 from reference_engine import run_per_second
 
 CATALOG = build_catalog()
@@ -667,6 +671,9 @@ def test_replay_names_a_task_the_log_never_finishes():
         ("t0", None, (replay, ledger_from_report)),
         ("task", 5, (replay,)),
         ("event", None, (replay,)),
+        # a float or bool time used to bill as if it were a number of seconds
+        ("t1", 299.5, (replay, ledger_from_report)),
+        ("t0", True, (replay, ledger_from_report)),
     ],
 )
 def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
@@ -690,6 +697,35 @@ def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
     for reader in readers:
         with pytest.raises(SimulationError, match=message):
             reader({**report, "events": events}, traces, CATALOG)
+
+
+def test_billing_prices_each_vm_in_at_most_two_batches():
+    # a static run scripted back and forth between two VMs: several holds,
+    # working and not, on each of three VMs
+    traces = traces_for(3)
+    moves = [(t, 0, ("r4.xlarge", "m4.2xlarge")[k % 2]) for k, t in enumerate(range(300, 3300, 300))]
+    report = run_simulation(
+        baseline_job(), "static", traces, CATALOG, COMPOSITION,
+        params=study_params(), forced_migrations=moves,
+    )
+    holds = [e for e in report.events if e["event"] == "hold"]
+    vms = {e["vm"] for e in holds}
+    assert len(holds) > 2 * len(vms) and any(e["working"] for e in holds)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return window_sums(*args)
+
+    curve = IndexCurve(traces, CATALOG, COMPOSITION)
+    with mock.patch.object(simulator, "window_sums", counted), \
+            mock.patch.object(index, "window_sums", counted):
+        totals = simulator.compute_totals(
+            report.events, traces, CATALOG, curve, (8.0, 32.0), report.tasks
+        )
+    assert totals["total_cost"] == report.total_cost
+    assert len(calls) <= 2 * len(vms)
+    assert sum(calls) >= len(holds)
 
 
 def test_net_equals_index_cost_minus_total_cost():
