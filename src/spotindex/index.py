@@ -242,17 +242,15 @@ class IndexCurve:
         if t0 < self.start:
             raise OutOfRangeError(f"index curve starts at {self.start}, asked for {t0}")
         span, widths = step_slice(self.timestamps, t0, t1)
-        total = left_sum(widths * self._values[span])
-        # a step with no live member holds NaN, and makes the sum NaN
-        if total != total:
-            gap = int(np.flatnonzero(self._counts[span] == 0)[0])
-            at = max(t0, int(self.timestamps[span.start + gap]))
+        gaps = np.flatnonzero(self._counts[span] == 0)
+        if gaps.size:
+            at = max(t0, int(self.timestamps[span.start + int(gaps[0])]))
             raise GapError(f"no effective composition members at {at}")
-        return total
+        return left_sum(widths * self._values[span])
 
     def integrals(self, t0, t1) -> np.ndarray:
-        """integrate over every window [t0[i], t1[i]) from the curve start
-        on, as floats, bit for bit where it is defined, and NaN where it
+        """integrate over every window [t0[i], t1[i]) with start <= t0[i] <
+        t1[i], as floats, bit for bit where it is defined, and NaN where it
         raises GapError: a step with no live member holds NaN, and a
         window's sum adds each of its steps' values times a positive width."""
         return window_sums(self.timestamps, self._values, t0, t1)

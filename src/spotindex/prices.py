@@ -133,54 +133,39 @@ def fold_sum(values) -> float:
     return total
 
 
-# The most cells one padded matrix of window_sums may hold.
-WINDOW_CELLS = 1 << 16
+# The most cells one padded matrix of window_sums may hold: 128 KiB per
+# float64 temporary. Four times as many made a week run no faster and its
+# peak memory larger.
+WINDOW_CELLS = 1 << 14
 
 
 def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1) -> np.ndarray:
     """left_sum(values[span] * widths) over step_slice(timestamps, t0[i],
-    t1[i]) for every window i with t0[i] < t1[i], bit for bit; an empty
-    window, t1[i] <= t0[i], sums to 0.0. Windows start at or after
-    timestamps[0].
+    t1[i]) for every window i, bit for bit. Each window needs
+    timestamps[0] <= t0[i] < t1[i]; a lone window may also be empty, and
+    then sums to 0.0.
 
-    A single window is summed just so. Otherwise each window's terms fill
-    one row of a matrix, padded after its last term with -0.0, which adding
+    A lone window is summed just so. Otherwise each window's terms fill one
+    row of a matrix, padded after its last term with -0.0, which adding
     leaves every sum exactly as it was, and each row is folded from left to
-    right. Rows are taken in chunks of at most WINDOW_CELLS cells (or one
-    row). Where padding would fill most of the matrix, the rows are first
-    put in order of step count and chunked in bands of counts within a
-    factor of two, so each chunk is padded only to its own widest row.
+    right. Rows are taken in chunks of at most WINDOW_CELLS cells.
     """
     if len(t0) == 1:
         a, b = int(t0[0]), int(t1[0])
         if b <= a:
             return np.zeros(1)
         span, widths = step_slice(timestamps, a, b)
-        return np.array([left_sum(values[span] * widths)])
+        # left_sum's last running sum, kept as an array
+        return np.add.accumulate(values[span] * widths)[-1:]
     t0 = np.asarray(t0, dtype=np.int64)
     t1 = np.asarray(t1, dtype=np.int64)
     lo = timestamps.searchsorted(t0, side="right") - 1
     count = timestamps.searchsorted(t1) - lo
-    widest = max(1, int(count.max(initial=0)))
-    cells = len(count) * widest
-    if cells <= WINDOW_CELLS // 8 or cells <= 2 * int(count.sum()):
-        order = None
-        rows = max(1, WINDOW_CELLS // widest)
-        bounds = range(0, len(count) + rows, rows)
-    else:
-        # padding would fill most of one matrix: take the rows by step
-        # count, in bands within a factor of two, each cut into chunks
-        order = np.argsort(count, kind="stable")
-        t0, t1, lo, count = t0[order], t1[order], lo[order], count[order]
-        bounds = [0]
-        for end in count.searchsorted(2 ** np.arange(1, widest.bit_length() + 1)).tolist():
-            if end > bounds[-1]:
-                rows = max(1, WINDOW_CELLS // max(1, int(count[end - 1])))
-                bounds += range(bounds[-1] + rows, end, rows)
-                bounds.append(end)
     last = len(timestamps) - 1
-    sums = np.empty(len(count))
-    for a, b in zip(bounds, bounds[1:]):
+    sums = np.empty(len(t0))
+    rows = max(1, WINDOW_CELLS // max(1, int(count.max(initial=0))))
+    for a in range(0, len(t0), rows):
+        b = a + rows
         n = count[a:b, None]
         cols = np.arange(max(1, int(n.max())) + 1)
         steps = np.minimum(lo[a:b, None] + cols, last)
@@ -190,12 +175,7 @@ def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1) -> np.ndarra
         edges[:, 0] = t0[a:b]
         terms = np.where(cols[:-1] < n, values[steps[:, :-1]] * np.diff(edges, axis=1), -0.0)
         sums[a:b] = np.add.accumulate(terms, axis=1)[:, -1]
-    sums[t1 <= t0] = 0.0
-    if order is None:
-        return sums
-    unsorted = np.empty_like(sums)
-    unsorted[order] = sums
-    return unsorted
+    return sums
 
 
 def trailing_means(timestamps: np.ndarray, values: np.ndarray, start: int, ticks, window: int):

@@ -17,9 +17,9 @@ _works_now, and _market, which it computes with its own scalar code.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
-from that event log, the money totals with one biller (_billed_holds) that
-prices each VM's holds in one batch, bit for bit as pricing each hold alone
-would. Replaying a serialized report therefore reproduces all of them bit
+from that event log, the money totals with one biller (billing.billed_holds)
+that prices each VM's holds in one batch, bit for bit as pricing each hold
+alone would. Replaying a serialized report therefore reproduces all of them bit
 for bit.
 """
 
@@ -33,11 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .billing import billed_holds, malformed
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
-from .index import IndexCurve, denormalize, normalize
+from .index import IndexCurve, normalize
 from .policies import MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
-from .prices import PriceTrace, fold_sum, is_capped, left_sum, trailing_means, window_sums
+from .prices import PriceTrace, fold_sum, is_capped, left_sum, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
 log = logging.getLogger(__name__)
@@ -263,14 +264,6 @@ class SimReport:
         return cls(**{k: raw[k] for k in cls.__dataclass_fields__})
 
 
-def interval_cost(trace: PriceTrace, t0: int, t1: int) -> float:
-    """Money spent holding one VM over [t0, t1): price times seconds / 3600."""
-    if t1 <= t0:
-        return 0.0
-    prices, widths = trace.steps(t0, t1)
-    return left_sum(prices * widths) / 3600.0
-
-
 def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     """Time-weighted mean and population std over [t - window, t).
 
@@ -285,138 +278,6 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     span = t - t0
     mean = left_sum(prices * widths) / span
     return mean, math.sqrt(max(left_sum(prices * prices * widths) / span - mean * mean, 0.0))
-
-
-# The keys each kind of event must carry for compute_totals and the ledger
-# to read it, beyond "event" itself.
-_READ_KEYS = {"hold": ("t0", "t1", "task", "vm", "working"), "finish": ("t", "task")}
-
-
-def _malformed(events, traces, catalog, tasks: int) -> SimulationError | None:
-    """A SimulationError naming the first event, by index, and its first
-    key that the billing cannot read; None when every event reads. Called
-    only once reading a log has failed, so valid logs pay nothing."""
-    for i, event in enumerate(events):
-        if not isinstance(event, dict) or not isinstance(event.get("event"), str):
-            return SimulationError(f"event {i} has no 'event' kind: {event!r}")
-        for key in _READ_KEYS.get(event["event"], ()):
-            value = event.get(key)
-            if key == "vm":
-                ok = isinstance(value, str) and value in traces and value in catalog
-            elif key == "working":
-                ok = isinstance(value, bool)
-            else:
-                ok = type(value) is int and (key != "task" or 0 <= value < tasks)
-            if not ok:
-                return SimulationError(f"event {i} ({event['event']}) has a bad {key!r}: {value!r}")
-    return None
-
-
-def _bill(event, traces, catalog, curve: IndexCurve) -> tuple:
-    """One hold's (cost, index_cost), priced alone: the definition that
-    _billed_holds' batches reproduce bit for bit."""
-    cost = interval_cost(traces[event["vm"]], event["t0"], event["t1"])
-    index_cost = None
-    if event["working"]:
-        spec = catalog[event["vm"]]
-        index_cost = denormalize(spec, curve.integrate(event["t0"], event["t1"])) / 3600.0
-    return cost, index_cost
-
-
-class _Holds:
-    """The holds of one VM that _billed_holds prices in one batch: their
-    places in its lists and their spans, and the same of the working ones."""
-
-    __slots__ = (
-        "trace", "first", "spec", "rows", "t0", "t1", "working_rows", "working_t0", "working_t1"
-    )
-
-    def __init__(self, trace: PriceTrace):
-        self.trace = trace
-        self.first = trace.first_ts
-        self.spec = None
-        self.rows, self.t0, self.t1 = [], [], []
-        self.working_rows, self.working_t0, self.working_t1 = [], [], []
-
-
-def _billed_holds(events, traces, catalog, curve: IndexCurve):
-    """Yield (event, cost, index_cost) for each hold in an event log, in
-    order: what the hold cost, and for a working hold what its VM's capacity
-    cost at the index over the same span (None otherwise). The one billing
-    loop, read by compute_totals and ledger_from_report.
-
-    The log is read once and its holds grouped by VM. Each group is priced
-    with one window_sums call over its trace and one over the index curve
-    for its working holds, so every hold gets _bill's bits. A hold that a
-    batch cannot price, because it starts before its trace or the curve or
-    its index span holds a gap, is billed alone by _bill in its turn and
-    raises what _bill raises. Reading stops at the first event that cannot
-    be read, or at a hold whose t0 or t1 is not an int (TypeError): the holds
-    before it are yielded, then its error is raised.
-    """
-    # flat lists, one entry per hold: a container per hold would wake the
-    # garbage collector again and again on a long log
-    hold_events = []
-    costs = []  # None until priced, and for a hold billed alone
-    index_costs = []
-    groups = {}
-    failure = None
-    start = curve.start
-    for event in events:
-        try:
-            if event.get("event") != "hold":
-                continue
-            t0, t1 = event["t0"], event["t1"]
-            if type(t0) is not int or type(t1) is not int:
-                raise TypeError(f"hold times must be ints, got {t0!r} and {t1!r}")
-            vm = event["vm"]
-            group = groups.get(vm)
-            if group is None:
-                group = groups[vm] = _Holds(traces[vm])
-            working = event["working"]
-            if working and group.spec is None:
-                group.spec = catalog[vm]
-        except Exception as exc:
-            failure = exc
-            break
-        row = len(hold_events)
-        hold_events.append(event)
-        if t1 <= t0:
-            costs.append(0.0)
-            index_costs.append(0.0 if working else None)
-            continue
-        costs.append(None)
-        index_costs.append(None)
-        if t0 < group.first or t1 >= 2**63 or (working and t0 < start):
-            # _bill prices it below: it raises, or it fits no int64 array
-            continue
-        group.rows.append(row)
-        group.t0.append(t0)
-        group.t1.append(t1)
-        if working:
-            group.working_rows.append(row)
-            group.working_t0.append(t0)
-            group.working_t1.append(t1)
-    for group in groups.values():
-        trace = group.trace
-        if group.rows:
-            sums = window_sums(trace.timestamps, trace.prices, group.t0, group.t1)
-            for row, total in zip(group.rows, sums.tolist()):
-                costs[row] = total / 3600.0
-        if group.working_rows:
-            sums = denormalize(group.spec, curve.integrals(group.working_t0, group.working_t1))
-            for row, total in zip(group.working_rows, sums.tolist()):
-                if total == total:
-                    index_costs[row] = total / 3600.0
-                else:
-                    # a gap, which _bill names
-                    costs[row] = None
-    for event, cost, index_cost in zip(hold_events, costs, index_costs):
-        if cost is None:
-            cost, index_cost = _bill(event, traces, catalog, curve)
-        yield event, cost, index_cost
-    if failure is not None:
-        raise failure
 
 
 def compute_totals(
@@ -439,7 +300,7 @@ def compute_totals(
     try:
         return _totals(events, traces, catalog, curve, reference_capacity, tasks)
     except (KeyError, TypeError, IndexError) as exc:
-        raise _malformed(events, traces, catalog, tasks) or exc
+        raise malformed(events, traces, catalog, tasks) or exc
 
 
 def _totals(events, traces, catalog, curve, reference_capacity, tasks) -> dict:
@@ -448,7 +309,7 @@ def _totals(events, traces, catalog, curve, reference_capacity, tasks) -> dict:
     index_cost_held = 0.0
     final_vms = [None] * tasks
     stalls = []
-    for event, cost, index_cost in _billed_holds(events, traces, catalog, curve):
+    for event, cost, index_cost in billed_holds(events, traces, catalog, curve):
         total_cost += cost
         final_vms[event["task"]] = event["vm"]
         if event["working"]:
@@ -1186,7 +1047,7 @@ def ledger_from_report(report: SimReport | dict, traces: dict, catalog: Catalog)
     curve = IndexCurve(traces, catalog, raw["composition"])
     ledger = TrackingLedger()
     try:
-        for event, cost, index_cost in _billed_holds(raw["events"], traces, catalog, curve):
+        for event, cost, index_cost in billed_holds(raw["events"], traces, catalog, curve):
             if event["working"]:
                 ledger.add_gain(
                     event["t0"], event["t1"], event["vm"], index_cost - cost, detail="hold"
@@ -1194,7 +1055,7 @@ def ledger_from_report(report: SimReport | dict, traces: dict, catalog: Catalog)
             else:
                 ledger.add_loss(event["t0"], event["t1"], event["vm"], cost, detail="stall")
     except (KeyError, TypeError, IndexError) as exc:
-        raise _malformed(raw["events"], traces, catalog, raw["tasks"]) or exc
+        raise malformed(raw["events"], traces, catalog, raw["tasks"]) or exc
     return ledger
 
 

@@ -39,10 +39,11 @@ from spotindex import (
 )
 
 from spotindex.policies import CostCentricPolicy, PolicyContext, PolicyDecision, build_policy
-from spotindex import simulator
+from spotindex import billing
+from spotindex.billing import billed_holds, interval_cost
 from spotindex.index import denormalize
 from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
-from spotindex.simulator import _billed_holds, _Engine, interval_cost, window_stats
+from spotindex.simulator import _Engine, window_stats
 
 from conftest import COMPOSITION, baseline_job, build_catalog, study_params, traces_for
 from reference_engine import PerSecondEngine, run_per_second
@@ -696,6 +697,7 @@ def with_step_windows(timestamps, windows):
 
 
 def check_window_sums(timestamps, values, windows):
+    # all the windows at once need t0 < t1; each alone may be empty
     expected = []
     for t0, t1 in windows:
         if t1 <= t0:
@@ -703,14 +705,14 @@ def check_window_sums(timestamps, values, windows):
             continue
         span, widths = step_slice(timestamps, t0, t1)
         expected.append(float.hex(left_sum(values[span] * widths)))
-    t0, t1 = np.array(windows).T
+    alone = [bits(*window_sums(timestamps, values, [a], [b]))[0] for a, b in windows]
+    assert alone == expected
+    kept = [k for k, (t0, t1) in enumerate(windows) if t0 < t1]
+    t0, t1 = np.array([windows[k] for k in kept]).T
     # the default budget and one that forces several row chunks
     for cells in (WINDOW_CELLS, 5):
         with mock.patch("spotindex.prices.WINDOW_CELLS", cells):
-            assert bits(*window_sums(timestamps, values, t0, t1)) == expected
-    # each window alone, the one-row case
-    alone = [bits(*window_sums(timestamps, values, [a], [b]))[0] for a, b in windows]
-    assert alone == expected
+            assert bits(*window_sums(timestamps, values, t0, t1)) == [expected[k] for k in kept]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -749,18 +751,6 @@ def test_slice_sums_match_loops_bit_for_bit(drawn):
     windows = [*windows, *((a, a) for a, _ in windows), *((a, a - 1) for a, _ in windows)]
     check_window_sums(trace.timestamps, trace.prices, with_step_windows(trace.timestamps, windows))
     check_window_sums(curve.timestamps, curve._values, with_step_windows(curve.timestamps, windows))
-
-
-def test_window_sums_in_step_count_order_match_loops_bit_for_bit():
-    # many short windows and a few long ones: padding would fill most of one
-    # matrix, so the rows are summed in order of step count
-    rng = np.random.default_rng(5)
-    timestamps = np.cumsum(rng.integers(1, 40, 3000))
-    values = rng.integers(0, 500_000, 3000) / 1000.3
-    values[rng.integers(0, 3000, 100)] = np.nan
-    t0 = rng.integers(timestamps[0], timestamps[-1], 600)
-    t1 = t0 + np.where(rng.random(600) < 0.05, rng.integers(1, 20_000, 600), rng.integers(-5, 60, 600))
-    check_window_sums(timestamps, values, list(zip(t0.tolist(), t1.tolist())))
 
 
 # batched billing against each hold priced alone
@@ -834,7 +824,7 @@ def check_billing(events, traces, curve):
     expected, error = bill_each_alone(events, traces, curve)
     billed = []
     try:
-        for event, cost, index_cost in _billed_holds(events, traces, CATALOG, curve):
+        for event, cost, index_cost in billed_holds(events, traces, CATALOG, curve):
             billed.append((event, bits(cost), None if index_cost is None else bits(index_cost)))
     except SpotIndexError as exc:
         assert (type(exc), str(exc)) == (type(error), str(error))
@@ -874,7 +864,7 @@ def test_billing_oracle_catches_prefix_sums():
         for t0, t1 in ((130, 470), (250, 590), (70, 530))
     ]
     check_billing(events, traces, curve)
-    with mock.patch.object(simulator, "window_sums", prefix_window_sums):
+    with mock.patch.object(billing, "window_sums", prefix_window_sums):
         with pytest.raises(AssertionError):
             check_billing(events, traces, curve)
 

@@ -30,9 +30,10 @@ from spotindex import (
     run_simulation,
     run_trials,
 )
-from spotindex import index, simulator
+from spotindex import billing, index, simulator
+from spotindex.billing import interval_cost
 from spotindex.prices import window_sums
-from spotindex.simulator import MAX_TASKS, interval_cost, window_stats
+from spotindex.simulator import MAX_TASKS, window_stats
 
 from conftest import COMPOSITION, baseline_job, build_catalog, study_params, traces_for
 from reference_engine import run_per_second
@@ -718,7 +719,7 @@ def test_billing_prices_each_vm_in_at_most_two_batches():
         return window_sums(*args)
 
     curve = IndexCurve(traces, CATALOG, COMPOSITION)
-    with mock.patch.object(simulator, "window_sums", counted), \
+    with mock.patch.object(billing, "window_sums", counted), \
             mock.patch.object(index, "window_sums", counted):
         totals = simulator.compute_totals(
             report.events, traces, CATALOG, curve, (8.0, 32.0), report.tasks
