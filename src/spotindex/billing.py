@@ -70,11 +70,12 @@ class _Holds:
         self.t0, self.t1, self.working_t0, self.working_t1 = [], [], [], []
 
 
-def billed_holds(events, traces, catalog, curve: IndexCurve):
-    """Yield (event, cost, index_cost) for each hold in an event log, in
-    order: what the hold cost, and for a working hold what its VM's capacity
-    cost at the index over the same span (None otherwise). The one billing
-    loop, read by compute_totals and ledger_from_report.
+def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
+    """Yield (event, cost, index_cost) for each hold in an event log of a job
+    with `tasks` tasks, in order: what the hold cost, and for a working hold
+    what its VM's capacity cost at the index over the same span (None
+    otherwise). The one billing loop, read by compute_totals and
+    ledger_from_report.
 
     The log is read once and its holds grouped by VM. Each group is priced
     with one window_sums call over its trace and one over the index curve
@@ -82,8 +83,10 @@ def billed_holds(events, traces, catalog, curve: IndexCurve):
     batch does not price, because it is empty, starts before its trace or the
     curve, or its index span holds a gap, is billed alone by bill_hold in its
     turn and raises what bill_hold raises. Reading stops at the first event
-    that cannot be read, or at a hold whose t0 or t1 is not an int
-    (TypeError): the holds before it are yielded, then its error is raised.
+    that cannot be read: one with no kind, or a hold whose t0 or t1 is not
+    an int, whose task is not one of the job's or whose working flag is not
+    a bool (TypeError). The holds before it are yielded, then its error is
+    raised, which malformed names.
     """
     # two flat lists, one entry per hold: a container per hold would wake
     # the garbage collector again and again on a long log
@@ -94,16 +97,23 @@ def billed_holds(events, traces, catalog, curve: IndexCurve):
     start = curve.start
     for event in events:
         try:
-            if event.get("event") != "hold":
+            kind = event.get("event")
+            if kind != "hold":
+                if type(kind) is not str:
+                    raise TypeError(f"event kind must be a str, got {kind!r}")
                 continue
-            t0, t1 = event["t0"], event["t1"]
+            t0, t1, task = event["t0"], event["t1"], event["task"]
             if type(t0) is not int or type(t1) is not int:
                 raise TypeError(f"hold times must be ints, got {t0!r} and {t1!r}")
+            if type(task) is not int or not 0 <= task < tasks:
+                raise TypeError(f"hold task must be one of the job's, got {task!r}")
             vm = event["vm"]
             group = groups.get(vm)
             if group is None:
                 group = groups[vm] = _Holds(traces[vm])
             working = event["working"]
+            if type(working) is not bool:
+                raise TypeError(f"hold working flag must be a bool, got {working!r}")
             if working and group.spec is None:
                 group.spec = catalog[vm]
         except (AttributeError, KeyError, TypeError) as exc:

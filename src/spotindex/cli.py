@@ -174,16 +174,17 @@ def _write_traces(traces, out, manifest: dict) -> int:
 
 
 def _market_spec(path, i, entry) -> SynthMarketSpec:
-    """Entry i of the market spec list in file path; a malformed entry
-    raises ValueError naming its index and key, and a bad value the file
-    too."""
+    """Entry i of the market spec list in file path; a malformed entry or a
+    bad value raises ValueError naming the file, the entry's index and its
+    key."""
+    where = f"market spec {path}: market {i}"
     if not isinstance(entry, dict):
-        raise ValueError(f"market {i} must be a JSON object, got {entry!r}")
+        raise ValueError(f"{where} must be a JSON object, got {entry!r}")
     for key in ("vm_id", "mean", "stddev"):
         if key not in entry:
-            raise ValueError(f"market {i} has no {key!r}")
+            raise ValueError(f"{where} has no {key!r}")
     if not isinstance(entry["vm_id"], str):
-        raise ValueError(f"market {i}: vm_id must be a string, got {entry['vm_id']!r}")
+        raise ValueError(f"{where}: vm_id must be a string, got {entry['vm_id']!r}")
     optional = {
         "change_period": int,
         "duration": int,
@@ -198,7 +199,7 @@ def _market_spec(path, i, entry) -> SynthMarketSpec:
             **{key: exact(kind, entry[key], key) for key, kind in optional.items() if key in entry},
         )
     except ValueError as exc:
-        raise ValueError(f"market spec {path}: market {i}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 # command handlers

@@ -192,11 +192,14 @@ class IndexCurve:
         with np.errstate(invalid="ignore", divide="ignore"):
             self._values = np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
 
+    def _before_start(self, t: int) -> OutOfRangeError:
+        return OutOfRangeError(f"index curve starts at {self.start}, asked for {t}")
+
     def _step(self, t: int) -> int:
         """The step in force at t, which must have a live member."""
         if t < self.start:
-            raise OutOfRangeError(f"index curve starts at {self.start}, asked for {t}")
-        idx = int(np.searchsorted(self.timestamps, t, side="right")) - 1
+            raise self._before_start(t)
+        idx = int(self.timestamps.searchsorted(t, side="right")) - 1
         if self._counts[idx] == 0:
             raise GapError(f"no effective composition members at {t}")
         return idx
@@ -218,7 +221,7 @@ class IndexCurve:
         """Samples at the grid instants, and the instants that are gaps:
         before the curve start or on a step with no live member."""
         stamps = np.asarray(grid, dtype=np.int64)
-        idx = np.searchsorted(self.timestamps, stamps, side="right") - 1
+        idx = self.timestamps.searchsorted(stamps, side="right") - 1
         live = (stamps >= self.start) & (self._counts[idx] > 0)
         samples, gaps = [], []
         for t, ok, value, low, high, n in zip(
@@ -240,7 +243,7 @@ class IndexCurve:
         if t1 <= t0:
             return 0
         if t0 < self.start:
-            raise OutOfRangeError(f"index curve starts at {self.start}, asked for {t0}")
+            raise self._before_start(t0)
         span, widths = step_slice(self.timestamps, t0, t1)
         gaps = np.flatnonzero(self._counts[span] == 0)
         if gaps.size:

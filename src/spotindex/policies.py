@@ -74,9 +74,9 @@ class PolicyContext:
     mem_used: float
     index_now: float
     index_reference: float
+    horizon: int
+    migration_seconds: float
     current: str | None = None
-    horizon: int = 300
-    migration_seconds: float = 30.0
 
     def __post_init__(self):
         if not self.candidates:
@@ -93,19 +93,11 @@ class PolicyContext:
                 return candidate
         raise SelectionError(f"vm {vm_id!r} is not among candidates at t={self.t}")
 
-    # Called directly in each method: a shared helper, or star-unpacking the
-    # floors into utilized_price, costs measurably more on this hot path.
-    def utilized_now(self, c: CandidateView) -> float:
+    def utilized(self, c: CandidateView, value: float) -> float:
+        """utilized_price of value, one of c's prices, at this context's
+        floored utilization of c."""
         cpu_u, mem_u = floored_utilization(c.spec, self.cpu_used, self.mem_used)
-        return utilized_price(c.price, cpu_u, mem_u)
-
-    def utilized_mean(self, c: CandidateView) -> float:
-        cpu_u, mem_u = floored_utilization(c.spec, self.cpu_used, self.mem_used)
-        return utilized_price(c.window_mean, cpu_u, mem_u)
-
-    def utilized_sigma(self, c: CandidateView) -> float:
-        cpu_u, mem_u = floored_utilization(c.spec, self.cpu_used, self.mem_used)
-        return utilized_price(c.window_std, cpu_u, mem_u)
+        return utilized_price(value, cpu_u, mem_u)
 
 
 def _surely_below(a, b):
@@ -232,7 +224,7 @@ class StaticPolicy(Policy):
     name = "static"
 
     def select(self, ctx: PolicyContext) -> str:
-        return _lowest({c.spec.id: ctx.utilized_mean(c) for c in ctx.candidates})
+        return _lowest({c.spec.id: ctx.utilized(c, c.window_mean) for c in ctx.candidates})
 
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
         return PolicyDecision(PolicyDecision.STAY, reason="static policy never migrates")
@@ -250,7 +242,7 @@ class CostCentricPolicy(Policy):
 
     @staticmethod
     def _scores(ctx: PolicyContext) -> dict[str, float]:
-        return {c.spec.id: ctx.utilized_now(c) for c in ctx.candidates}
+        return {c.spec.id: ctx.utilized(c, c.price) for c in ctx.candidates}
 
     def select(self, ctx: PolicyContext) -> str:
         return _lowest(self._scores(ctx))
@@ -296,7 +288,7 @@ class AvailabilityAwarePolicy(Policy):
     @staticmethod
     def _calmest(ctx: PolicyContext) -> tuple[str, dict[str, float]]:
         """The pick, and every candidate's utilized sigma it was made from."""
-        sigma = {c.spec.id: ctx.utilized_sigma(c) for c in ctx.candidates}
+        sigma = {c.spec.id: ctx.utilized(c, c.window_std) for c in ctx.candidates}
         below = {
             c.spec.id: sigma[c.spec.id]
             for c in ctx.candidates
@@ -348,7 +340,9 @@ class BalancedPolicy(Policy):
     @staticmethod
     def _scores(ctx: PolicyContext) -> dict[str, float]:
         return {
-            c.spec.id: sharpe(ctx.index_reference, ctx.utilized_mean(c), ctx.utilized_sigma(c))
+            c.spec.id: sharpe(
+                ctx.index_reference, ctx.utilized(c, c.window_mean), ctx.utilized(c, c.window_std)
+            )
             for c in ctx.candidates
         }
 

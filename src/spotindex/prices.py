@@ -69,7 +69,7 @@ class PriceTrace:
     def price_at(self, t: int) -> float:
         if t < self.timestamps[0]:
             raise self._before_start(t)
-        idx = int(np.searchsorted(self.timestamps, t, side="right")) - 1
+        idx = int(self.timestamps.searchsorted(t, side="right")) - 1
         return float(self.prices[idx])
 
     def values_at(self, grid) -> np.ndarray:
@@ -77,7 +77,7 @@ class PriceTrace:
         grid = np.asarray(grid, dtype=np.int64)
         if grid.size and grid.min() < self.timestamps[0]:
             raise self._before_start(int(grid.min()))
-        idx = np.searchsorted(self.timestamps, grid, side="right") - 1
+        idx = self.timestamps.searchsorted(grid, side="right") - 1
         return self.prices[idx]
 
     def steps(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -432,7 +432,7 @@ def ingest_traces(paths, catalog, on_unknown: str = "warn") -> dict[str, PriceTr
     change = np.ones(len(vm), dtype=bool)
     change[1:] = (vm[1:] != vm[:-1]) | (prices[1:] != prices[:-1])
     vm, stamps, prices = vm[change], stamps[change], prices[change]
-    bounds = np.searchsorted(vm, np.arange(len(names) + 1)).tolist()
+    bounds = vm.searchsorted(np.arange(len(names) + 1)).tolist()
     return {
         vm_id: PriceTrace.from_arrays(vm_id, stamps[a:b], prices[a:b])
         for vm_id, a, b in zip(names, bounds, bounds[1:])

@@ -30,6 +30,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -88,6 +89,8 @@ class JobSpec:
     mem_footprint: float = 4.0
     max_price: float | None = None
     reference_capacity: tuple[float, float] | None = None
+    # the work at which each phase ends, cumulative
+    phase_ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -97,6 +100,7 @@ class JobSpec:
         if not self.phases:
             raise ValueError("job needs at least one phase")
         object.__setattr__(self, "phases", tuple(self.phases))
+        object.__setattr__(self, "phase_ends", tuple(accumulate(p.duration for p in self.phases)))
         finite(self.tasks, "tasks", minimum=1, strict=False)
         if self.tasks > MAX_TASKS:
             raise InvariantError(f"tasks must be at most {MAX_TASKS}, got {self.tasks!r}")
@@ -120,21 +124,11 @@ class JobSpec:
 
     @property
     def total_work(self) -> int:
-        return sum(p.duration for p in self.phases)
+        return self.phase_ends[-1]
 
     def phase_at(self, work: int) -> Phase:
-        cumulative = 0
-        for phase in self.phases:
-            cumulative += phase.duration
-            if work < cumulative:
-                return phase
-        return self.phases[-1]
-
-    def phase_boundaries(self) -> list[int]:
-        boundaries = [0]
-        for phase in self.phases:
-            boundaries.append(boundaries[-1] + phase.duration)
-        return boundaries
+        """The phase that work is in; the last one from its end on."""
+        return self.phases[min(bisect_right(self.phase_ends, work), len(self.phases) - 1)]
 
     def to_dict(self) -> dict:
         return {
@@ -299,7 +293,7 @@ def compute_totals(
     """
     try:
         return _totals(events, traces, catalog, curve, reference_capacity, tasks)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (AttributeError, KeyError, TypeError, IndexError) as exc:
         raise malformed(events, traces, catalog, tasks) or exc
 
 
@@ -309,7 +303,7 @@ def _totals(events, traces, catalog, curve, reference_capacity, tasks) -> dict:
     index_cost_held = 0.0
     final_vms = [None] * tasks
     stalls = []
-    for event, cost, index_cost in billed_holds(events, traces, catalog, curve):
+    for event, cost, index_cost in billed_holds(events, traces, catalog, curve, tasks):
         total_cost += cost
         final_vms[event["task"]] = event["vm"]
         if event["working"]:
@@ -386,17 +380,12 @@ class _Engine:
         self.params = params
         self.seed = seed
         self.curve = IndexCurve(traces, catalog, self.composition)
-        specs = filter_candidates(catalog, job.requirement, scope)
-        if not specs:
-            raise SimulationError(f"no candidate VM satisfies job {job.name!r}")
+        specs, cheapest = _candidates(job, catalog, scope)
         missing = [s.id for s in specs if s.id not in traces]
         if missing:
             raise SimulationError(f"candidates without price traces: {missing}")
         self.candidates = specs
-        if job.max_price is not None:
-            self.max_price = job.max_price
-        else:
-            self.max_price = min(s.on_demand_price for s in specs)
+        self.max_price = cheapest if job.max_price is None else job.max_price
         self.t_m = params.migration.seconds(job.mem_footprint)
         self.total_work = job.total_work
         self.reference_capacity = job.reference_capacity or (
@@ -419,7 +408,6 @@ class _Engine:
         self.tasks = [_Task(i) for i in range(job.tasks)]
         self.bsp = job.kind == BSP
         self.events: list[dict] = []
-        self._phase_ends = job.phase_boundaries()[1:]
         # the epoch table: the market at _table_first, _table_first + epoch, ...
         self._table = ()
         self._table_first = 0
@@ -667,7 +655,8 @@ class _Engine:
     def _rollback_point(self, work: int) -> int:
         if self.bsp:
             return (work // self.params.bsp_superstep) * self.params.bsp_superstep
-        return max(b for b in self.job.phase_boundaries() if b <= work)
+        i = bisect_right(self.job.phase_ends, work)
+        return self.job.phase_ends[i - 1] if i else 0
 
     def _revoke(self, task: _Task, t: int):
         old_vm = task.vm
@@ -780,11 +769,12 @@ class _Engine:
         stop = len(self._table)
         if k >= stop:
             return tick
+        ends = self.job.phase_ends
         for task, works in zip(self.tasks, flags):
             if not works:
                 continue
-            i = bisect_right(self._phase_ends, task.work)
-            phase, end = self.job.phases[i], self._phase_ends[i]
+            i = bisect_right(ends, task.work)
+            phase, end = self.job.phases[i], ends[i]
             boundary = int(-(-(t + end - task.work - first) // epoch))
             stop = min(stop, boundary, self._stays_from(task.vm, phase.cpu, phase.mem)[k])
             if stop <= k:
@@ -1009,14 +999,19 @@ def run_simulation(
     return engine.run()
 
 
-def on_demand_baseline(job: JobSpec, catalog: Catalog, scope: Scope | None = None) -> float:
-    """Cost of the cheapest qualifying on-demand VM running the job straight
-    through: no revocations, no stalls, one task-hour costs one od-hour."""
+def _candidates(job: JobSpec, catalog: Catalog, scope: Scope | None) -> tuple[list, float]:
+    """The catalog's VMs that satisfy job within scope, and the cheapest of
+    their on-demand prices."""
     specs = filter_candidates(catalog, job.requirement, scope)
     if not specs:
         raise SimulationError(f"no candidate VM satisfies job {job.name!r}")
-    cheapest = min(s.on_demand_price for s in specs)
-    return cheapest * job.total_work * job.tasks / 3600.0
+    return specs, min(s.on_demand_price for s in specs)
+
+
+def on_demand_baseline(job: JobSpec, catalog: Catalog, scope: Scope | None = None) -> float:
+    """Cost of the cheapest qualifying on-demand VM running the job straight
+    through: no revocations, no stalls, one task-hour costs one od-hour."""
+    return _candidates(job, catalog, scope)[1] * job.total_work * job.tasks / 3600.0
 
 
 def normalize_report(report: SimReport, baseline_on_demand_cost: float) -> SimReport:
@@ -1044,18 +1039,19 @@ def replay(report: SimReport | dict, traces: dict, catalog: Catalog) -> dict:
 def ledger_from_report(report: SimReport | dict, traces: dict, catalog: Catalog) -> TrackingLedger:
     """Rebuild the gain/loss ledger implied by a report's hold segments."""
     raw = report.to_dict() if isinstance(report, SimReport) else report
+    events, tasks = raw["events"], raw["tasks"]
     curve = IndexCurve(traces, catalog, raw["composition"])
     ledger = TrackingLedger()
     try:
-        for event, cost, index_cost in billed_holds(raw["events"], traces, catalog, curve):
+        for event, cost, index_cost in billed_holds(events, traces, catalog, curve, tasks):
             if event["working"]:
                 ledger.add_gain(
                     event["t0"], event["t1"], event["vm"], index_cost - cost, detail="hold"
                 )
             else:
                 ledger.add_loss(event["t0"], event["t1"], event["vm"], cost, detail="stall")
-    except (KeyError, TypeError, IndexError) as exc:
-        raise malformed(raw["events"], traces, catalog, raw["tasks"]) or exc
+    except (AttributeError, KeyError, TypeError, IndexError) as exc:
+        raise malformed(events, traces, catalog, tasks) or exc
     return ledger
 
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .catalog import VmSpec
-from .errors import CoverageError, OutOfRangeError, finite
+from .errors import CoverageError, OutOfRangeError, exact, finite
 from .index import IndexSeries, denormalize, normalize
 from .prices import PriceTrace, fold_sum
 
@@ -73,24 +73,19 @@ class LedgerEvent:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "t0": self.t0,
-            "t1": self.t1,
-            "vm_id": self.vm_id,
-            "amount": self.amount,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LedgerEvent":
+        """The inverse of to_dict; a missing or wrong-typed value (see exact)
+        raises InvariantError naming its key, and detail defaults to ""."""
         return cls(
-            kind=str(raw["kind"]),
-            t0=int(raw["t0"]),
-            t1=int(raw["t1"]),
-            vm_id=str(raw["vm_id"]),
-            amount=float(raw["amount"]),
-            detail=str(raw.get("detail", "")),
+            kind=exact(str, raw.get("kind"), "kind"),
+            t0=exact(int, raw.get("t0"), "t0"),
+            t1=exact(int, raw.get("t1"), "t1"),
+            vm_id=exact(str, raw.get("vm_id"), "vm_id"),
+            amount=exact(float, raw.get("amount"), "amount"),
+            detail=exact(str, raw.get("detail", ""), "detail"),
         )
 
 

@@ -565,10 +565,11 @@ def test_synth_malformed_market_is_a_located_domain_error(workspace, spec, messa
     spec_path.write_text(json.dumps(spec))
     out = workspace / "out"
     assert run(["synth", "--spec", spec_path, "--out", out]) == 1
-    # a bad value is located by the file and its market, the last entry
+    # every message names the file; a bad value's also names its market,
+    # the last entry
     if not message.startswith("market "):
-        message = f"market spec {spec_path}: market {len(spec) - 1}: {message}"
-    assert message in caplog.messages
+        message = f"market {len(spec) - 1}: {message}"
+    assert f"market spec {spec_path}: {message}" in caplog.messages
     assert not out.exists()
 
 

@@ -824,7 +824,7 @@ def check_billing(events, traces, curve):
     expected, error = bill_each_alone(events, traces, curve)
     billed = []
     try:
-        for event, cost, index_cost in billed_holds(events, traces, CATALOG, curve):
+        for event, cost, index_cost in billed_holds(events, traces, CATALOG, curve, 1):
             billed.append((event, bits(cost), None if index_cost is None else bits(index_cost)))
     except SpotIndexError as exc:
         assert (type(exc), str(exc)) == (type(error), str(error))

@@ -62,6 +62,8 @@ def ctx_of(views, current=None, index_now=1.0, index_reference=1.0, **kw):
         index_now=index_now,
         index_reference=index_reference,
         current=current,
+        horizon=kw.pop("horizon", 300),
+        migration_seconds=kw.pop("migration_seconds", 30.0),
         **kw,
     )
 

@@ -74,7 +74,7 @@ def test_job_spec_defaults_and_round_trip():
     assert job.phase_at(99).cpu == 2.0
     assert job.phase_at(100).cpu == 4.0
     assert job.phase_at(10_000).cpu == 4.0
-    assert job.phase_boundaries() == [0, 100, 150]
+    assert job.phase_ends == (100, 150)
     assert JobSpec.from_dict(job.to_dict()) == job
 
     explicit = JobSpec(
@@ -664,17 +664,27 @@ def test_replay_names_a_task_the_log_never_finishes():
             replay({**report.to_dict(), "events": log}, traces, CATALOG)
 
 
+# every case now runs through both event-log readers; the readers column
+# keeps the cases' test ids
+BOTH_READERS = (replay, ledger_from_report)
+
+
 @pytest.mark.parametrize(
     "key, value, readers",
     [
-        ("vm", "zz", (replay, ledger_from_report)),
-        ("t1", "x", (replay, ledger_from_report)),
-        ("t0", None, (replay, ledger_from_report)),
-        ("task", 5, (replay,)),
-        ("event", None, (replay,)),
+        ("vm", "zz", BOTH_READERS),
+        ("t1", "x", BOTH_READERS),
+        ("t0", None, BOTH_READERS),
+        ("task", 5, BOTH_READERS),
+        ("event", None, BOTH_READERS),
         # a float or bool time used to bill as if it were a number of seconds
-        ("t1", 299.5, (replay, ledger_from_report)),
-        ("t0", True, (replay, ledger_from_report)),
+        ("t1", 299.5, BOTH_READERS),
+        ("t0", True, BOTH_READERS),
+        # a task out of range or a working flag that is not a bool used to
+        # read silently, and working 0 billed the hold as a stall
+        ("task", -1, BOTH_READERS),
+        ("working", 1, BOTH_READERS),
+        ("working", 0, BOTH_READERS),
     ],
 )
 def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
@@ -697,6 +707,17 @@ def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
     )
     for reader in readers:
         with pytest.raises(SimulationError, match=message):
+            reader({**report, "events": events}, traces, CATALOG)
+
+
+def test_replay_and_ledger_locate_an_event_that_is_not_an_object():
+    traces = flat_traces()
+    report = run_simulation(
+        one_phase_job(), "static", traces, CATALOG, COMPOSITION, params=unit_params()
+    ).to_dict()
+    events = [*report["events"][:2], 5, *report["events"][2:]]
+    for reader in BOTH_READERS:
+        with pytest.raises(SimulationError, match="^event 2 has no 'event' kind: 5$"):
             reader({**report, "events": events}, traces, CATALOG)
 
 

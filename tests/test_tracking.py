@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spotindex import (
     Catalog,
     CoverageError,
+    InvariantError,
     PricePoint,
     PriceTrace,
     TrackingLedger,
@@ -139,6 +140,33 @@ def test_ledger_totals_and_round_trip():
 def test_ledger_event_round_trip():
     event = LedgerEvent("loss", 5, 9, "vm", 0.125, "stall")
     assert LedgerEvent.from_dict(event.to_dict()) == event
+
+
+def test_ledger_event_dict_keeps_its_keys_in_order():
+    event = LedgerEvent("gain", 0, 600, "a", 1.5)
+    assert list(event.to_dict().items()) == [
+        ("kind", "gain"), ("t0", 0), ("t1", 600), ("vm_id", "a"), ("amount", 1.5), ("detail", ""),
+    ]
+    raw = event.to_dict()
+    del raw["detail"]
+    assert LedgerEvent.from_dict(raw) == event
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("kind", 1),
+        ("t0", 1.7),
+        ("t1", "3"),
+        ("vm_id", 5),
+        ("amount", True),
+        ("detail", None),
+    ],
+)
+def test_ledger_event_from_dict_names_a_wrong_typed_key(key, value):
+    raw = {**LedgerEvent("loss", 5, 9, "vm", 0.125, "stall").to_dict(), key: value}
+    with pytest.raises(InvariantError, match=f"^{key} must be "):
+        LedgerEvent.from_dict(raw)
 
 
 def test_float_totals_fold_left_to_right():
