@@ -271,4 +271,5 @@ class IndexCurve:
         GapError: a step with no live member holds NaN, and a window's sum
         adds each of its steps' values times a positive width. Before the
         curve start a value means nothing."""
-        return trailing_means(self.timestamps, self._values, self.start, ticks, window)
+        now, mean, _ = trailing_means(self.timestamps, self._values, self.start, ticks, window)
+        return now, mean

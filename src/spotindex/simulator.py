@@ -312,7 +312,14 @@ def _totals(events, traces, catalog, curve, reference_capacity, tasks) -> dict:
         else:
             stalls.append((event["t0"], event["t1"]))
     counts = Counter(event["event"] for event in events)
-    finished = {event["task"]: event["t"] for event in events if event["event"] == "finish"}
+    finished = {}
+    for event in events:
+        if event["event"] == "finish":
+            t, task = event["t"], event["task"]
+            # compute_totals then asks malformed, which names the key
+            if type(t) is not int or type(task) is not int or not 0 <= task < tasks:
+                raise TypeError("bad finish event")
+            finished[task] = t
     for task in range(tasks):
         if task not in finished:
             raise SimulationError(f"event log has no finish event for task {task}")
@@ -487,8 +494,7 @@ class _Engine:
             trace = self.traces[spec.id]
             ok &= ticks >= trace.first_ts
             stamps, first = trace.timestamps, trace.first_ts
-            price, mean = trailing_means(stamps, trace.prices, first, ticks, window)
-            _, square = trailing_means(stamps, trace.prices * trace.prices, first, ticks, window)
+            price, mean, square = trailing_means(stamps, trace.prices, first, ticks, window)
             prices.append(price)
             means.append(mean)
             # an empty window's mean of p * p is price * price, so its std is 0.0

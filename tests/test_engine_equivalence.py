@@ -687,32 +687,74 @@ def stepped(draw):
 
 def with_step_windows(timestamps, windows):
     """The windows, plus for each step a one-second window at its start,
-    the whole step, and a window ending on the next step's start."""
+    the whole step, a window ending on the next step's start, and one over
+    it and the nine steps after it."""
     stamps = timestamps.tolist()
     windows = list(windows)
-    for a, b in zip(stamps, stamps[1:]):
+    for k, (a, b) in enumerate(zip(stamps, stamps[1:])):
         if b > a:
             windows += [(a, a + 1), (a, b), (max(stamps[0], b - 17), b)]
+        if k + 9 < len(stamps):
+            windows.append((a, stamps[k + 9] + 1))
     return windows
 
 
+def spread(values):
+    """values scaled over 32 orders of magnitude, step by step: a sum of
+    such terms depends on the order in which it adds them."""
+    return values * 10.0 ** (np.arange(len(values)) % 9 * 4 - 16)
+
+
 def check_window_sums(timestamps, values, windows):
+    for values in (values, spread(values)):
+        check_window_sums_of(timestamps, values, windows)
+
+
+def check_window_sums_of(timestamps, values, windows):
     # all the windows at once need t0 < t1; each alone may be empty
-    expected = []
+    expected, squared = [], []
     for t0, t1 in windows:
         if t1 <= t0:
             expected.append(float.hex(0.0))
+            squared.append(float.hex(0.0))
             continue
         span, widths = step_slice(timestamps, t0, t1)
         expected.append(float.hex(left_sum(values[span] * widths)))
+        squared.append(float.hex(left_sum(values[span] * values[span] * widths)))
     alone = [bits(*window_sums(timestamps, values, [a], [b]))[0] for a, b in windows]
     assert alone == expected
+    alone = [
+        bits(*np.concatenate(window_sums(timestamps, values, [a], [b], squares=True)))
+        for a, b in windows
+    ]
+    assert alone == [list(pair) for pair in zip(expected, squared)]
     kept = [k for k, (t0, t1) in enumerate(windows) if t0 < t1]
     t0, t1 = np.array([windows[k] for k in kept]).T
-    # the default budget and one that forces several row chunks
-    for cells in (WINDOW_CELLS, 5):
+    steps = timestamps.searchsorted(t1) - timestamps.searchsorted(t0, side="right") + 1
+    # the default budget, one that forces several chunks, one window a
+    # chunk, and chunks of all windows but the last, which is left alone
+    for cells in (WINDOW_CELLS, 5, 1, int(steps.max()) * max(1, len(kept) - 1)):
         with mock.patch("spotindex.prices.WINDOW_CELLS", cells):
             assert bits(*window_sums(timestamps, values, t0, t1)) == [expected[k] for k in kept]
+            sums, squares = window_sums(timestamps, values, t0, t1, squares=True)
+            assert bits(*sums) == [expected[k] for k in kept]
+            assert bits(*squares) == [squared[k] for k in kept]
+
+
+def guardless_fold(terms):
+    """The column fold without its one-column case, where numpy sums a lone
+    column pairwise, not from first to last."""
+    return np.add.reduce(terms, axis=0, initial=-0.0)
+
+
+def test_window_oracle_catches_a_pairwise_lone_column():
+    stamps = np.arange(0, 1200, 60)
+    values = np.array([k * 7919 % 500_000 / 1000.3 for k in range(1, 21)])
+    windows = with_step_windows(stamps, [(130, 1150), (0, 1200)])
+    check_window_sums(stamps, values, windows)
+    with mock.patch("spotindex.prices._fold", guardless_fold):
+        with pytest.raises(AssertionError):
+            check_window_sums(stamps, values, windows)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

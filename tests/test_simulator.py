@@ -3,6 +3,7 @@ import math
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from spotindex import (
@@ -30,7 +31,7 @@ from spotindex import (
     run_simulation,
     run_trials,
 )
-from spotindex import billing, index, simulator
+from spotindex import billing, index, prices, simulator
 from spotindex.billing import interval_cost
 from spotindex.prices import window_sums
 from spotindex.simulator import MAX_TASKS, window_stats
@@ -685,6 +686,13 @@ BOTH_READERS = (replay, ledger_from_report)
         ("task", -1, BOTH_READERS),
         ("working", 1, BOTH_READERS),
         ("working", 0, BOTH_READERS),
+        # the cases read by replay alone edit the finish event, which the
+        # ledger does not read: a float t used to replay as the wall-clock
+        ("t", 600.5, (replay,)),
+        ("t", True, (replay,)),
+        ("t", None, (replay,)),
+        ("task", 1, (replay,)),
+        ("task", 0.0, (replay,)),
     ],
 )
 def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
@@ -696,14 +704,16 @@ def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
         forced_migrations=[(300, 0, "r4.xlarge")],
     ).to_dict()
     events = [dict(event) for event in report["events"]]
-    assert events[2]["event"] == "hold"
+    kind = "hold" if ledger_from_report in readers else "finish"
+    i = 2 if kind == "hold" else [e["event"] for e in events].index("finish")
+    assert events[i]["event"] == kind
     if value is None:
-        del events[2][key]
+        del events[i][key]
     else:
-        events[2][key] = value
+        events[i][key] = value
     message = (
-        "^event 2 has no 'event' kind" if key == "event"
-        else f"^event 2 \\(hold\\) has a bad '{key}': {re.escape(repr(value))}$"
+        f"^event {i} has no 'event' kind" if key == "event"
+        else f"^event {i} \\({kind}\\) has a bad '{key}': {re.escape(repr(value))}$"
     )
     for reader in readers:
         with pytest.raises(SimulationError, match=message):
@@ -748,6 +758,27 @@ def test_billing_prices_each_vm_in_at_most_two_batches():
     assert totals["total_cost"] == report.total_cost
     assert len(calls) <= 2 * len(vms)
     assert sum(calls) >= len(holds)
+
+
+def test_market_block_gathers_each_candidate_once():
+    # one window_sums call per candidate gives its prices' and their
+    # squares' sums, and one more gives the index's
+    engine = simulator._Engine(
+        baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
+        study_params(), None, None, None,
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return window_sums(*args, **kwargs)
+
+    for ticks in (60 * np.arange(1, 65), np.array([90])):
+        calls.clear()
+        with mock.patch.object(prices, "window_sums", counted):
+            block = engine._block(ticks)
+        assert block.ok.all()
+        assert calls == [len(ticks)] * (len(engine.candidates) + 1)
 
 
 def test_net_equals_index_cost_minus_total_cost():
