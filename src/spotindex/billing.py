@@ -3,7 +3,8 @@ working hold what its VM's capacity cost at the index over the same span.
 
 interval_cost and IndexCurve.integrate price one hold alone (bill_hold), and
 are the definitions. billed_holds prices a whole log with at most two
-window_sums calls per VM and gets the same bits.
+window_sums calls per VM and gets the same bits, in the one pass that also
+checks every event of the log and names the first one it cannot read.
 """
 
 from __future__ import annotations
@@ -19,31 +20,6 @@ def interval_cost(trace: PriceTrace, t0: int, t1: int) -> float:
         return 0.0
     prices, widths = trace.steps(t0, t1)
     return left_sum(prices * widths) / 3600.0
-
-
-# The keys each kind of event must carry for compute_totals and the ledger
-# to read it, beyond "event" itself.
-_READ_KEYS = {"hold": ("t0", "t1", "task", "vm", "working"), "finish": ("t", "task")}
-
-
-def malformed(events, traces, catalog, tasks: int) -> SimulationError | None:
-    """A SimulationError naming the first event, by index, and its first
-    key that the billing cannot read; None when every event reads. Called
-    only once reading a log has failed, so valid logs pay nothing."""
-    for i, event in enumerate(events):
-        if not isinstance(event, dict) or not isinstance(event.get("event"), str):
-            return SimulationError(f"event {i} has no 'event' kind: {event!r}")
-        for key in _READ_KEYS.get(event["event"], ()):
-            value = event.get(key)
-            if key == "vm":
-                ok = isinstance(value, str) and value in traces and value in catalog
-            elif key == "working":
-                ok = isinstance(value, bool)
-            else:
-                ok = type(value) is int and (key != "task" or 0 <= value < tasks)
-            if not ok:
-                return SimulationError(f"event {i} ({event['event']}) has a bad {key!r}: {value!r}")
-    return None
 
 
 def bill_hold(event, traces, catalog, curve: IndexCurve) -> tuple:
@@ -63,66 +39,103 @@ class _Holds:
 
     __slots__ = ("trace", "first", "spec", "t0", "t1", "working_t0", "working_t1", "sums", "index_sums")
 
-    def __init__(self, trace: PriceTrace):
+    def __init__(self, trace: PriceTrace, spec):
         self.trace = trace
         self.first = trace.first_ts
-        self.spec = None
+        self.spec = spec
         self.t0, self.t1, self.working_t0, self.working_t1 = [], [], [], []
+
+
+class _Unread(KeyError):
+    """A key of an event that is there but breaks a rule: like a missing
+    one, billed_holds names it."""
 
 
 def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
     """Yield (event, cost, index_cost) for each hold in an event log of a job
     with `tasks` tasks, in order: what the hold cost, and for a working hold
     what its VM's capacity cost at the index over the same span (None
-    otherwise). The one billing loop, read by compute_totals and
-    ledger_from_report.
+    otherwise). The one reader of a log, and its one billing loop, for
+    compute_totals and ledger_from_report.
 
-    The log is read once and its holds grouped by VM. Each group is priced
-    with one window_sums call over its trace and one over the index curve
-    for its working holds, so every hold gets bill_hold's bits. A hold that a
-    batch does not price, because it is empty, starts before its trace or the
-    curve, or its index span holds a gap, is billed alone by bill_hold in its
-    turn and raises what bill_hold raises. Reading stops at the first event
-    that cannot be read: one with no kind, or a hold whose t0 or t1 is not
-    an int, whose task is not one of the job's or whose working flag is not
-    a bool (TypeError). The holds before it are yielded, then its error is
-    raised, which malformed names.
+    Reading checks, in this order, that an event is an object with a str
+    "event" kind; for a hold, that t0 and t1 are ints that fit an int64, task
+    is one of the job's, vm has a trace and a catalog row, and working is a
+    bool; for a finish, that t is an int that fits an int64, task is one of
+    the job's, and t is at or after 0 and every earlier hold of that task.
+    The first key that fails is a SimulationError naming it and the event's
+    index, raised after the holds before it are yielded.
+
+    The holds are grouped by VM. Each group is priced with one window_sums
+    call over its trace and one over the index curve for its working holds,
+    so every hold gets bill_hold's bits. A hold that a batch does not price,
+    because it is empty, starts before its trace or the curve, or its index
+    span holds a gap, is billed alone by bill_hold in its turn and raises
+    what bill_hold raises.
     """
     # two flat lists, one entry per hold: a container per hold would wake
     # the garbage collector again and again on a long log
     holds = []
     hold_groups = []  # None for a hold billed alone
     groups = {}
+    ends = [0] * tasks  # where each task's holds read so far end
+    others = 0  # the events read that are not holds
     failure = None
     start = curve.start
+    low, top = -(2**63), 2**63  # every time must fit an int64 array
     for event in events:
         try:
-            kind = event.get("event")
+            try:
+                kind = event["event"]
+            except (TypeError, IndexError):  # not an object
+                raise _Unread("event") from None
             if kind != "hold":
-                if type(kind) is not str:
-                    raise TypeError(f"event kind must be a str, got {kind!r}")
+                if kind == "finish":
+                    t = event["t"]
+                    if type(t) is not int or t >= top:
+                        raise _Unread("t")
+                    task = event["task"]
+                    if type(task) is not int or not 0 <= task < tasks:
+                        raise _Unread("task")
+                    if t < ends[task]:
+                        raise _Unread("t")
+                elif type(kind) is not str:
+                    raise _Unread("event")
+                others += 1
                 continue
-            t0, t1, task = event["t0"], event["t1"], event["task"]
-            if type(t0) is not int or type(t1) is not int:
-                raise TypeError(f"hold times must be ints, got {t0!r} and {t1!r}")
+            t0 = event["t0"]
+            if type(t0) is not int or not low <= t0 < top:
+                raise _Unread("t0")
+            t1 = event["t1"]
+            if type(t1) is not int or not low <= t1 < top:
+                raise _Unread("t1")
+            task = event["task"]
             if type(task) is not int or not 0 <= task < tasks:
-                raise TypeError(f"hold task must be one of the job's, got {task!r}")
+                raise _Unread("task")
             vm = event["vm"]
-            group = groups.get(vm)
+            try:
+                group = groups.get(vm)
+            except TypeError:  # unhashable, so no vm id
+                group = None
             if group is None:
-                group = groups[vm] = _Holds(traces[vm])
+                if not isinstance(vm, str) or vm not in traces or vm not in catalog:
+                    raise _Unread("vm")
+                group = groups[vm] = _Holds(traces[vm], catalog[vm])
             working = event["working"]
             if type(working) is not bool:
-                raise TypeError(f"hold working flag must be a bool, got {working!r}")
-            if working and group.spec is None:
-                group.spec = catalog[vm]
-        except (AttributeError, KeyError, TypeError) as exc:
-            # an unreadable event: raised once the holds before it are billed
-            failure = exc
+                raise _Unread("working")
+        except KeyError as unread:
+            key, i = unread.args[0], len(holds) + others
+            failure = SimulationError(
+                f"event {i} has no 'event' kind: {event!r}" if key == "event"
+                else f"event {i} ({kind}) has a bad {key!r}: {event.get(key)!r}"
+            )
             break
+        if t1 > ends[task]:
+            ends[task] = t1
         holds.append(event)
-        if t1 <= t0 or t0 < group.first or t1 >= 2**63 or (working and t0 < start):
-            # empty, raises, or fits no int64 array
+        if t1 <= t0 or t0 < group.first or (working and t0 < start):
+            # empty, or raises
             hold_groups.append(None)
             continue
         hold_groups.append(group)

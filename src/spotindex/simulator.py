@@ -17,10 +17,11 @@ _works_now, and _market, which it computes with its own scalar code.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
-from that event log, the money totals with one biller (billing.billed_holds)
-that prices each VM's holds in one batch, bit for bit as pricing each hold
-alone would. Replaying a serialized report therefore reproduces all of them bit
-for bit.
+from that event log. One reader, billing.billed_holds, reads a log for
+compute_totals and ledger_from_report alike: in one pass it checks each
+event, naming the first it cannot read, and prices each VM's holds in one
+batch, bit for bit as pricing each hold alone would. Replaying a serialized
+report therefore reproduces every output bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .billing import billed_holds, malformed
+from .billing import billed_holds
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
 from .index import IndexCurve, normalize
@@ -287,17 +288,10 @@ def compute_totals(
     and the rest from the other events.
 
     The simulator calls it on its own log and replay calls it on a
-    deserialized one, so the two agree exactly. A log without some task's
-    finish event, or with an event that cannot be read, raises
-    SimulationError.
+    deserialized one, so the two agree exactly. billed_holds reads the log
+    and names the first event that breaks a rule; a log without some task's
+    finish event raises SimulationError too.
     """
-    try:
-        return _totals(events, traces, catalog, curve, reference_capacity, tasks)
-    except (AttributeError, KeyError, TypeError, IndexError) as exc:
-        raise malformed(events, traces, catalog, tasks) or exc
-
-
-def _totals(events, traces, catalog, curve, reference_capacity, tasks) -> dict:
     total_cost = 0.0
     productive_cost = 0.0
     index_cost_held = 0.0
@@ -312,14 +306,7 @@ def _totals(events, traces, catalog, curve, reference_capacity, tasks) -> dict:
         else:
             stalls.append((event["t0"], event["t1"]))
     counts = Counter(event["event"] for event in events)
-    finished = {}
-    for event in events:
-        if event["event"] == "finish":
-            t, task = event["t"], event["task"]
-            # compute_totals then asks malformed, which names the key
-            if type(t) is not int or type(task) is not int or not 0 <= task < tasks:
-                raise TypeError("bad finish event")
-            finished[task] = t
+    finished = {event["task"]: event["t"] for event in events if event["event"] == "finish"}
     for task in range(tasks):
         if task not in finished:
             raise SimulationError(f"event log has no finish event for task {task}")
@@ -1048,16 +1035,11 @@ def ledger_from_report(report: SimReport | dict, traces: dict, catalog: Catalog)
     events, tasks = raw["events"], raw["tasks"]
     curve = IndexCurve(traces, catalog, raw["composition"])
     ledger = TrackingLedger()
-    try:
-        for event, cost, index_cost in billed_holds(events, traces, catalog, curve, tasks):
-            if event["working"]:
-                ledger.add_gain(
-                    event["t0"], event["t1"], event["vm"], index_cost - cost, detail="hold"
-                )
-            else:
-                ledger.add_loss(event["t0"], event["t1"], event["vm"], cost, detail="stall")
-    except (AttributeError, KeyError, TypeError, IndexError) as exc:
-        raise malformed(events, traces, catalog, tasks) or exc
+    for event, cost, index_cost in billed_holds(events, traces, catalog, curve, tasks):
+        if event["working"]:
+            ledger.add_gain(event["t0"], event["t1"], event["vm"], index_cost - cost, detail="hold")
+        else:
+            ledger.add_loss(event["t0"], event["t1"], event["vm"], cost, detail="stall")
     return ledger
 
 
