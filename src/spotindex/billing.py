@@ -62,7 +62,8 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
     "event" kind; for a hold, that t0 and t1 are ints that fit an int64, task
     is one of the job's, vm has a trace and a catalog row, and working is a
     bool; for a finish, that t is an int that fits an int64, task is one of
-    the job's, and t is at or after 0 and every earlier hold of that task.
+    the job's, and t is at or after 0 and the end of every earlier hold of
+    that task.
     The first key that fails is a SimulationError naming it and the event's
     index, raised after the holds before it are yielded.
 
@@ -125,7 +126,7 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
             if type(working) is not bool:
                 raise _Unread("working")
         except KeyError as unread:
-            key, i = unread.args[0], len(holds) + others
+            key, i = unread.args[0], len(holds) + others  # i: the events before it
             failure = SimulationError(
                 f"event {i} has no 'event' kind: {event!r}" if key == "event"
                 else f"event {i} ({kind}) has a bad {key!r}: {event.get(key)!r}"

@@ -243,7 +243,10 @@ def cmd_synth(args, parser) -> int:
         raise ValueError(f"market spec {args.spec} must hold a list of markets")
     specs = [_market_spec(args.spec, i, entry) for i, entry in enumerate(raw)]
     options = _given(args, seed="seed", start="start", warmup="warmup")
-    traces = generate_market_suite(specs, **options)
+    try:
+        traces = generate_market_suite(specs, **options)
+    except (ValueError, SpotIndexError) as exc:
+        raise ValueError(f"market spec {args.spec}: {exc}") from exc
     manifest = _provenance(args, seed=options.get("seed", DEFAULT_SEED))
     written = _write_traces(traces, args.out, manifest)
     log.info("wrote %d synthetic traces into %s", written, args.out)

@@ -59,6 +59,15 @@ TABLE_TICKS = 1024
 MAX_TASKS = 4096
 
 
+def _set_int(obj, key: str, name: str, **bounds):
+    """Check obj.key, for a dataclass field due to hold an int, with finite
+    (its range; bounds as finite takes them) and exact (its type), naming it
+    `name`, and store the int that exact returns."""
+    value = getattr(obj, key)
+    finite(value, name, **bounds)
+    object.__setattr__(obj, key, exact(int, value, name))
+
+
 @dataclass(frozen=True)
 class Phase:
     duration: int
@@ -66,9 +75,18 @@ class Phase:
     mem: float
 
     def __post_init__(self):
-        finite(self.duration, "phase duration")
+        _set_int(self, "duration", "phase duration")
         finite(self.cpu, "phase cpu")
         finite(self.mem, "phase mem")
+
+
+def _task_count(tasks, name: str = "tasks") -> int:
+    """tasks as an int from 1 to MAX_TASKS, or an InvariantError naming it."""
+    finite(tasks, name, minimum=1, strict=False)
+    tasks = exact(int, tasks, name)
+    if tasks > MAX_TASKS:
+        raise InvariantError(f"{name} must be at most {MAX_TASKS}, got {tasks!r}")
+    return tasks
 
 
 @dataclass(frozen=True)
@@ -79,7 +97,8 @@ class JobSpec:
     pauses the rest, and a revoked task restarts from its last superstep
     barrier instead of its last phase boundary. reference_capacity is the
     (cpu, mem) the job is notionally entitled to when costed against the
-    index; it defaults to the peak phase demand.
+    index; it defaults to requirement, itself the peak phase demand unless
+    given.
     """
 
     name: str
@@ -102,9 +121,7 @@ class JobSpec:
             raise ValueError("job needs at least one phase")
         object.__setattr__(self, "phases", tuple(self.phases))
         object.__setattr__(self, "phase_ends", tuple(accumulate(p.duration for p in self.phases)))
-        finite(self.tasks, "tasks", minimum=1, strict=False)
-        if self.tasks > MAX_TASKS:
-            raise InvariantError(f"tasks must be at most {MAX_TASKS}, got {self.tasks!r}")
+        object.__setattr__(self, "tasks", _task_count(self.tasks))
         finite(self.mem_footprint, "mem_footprint")
         if self.max_price is not None:
             finite(self.max_price, "max_price")
@@ -194,7 +211,7 @@ class MigrationModel:
     def __post_init__(self):
         finite(self.rate, "migration rate", strict=False)
         finite(self.fixed_floor, "migration fixed_floor", strict=False)
-        finite(self.revocation_restart, "migration revocation_restart", strict=False)
+        _set_int(self, "revocation_restart", "migration revocation_restart", strict=False)
 
     def seconds(self, mem_footprint: float) -> int:
         return int(math.ceil(max(self.rate * mem_footprint, self.fixed_floor)))
@@ -212,14 +229,12 @@ class RunParams:
     max_wallclock: int | None = None
 
     def __post_init__(self):
-        finite(self.epoch, "epoch")
-        finite(self.horizon, "horizon")
-        finite(self.sigma_window, "sigma_window")
+        for key in ("epoch", "horizon", "sigma_window", "bsp_superstep"):
+            _set_int(self, key, key)
         if self.index_reference not in ("window", "instant"):
             raise ValueError("index_reference must be 'window' or 'instant'")
-        finite(self.bsp_superstep, "bsp_superstep")
         if self.max_wallclock is not None:
-            finite(self.max_wallclock, "max_wallclock")
+            _set_int(self, "max_wallclock", "max_wallclock")
 
 
 @dataclass
@@ -1016,24 +1031,58 @@ def normalize_report(report: SimReport, baseline_on_demand_cost: float) -> SimRe
     return report
 
 
+def _listed(value, name: str, item=None) -> list:
+    """value, when it is a list or tuple (of `item`s, unless item is None)."""
+    if not isinstance(value, (list, tuple)) or (item and not all(isinstance(v, item) for v in value)):
+        of = f" of {item.__name__}" if item else ""
+        raise InvariantError(f"{name} must be a list{of}, got {value!r}")
+    return value
+
+
+def _capacity(value, name: str) -> tuple:
+    """value, a [cpu, mem] pair of finite numbers above 0, as a tuple."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvariantError(f"{name} must be a list of two numbers, got {value!r}")
+    for number in value:
+        finite(exact(float, number, name), name)
+    return tuple(value)
+
+
+def _report_value(raw, path: str, check):
+    """The value at path (keys joined by dots) of a report dict, checked by
+    check(value, path); a SimulationError naming path where the report has
+    no such key or check raises InvariantError."""
+    value = raw
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise SimulationError(f"report has no {path!r}")
+        value = value[key]
+    try:
+        return check(value, path)
+    except InvariantError as exc:
+        raise SimulationError(f"report {exc}") from None
+
+
+def _read_report(report: SimReport | dict, traces: dict, catalog: Catalog) -> tuple:
+    """A report's dict, event log, task count and index curve, each key
+    checked as _report_value checks it."""
+    raw = report.to_dict() if isinstance(report, SimReport) else report
+    events = _report_value(raw, "events", _listed)
+    tasks = _report_value(raw, "tasks", _task_count)
+    composition = _report_value(raw, "composition", lambda value, name: _listed(value, name, str))
+    return raw, events, tasks, IndexCurve(traces, catalog, composition)
+
+
 def replay(report: SimReport | dict, traces: dict, catalog: Catalog) -> dict:
     """Recompute every run output of a report from its serialized event log."""
-    raw = report.to_dict() if isinstance(report, SimReport) else report
-    return compute_totals(
-        raw["events"],
-        traces,
-        catalog,
-        IndexCurve(traces, catalog, raw["composition"]),
-        tuple(raw["params"]["reference_capacity"]),
-        raw["tasks"],
-    )
+    raw, events, tasks, curve = _read_report(report, traces, catalog)
+    capacity = _report_value(raw, "params.reference_capacity", _capacity)
+    return compute_totals(events, traces, catalog, curve, capacity, tasks)
 
 
 def ledger_from_report(report: SimReport | dict, traces: dict, catalog: Catalog) -> TrackingLedger:
     """Rebuild the gain/loss ledger implied by a report's hold segments."""
-    raw = report.to_dict() if isinstance(report, SimReport) else report
-    events, tasks = raw["events"], raw["tasks"]
-    curve = IndexCurve(traces, catalog, raw["composition"])
+    _, events, tasks, curve = _read_report(report, traces, catalog)
     ledger = TrackingLedger()
     for event, cost, index_cost in billed_holds(events, traces, catalog, curve, tasks):
         if event["working"]:

@@ -573,6 +573,22 @@ def test_synth_malformed_market_is_a_located_domain_error(workspace, spec, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([MARKETS_JSON["markets"][0]] * 2, "duplicate market spec for 'm4.large'"),
+        ([{**MARKETS_JSON["markets"][0], "mean": 0.5}], "market 'm4.large' produced price -"),
+    ],
+    ids=["duplicate-vm-id", "negative-draw"],
+)
+def test_synth_error_of_the_whole_suite_names_the_spec_file(workspace, spec, message, caplog):
+    # errors that generate_market_suite raises, not a single entry's check
+    spec_path = workspace / "bad.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run(["synth", "--spec", spec_path, "--out", workspace / "out"]) == 1
+    assert any(m.startswith(f"market spec {spec_path}: {message}") for m in caplog.messages)
+
+
 @pytest.mark.parametrize("document", ["config", "market spec", "job", "report"])
 def test_input_file_that_is_not_json_names_the_file(workspace, document, caplog):
     bad = workspace / "bad.json"
@@ -715,6 +731,16 @@ DOCUMENTS = {
 }
 
 
+# the file that each document's argv writes it to
+DOCUMENT_FILES = {
+    "job": "job.json",
+    "market": "spec.json",
+    "config": "config.json",
+    "catalog row": "catalog.jsonl",
+    "trace record": "raw.jsonl",
+}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The catalog, traces, job and raw trace file that the documents not
@@ -728,17 +754,25 @@ def inputs(tmp_path_factory):
     return root
 
 
+# a job that no candidate fits at this max_price is valid, and its error
+# is the engine's, which knows no file
+UNLOCATED = [("job", "max_price", 0.5), ("job", "max_price", 2)]
+
+
 @pytest.mark.parametrize(
     "document, key",
     [(name, key) for name, (valid, _) in DOCUMENTS.items() for key in [*valid(Path()), None]],
 )
-def test_malformed_input_is_a_domain_or_usage_error(inputs, tmp_path, monkeypatch, document, key):
-    # key None replaces the whole document
+def test_malformed_input_is_a_domain_or_usage_error(inputs, tmp_path, monkeypatch, caplog, document, key):
+    # key None replaces the whole document; an error (exit 1) about any
+    # document but the config names the document's file
     valid, argv = DOCUMENTS[document]
     monkeypatch.chdir(tmp_path)
     escaped = []
+    unlocated = []
     for value in JSON_VALUES:
         doc = value if key is None else {**valid(inputs), key: value}
+        caplog.clear()
         try:
             outcome = run(argv(inputs, doc))
         except SystemExit as exc:
@@ -747,7 +781,12 @@ def test_malformed_input_is_a_domain_or_usage_error(inputs, tmp_path, monkeypatc
             outcome = exc
         if outcome not in (0, 1, "usage"):
             escaped.append((value, outcome))
+        located = document == "config" or (document, key, value) in UNLOCATED
+        written = str(tmp_path / DOCUMENT_FILES[document])
+        if outcome == 1 and not located and written not in caplog.text:
+            unlocated.append((value, caplog.text))
     assert not escaped
+    assert not unlocated
 
 
 @pytest.mark.parametrize("key", [*FULL_JOB, None])

@@ -9,6 +9,7 @@ import pytest
 from spotindex import (
     GapError,
     IndexCurve,
+    InvariantError,
     JobSpec,
     MigrationModel,
     Phase,
@@ -208,6 +209,31 @@ def test_job_from_dict_takes_whole_floats_for_integers():
     job = JobSpec.from_dict(raw)
     assert job == one_phase_job(tasks=2)
     assert type(job.phases[0].duration) is int and type(job.tasks) is int
+
+
+# each int field of a dataclass, by its name in messages: a constructor
+# that puts a value in it, and the field
+INT_FIELDS = {
+    "phase duration": (lambda v: Phase(v, 1.0, 1.0), "duration"),
+    "tasks": (lambda v: one_phase_job(tasks=v), "tasks"),
+    "migration revocation_restart": (lambda v: MigrationModel(revocation_restart=v), "revocation_restart"),
+    "epoch": (lambda v: RunParams(epoch=v), "epoch"),
+    "horizon": (lambda v: RunParams(horizon=v), "horizon"),
+    "sigma_window": (lambda v: RunParams(sigma_window=v), "sigma_window"),
+    "bsp_superstep": (lambda v: RunParams(bsp_superstep=v), "bsp_superstep"),
+    "max_wallclock": (lambda v: RunParams(max_wallclock=v), "max_wallclock"),
+}
+
+
+@pytest.mark.parametrize("name", list(INT_FIELDS))
+def test_int_fields_take_whole_numbers_only(name):
+    # a fraction used to run and fail later: an epoch inside the market
+    # block, a phase duration as a bad hold time in the log
+    make, field = INT_FIELDS[name]
+    with pytest.raises(InvariantError, match=f"^{name} must be int, got 2.5$"):
+        make(2.5)
+    value = getattr(make(2.0), field)
+    assert value == 2 and type(value) is int
 
 
 def test_run_params_validation():
@@ -665,47 +691,52 @@ def test_replay_names_a_task_the_log_never_finishes():
             replay({**report.to_dict(), "events": log}, traces, CATALOG)
 
 
-# every case now runs through both event-log readers; the readers column
-# keeps the cases' test ids
 BOTH_READERS = (replay, ledger_from_report)
 
+# (kind of the event edited, key, value); None stands for a missing key
+MALFORMED_EVENTS = [
+    ("hold", "vm", "zz"),
+    ("hold", "t1", "x"),
+    ("hold", "t0", None),
+    ("hold", "task", 5),
+    ("hold", "event", None),
+    # a float or bool time used to bill as if it were a number of seconds
+    ("hold", "t1", 299.5),
+    ("hold", "t0", True),
+    # a task out of range or a working flag that is not a bool used to
+    # read silently, and working 0 billed the hold as a stall
+    ("hold", "task", -1),
+    ("hold", "working", 1),
+    ("hold", "working", 0),
+    # a float t used to replay as the wall-clock
+    ("finish", "t", 600.5),
+    ("finish", "t", True),
+    ("finish", "t", None),
+    ("finish", "task", 1),
+    ("finish", "task", 0.0),
+]
 
-@pytest.mark.parametrize(
-    "key, value, readers",
-    [
-        ("vm", "zz", BOTH_READERS),
-        ("t1", "x", BOTH_READERS),
-        ("t0", None, BOTH_READERS),
-        ("task", 5, BOTH_READERS),
-        ("event", None, BOTH_READERS),
-        # a float or bool time used to bill as if it were a number of seconds
-        ("t1", 299.5, BOTH_READERS),
-        ("t0", True, BOTH_READERS),
-        # a task out of range or a working flag that is not a bool used to
-        # read silently, and working 0 billed the hold as a stall
-        ("task", -1, BOTH_READERS),
-        ("working", 1, BOTH_READERS),
-        ("working", 0, BOTH_READERS),
-        # the cases read by replay alone edit the finish event, which the
-        # ledger does not read: a float t used to replay as the wall-clock
-        ("t", 600.5, (replay,)),
-        ("t", True, (replay,)),
-        ("t", None, (replay,)),
-        ("task", 1, (replay,)),
-        ("task", 0.0, (replay,)),
-    ],
-)
-def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
-    # event 2 is the first hold; None stands for a missing key
+
+def located_run():
+    """A static run's traces and report dict, moved once, so its log holds
+    working and stalled holds; event 2 is its first hold."""
     traces = flat_traces()
     report = run_simulation(
         one_phase_job(), "static", traces, CATALOG, COMPOSITION,
         params=unit_params(),
         forced_migrations=[(300, 0, "r4.xlarge")],
     ).to_dict()
+    return traces, report
+
+
+def assert_located(kind, key, value, traces=None, report=None, i=None):
+    """Set key of event i (by default the first event of that kind) to
+    value, or drop it for None, and check that both readers name it."""
+    if report is None:
+        traces, report = located_run()
     events = [dict(event) for event in report["events"]]
-    kind = "hold" if ledger_from_report in readers else "finish"
-    i = 2 if kind == "hold" else [e["event"] for e in events].index("finish")
+    if i is None:
+        i = [e["event"] for e in events].index(kind)
     assert events[i]["event"] == kind
     if value is None:
         del events[i][key]
@@ -715,9 +746,105 @@ def test_replay_and_ledger_locate_a_malformed_event(key, value, readers):
         f"^event {i} has no 'event' kind" if key == "event"
         else f"^event {i} \\({kind}\\) has a bad '{key}': {re.escape(repr(value))}$"
     )
-    for reader in readers:
+    for reader in BOTH_READERS:
         with pytest.raises(SimulationError, match=message):
             reader({**report, "events": events}, traces, CATALOG)
+
+
+# each id keeps the name its case had when a third column listed the
+# readers that ran it
+@pytest.mark.parametrize(
+    "kind, key, value",
+    MALFORMED_EVENTS,
+    ids=[f"{key}-{value}-readers{i}" for i, (_, key, value) in enumerate(MALFORMED_EVENTS)],
+)
+def test_replay_and_ledger_locate_a_malformed_event(kind, key, value):
+    assert_located(kind, key, value)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("hold", "t0", -(2**63) - 1), ("hold", "t1", 2**63), ("finish", "t", 2**63)],
+)
+def test_a_time_outside_int64_is_located(kind, key, value):
+    # these escaped as a raw OverflowError from numpy
+    assert_located(kind, key, value)
+
+
+def test_a_negative_finish_time_is_located():
+    # it used to replay to a wall-clock of -5
+    assert_located("finish", "t", -5)
+
+
+def test_a_finish_before_its_tasks_holds_end_is_located():
+    traces, report = located_run()
+    end = max(e["t1"] for e in report["events"] if e["event"] == "hold")
+    finish = [e for e in report["events"] if e["event"] == "finish"]
+    assert [e["t"] for e in finish] == [end]
+    assert_located("finish", "t", end - 1, traces, report)
+
+
+def test_a_finish_is_checked_against_its_own_tasks_holds():
+    traces = flat_traces()
+    report = run_simulation(
+        one_phase_job(kind="bsp", tasks=2), "static", traces, CATALOG, COMPOSITION,
+        params=unit_params(),
+    ).to_dict()
+    events = report["events"]
+    # with task 0's holds cut to end at 500, task 0 may finish at 500 while
+    # task 1's holds run to 600, and task 1 may not finish at 599
+    i = events.index({"event": "finish", "t": 600, "task": 1})
+    edited = [dict(e) for e in events]
+    for e in edited:
+        if e["event"] == "hold" and e["task"] == 0:
+            e["t1"] = min(e["t1"], 500)
+    edited[events.index({"event": "finish", "t": 600, "task": 0})]["t"] = 500
+    assert replay({**report, "events": edited}, traces, CATALOG)["finish_times"] == [500, 600]
+    assert_located("finish", "t", 599, traces, {**report, "events": edited}, i)
+
+
+def test_a_hold_on_a_vm_without_a_catalog_row_is_located_even_when_stalled():
+    traces, report = located_run()
+    traces["zz"] = PriceTrace("zz", [PricePoint(0, 6.0)])
+    stalled = [e["working"] for e in report["events"] if e["event"] == "hold"].index(False)
+    i = [k for k, e in enumerate(report["events"]) if e["event"] == "hold"][stalled]
+    assert_located("hold", "vm", "zz", traces, report, i)
+
+
+@pytest.mark.parametrize(
+    "key, value, message, readers",
+    [
+        ("events", ..., "report has no 'events'", BOTH_READERS),
+        ("events", None, "report events must be a list, got None", BOTH_READERS),
+        ("composition", ..., "report has no 'composition'", BOTH_READERS),
+        ("composition", "abc", "report composition must be a list of str, got 'abc'", BOTH_READERS),
+        ("tasks", ..., "report has no 'tasks'", BOTH_READERS),
+        ("tasks", "1", "report tasks must be finite and >= 1, got '1'", BOTH_READERS),
+        ("tasks", 1.5, "report tasks must be int, got 1.5", BOTH_READERS),
+        ("params", ..., "report has no 'params.reference_capacity'", (replay,)),
+        (
+            "params", {"reference_capacity": "x"},
+            "report params.reference_capacity must be a list of two numbers, got 'x'", (replay,),
+        ),
+        (
+            "params", {"reference_capacity": [8.0, True]},
+            "report params.reference_capacity must be float, got True", (replay,),
+        ),
+    ],
+    ids=[
+        "events-missing", "events-null", "composition-missing", "composition-str", "tasks-missing",
+        "tasks-str", "tasks-fraction", "params-missing", "reference_capacity-str", "reference_capacity-bool",
+    ],
+)
+def test_replay_and_ledger_name_a_missing_or_malformed_report_key(key, value, message, readers):
+    # ... stands for a missing key; the ledger does not read params
+    traces, report = located_run()
+    edited = {k: v for k, v in report.items() if k != key}
+    if value is not ...:
+        edited[key] = value
+    for reader in readers:
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            reader(edited, traces, CATALOG)
 
 
 def test_replay_and_ledger_locate_an_event_that_is_not_an_object():
