@@ -2,9 +2,10 @@
 working hold what its VM's capacity cost at the index over the same span.
 
 interval_cost and IndexCurve.integrate price one hold alone (bill_hold), and
-are the definitions. billed_holds prices a whole log with at most two
-window_sums calls per VM and gets the same bits, in the one pass that also
-checks every event of the log and names the first one it cannot read.
+are the definitions. billed_holds prices a whole log with one window_sums
+call per VM, plus one for the index, and gets the same bits, in the one pass
+that also checks every event of the log and names the first one it cannot
+read.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ def bill_hold(event, traces, catalog, curve: IndexCurve) -> tuple:
 
 
 class _Holds:
-    """The holds of one VM that billed_holds prices in one batch: the spans
-    of all of them and of the working ones, then their sums in order."""
+    """The holds of one VM that billed_holds prices in one batch: their
+    spans, then their sums in order."""
 
-    __slots__ = ("trace", "first", "spec", "t0", "t1", "working_t0", "working_t1", "sums", "index_sums")
+    __slots__ = ("trace", "first", "spec", "t0", "t1", "sums")
 
     def __init__(self, trace: PriceTrace, spec):
         self.trace = trace
         self.first = trace.first_ts
         self.spec = spec
-        self.t0, self.t1, self.working_t0, self.working_t1 = [], [], [], []
+        self.t0, self.t1 = [], []
 
 
 class _Unread(KeyError):
@@ -59,20 +60,20 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
     compute_totals and ledger_from_report.
 
     Reading checks, in this order, that an event is an object with a str
-    "event" kind; for a hold, that t0 and t1 are ints that fit an int64, task
-    is one of the job's, vm has a trace and a catalog row, and working is a
-    bool; for a finish, that t is an int that fits an int64, task is one of
-    the job's, and t is at or after 0 and the end of every earlier hold of
-    that task.
+    "event" kind; for a hold, that t0 and t1 are ints within ±2**62, so that
+    the difference of any two times fits an int64, task is one of the job's,
+    vm has a trace and a catalog row, and working is a bool; for a finish,
+    that t is an int below 2**62, task is one of the job's, and t is at or
+    after 0 and the end of every earlier hold of that task.
     The first key that fails is a SimulationError naming it and the event's
     index, raised after the holds before it are yielded.
 
     The holds are grouped by VM. Each group is priced with one window_sums
-    call over its trace and one over the index curve for its working holds,
-    so every hold gets bill_hold's bits. A hold that a batch does not price,
-    because it is empty, starts before its trace or the curve, or its index
-    span holds a gap, is billed alone by bill_hold in its turn and raises
-    what bill_hold raises.
+    call over its trace, and the working holds of every group with one over
+    the index curve, so every hold gets bill_hold's bits. A hold that a
+    batch does not price, because it is empty, starts before its trace or
+    the curve, or its index span holds a gap, is billed alone by bill_hold
+    in its turn and raises what bill_hold raises.
     """
     # two flat lists, one entry per hold: a container per hold would wake
     # the garbage collector again and again on a long log
@@ -83,7 +84,8 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
     others = 0  # the events read that are not holds
     failure = None
     start = curve.start
-    low, top = -(2**63), 2**63  # every time must fit an int64 array
+    low, top = -(2**62), 2**62  # every difference of two times fits an int64
+    working_t0, working_t1 = [], []  # the index spans of the batched holds
     for event in events:
         try:
             try:
@@ -143,21 +145,20 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
         group.t0.append(t0)
         group.t1.append(t1)
         if working:
-            group.working_t0.append(t0)
-            group.working_t1.append(t1)
+            working_t0.append(t0)
+            working_t1.append(t1)
     for group in groups.values():
         trace = group.trace
         if group.t0:
             group.sums = iter(window_sums(trace.timestamps, trace.prices, group.t0, group.t1).tolist())
-        if group.working_t0:
-            group.index_sums = iter(curve.integrals(group.working_t0, group.working_t1).tolist())
+    index_sums = iter(curve.integrals(working_t0, working_t1).tolist())
     for event, group in zip(holds, hold_groups):
         if group is not None:
             cost = next(group.sums) / 3600.0
             if not event["working"]:
                 yield event, cost, None
                 continue
-            total = next(group.index_sums)
+            total = next(index_sums)
             if total == total:
                 yield event, cost, denormalize(group.spec, total) / 3600.0
                 continue

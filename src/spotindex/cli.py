@@ -143,12 +143,6 @@ def _csv_out(args):
             fh.close()
 
 
-def _scope_from_args(args) -> Scope | None:
-    if args.region is None and args.zone is None and args.family is None:
-        return None
-    return Scope(region=args.region, zone=args.zone, family=args.family)
-
-
 def _write_traces(traces, out, manifest: dict) -> int:
     """Write each trace as canonical JSONL into the `out` directory, next to
     a manifest.json that lists them; returns how many were written. Two vm
@@ -289,7 +283,7 @@ def cmd_simulate(args, parser) -> int:
         ),
     )
     seed = _given(args, seed="seed")
-    scope = _scope_from_args(args)
+    scope = Scope(region=args.region, zone=args.zone, family=args.family)
     report = run_simulation(
         job,
         policy,
@@ -457,10 +451,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args, parser)
         return args.func(args, parser)
-    except SpotIndexError as exc:
-        log.error("%s", exc)
-        return 1
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (SpotIndexError, OSError, ValueError, KeyError) as exc:
         log.error("%s", exc)
         return 1
 

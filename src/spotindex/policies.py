@@ -18,7 +18,7 @@ import numpy as np
 from .catalog import VmSpec
 from .errors import SelectionError
 from .index import normalize
-from .tracking import should_migrate
+from .tracking import migration_loss, should_migrate
 
 SIGMA_FLOOR = 1e-9
 TIE_TOLERANCE = 1e-9
@@ -48,9 +48,10 @@ def utilized_price(price: float, cpu_used: float, mem_used: float) -> float:
     return price / math.sqrt(cpu_used * mem_used)
 
 
-def sharpe(index_reference: float, utilized_mean: float, sigma: float) -> float:
-    """Risk-adjusted expected saving of holding a VM versus the index."""
-    return (index_reference - utilized_mean) / max(sigma, SIGMA_FLOOR)
+def sharpe(index_reference, utilized_mean, sigma):
+    """Risk-adjusted expected saving of holding a VM versus the index, of
+    floats or elementwise of arrays."""
+    return (index_reference - utilized_mean) / np.maximum(sigma, SIGMA_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -254,13 +255,13 @@ class CostCentricPolicy(Policy):
         best = ctx.view(_lowest(score))
         if best.spec.id == current.spec.id:
             return PolicyDecision(PolicyDecision.STAY, reason="already cheapest", scores=scores)
-        saving = (current.price - best.price) * ctx.horizon
-        cost = (current.price + best.price) * ctx.migration_seconds
+        saving = (current.price - best.price) * ctx.horizon / 3600.0
+        cost = migration_loss(current.price, best.price, ctx.migration_seconds)
         if saving > cost:
             return PolicyDecision(
                 PolicyDecision.MIGRATE,
                 target=best.spec.id,
-                reason=f"saving {saving / 3600.0:.6g} beats move cost {cost / 3600.0:.6g}",
+                reason=f"saving {saving:.6g} beats move cost {cost:.6g}",
                 scores=scores,
             )
         return PolicyDecision(PolicyDecision.STAY, reason="saving below move cost", scores=scores)
@@ -271,8 +272,8 @@ class CostCentricPolicy(Policy):
         i, held = _held(block, current)
         score = block.utilized(block.prices, cpu_used, mem_used)
         price = block.prices
-        saving = (price[i] - price) * block.horizon
-        cost = (price[i] + price) * block.migration_seconds
+        saving = (price[i] - price) * block.horizon / 3600.0
+        cost = migration_loss(price[i], price, block.migration_seconds)
         fine = block.over | _surely_below(score[i], score) | _surely_below(saving, cost)
         fine[i] = True
         return held & fine.all(axis=0)
@@ -376,18 +377,21 @@ class BalancedPolicy(Policy):
 
     def stays(self, block, current, cpu_used, mem_used):
         # the score branch: no other live candidate scores above current's
-        # by the tolerance; or Eq. 5 fails for every other live candidate
+        # by the tolerance; or Eq. 5 fails for every other live candidate at
+        # the index lifted by the margin. Eq. 5 never decreases as a
+        # non-negative index grows, so it then fails at the index itself,
+        # and the lift leaves a near tie to decide
         i, held = _held(block, current)
         mean = block.utilized(block.means, cpu_used, mem_used)
         sigma = block.utilized(block.stds, cpu_used, mem_used)
-        # sharpe, over the block
-        score = (block.index_reference - mean) / np.maximum(sigma, SIGMA_FLOOR)
+        score = sharpe(block.index_reference, mean, sigma)
         best = block.over | _surely_below(score - TIE_TOLERANCE, score[i])
         best[i] = True
         covered = best.all(axis=0)
         if self.sufficiency == "eq5":
             normalized = block.normalized()
-            fails = block.over | _surely_below(block.index_now, normalized[i] + 2.0 * normalized)
+            lifted = block.index_now * (1.0 + 2.0 * STAY_MARGIN)
+            fails = block.over | ~should_migrate(lifted, normalized[i], normalized)
             fails[i] = True
             covered |= fails.all(axis=0)
         return held & covered

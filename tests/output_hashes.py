@@ -1,0 +1,95 @@
+"""Print one SHA-256 per output of the package, to check that a change to the
+source leaves every output's bytes as they were.
+
+At seeds 0 and 7919, it hashes every case of the `study`, `week` and
+`bsp` benchmark workloads (bench/workloads.py): the report document the
+bench writes, the replay totals and the ledger; and every file the
+`traces` case writes, with its work directory masked. Once, it hashes each
+of the acceptance battery's 750 reports, with their replays and ledgers. Run it once with PYTHONPATH on each source tree's src, and
+diff the two outputs:
+
+    PYTHONPATH=path/to/old/src python tests/output_hashes.py > old.txt
+    PYTHONPATH=src python tests/output_hashes.py > new.txt
+    diff old.txt new.txt
+
+A run prints 3,188 lines in about 7 s on a 2-core Xeon VM.
+
+It reads bench/workloads.py and changes nothing under bench/. Its name keeps
+pytest from collecting it.
+"""
+
+import contextlib
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from spotindex import ledger_from_report, replay  # noqa: E402
+
+from conftest import build_catalog, study_params, traces_for  # noqa: E402
+from test_acceptance import run_battery  # noqa: E402
+from workloads import make_workload  # noqa: E402
+
+SEEDS = (0, 7919)
+
+
+def sha(data) -> str:
+    if not isinstance(data, bytes):
+        data = json.dumps(data, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def simulator_lines(name: str, seed: int, work_dir: Path):
+    workload = make_workload(name, seed, work_dir)
+    workload.setup()
+    for op in workload.ops(lambda policy: policy, lambda _: contextlib.nullcontext()):
+        report, totals, ledger, text = op.run()
+        label = f"{name} seed={seed} {op.label}"
+        yield f"{sha(text.encode())}  {label} report"
+        yield f"{sha(totals)}  {label} replay"
+        yield f"{sha(ledger.to_dicts())}  {label} ledger"
+
+
+def traces_lines(seed: int, work_dir: Path):
+    workload = make_workload("traces", seed, work_dir)
+    workload.setup()
+    workload.prepare()
+    [op] = workload.ops(None, None)
+    ingest, index = op.run()
+    yield f"{sha([ingest, index])}  traces seed={seed} exit codes"
+    for path in sorted(workload.out_dir.iterdir()) + [workload.index_path]:
+        # manifests and CSV headers echo the command line, paths included
+        text = path.read_bytes().replace(str(work_dir).encode(), b"<work>")
+        yield f"{sha(text)}  traces seed={seed} {path.relative_to(work_dir)}"
+
+
+def battery_lines():
+    catalog = build_catalog()
+    for key, cell in run_battery(catalog, study_params()).items():
+        scale = key[1] if key[0] == "scale" else 1.0
+        for report in cell["reports"]:
+            traces = traces_for(report.seed, scale)
+            doc = report.to_dict()
+            label = f"battery {'/'.join(map(str, key))} seed={report.seed}"
+            yield f"{sha(doc)}  {label} report"
+            yield f"{sha(replay(doc, traces, catalog))}  {label} replay"
+            yield f"{sha(ledger_from_report(doc, traces, catalog).to_dicts())}  {label} ledger"
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            for name in ("study", "week", "bsp"):
+                for line in simulator_lines(name, seed, Path(tmp) / name):
+                    print(line)
+            for line in traces_lines(seed, Path(tmp) / "traces"):
+                print(line)
+    for line in battery_lines():
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

@@ -75,8 +75,7 @@ VARIANTS = {
 }
 
 
-@pytest.fixture(scope="session")
-def battery(catalog, params):
+def run_battery(catalog, params):
     """All replication runs: 3 volatility scales and 3 job variants, each
     under the three migrating policies, 50 seeds apiece."""
     od_base = {
@@ -103,6 +102,11 @@ def battery(catalog, params):
         for policy in BATTERY_POLICIES:
             run_cell(("variant", name, policy), VARIANTS[name], policy, 1.0)
     return cells
+
+
+@pytest.fixture(scope="session")
+def battery(catalog, params):
+    return run_battery(catalog, params)
 
 
 def mean(values):

@@ -39,7 +39,7 @@ from spotindex import (
 )
 
 from spotindex.policies import CostCentricPolicy, PolicyContext, PolicyDecision, build_policy
-from spotindex import billing
+from spotindex import billing, policies
 from spotindex.billing import billed_holds, interval_cost
 from spotindex.index import denormalize
 from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
@@ -477,6 +477,49 @@ def test_mutant_crossing_lookup_blind_to_the_cap_changes_the_report():
     check_mutant_changes_report(
         scenario, mock.patch.object(_Engine, "_over_starts", over_max_price_only)
     )
+
+
+# the stays masks read the formulas decide reads: a changed formula
+# changes both, so the engine still matches the reference
+
+
+def gate_that_always_passes(index_value, src_normalized, dst_normalized):
+    return np.ones(np.broadcast(index_value, src_normalized, dst_normalized).shape, dtype=bool)
+
+
+def sharpe_floored_at_one(index_reference, utilized_mean, sigma):
+    return (index_reference - utilized_mean) / np.maximum(sigma, 1.0)
+
+
+def free_migration(price_src, price_dst, t_m):
+    return 0.0 * (price_src + price_dst)
+
+
+@pytest.mark.parametrize(
+    "policy, formula, patched",
+    [
+        (("balanced", {}), "should_migrate", gate_that_always_passes),
+        (("balanced", {"sufficiency": "off"}), "sharpe", sharpe_floored_at_one),
+        (("cost", {}), "migration_loss", free_migration),
+    ],
+    ids=["should_migrate", "sharpe", "migration_loss"],
+)
+def test_stays_masks_follow_a_changed_formula(policy, formula, patched):
+    changed = False
+    for seed in range(4):
+        scenario = {
+            "job": baseline_job(),
+            "policy": policy,
+            "traces": traces_for(seed, 1.5),
+            "params": study_params(),
+            "forced_migrations": [],
+        }
+        unpatched = outcome(run_simulation, scenario)[1]
+        with mock.patch.object(policies, formula, patched):
+            engine, reference = reports_of_both(scenario)
+        assert engine == reference, seed
+        changed |= engine != unpatched
+    assert changed
 
 
 # edge cases of the next-event rules

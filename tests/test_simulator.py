@@ -771,6 +771,18 @@ def test_a_time_outside_int64_is_located(kind, key, value):
     assert_located(kind, key, value)
 
 
+def test_a_hold_whose_span_overflows_int64_is_located():
+    # each time fits an int64 but their difference does not: the hold used
+    # to bill about -1e16 with no error
+    traces = {vm: PriceTrace(vm, [PricePoint(-3600, 6.0)]) for vm in COMPOSITION}
+    report = run_simulation(
+        one_phase_job(), "static", traces, CATALOG, COMPOSITION, params=unit_params()
+    ).to_dict()
+    [hold] = [e for e in report["events"] if e["event"] == "hold"]
+    hold["t0"] = -3600
+    assert_located("hold", "t1", 2**63 - 1, traces, report)
+
+
 def test_a_negative_finish_time_is_located():
     # it used to replay to a wall-clock of -5
     assert_located("finish", "t", -5)
