@@ -104,8 +104,11 @@ def step_slice(timestamps: np.ndarray, t0: int, t1: int) -> tuple[slice, np.ndar
 
     `timestamps` are the sorted step starts, the last step never ends, and
     timestamps[0] <= t0 < t1. Returns the slice of steps and each one's width
-    clipped to [t0, t1).
+    clipped to [t0, t1). A span whose width, or whose end, does not fit an
+    int64 raises OutOfRangeError: its widths would wrap.
     """
+    if max(int(t1), int(t1) - int(t0)) >= 2**63:
+        raise OutOfRangeError(f"span [{t0}, {t1}) does not fit in int64 seconds")
     lo = int(timestamps.searchsorted(t0, side="right")) - 1
     hi = int(timestamps.searchsorted(t1))
     edges = np.empty(hi - lo + 1, dtype=np.int64)
@@ -426,7 +429,8 @@ def ingest_traces(paths, catalog, on_unknown: str = "warn") -> dict[str, PriceTr
         np.concatenate([np.zeros(0, dtype)] + [part[k] for part in parts])
         for k, dtype in enumerate((np.int64, np.float64, np.intp))
     )
-    names = sorted({resolved[code][0] for code in np.unique(codes).tolist()} - {None})
+    present = np.flatnonzero(np.bincount(codes, minlength=len(resolved))).tolist()
+    names = sorted({resolved[code][0] for code in present} - {None})
     rank = {vm_id: r for r, vm_id in enumerate(names)}
     vm = np.array([rank.get(vm_id, -1) for vm_id, _ in resolved], dtype=np.intp)[codes]
     unknown = np.flatnonzero(vm < 0).tolist()

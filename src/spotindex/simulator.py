@@ -38,7 +38,7 @@ import numpy as np
 from .billing import billed_holds
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
-from .index import IndexCurve, normalize
+from .index import IndexCurve, index_curve, normalize
 from .policies import MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
@@ -388,7 +388,7 @@ class _Engine:
         self.composition = list(composition)
         self.params = params
         self.seed = seed
-        self.curve = IndexCurve(traces, catalog, self.composition)
+        self.curve = index_curve(traces, catalog, self.composition)
         specs, cheapest = _candidates(job, catalog, scope)
         missing = [s.id for s in specs if s.id not in traces]
         if missing:
@@ -1070,7 +1070,7 @@ def _read_report(report: SimReport | dict, traces: dict, catalog: Catalog) -> tu
     events = _report_value(raw, "events", _listed)
     tasks = _report_value(raw, "tasks", _task_count)
     composition = _report_value(raw, "composition", lambda value, name: _listed(value, name, str))
-    return raw, events, tasks, IndexCurve(traces, catalog, composition)
+    return raw, events, tasks, index_curve(traces, catalog, composition)
 
 
 def replay(report: SimReport | dict, traces: dict, catalog: Catalog) -> dict:

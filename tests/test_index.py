@@ -1,6 +1,9 @@
+import dataclasses
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from spotindex import (
     normalize,
     on_demand_index,
 )
+from spotindex import index
 
 
 def spec(vm_id, cpu, mem, od, family="general"):
@@ -325,3 +329,112 @@ def test_window_means_read_a_gap_as_nan(drawn):
                 assert math.isnan(got)
             else:
                 assert got.hex() == float(expected).hex()
+
+
+@st.composite
+def member_stamps(draw):
+    """One to four members' sorted distinct stamps, drawn from a small range
+    so that members share stamps, each starting where it likes."""
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(-50, 50))
+        members.append(sorted({start, *draw(st.lists(st.integers(start, 120), max_size=30))}))
+    return members
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(member_stamps())
+def test_curve_merges_member_stamps_as_np_unique_does(members):
+    ids = [f"v{i}" for i in range(len(members))]
+    catalog = Catalog([spec(vm, 2.0, 8.0, 50.0) for vm in ids])
+    traces = {vm: PriceTrace(vm, [PricePoint(t, 1.0 + t % 7) for t in stamps])
+              for vm, stamps in zip(ids, members)}
+    curve = IndexCurve(traces, catalog, ids)
+    merged = np.unique(np.concatenate([np.array(s, dtype=np.int64) for s in members]))
+    expected = merged[merged >= max(s[0] for s in members)]
+    assert curve.timestamps.dtype == np.int64
+    assert curve.timestamps.tolist() == expected.tolist()
+
+
+def curve_bits(curve) -> tuple:
+    return curve.start, *(
+        values.tobytes()
+        for values in (curve.timestamps, curve._counts, curve._values, curve._low, curve._high)
+    )
+
+
+def shared_setup():
+    """Three members with full-mantissa prices, so a change of summation
+    order shows, one of them on its cap (10 x 1.0) at t=40."""
+    catalog = Catalog([spec("a", 2.0, 8.0, 1.0), spec("b", 4.0, 16.0, 2.5), spec("c", 8.0, 30.0, 4.0)])
+    traces = {
+        "a": PriceTrace("a", [PricePoint(0, 1.7), PricePoint(40, 10.0), PricePoint(90, 0.0)]),
+        "b": PriceTrace("b", [PricePoint(-10, 2.3), PricePoint(40, 3.1)]),
+        "c": PriceTrace("c", [PricePoint(0, 5.9), PricePoint(70, 6.1)]),
+    }
+    return catalog, traces, ["a", "b", "c"]
+
+
+def test_index_curve_reuses_the_curve_of_equal_inputs():
+    catalog, traces, ids = shared_setup()
+    curve = index.index_curve(traces, catalog, ids)
+    copies = {vm: PriceTrace.from_arrays(vm, t.timestamps.copy(), t.prices.copy())
+              for vm, t in traces.items()}
+    assert index.index_curve(copies, Catalog(list(catalog)), list(ids)) is curve
+    assert curve_bits(curve) == curve_bits(IndexCurve(traces, catalog, ids))
+
+
+def edit_price_in_place(catalog, traces, ids):
+    traces["c"].prices[1] = 6.2
+    return catalog, traces, ids
+
+
+def unsign_a_zero_price(catalog, traces, ids):
+    # -0.0 == 0.0, but the normalized low of its step keeps the sign
+    traces["a"].prices[2] = 0.0
+    return catalog, traces, ids
+
+
+def move_the_cap(catalog, traces, ids):
+    # a's price of 10.0 at t=40 sits on its cap at 1.0 on demand, not at 2.0
+    specs = [dataclasses.replace(s, on_demand_price=2.0) if s.id == "a" else s for s in catalog]
+    return Catalog(specs), traces, ids
+
+
+def reorder(catalog, traces, ids):
+    return catalog, traces, ids[::-1]
+
+
+@pytest.mark.parametrize("change", [edit_price_in_place, unsign_a_zero_price, move_the_cap, reorder])
+def test_index_curve_builds_anew_when_an_input_changes(change):
+    catalog, traces, ids = shared_setup()
+    traces["a"].prices[2] = -0.0
+    before = index.index_curve(traces, catalog, ids)
+    kept = curve_bits(before)
+    catalog, traces, ids = change(catalog, traces, ids)
+    after = index.index_curve(traces, catalog, ids)
+    assert after is not before
+    assert curve_bits(after) == curve_bits(IndexCurve(traces, catalog, ids)) != kept
+    assert curve_bits(before) == kept
+
+
+def test_index_curve_arrays_reject_writes():
+    catalog, traces, ids = shared_setup()
+    curve = index.index_curve(traces, catalog, ids)
+    for values in (curve.timestamps, curve._counts, curve._values, curve._low, curve._high):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[1]
+
+
+@pytest.mark.parametrize(
+    "catalog_ids, trace_ids, composition",
+    [(["a"], ["a", "b"], ["a", "b"]), (["a", "b"], ["a"], ["a", "b"]),
+     (["a"], ["a"], ["a", "a"]), (["a"], ["a"], [])],
+)
+def test_index_curve_raises_as_a_fresh_build_does(catalog_ids, trace_ids, composition):
+    catalog = Catalog([spec(vm, 1.0, 1.0, 1.0) for vm in catalog_ids])
+    traces = {vm: flat(vm, 2.0) for vm in trace_ids}
+    with pytest.raises((GapError, ValueError)) as built:
+        IndexCurve(traces, catalog, composition)
+    with pytest.raises(built.type, match=f"^{re.escape(str(built.value))}$"):
+        index.index_curve(traces, catalog, composition)

@@ -12,6 +12,7 @@ from spotindex import (
     InvariantError,
     JobSpec,
     MigrationModel,
+    OutOfRangeError,
     Phase,
     POLICIES,
     Policy,
@@ -781,6 +782,35 @@ def test_a_hold_whose_span_overflows_int64_is_located():
     [hold] = [e for e in report["events"] if e["event"] == "hold"]
     hold["t0"] = -3600
     assert_located("hold", "t1", 2**63 - 1, traces, report)
+
+
+def test_a_span_that_overflows_int64_raises_out_of_range():
+    # each time fits an int64 but their difference does not: interval_cost
+    # used to bill -1.537e16 and integrate to return -5.53e19
+    trace = PriceTrace("m4.large", [PricePoint(-3600, 6.0)])
+    curve = IndexCurve({vm: trace for vm in COMPOSITION}, CATALOG, COMPOSITION)
+    message = f"^span \\[-3600, {2**63 - 1}\\) does not fit in int64 seconds$"
+    for priced in (lambda: interval_cost(trace, -3600, 2**63 - 1), lambda: curve.integrate(-3600, 2**63 - 1)):
+        with pytest.raises(OutOfRangeError, match=message):
+            priced()
+    assert interval_cost(trace, -3600, 2**63 - 3601) == 6.0 * (2**63 - 1) / 3600.0
+
+
+def test_a_run_its_replay_and_its_ledger_build_one_index_curve(monkeypatch):
+    monkeypatch.setattr(index, "_last_curve", ((), None))
+    build = IndexCurve.__init__
+    builds = []
+
+    def counted(self, *args):
+        builds.append(args)
+        build(self, *args)
+
+    monkeypatch.setattr(IndexCurve, "__init__", counted)
+    traces = traces_for(5)
+    report = run_simulation(baseline_job(), "balanced", traces, CATALOG, COMPOSITION, params=study_params())
+    assert replay(report, traces, CATALOG)["total_cost"] == report.total_cost
+    assert ledger_from_report(report.to_dict(), traces, CATALOG).net == pytest.approx(report.net, abs=1e-9)
+    assert len(builds) == 1
 
 
 def test_a_negative_finish_time_is_located():
