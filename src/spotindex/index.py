@@ -8,7 +8,7 @@ import numpy as np
 
 from .catalog import VmSpec
 from .errors import CoverageError, GapError, OutOfRangeError, finite
-from .prices import fold_sum, is_capped, left_sum, step_slice, trailing_means, window_sums
+from .prices import fold_sum, is_capped, left_sum, step_slice, step_values, trailing_means, window_sums
 
 DEFAULT_PERIOD = 300
 
@@ -277,7 +277,8 @@ class IndexCurve:
         GapError: a step with no live member holds NaN, and a window's sum
         adds each of its steps' values times a positive width. Before the
         curve start a value means nothing."""
-        now, mean, _ = trailing_means(self.timestamps, self._values, self.start, ticks, window)
+        t1, now = step_values(self.timestamps, self._values, self.start, ticks)
+        mean, _ = trailing_means(self.timestamps, self._values, self.start, t1, window, now)
         return now, mean
 
 

@@ -11,7 +11,9 @@ accounting and trace bookkeeping lives in the simulator.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,14 +56,43 @@ def sharpe(index_reference, utilized_mean, sigma):
     return (index_reference - utilized_mean) / np.maximum(sigma, SIGMA_FLOOR)
 
 
+class _Moment:
+    """A CandidateView's window_mean or window_std, read from the view's
+    market block on first use. A non-data descriptor: a value in the view's
+    __dict__, which __init__ and a first read both set, wins over it, so
+    the attribute is a plain one from then on, and the view's other
+    attributes are never slowed (a __getattr__ would slow them all)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if view is None or "_block" not in view.__dict__:
+            # the class's own attribute, which the dataclass takes for no
+            # default, or a view that has neither value nor block
+            raise AttributeError(self.name)
+        state = view.__dict__
+        block, cell = state.pop("_block"), state.pop("_cell")
+        state["window_mean"] = block.means.item(cell)
+        state["window_std"] = block.stds.item(cell)
+        return state[self.name]
+
+
 @dataclass(frozen=True)
 class CandidateView:
-    """Everything a policy may inspect about one candidate VM."""
+    """Everything a policy may inspect about one candidate VM.
+
+    A view that MarketBlock.market builds before its block has computed
+    its moments holds the block, not window_mean and window_std, until one
+    of them is first read. That read takes both from the block's means and
+    stds, which the block computes on their own first read, so a policy
+    that never reads them never has them computed. A view built directly
+    holds the four fields as given."""
 
     spec: VmSpec
     price: float
-    window_mean: float
-    window_std: float
+    window_mean: float = _Moment()
+    window_std: float = _Moment()
 
     def normalized(self) -> float:
         return normalize(self.spec, self.price)
@@ -115,36 +146,62 @@ class MarketBlock:
     specs[c]. `over` marks where a candidate is left out of the context's
     candidates (over max_price or, when caps count as revocations, on the
     cap), and `ok` where the market is defined at all; elsewhere the
-    arrays mean nothing."""
+    arrays mean nothing. `means` and `stds`, the candidates' trailing-window
+    mean and std prices, are computed for every instant at once by
+    `window_moments` on the first read of either, by a policy or through a
+    view of `market`; a block whose moments nothing reads never computes
+    them. window_moments must not refer to what holds the block, such as
+    the simulator's engine, or the two form a reference cycle."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
     index_now: np.ndarray
     index_reference: np.ndarray
     prices: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
     over: np.ndarray
+    # returns (means, stds)
+    window_moments: Callable[[], tuple[np.ndarray, np.ndarray]]
     horizon: int
     migration_seconds: float
+
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.window_moments()
+
+    @property
+    def means(self) -> np.ndarray:
+        return self._moments[0]
+
+    @property
+    def stds(self) -> np.ndarray:
+        return self._moments[1]
 
     def __len__(self):
         return len(self.ok)
 
     def market(self, k: int):
         """(views, index_now, index_reference) at instant k, what a
-        PolicyContext takes from the market, or None where it is undefined."""
+        PolicyContext takes from the market, or None where it is undefined.
+        Once the block has computed its moments, a view takes its own as it
+        is built; until then it reads them from the block on first use."""
         if not self.ok[k]:
             return None
-        columns = (self.over, self.prices, self.means, self.stds)
-        views = tuple(
-            CandidateView(spec, price, mean, std)
-            for spec, dropped, price, mean, std in zip(
-                self.specs, *(column[:, k].tolist() for column in columns)
-            )
-            if not dropped
-        )
-        return views, float(self.index_now[k]), float(self.index_reference[k])
+        if "_moments" in self.__dict__:
+            columns = zip(self.means[:, k].tolist(), self.stds[:, k].tolist())
+            states = [{"window_mean": mean, "window_std": std} for mean, std in columns]
+        else:
+            # where a view's _Moment reads them from: cell (row, k)
+            states = [{"_block": self, "_cell": (row, k)} for row in range(len(self.specs))]
+        views = []
+        for spec, dropped, price, state in zip(
+            self.specs, self.over[:, k].tolist(), self.prices[:, k].tolist(), states
+        ):
+            if not dropped:
+                state.update(spec=spec, price=price)
+                view = object.__new__(CandidateView)
+                object.__setattr__(view, "__dict__", state)
+                views.append(view)
+        return tuple(views), float(self.index_now[k]), float(self.index_reference[k])
 
     def utilized(self, values: np.ndarray, cpu_used: float, mem_used: float) -> np.ndarray:
         """utilized_price of each candidate's row of values."""

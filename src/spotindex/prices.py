@@ -157,7 +157,9 @@ def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1, squares=Fals
     t1[i]) for every window i, bit for bit. Each window needs
     timestamps[0] <= t0[i] < t1[i]; a lone window may also be empty, and
     then sums to 0.0. With squares, returns these sums and the same sums
-    over values * values, from one gather of each window's steps.
+    over values * values, from one gather of each window's steps. A window
+    whose width does not fit an int64 raises OutOfRangeError, as step_slice
+    does: its widths would wrap.
 
     A lone window is summed just so. Otherwise each window's terms fill one
     column of a matrix, one step a row, and the rows are added in order, for
@@ -181,6 +183,11 @@ def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1, squares=Fals
         return sums
     t0 = np.asarray(t0, dtype=np.int64)
     t1 = np.asarray(t1, dtype=np.int64)
+    if (t1 - t0).min(initial=0) < 0:
+        # below 0: a window so wide that its width wrapped, or one that ends
+        # before it starts, which is summed as before
+        for i in np.flatnonzero((t1 - t0 < 0) & (t0 < t1))[:1].tolist():
+            raise OutOfRangeError(f"span [{t0[i]}, {t1[i]}) does not fit in int64 seconds")
     lo = timestamps.searchsorted(t0, side="right") - 1
     count = timestamps.searchsorted(t1) - lo
     sums = np.empty(len(t0))
@@ -203,20 +210,25 @@ def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1, squares=Fals
     return (sums, square_sums) if squares else sums
 
 
-def trailing_means(timestamps: np.ndarray, values: np.ndarray, start: int, ticks, window: int):
-    """The step value at each tick, and the time-weighted means of values
-    and of values * values over the trailing window [tick - window, tick),
-    all clipped to start; where the clipped window is empty, the value at
-    the tick and its square stand in for the means. Each mean is one of
-    window_sums' sums divided by the window's span."""
+def step_values(timestamps: np.ndarray, values: np.ndarray, start: int, ticks):
+    """Each tick clipped to start, max(tick, start), and the step value at
+    each clipped tick."""
     t1 = np.maximum(np.asarray(ticks, dtype=np.int64), start)
+    return t1, values[timestamps.searchsorted(t1, side="right") - 1]
+
+
+def trailing_means(timestamps: np.ndarray, values: np.ndarray, start: int, t1, window: int, now):
+    """The time-weighted means of values and of values * values over the
+    trailing window [t1 - window, t1), clipped to start, at each tick t1
+    that step_values clipped; where the clipped window is empty, now (the
+    step values there) and its square stand in for the means. Each mean is
+    one of window_sums' sums divided by the window's span."""
     t0 = np.maximum(t1 - window, start)
     span = t1 - t0
-    now = values[timestamps.searchsorted(t1, side="right") - 1]
     sums, square_sums = window_sums(timestamps, values, t0, t1, squares=True)
-    divisor = np.maximum(span, 1)
-    means = np.where(span > 0, sums / divisor, now)
-    return now, means, np.where(span > 0, square_sums / divisor, now * now)
+    live = span > 0
+    means = np.divide(sums, span, out=now.copy(), where=live)
+    return means, np.divide(square_sums, span, out=now * now, where=live)
 
 
 def is_capped(price: float, spec: VmSpec) -> bool:

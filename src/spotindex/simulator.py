@@ -10,7 +10,9 @@ scripted migration, a task's last second of work), crediting the seconds in
 between as the same second repeated. Reports are the same as a one-second
 loop would give. The market the policies see is built by one vectorized
 rule (_Engine._block): for a block of epoch ticks at a time, or for one
-instant off the epoch grid (see _Engine._market). The one-second reference
+instant off the epoch grid (see _Engine._market). A block computes its
+candidates' window moments, for all its ticks, only when a policy first
+reads one (_window_moments). The one-second reference
 in tests/reference_engine.py is this engine with the slow form of each
 shortcut: _next_instant, which also stands for the masks and crossings,
 _works_now, and _market, which it computes with its own scalar code.
@@ -31,6 +33,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -40,7 +43,7 @@ from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
 from .index import IndexCurve, index_curve, normalize
 from .policies import MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
-from .prices import PriceTrace, fold_sum, is_capped, left_sum, trailing_means
+from .prices import PriceTrace, fold_sum, is_capped, left_sum, step_values, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
 log = logging.getLogger(__name__)
@@ -279,7 +282,7 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
 
     The window is clipped to the trace start; with no lookback at all the
     instantaneous price stands in and the std is zero. The scalar reference
-    for the candidates' columns of _Engine._block.
+    for _window_moments, the candidates' moments in _Engine._block.
     """
     t0 = max(t - window, int(trace.first_ts))
     if t <= t0:
@@ -288,6 +291,20 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     span = t - t0
     mean = left_sum(prices * widths) / span
     return mean, math.sqrt(max(left_sum(prices * prices * widths) / span - mean * mean, 0.0))
+
+
+def _window_moments(traces, clipped, window: int, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The window means and stds of each of traces at its clipped ticks,
+    given its prices there (step_values' pair, a row each): the moments of
+    _Engine._block, whose scalar reference is window_stats."""
+    pairs = [
+        trailing_means(trace.timestamps, trace.prices, trace.first_ts, t1, window, now)
+        for trace, t1, now in zip(traces, clipped, prices)
+    ]
+    means = np.array([mean for mean, _ in pairs])
+    squares = np.array([square for _, square in pairs])
+    # an empty window's mean of p * p is price * price, so its std is 0.0
+    return means, np.sqrt(np.maximum(squares - means * means, 0.0))
 
 
 def compute_totals(
@@ -482,7 +499,9 @@ class _Engine:
         undefined (ok is False) before the index or a candidate's trace
         starts, or where the index the reference mode reads is NaN, which a
         step with no live member holds. `over` marks the candidates over
-        max_price or, under treat_cap_as_revocation, on the cap."""
+        max_price or, under treat_cap_as_revocation, on the cap. The
+        candidates' window moments are left to _window_moments, on the
+        block's first read of them."""
         window = self.params.sigma_window
         index_now, index_mean = self.curve.window_means(ticks, window)
         ok = (ticks >= self.curve.start) & ~np.isnan(index_now)
@@ -491,23 +510,24 @@ class _Engine:
             ok &= ~np.isnan(index_mean)
         else:
             reference = index_now
-        prices, means, stds, over = [], [], [], []
-        for spec in self.candidates:
-            trace = self.traces[spec.id]
+        traces = tuple(self.traces[spec.id] for spec in self.candidates)
+        clipped, prices = [], []
+        for trace in traces:
             ok &= ticks >= trace.first_ts
-            stamps, first = trace.timestamps, trace.first_ts
-            price, mean, square = trailing_means(stamps, trace.prices, first, ticks, window)
+            t1, price = step_values(trace.timestamps, trace.prices, trace.first_ts, ticks)
+            clipped.append(t1)
             prices.append(price)
-            means.append(mean)
-            # an empty window's mean of p * p is price * price, so its std is 0.0
-            stds.append(np.sqrt(np.maximum(square - mean * mean, 0.0)))
-            over.append(self._dropped(spec, price))
+        prices = np.array(prices)
+        over = np.array([self._dropped(spec, row) for spec, row in zip(self.candidates, prices)])
         return MarketBlock(
             tuple(self.candidates),
             ok,
             index_now,
             reference,
-            *map(np.array, (prices, means, stds, over)),
+            prices,
+            over,
+            # holds no reference to the engine, which holds the block
+            partial(_window_moments, traces, clipped, window, prices),
             horizon=self.params.horizon,
             migration_seconds=float(self.t_m),
         )

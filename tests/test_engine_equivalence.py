@@ -1026,3 +1026,69 @@ def test_market_matches_the_reference_market_every_second(index_reference):
     assert blocks == {0, 600, 1200}
     assert served > 1200
     assert (gappy_windows > 0) == (index_reference == "instant")
+
+
+class ReadingMoments(Policy):
+    """cost's picks and decisions, reading every window moment a custom
+    policy can on the way: each view's in select and decide, and the
+    block's in a stays mask that covers no tick."""
+
+    name = "reading"
+
+    def __init__(self):
+        self.inner = CostCentricPolicy()
+        # (t, vm, window_mean, window_std) of each view read
+        self.views = []
+        # (block, means, stds) of each block read
+        self.blocks = []
+
+    def _read(self, ctx):
+        self.views.extend((ctx.t, v.spec.id, v.window_mean, v.window_std) for v in ctx.candidates)
+
+    def select(self, ctx):
+        self._read(ctx)
+        return self.inner.select(ctx)
+
+    def decide(self, ctx):
+        self._read(ctx)
+        return self.inner.decide(ctx)
+
+    def stays(self, block, current, cpu_used, mem_used):
+        self.blocks.append((block, block.means, block.stds))
+        return None
+
+
+def test_a_custom_policy_reads_the_moments_of_window_stats():
+    # the moments are computed on first read; whether read as a block's
+    # arrays or as a view's floats, they are window_stats' bits at every
+    # tick the policy is asked about, on the epoch tables and on the
+    # one-row blocks that revocations off the 120 s grid select on
+    traces = traces_for(0)
+    params = RunParams(epoch=120, horizon=60, sigma_window=3600)
+    job = JobSpec(
+        name="revoked", phases=baseline_job().phases, max_price=8.0, reference_capacity=(8.0, 32.0)
+    )
+    ticks_of = {}
+    build = _Engine._block
+
+    def recorded(engine, ticks):
+        block = build(engine, ticks)
+        ticks_of[id(block)] = ticks.tolist()
+        return block
+
+    policy = ReadingMoments()
+    with mock.patch.object(_Engine, "_block", recorded):
+        run_simulation(job, policy, traces, CATALOG, COMPOSITION, params=params)
+
+    def expected(vm, t):
+        return bits(*window_stats(traces[vm], t, params.sigma_window))
+
+    assert policy.blocks
+    for block, means, stds in policy.blocks:
+        for k, t in enumerate(ticks_of[id(block)]):
+            if block.ok[k]:
+                for row, spec in enumerate(block.specs):
+                    assert bits(means[row, k], stds[row, k]) == expected(spec.id, t)
+    for t, vm, mean, std in policy.views:
+        assert bits(mean, std) == expected(vm, t)
+    assert any(t % params.epoch for t, *_ in policy.views)

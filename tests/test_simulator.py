@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import json
 import math
 import re
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from spotindex import (
+    CandidateView,
     GapError,
     IndexCurve,
     InvariantError,
@@ -25,7 +28,9 @@ from spotindex import (
     SelectionError,
     SimReport,
     SimulationError,
+    SynthMarketSpec,
     aggregate_reports,
+    generate_market_suite,
     ledger_from_report,
     normalize_report,
     on_demand_baseline,
@@ -38,7 +43,7 @@ from spotindex.billing import interval_cost
 from spotindex.prices import window_sums
 from spotindex.simulator import MAX_TASKS, window_stats
 
-from conftest import COMPOSITION, baseline_job, build_catalog, study_params, traces_for
+from conftest import COMPOSITION, MARKET_ROWS, baseline_job, build_catalog, study_params, traces_for
 from reference_engine import run_per_second
 
 CATALOG = build_catalog()
@@ -790,10 +795,21 @@ def test_a_span_that_overflows_int64_raises_out_of_range():
     trace = PriceTrace("m4.large", [PricePoint(-3600, 6.0)])
     curve = IndexCurve({vm: trace for vm in COMPOSITION}, CATALOG, COMPOSITION)
     message = f"^span \\[-3600, {2**63 - 1}\\) does not fit in int64 seconds$"
-    for priced in (lambda: interval_cost(trace, -3600, 2**63 - 1), lambda: curve.integrate(-3600, 2**63 - 1)):
+    stamps, values = trace.timestamps, trace.prices
+    for priced in (
+        lambda: interval_cost(trace, -3600, 2**63 - 1),
+        lambda: curve.integrate(-3600, 2**63 - 1),
+        # the lone-window path, and the multi-window path, which used to
+        # sum [-5.53e19, 60.0]
+        lambda: window_sums(stamps, values, [-3600], [2**63 - 1]),
+        lambda: window_sums(stamps, values, [0, -3600], [10, 2**63 - 1]),
+        lambda: curve.integrals([0, -3600], [10, 2**63 - 1]),
+    ):
         with pytest.raises(OutOfRangeError, match=message):
             priced()
     assert interval_cost(trace, -3600, 2**63 - 3601) == 6.0 * (2**63 - 1) / 3600.0
+    widest = window_sums(stamps, values, [0, -3600], [10, 2**63 - 3601])
+    assert widest.tolist() == [60.0, 6.0 * (2**63 - 1)]
 
 
 def test_a_run_its_replay_and_its_ledger_build_one_index_curve(monkeypatch):
@@ -811,6 +827,23 @@ def test_a_run_its_replay_and_its_ledger_build_one_index_curve(monkeypatch):
     assert replay(report, traces, CATALOG)["total_cost"] == report.total_cost
     assert ledger_from_report(report.to_dict(), traces, CATALOG).net == pytest.approx(report.net, abs=1e-9)
     assert len(builds) == 1
+
+
+def test_runs_replays_and_ledgers_leave_no_reference_cycle():
+    # a cycle through the engine, such as a market block's moments closing
+    # over it, keeps the engine and its event log alive until the cyclic
+    # collector runs
+    traces = traces_for(5)
+    gc.collect()
+    gc.disable()
+    try:
+        for policy in POLICIES:
+            report = run_simulation(baseline_job(), policy, traces, CATALOG, COMPOSITION, params=study_params())
+            replay(report, traces, CATALOG)
+            ledger_from_report(report, traces, CATALOG)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_negative_finish_time_is_located():
@@ -930,8 +963,10 @@ def test_billing_prices_each_vm_in_at_most_two_batches():
 
 
 def test_market_block_gathers_each_candidate_once():
-    # one window_sums call per candidate gives its prices' and their
-    # squares' sums, and one more gives the index's
+    # building a block makes one window_sums call, the index's. The first
+    # read of its moments, as the block's arrays or as a view's floats,
+    # adds one per candidate, whose prices' and their squares' sums cover
+    # the whole block; later reads add none
     engine = simulator._Engine(
         baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
         study_params(), None, None, None,
@@ -942,12 +977,76 @@ def test_market_block_gathers_each_candidate_once():
         calls.append(len(args[2]))
         return window_sums(*args, **kwargs)
 
-    for ticks in (60 * np.arange(1, 65), np.array([90])):
-        calls.clear()
-        with mock.patch.object(prices, "window_sums", counted):
-            block = engine._block(ticks)
-        assert block.ok.all()
-        assert calls == [len(ticks)] * (len(engine.candidates) + 1)
+    first_reads = (lambda block: block.means, lambda block: block.market(0)[0][-1].window_std)
+    with mock.patch.object(prices, "window_sums", counted):
+        for ticks in (60 * np.arange(1, 65), np.array([90])):
+            for first_read in first_reads:
+                calls.clear()
+                block = engine._block(ticks)
+                assert block.ok.all()
+                assert calls == [len(ticks)]
+                first_read(block)
+                assert calls == [len(ticks)] * (len(engine.candidates) + 1)
+                block.stds, block.means
+                for view in block.market(len(ticks) - 1)[0]:
+                    view.window_mean, view.window_std
+                assert calls == [len(ticks)] * (len(engine.candidates) + 1)
+
+
+def test_a_market_view_is_the_view_its_four_fields_build():
+    # a view that reads its moments from its block on first use keeps the
+    # dataclass's constructor, fields, equality, hash and immutability
+    engine = simulator._Engine(
+        baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
+        study_params(), None, None, None,
+    )
+    names = ["spec", "price", "window_mean", "window_std"]
+    assert [f.name for f in dataclasses.fields(CandidateView)] == names
+    with pytest.raises(TypeError):
+        CandidateView(CATALOG["m4.large"], 6.0)
+    views = engine._block(60 * np.arange(1, 5)).market(1)[0]
+    for view in views:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            view.window_mean = 0.0
+        built = CandidateView(*(getattr(view, name) for name in names))
+        assert (view, hash(view), repr(view)) == (built, hash(built), repr(built))
+
+
+def week_traces():
+    return generate_market_suite(
+        [
+            SynthMarketSpec(vm, mean, std, duration=7 * 86400)
+            for vm, _, _, _, _, mean, std in MARKET_ROWS
+        ],
+        seed=0,
+        warmup=3600,
+    )
+
+
+@pytest.mark.parametrize("policy, computed", [("cost", 0), ("static", 1)])
+def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, computed):
+    # cost reads prices alone; static reads the moments only in its first
+    # select, and its decide reads none
+    blocks, moments = [], []
+    block, window_moments = simulator._Engine._block, simulator._window_moments
+
+    def built(engine, ticks):
+        blocks.append(len(ticks))
+        return block(engine, ticks)
+
+    def read(traces, clipped, *rest):
+        moments.append(len(clipped[0]))
+        return window_moments(traces, clipped, *rest)
+
+    phases = tuple(Phase(43200, 4.0, 16.0) if i % 2 == 0 else Phase(43200, 2.0, 8.0) for i in range(14))
+    job = JobSpec(name="week", phases=phases, reference_capacity=(8.0, 32.0))
+    with mock.patch.object(simulator._Engine, "_block", built), mock.patch.object(
+        simulator, "_window_moments", read
+    ):
+        run_simulation(job, policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
+    # the week's 10,080 ticks take ten tables at least
+    assert len(blocks) >= 10
+    assert moments == blocks[:computed]
 
 
 def test_net_equals_index_cost_minus_total_cost():
