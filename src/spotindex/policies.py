@@ -72,9 +72,11 @@ class _Moment:
             # default, or a view that has neither value nor block
             raise AttributeError(self.name)
         state = view.__dict__
-        block, cell = state.pop("_block"), state.pop("_cell")
-        state["window_mean"] = block.means.item(cell)
-        state["window_std"] = block.stds.item(cell)
+        block, cell = state["_block"], state["_cell"]
+        # both values are read before the block is let go, so a read that
+        # raises leaves the view as it was, to raise the same on the next
+        state["window_mean"], state["window_std"] = block.means.item(cell), block.stds.item(cell)
+        del state["_block"], state["_cell"]
         return state[self.name]
 
 
@@ -82,12 +84,11 @@ class _Moment:
 class CandidateView:
     """Everything a policy may inspect about one candidate VM.
 
-    A view that MarketBlock.market builds before its block has computed
-    its moments holds the block, not window_mean and window_std, until one
-    of them is first read. That read takes both from the block's means and
-    stds, which the block computes on their own first read, so a policy
-    that never reads them never has them computed. A view built directly
-    holds the four fields as given."""
+    A view that MarketBlock.market builds holds its block, not window_mean
+    and window_std, until one of them is first read. That read takes both
+    from the block's means and stds, which the block computes on their own
+    first read, so a policy that never reads them never has them computed.
+    A view built directly holds the four fields as given."""
 
     spec: VmSpec
     price: float
@@ -182,23 +183,17 @@ class MarketBlock:
     def market(self, k: int):
         """(views, index_now, index_reference) at instant k, what a
         PolicyContext takes from the market, or None where it is undefined.
-        Once the block has computed its moments, a view takes its own as it
-        is built; until then it reads them from the block on first use."""
+        Each view reads its moments from cell (row, k) of the block on first
+        use."""
         if not self.ok[k]:
             return None
-        if "_moments" in self.__dict__:
-            columns = zip(self.means[:, k].tolist(), self.stds[:, k].tolist())
-            states = [{"window_mean": mean, "window_std": std} for mean, std in columns]
-        else:
-            # where a view's _Moment reads them from: cell (row, k)
-            states = [{"_block": self, "_cell": (row, k)} for row in range(len(self.specs))]
         views = []
-        for spec, dropped, price, state in zip(
-            self.specs, self.over[:, k].tolist(), self.prices[:, k].tolist(), states
+        for row, (spec, dropped, price) in enumerate(
+            zip(self.specs, self.over[:, k].tolist(), self.prices[:, k].tolist())
         ):
             if not dropped:
-                state.update(spec=spec, price=price)
                 view = object.__new__(CandidateView)
+                state = {"spec": spec, "price": price, "_block": self, "_cell": (row, k)}
                 object.__setattr__(view, "__dict__", state)
                 views.append(view)
         return tuple(views), float(self.index_now[k]), float(self.index_reference[k])

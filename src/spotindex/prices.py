@@ -157,9 +157,10 @@ def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1, squares=Fals
     t1[i]) for every window i, bit for bit. Each window needs
     timestamps[0] <= t0[i] < t1[i]; a lone window may also be empty, and
     then sums to 0.0. With squares, returns these sums and the same sums
-    over values * values, from one gather of each window's steps. A window
-    whose width does not fit an int64 raises OutOfRangeError, as step_slice
-    does: its widths would wrap.
+    over values * values, from one gather of each window's steps. Of many
+    windows, one whose width does not fit an int64 raises OutOfRangeError,
+    as step_slice does, since its widths would wrap; so does one that ends
+    before it starts.
 
     A lone window is summed just so. Otherwise each window's terms fill one
     column of a matrix, one step a row, and the rows are added in order, for
@@ -183,11 +184,11 @@ def window_sums(timestamps: np.ndarray, values: np.ndarray, t0, t1, squares=Fals
         return sums
     t0 = np.asarray(t0, dtype=np.int64)
     t1 = np.asarray(t1, dtype=np.int64)
-    if (t1 - t0).min(initial=0) < 0:
-        # below 0: a window so wide that its width wrapped, or one that ends
-        # before it starts, which is summed as before
-        for i in np.flatnonzero((t1 - t0 < 0) & (t0 < t1))[:1].tolist():
-            raise OutOfRangeError(f"span [{t0[i]}, {t1[i]}) does not fit in int64 seconds")
+    width = t1 - t0
+    if width.min(initial=0) < 0:
+        i = int(width.argmin())
+        fault = "does not fit in int64 seconds" if t0[i] < t1[i] else "ends before it starts"
+        raise OutOfRangeError(f"span [{t0[i]}, {t1[i]}) {fault}")
     lo = timestamps.searchsorted(t0, side="right") - 1
     count = timestamps.searchsorted(t1) - lo
     sums = np.empty(len(t0))

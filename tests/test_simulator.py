@@ -810,6 +810,8 @@ def test_a_span_that_overflows_int64_raises_out_of_range():
     assert interval_cost(trace, -3600, 2**63 - 3601) == 6.0 * (2**63 - 1) / 3600.0
     widest = window_sums(stamps, values, [0, -3600], [10, 2**63 - 3601])
     assert widest.tolist() == [60.0, 6.0 * (2**63 - 1)]
+    with pytest.raises(OutOfRangeError, match="^span \\[10, 5\\) ends before it starts$"):
+        window_sums(stamps, values, [0, 10], [10, 5])
 
 
 def test_a_run_its_replay_and_its_ledger_build_one_index_curve(monkeypatch):
@@ -1010,6 +1012,29 @@ def test_a_market_view_is_the_view_its_four_fields_build():
             view.window_mean = 0.0
         built = CandidateView(*(getattr(view, name) for name in names))
         assert (view, hash(view), repr(view)) == (built, hash(built), repr(built))
+
+
+def test_a_view_whose_moments_fail_raises_their_error_on_each_read():
+    # a failed first read leaves the view holding its block, so the next
+    # read raises the same error, not a bare AttributeError
+    engine = simulator._Engine(
+        baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
+        study_params(), None, None, None,
+    )
+    block = engine._block(60 * np.arange(1, 5))
+    failures = [RuntimeError("first"), RuntimeError("second")]
+
+    def window_moments():
+        if failures:
+            raise failures.pop(0)
+        return block.window_moments()
+
+    view = dataclasses.replace(block, window_moments=window_moments).market(1)[0][0]
+    for message in ("first", "second"):
+        with pytest.raises(RuntimeError, match=message):
+            view.window_std
+    expected = block.market(1)[0][0]
+    assert (view.window_mean, view.window_std) == (expected.window_mean, expected.window_std)
 
 
 def week_traces():
