@@ -278,8 +278,7 @@ class IndexCurve:
         adds each of its steps' values times a positive width. Before the
         curve start a value means nothing."""
         t1, now = step_values(self.timestamps, self._values, self.start, ticks)
-        mean, _ = trailing_means(self.timestamps, self._values, self.start, t1, window, now)
-        return now, mean
+        return now, trailing_means(self.timestamps, self._values, self.start, t1, window, now)
 
 
 # (key, curve) of the last index_curve build

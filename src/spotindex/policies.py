@@ -2,7 +2,9 @@
 
 Policies are pure decision rules: they look at a PolicyContext snapshot
 (current prices, trailing-window statistics, the index) and answer either
-"which VM do I start on" (select) or "do I stay or move" (decide). A policy
+"which VM do I start on" (select) or "do I stay or move" (decide). An
+answer must depend on its context alone: the simulator hands one answer to
+every task that asks with an equal context at one instant. A policy
 may also answer "at which of these instants do I surely stay" over a
 MarketBlock (stays), so the simulator need not ask decide there. All
 accounting and trace bookkeeping lives in the simulator.
@@ -242,7 +244,10 @@ def _highest(scores: dict[str, float]) -> str:
 
 
 class Policy:
-    """A VM selection (`select`) and migration (`decide`) rule."""
+    """A VM selection (`select`) and migration (`decide`) rule. Each
+    answer must depend on its context alone, since the simulator asks once
+    for all the tasks that ask with an equal context at one instant and
+    hands each the same answer."""
 
     name = "base"
 

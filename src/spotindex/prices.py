@@ -218,16 +218,21 @@ def step_values(timestamps: np.ndarray, values: np.ndarray, start: int, ticks):
     return t1, values[timestamps.searchsorted(t1, side="right") - 1]
 
 
-def trailing_means(timestamps: np.ndarray, values: np.ndarray, start: int, t1, window: int, now):
-    """The time-weighted means of values and of values * values over the
-    trailing window [t1 - window, t1), clipped to start, at each tick t1
-    that step_values clipped; where the clipped window is empty, now (the
-    step values there) and its square stand in for the means. Each mean is
-    one of window_sums' sums divided by the window's span."""
+def trailing_means(
+    timestamps: np.ndarray, values: np.ndarray, start: int, t1, window: int, now, squares=False
+):
+    """The time-weighted means of values over the trailing window
+    [t1 - window, t1), clipped to start, at each tick t1 that step_values
+    clipped; where the clipped window is empty, now (the step values there)
+    stands in. With squares, returns these means and those of values *
+    values, for which now * now stands in. Each mean is one of window_sums'
+    sums divided by the window's span."""
     t0 = np.maximum(t1 - window, start)
     span = t1 - t0
-    sums, square_sums = window_sums(timestamps, values, t0, t1, squares=True)
     live = span > 0
+    if not squares:
+        return np.divide(window_sums(timestamps, values, t0, t1), span, out=now.copy(), where=live)
+    sums, square_sums = window_sums(timestamps, values, t0, t1, squares=True)
     means = np.divide(sums, span, out=now.copy(), where=live)
     return means, np.divide(square_sums, span, out=now * now, where=live)
 

@@ -3,19 +3,23 @@
 Time is in integer seconds, and each second runs the same steps in the same
 order: stall ends, revocation checks, scripted migrations, policy decisions
 at epoch ticks, then work. The engine advances by next event: after a second
-in which nothing happened it skips straight to the next second at which
-something can (an epoch tick that the policy's stays mask does not cover, a
-held VM's price crossing over max_price or onto the cap, a stall end, a
-scripted migration, a task's last second of work), crediting the seconds in
-between as the same second repeated. Reports are the same as a one-second
-loop would give. The market the policies see is built by one vectorized
-rule (_Engine._block): for a block of epoch ticks at a time, or for one
-instant off the epoch grid (see _Engine._market). A block computes its
-candidates' window moments, for all its ticks, only when a policy first
-reads one (_window_moments). The one-second reference
-in tests/reference_engine.py is this engine with the slow form of each
-shortcut: _next_instant, which also stands for the masks and crossings,
-_works_now, and _market, which it computes with its own scalar code.
+whose works flags the next second would take again, it skips straight to the
+next second at which something can change (an epoch tick that the policy's
+stays mask does not cover, a held VM's price crossing over max_price or onto
+the cap, a stall end, a scripted migration, a task's last second of work),
+crediting the seconds in between as the same second repeated, so a
+migration is stepped where it starts and where it ends. Reports are the
+same as a one-second loop would give. The policy is asked once per context:
+the tasks that ask with an equal context at one instant share its answer
+(_Engine._ask), so an answer must depend on its context alone. The
+market the policies see is built by one vectorized rule (_Engine._block):
+for a block of epoch ticks at a time, or for one instant off the epoch grid
+(see _Engine._market). A block computes its candidates' window moments, for
+all its ticks, only when a policy first reads one (_window_moments). The
+one-second reference in tests/reference_engine.py is this engine with the
+slow form of each shortcut: _next_instant, which also stands for the masks
+and crossings, _works_now, _market, which it computes with its own scalar
+code, and _ask, which asks for every task.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
@@ -298,7 +302,9 @@ def _window_moments(traces, clipped, window: int, prices: np.ndarray) -> tuple[n
     given its prices there (step_values' pair, a row each): the moments of
     _Engine._block, whose scalar reference is window_stats."""
     pairs = [
-        trailing_means(trace.timestamps, trace.prices, trace.first_ts, t1, window, now)
+        trailing_means(
+            trace.timestamps, trace.prices, trace.first_ts, t1, window, now, squares=True
+        )
         for trace, t1, now in zip(traces, clipped, prices)
     ]
     means = np.array([mean for mean, _ in pairs])
@@ -442,6 +448,9 @@ class _Engine:
         self._stay_until = {}
         self._market_t = None
         self._market_row = None
+        # the last ask's key and answer (_ask)
+        self._asked = None
+        self._answer = None
         # per held vm: its sorted step starts over max_price or on the cap,
         # and the first of them at or after the last second asked
         self._crossings = {}
@@ -572,8 +581,7 @@ class _Engine:
             self._market_t = t
         return self._market_row
 
-    def _ctx(self, t: int, work: int, current: str | None) -> PolicyContext:
-        phase = self.job.phase_at(work)
+    def _ctx(self, t: int, phase: Phase, current: str | None) -> PolicyContext:
         views, index_now, index_reference = self._market(t)
         return PolicyContext(
             t=t,
@@ -588,12 +596,25 @@ class _Engine:
         )
 
     def _ask(self, ask, t: int, task: _Task, current: str | None):
+        """_ask_once for task at t, or the last ask's answer where that had
+        the same key: all that a context is built from, which is the call
+        (select or decide), t, the phase's cpu and mem, and current. The
+        tasks that share a context at one instant, a BSP gang at a decision
+        tick, so share one call."""
+        phase = self.job.phase_at(task.work)
+        key = (ask, t, phase.cpu, phase.mem, current)
+        if key != self._asked:
+            self._answer = self._ask_once(ask, t, task, phase, current)
+            self._asked = key
+        return self._answer
+
+    def _ask_once(self, ask, t: int, task: _Task, phase: Phase, current: str | None):
         """ask (the policy's select or decide) on task's context at t. A
         SelectionError from the policy, or a pick or migration target that is
         not among the context's candidates, ends the run as a
         SimulationError that names t and the task."""
         try:
-            ctx = self._ctx(t, task.work, current)
+            ctx = self._ctx(t, phase, current)
             answer = ask(ctx)
         except SelectionError as exc:
             raise SimulationError(f"selection failed at t={t} for task {task.idx}: {exc}") from exc
@@ -726,12 +747,17 @@ class _Engine:
     def _works_now(self, task: _Task, low: int | None) -> bool:
         return task.state == WORKING and (not self.bsp or task.work == low)
 
-    def _work(self, t: int) -> list:
-        """Run second t's work step; returns each task's works flag, None
-        once done. Every flag is taken before any work is added, so a BSP
-        task works when it is at the gang's low mark as the second starts."""
+    def _flags(self) -> list:
+        """Each task's works flag in the state as it stands, None once done;
+        some task must be unfinished."""
         low = self._gang_low() if self.bsp else None
-        flags = [None if task.state == DONE else self._works_now(task, low) for task in self.tasks]
+        return [None if task.state == DONE else self._works_now(task, low) for task in self.tasks]
+
+    def _work(self, t: int) -> list:
+        """Run second t's work step; returns each task's works flag (_flags).
+        Every flag is taken before any work is added, so a BSP task works
+        when it is at the gang's low mark as the second starts."""
+        flags = self._flags()
         for task, works in zip(self.tasks, flags):
             if works is None:
                 continue
@@ -811,11 +837,12 @@ class _Engine:
 
     def _next_instant(self, t: int, flags: list, forced_queue, limit: int) -> int:
         """The first second from t on whose steps can differ from those of
-        second t - 1, given that second t - 1 logged no event and worked
-        like the second before it: the next decision that may move a task
-        (_next_decision), the next crossing of a held VM, the next stall
-        end or scripted migration, the furthest task's last second and a
-        held-back BSP task's rejoining."""
+        second t - 1, given that second t - 1 took the works flags `flags`
+        and that the state as second t begins gives the same (_flags): the
+        next decision that may move a task (_next_decision), the next
+        crossing of a held VM, the next stall end or scripted migration,
+        the furthest task's last second and a held-back BSP task's
+        rejoining."""
         nxt = min(limit + 1, self._next_decision(t, flags))
         if forced_queue and forced_queue[0][0] >= t:
             nxt = min(nxt, forced_queue[0][0])
@@ -921,20 +948,19 @@ class _Engine:
             self._open_hold(task, vm, 0, True)
 
         t = 0
-        flags = None
-        while any(task.state != DONE for task in self.tasks):
+        while True:
             if t > limit:
                 raise SimulationError(f"no convergence after {limit} simulated seconds")
-            logged = len(self.events)
             self._step(t, forced_queue)
-            last_flags, flags = flags, self._work(t)
+            flags = self._work(t)
             t += 1
             self._finish(t)
+            if all(task.state == DONE for task in self.tasks):
+                break
 
-            # A quiet second repeats until the next instant something can
-            # change. A changed works flag closes a hold and so logs an event
-            # too; testing the flags as well keeps the rule from resting on that.
-            if len(self.events) == logged and flags == last_flags:
+            # A second whose works flags the next one would take again
+            # repeats until the next instant something can change.
+            if self._flags() == flags:
                 skip = self._next_instant(t, flags, forced_queue, limit) - t
                 if skip:
                     for task, works in zip(self.tasks, flags):

@@ -2,7 +2,7 @@
 next-event engine must reproduce report for report.
 
 `PerSecondEngine` is `spotindex.simulator._Engine` with the slow form of each
-of the engine's three shortcuts, and nothing else:
+of the engine's four shortcuts, and nothing else:
 
 - `_next_instant` returns t, so the loop never skips a second. It so
   also stands in for the two rules the engine's `_next_instant` skips by:
@@ -17,7 +17,9 @@ of the engine's three shortcuts, and nothing else:
   max_price or on the cap by the scalar `_over`, so the oracle checks that
   rule and its view filter against independent code. Where the market is
   undefined it raises at the first check that fails: the index at t, under
-  "window" the index over t's window, then each candidate's price at t.
+  "window" the index over t's window, then each candidate's price at t;
+- `_ask` asks the policy for every task, instead of handing a task the last
+  ask's answer when it asks with the same context.
 
 Everything else, the per-second step (`_Engine._step`), the work step and
 the finish, is the engine's own code, so the equivalence oracle in
@@ -60,6 +62,10 @@ class PerSecondEngine(_Engine):
             if not self._over(spec.id, price):
                 views.append(CandidateView(spec, price, *window_stats(self.traces[spec.id], t, window)))
         return tuple(views), index_now, index_reference
+
+    def _ask(self, ask, t, task, current):
+        self._asked = None
+        return super()._ask(ask, t, task, current)
 
 
 def run_per_second(

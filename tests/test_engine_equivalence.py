@@ -3,8 +3,9 @@
 Random small markets go through both engines, which must produce the same
 report JSON, or raise the same error, after asking their policies on the
 same contexts, bit for bit, except for the decisions that the policy's
-stays mask lets the next-event engine skip: each of those must be a stay in
-the reference. The same runs check the engine's invariants:
+stays mask lets the next-event engine skip, each of which must be a stay in
+the reference, and the asks that repeat the one before them, whose answer
+the engine shares. The same runs check the engine's invariants:
 hold segments tile each task's lifetime, replay reproduces the totals,
 availability lies in [0, 1], and downtime counts the seconds in which some
 unfinished task did not work.
@@ -43,7 +44,7 @@ from spotindex import billing, policies
 from spotindex.billing import billed_holds, interval_cost
 from spotindex.index import denormalize
 from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
-from spotindex.simulator import _Engine, window_stats
+from spotindex.simulator import DONE, _Engine, window_stats
 
 from conftest import COMPOSITION, baseline_job, build_catalog, study_params, traces_for
 from reference_engine import PerSecondEngine, run_per_second
@@ -192,7 +193,13 @@ class Recording(Policy):
 
     def _log(self, call, ask, ctx):
         views = [(v.spec.id, *bits(v.price, v.window_mean, v.window_std)) for v in ctx.candidates]
-        entry = [call, ctx.t, ctx.current, *bits(ctx.index_now, ctx.index_reference), views]
+        entry = [
+            call,
+            ctx.t,
+            ctx.current,
+            *bits(ctx.cpu_used, ctx.mem_used, ctx.index_now, ctx.index_reference),
+            views,
+        ]
         self.asked.append(entry)
         answer = ask(ctx)
         entry.append(answer.action if call == "decide" else answer)
@@ -264,13 +271,18 @@ def check_invariants(report, traces):
 
 def check_asked(asked, reference_asked):
     """asked is reference_asked less some decide calls, each of which
-    returned stay: the ones a stays mask covered."""
+    returned stay (the ones a stays mask covered), and less some asks equal
+    to the reference's ask before them, at the same t (the ones whose
+    answer the engine shares)."""
     matched = 0
+    previous = None
     for entry in reference_asked:
         if matched < len(asked) and asked[matched] == entry:
             matched += 1
         else:
-            assert entry[0] == "decide" and entry[-1] == PolicyDecision.STAY, entry
+            stay = entry[0] == "decide" and entry[-1] == PolicyDecision.STAY
+            assert stay or entry == previous, entry
+        previous = entry
     assert matched == len(asked)
 
 
@@ -658,6 +670,127 @@ def test_step_order_scripted_move_before_decision_tick():
     moves = [(e["t"], e["dst"], e["forced"]) for e in report.events if e["event"] == "migrate"]
     assert moves == [(60, "r4.xlarge", True), (120, "m4.2xlarge", False)]
     assert report.final_vms == ["m4.2xlarge"]
+
+
+# the answers the engine shares among the tasks that ask with one context
+
+
+class ByPhase(Policy):
+    """Starts on c4.2xlarge; moves to m4.2xlarge once its phase uses 4
+    cpus. It has no stays mask, so it is asked at every epoch tick."""
+
+    name = "by-phase"
+
+    def select(self, ctx):
+        return "c4.2xlarge"
+
+    def decide(self, ctx):
+        if ctx.cpu_used == 4.0 and ctx.current != "m4.2xlarge":
+            return PolicyDecision(PolicyDecision.MIGRATE, "m4.2xlarge", reason="phase")
+        return PolicyDecision(PolicyDecision.STAY)
+
+
+def test_tasks_in_different_phases_or_on_different_vms_get_their_own_answers():
+    # Task 1 moves onto r4.xlarge at t=100, which is revoked at t=150: task
+    # 1 rolls back to work 0 and restarts on c4.2xlarge until t=240. At the
+    # tick t=240 both tasks hold c4.2xlarge, task 0 in the second phase and
+    # task 1 in the first, so only task 0 moves. At t=480 both are in the
+    # second phase, task 0 on m4.2xlarge, which it keeps, and task 1 on
+    # c4.2xlarge, which it leaves. Before t=100, both tasks ask with one
+    # context at each tick, and the engine asks once for both.
+    traces = flat_traces()
+    traces["r4.xlarge"] = PriceTrace("r4.xlarge", [PricePoint(0, 6.0), PricePoint(150, 30.0)])
+    job = one_phase_job(tasks=2, phases=(Phase(200, 2.0, 8.0), Phase(400, 4.0, 16.0)))
+    asked = {}
+    reports = []
+    for run in (run_simulation, run_per_second):
+        policy = Recording(ByPhase())
+        report = run(
+            job, policy, traces, CATALOG, COMPOSITION,
+            params=unit_params(), forced_migrations=[(100, 1, "r4.xlarge")],
+        )
+        asked[run] = policy.asked
+        reports.append(json.dumps(report.to_dict(), sort_keys=True))
+    assert reports[0] == reports[1]
+    check_asked(asked[run_simulation], asked[run_per_second])
+    moves = [(e["t"], e["task"], e["dst"]) for e in report.events if e["event"] == "migrate"]
+    assert moves == [(100, 1, "r4.xlarge"), (240, 0, "m4.2xlarge"), (480, 1, "m4.2xlarge")]
+
+    def ticks(log, t):
+        return [entry[-1] for entry in log if entry[:2] == ["decide", t]]
+
+    stay, move = PolicyDecision.STAY, PolicyDecision.MIGRATE
+    assert ticks(asked[run_per_second], 60) == [stay, stay]
+    assert ticks(asked[run_simulation], 60) == [stay]
+    assert ticks(asked[run_simulation], 240) == [move, stay]
+    assert ticks(asked[run_simulation], 480) == [stay, move]
+
+
+class Unmasked(Recording):
+    """Recording without the stays mask: asked at every epoch tick."""
+
+    def stays(self, block, current, cpu_used, mem_used):
+        return None
+
+
+@pytest.mark.parametrize("name", POLICIES)
+def test_a_gang_asks_once_per_context(name):
+    # an 8-task BSP gang in lockstep holds one VM, so the engine's asks are
+    # the reference's with each repeat left out
+    job = JobSpec(
+        name="gang", kind="bsp", tasks=8, phases=(Phase(1800, 2.0, 8.0), Phase(1800, 4.0, 16.0)),
+        reference_capacity=(8.0, 32.0),
+    )
+    asked = []
+    for run in (run_simulation, run_per_second):
+        policy = Unmasked(build_policy(name))
+        run(job, policy, traces_for(0), CATALOG, COMPOSITION, params=study_params())
+        asked.append(policy.asked)
+    engine, reference = asked
+    assert engine == [entry for i, entry in enumerate(reference) if not i or entry != reference[i - 1]]
+    assert 8 * len(engine) <= len(reference)
+
+
+# steps the engine takes
+
+
+def count_steps(*args, **kwargs):
+    """The report of run_simulation and the seconds it stepped. Each call of
+    _gang_low is checked to come while some task is unfinished."""
+    stepped = []
+    step, gang_low = _Engine._step, _Engine._gang_low
+
+    def counted(self, t, forced_queue):
+        stepped.append(t)
+        return step(self, t, forced_queue)
+
+    def checked(self):
+        assert any(task.state != DONE for task in self.tasks)
+        return gang_low(self)
+
+    with mock.patch.object(_Engine, "_step", counted), mock.patch.object(_Engine, "_gang_low", checked):
+        return run_simulation(*args, **kwargs), stepped
+
+
+@pytest.mark.parametrize("kind, tasks", [("long_running", 1), ("bsp", 3)])
+def test_a_migration_costs_two_steps(kind, tasks):
+    # the run's one epoch tick is t=0; each scripted move is stepped where
+    # it starts and where it ends, and nowhere between
+    job = one_phase_job(kind=kind, tasks=tasks)
+    params = unit_params(epoch=10_000)
+    t_m = params.migration.seconds(job.mem_footprint)
+    _, fixed = count_steps(job, "static", flat_traces(), CATALOG, COMPOSITION, params=params)
+    for n in range(1, 4):
+        starts = [100 + 150 * i for i in range(n)]
+        moves = [(t, 0, ("r4.xlarge", "m4.2xlarge")[i % 2]) for i, t in enumerate(starts)]
+        report, stepped = count_steps(
+            job, "static", flat_traces(), CATALOG, COMPOSITION,
+            params=params, forced_migrations=moves,
+        )
+        assert report.migrations == n
+        assert len(stepped) == len(fixed) + 2 * n
+        for t in starts:
+            assert t in stepped and t + t_m in stepped
 
 
 # the slice sums against the Python loops they replaced
