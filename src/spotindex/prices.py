@@ -8,11 +8,12 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import compress
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import OutOfRangeError, ParseError
+from .errors import InvariantError, OutOfRangeError, ParseError, finite
 from .catalog import VmSpec, record_blocks
 
 log = logging.getLogger(__name__)
@@ -25,10 +26,24 @@ CAP_RELATIVE_EPS = 1e-9
 
 @dataclass(frozen=True)
 class PricePoint:
-    """A price effective from `timestamp` (seconds) until the next point."""
+    """A price effective from `timestamp` (seconds) until the next point.
+    The PriceTrace that takes it checks both numbers (_checked_point)."""
 
     timestamp: int
     price: float
+
+
+def _checked_point(vm_id: str, i: int, point: PricePoint) -> tuple[int, float]:
+    """Point i of trace vm_id as (timestamp, price): whole seconds within
+    int64, and a finite price >= 0, numpy scalars included; otherwise an
+    InvariantError naming the trace, the point and the field."""
+    t, price = point.timestamp, point.price
+    name = f"trace {vm_id!r} point {i}"
+    # the range test also rejects NaN and infinities
+    if not (isinstance(t, Real) and not isinstance(t, bool) and -(2**63) <= t < 2**63 and t % 1 == 0):
+        raise InvariantError(f"{name} timestamp must be whole seconds within int64, got {t!r}")
+    finite(price, f"{name} (t={int(t)}) price", strict=False)
+    return int(t), float(price)
 
 
 class PriceTrace:
@@ -39,12 +54,14 @@ class PriceTrace:
     """
 
     def __init__(self, vm_id: str, points):
-        pts = sorted(points, key=lambda p: p.timestamp)
+        pts = sorted(
+            (_checked_point(vm_id, i, point) for i, point in enumerate(points)), key=lambda p: p[0]
+        )
         if not pts:
             raise ValueError(f"trace for {vm_id!r} has no points")
         self.vm_id = vm_id
-        self.timestamps = np.array([p.timestamp for p in pts], dtype=np.int64)
-        self.prices = np.array([p.price for p in pts], dtype=np.float64)
+        self.timestamps = np.array([t for t, _ in pts], dtype=np.int64)
+        self.prices = np.array([price for _, price in pts], dtype=np.float64)
 
     @classmethod
     def from_arrays(cls, vm_id: str, timestamps: np.ndarray, prices: np.ndarray) -> "PriceTrace":

@@ -9,17 +9,19 @@ stays mask does not cover, a held VM's price crossing over max_price or onto
 the cap, a stall end, a scripted migration, a task's last second of work),
 crediting the seconds in between as the same second repeated, so a
 migration is stepped where it starts and where it ends. Reports are the
-same as a one-second loop would give. The policy is asked once per context:
-the tasks that ask with an equal context at one instant share its answer
-(_Engine._ask), so an answer must depend on its context alone. The
-market the policies see is built by one vectorized rule (_Engine._block):
+same as a one-second loop would give. _Engine._ask is the one path from an
+instant to a policy answer, and keeps only its last answer, which the tasks
+that ask with an equal context at one instant share; so an answer must
+depend on its context alone. The market the policies see is built by one
+vectorized rule (_Engine._block), with one leave-out rule (_Engine._dropped):
 for a block of epoch ticks at a time, or for one instant off the epoch grid
-(see _Engine._market). A block computes its candidates' window moments, for
-all its ticks, only when a policy first reads one (_window_moments). The
-one-second reference in tests/reference_engine.py is this engine with the
-slow form of each shortcut: _next_instant, which also stands for the masks
-and crossings, _works_now, _market, which it computes with its own scalar
-code, and _ask, which asks for every task.
+(see _Engine._market), and no market is kept. A block computes its
+candidates' window moments, for all its ticks, only when a policy first
+reads one (_window_moments). The one-second reference in
+tests/reference_engine.py is this engine with the slow form of each
+shortcut: _next_instant, which also stands for the masks and crossings,
+_works_now, _market, which it computes with its own scalar code and
+leave-out rule, and _ask, which asks for every task.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
@@ -446,8 +448,6 @@ class _Engine:
         # per (vm, cpu, mem): the first tick index from each one on that the
         # policy's stays mask over the epoch table leaves uncovered
         self._stay_until = {}
-        self._market_t = None
-        self._market_row = None
         # the last ask's key and answer (_ask)
         self._asked = None
         self._answer = None
@@ -485,20 +485,17 @@ class _Engine:
     def _price(self, vm: str, t: int) -> float:
         return self.traces[vm].price_at(t)
 
-    def _over(self, vm: str, price: float) -> bool:
-        if price > self.max_price:
-            return True
-        return self.params.treat_cap_as_revocation and is_capped(price, self.catalog[vm])
-
-    def _crossed(self, vm: str, t: int) -> bool:
-        return self._over(vm, self._price(vm, t))
-
-    def _dropped(self, spec, prices: np.ndarray) -> np.ndarray:
-        """_over, over an array of spec's prices."""
+    def _dropped(self, vm: str, prices):
+        """Whether vm at a price, or at each of an array of prices, is left
+        out of the market: over max_price or, under treat_cap_as_revocation,
+        on the cap."""
         over = prices > self.max_price
         if self.params.treat_cap_as_revocation:
-            over |= is_capped(prices, spec)
+            over |= is_capped(prices, self.catalog[vm])
         return over
+
+    def _crossed(self, vm: str, t: int) -> bool:
+        return self._dropped(vm, self._price(vm, t))
 
     def _block(self, ticks) -> MarketBlock:
         """The market at each of ticks, an int64 array evenly spaced by the
@@ -527,7 +524,7 @@ class _Engine:
             clipped.append(t1)
             prices.append(price)
         prices = np.array(prices)
-        over = np.array([self._dropped(spec, row) for spec, row in zip(self.candidates, prices)])
+        over = np.array([self._dropped(spec.id, row) for spec, row in zip(self.candidates, prices)])
         return MarketBlock(
             tuple(self.candidates),
             ok,
@@ -561,70 +558,61 @@ class _Engine:
         least-advanced task still has its remaining work to do. A refill
         drops the stays masks of the old table. Any other instant gets a
         one-row block of its own. Views are built only for the row read,
-        and the last instant's market is kept, so the tasks deciding at one
-        tick share it."""
-        if t != self._market_t:
-            epoch = self.params.epoch
-            if t % epoch:
-                market = self._block(np.array([t])).market(0)
-            else:
-                if t >= self._table_first + epoch * len(self._table):
-                    work = min(task.work for task in self.tasks if task.state != DONE)
-                    count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
-                    self._table = self._block(t + epoch * np.arange(count))
-                    self._table_first = t
-                    self._stay_until = {}
-                market = self._table.market((t - self._table_first) // epoch)
-            if market is None:
-                self._raise_undefined(t)
-            self._market_row = market
-            self._market_t = t
-        return self._market_row
-
-    def _ctx(self, t: int, phase: Phase, current: str | None) -> PolicyContext:
-        views, index_now, index_reference = self._market(t)
-        return PolicyContext(
-            t=t,
-            candidates=views,
-            cpu_used=phase.cpu,
-            mem_used=phase.mem,
-            index_now=index_now,
-            index_reference=index_reference,
-            current=current,
-            horizon=self.params.horizon,
-            migration_seconds=float(self.t_m),
-        )
+        and no market is kept: _ask shares answers, not markets."""
+        epoch = self.params.epoch
+        if t % epoch:
+            market = self._block(np.array([t])).market(0)
+        else:
+            if t >= self._table_first + epoch * len(self._table):
+                work = min(task.work for task in self.tasks if task.state != DONE)
+                count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
+                self._table = self._block(t + epoch * np.arange(count))
+                self._table_first = t
+                self._stay_until = {}
+            market = self._table.market((t - self._table_first) // epoch)
+        if market is None:
+            self._raise_undefined(t)
+        return market
 
     def _ask(self, ask, t: int, task: _Task, current: str | None):
-        """_ask_once for task at t, or the last ask's answer where that had
-        the same key: all that a context is built from, which is the call
-        (select or decide), t, the phase's cpu and mem, and current. The
-        tasks that share a context at one instant, a BSP gang at a decision
-        tick, so share one call."""
+        """ask (the policy's select or decide) on task's context at t, or the
+        last ask's answer where that had the same key: all that a context is
+        built from, which is the call, t, the phase's cpu and mem, and
+        current. The tasks that share a context at one instant, a BSP gang
+        at a decision tick, so share one call. A SelectionError from the
+        policy, or a pick or migration target that is not among the
+        context's candidates, ends the run as a SimulationError that names t
+        and the task."""
         phase = self.job.phase_at(task.work)
         key = (ask, t, phase.cpu, phase.mem, current)
-        if key != self._asked:
-            self._answer = self._ask_once(ask, t, task, phase, current)
-            self._asked = key
-        return self._answer
-
-    def _ask_once(self, ask, t: int, task: _Task, phase: Phase, current: str | None):
-        """ask (the policy's select or decide) on task's context at t. A
-        SelectionError from the policy, or a pick or migration target that is
-        not among the context's candidates, ends the run as a
-        SimulationError that names t and the task."""
+        if key == self._asked:
+            return self._answer
         try:
-            ctx = self._ctx(t, phase, current)
-            answer = ask(ctx)
+            views, index_now, index_reference = self._market(t)
+            answer = ask(
+                PolicyContext(
+                    t=t,
+                    candidates=views,
+                    cpu_used=phase.cpu,
+                    mem_used=phase.mem,
+                    index_now=index_now,
+                    index_reference=index_reference,
+                    current=current,
+                    horizon=self.params.horizon,
+                    migration_seconds=float(self.t_m),
+                )
+            )
         except SelectionError as exc:
             raise SimulationError(f"selection failed at t={t} for task {task.idx}: {exc}") from exc
+        # a failed check below ends the run, so the answer kept is never read
+        self._asked, self._answer = key, answer
         if not isinstance(answer, PolicyDecision):
             pick = answer
         elif answer.action == PolicyDecision.MIGRATE:
             pick = answer.target
         else:
             return answer
-        if all(view.spec.id != pick for view in ctx.candidates):
+        if all(view.spec.id != pick for view in views):
             raise SimulationError(
                 f"policy chose {pick!r} at t={t} for task {task.idx}, "
                 f"which is not among its candidates"
@@ -633,7 +621,9 @@ class _Engine:
 
     # state transitions
 
-    def _acquire(self, task: _Task, t: int, reason: str):
+    def _acquire(self, task: _Task, t: int, reason: str, working: bool) -> str:
+        """The VM the policy selects for task at t, acquired and its hold
+        opened."""
         vm = self._ask(self.policy.select, t, task, None)
         task.vm = vm
         self.events.append(
@@ -646,6 +636,7 @@ class _Engine:
                 "reason": reason,
             }
         )
+        self._open_hold(task, vm, t, working)
         return vm
 
     def _start_migration(self, task: _Task, t: int, target: str, reason: str, forced: bool):
@@ -716,11 +707,10 @@ class _Engine:
         work_lost = task.work - rolled
         task.work = rolled
         task.mig_dst = None
-        new_vm = self._acquire(task, t, reason="revocation")
+        new_vm = self._acquire(task, t, "revocation", working=False)
         restart = self.params.migration.revocation_restart
         task.state = RESTARTING if restart > 0 else WORKING
         task.stall_until = t + restart
-        self._open_hold(task, new_vm, t, False)
         self.events.append(
             {
                 "event": "revoke",
@@ -772,7 +762,7 @@ class _Engine:
         """The sorted step starts of vm's trace priced over max_price or, under
         treat_cap_as_revocation, on the cap."""
         trace = self.traces[vm]
-        return trace.timestamps[self._dropped(self.catalog[vm], trace.prices)]
+        return trace.timestamps[self._dropped(vm, trace.prices)]
 
     def _next_crossing(self, vm: str, t: int) -> float:
         """The first second at or after t at which vm's price crosses over
@@ -870,13 +860,11 @@ class _Engine:
         return max(nxt, t)
 
     def _decide(self, t: int):
-        low = self._gang_low() if self.bsp else None
-        decisions = []
-        for task in self.tasks:
-            if not self._works_now(task, low):
-                continue
-            decision = self._ask(self.policy.decide, t, task, task.vm)
-            decisions.append((task, decision))
+        decisions = [
+            (task, self._ask(self.policy.decide, t, task, task.vm))
+            for task, works in zip(self.tasks, self._flags())
+            if works
+        ]
         for task, decision in decisions:
             if decision.action != PolicyDecision.MIGRATE or decision.target == task.vm:
                 continue
@@ -944,8 +932,7 @@ class _Engine:
         forced_queue = list(self.forced)
 
         for task in self.tasks:
-            vm = self._acquire(task, 0, reason="initial")
-            self._open_hold(task, vm, 0, True)
+            self._acquire(task, 0, "initial", working=True)
 
         t = 0
         while True:

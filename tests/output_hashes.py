@@ -4,8 +4,12 @@ source leaves every output's bytes as they were.
 At seeds 0 and 7919, it hashes every case of the `study`, `week` and
 `bsp` benchmark workloads (bench/workloads.py): the report document the
 bench writes, the replay totals and the ledger; and every file the
-`traces` case writes, with its work directory masked. Once, it hashes each
-of the acceptance battery's 750 reports, with their replays and ledgers.
+`traces` case writes, with its work directory masked; and a 3-task
+`long_running` job of the acceptance battery's `v3` shape under each
+policy, whose task 1 a scripted move puts on another VM than its peers, so
+that the tasks ask with different contexts at one instant. Once, it hashes
+each of the acceptance battery's 750 reports, with their replays and
+ledgers.
 Save the output of the old source tree, then run it on the new one with
 that file as its argument:
 
@@ -14,7 +18,7 @@ that file as its argument:
 
 With an argument it prints the count of lines that match and exits 0, or
 prints the first line that differs from the file, old and new, and exits 1.
-Without one it prints every line: 3,188 lines in about 9 s on a 2-core Xeon
+Without one it prints every line: 3,212 lines in about 9 s on a 2-core Xeon
 VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
@@ -27,17 +31,22 @@ import itertools
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from spotindex import ledger_from_report, replay  # noqa: E402
+from spotindex import ledger_from_report, replay, run_simulation  # noqa: E402
+from spotindex.policies import POLICIES  # noqa: E402
 
-from conftest import build_catalog, study_params, traces_for  # noqa: E402
-from test_acceptance import run_battery  # noqa: E402
+from conftest import COMPOSITION, build_catalog, study_params, traces_for  # noqa: E402
+from test_acceptance import VARIANTS, run_battery  # noqa: E402
 from workloads import make_workload  # noqa: E402
 
 SEEDS = (0, 7919)
+# task 1 moves at t=1000 onto a VM that the policy does not pick for the
+# tasks at t=0: avail picks m4.2xlarge at both seeds
+MOVE_TARGETS = {"avail": "r4.xlarge"}
 
 
 def sha(data) -> str:
@@ -70,17 +79,34 @@ def traces_lines(seed: int, work_dir: Path):
         yield f"{sha(text)}  traces seed={seed} {path.relative_to(work_dir)}"
 
 
+def report_lines(report, traces, catalog, label):
+    doc = report.to_dict()
+    yield f"{sha(doc)}  {label} report"
+    yield f"{sha(replay(doc, traces, catalog))}  {label} replay"
+    yield f"{sha(ledger_from_report(doc, traces, catalog).to_dicts())}  {label} ledger"
+
+
+def multi_task_lines(seed: int):
+    catalog = build_catalog()
+    traces = traces_for(seed)
+    job = replace(VARIANTS["v3"], name="v3x3", tasks=3)
+    for policy in sorted(POLICIES):
+        move = (1000, 1, MOVE_TARGETS.get(policy, "m4.2xlarge"))
+        report = run_simulation(
+            job, policy, traces, catalog, COMPOSITION,
+            params=study_params(), forced_migrations=[move], seed=seed,
+        )
+        yield from report_lines(report, traces, catalog, f"multi-task v3x3 {policy} seed={seed}")
+
+
 def battery_lines():
     catalog = build_catalog()
     for key, cell in run_battery(catalog, study_params()).items():
         scale = key[1] if key[0] == "scale" else 1.0
         for report in cell["reports"]:
             traces = traces_for(report.seed, scale)
-            doc = report.to_dict()
             label = f"battery {'/'.join(map(str, key))} seed={report.seed}"
-            yield f"{sha(doc)}  {label} report"
-            yield f"{sha(replay(doc, traces, catalog))}  {label} replay"
-            yield f"{sha(ledger_from_report(doc, traces, catalog).to_dicts())}  {label} ledger"
+            yield from report_lines(report, traces, catalog, label)
 
 
 def output_lines():
@@ -89,6 +115,7 @@ def output_lines():
             for name in ("study", "week", "bsp"):
                 yield from simulator_lines(name, seed, Path(tmp) / name)
             yield from traces_lines(seed, Path(tmp) / "traces")
+            yield from multi_task_lines(seed)
     yield from battery_lines()
 
 

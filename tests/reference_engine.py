@@ -14,10 +14,12 @@ of the engine's four shortcuts, and nothing else:
 - `_market` computes every context's market by its own scalar code, over
   `window_stats` and `IndexCurve.window_mean`, never by the engine's one
   vectorized rule (`_Engine._block`), and leaves out the candidates over
-  max_price or on the cap by the scalar `_over`, so the oracle checks that
-  rule and its view filter against independent code. Where the market is
-  undefined it raises at the first check that fails: the index at t, under
-  "window" the index over t's window, then each candidate's price at t;
+  max_price or on the cap by a scalar rule of its own, not the engine's
+  `_dropped`, so the oracle checks that rule and its view filter against
+  independent code. Like the engine's, it keeps no market from one call to
+  the next. Where the market is undefined it raises at the first check that
+  fails: the index at t, under "window" the index over t's window, then
+  each candidate's price at t;
 - `_ask` asks the policy for every task, instead of handing a task the last
   ask's answer when it asks with the same context.
 
@@ -31,6 +33,7 @@ tests/test_simulator.py.
 """
 
 from spotindex.policies import CandidateView, build_policy
+from spotindex.prices import is_capped
 from spotindex.simulator import DONE, WORKING, RunParams, _Engine, window_stats
 
 
@@ -59,8 +62,11 @@ class PerSecondEngine(_Engine):
         views = []
         for spec in self.candidates:
             price = self._price(spec.id, t)
-            if not self._over(spec.id, price):
-                views.append(CandidateView(spec, price, *window_stats(self.traces[spec.id], t, window)))
+            if price > self.max_price:
+                continue
+            if self.params.treat_cap_as_revocation and is_capped(price, spec):
+                continue
+            views.append(CandidateView(spec, price, *window_stats(self.traces[spec.id], t, window)))
         return tuple(views), index_now, index_reference
 
     def _ask(self, ask, t, task, current):

@@ -120,6 +120,7 @@ def test_filter_candidates_sorted_and_scoped():
     req = ResourceRequirement(4.0, 16.0)
     assert [s.id for s in filter_candidates(cat, req)] == ["big", "mid"]
     assert [s.id for s in filter_candidates(cat, req, Scope(region="r1"))] == ["mid"]
+    assert filter_candidates(cat, req, Scope(zone="z2")) == []
     assert [s.id for s in filter_candidates(cat, req, None)] == ["big", "mid"]
 
 

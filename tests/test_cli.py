@@ -210,6 +210,25 @@ def test_config_pin_migration_is_usage_error(workspace, capsys):
     assert "'pin_migration'" in capsys.readouterr().err
 
 
+def test_index_warns_of_its_gap_samples(workspace, caplog):
+    # the synth traces start at 0, so the samples before it are gaps
+    traces = workspace / "traces"
+    run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])
+    out = workspace / "index.csv"
+    argv = ["index", "--traces", traces, "--catalog", workspace / "catalog.csv"]
+    assert run([*argv, "--start", -600, "--end", 600, "--period", 300, "--out", out]) == 0
+    assert "index has 2 gap samples (first at -600)" in caplog.messages
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[3:]] == ["0", "300"]
+
+
+@pytest.mark.parametrize("spec", [5, {"markets": {"vm_id": "m4.large"}}])
+def test_synth_spec_that_holds_no_list_names_the_file(workspace, spec, caplog):
+    spec_path = workspace / "bad.json"
+    spec_path.write_text(json.dumps(spec))
+    assert run(["synth", "--spec", spec_path, "--out", workspace / "out"]) == 1
+    assert f"market spec {spec_path} must hold a list of markets" in caplog.messages
+
+
 def test_index_misspelled_member_is_domain_error(workspace):
     traces = workspace / "traces"
     run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])

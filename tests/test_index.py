@@ -134,6 +134,12 @@ def test_index_series_grid_and_gaps():
     assert [s.timestamp for s in series.samples] == [300, 600]
     assert [s.value for s in series.samples] == [2.0, 2.0]
     assert series.mean() == 2.0
+    with pytest.raises(ValueError, match="^end must be after start$"):
+        index_series(traces, catalog, ["a"], 900, 900, 300)
+    with pytest.raises(GapError, match="^index series is empty$"):
+        index_series(traces, catalog, ["a"], 0, 300, 300).mean()
+    with pytest.raises(ValueError, match="^sample grid must be strictly increasing$"):
+        dataclasses.replace(series, samples=series.samples[::-1])
 
 
 def test_on_demand_index_value():
@@ -166,6 +172,12 @@ def test_compare_indices_signs_and_inversions():
     assert report.on_demand_sign == -1
     assert report.inversions == [(600, 1200)]
     assert report.mean_a == pytest.approx((1 + 1 + 5 + 5) / 4)
+    # an inversion that ends before the common grid does
+    ta["a"] = PriceTrace("a", [PricePoint(0, 1.0), PricePoint(600, 5.0), PricePoint(900, 1.0)])
+    sa = index_series(ta, catalog, ["a"], 0, 1200, 300)
+    report = compare_indices(sa, sb, on_demand_a=2.0, on_demand_b=4.0)
+    assert report.signs == [-1, -1, 1, -1]
+    assert report.inversions == [(600, 900)]
 
 
 def test_compare_indices_no_overlap():

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import random
 import re
 
@@ -8,6 +9,7 @@ import pytest
 
 from spotindex import (
     Catalog,
+    InvariantError,
     OutOfRangeError,
     ParseError,
     PricePoint,
@@ -59,6 +61,46 @@ def test_price_before_first_raises():
     trace = PriceTrace("x", [PricePoint(100, 1.0)])
     with pytest.raises(OutOfRangeError):
         trace.price_at(99)
+    with pytest.raises(OutOfRangeError, match="^trace 'x' starts at 100, asked for 99$"):
+        trace.values_at([100, 99])
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        # a NaN price once ended every run in a bare AssertionError of the
+        # market mask, a negative one billed a negative cost, inf warned
+        (PricePoint(100, math.nan), "point 1 (t=100) price must be finite and >= 0, got nan"),
+        (PricePoint(100, -1.0), "point 1 (t=100) price must be finite and >= 0, got -1.0"),
+        (PricePoint(100, math.inf), "point 1 (t=100) price must be finite and >= 0, got inf"),
+        (PricePoint(100, "3"), "point 1 (t=100) price must be finite and >= 0, got '3'"),
+        (PricePoint(100, True), "point 1 (t=100) price must be finite and >= 0, got True"),
+        # a fraction was truncated, a string parsed, 2**70 overflowed
+        (PricePoint(1.5, 1.0), "point 1 timestamp must be whole seconds within int64, got 1.5"),
+        (PricePoint("5", 1.0), "point 1 timestamp must be whole seconds within int64, got '5'"),
+        (PricePoint(2**70, 1.0), f"point 1 timestamp must be whole seconds within int64, got {2**70}"),
+        (PricePoint(2**63, 1.0), f"point 1 timestamp must be whole seconds within int64, got {2**63}"),
+        (PricePoint(math.nan, 1.0), "point 1 timestamp must be whole seconds within int64, got nan"),
+        (PricePoint(False, 1.0), "point 1 timestamp must be whole seconds within int64, got False"),
+    ],
+)
+def test_a_bad_price_point_names_its_trace_point_and_field(point, message):
+    with pytest.raises(InvariantError, match=f"^trace 'x' {re.escape(message)}$"):
+        PriceTrace("x", [PricePoint(0, 1.0), point])
+
+
+def test_numpy_and_whole_float_points_keep_their_bits():
+    trace = PriceTrace(
+        "x",
+        [
+            PricePoint(np.int64(60), np.float64(0.1)),
+            PricePoint(0.0, 0),
+            PricePoint(np.float64(-(2**63)), np.float32(2.5)),
+            PricePoint(2**63 - 1, 1e300),
+        ],
+    )
+    assert trace.timestamps.tolist() == [-(2**63), 0, 60, 2**63 - 1]
+    assert trace.prices.tolist() == [2.5, 0.0, 0.1, 1e300]
 
 
 def test_values_at_matches_price_at():

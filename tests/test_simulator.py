@@ -720,6 +720,9 @@ MALFORMED_EVENTS = [
     ("finish", "t", None),
     ("finish", "task", 1),
     ("finish", "task", 0.0),
+    # an event kind that is not a str, and a vm that cannot be hashed
+    ("hold", "event", 5),
+    ("hold", "vm", ["m4.large"]),
 ]
 
 
@@ -1160,6 +1163,17 @@ def test_run_trials_and_aggregate():
         )
     with pytest.raises(ValueError):
         run_trials(one_phase_job(), "static", [], CATALOG, COMPOSITION)
+    with pytest.raises(ValueError, match="^no reports to aggregate$"):
+        aggregate_reports([])
+
+
+def test_a_job_that_no_candidate_fits_is_named():
+    job = one_phase_job(phases=(Phase(600, 64.0, 16.0),))
+    message = "^no candidate VM satisfies job 'unit'$"
+    with pytest.raises(SimulationError, match=message):
+        run_simulation(job, "static", flat_traces(), CATALOG, COMPOSITION, params=unit_params())
+    with pytest.raises(SimulationError, match=message):
+        on_demand_baseline(job, CATALOG)
 
 
 def test_run_trials_wraps_errors_with_trial_id():

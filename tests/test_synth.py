@@ -1,4 +1,6 @@
 import hashlib
+import logging
+import math
 import re
 
 import numpy as np
@@ -152,6 +154,16 @@ def test_benchmark_traces_keep_their_bytes(spec, seed, digest):
 def test_negative_prices_rejected():
     with pytest.raises(InvariantError):
         generate(spec_of(mean=0.5, stddev=5.0), seed=0)
+
+
+def test_tiny_negative_prices_are_clamped_with_a_warning(caplog):
+    # two draws rescaled to 0.1 +- 0.1: the low one lands a rounding error
+    # below zero
+    with caplog.at_level(logging.WARNING, logger="spotindex.synth"):
+        trace = generate(spec_of(mean=0.1, stddev=0.1, duration=120), seed=2)
+    assert trace.prices.tolist() == [0.0, 0.19999999999999996]
+    assert math.copysign(1.0, trace.prices[0]) == 1.0
+    assert caplog.messages == ["market m: clamped 1 tiny negative prices"]
 
 
 def test_warmup_preserves_run_block():
