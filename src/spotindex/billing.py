@@ -1,11 +1,11 @@
 """Billing of a simulator event log: what each VM hold cost, and for a
 working hold what its VM's capacity cost at the index over the same span.
 
-interval_cost and IndexCurve.integrate price one hold alone (bill_hold), and
-are the definitions. billed_holds prices a whole log with one window_sums
-call per VM, plus one for the index, and gets the same bits, in the one pass
-that also checks every event of the log and names the first one it cannot
-read.
+interval_cost and IndexCurve.integrate price one hold alone: they are the
+definitions the tests compare billed_holds against. billed_holds prices a
+whole log with one window_sums call per VM, plus one for the index, and
+gets the same bits, in the one pass that also checks every event of the
+log and names the first one it cannot read or price.
 """
 
 from __future__ import annotations
@@ -21,17 +21,6 @@ def interval_cost(trace: PriceTrace, t0: int, t1: int) -> float:
         return 0.0
     prices, widths = trace.steps(t0, t1)
     return left_sum(prices * widths) / 3600.0
-
-
-def bill_hold(event, traces, catalog, curve: IndexCurve) -> tuple:
-    """One hold's (cost, index_cost), priced alone: the definition that
-    billed_holds' batches reproduce bit for bit."""
-    cost = interval_cost(traces[event["vm"]], event["t0"], event["t1"])
-    index_cost = None
-    if event["working"]:
-        spec = catalog[event["vm"]]
-        index_cost = denormalize(spec, curve.integrate(event["t0"], event["t1"])) / 3600.0
-    return cost, index_cost
 
 
 class _Holds:
@@ -61,31 +50,31 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
 
     Reading checks, in this order, that an event is an object with a str
     "event" kind; for a hold, that t0 and t1 are ints within ±2**62, so that
-    the difference of any two times fits an int64, task is one of the job's,
-    vm has a trace and a catalog row, and working is a bool; for a finish,
-    that t is an int below 2**62, task is one of the job's, and t is at or
-    after 0 and the end of every earlier hold of that task.
+    the difference of any two times fits an int64, and t1 is after t0, task
+    is one of the job's, vm has a trace and a catalog row, working is a
+    bool, and t0 is at or after the start of vm's trace and, for a working
+    hold, of the index curve; for a finish, that t is an int below 2**62,
+    task is one of the job's, and t is at or after 0 and the end of every
+    earlier hold of that task.
     The first key that fails is a SimulationError naming it and the event's
     index, raised after the holds before it are yielded.
 
     The holds are grouped by VM. Each group is priced with one window_sums
     call over its trace, and the working holds of every group with one over
-    the index curve, so every hold gets bill_hold's bits. A hold that a
-    batch does not price, because it is empty, starts before its trace or
-    the curve, or its index span holds a gap, is billed alone by bill_hold
-    in its turn and raises what bill_hold raises.
+    the index curve, so every hold gets the bits of interval_cost and
+    IndexCurve.integrate. A working hold whose index span holds a gap sums
+    to NaN there, and integrate, called in its turn, raises its GapError.
     """
-    # two flat lists, one entry per hold: a container per hold would wake
-    # the garbage collector again and again on a long log
+    # flat lists, one entry per hold: a container per hold would wake the
+    # garbage collector again and again on a long log
     holds = []
-    hold_groups = []  # None for a hold billed alone
     groups = {}
     ends = [0] * tasks  # where each task's holds read so far end
     others = 0  # the events read that are not holds
     failure = None
     start = curve.start
     low, top = -(2**62), 2**62  # every difference of two times fits an int64
-    working_t0, working_t1 = [], []  # the index spans of the batched holds
+    working_t0, working_t1 = [], []  # the index spans of the working holds
     for event in events:
         try:
             try:
@@ -110,7 +99,7 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
             if type(t0) is not int or not low <= t0 < top:
                 raise _Unread("t0")
             t1 = event["t1"]
-            if type(t1) is not int or not low <= t1 < top:
+            if type(t1) is not int or not t0 < t1 < top:
                 raise _Unread("t1")
             task = event["task"]
             if type(task) is not int or not 0 <= task < tasks:
@@ -127,6 +116,8 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
             working = event["working"]
             if type(working) is not bool:
                 raise _Unread("working")
+            if t0 < group.first or (working and t0 < start):
+                raise _Unread("t0")
         except KeyError as unread:
             key, i = unread.args[0], len(holds) + others  # i: the events before it
             failure = SimulationError(
@@ -137,11 +128,6 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
         if t1 > ends[task]:
             ends[task] = t1
         holds.append(event)
-        if t1 <= t0 or t0 < group.first or (working and t0 < start):
-            # empty, or raises
-            hold_groups.append(None)
-            continue
-        hold_groups.append(group)
         group.t0.append(t0)
         group.t1.append(t1)
         if working:
@@ -149,20 +135,17 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
             working_t1.append(t1)
     for group in groups.values():
         trace = group.trace
-        if group.t0:
-            group.sums = iter(window_sums(trace.timestamps, trace.prices, group.t0, group.t1).tolist())
+        group.sums = iter(window_sums(trace.timestamps, trace.prices, group.t0, group.t1).tolist())
     index_sums = iter(curve.integrals(working_t0, working_t1).tolist())
-    for event, group in zip(holds, hold_groups):
-        if group is not None:
-            cost = next(group.sums) / 3600.0
-            if not event["working"]:
-                yield event, cost, None
-                continue
-            total = next(index_sums)
-            if total == total:
-                yield event, cost, denormalize(group.spec, total) / 3600.0
-                continue
-            # a gap, which bill_hold names
-        yield (event, *bill_hold(event, traces, catalog, curve))
+    for event in holds:
+        group = groups[event["vm"]]
+        cost = next(group.sums) / 3600.0
+        if not event["working"]:
+            yield event, cost, None
+            continue
+        total = next(index_sums)
+        if total != total:  # a gap, which integrate names
+            total = curve.integrate(event["t0"], event["t1"])
+        yield event, cost, denormalize(group.spec, total) / 3600.0
     if failure is not None:
         raise failure

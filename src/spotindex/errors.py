@@ -3,6 +3,7 @@ number that enters it goes through: exact for its type, finite for its
 range."""
 
 import math
+import sys
 from numbers import Real
 
 
@@ -63,13 +64,16 @@ class SimulationError(SpotIndexError):
 
 def exact(kind, value, key: str):
     """value as kind (int, float, bool or str), or an InvariantError naming
-    key where the cast would change it: a boolean or string where a number
-    is due, a fraction where an int is due, or any other type where a bool
-    or str is due."""
+    key where the cast would change it or overflow: a boolean or string
+    where a number is due, a fraction where an int is due, a whole number
+    beyond the float range where a float is due, or any other type where a
+    bool or str is due."""
     if kind in (bool, str):
         ok = isinstance(value, kind)
+    elif kind is int:
+        ok = type(value) in (int, float) and value % 1 == 0
     else:
-        ok = type(value) in (int, float) and (kind is float or value % 1 == 0)
+        ok = type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
     if not ok:
         raise InvariantError(f"{key} must be {kind.__name__}, got {value!r}")
     return kind(value)
@@ -77,12 +81,17 @@ def exact(kind, value, key: str):
 
 def finite(value, name: str, minimum=0, strict: bool = True):
     """An InvariantError naming `name` unless value is a real number (not a
-    boolean), finite, and above minimum (or equal to it, when not strict)."""
-    if not (
-        isinstance(value, Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and (value > minimum if strict else value >= minimum)
-    ):
+    boolean), finite (a whole number beyond the float range is not), and
+    above minimum (or equal to it, when not strict)."""
+    try:
+        ok = (
+            isinstance(value, Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (value > minimum if strict else value >= minimum)
+        )
+    except OverflowError:  # math.isfinite of a whole number beyond the float range
+        ok = False
+    if not ok:
         bound = f"{'>' if strict else '>='} {minimum}"
         raise InvariantError(f"{name} must be finite and {bound}, got {value!r}")

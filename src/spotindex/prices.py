@@ -34,11 +34,13 @@ class PricePoint:
 
 
 def _checked_point(vm_id: str, i: int, point: PricePoint) -> tuple[int, float]:
-    """Point i of trace vm_id as (timestamp, price): whole seconds within
-    int64, and a finite price >= 0, numpy scalars included; otherwise an
-    InvariantError naming the trace, the point and the field."""
-    t, price = point.timestamp, point.price
+    """Point i of trace vm_id as (timestamp, price): a PricePoint of whole
+    seconds within int64 and a finite price >= 0, numpy scalars included;
+    otherwise an InvariantError naming the trace, the point and the field."""
     name = f"trace {vm_id!r} point {i}"
+    if not isinstance(point, PricePoint):
+        raise InvariantError(f"{name} must be a PricePoint, got {point!r}")
+    t, price = point.timestamp, point.price
     # the range test also rejects NaN and infinities
     if not (isinstance(t, Real) and not isinstance(t, bool) and -(2**63) <= t < 2**63 and t % 1 == 0):
         raise InvariantError(f"{name} timestamp must be whole seconds within int64, got {t!r}")

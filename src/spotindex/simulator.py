@@ -27,9 +27,11 @@ The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
 from that event log. One reader, billing.billed_holds, reads a log for
 compute_totals and ledger_from_report alike: in one pass it checks each
-event, naming the first it cannot read, and prices each VM's holds in one
-batch, bit for bit as pricing each hold alone would. Replaying a serialized
-report therefore reproduces every output bit for bit.
+event, naming the first it cannot read or price (a hold that is reversed,
+empty, or starts before its trace or, working, before the index), and
+prices all holds it reads in one batch per VM, bit for bit as
+interval_cost and IndexCurve.integrate price each hold alone. Replaying a
+serialized report therefore reproduces every output bit for bit.
 """
 
 from __future__ import annotations
@@ -1072,6 +1074,13 @@ def _listed(value, name: str, item=None) -> list:
     return value
 
 
+def _members(value, name: str) -> list:
+    """value, a non-empty list of str."""
+    if not _listed(value, name, str):
+        raise InvariantError(f"{name} is empty")
+    return value
+
+
 def _capacity(value, name: str) -> tuple:
     """value, a [cpu, mem] pair of finite numbers above 0, as a tuple."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -1102,7 +1111,7 @@ def _read_report(report: SimReport | dict, traces: dict, catalog: Catalog) -> tu
     raw = report.to_dict() if isinstance(report, SimReport) else report
     events = _report_value(raw, "events", _listed)
     tasks = _report_value(raw, "tasks", _task_count)
-    composition = _report_value(raw, "composition", lambda value, name: _listed(value, name, str))
+    composition = _report_value(raw, "composition", _members)
     return raw, events, tasks, index_curve(traces, catalog, composition)
 
 

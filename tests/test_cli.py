@@ -540,6 +540,8 @@ def test_simulate_balanced_options_match_the_library(workspace):
         ({**JOB_JSON, "tasks": "x"}, "tasks"),
         # would build one task per task, until memory ran out
         ({**JOB_JSON, "tasks": 1e300}, "tasks"),
+        # a 401-digit literal escaped as a raw OverflowError traceback
+        ({**JOB_JSON, "mem_footprint": 10**400}, "mem_footprint"),
     ],
 )
 def test_simulate_malformed_job_is_a_located_domain_error(workspace, job, key, caplog):

@@ -974,13 +974,18 @@ def test_slice_sums_match_loops_bit_for_bit(drawn):
 # batched billing against each hold priced alone
 
 
+# the holds that billed_holds does not price but names: each is drawn at
+# most once per log, in a third of the logs, since it ends the log
+MALFORMED_HOLDS = ("reversed", "empty", "before its trace", "working before the curve")
+
+
 @st.composite
 def billed_logs(draw):
     """Traces for a few VMs, the capped one-member index over m4.large of
     test_slice_sums_match_loops_bit_for_bit (so it has gaps), and a log of
-    holds on those VMs: working or not, empty, reversed, starting on a
-    trace's first stamp, and now and then before a trace or the curve
-    starts. Some traces are priced -0.0 throughout."""
+    holds on those VMs, working or not, some starting on their trace's first
+    stamp or the curve's; and, in a third of the logs, one of the
+    MALFORMED_HOLDS. Some traces are priced -0.0 throughout."""
     vms = draw(st.lists(st.sampled_from(TARGETS), unique=True, min_size=1, max_size=3))
     capped = 10.0 * CATALOG["m4.large"].on_demand_price
     traces = {}
@@ -1002,35 +1007,50 @@ def billed_logs(draw):
         traces[vm] = PriceTrace(vm, list(map(PricePoint, stamps, levels)))
     curve = IndexCurve({"m4.large": traces["m4.large"]}, CATALOG, ["m4.large"])
     events = [{"event": "acquire", "t": 0, "task": 0, "vm": "m4.large"}]
-    for _ in range(draw(st.integers(5, 40))):
+    count = draw(st.integers(5, 40))
+    malformed = draw(st.sampled_from((None,) * 8 + MALFORMED_HOLDS))
+    at = draw(st.integers(0, count - 1))
+    for k in range(count):
         vm = draw(st.sampled_from(sorted(traces)))
-        first = traces[vm].first_ts
-        start = draw(st.sampled_from(("inside",) * 24 + ("first",) * 5 + ("before",)))
-        if start == "before":
-            t0 = draw(st.integers(first - 30, first - 1))
-        elif start == "first":
-            t0 = first
+        working = draw(st.booleans())
+        bad = malformed if k == at else None
+        if bad == "before its trace":
+            t0 = traces[vm].first_ts - draw(st.integers(1, 30))
+        elif bad == "working before the curve":
+            # on a trace that starts before the curve, where there is one
+            early = [v for v in sorted(traces) if traces[v].first_ts < curve.start]
+            vm = draw(st.sampled_from(early or [vm]))
+            working = True
+            t0 = curve.start - draw(st.integers(1, 30))
         else:
-            t0 = draw(st.integers(first, 3500))
-        t1 = t0 + draw(st.sampled_from((1, 1, 1, -1))) * draw(st.integers(0, 1500))
-        events.append(
-            {"event": "hold", "t0": t0, "t1": t1, "task": 0, "vm": vm, "working": draw(st.booleans())}
-        )
+            first = max(traces[vm].first_ts, curve.start) if working else traces[vm].first_ts
+            if draw(st.sampled_from(("inside",) * 24 + ("first",) * 5)) == "first":
+                t0 = first
+            else:
+                t0 = draw(st.integers(first, 3500))
+        span = draw(st.integers(1, 1500))
+        t1 = {"reversed": t0 - span, "empty": t0}.get(bad, t0 + span)
+        events.append({"event": "hold", "t0": t0, "t1": t1, "task": 0, "vm": vm, "working": working})
     return traces, curve, events
 
 
 def bill_each_alone(events, traces, curve):
     """Each hold's (event, cost bits, index cost bits) from interval_cost and
-    IndexCurve.integrate, up to the first hold that raises, and that error."""
+    IndexCurve.integrate, up to the first hold that is malformed or raises,
+    and the error that names it."""
     billed = []
-    for event in events:
+    for i, event in enumerate(events):
         if event["event"] != "hold":
             continue
-        t0, t1, vm = event["t0"], event["t1"], event["vm"]
+        t0, t1, vm, working = event["t0"], event["t1"], event["vm"], event["working"]
+        if t1 <= t0:
+            return billed, SimulationError(f"event {i} (hold) has a bad 't1': {t1!r}")
+        if t0 < traces[vm].first_ts or (working and t0 < curve.start):
+            return billed, SimulationError(f"event {i} (hold) has a bad 't0': {t0!r}")
         try:
             cost = interval_cost(traces[vm], t0, t1)
             index_cost = None
-            if event["working"]:
+            if working:
                 index_cost = denormalize(CATALOG[vm], curve.integrate(t0, t1)) / 3600.0
         except SpotIndexError as exc:
             return billed, exc

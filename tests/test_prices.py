@@ -82,6 +82,13 @@ def test_price_before_first_raises():
         (PricePoint(2**63, 1.0), f"point 1 timestamp must be whole seconds within int64, got {2**63}"),
         (PricePoint(math.nan, 1.0), "point 1 timestamp must be whole seconds within int64, got nan"),
         (PricePoint(False, 1.0), "point 1 timestamp must be whole seconds within int64, got False"),
+        # a price beyond the float range escaped as a raw OverflowError, and
+        # a point that is not a PricePoint as a bare AttributeError
+        pytest.param(
+            PricePoint(100, 10**400), f"point 1 (t=100) price must be finite and >= 0, got {10**400}",
+            id="price-beyond-the-float-range",
+        ),
+        pytest.param((100, 1.0), "point 1 must be a PricePoint, got (100, 1.0)", id="not-a-price-point"),
     ],
 )
 def test_a_bad_price_point_names_its_trace_point_and_field(point, message):

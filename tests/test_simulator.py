@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -7,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spotindex import (
     CandidateView,
@@ -40,6 +43,7 @@ from spotindex import (
 )
 from spotindex import billing, index, prices, simulator
 from spotindex.billing import interval_cost
+from spotindex.errors import exact
 from spotindex.prices import window_sums
 from spotindex.simulator import MAX_TASKS, window_stats
 
@@ -738,11 +742,9 @@ def located_run():
     return traces, report
 
 
-def assert_located(kind, key, value, traces=None, report=None, i=None):
-    """Set key of event i (by default the first event of that kind) to
-    value, or drop it for None, and check that both readers name it."""
-    if report is None:
-        traces, report = located_run()
+def edit_event(report, kind, key, value, i=None):
+    """A copy of report with key of event i (by default the first event of
+    that kind) set to value, or dropped for None; and i."""
     events = [dict(event) for event in report["events"]]
     if i is None:
         i = [e["event"] for e in events].index(kind)
@@ -751,13 +753,21 @@ def assert_located(kind, key, value, traces=None, report=None, i=None):
         del events[i][key]
     else:
         events[i][key] = value
+    return {**report, "events": events}, i
+
+
+def assert_located(kind, key, value, traces=None, report=None, i=None):
+    """Edit event i as edit_event does, and check that both readers name it."""
+    if report is None:
+        traces, report = located_run()
+    edited, i = edit_event(report, kind, key, value, i)
     message = (
         f"^event {i} has no 'event' kind" if key == "event"
         else f"^event {i} \\({kind}\\) has a bad '{key}': {re.escape(repr(value))}$"
     )
     for reader in BOTH_READERS:
         with pytest.raises(SimulationError, match=message):
-            reader({**report, "events": events}, traces, CATALOG)
+            reader(edited, traces, CATALOG)
 
 
 # each id keeps the name its case had when a third column listed the
@@ -883,6 +893,23 @@ def test_a_finish_is_checked_against_its_own_tasks_holds():
     assert_located("finish", "t", 599, traces, {**report, "events": edited}, i)
 
 
+@pytest.mark.parametrize(
+    "key, value, i, index_start",
+    [("t1", -5, 2, 0), ("t1", 0, 2, 0), ("t0", -5, 3, 0), ("t0", 0, 2, 100)],
+    ids=["reversed", "empty", "stall-before-its-trace", "working-before-the-index"],
+)
+def test_a_hold_that_cannot_be_priced_is_located(key, value, i, index_start):
+    # event 2 is a working hold over [0, 300) and event 3 a stall over
+    # [300, 330), both on c4.2xlarge, whose trace starts at 0. A reversed or
+    # empty hold used to bill 0 with no error; the stall raised its trace's
+    # OutOfRangeError, and the working hold, once a member's trace starts
+    # the index at 100, the curve's
+    traces, report = located_run()
+    traces["m4.large"] = PriceTrace("m4.large", [PricePoint(index_start, 6.0)])
+    assert {report["events"][k]["vm"] for k in (2, 3)} == {"c4.2xlarge"}
+    assert_located("hold", key, value, traces, report, i)
+
+
 def test_a_hold_on_a_vm_without_a_catalog_row_is_located_even_when_stalled():
     traces, report = located_run()
     traces["zz"] = PriceTrace("zz", [PricePoint(0, 6.0)])
@@ -891,33 +918,34 @@ def test_a_hold_on_a_vm_without_a_catalog_row_is_located_even_when_stalled():
     assert_located("hold", "vm", "zz", traces, report, i)
 
 
-@pytest.mark.parametrize(
-    "key, value, message, readers",
-    [
-        ("events", ..., "report has no 'events'", BOTH_READERS),
-        ("events", None, "report events must be a list, got None", BOTH_READERS),
-        ("composition", ..., "report has no 'composition'", BOTH_READERS),
-        ("composition", "abc", "report composition must be a list of str, got 'abc'", BOTH_READERS),
-        ("tasks", ..., "report has no 'tasks'", BOTH_READERS),
-        ("tasks", "1", "report tasks must be finite and >= 1, got '1'", BOTH_READERS),
-        ("tasks", 1.5, "report tasks must be int, got 1.5", BOTH_READERS),
-        ("params", ..., "report has no 'params.reference_capacity'", (replay,)),
-        (
-            "params", {"reference_capacity": "x"},
-            "report params.reference_capacity must be a list of two numbers, got 'x'", (replay,),
-        ),
-        (
-            "params", {"reference_capacity": [8.0, True]},
-            "report params.reference_capacity must be float, got True", (replay,),
-        ),
-    ],
-    ids=[
-        "events-missing", "events-null", "composition-missing", "composition-str", "tasks-missing",
-        "tasks-str", "tasks-fraction", "params-missing", "reference_capacity-str", "reference_capacity-bool",
-    ],
-)
+# (key, value, message, readers): ... stands for a missing key; the
+# ledger does not read params
+REPORT_KEY_CASES = [
+    ("events", ..., "report has no 'events'", BOTH_READERS),
+    ("events", None, "report events must be a list, got None", BOTH_READERS),
+    ("composition", ..., "report has no 'composition'", BOTH_READERS),
+    ("composition", "abc", "report composition must be a list of str, got 'abc'", BOTH_READERS),
+    ("tasks", ..., "report has no 'tasks'", BOTH_READERS),
+    ("tasks", "1", "report tasks must be finite and >= 1, got '1'", BOTH_READERS),
+    ("tasks", 1.5, "report tasks must be int, got 1.5", BOTH_READERS),
+    ("params", ..., "report has no 'params.reference_capacity'", (replay,)),
+    (
+        "params", {"reference_capacity": "x"},
+        "report params.reference_capacity must be a list of two numbers, got 'x'", (replay,),
+    ),
+    (
+        "params", {"reference_capacity": [8.0, True]},
+        "report params.reference_capacity must be float, got True", (replay,),
+    ),
+]
+REPORT_KEY_IDS = [
+    "events-missing", "events-null", "composition-missing", "composition-str", "tasks-missing",
+    "tasks-str", "tasks-fraction", "params-missing", "reference_capacity-str", "reference_capacity-bool",
+]
+
+
+@pytest.mark.parametrize("key, value, message, readers", REPORT_KEY_CASES, ids=REPORT_KEY_IDS)
 def test_replay_and_ledger_name_a_missing_or_malformed_report_key(key, value, message, readers):
-    # ... stands for a missing key; the ledger does not read params
     traces, report = located_run()
     edited = {k: v for k, v in report.items() if k != key}
     if value is not ...:
@@ -925,6 +953,130 @@ def test_replay_and_ledger_name_a_missing_or_malformed_report_key(key, value, me
     for reader in readers:
         with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
             reader(edited, traces, CATALOG)
+
+
+def test_replay_and_ledger_name_an_empty_composition():
+    # it raised the index curve's bare ValueError
+    traces, report = located_run()
+    for reader in BOTH_READERS:
+        with pytest.raises(SimulationError, match="^report composition is empty$"):
+            reader({**report, "composition": []}, traces, CATALOG)
+
+
+BIG = 10**400  # a whole number beyond the float range
+
+
+def read_edited(reader, key, value):
+    traces, report = located_run()
+    return reader({**report, key: value}, traces, CATALOG)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RunParams(epoch=BIG), InvariantError, f"epoch must be finite and > 0, got {BIG}"),
+        (lambda: Phase(BIG, 1.0, 1.0), InvariantError, f"phase duration must be finite and > 0, got {BIG}"),
+        (lambda: MigrationModel(rate=BIG), InvariantError, f"migration rate must be finite and >= 0, got {BIG}"),
+        (
+            lambda: dataclasses.replace(CATALOG["m4.large"], cpu_capacity=BIG),
+            InvariantError, f"cpu_capacity must be finite and > 0, got {BIG}",
+        ),
+        (lambda: exact(float, BIG, "k"), InvariantError, f"k must be float, got {BIG}"),
+        (lambda: exact(float, -BIG, "k"), InvariantError, f"k must be float, got {-BIG}"),
+        (
+            lambda: read_edited(replay, "tasks", BIG),
+            SimulationError, f"report tasks must be finite and >= 1, got {BIG}",
+        ),
+        (
+            lambda: read_edited(ledger_from_report, "tasks", BIG),
+            SimulationError, f"report tasks must be finite and >= 1, got {BIG}",
+        ),
+        (
+            lambda: read_edited(replay, "params", {"reference_capacity": [8.0, BIG]}),
+            SimulationError, f"report params.reference_capacity must be float, got {BIG}",
+        ),
+    ],
+    ids=[
+        "RunParams-epoch", "Phase-duration", "MigrationModel-rate", "VmSpec-cpu_capacity", "exact", "exact-negative",
+        "replay-tasks", "ledger-tasks", "replay-reference_capacity",
+    ],
+)
+def test_a_whole_number_beyond_the_float_range_fails_the_number_checks(call, error, message):
+    # each escaped as a raw OverflowError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# one value of each kind a hand-edited report may hold where it should not
+HOSTILE = [
+    BIG, -BIG, -0.0, math.nan, math.inf, -math.inf, True, "5", None, [], {},
+    {"a": {"a": {"a": {"a": [[{}]]}}}},
+]
+READ_PATHS = ("events", "tasks", "composition", "params.reference_capacity")
+
+
+@functools.cache
+def located_readings():
+    """located_run's traces and report, and what each reader gives for it."""
+    traces, report = located_run()
+    return traces, report, replay(report, traces, CATALOG), ledger_from_report(report, traces, CATALOG).to_dicts()
+
+
+@st.composite
+def hostile_edits(draw):
+    """A key path of located_run's report, as (event index, key) or one of
+    READ_PATHS, and a HOSTILE value."""
+    events = located_readings()[1]["events"]
+    value = draw(st.sampled_from(HOSTILE))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(READ_PATHS)), value
+    i = draw(st.integers(0, len(events) - 1))
+    return (i, draw(st.sampled_from(sorted(events[i])))), value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hostile_edits())
+def test_replay_and_ledger_name_a_hostile_value_or_read_what_it_means(edit):
+    # each reader raises a SimulationError naming the event and key, or the
+    # report key; or, where the value means what the original did, gives
+    # what the unedited report gives
+    path, value = edit
+    traces, report, totals, ledger = located_readings()
+    edited = json.loads(json.dumps(report))
+    if isinstance(path, tuple):
+        i, key = path
+        event = edited["events"][i]
+        kind, original = event["event"], event[key]
+        event[key] = value
+        # another str kind, or a flipped working flag, is another
+        # well-formed log
+        assume(not (key == "event" and isinstance(value, str)))
+        assume(not (key == "working" and type(value) is bool and value != original))
+        if key == "event":
+            message = f"event {i} has no 'event' kind: {event!r}"
+        elif kind in ("hold", "finish") and value is not original:
+            message = f"event {i} ({kind}) has a bad {key!r}: {value!r}"
+        else:  # the readers count every kind, but read no other key of other events
+            message = None
+        pattern = message and f"^{re.escape(message)}$"
+        raising = BOTH_READERS if message else ()
+    else:
+        assume(not (path == "events" and value == []))  # a well-formed empty log
+        *parents, key = path.split(".")
+        reached = edited
+        for parent in parents:
+            reached = reached[parent]
+        reached[key] = value
+        pattern = f"^report {re.escape(path)} "
+        raising = (replay,) if parents else BOTH_READERS  # the ledger does not read params
+    for reader in BOTH_READERS:
+        if reader in raising:
+            with pytest.raises(SimulationError, match=pattern):
+                reader(edited, traces, CATALOG)
+        elif reader is replay:
+            assert replay(edited, traces, CATALOG) == totals
+        else:
+            assert ledger_from_report(edited, traces, CATALOG).to_dicts() == ledger
 
 
 def test_replay_and_ledger_locate_an_event_that_is_not_an_object():
