@@ -1,15 +1,17 @@
 """Billing of a simulator event log: what each VM hold cost, and for a
-working hold what its VM's capacity cost at the index over the same span.
+working hold what its VM's capacity cost at the index over the same span;
+and compute_totals, every run output derived from the log.
 
 interval_cost and IndexCurve.integrate price one hold alone: they are the
-definitions the tests compare billed_holds against. billed_holds prices a
-whole log with one window_sums call per VM, plus one for the index, and
-gets the same bits, in the one pass that also checks every event of the
-log and names the first one it cannot read or price.
+definitions the tests compare billed_holds against. billed_holds, the one
+reader of a log and the one place its rules live, checks every event and
+prices a whole log with one window_sums call per VM, plus one for the index,
+with the same bits.
 """
 
 from __future__ import annotations
 
+from .catalog import capacity_scale
 from .errors import SimulationError
 from .index import IndexCurve, denormalize
 from .prices import PriceTrace, left_sum, window_sums
@@ -45,19 +47,20 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
     """Yield (event, cost, index_cost) for each hold in an event log of a job
     with `tasks` tasks, in order: what the hold cost, and for a working hold
     what its VM's capacity cost at the index over the same span (None
-    otherwise). The one reader of a log, and its one billing loop, for
-    compute_totals and ledger_from_report.
+    otherwise). The one reader of a log, for compute_totals and
+    ledger_from_report, and the only code that checks an event.
 
-    Reading checks, in this order, that an event is an object with a str
-    "event" kind; for a hold, that t0 and t1 are ints within ±2**62, so that
-    the difference of any two times fits an int64, and t1 is after t0, task
-    is one of the job's, vm has a trace and a catalog row, working is a
-    bool, and t0 is at or after the start of vm's trace and, for a working
-    hold, of the index curve; for a finish, that t is an int below 2**62,
-    task is one of the job's, and t is at or after 0 and the end of every
-    earlier hold of that task.
-    The first key that fails is a SimulationError naming it and the event's
-    index, raised after the holds before it are yielded.
+    Reading checks, in this order, that an event is an object of a kind the
+    engine writes (acquire, hold, migrate, abort_migration, revoke, finish);
+    for a hold, that t0 and t1 are ints within ±2**62, so that the
+    difference of any two times fits an int64, and t1 is after t0, task is
+    one of the job's, vm has a trace and a catalog row, working is a bool,
+    and t0 is at or after the start of vm's trace and, for a working hold,
+    of the index curve; for a finish, that t is an int below 2**62, task is
+    one of the job's, and t is at or after 0 and the end of every earlier
+    hold of that task; after the last event, that every task has a finish.
+    The first rule that fails is a SimulationError naming the event's index
+    and key, or the task, raised after the holds before it are yielded.
 
     The holds are grouped by VM. Each group is priced with one window_sums
     call over its trace, and the working holds of every group with one over
@@ -70,12 +73,12 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
     holds = []
     groups = {}
     ends = [0] * tasks  # where each task's holds read so far end
-    others = 0  # the events read that are not holds
+    finished = [False] * tasks
     failure = None
     start = curve.start
     low, top = -(2**62), 2**62  # every difference of two times fits an int64
     working_t0, working_t1 = [], []  # the index spans of the working holds
-    for event in events:
+    for i, event in enumerate(events):
         try:
             try:
                 kind = event["event"]
@@ -91,9 +94,9 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
                         raise _Unread("task")
                     if t < ends[task]:
                         raise _Unread("t")
-                elif type(kind) is not str:
+                    finished[task] = True
+                elif kind not in ("acquire", "migrate", "abort_migration", "revoke"):
                     raise _Unread("event")
-                others += 1
                 continue
             t0 = event["t0"]
             if type(t0) is not int or not low <= t0 < top:
@@ -119,7 +122,7 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
             if t0 < group.first or (working and t0 < start):
                 raise _Unread("t0")
         except KeyError as unread:
-            key, i = unread.args[0], len(holds) + others  # i: the events before it
+            key = unread.args[0]
             failure = SimulationError(
                 f"event {i} has no 'event' kind: {event!r}" if key == "event"
                 else f"event {i} ({kind}) has a bad {key!r}: {event.get(key)!r}"
@@ -133,6 +136,8 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
         if working:
             working_t0.append(t0)
             working_t1.append(t1)
+    if failure is None and False in finished:
+        failure = SimulationError(f"event log has no finish event for task {finished.index(False)}")
     for group in groups.values():
         trace = group.trace
         group.sums = iter(window_sums(trace.timestamps, trace.prices, group.t0, group.t1).tolist())
@@ -149,3 +154,58 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
         yield event, cost, denormalize(group.spec, total) / 3600.0
     if failure is not None:
         raise failure
+
+
+def compute_totals(events, traces, catalog, curve: IndexCurve, reference_capacity, tasks: int) -> dict:
+    """Derive every run output from the event log: the money totals from
+    the hold segments, the downtime from the union of the non-working ones,
+    and the rest from the other events.
+
+    The simulator calls it on its own log and replay calls it on a
+    deserialized one, so the two agree exactly. billed_holds reads the log
+    and checks every rule of it, a finish for every task included, so the
+    passes over the events here check nothing again.
+    """
+    total_cost = 0.0
+    productive_cost = 0.0
+    index_cost_held = 0.0
+    final_vms = [None] * tasks
+    stalls = []
+    for event, cost, index_cost in billed_holds(events, traces, catalog, curve, tasks):
+        total_cost += cost
+        final_vms[event["task"]] = event["vm"]
+        if event["working"]:
+            productive_cost += cost
+            index_cost_held += index_cost
+        else:
+            stalls.append((event["t0"], event["t1"]))
+    kinds = [event["event"] for event in events]
+    finished = {event["task"]: event["t"] for event in events if event["event"] == "finish"}
+    finish_times = [finished[task] for task in range(tasks)]
+    t_end = max(finish_times)
+    downtime = reach = 0
+    for t0, t1 in sorted(stalls):
+        if t1 > reach:
+            downtime += t1 - max(t0, reach)
+            reach = t1
+    gain = index_cost_held - productive_cost
+    loss = total_cost - productive_cost
+    ref_scale = capacity_scale(*reference_capacity)
+    index_cost_reference = curve.integrate(0, t_end) * ref_scale * tasks / 3600.0
+    return {
+        "total_cost": total_cost,
+        "productive_cost": productive_cost,
+        "gain": gain,
+        "loss": loss,
+        "net": gain - loss,
+        "index_cost_held": index_cost_held,
+        "index_cost_reference": index_cost_reference,
+        "finish_times": finish_times,
+        "wallclock_seconds": t_end,
+        "final_vms": final_vms,
+        "migrations": kinds.count("migrate") - kinds.count("abort_migration"),
+        "aborted_migrations": kinds.count("abort_migration"),
+        "revocations": kinds.count("revoke"),
+        "downtime_seconds": downtime,
+        "availability": 1.0 - downtime / t_end if t_end > 0 else 1.0,
+    }

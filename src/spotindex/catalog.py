@@ -47,8 +47,12 @@ class VmSpec:
 
     @property
     def capacity_scale(self) -> float:
-        """sqrt(cpu * mem), the denominator of the capacity-normalized price."""
-        return math.sqrt(self.cpu_capacity * self.mem_capacity)
+        return capacity_scale(self.cpu_capacity, self.mem_capacity)
+
+
+def capacity_scale(cpu: float, mem: float) -> float:
+    """sqrt(cpu * mem), the denominator of the capacity-normalized price."""
+    return math.sqrt(cpu * mem)
 
 
 @dataclass(frozen=True)

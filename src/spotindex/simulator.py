@@ -25,11 +25,12 @@ leave-out rule, and _ask, which asks for every task.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
-from that event log. One reader, billing.billed_holds, reads a log for
-compute_totals and ledger_from_report alike: in one pass it checks each
-event, naming the first it cannot read or price (a hold that is reversed,
-empty, or starts before its trace or, working, before the index), and
-prices all holds it reads in one batch per VM, bit for bit as
+from that event log with billing.compute_totals. One reader,
+billing.billed_holds, reads a log for compute_totals and ledger_from_report
+alike: in one pass it checks every rule of a log, naming the first event
+that breaks one (an unknown kind, a hold that is reversed, empty, or starts
+before its trace or, working, before the index) or the first task with no
+finish, and prices all holds in one batch per VM, bit for bit as
 interval_cost and IndexCurve.integrate price each hold alone. Replaying a
 serialized report therefore reproduces every output bit for bit.
 """
@@ -39,14 +40,13 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
-from .billing import billed_holds
+from .billing import billed_holds, compute_totals
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
 from .index import IndexCurve, index_curve, normalize
@@ -315,71 +315,6 @@ def _window_moments(traces, clipped, window: int, prices: np.ndarray) -> tuple[n
     squares = np.array([square for _, square in pairs])
     # an empty window's mean of p * p is price * price, so its std is 0.0
     return means, np.sqrt(np.maximum(squares - means * means, 0.0))
-
-
-def compute_totals(
-    events,
-    traces,
-    catalog,
-    curve: IndexCurve,
-    reference_capacity,
-    tasks: int,
-) -> dict:
-    """Derive every run output from the event log: the money totals from
-    the hold segments, the downtime from the union of the non-working ones,
-    and the rest from the other events.
-
-    The simulator calls it on its own log and replay calls it on a
-    deserialized one, so the two agree exactly. billed_holds reads the log
-    and names the first event that breaks a rule; a log without some task's
-    finish event raises SimulationError too.
-    """
-    total_cost = 0.0
-    productive_cost = 0.0
-    index_cost_held = 0.0
-    final_vms = [None] * tasks
-    stalls = []
-    for event, cost, index_cost in billed_holds(events, traces, catalog, curve, tasks):
-        total_cost += cost
-        final_vms[event["task"]] = event["vm"]
-        if event["working"]:
-            productive_cost += cost
-            index_cost_held += index_cost
-        else:
-            stalls.append((event["t0"], event["t1"]))
-    counts = Counter(event["event"] for event in events)
-    finished = {event["task"]: event["t"] for event in events if event["event"] == "finish"}
-    for task in range(tasks):
-        if task not in finished:
-            raise SimulationError(f"event log has no finish event for task {task}")
-    finish_times = [finished[task] for task in range(tasks)]
-    t_end = max(finish_times)
-    downtime = reach = 0
-    for t0, t1 in sorted(stalls):
-        if t1 > reach:
-            downtime += t1 - max(t0, reach)
-            reach = t1
-    gain = index_cost_held - productive_cost
-    loss = total_cost - productive_cost
-    ref_scale = math.sqrt(reference_capacity[0] * reference_capacity[1])
-    index_cost_reference = curve.integrate(0, t_end) * ref_scale * tasks / 3600.0
-    return {
-        "total_cost": total_cost,
-        "productive_cost": productive_cost,
-        "gain": gain,
-        "loss": loss,
-        "net": gain - loss,
-        "index_cost_held": index_cost_held,
-        "index_cost_reference": index_cost_reference,
-        "finish_times": finish_times,
-        "wallclock_seconds": t_end,
-        "final_vms": final_vms,
-        "migrations": counts["migrate"] - counts["abort_migration"],
-        "aborted_migrations": counts["abort_migration"],
-        "revocations": counts["revoke"],
-        "downtime_seconds": downtime,
-        "availability": 1.0 - downtime / t_end if t_end > 0 else 1.0,
-    }
 
 
 class _Task:

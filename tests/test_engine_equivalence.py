@@ -985,7 +985,8 @@ def billed_logs(draw):
     test_slice_sums_match_loops_bit_for_bit (so it has gaps), and a log of
     holds on those VMs, working or not, some starting on their trace's first
     stamp or the curve's; and, in a third of the logs, one of the
-    MALFORMED_HOLDS. Some traces are priced -0.0 throughout."""
+    MALFORMED_HOLDS. Some traces are priced -0.0 throughout. Task 0's finish
+    ends most logs, at or after the end of every hold."""
     vms = draw(st.lists(st.sampled_from(TARGETS), unique=True, min_size=1, max_size=3))
     capped = 10.0 * CATALOG["m4.large"].on_demand_price
     traces = {}
@@ -1031,16 +1032,22 @@ def billed_logs(draw):
         span = draw(st.integers(1, 1500))
         t1 = {"reversed": t0 - span, "empty": t0}.get(bad, t0 + span)
         events.append({"event": "hold", "t0": t0, "t1": t1, "task": 0, "vm": vm, "working": working})
+    if draw(st.sampled_from((True, True, True, False))):
+        end = max(event.get("t1", 0) for event in events)
+        events.append({"event": "finish", "t": end + draw(st.sampled_from((0, 0, 1, 600))), "task": 0})
     return traces, curve, events
 
 
 def bill_each_alone(events, traces, curve):
     """Each hold's (event, cost bits, index cost bits) from interval_cost and
     IndexCurve.integrate, up to the first hold that is malformed or raises,
-    and the error that names it."""
+    and the error that names it; or, where none does, the error that names
+    a log with no finish for its one task."""
     billed = []
+    finished = False
     for i, event in enumerate(events):
         if event["event"] != "hold":
+            finished = finished or event["event"] == "finish"
             continue
         t0, t1, vm, working = event["t0"], event["t1"], event["vm"], event["working"]
         if t1 <= t0:
@@ -1055,6 +1062,8 @@ def bill_each_alone(events, traces, curve):
         except SpotIndexError as exc:
             return billed, exc
         billed.append((event, bits(cost), None if index_cost is None else bits(index_cost)))
+    if not finished:
+        return billed, SimulationError("event log has no finish event for task 0")
     return billed, None
 
 
@@ -1101,6 +1110,7 @@ def test_billing_oracle_catches_prefix_sums():
         {"event": "hold", "t0": t0, "t1": t1, "task": 0, "vm": "r4.xlarge", "working": True}
         for t0, t1 in ((130, 470), (250, 590), (70, 530))
     ]
+    events.append({"event": "finish", "t": 590, "task": 0})
     check_billing(events, traces, curve)
     with mock.patch.object(billing, "window_sums", prefix_window_sums):
         with pytest.raises(AssertionError):
