@@ -54,11 +54,12 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
     engine writes (acquire, hold, migrate, abort_migration, revoke, finish);
     for a hold, that t0 and t1 are ints within ±2**62, so that the
     difference of any two times fits an int64, and t1 is after t0, task is
-    one of the job's, vm has a trace and a catalog row, working is a bool,
-    and t0 is at or after the start of vm's trace and, for a working hold,
-    of the index curve; for a finish, that t is an int below 2**62, task is
-    one of the job's, and t is at or after 0 and the end of every earlier
-    hold of that task; after the last event, that every task has a finish.
+    one of the job's and has not finished, vm has a trace and a catalog
+    row, working is a bool, and t0 is at or after the start of vm's trace
+    and, for a working hold, of the index curve; for a finish, that t is an
+    int below 2**62, task is one of the job's and has not finished, and t
+    is at or after 0 and the end of every earlier hold of that task; after
+    the last event, that every task has a finish.
     The first rule that fails is a SimulationError naming the event's index
     and key, or the task, raised after the holds before it are yielded.
 
@@ -90,7 +91,7 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
                     if type(t) is not int or t >= top:
                         raise _Unread("t")
                     task = event["task"]
-                    if type(task) is not int or not 0 <= task < tasks:
+                    if type(task) is not int or not 0 <= task < tasks or finished[task]:
                         raise _Unread("task")
                     if t < ends[task]:
                         raise _Unread("t")
@@ -105,7 +106,7 @@ def billed_holds(events, traces, catalog, curve: IndexCurve, tasks: int):
             if type(t1) is not int or not t0 < t1 < top:
                 raise _Unread("t1")
             task = event["task"]
-            if type(task) is not int or not 0 <= task < tasks:
+            if type(task) is not int or not 0 <= task < tasks or finished[task]:
                 raise _Unread("task")
             vm = event["vm"]
             try:

@@ -4,7 +4,9 @@ source leaves every output's bytes as they were.
 At seeds 0 and 7919, it hashes every case of the `study`, `week` and
 `bsp` benchmark workloads (bench/workloads.py): the report document the
 bench writes, the replay totals and the ledger; and every file the
-`traces` case writes, with its work directory masked; and a 3-task
+`traces` case writes, with its work directory masked, once as the bench
+writes its raw JSON lines and once with their keys in reverse order, so
+that both paths of the JSON-lines reader run; and a 3-task
 `long_running` job of the acceptance battery's `v3` shape under each
 policy, whose task 1 a scripted move puts on another VM than its peers, so
 that the tasks ask with different contexts at one instant. Once, it hashes
@@ -24,7 +26,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 3,269 lines in about 6 s on a 2-core Xeon VM.
+argument it prints every line: 3,283 lines in about 7 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -79,17 +81,26 @@ def simulator_lines(name: str, seed: int, work_dir: Path):
         yield f"{sha(ledger.to_dicts())}  {label} ledger"
 
 
-def traces_lines(seed: int, work_dir: Path):
+def traces_lines(seed: int, work_dir: Path, reordered: bool = False):
+    """The `traces` case's outputs; reordered, with the keys of its raw JSON
+    lines reversed, so that ingest reads them line by line, not as
+    canonical blocks."""
     workload = make_workload("traces", seed, work_dir)
     workload.setup()
+    name = "traces"
+    if reordered:
+        name = "traces reordered"
+        for path in sorted(workload.raw_dir.glob("*.jsonl")):
+            records = map(json.loads, path.read_text().splitlines())
+            path.write_text("".join(json.dumps(dict(reversed(r.items()))) + "\n" for r in records))
     workload.prepare()
     [op] = workload.ops(None, None)
     ingest, index = op.run()
-    yield f"{sha([ingest, index])}  traces seed={seed} exit codes"
+    yield f"{sha([ingest, index])}  {name} seed={seed} exit codes"
     for path in sorted(workload.out_dir.iterdir()) + [workload.index_path]:
         # manifests and CSV headers echo the command line, paths included
         text = path.read_bytes().replace(str(work_dir).encode(), b"<work>")
-        yield f"{sha(text)}  traces seed={seed} {path.relative_to(work_dir)}"
+        yield f"{sha(text)}  {name} seed={seed} {path.relative_to(work_dir)}"
 
 
 def report_lines(report, traces, catalog, label):
@@ -150,6 +161,7 @@ def output_lines():
             for name in ("study", "week", "bsp"):
                 yield from simulator_lines(name, seed, Path(tmp) / name)
             yield from traces_lines(seed, Path(tmp) / "traces")
+            yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
             yield from multi_task_lines(seed)
     yield from battery_lines()
     yield from error_lines()

@@ -7,6 +7,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -16,12 +17,15 @@ from spotindex import (
     ConflictError,
     InvariantError,
     ParseError,
+    PricePoint,
+    PriceTrace,
     ResourceRequirement,
     Scope,
     VmFamily,
     VmSpec,
     filter_candidates,
     load_catalog,
+    write_trace_jsonl,
 )
 from spotindex import catalog as catalog_mod
 from spotindex.catalog import _FIELDS, _record_to_spec, json_record
@@ -392,3 +396,132 @@ def test_load_catalog_matches_the_per_record_reader(file, block):
         path = Path(tmp) / name
         path.write_text(text)
         assert catalog_outcome(load_catalog, path) == catalog_outcome(reference_catalog, path)
+
+
+# the canonical trace lines _jsonl_blocks reads with one regex pass a block,
+# against trace_oracle's one json.loads a line
+
+# what an absent price or timestamp reads as; an absent vm_id or zone reads
+# as None
+ABSENT = object()
+TRACE_FIELDS = {"price": ABSENT, "timestamp": ABSENT, "vm_id": None, "zone": None}
+
+
+def trace_line(price="1.5", stamp="60", vm='"vm-a"', sep=": "):
+    return f'{{"price"{sep}{price}, "timestamp"{sep}{stamp}, "vm_id"{sep}{vm}}}'
+
+
+CANONICAL_LINE = trace_line()
+# each a line one step off the canonical form, by name: the prices 1., .5
+# and 01.5, the timestamp 007 and a raw tab are not JSON; NaN and Infinity
+# are, to json
+PRICES = ["3", "1.", ".5", "01.5", "1E5", "1e+16", "-0.0", "5e-324", "1.5e999", "NaN", "Infinity"]
+STAMPS = ["-0", "007", "6.0", "9" * 19, "-" + "9" * 19, "1" + "0" * 19]
+VM_IDS = {
+    "escape": '"v\\u0041"',
+    "quote": '"a\\"b"',
+    "tab": '"a\tb"',
+    "del": '"a\x7fb"',
+    "non-ascii": '"vé"',
+    "empty": '""',
+}
+NEAR_CANONICAL = {
+    **{f"price {p}": trace_line(price=p) for p in PRICES},
+    **{f"timestamp {s}": trace_line(stamp=s) for s in STAMPS},
+    **{f"vm_id {name}": trace_line(vm=v) for name, v in VM_IDS.items()},
+    "leading space": " " + CANONICAL_LINE,
+    "trailing space": CANONICAL_LINE + " ",
+    "leading tab": "\t" + CANONICAL_LINE,
+    "no space after colons": trace_line(sep=":"),
+    "blank": "",
+    "price alone": '{"price": 1.5}',
+    "array": "[1]",
+    "unclosed": CANONICAL_LINE[:-1],
+    "extra brace": CANONICAL_LINE + "}",
+}
+
+
+def read_flat(read, path):
+    """The line numbers a reader gives, each field's values as (type,
+    bits), and its error text or None."""
+
+    def bits(value):
+        return (type(value), value.hex() if type(value) is float else value)
+
+    lines, values, error = [], {field: [] for field in TRACE_FIELDS}, None
+    try:
+        for numbers, columns in read(path):
+            lines += numbers
+            for field in TRACE_FIELDS:
+                values[field] += map(bits, columns[field])
+    except ParseError as exc:
+        error = str(exc)
+    return lines, values, error
+
+
+def block_reader(path):
+    for lines, columns, error in catalog_mod._jsonl_blocks(path, TRACE_FIELDS):
+        yield lines, columns
+        if error is not None:
+            raise error
+
+
+def oracle_reader(path):
+    for line, record in trace_oracle.read_records(path):
+        yield [line], {field: [record.get(field, absent)] for field, absent in TRACE_FIELDS.items()}
+
+
+@pytest.mark.parametrize("near", NEAR_CANONICAL.values(), ids=NEAR_CANONICAL)
+def test_canonical_blocks_read_as_json_loads_reads_each_line(tmp_path, near):
+    # the near line alone, then among canonical lines: first, inside and
+    # last in a block of four, and last in the file; then a blank line and
+    # a bad line after a canonical block
+    canonical = [trace_line(price=f"{k}.25", stamp=str(60 * k)) for k in range(9)]
+    files = [[near]] + [canonical[:k] + [near] + canonical[k:] for k in (0, 4, 6, 7, 9)]
+    files += [canonical[:6] + ["", near], canonical[:4] + ["{not json", near]]
+    for n, lines in enumerate(files):
+        path = tmp_path / f"{n}.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        for block in (1, 4, 1024):
+            with mock.patch.object(catalog_mod, "_BLOCK", block):
+                assert read_flat(block_reader, path) == read_flat(oracle_reader, path), (block, lines)
+
+
+def test_canonical_regex_takes_only_what_json_reads_unchanged():
+    # so the table test reads each of these on the regex path, alone and in
+    # a canonical block
+    taken = [name for name, line in NEAR_CANONICAL.items() if catalog_mod._CANONICAL.match(line)]
+    assert taken == [
+        "price 1E5", "price 1e+16", "price -0.0", "price 5e-324", "price 1.5e999",
+        "timestamp -0", f"timestamp {'9' * 19}", f"timestamp -{'9' * 19}",
+        "vm_id del", "vm_id non-ascii", "vm_id empty",
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.text(max_size=6),
+    st.lists(
+        st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(0, allow_infinity=False)),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda point: point[0],
+    ),
+)
+def test_written_trace_lines_are_canonical_and_read_back_bit_equal(vm_id, points):
+    trace = PriceTrace(vm_id, [PricePoint(t, price) for t, price in points])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        write_trace_jsonl(trace, path)
+        written = path.read_text().split("\n")[:-1]
+        [(lines, columns, error)] = catalog_mod._jsonl_blocks(path, TRACE_FIELDS)
+    # a vm id json writes as it is takes the regex path, any other the loop
+    plain = json.dumps(vm_id) == f'"{vm_id}"'
+    assert [bool(catalog_mod._CANONICAL.match(line)) for line in written] == [plain] * len(trace)
+    assert (list(lines), error) == (list(range(1, len(trace) + 1)), None)
+    assert {type(v) for v in columns["price"]} == {float}
+    assert {type(v) for v in columns["timestamp"]} == {int}
+    assert np.array(columns["price"]).tobytes() == trace.prices.tobytes()
+    assert np.array(columns["timestamp"], dtype=np.int64).tobytes() == trace.timestamps.tobytes()
+    assert columns["vm_id"] == [vm_id] * len(trace)
+    assert columns["zone"] == [None] * len(trace)

@@ -903,6 +903,25 @@ def test_a_finish_is_checked_against_its_own_tasks_holds():
     assert_located("finish", "t", 599, traces, {**report, "events": edited}, i)
 
 
+@pytest.mark.parametrize("append", ["second finish", "hold after the finish"])
+def test_an_event_of_a_finished_task_is_located(append):
+    # a second finish at t=1,000,000 used to replay to that wall-clock
+    # instead of 630, and a hold over [630, 5000) after the finish to raise
+    # total_cost from 1.1 to 8.38
+    traces, report = located_run()
+    events = report["events"]
+    assert replay(report, traces, CATALOG)["wallclock_seconds"] == events[-1]["t"] == 630
+    if append == "second finish":
+        extra = {**events[-1], "t": 1_000_000}
+    else:
+        extra = {**[e for e in events if e["event"] == "hold"][-1], "t0": 630, "t1": 5000}
+    edited = {**report, "events": events + [extra]}
+    message = f"^event {len(events)} \\({extra['event']}\\) has a bad 'task': 0$"
+    for reader in BOTH_READERS:
+        with pytest.raises(SimulationError, match=message):
+            reader(edited, traces, CATALOG)
+
+
 @pytest.mark.parametrize(
     "key, value, i, index_start",
     [("t1", -5, 2, 0), ("t1", 0, 2, 0), ("t0", -5, 3, 0), ("t0", 0, 2, 100)],

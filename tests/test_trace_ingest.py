@@ -13,6 +13,7 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,9 @@ KNOWN = st.sampled_from(
     ]
 )
 UNKNOWN = st.sampled_from([{"vm_id": "ghost"}, {"instance_type": "m4.large", "zone": "z3"}])
+# mostly what write_trace_jsonl writes: a vm id alone
+VM_IDS = st.sampled_from([{"vm_id": "vm-a"}, {"vm_id": "vm-b"}, {"vm_id": "ghost"}])
+CANONICAL_VMS = st.one_of(VM_IDS, VM_IDS, VM_IDS, KNOWN)
 NO_IDENTITY = st.sampled_from([{"instance_type": "m4.large"}, {"vm_id": ""}, {}])
 # lines that are not one JSON object each; in a CSV file, a row too short
 BAD_JSON_LINES = st.sampled_from(
@@ -122,28 +126,38 @@ def csv_line(record) -> str:
     return out.getvalue().rstrip("\r\n")
 
 
+# with sorted keys, a record of a float price, an int timestamp and a vm id
+# with no escape is the line write_trace_jsonl writes
+ENCODERS = {"csv": csv_line, "jsonl": json.dumps, "canonical": partial(json.dumps, sort_keys=True)}
+
+
 @st.composite
 def trace_files_text(draw):
     """1 to 3 (file name, text) pairs, CSV and JSON lines mixed, with blank
-    lines, and sometimes one bad line at a random place."""
+    lines, and sometimes one bad line at a random place. A canonical file
+    holds JSON lines in write_trace_jsonl's form where its records allow."""
     files = []
     for n in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["csv", "jsonl"]))
-        encode = csv_line if kind == "csv" else json.dumps
+        kind = draw(st.sampled_from(sorted(ENCODERS)))
+        encode = ENCODERS[kind]
         odds = draw(st.sampled_from([None, None, 60, 15]))
-        stamps = draw(TIMESTAMP_STYLES)
-        vms = draw(st.sampled_from([KNOWN, st.one_of(KNOWN, KNOWN, KNOWN, UNKNOWN)]))
+        if kind == "canonical":
+            stamps, vms = STAMPS, CANONICAL_VMS
+        else:
+            stamps = draw(TIMESTAMP_STYLES)
+            vms = draw(st.sampled_from([KNOWN, st.one_of(KNOWN, KNOWN, KNOWN, UNKNOWN)]))
         lines = [encode(r) for r in draw(st.lists(records(odds, stamps, vms), max_size=12))]
         for _ in range(draw(st.integers(0, 2))):
             # a row of spaces is a record in a CSV file, and a blank line in JSON lines
-            blank = draw(st.sampled_from(["", "  "] if kind == "jsonl" else [""]))
+            blank = draw(st.sampled_from([""] if kind == "csv" else ["", "  "]))
             lines.insert(draw(st.integers(0, len(lines))), blank)
         if odds and draw(st.integers(0, 3)) == 0:
             bad = draw(BAD_CSV_LINES if kind == "csv" else BAD_JSON_LINES)
             lines.insert(draw(st.integers(0, len(lines))), bad)
         if kind == "csv":
             lines.insert(0, ",".join(FIELDS))
-        files.append((f"{n}.{kind}", "".join(line + "\n" for line in lines)))
+        suffix = "csv" if kind == "csv" else "jsonl"
+        files.append((f"{n}.{suffix}", "".join(line + "\n" for line in lines)))
     return files
 
 
