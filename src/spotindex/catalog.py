@@ -192,12 +192,14 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 
 def json_record(text: str, source, line) -> dict:
-    """The JSON object on a stripped, non-blank line of a JSON-lines file."""
+    """The JSON object on a stripped, non-blank line of a JSON-lines file.
+    An int too long for int() (sys.get_int_max_str_digits) is invalid JSON
+    here, as a syntax error is."""
     try:
         record, end = _raw_decode(text)
         if end != len(text):
             json.loads(text)  # raises json.loads' "Extra data" error
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError among them
         raise ParseError(f"invalid JSON: {exc}", source=source, line=line) from None
     if not isinstance(record, dict):
         raise ParseError("expected a JSON object", source=source, line=line)

@@ -4,10 +4,13 @@ Policies are pure decision rules: they look at a PolicyContext snapshot
 (current prices, trailing-window statistics, the index) and answer either
 "which VM do I start on" (select) or "do I stay or move" (decide). An
 answer must depend on its context alone: the simulator hands one answer to
-every task that asks with an equal context at one instant. A policy
-may also answer "at which of these instants do I surely stay" over a
-MarketBlock (stays), so the simulator need not ask decide there. All
-accounting and trace bookkeeping lives in the simulator.
+every task that asks with an equal context at one instant. A policy may
+also answer decide for a whole MarketBlock of instants at once, as a
+DecisionTable (decisions): at each instant it stays, moves to a candidate,
+or leaves the simulator to ask decide there. The built-in policies answer
+every instant where the market is defined and the held VM is a candidate,
+exactly as decide would. All accounting and trace bookkeeping lives in the
+simulator.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -26,9 +29,11 @@ from .tracking import migration_loss, should_migrate
 
 SIGMA_FLOOR = 1e-9
 TIE_TOLERANCE = 1e-9
-# The relative gap by which a stays mask's comparisons must hold: a tick
-# nearer a tie than this is left to decide.
-STAY_MARGIN = 1e-9
+# A DecisionTable's answer where decide stays, and where the simulator must
+# ask decide itself; any other answer is the row of the candidate decide
+# moves to.
+STAY = -1
+ASK = -2
 CPU_FLOOR_FRACTION = 0.05
 MEM_FLOOR_GB = 0.05
 
@@ -135,26 +140,21 @@ class PolicyContext:
         return utilized_price(value, cpu_u, mem_u)
 
 
-def _surely_below(a, b):
-    """a < b by more than STAY_MARGIN of their size, elementwise: False near
-    a tie and wherever either side is NaN."""
-    return a < b - STAY_MARGIN * (np.abs(a) + np.abs(b))
-
-
 @dataclass(frozen=True, eq=False)
 class MarketBlock:
     """The contexts of a block of instants as arrays, less the task's
     current VM and utilization: what the simulator forms for a table of
     decision ticks. Row c of each (candidates, instants) array belongs to
-    specs[c]. `over` marks where a candidate is left out of the context's
-    candidates (over max_price or, when caps count as revocations, on the
-    cap), and `ok` where the market is defined at all; elsewhere the
-    arrays mean nothing. `means` and `stds`, the candidates' trailing-window
-    mean and std prices, are computed for every instant at once by
-    `window_moments` on the first read of either, by a policy or through a
-    view of `market`; a block whose moments nothing reads never computes
-    them. window_moments must not refer to what holds the block, such as
-    the simulator's engine, or the two form a reference cycle."""
+    specs[c], which are sorted by id as a context's candidates are. `over`
+    marks where a candidate is left out of the context's candidates (over
+    max_price or, when caps count as revocations, on the cap), and `ok`
+    where the market is defined at all; elsewhere the arrays mean nothing.
+    `means` and `stds`, the candidates' trailing-window mean and std
+    prices, are computed for every instant at once by `window_moments` on
+    the first read of either, by a policy or through a view of `market`; a
+    block whose moments nothing reads never computes them. window_moments
+    must not refer to what holds the block, such as the simulator's engine,
+    or the two form a reference cycle."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
@@ -232,6 +232,23 @@ class PolicyDecision:
         object.__setattr__(self, "scores", tuple(self.scores))
 
 
+@dataclass(frozen=True, eq=False)
+class DecisionTable:
+    """decide's answers at each instant of a MarketBlock, asked with one VM
+    held at one utilization. answers[k] is STAY where decide stays, the row
+    of the candidate it moves to, or ASK where the simulator must ask decide
+    itself. decision(k) is the PolicyDecision that decide returns at an
+    instant not answered ASK, scores and reason included, built only when
+    called."""
+
+    answers: np.ndarray
+    decision: Callable[[int], PolicyDecision]
+
+
+def _unanswered(k: int) -> PolicyDecision:
+    raise ValueError(f"instant {k} is answered ASK")
+
+
 def _lowest(scores: dict[str, float]) -> str:
     """The id with the lowest score; the smallest id wins an exact tie."""
     return min(scores, key=lambda vm: (scores[vm], vm))
@@ -241,6 +258,52 @@ def _highest(scores: dict[str, float]) -> str:
     """The smallest id whose score is within TIE_TOLERANCE of the highest."""
     best = max(scores.values())
     return min(vm for vm, score in scores.items() if score >= best - TIE_TOLERANCE)
+
+
+def _lowest_rows(scores: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """_lowest of each column of scores among the rows in pool, as a row;
+    meaningless in a column whose pool is empty."""
+    masked = np.where(pool, scores, np.inf)
+    return ((masked == masked.min(axis=0)) & pool).argmax(axis=0)
+
+
+def _highest_rows(scores: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_highest of each column of scores among the rows in pool, as a row,
+    and the highest score; the row is meaningless in a column whose pool is
+    empty, where the highest score is -inf."""
+    best = np.where(pool, scores, -np.inf).max(axis=0)
+    return (pool & (scores >= best - TIE_TOLERANCE)).argmax(axis=0), best
+
+
+def _unsure(scores: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Where a live candidate's score is NaN: _lowest and _highest then
+    depend on the order of the scores, so a table answers ASK there."""
+    return (np.isnan(scores) & live).any(axis=0)
+
+
+def _held(block: MarketBlock, current: str) -> tuple[int, np.ndarray, np.ndarray]:
+    """current's row in the block, where a context can hold it, and where
+    each candidate is in a context."""
+    i = [spec.id for spec in block.specs].index(current)
+    live = ~block.over
+    return i, block.ok & live[i], live
+
+
+def _table(answered: np.ndarray, moves: np.ndarray, target, decision) -> DecisionTable:
+    """The DecisionTable that answers ASK outside `answered`, and elsewhere
+    moves to row `target` where `moves` holds and stays where it does not."""
+    return DecisionTable(np.where(answered, np.where(moves, target, STAY), ASK), decision)
+
+
+def _scores_at(block: MarketBlock, scores: np.ndarray, k: int) -> tuple:
+    """decide's scores at instant k: the (id, score) of each candidate in
+    the context, from column k of scores."""
+    dropped = block.over[:, k].tolist()
+    return tuple(
+        (spec.id, score)
+        for spec, out, score in zip(block.specs, dropped, scores[:, k].tolist())
+        if not out
+    )
 
 
 class Policy:
@@ -257,38 +320,35 @@ class Policy:
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
         raise NotImplementedError
 
-    def stays(self, block: MarketBlock, current: str, cpu_used: float, mem_used: float):
-        """A bool array over the block's instants, True where decide, asked
-        with current held and the given utilization, surely returns stay;
-        or None, which covers no instant. The simulator does not ask decide
-        at a covered instant, so a near tie must be left uncovered, and so
-        must every instant where the market is undefined or current is left
-        out. This default covers none."""
-        return None
+    def decisions(
+        self, block: MarketBlock, current: str, cpu_used: float, mem_used: float
+    ) -> DecisionTable:
+        """decide's DecisionTable over the block's instants, asked with
+        current held and the given utilization. The simulator asks decide
+        only where the table answers ASK, so every other answer must be
+        decide's own, and an instant where the market is undefined or
+        current is left out must be answered ASK. This default answers ASK
+        everywhere."""
+        return DecisionTable(np.full(len(block), ASK), _unanswered)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
-
-
-def _held(block: MarketBlock, current: str) -> tuple[int, np.ndarray]:
-    """current's row in the block, and where a context can hold it."""
-    i = [spec.id for spec in block.specs].index(current)
-    return i, block.ok & ~block.over[i]
 
 
 class StaticPolicy(Policy):
     """Cheapest candidate by trailing-window mean utilized price; never moves."""
 
     name = "static"
+    _STAY = PolicyDecision(PolicyDecision.STAY, reason="static policy never migrates")
 
     def select(self, ctx: PolicyContext) -> str:
         return _lowest({c.spec.id: ctx.utilized(c, c.window_mean) for c in ctx.candidates})
 
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
-        return PolicyDecision(PolicyDecision.STAY, reason="static policy never migrates")
+        return self._STAY
 
-    def stays(self, block, current, cpu_used, mem_used):
-        return _held(block, current)[1]
+    def decisions(self, block, current, cpu_used, mem_used):
+        return _table(_held(block, current)[1], False, STAY, lambda k: self._STAY)
 
 
 class CostCentricPolicy(Policy):
@@ -302,38 +362,46 @@ class CostCentricPolicy(Policy):
     def _scores(ctx: PolicyContext) -> dict[str, float]:
         return {c.spec.id: ctx.utilized(c, c.price) for c in ctx.candidates}
 
+    @staticmethod
+    def _decision(scores: tuple, current: str, best: str, saving: float, cost: float):
+        if best == current:
+            return PolicyDecision(PolicyDecision.STAY, reason="already cheapest", scores=scores)
+        if saving > cost:
+            return PolicyDecision(
+                PolicyDecision.MIGRATE,
+                target=best,
+                reason=f"saving {saving:.6g} beats move cost {cost:.6g}",
+                scores=scores,
+            )
+        return PolicyDecision(PolicyDecision.STAY, reason="saving below move cost", scores=scores)
+
     def select(self, ctx: PolicyContext) -> str:
         return _lowest(self._scores(ctx))
 
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
         current = ctx.view(ctx.current)
         score = self._scores(ctx)
-        scores = tuple(score.items())
         best = ctx.view(_lowest(score))
-        if best.spec.id == current.spec.id:
-            return PolicyDecision(PolicyDecision.STAY, reason="already cheapest", scores=scores)
         saving = (current.price - best.price) * ctx.horizon / 3600.0
         cost = migration_loss(current.price, best.price, ctx.migration_seconds)
-        if saving > cost:
-            return PolicyDecision(
-                PolicyDecision.MIGRATE,
-                target=best.spec.id,
-                reason=f"saving {saving:.6g} beats move cost {cost:.6g}",
-                scores=scores,
-            )
-        return PolicyDecision(PolicyDecision.STAY, reason="saving below move cost", scores=scores)
+        return self._decision(tuple(score.items()), current.spec.id, best.spec.id, saving, cost)
 
-    def stays(self, block, current, cpu_used, mem_used):
-        # whichever candidate is cheapest, the move to it does not pay when
-        # every other live one scores worse or saves less than its move costs
-        i, held = _held(block, current)
+    def decisions(self, block, current, cpu_used, mem_used):
+        i, held, live = _held(block, current)
         score = block.utilized(block.prices, cpu_used, mem_used)
+        best = _lowest_rows(score, live)
         price = block.prices
-        saving = (price[i] - price) * block.horizon / 3600.0
-        cost = migration_loss(price[i], price, block.migration_seconds)
-        fine = block.over | _surely_below(score[i], score) | _surely_below(saving, cost)
-        fine[i] = True
-        return held & fine.all(axis=0)
+        best_price = np.take_along_axis(price, best[None], axis=0)[0]
+        saving = (price[i] - best_price) * block.horizon / 3600.0
+        cost = migration_loss(price[i], best_price, block.migration_seconds)
+
+        def decision(k):
+            scores = _scores_at(block, score, k)
+            best_id = block.specs[best[k]].id
+            return self._decision(scores, current, best_id, float(saving[k]), float(cost[k]))
+
+        moves = (best != i) & (saving > cost)
+        return _table(held & ~_unsure(score, live), moves, best, decision)
 
 
 class AvailabilityAwarePolicy(Policy):
@@ -354,16 +422,11 @@ class AvailabilityAwarePolicy(Policy):
         }
         return _lowest(below or sigma), sigma
 
-    def select(self, ctx: PolicyContext) -> str:
-        return self._calmest(ctx)[0]
-
-    def decide(self, ctx: PolicyContext) -> PolicyDecision:
-        current = ctx.view(ctx.current)
-        target, sigma = self._calmest(ctx)
-        scores = tuple(sigma.items())
-        if current.normalized() <= ctx.index_reference:
+    @staticmethod
+    def _decision(scores: tuple, current: str, target: str, at_or_below: bool):
+        if at_or_below:
             return PolicyDecision(PolicyDecision.STAY, reason="at or below index", scores=scores)
-        if target == current.spec.id:
+        if target == current:
             return PolicyDecision(
                 PolicyDecision.STAY, reason="no candidate below index", scores=scores
             )
@@ -374,9 +437,39 @@ class AvailabilityAwarePolicy(Policy):
             scores=scores,
         )
 
-    def stays(self, block, current, cpu_used, mem_used):
-        i, held = _held(block, current)
-        return held & _surely_below(block.normalized()[i], block.index_reference)
+    def select(self, ctx: PolicyContext) -> str:
+        return self._calmest(ctx)[0]
+
+    def decide(self, ctx: PolicyContext) -> PolicyDecision:
+        at_or_below = ctx.view(ctx.current).normalized() <= ctx.index_reference
+        target, sigma = self._calmest(ctx)
+        return self._decision(tuple(sigma.items()), ctx.current, target, at_or_below)
+
+    def decisions(self, block, current, cpu_used, mem_used):
+        # the window moments are read only where current is not at or below
+        # the index, the one branch that reads the sigmas
+        i, held, live = _held(block, current)
+        normalized = block.normalized()
+        reference = block.index_reference
+        at_or_below = normalized[i] <= reference
+
+        @cache
+        def calmest():
+            sigma = block.utilized(block.stds, cpu_used, mem_used)
+            below = live & (normalized < reference)
+            return sigma, _lowest_rows(sigma, np.where(below.any(axis=0), below, live))
+
+        def decision(k):
+            sigma, target = calmest()
+            scores = _scores_at(block, sigma, k)
+            return self._decision(scores, current, block.specs[target[k]].id, bool(at_or_below[k]))
+
+        above = held & ~at_or_below
+        if not above.any():
+            return _table(held, False, STAY, decision)
+        sigma, target = calmest()
+        answered = held & ~(above & _unsure(sigma, live))
+        return _table(answered, above & (target != i), target, decision)
 
 
 class BalancedPolicy(Policy):
@@ -404,6 +497,18 @@ class BalancedPolicy(Policy):
             for c in ctx.candidates
         }
 
+    @staticmethod
+    def _decision(scores: tuple, target: str | None, why: str) -> PolicyDecision:
+        """A move to target, or where that is None a stay for the reason why."""
+        if target is None:
+            return PolicyDecision(PolicyDecision.STAY, reason=why, scores=scores)
+        return PolicyDecision(
+            PolicyDecision.MIGRATE,
+            target=target,
+            reason="better score and index covers the move",
+            scores=scores,
+        )
+
     def select(self, ctx: PolicyContext) -> str:
         return _highest(self._scores(ctx))
 
@@ -413,9 +518,9 @@ class BalancedPolicy(Policy):
         scores = tuple(others.items())
         current_score = others.pop(current.spec.id)
         if not others:
-            return PolicyDecision(PolicyDecision.STAY, reason="no alternative", scores=scores)
+            return self._decision(scores, None, "no alternative")
         if current_score >= max(others.values()) - TIE_TOLERANCE:
-            return PolicyDecision(PolicyDecision.STAY, reason="score already best", scores=scores)
+            return self._decision(scores, None, "score already best")
         if self.target_rule == "sharpe":
             pool = [_highest(others)]
         else:
@@ -424,34 +529,42 @@ class BalancedPolicy(Policy):
             if self.sufficiency == "off" or should_migrate(
                 ctx.index_now, current.normalized(), ctx.view(vm).normalized()
             ):
-                return PolicyDecision(
-                    PolicyDecision.MIGRATE,
-                    target=vm,
-                    reason="better score and index covers the move",
-                    scores=scores,
-                )
-        return PolicyDecision(PolicyDecision.STAY, reason="sufficiency condition", scores=scores)
+                return self._decision(scores, vm, "")
+        return self._decision(scores, None, "sufficiency condition")
 
-    def stays(self, block, current, cpu_used, mem_used):
-        # the score branch: no other live candidate scores above current's
-        # by the tolerance; or Eq. 5 fails for every other live candidate at
-        # the index lifted by the margin. Eq. 5 never decreases as a
-        # non-negative index grows, so it then fails at the index itself,
-        # and the lift leaves a near tie to decide
-        i, held = _held(block, current)
+    def decisions(self, block, current, cpu_used, mem_used):
+        i, held, live = _held(block, current)
         mean = block.utilized(block.means, cpu_used, mem_used)
         sigma = block.utilized(block.stds, cpu_used, mem_used)
         score = sharpe(block.index_reference, mean, sigma)
-        best = block.over | _surely_below(score - TIE_TOLERANCE, score[i])
-        best[i] = True
-        covered = best.all(axis=0)
+        others = live.copy()
+        others[i] = False
+        alone = ~others.any(axis=0)
+        target, best = _highest_rows(score, others)
+        already = score[i] >= best - TIE_TOLERANCE
         if self.sufficiency == "eq5":
             normalized = block.normalized()
-            lifted = block.index_now * (1.0 + 2.0 * STAY_MARGIN)
-            fails = block.over | ~should_migrate(lifted, normalized[i], normalized)
-            fails[i] = True
-            covered |= fails.all(axis=0)
-        return held & covered
+            gate = should_migrate(block.index_now, normalized[i], normalized)
+        else:
+            gate = np.ones_like(others)
+        if self.target_rule == "sharpe":
+            passes = np.take_along_axis(gate, target[None], axis=0)[0]
+        else:
+            feasible = others & (score > score[i] + TIE_TOLERANCE) & gate
+            target, passes = feasible.argmax(axis=0), feasible.any(axis=0)
+        moves = ~alone & ~already & passes
+
+        def decision(k):
+            scores = _scores_at(block, score, k)
+            if moves[k]:
+                return self._decision(scores, block.specs[target[k]].id, "")
+            if alone[k]:
+                return self._decision(scores, None, "no alternative")
+            if already[k]:
+                return self._decision(scores, None, "score already best")
+            return self._decision(scores, None, "sufficiency condition")
+
+        return _table(held & ~_unsure(score, live), moves, target, decision)
 
     def __repr__(self):
         return (

@@ -4,24 +4,29 @@ Time is in integer seconds, and each second runs the same steps in the same
 order: stall ends, revocation checks, scripted migrations, policy decisions
 at epoch ticks, then work. The engine advances by next event: after a second
 whose works flags the next second would take again, it skips straight to the
-next second at which something can change (an epoch tick that the policy's
-stays mask does not cover, a held VM's price crossing over max_price or onto
-the cap, a stall end, a scripted migration, a task's last second of work),
-crediting the seconds in between as the same second repeated, so a
-migration is stepped where it starts and where it ends. Reports are the
-same as a one-second loop would give. _Engine._ask is the one path from an
-instant to a policy answer, and keeps only its last answer, which the tasks
-that ask with an equal context at one instant share; so an answer must
-depend on its context alone. The market the policies see is built by one
-vectorized rule (_Engine._block), with one leave-out rule (_Engine._dropped):
-for a block of epoch ticks at a time, or for one instant off the epoch grid
-(see _Engine._market), and no market is kept. A block computes its
-candidates' window moments, for all its ticks, only when a policy first
-reads one (_window_moments). The one-second reference in
-tests/reference_engine.py is this engine with the slow form of each
-shortcut: _next_instant, which also stands for the masks and crossings,
-_works_now, _market, which it computes with its own scalar code and
-leave-out rule, and _ask, which asks for every task.
+next second at which something can change (an epoch tick that a working
+task's decision table does not answer STAY, a held VM's price crossing over
+max_price or onto the cap, a stall end, a scripted migration, a task's last
+second of work), crediting the seconds in between as the same second
+repeated, so a migration is stepped where it starts and where it ends.
+Reports are the same as a one-second loop would give.
+
+At an epoch tick, each working task's decision is read from the policy's
+DecisionTable for its VM and phase over the epoch table (_Engine._move_at),
+and decide is asked only where the table answers ASK. _Engine._ask is the
+one path from an instant to a policy call, and keeps only its last answer,
+which the tasks that ask with an equal context at one instant share; so an
+answer must depend on its context alone. The market the policies see is
+built by one vectorized rule (_Engine._block), with one leave-out rule
+(_Engine._dropped): for a block of epoch ticks at a time (_Engine._epoch_table),
+or for one instant off the epoch grid (see _Engine._market), and no market
+is kept. A block computes its candidates' window moments, for all its ticks,
+only when a policy first reads one (_window_moments). The one-second
+reference in tests/reference_engine.py is this engine with the slow form of
+each shortcut: _next_instant, which also stands for the STAY answers and
+the crossings, _works_now, _market, which it computes with its own scalar
+code and leave-out rule, _move_at, which asks decide at every epoch tick,
+and _ask, which asks for every task.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
@@ -50,7 +55,7 @@ from .billing import billed_holds, compute_totals
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
 from .index import IndexCurve, index_curve, normalize
-from .policies import MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
+from .policies import ASK, STAY, MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, step_values, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
@@ -382,9 +387,10 @@ class _Engine:
         # the epoch table: the market at _table_first, _table_first + epoch, ...
         self._table = ()
         self._table_first = 0
-        # per (vm, cpu, mem): the first tick index from each one on that the
-        # policy's stays mask over the epoch table leaves uncovered
-        self._stay_until = {}
+        # per (vm, cpu, mem): the policy's decision table over the epoch
+        # table, its answers, per tick index the first from it on that is
+        # not answered STAY, and its moves read so far (_decisions_of)
+        self._decisions = {}
         # the last ask's key and answer (_ask)
         self._asked = None
         self._answer = None
@@ -437,8 +443,8 @@ class _Engine:
     def _block(self, ticks) -> MarketBlock:
         """The market at each of ticks, an int64 array evenly spaced by the
         epoch: the one market rule, vectorized, as the arrays that a
-        policy's stays mask reads and whose row k becomes a context's market
-        only when _market reads it (MarketBlock.market). The market is
+        policy's decision table reads and whose row k becomes a context's
+        market only when _market reads it (MarketBlock.market). The market is
         undefined (ok is False) before the index or a candidate's trace
         starts, or where the index the reference mode reads is NaN, which a
         step with no live member holds. `over` marks the candidates over
@@ -486,27 +492,32 @@ class _Engine:
             self._price(spec.id, t)
         raise AssertionError(f"the market mask rejects t={t}, but every check passes")
 
+    def _epoch_table(self, t: int) -> tuple[MarketBlock, int]:
+        """The epoch table and the index in it of t, an epoch tick. The
+        table is refilled once t is past its end (ticks only move forward)
+        with up to TABLE_TICKS ticks and none at or past the earliest second
+        the run can end: the least-advanced task still has its remaining
+        work to do. A refill drops the decision tables of the old table."""
+        epoch = self.params.epoch
+        if t >= self._table_first + epoch * len(self._table):
+            work = min(task.work for task in self.tasks if task.state != DONE)
+            count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
+            self._table = self._block(t + epoch * np.arange(count))
+            self._table_first = t
+            self._decisions = {}
+        return self._table, (t - self._table_first) // epoch
+
     def _market(self, t: int) -> tuple:
         """(views, index_now, index_reference) at t: what a context takes
         from the market, which depends on t alone. An epoch tick, t = 0
-        among them, reads its row of the epoch table, refilled once t is
-        past its end (ticks only move forward) with up to TABLE_TICKS ticks
-        and none at or past the earliest second the run can end: the
-        least-advanced task still has its remaining work to do. A refill
-        drops the stays masks of the old table. Any other instant gets a
-        one-row block of its own. Views are built only for the row read,
+        among them, reads its row of the epoch table; any other instant gets
+        a one-row block of its own. Views are built only for the row read,
         and no market is kept: _ask shares answers, not markets."""
-        epoch = self.params.epoch
-        if t % epoch:
+        if t % self.params.epoch:
             market = self._block(np.array([t])).market(0)
         else:
-            if t >= self._table_first + epoch * len(self._table):
-                work = min(task.work for task in self.tasks if task.state != DONE)
-                count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
-                self._table = self._block(t + epoch * np.arange(count))
-                self._table_first = t
-                self._stay_until = {}
-            market = self._table.market((t - self._table_first) // epoch)
+            table, k = self._epoch_table(t)
+            market = table.market(k)
         if market is None:
             self._raise_undefined(t)
         return market
@@ -550,11 +561,14 @@ class _Engine:
         else:
             return answer
         if all(view.spec.id != pick for view in views):
-            raise SimulationError(
-                f"policy chose {pick!r} at t={t} for task {task.idx}, "
-                f"which is not among its candidates"
-            )
+            raise self._not_a_candidate(pick, t, task)
         return answer
+
+    @staticmethod
+    def _not_a_candidate(pick, t: int, task: _Task) -> SimulationError:
+        return SimulationError(
+            f"policy chose {pick!r} at t={t} for task {task.idx}, which is not among its candidates"
+        )
 
     # state transitions
 
@@ -715,34 +729,40 @@ class _Engine:
             crossing = cached[1] = int(starts[i]) if i < len(starts) else math.inf
         return crossing
 
-    def _stays_from(self, vm: str, cpu: float, mem: float) -> list:
-        """Per index k of the epoch table, and one past its end, the first
-        index from k on at which the policy's stays mask, holding vm at this
-        cpu and mem, does not cover its tick. Computed once per table."""
+    def _decisions_of(self, vm: str, cpu: float, mem: float) -> tuple:
+        """The policy's decision table over the epoch table, holding vm at
+        this cpu and mem; its answers as a list; per index k of the epoch
+        table, and one past its end, the first index from k on that it does
+        not answer STAY; and a dict of the moves _move_at has read from it,
+        by index. Computed once per table."""
         key = (vm, cpu, mem)
-        until = self._stay_until.get(key)
-        if until is None:
-            count = len(self._table)
+        found = self._decisions.get(key)
+        if found is None:
+            count, rows = len(self._table), len(self.candidates)
+            table = self.policy.decisions(self._table, vm, cpu, mem)
+            answers = np.asarray(table.answers)
+            if (
+                answers.shape != (count,)
+                or answers.dtype.kind not in "iu"
+                or not ((ASK <= answers) & (answers < rows)).all()
+            ):
+                raise SimulationError(
+                    f"policy {self.policy.name!r} returned a decision table that is not "
+                    f"{count} answers from {ASK} to {rows - 1}"
+                )
             indices = np.arange(count + 1)
-            mask = self.policy.stays(self._table, vm, cpu, mem)
-            if mask is not None:
-                mask = np.asarray(mask, dtype=bool)
-                if mask.shape != (count,):
-                    raise SimulationError(
-                        f"policy {self.policy.name!r} returned a stays mask of shape "
-                        f"{mask.shape} for {count} ticks"
-                    )
-                indices[:count][mask] = count
-            until = self._stay_until[key] = np.minimum.accumulate(indices[::-1])[::-1].tolist()
-        return until
+            indices[:count][answers == STAY] = count
+            until = np.minimum.accumulate(indices[::-1])[::-1].tolist()
+            found = self._decisions[key] = (table, answers.tolist(), until, {})
+        return found
 
     def _next_decision(self, t: int, flags: list) -> int:
         """The first epoch tick from t on at which some working task may not
         stay. Within the epoch table, that is the first tick that a working
-        task's stays mask leaves uncovered, or that its next phase boundary
-        reaches, since the mask holds for one phase's cpu and mem; otherwise
-        the table's end, where _market refills it. Past the table's end,
-        the first tick from t on."""
+        task's decision table does not answer STAY, or that its next phase
+        boundary reaches, since the table holds for one phase's cpu and mem;
+        otherwise the table's end, where _epoch_table refills it. Past the
+        table's end, the first tick from t on."""
         epoch = self.params.epoch
         tick = -(-t // epoch) * epoch
         first = self._table_first
@@ -757,7 +777,7 @@ class _Engine:
             i = bisect_right(ends, task.work)
             phase, end = self.job.phases[i], ends[i]
             boundary = int(-(-(t + end - task.work - first) // epoch))
-            stop = min(stop, boundary, self._stays_from(task.vm, phase.cpu, phase.mem)[k])
+            stop = min(stop, boundary, self._decisions_of(task.vm, phase.cpu, phase.mem)[2][k])
             if stop <= k:
                 return tick
         return first + epoch * stop
@@ -797,17 +817,48 @@ class _Engine:
         return max(nxt, t)
 
     def _decide(self, t: int):
-        decisions = [
-            (task, self._ask(self.policy.decide, t, task, task.vm))
+        """Each working task's decision at epoch tick t, then the moves they
+        make; a move to the held VM is none."""
+        moves = [
+            (task, move)
             for task, works in zip(self.tasks, self._flags())
-            if works
+            if works and (move := self._move_at(t, task)) is not None
         ]
-        for task, decision in decisions:
-            if decision.action != PolicyDecision.MIGRATE or decision.target == task.vm:
-                continue
-            self._start_migration(
-                task, t, decision.target, reason=decision.reason, forced=False
-            )
+        for task, (target, reason) in moves:
+            if target != task.vm:
+                self._start_migration(task, t, target, reason=reason, forced=False)
+
+    def _move_at(self, t: int, task: _Task):
+        """(target, reason) of the move that task's decision at epoch tick t
+        makes, or None where it stays: read from task's decision table, and
+        asked of the policy (_asked_move) only where that answers ASK. The
+        tasks that read one table at one tick, a BSP gang among them, share
+        one move, and so one decision(k). A move to a candidate left out of
+        the market at t ends the run as _ask ends it for such a pick."""
+        table, k = self._epoch_table(t)
+        phase = self.job.phase_at(task.work)
+        decisions, answers, _, moves = self._decisions_of(task.vm, phase.cpu, phase.mem)
+        row = answers[k]
+        if row == STAY:
+            return None
+        if row == ASK:
+            return self._asked_move(t, task)
+        move = moves.get(k)
+        if move is None:
+            if not table.ok[k]:
+                self._raise_undefined(t)
+            pick = table.specs[row].id
+            if table.over[row, k]:
+                raise self._not_a_candidate(pick, t, task)
+            move = moves[k] = pick, decisions.decision(k).reason
+        return move
+
+    def _asked_move(self, t: int, task: _Task):
+        """_move_at, from the policy's decide asked on task's context."""
+        decision = self._ask(self.policy.decide, t, task, task.vm)
+        if decision.action == PolicyDecision.MIGRATE:
+            return decision.target, decision.reason
+        return None
 
     # one second
 

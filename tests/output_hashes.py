@@ -11,9 +11,14 @@ that both paths of the JSON-lines reader run; and a 3-task
 policy, whose task 1 a scripted move puts on another VM than its peers, so
 that the tasks ask with different contexts at one instant. Once, it hashes
 each of the acceptance battery's 750 reports, with their replays and
-ledgers. Last, it hashes the error, type and message, that replay and
-ledger_from_report give for each malformed event and each report key case
-of tests/test_simulator.py, so that a change to a reader shows which of its
+ledgers, and the runs in which `balanced` and `avail` move, which no bench
+case or battery run makes: `balanced` with its Eq. 5 gate off, under either
+target rule, on the battery's `v1` job at volatility 1.5 (and in the 3-task
+case above at both seeds), and `avail` on the price-shock traces of
+tests/test_simulator.py, whose VM the shock puts above the index. Last, it
+hashes the error, type and message, that replay and ledger_from_report
+give for each malformed event and each report key case of
+tests/test_simulator.py, so that a change to a reader shows which of its
 located messages it changed.
 Save the output of the old source tree, then run it on the new one with
 that file as its argument:
@@ -26,7 +31,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 3,283 lines in about 7 s on a 2-core Xeon VM.
+argument it prints every line: 3,322 lines in about 7 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -42,7 +47,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from spotindex import ledger_from_report, replay, run_simulation  # noqa: E402
+from spotindex import BalancedPolicy, ledger_from_report, replay, run_simulation  # noqa: E402
 from spotindex.policies import POLICIES  # noqa: E402
 
 from conftest import COMPOSITION, build_catalog, study_params, traces_for  # noqa: E402
@@ -55,6 +60,7 @@ from test_simulator import (  # noqa: E402
     REPORT_KEY_IDS,
     edit_event,
     located_run,
+    price_shock,
 )
 from workloads import make_workload  # noqa: E402
 
@@ -62,6 +68,11 @@ SEEDS = (0, 7919)
 # task 1 moves at t=1000 onto a VM that the policy does not pick for the
 # tasks at t=0: avail picks m4.2xlarge at both seeds
 MOVE_TARGETS = {"avail": "r4.xlarge"}
+# balanced with its Eq. 5 gate off, which moves, under each target rule
+MOVING_BALANCED = {
+    f"balanced/{rule}/off": BalancedPolicy(target_rule=rule, sufficiency="off")
+    for rule in ("sharpe", "first_feasible")
+}
 
 
 def sha(data) -> str:
@@ -114,13 +125,33 @@ def multi_task_lines(seed: int):
     catalog = build_catalog()
     traces = traces_for(seed)
     job = replace(VARIANTS["v3"], name="v3x3", tasks=3)
-    for policy in sorted(POLICIES):
-        move = (1000, 1, MOVE_TARGETS.get(policy, "m4.2xlarge"))
+    for name, policy in [*((name, name) for name in sorted(POLICIES)), *MOVING_BALANCED.items()]:
+        move = (1000, 1, MOVE_TARGETS.get(name, "m4.2xlarge"))
         report = run_simulation(
             job, policy, traces, catalog, COMPOSITION,
             params=study_params(), forced_migrations=[move], seed=seed,
         )
-        yield from report_lines(report, traces, catalog, f"multi-task v3x3 {policy} seed={seed}")
+        yield from report_lines(report, traces, catalog, f"multi-task v3x3 {name} seed={seed}")
+
+
+def moving_lines():
+    """The runs in which balanced and avail move, besides the 3-task case:
+    balanced with its gate off on the v1 job at volatility 1.5, and avail,
+    which a price shock moves under max_price 100."""
+    catalog = build_catalog()
+    for name, policy in MOVING_BALANCED.items():
+        for seed in range(4):
+            traces = traces_for(seed, 1.5)
+            report = run_simulation(
+                VARIANTS["v1"], policy, traces, catalog, COMPOSITION,
+                params=study_params(), seed=seed,
+            )
+            yield from report_lines(report, traces, catalog, f"moving {name} v1/1.5 seed={seed}")
+    job, traces, scope = price_shock("m4.2xlarge", 100.0)
+    report = run_simulation(
+        job, "avail", traces, catalog, COMPOSITION, params=study_params(), scope=scope
+    )
+    yield from report_lines(report, traces, catalog, "moving avail price shock m4.2xlarge")
 
 
 def battery_lines():
@@ -164,6 +195,7 @@ def output_lines():
             yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
             yield from multi_task_lines(seed)
     yield from battery_lines()
+    yield from moving_lines()
     yield from error_lines()
 
 

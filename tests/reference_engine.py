@@ -2,13 +2,15 @@
 next-event engine must reproduce report for report.
 
 `PerSecondEngine` is `spotindex.simulator._Engine` with the slow form of each
-of the engine's four shortcuts, and nothing else:
+of the engine's five shortcuts, and nothing else:
 
 - `_next_instant` returns t, so the loop never skips a second. It so
   also stands in for the two rules the engine's `_next_instant` skips by:
-  the reference asks `decide` at every epoch tick, those the policy's
-  `stays` mask covers among them, and checks every held VM's price every
-  second, not only where it crosses over max_price or onto the cap;
+  the reference steps every epoch tick, those a decision table answers
+  STAY among them, and checks every held VM's price every second, not only
+  where it crosses over max_price or onto the cap;
+- `_move_at` asks `decide` for every working task at every epoch tick,
+  instead of reading the policy's decision table;
 - `_works_now` re-derives the BSP lockstep rule from the unfinished tasks
   for every task in every second, instead of reading the gang's low mark;
 - `_market` computes every context's market by its own scalar code, over
@@ -68,6 +70,9 @@ class PerSecondEngine(_Engine):
                 continue
             views.append(CandidateView(spec, price, *window_stats(self.traces[spec.id], t, window)))
         return tuple(views), index_now, index_reference
+
+    def _move_at(self, t, task):
+        return self._asked_move(t, task)
 
     def _ask(self, ask, t, task, current):
         self._asked = None

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -281,6 +282,21 @@ def test_json_record_is_json_loads_of_one_object(text):
     except ParseError as exc:
         got = str(exc)
     assert got == expected
+
+
+# an int longer than int() reads by default (4,300 digits)
+LONG_INT = "9" * 5001
+
+
+def test_an_int_too_long_to_read_is_located_invalid_json(tmp_path):
+    # it escaped as a bare ValueError, with no file or line
+    with pytest.raises(ParseError, match=r"^f\.jsonl: line 3: invalid JSON: "):
+        json_record(f'{{"timestamp": {LONG_INT}, "price": 1.0}}', "f.jsonl", 3)
+    path = tmp_path / "catalog.jsonl"
+    path.write_text(VALID_JSONL.replace('"id": "a"', '"id": "b"') + VALID_JSONL.replace("4,", f"{LONG_INT},"))
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: invalid JSON: ") as err:
+        load_catalog(path)
+    assert (err.value.line, err.value.field) == (2, None)
 
 
 # load_catalog reads through the block reader; trace_oracle.read_records is

@@ -665,6 +665,19 @@ def test_ingest_timestamp_outside_int64_is_a_located_domain_error(workspace, sta
     assert not out.exists()
 
 
+def test_ingest_locates_an_int_too_long_to_read(workspace, caplog):
+    # it ended as a bare "Exceeds the limit (4300 digits)" with no file or line
+    raw = workspace / "raw.jsonl"
+    raw.write_text(
+        '{"timestamp": 0, "vm_id": "m4.large", "price": 4.5}\n'
+        f'{{"timestamp": 60, "vm_id": "m4.large", "price": {"9" * 5001}}}\n'
+    )
+    out = workspace / "canon"
+    assert run(["ingest", "--in", raw, "--catalog", workspace / "catalog.csv", "--out", out]) == 1
+    assert f"{raw}: line 2: invalid JSON: " in caplog.text
+    assert not out.exists()
+
+
 # Malformed inputs: each key of a valid input document, and the whole
 # document, replaced in turn by each of these JSON values. Numbers stay
 # small: a valid but huge task count would simulate that many tasks.

@@ -2,10 +2,11 @@
 
 Random small markets go through both engines, which must produce the same
 report JSON, or raise the same error, after asking their policies on the
-same contexts, bit for bit, except for the decisions that the policy's
-stays mask lets the next-event engine skip, each of which must be a stay in
-the reference, and the asks that repeat the one before them, whose answer
-the engine shares. The same runs check the engine's invariants:
+same contexts, bit for bit, except for the decide calls that the policy's
+decision table answers for the next-event engine, which check_decisions
+holds to decide's own answers, and the asks that repeat the one before
+them, whose answer the engine shares. The same runs check the engine's
+invariants:
 hold segments tile each task's lifetime, replay reproduces the totals,
 availability lies in [0, 1], and downtime counts the seconds in which some
 unfinished task did not work.
@@ -39,7 +40,15 @@ from spotindex import (
     run_simulation,
 )
 
-from spotindex.policies import CostCentricPolicy, PolicyContext, PolicyDecision, build_policy
+from spotindex.policies import (
+    ASK,
+    STAY,
+    CostCentricPolicy,
+    DecisionTable,
+    PolicyContext,
+    PolicyDecision,
+    build_policy,
+)
 from spotindex import billing, policies
 from spotindex.billing import billed_holds, interval_cost
 from spotindex.index import denormalize
@@ -184,7 +193,7 @@ def scenarios(draw):
 class Recording(Policy):
     """Another policy, logging the context of each select and decide call
     with every float as float.hex, and the pick or the action it returned.
-    Its stays mask is the other policy's."""
+    Its decision tables are the other policy's."""
 
     def __init__(self, inner: Policy):
         self.inner = inner
@@ -211,8 +220,8 @@ class Recording(Policy):
     def decide(self, ctx):
         return self._log("decide", self.inner.decide, ctx)
 
-    def stays(self, block, current, cpu_used, mem_used):
-        return self.inner.stays(block, current, cpu_used, mem_used)
+    def decisions(self, block, current, cpu_used, mem_used):
+        return self.inner.decisions(block, current, cpu_used, mem_used)
 
 
 def outcome(run, scenario):
@@ -270,18 +279,17 @@ def check_invariants(report, traces):
 
 
 def check_asked(asked, reference_asked):
-    """asked is reference_asked less some decide calls, each of which
-    returned stay (the ones a stays mask covered), and less some asks equal
-    to the reference's ask before them, at the same t (the ones whose
-    answer the engine shares)."""
+    """asked is reference_asked less some decide calls (the ones a decision
+    table answered, which check_decisions and the equality of the reports
+    check) and less some asks equal to the reference's ask before them, at
+    the same t (the ones whose answer the engine shares)."""
     matched = 0
     previous = None
     for entry in reference_asked:
         if matched < len(asked) and asked[matched] == entry:
             matched += 1
         else:
-            stay = entry[0] == "decide" and entry[-1] == PolicyDecision.STAY
-            assert stay or entry == previous, entry
+            assert entry[0] == "decide" or entry == previous, entry
         previous = entry
     assert matched == len(asked)
 
@@ -306,21 +314,23 @@ def test_next_event_engine_matches_per_second_engine(scenario):
     check_scenario(scenario)
 
 
-# the stays masks against the scalar decide
+# the decision tables against the scalar decide
 
 
-def check_stays(scenario, policy):
-    """At every epoch tick that policy's stays mask covers, for each
-    candidate held at each phase's utilization, decide on the reference
-    engine's scalar market at that tick returns stay; and the mask covers
-    no tick at which a context cannot hold the candidate. static's mask
-    covers every other tick."""
+def check_decisions(scenario, policy):
+    """At every epoch tick of the reference engine's scalar market, for each
+    candidate held at each phase's utilization, policy's decision table
+    answers as decide does: STAY where decide stays, and where it moves the
+    row of its target; decision(k) is decide's PolicyDecision, scores and
+    reason included; and the table answers ASK exactly where no context
+    can hold the candidate."""
     job, params = scenario["job"], scenario["params"]
     args = (job, policy, scenario["traces"], CATALOG, COMPOSITION, params, None, None, None)
     engine = _Engine(*args)
     reference = PerSecondEngine(*args)
     ticks = params.epoch * np.arange(1, 3 * job.total_work // params.epoch + 1)
     block = engine._block(ticks)
+    rows = {spec.id: row for row, spec in enumerate(block.specs)}
     markets = {}
     for t in ticks.tolist():
         try:
@@ -329,15 +339,13 @@ def check_stays(scenario, policy):
             markets[t] = None
     for spec in engine.candidates:
         for phase in set(job.phases):
-            mask = policy.stays(block, spec.id, phase.cpu, phase.mem)
-            for t, covered in zip(ticks.tolist(), mask.tolist()):
+            table = policy.decisions(block, spec.id, phase.cpu, phase.mem)
+            for k, (t, answer) in enumerate(zip(ticks.tolist(), table.answers.tolist())):
                 market = markets[t]
                 held = market is not None and any(v.spec.id == spec.id for v in market[0])
-                if policy.name == "static":
-                    assert covered == held
-                if not covered:
+                assert (answer != ASK) == held, (t, spec.id, phase)
+                if not held:
                     continue
-                assert held, t
                 views, index_now, index_reference = market
                 ctx = PolicyContext(
                     t=t,
@@ -350,7 +358,10 @@ def check_stays(scenario, policy):
                     horizon=params.horizon,
                     migration_seconds=float(engine.t_m),
                 )
-                assert policy.decide(ctx).action == PolicyDecision.STAY, (t, spec.id, phase)
+                decision = policy.decide(ctx)
+                moved = decision.action == PolicyDecision.MIGRATE
+                assert answer == (rows[decision.target] if moved else STAY), (t, spec.id, phase)
+                assert table.decision(k) == decision, (t, spec.id, phase)
 
 
 @pytest.mark.parametrize(
@@ -365,12 +376,14 @@ def check_stays(scenario, policy):
 )
 @given(scenario=scenarios())
 def test_stays_mask_covers_only_ticks_that_stay(name, options, scenario):
-    check_stays(scenario, build_policy(name, **options))
+    # a table's STAY answers are its stays mask, and cover exactly the
+    # ticks where decide stays
+    check_decisions(scenario, build_policy(name, **options))
 
 
-def test_stays_masks_skip_most_decisions_of_a_study_run():
+def test_a_study_run_never_asks_decide():
     # a study run asks decide at every epoch tick on the reference engine;
-    # with the masks, the next-event engine asks at few of them
+    # with the decision tables, the next-event engine asks it at none
     scenario = {
         "job": baseline_job(),
         "traces": traces_for(0),
@@ -383,8 +396,8 @@ def test_stays_masks_skip_most_decisions_of_a_study_run():
         _, reference, reference_asked = outcome(run_per_second, scenario)
         assert text == reference
         check_asked(asked, reference_asked)
-        decided = sum(entry[0] == "decide" for entry in asked)
-        assert decided < 0.5 * sum(entry[0] == "decide" for entry in reference_asked), name
+        assert not any(entry[0] == "decide" for entry in asked), name
+        assert any(entry[0] == "decide" for entry in reference_asked), name
 
 
 # pinned mutants: each breaks one of the engine's shortcuts, on a scenario
@@ -408,19 +421,12 @@ def check_mutant_changes_report(scenario, patch):
     assert mutant != reference
 
 
-def test_mutant_mask_one_tick_too_wide_changes_the_report():
-    # c4.2xlarge and r4.xlarge tie at 2.0 until c4.2xlarge, which both tasks
-    # hold, rises to 3.0 at t=11: cost stays at ticks 3, 6 and 9, where the
-    # move saves nothing, and moves at tick 12. A mask that also covers the
-    # tick after each covered one skips that move.
-    covering = CostCentricPolicy.stays
-
-    def wider(self, block, current, cpu_used, mem_used):
-        mask = covering(self, block, current, cpu_used, mem_used)
-        mask[1:] |= mask[:-1].copy()
-        return mask
-
-    scenario = {
+def cost_moves_at_tick_12():
+    """c4.2xlarge and r4.xlarge tie at 2.0 until c4.2xlarge, which both
+    tasks hold, rises to 3.0 at t=11: cost stays at ticks 3, 6 and 9, where
+    the move saves nothing, and moves to r4.xlarge at tick 12. m4.large, at
+    2.5, is a candidate throughout that cost never picks."""
+    return {
         "job": JobSpec(
             name="random",
             phases=(Phase(20, 2.0, 8.0),),
@@ -433,7 +439,7 @@ def test_mutant_mask_one_tick_too_wide_changes_the_report():
             {
                 "c4.2xlarge": [(0, 2.0), (11, 3.0)],
                 "m4.2xlarge": [(0, 40.0)],
-                "m4.large": [(0, 40.0)],
+                "m4.large": [(0, 2.5)],
                 "r4.xlarge": [(0, 2.0)],
             }
         ),
@@ -445,7 +451,38 @@ def test_mutant_mask_one_tick_too_wide_changes_the_report():
         ),
         "forced_migrations": [],
     }
-    check_mutant_changes_report(scenario, mock.patch.object(CostCentricPolicy, "stays", wider))
+
+
+def check_table_mutant_changes_report(edit):
+    """check_mutant_changes_report, with cost's decision tables' answers
+    changed by edit(answers, block) in place."""
+    answering = CostCentricPolicy.decisions
+
+    def mutant(self, block, current, cpu_used, mem_used):
+        table = answering(self, block, current, cpu_used, mem_used)
+        answers = table.answers.copy()
+        edit(answers, block)
+        return DecisionTable(answers, table.decision)
+
+    check_mutant_changes_report(
+        cost_moves_at_tick_12(), mock.patch.object(CostCentricPolicy, "decisions", mutant)
+    )
+
+
+def test_mutant_mask_one_tick_too_wide_changes_the_report():
+    # STAY answers that also cover the tick after each one skip the move
+    def wider(answers, block):
+        answers[1:][answers[:-1] == STAY] = STAY
+
+    check_table_mutant_changes_report(wider)
+
+
+def test_mutant_move_to_another_candidate_changes_the_report():
+    # a move answered with m4.large's row moves there, not to r4.xlarge
+    def elsewhere(answers, block):
+        answers[answers >= 0] = [spec.id for spec in block.specs].index("m4.large")
+
+    check_table_mutant_changes_report(elsewhere)
 
 
 def test_mutant_crossing_lookup_blind_to_the_cap_changes_the_report():
@@ -491,7 +528,7 @@ def test_mutant_crossing_lookup_blind_to_the_cap_changes_the_report():
     )
 
 
-# the stays masks read the formulas decide reads: a changed formula
+# the decision tables read the formulas decide reads: a changed formula
 # changes both, so the engine still matches the reference
 
 
@@ -677,7 +714,7 @@ def test_step_order_scripted_move_before_decision_tick():
 
 class ByPhase(Policy):
     """Starts on c4.2xlarge; moves to m4.2xlarge once its phase uses 4
-    cpus. It has no stays mask, so it is asked at every epoch tick."""
+    cpus. It has no decision table, so it is asked at every epoch tick."""
 
     name = "by-phase"
 
@@ -726,11 +763,10 @@ def test_tasks_in_different_phases_or_on_different_vms_get_their_own_answers():
     assert ticks(asked[run_simulation], 480) == [stay, move]
 
 
-class Unmasked(Recording):
-    """Recording without the stays mask: asked at every epoch tick."""
+class AskedAtEveryTick(Recording):
+    """Recording without the decision tables: asked at every epoch tick."""
 
-    def stays(self, block, current, cpu_used, mem_used):
-        return None
+    decisions = Policy.decisions
 
 
 @pytest.mark.parametrize("name", POLICIES)
@@ -743,12 +779,37 @@ def test_a_gang_asks_once_per_context(name):
     )
     asked = []
     for run in (run_simulation, run_per_second):
-        policy = Unmasked(build_policy(name))
+        policy = AskedAtEveryTick(build_policy(name))
         run(job, policy, traces_for(0), CATALOG, COMPOSITION, params=study_params())
         asked.append(policy.asked)
     engine, reference = asked
     assert engine == [entry for i, entry in enumerate(reference) if not i or entry != reference[i - 1]]
     assert 8 * len(engine) <= len(reference)
+
+
+def test_a_gang_builds_each_table_move_once():
+    # the 8 tasks of a BSP gang in lockstep read one decision table at each
+    # tick, so each move's decision(k) is built once for all of them
+    job = JobSpec(
+        name="gang", kind="bsp", tasks=8, phases=(Phase(1800, 2.0, 8.0), Phase(1800, 4.0, 16.0)),
+        reference_capacity=(8.0, 32.0),
+    )
+    built = []
+    answering = CostCentricPolicy.decisions
+
+    def counted(self, block, current, cpu_used, mem_used):
+        table = answering(self, block, current, cpu_used, mem_used)
+
+        def decision(k):
+            built.append((id(table), k))
+            return table.decision(k)
+
+        return DecisionTable(table.answers, decision)
+
+    with mock.patch.object(CostCentricPolicy, "decisions", counted):
+        report = run_simulation(job, "cost", traces_for(0), CATALOG, COMPOSITION, params=study_params())
+    assert built and len(set(built)) == len(built)
+    assert report.migrations == 8 * len(built)
 
 
 # steps the engine takes
@@ -1194,7 +1255,7 @@ def test_market_matches_the_reference_market_every_second(index_reference):
 class ReadingMoments(Policy):
     """cost's picks and decisions, reading every window moment a custom
     policy can on the way: each view's in select and decide, and the
-    block's in a stays mask that covers no tick."""
+    block's in a decision table that answers ASK at every tick."""
 
     name = "reading"
 
@@ -1216,9 +1277,9 @@ class ReadingMoments(Policy):
         self._read(ctx)
         return self.inner.decide(ctx)
 
-    def stays(self, block, current, cpu_used, mem_used):
+    def decisions(self, block, current, cpu_used, mem_used):
         self.blocks.append((block, block.means, block.stds))
-        return None
+        return super().decisions(block, current, cpu_used, mem_used)
 
 
 def test_a_custom_policy_reads_the_moments_of_window_stats():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from spotindex import (
@@ -316,3 +317,34 @@ def test_utilized_price_scale_covariance():
             k * utilized_price(price, cpu, mem),
             rel_tol=1e-12,
         )
+
+
+def test_decision_tables_ask_where_a_live_score_is_nan():
+    # decide's min or max over scores that hold a NaN depends on their
+    # order, so a table leaves such an instant to decide and answers the rest
+    from spotindex.policies import ASK, STAY, MarketBlock
+
+    nan = math.nan
+    prices = np.array([[4.0, 4.0, 4.0], [2.0, nan, 2.0], [3.0, 3.0, 3.0]])
+    stds = np.array([[0.1, 0.1, 0.1], [0.1, nan, 0.1], [0.1, 0.1, 0.1]])
+    block = MarketBlock(
+        (spec("a"), spec("b"), spec("c")),
+        ok=np.ones(3, dtype=bool),
+        index_now=np.full(3, 0.1),
+        index_reference=np.full(3, 0.1),
+        prices=prices,
+        over=np.zeros((3, 3), dtype=bool),
+        window_moments=lambda: (prices, stds),
+        horizon=300,
+        migration_seconds=30.0,
+    )
+    for policy in (STATIC, COST, AVAIL, BALANCED, BalancedPolicy(sufficiency="off")):
+        table = policy.decisions(block, "a", 4.0, 16.0)
+        answered = [0, 1, 2] if policy is STATIC else [0, 2]
+        assert [k for k, answer in enumerate(table.answers.tolist()) if answer != ASK] == answered
+        for k in answered:
+            views, index_now, index_reference = block.market(k)
+            decision = policy.decide(ctx_of(views, "a", index_now, index_reference))
+            assert table.decision(k) == decision, (policy, k)
+            expected = STAY if decision.action == PolicyDecision.STAY else "abc".index(decision.target)
+            assert table.answers[k] == expected, (policy, k)

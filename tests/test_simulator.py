@@ -515,7 +515,8 @@ def test_policy_selection_error_names_time_and_task(runner, refuses, t):
 
 class Choosing(Policy):
     """`select` answers `pick` when `asked` is "select", else the first
-    candidate; `decide` always moves to `pick`."""
+    candidate; `decide` always moves to `pick`, and when `asked` is "table"
+    so do its decision tables, at every tick."""
 
     name = "choosing"
 
@@ -529,6 +530,17 @@ class Choosing(Policy):
     def decide(self, ctx):
         return PolicyDecision(PolicyDecision.MIGRATE, self.pick, reason="told")
 
+    def decisions(self, block, current, cpu_used, mem_used):
+        # imported here, not at the top: tests/output_hashes.py imports this
+        # module on source trees older than decision tables too
+        from spotindex.policies import DecisionTable
+
+        if self.asked != "table":
+            return super().decisions(block, current, cpu_used, mem_used)
+        row = [spec.id for spec in block.specs].index(self.pick)
+        told = PolicyDecision(PolicyDecision.MIGRATE, self.pick, reason="told")
+        return DecisionTable(np.full(len(block), row), lambda k: told)
+
 
 @pytest.mark.parametrize("runner", [run_simulation, run_per_second])
 @pytest.mark.parametrize(
@@ -539,6 +551,8 @@ class Choosing(Policy):
         ("select", "r4.xlarge", 0),  # above max_price
         ("decide", "nope", 60),
         ("decide", "r4.xlarge", 60),
+        # a decision table's move to a candidate over max_price
+        ("table", "r4.xlarge", 60),
     ],
 )
 def test_policy_pick_outside_its_candidates_is_rejected(runner, asked, pick, t):
@@ -554,20 +568,27 @@ def test_policy_pick_outside_its_candidates_is_rejected(runner, asked, pick, t):
         )
 
 
-def test_policy_stays_mask_of_the_wrong_shape_is_rejected():
-    # a bare True would cover every tick of the table by broadcasting
-    class Everywhere(Choosing):
-        def stays(self, block, current, cpu_used, mem_used):
-            return True
+def test_policy_decision_table_of_the_wrong_shape_is_rejected():
+    # a bare STAY would answer every tick of the table by broadcasting; a
+    # row past the candidates names none, and a float is no row
+    from spotindex.policies import STAY, DecisionTable
 
-    # the 600 s job's table holds 10 ticks of 60 s
-    with pytest.raises(
-        SimulationError, match=r"^policy 'choosing' returned a stays mask of shape \(\) for 10 ticks$"
-    ):
-        run_simulation(
-            one_phase_job(), Everywhere("decide", "m4.2xlarge"), flat_traces(), CATALOG,
-            COMPOSITION, params=unit_params(),
-        )
+    class Answering(Choosing):
+        def decisions(self, block, current, cpu_used, mem_used):
+            return DecisionTable(self.answers, None)
+
+    # the 600 s job's table holds 10 ticks of 60 s, over 3 candidates
+    for answers in (np.int64(STAY), np.full(10, 3), np.full(10, -3), np.full(10, float(STAY))):
+        policy = Answering("decide", "m4.2xlarge")
+        policy.answers = answers
+        with pytest.raises(
+            SimulationError,
+            match=r"^policy 'choosing' returned a decision table that is not 10 answers "
+            r"from -2 to 2$",
+        ):
+            run_simulation(
+                one_phase_job(), policy, flat_traces(), CATALOG, COMPOSITION, params=unit_params(),
+            )
 
 
 # (shocked vm, max_price) -> policy -> (migrations, revocations,
@@ -600,15 +621,9 @@ SHOCK_OUTCOMES = {
 }
 
 
-@pytest.mark.parametrize("shocked, max_price", list(SHOCK_OUTCOMES))
-def test_price_shock_outcomes(shocked, max_price):
-    """One general-purpose market's price triples from t=1200 on. Pins what
-    each policy does, on both engines. `avail` starts on m4.2xlarge: once
-    the shock leaves no candidate below the index it falls back to the
-    calmest candidate, by revocation under the default max_price and by
-    migration under max_price 100. `balanced` holds the shocked m4.large at
-    static's cost while `cost` moves off it: the Eq. 5 gate never passes
-    for a source priced above the index."""
+def price_shock(shocked: str, max_price):
+    """The job, traces and scope of a price-shock run: traces_for(3), with
+    the price of market `shocked` tripled from t=1200 on."""
     traces = traces_for(3)
     before = traces[shocked]
     traces[shocked] = PriceTrace(
@@ -619,7 +634,19 @@ def test_price_shock_outcomes(shocked, max_price):
         ],
     )
     job = JobSpec(name="shock", phases=(Phase(3600, 2.0, 8.0),), max_price=max_price)
-    scope = Scope(family="general")
+    return job, traces, Scope(family="general")
+
+
+@pytest.mark.parametrize("shocked, max_price", list(SHOCK_OUTCOMES))
+def test_price_shock_outcomes(shocked, max_price):
+    """One general-purpose market's price triples from t=1200 on. Pins what
+    each policy does, on both engines. `avail` starts on m4.2xlarge: once
+    the shock leaves no candidate below the index it falls back to the
+    calmest candidate, by revocation under the default max_price and by
+    migration under max_price 100. `balanced` holds the shocked m4.large at
+    static's cost while `cost` moves off it: the Eq. 5 gate never passes
+    for a source priced above the index."""
+    job, traces, scope = price_shock(shocked, max_price)
     baseline = on_demand_baseline(job, CATALOG, scope)
     for name, expected in SHOCK_OUTCOMES[shocked, max_price].items():
         report = run_simulation(

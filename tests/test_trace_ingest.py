@@ -9,6 +9,8 @@ import csv
 import io
 import json
 import logging
+import math
+import re
 import shutil
 import tempfile
 from contextlib import contextmanager
@@ -219,6 +221,18 @@ def test_columnar_ingest_matches_per_record_ingest(files, on_unknown, block):
         )
 
 
+def test_ingest_locates_an_int_too_long_to_read(tmp_path):
+    # json's int() refused it with a bare ValueError, with no file or line
+    path = tmp_path / "raw.jsonl"
+    path.write_text(
+        '{"timestamp": 0, "vm_id": "m4.large", "price": 4.5}\n'
+        f'{{"timestamp": {"9" * 5001}, "vm_id": "m4.large", "price": 4.5}}\n'
+    )
+    for ingest in (ingest_traces, trace_oracle.ingest_files):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: line 2: invalid JSON: "):
+            ingest([path], CATALOG, "warn")
+
+
 def test_unknown_vm_in_an_earlier_file_stops_before_later_files(tmp_path):
     first = tmp_path / "a.jsonl"
     first.write_text('{"timestamp": 0, "vm_id": "ghost", "price": 1.0}\n')
@@ -284,3 +298,151 @@ def test_cli_outputs_match_the_per_record_path(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "write_trace_jsonl", trace_oracle.write_trace_jsonl)
     assert ingest_and_index(tmp_path) == columnar
     assert sorted(columnar) == ["index.csv", "m4.large.jsonl", "manifest.json", "r4.xlarge.jsonl"]
+
+
+# One hostile value at one key of a valid trace file, through `spotindex
+# ingest`: the CLI must exit 1 naming the file, the record's line and the
+# key, or exit 0 with the value read as what it means.
+
+# an int past int()'s default limit of 4,300 digits, which json cannot read
+LONG = "9" * 5001
+HOSTILE = [
+    10**400, -(10**400), LONG, -0.0, math.nan, math.inf, -math.inf, True, "5", None, [], {},
+    [[[[[[{"a": [[{}]]}]]]]]],
+]
+IDENTITY = ("vm_id", "instance_type", "zone")
+VALID_RECORDS = [
+    {"timestamp": 0, "vm_id": "m4.large", "price": 4.5},
+    {"timestamp": 60, "vm_id": "m4.large", "price": 5.0},
+    {"timestamp": 0, "instance_type": "c4.2xlarge", "zone": "us-east-1a", "price": 6.5},
+    {"timestamp": 120, "vm_id": "r4.xlarge", "price": 7.0},
+]
+
+
+def json_text(value) -> str:
+    return LONG if value is LONG else json.dumps(value)
+
+
+def csv_text(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, dict)):
+        return json.dumps(value)
+    return "" if value is None else str(value)
+
+
+def number(value):
+    """value as the float or int a trace field reads it as, or None: a JSON
+    number or a numeric string, and a CSV cell's numeric text."""
+    if isinstance(value, (int, float)):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return None
+
+
+def meaning(key: str, value, suffix: str):
+    """What value means at key of a trace record, as the plain value that
+    says it; None where it means nothing there."""
+    if suffix == "csv":
+        value = csv_text(value) or None
+    elif value is LONG:
+        return None  # not JSON
+    if key in IDENTITY:
+        return str(value) if value else None
+    read = number(value)
+    if read is None:
+        return None
+    if key == "timestamp":
+        if isinstance(read, bool):
+            return None
+        whole = not isinstance(read, float) or (math.isfinite(read) and read == int(read))
+        return int(read) if whole and -(2**63) <= read < 2**63 else None
+    # True is a price of 1.0 in JSON (BAD_PRICES above)
+    price = float(read) if abs(read) < 2**1024 else math.inf
+    return price if math.isfinite(price) and price >= 0 else None
+
+
+def trace_file_text(records, suffix: str, at, value) -> str:
+    """records as a JSON-lines or CSV file, with value at key path at."""
+    i, key = at
+    if suffix == "jsonl":
+        lines = [json.dumps(r) for r in records]
+        marker = json.dumps({**records[i], key: "\0"})
+        lines[i] = marker.replace(json.dumps("\0"), json_text(value))
+        return "".join(line + "\n" for line in lines)
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(FIELDS)
+    for n, record in enumerate(records):
+        row = {**record, key: value} if n == i else record
+        writer.writerow([csv_text(row.get(field)) for field in FIELDS])
+    return fh.getvalue()
+
+
+def ingest_outcome(tmp: Path, text: str, suffix: str, out: str):
+    """spotindex ingest of one raw file holding text: its exit code, the
+    errors it logged, and the trace files it wrote."""
+    raw = tmp / f"raw.{suffix}"
+    raw.write_text(text)
+    messages = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("spotindex.cli")
+    logger.addHandler(handler)
+    try:
+        code = cli.main(["ingest", "--in", str(raw), "--catalog", str(tmp / "catalog.csv"), "--out", str(tmp / out)])
+    finally:
+        logger.removeHandler(handler)
+    written = {p.name: p.read_bytes() for p in sorted((tmp / out).glob("*.jsonl"))}
+    return code, messages, written, raw
+
+
+def check_hostile_trace_value(suffix: str, at, value):
+    i, key = at
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "catalog.csv").write_text(CATALOG_CSV)
+        text = trace_file_text(VALID_RECORDS, suffix, at, value)
+        code, messages, written, raw = ingest_outcome(tmp, text, suffix, "edited")
+        meant = meaning(key, value, suffix)
+        if meant is None:
+            assert code == 1, written
+            [message] = messages
+            line = i + 1 if suffix == "jsonl" else i + 2
+            assert message.startswith(f"{raw}: line {line}: "), message
+            field = "vm_id" if key in IDENTITY else key
+            if not (suffix == "jsonl" and value is LONG):
+                assert message.startswith(f"{raw}: line {line}: field {field!r}: "), message
+            else:
+                assert message.startswith(f"{raw}: line {line}: invalid JSON: "), message
+        else:
+            assert (code, messages) == (0, [])
+            plain = trace_file_text(VALID_RECORDS, suffix, at, meant)
+            assert ingest_outcome(tmp, plain, suffix, "plain")[:3] == (0, [], written)
+
+
+@st.composite
+def hostile_trace_edits(draw):
+    """A (record index, key) of VALID_RECORDS and a HOSTILE value."""
+    i = draw(st.integers(0, len(VALID_RECORDS) - 1))
+    return (i, draw(st.sampled_from(sorted(VALID_RECORDS[i])))), draw(st.sampled_from(HOSTILE))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hostile_trace_edits())
+def test_ingest_names_a_hostile_json_lines_value_or_reads_what_it_means(edit):
+    check_hostile_trace_value("jsonl", *edit)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(hostile_trace_edits())
+def test_ingest_names_a_hostile_csv_value_or_reads_what_it_means(edit):
+    check_hostile_trace_value("csv", *edit)

@@ -126,8 +126,9 @@ def test_should_migrate_never_passes_for_a_dear_source_or_destination(index, src
 
 @given(index=PRICES, other=PRICES, src=PRICES, dst=PRICES)
 def test_should_migrate_never_decreases_as_the_index_grows(index, other, src, dst):
-    # BalancedPolicy.stays covers a tick where Eq. 5 fails at an index
-    # lifted by its margin, which is sound only while this holds
+    # a property of the gate as the paper states it: a dearer index never
+    # makes a move pay less. No decision table relies on it, since
+    # BalancedPolicy's asks Eq. 5 at the index itself, as decide does
     low, high = sorted((index, other))
     if should_migrate(low, src, dst):
         assert should_migrate(high, src, dst)

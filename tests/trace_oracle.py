@@ -33,7 +33,7 @@ def read_records(path):
                     continue
                 try:
                     record = json.loads(raw)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # an int too long for int() among them
                     raise ParseError(f"invalid JSON: {exc}", source=path, line=line) from None
                 if not isinstance(record, dict):
                     raise ParseError("expected a JSON object", source=path, line=line)
