@@ -7,9 +7,11 @@ answer must depend on its context alone: the simulator hands one answer to
 every task that asks with an equal context at one instant. A policy may
 also answer decide for a whole MarketBlock of instants at once, as a
 DecisionTable (decisions): at each instant it stays, moves to a candidate,
-or leaves the simulator to ask decide there. The built-in policies answer
-every instant where the market is defined and the held VM is a candidate,
-exactly as decide would. All accounting and trace bookkeeping lives in the
+or leaves the simulator to ask decide there, and of a move it gives only
+the reason decide states, not decide's whole PolicyDecision. The built-in
+policies answer every instant where the market is defined and the held VM
+is a candidate, exactly as decide would; a table and decide share the text
+of the move reason. All accounting and trace bookkeeping lives in the
 simulator.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -237,16 +239,15 @@ class DecisionTable:
     """decide's answers at each instant of a MarketBlock, asked with one VM
     held at one utilization. answers[k] is STAY where decide stays, the row
     of the candidate it moves to, or ASK where the simulator must ask decide
-    itself. decision(k) is the PolicyDecision that decide returns at an
-    instant not answered ASK, scores and reason included, built only when
-    called."""
+    itself. reason(k) is the reason decide states for the move at an
+    instant answered with a row, and is called only there."""
 
     answers: np.ndarray
-    decision: Callable[[int], PolicyDecision]
+    reason: Callable[[int], str]
 
 
-def _unanswered(k: int) -> PolicyDecision:
-    raise ValueError(f"instant {k} is answered ASK")
+def _no_move(k: int) -> str:
+    raise ValueError(f"instant {k} is answered with no move")
 
 
 def _lowest(scores: dict[str, float]) -> str:
@@ -289,21 +290,11 @@ def _held(block: MarketBlock, current: str) -> tuple[int, np.ndarray, np.ndarray
     return i, block.ok & live[i], live
 
 
-def _table(answered: np.ndarray, moves: np.ndarray, target, decision) -> DecisionTable:
+def _table(answered: np.ndarray, moves: np.ndarray, target, reason) -> DecisionTable:
     """The DecisionTable that answers ASK outside `answered`, and elsewhere
-    moves to row `target` where `moves` holds and stays where it does not."""
-    return DecisionTable(np.where(answered, np.where(moves, target, STAY), ASK), decision)
-
-
-def _scores_at(block: MarketBlock, scores: np.ndarray, k: int) -> tuple:
-    """decide's scores at instant k: the (id, score) of each candidate in
-    the context, from column k of scores."""
-    dropped = block.over[:, k].tolist()
-    return tuple(
-        (spec.id, score)
-        for spec, out, score in zip(block.specs, dropped, scores[:, k].tolist())
-        if not out
-    )
+    moves to row `target` for `reason` where `moves` holds and stays where
+    it does not."""
+    return DecisionTable(np.where(answered, np.where(moves, target, STAY), ASK), reason)
 
 
 class Policy:
@@ -326,10 +317,10 @@ class Policy:
         """decide's DecisionTable over the block's instants, asked with
         current held and the given utilization. The simulator asks decide
         only where the table answers ASK, so every other answer must be
-        decide's own, and an instant where the market is undefined or
-        current is left out must be answered ASK. This default answers ASK
-        everywhere."""
-        return DecisionTable(np.full(len(block), ASK), _unanswered)
+        decide's own, and so must reason(k) at an instant answered with a
+        row; an instant where the market is undefined or current is left
+        out must be answered ASK. This default answers ASK everywhere."""
+        return DecisionTable(np.full(len(block), ASK), _no_move)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -348,7 +339,7 @@ class StaticPolicy(Policy):
         return self._STAY
 
     def decisions(self, block, current, cpu_used, mem_used):
-        return _table(_held(block, current)[1], False, STAY, lambda k: self._STAY)
+        return _table(_held(block, current)[1], False, STAY, _no_move)
 
 
 class CostCentricPolicy(Policy):
@@ -363,17 +354,8 @@ class CostCentricPolicy(Policy):
         return {c.spec.id: ctx.utilized(c, c.price) for c in ctx.candidates}
 
     @staticmethod
-    def _decision(scores: tuple, current: str, best: str, saving: float, cost: float):
-        if best == current:
-            return PolicyDecision(PolicyDecision.STAY, reason="already cheapest", scores=scores)
-        if saving > cost:
-            return PolicyDecision(
-                PolicyDecision.MIGRATE,
-                target=best,
-                reason=f"saving {saving:.6g} beats move cost {cost:.6g}",
-                scores=scores,
-            )
-        return PolicyDecision(PolicyDecision.STAY, reason="saving below move cost", scores=scores)
+    def _moving(saving: float, cost: float) -> str:
+        return f"saving {saving:.6g} beats move cost {cost:.6g}"
 
     def select(self, ctx: PolicyContext) -> str:
         return _lowest(self._scores(ctx))
@@ -384,7 +366,13 @@ class CostCentricPolicy(Policy):
         best = ctx.view(_lowest(score))
         saving = (current.price - best.price) * ctx.horizon / 3600.0
         cost = migration_loss(current.price, best.price, ctx.migration_seconds)
-        return self._decision(tuple(score.items()), current.spec.id, best.spec.id, saving, cost)
+        scores = tuple(score.items())
+        if best is current:
+            return PolicyDecision(PolicyDecision.STAY, reason="already cheapest", scores=scores)
+        if saving > cost:
+            reason = self._moving(saving, cost)
+            return PolicyDecision(PolicyDecision.MIGRATE, best.spec.id, reason, scores)
+        return PolicyDecision(PolicyDecision.STAY, reason="saving below move cost", scores=scores)
 
     def decisions(self, block, current, cpu_used, mem_used):
         i, held, live = _held(block, current)
@@ -394,14 +382,12 @@ class CostCentricPolicy(Policy):
         best_price = np.take_along_axis(price, best[None], axis=0)[0]
         saving = (price[i] - best_price) * block.horizon / 3600.0
         cost = migration_loss(price[i], best_price, block.migration_seconds)
-
-        def decision(k):
-            scores = _scores_at(block, score, k)
-            best_id = block.specs[best[k]].id
-            return self._decision(scores, current, best_id, float(saving[k]), float(cost[k]))
-
         moves = (best != i) & (saving > cost)
-        return _table(held & ~_unsure(score, live), moves, best, decision)
+
+        def reason(k):
+            return self._moving(saving.item(k), cost.item(k))
+
+        return _table(held & ~_unsure(score, live), moves, best, reason)
 
 
 class AvailabilityAwarePolicy(Policy):
@@ -410,6 +396,7 @@ class AvailabilityAwarePolicy(Policy):
     is at or below the reference."""
 
     name = "avail"
+    _MOVING = "current above index, moving to lowest volatility"
 
     @staticmethod
     def _calmest(ctx: PolicyContext) -> tuple[str, dict[str, float]]:
@@ -422,54 +409,35 @@ class AvailabilityAwarePolicy(Policy):
         }
         return _lowest(below or sigma), sigma
 
-    @staticmethod
-    def _decision(scores: tuple, current: str, target: str, at_or_below: bool):
-        if at_or_below:
-            return PolicyDecision(PolicyDecision.STAY, reason="at or below index", scores=scores)
-        if target == current:
-            return PolicyDecision(
-                PolicyDecision.STAY, reason="no candidate below index", scores=scores
-            )
-        return PolicyDecision(
-            PolicyDecision.MIGRATE,
-            target=target,
-            reason="current above index, moving to lowest volatility",
-            scores=scores,
-        )
-
     def select(self, ctx: PolicyContext) -> str:
         return self._calmest(ctx)[0]
 
     def decide(self, ctx: PolicyContext) -> PolicyDecision:
         at_or_below = ctx.view(ctx.current).normalized() <= ctx.index_reference
         target, sigma = self._calmest(ctx)
-        return self._decision(tuple(sigma.items()), ctx.current, target, at_or_below)
+        scores = tuple(sigma.items())
+        if at_or_below:
+            return PolicyDecision(PolicyDecision.STAY, reason="at or below index", scores=scores)
+        if target == ctx.current:
+            return PolicyDecision(
+                PolicyDecision.STAY, reason="no candidate below index", scores=scores
+            )
+        return PolicyDecision(PolicyDecision.MIGRATE, target, self._MOVING, scores)
 
     def decisions(self, block, current, cpu_used, mem_used):
-        # the window moments are read only where current is not at or below
-        # the index, the one branch that reads the sigmas
+        # the window moments are read only where current is above the
+        # index, the one branch that reads the sigmas
         i, held, live = _held(block, current)
         normalized = block.normalized()
         reference = block.index_reference
-        at_or_below = normalized[i] <= reference
-
-        @cache
-        def calmest():
-            sigma = block.utilized(block.stds, cpu_used, mem_used)
-            below = live & (normalized < reference)
-            return sigma, _lowest_rows(sigma, np.where(below.any(axis=0), below, live))
-
-        def decision(k):
-            sigma, target = calmest()
-            scores = _scores_at(block, sigma, k)
-            return self._decision(scores, current, block.specs[target[k]].id, bool(at_or_below[k]))
-
-        above = held & ~at_or_below
+        above = held & ~(normalized[i] <= reference)
         if not above.any():
-            return _table(held, False, STAY, decision)
-        sigma, target = calmest()
+            return _table(held, False, STAY, _no_move)
+        sigma = block.utilized(block.stds, cpu_used, mem_used)
+        below = live & (normalized < reference)
+        target = _lowest_rows(sigma, np.where(below.any(axis=0), below, live))
         answered = held & ~(above & _unsure(sigma, live))
-        return _table(answered, above & (target != i), target, decision)
+        return _table(answered, above & (target != i), target, lambda k: self._MOVING)
 
 
 class BalancedPolicy(Policy):
@@ -479,6 +447,7 @@ class BalancedPolicy(Policy):
     drops that gate and migrates on score alone."""
 
     name = "balanced"
+    _MOVING = "better score and index covers the move"
 
     def __init__(self, target_rule: str = "sharpe", sufficiency: str = "eq5"):
         if target_rule not in ("sharpe", "first_feasible"):
@@ -497,18 +466,6 @@ class BalancedPolicy(Policy):
             for c in ctx.candidates
         }
 
-    @staticmethod
-    def _decision(scores: tuple, target: str | None, why: str) -> PolicyDecision:
-        """A move to target, or where that is None a stay for the reason why."""
-        if target is None:
-            return PolicyDecision(PolicyDecision.STAY, reason=why, scores=scores)
-        return PolicyDecision(
-            PolicyDecision.MIGRATE,
-            target=target,
-            reason="better score and index covers the move",
-            scores=scores,
-        )
-
     def select(self, ctx: PolicyContext) -> str:
         return _highest(self._scores(ctx))
 
@@ -518,9 +475,9 @@ class BalancedPolicy(Policy):
         scores = tuple(others.items())
         current_score = others.pop(current.spec.id)
         if not others:
-            return self._decision(scores, None, "no alternative")
+            return PolicyDecision(PolicyDecision.STAY, reason="no alternative", scores=scores)
         if current_score >= max(others.values()) - TIE_TOLERANCE:
-            return self._decision(scores, None, "score already best")
+            return PolicyDecision(PolicyDecision.STAY, reason="score already best", scores=scores)
         if self.target_rule == "sharpe":
             pool = [_highest(others)]
         else:
@@ -529,8 +486,8 @@ class BalancedPolicy(Policy):
             if self.sufficiency == "off" or should_migrate(
                 ctx.index_now, current.normalized(), ctx.view(vm).normalized()
             ):
-                return self._decision(scores, vm, "")
-        return self._decision(scores, None, "sufficiency condition")
+                return PolicyDecision(PolicyDecision.MIGRATE, vm, self._MOVING, scores)
+        return PolicyDecision(PolicyDecision.STAY, reason="sufficiency condition", scores=scores)
 
     def decisions(self, block, current, cpu_used, mem_used):
         i, held, live = _held(block, current)
@@ -553,18 +510,7 @@ class BalancedPolicy(Policy):
             feasible = others & (score > score[i] + TIE_TOLERANCE) & gate
             target, passes = feasible.argmax(axis=0), feasible.any(axis=0)
         moves = ~alone & ~already & passes
-
-        def decision(k):
-            scores = _scores_at(block, score, k)
-            if moves[k]:
-                return self._decision(scores, block.specs[target[k]].id, "")
-            if alone[k]:
-                return self._decision(scores, None, "no alternative")
-            if already[k]:
-                return self._decision(scores, None, "score already best")
-            return self._decision(scores, None, "sufficiency condition")
-
-        return _table(held & ~_unsure(score, live), moves, target, decision)
+        return _table(held & ~_unsure(score, live), moves, target, lambda k: self._MOVING)
 
     def __repr__(self):
         return (

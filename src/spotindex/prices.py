@@ -304,6 +304,8 @@ def _parse_timestamp(value, source, line) -> int:
 
 
 def _parse_price(value, source, line) -> float:
+    if isinstance(value, bool):
+        raise ParseError(f"bad price {value!r}", source, line, "price")
     try:
         price = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -374,15 +376,18 @@ def _timestamps(values, source, lines):
 
 def _prices(values, source, lines):
     """Prices for a column of raw prices, and _scalar's result: float() over
-    the column and one finite and >= 0 check; _parse_price takes over from
-    the first value that fails either."""
+    the column, one finite and >= 0 check, and a bool check of the values
+    read as 0.0 or 1.0, as float() reads a bool; _parse_price takes over
+    from the first value that fails one."""
     try:
         prices = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
     except (TypeError, ValueError, OverflowError):
         prices, start = np.zeros(len(values)), 0
     else:
-        bad = np.flatnonzero(~(np.isfinite(prices) & (prices >= 0)))
-        start = int(bad[0]) if bad.size else len(values)
+        bad = ~(np.isfinite(prices) & (prices >= 0))
+        for i in np.flatnonzero((prices == 0) | (prices == 1)).tolist():
+            bad[i] |= type(values[i]) is bool
+        start = int(bad.argmax()) if bad.any() else len(values)
     return prices, _scalar(_parse_price, values, range(start, len(values)), prices, source, lines)
 
 

@@ -12,7 +12,8 @@ repeated, so a migration is stepped where it starts and where it ends.
 Reports are the same as a one-second loop would give.
 
 At an epoch tick, each working task's decision is read from the policy's
-DecisionTable for its VM and phase over the epoch table (_Engine._move_at),
+DecisionTable for its VM and phase over the epoch table (_Engine._move_at):
+a move's target from its answer and its reason from the table's reason(k),
 and decide is asked only where the table answers ASK. _Engine._ask is the
 one path from an instant to a policy call, and keeps only its last answer,
 which the tasks that ask with an equal context at one instant share; so an
@@ -368,10 +369,16 @@ class _Engine:
             job.requirement.min_cpu,
             job.requirement.min_mem,
         )
-        self.forced = sorted(forced_migrations or [], key=lambda f: (f[0], f[1]))
         candidate_ids = {s.id for s in specs}
-        for entry in self.forced:
+        forced = []
+        for entry in forced_migrations or []:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise SimulationError(f"forced migration {entry!r} is not a (t, task, vm) triple")
             t, idx, target = entry
+            try:
+                t, idx = exact(int, t, "t"), exact(int, idx, "task")
+            except InvariantError as exc:
+                raise SimulationError(f"forced migration {entry!r}: {exc}") from None
             if t < 0:
                 raise SimulationError(f"forced migration {entry!r} has a negative time")
             if not 0 <= idx < job.tasks:
@@ -379,8 +386,10 @@ class _Engine:
                     f"forced migration {entry!r} names task {idx}, "
                     f"but the job's tasks are 0..{job.tasks - 1}"
                 )
-            if target not in candidate_ids:
+            if not isinstance(target, str) or target not in candidate_ids:
                 raise SimulationError(f"forced migration target {target!r} not a candidate")
+            forced.append((t, idx, target))
+        self.forced = sorted(forced, key=lambda f: (f[0], f[1]))
         self.tasks = [_Task(i) for i in range(job.tasks)]
         self.bsp = job.kind == BSP
         self.events: list[dict] = []
@@ -388,8 +397,8 @@ class _Engine:
         self._table = ()
         self._table_first = 0
         # per (vm, cpu, mem): the policy's decision table over the epoch
-        # table, its answers, per tick index the first from it on that is
-        # not answered STAY, and its moves read so far (_decisions_of)
+        # table, its answers, and per tick index the first from it on that
+        # is not answered STAY (_decisions_of)
         self._decisions = {}
         # the last ask's key and answer (_ask)
         self._asked = None
@@ -733,8 +742,7 @@ class _Engine:
         """The policy's decision table over the epoch table, holding vm at
         this cpu and mem; its answers as a list; per index k of the epoch
         table, and one past its end, the first index from k on that it does
-        not answer STAY; and a dict of the moves _move_at has read from it,
-        by index. Computed once per table."""
+        not answer STAY. Computed once per table."""
         key = (vm, cpu, mem)
         found = self._decisions.get(key)
         if found is None:
@@ -753,7 +761,7 @@ class _Engine:
             indices = np.arange(count + 1)
             indices[:count][answers == STAY] = count
             until = np.minimum.accumulate(indices[::-1])[::-1].tolist()
-            found = self._decisions[key] = (table, answers.tolist(), until, {})
+            found = self._decisions[key] = (table, answers.tolist(), until)
         return found
 
     def _next_decision(self, t: int, flags: list) -> int:
@@ -831,27 +839,24 @@ class _Engine:
     def _move_at(self, t: int, task: _Task):
         """(target, reason) of the move that task's decision at epoch tick t
         makes, or None where it stays: read from task's decision table, and
-        asked of the policy (_asked_move) only where that answers ASK. The
-        tasks that read one table at one tick, a BSP gang among them, share
-        one move, and so one decision(k). A move to a candidate left out of
-        the market at t ends the run as _ask ends it for such a pick."""
+        asked of the policy (_asked_move) only where that answers ASK. A
+        move's reason is the table's reason(k), asked only for a move. A
+        move to a candidate left out of the market at t ends the run as
+        _ask ends it for such a pick."""
         table, k = self._epoch_table(t)
         phase = self.job.phase_at(task.work)
-        decisions, answers, _, moves = self._decisions_of(task.vm, phase.cpu, phase.mem)
+        decisions, answers, _ = self._decisions_of(task.vm, phase.cpu, phase.mem)
         row = answers[k]
         if row == STAY:
             return None
         if row == ASK:
             return self._asked_move(t, task)
-        move = moves.get(k)
-        if move is None:
-            if not table.ok[k]:
-                self._raise_undefined(t)
-            pick = table.specs[row].id
-            if table.over[row, k]:
-                raise self._not_a_candidate(pick, t, task)
-            move = moves[k] = pick, decisions.decision(k).reason
-        return move
+        if not table.ok[k]:
+            self._raise_undefined(t)
+        pick = table.specs[row].id
+        if table.over[row, k]:
+            raise self._not_a_candidate(pick, t, task)
+        return pick, decisions.reason(k)
 
     def _asked_move(self, t: int, task: _Task):
         """_move_at, from the policy's decide asked on task's context."""
@@ -1005,7 +1010,8 @@ def run_simulation(
 
     `policy` may be a Policy instance or a registry name. forced_migrations
     is a list of (t, task_index, target_vm_id) the engine executes
-    unconditionally, for experiments that script a move; each target must be
+    unconditionally, for experiments that script a move; each entry must be
+    a 3-item list or tuple of whole-number t and task_index, and each target
     a candidate, which is checked before the run starts. At its time the
     task must be working and the target not over max_price or on the cap,
     and the run must not end before it; otherwise the run raises

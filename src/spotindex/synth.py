@@ -81,7 +81,8 @@ def _exact_moments(values: np.ndarray, mean: float, std: float) -> np.ndarray:
 
 def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, salt: int = 0) -> PriceTrace:
     """One uniform i.i.d. price per change_period on [start, start + duration),
-    built straight from its int64 timestamp and float64 price arrays.
+    a span that must fit in int64 seconds, built straight from its int64
+    timestamp and float64 price arrays.
 
     Draws are uniform on mean +/- stddev * sqrt(3) * volatility_scale; with
     enforce_sample_moments the samples are affinely rescaled so the realized
@@ -93,6 +94,10 @@ def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, sa
     # range() rejects a start, duration or period that is not an integer,
     # which np.arange would truncate
     grid = range(start, start + spec.duration, spec.change_period)
+    if grid.start < -(2**63) or grid.stop > 2**63:
+        raise InvariantError(
+            f"market {spec.vm_id!r}: span [{grid.start}, {grid.stop}) does not fit in int64 seconds"
+        )
     stamps = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
     rng = _market_rng(seed, spec.vm_id, salt)
     values = rng.uniform(spec.mean - spec.half_width, spec.mean + spec.half_width, len(stamps))

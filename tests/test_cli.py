@@ -229,6 +229,18 @@ def test_synth_spec_that_holds_no_list_names_the_file(workspace, spec, caplog):
     assert f"market spec {spec_path} must hold a list of markets" in caplog.messages
 
 
+@pytest.mark.parametrize("start", [2**63 - 800, 2**63 - 1])
+def test_synth_span_past_int64_exits_1(workspace, start, caplog):
+    # the first start wrote timestamps that wrapped around to negative ones,
+    # the second ended in a raw OverflowError
+    out = workspace / "out"
+    assert run(["synth", "--spec", workspace / "markets.json", "--start", start, "--out", out]) == 1
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith(f"market spec {workspace / 'markets.json'}: market ")
+    assert message.endswith(f"span [{start}, {start + 3600}) does not fit in int64 seconds")
+    assert not out.exists()
+
+
 def test_index_misspelled_member_is_domain_error(workspace):
     traces = workspace / "traces"
     run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])

@@ -368,6 +368,38 @@ def test_forced_migration_the_run_never_reaches_is_rejected(runner, tasks):
         )
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ((60.5, 0, "c4.2xlarge"), r"^forced migration \(60\.5, 0, 'c4\.2xlarge'\): t must be int, got 60\.5$"),
+        (("60", 0, "c4.2xlarge"), r"^forced migration \('60', 0, 'c4\.2xlarge'\): t must be int, got '60'$"),
+        ((60, True, "c4.2xlarge"), r"^forced migration \(60, True, 'c4\.2xlarge'\): task must be int, got True$"),
+        ((60, 0), r"^forced migration \(60, 0\) is not a \(t, task, vm\) triple$"),
+        ("60 0 x", r"^forced migration '60 0 x' is not a \(t, task, vm\) triple$"),
+        ((60, 0, ["c4.2xlarge"]), r"^forced migration target \['c4\.2xlarge'\] not a candidate$"),
+    ],
+    ids=["fraction-t", "text-t", "bool-task", "two-items", "text", "list-target"],
+)
+def test_forced_migration_entry_is_checked(entry, message):
+    # each of these ended in a raw TypeError or ValueError, or ran a bool
+    # as task 0 or 1
+    with pytest.raises(SimulationError, match=message):
+        run_simulation(
+            baseline_job(), "static", traces_for(0), CATALOG, COMPOSITION,
+            params=study_params(), forced_migrations=[entry],
+        )
+
+
+def test_forced_migration_at_a_whole_float_time_is_an_int():
+    report = run_simulation(
+        baseline_job(), "static", traces_for(0), CATALOG, COMPOSITION,
+        params=study_params(), forced_migrations=[[60.0, 0.0, "r4.xlarge"]],
+    )
+    [migrate] = [event for event in report.events if event["event"] == "migrate"]
+    assert (migrate["t"], migrate["task"]) == (60, 0)
+    assert type(migrate["t"]) is int and type(migrate["task"]) is int
+
+
 @pytest.mark.parametrize("idx", [1, -1])
 def test_forced_migration_task_out_of_range_rejected(idx):
     with pytest.raises(SimulationError, match=f"names task {idx}"):
@@ -538,8 +570,7 @@ class Choosing(Policy):
         if self.asked != "table":
             return super().decisions(block, current, cpu_used, mem_used)
         row = [spec.id for spec in block.specs].index(self.pick)
-        told = PolicyDecision(PolicyDecision.MIGRATE, self.pick, reason="told")
-        return DecisionTable(np.full(len(block), row), lambda k: told)
+        return DecisionTable(np.full(len(block), row), lambda k: "told")
 
 
 @pytest.mark.parametrize("runner", [run_simulation, run_per_second])

@@ -74,6 +74,31 @@ def test_a_grid_that_is_not_whole_seconds_is_rejected(spec, start):
         generate(spec, start=start)
 
 
+@pytest.mark.parametrize(
+    "start, warmup, span",
+    [
+        (2**63 - 1000, 0, [2**63 - 1000, 2**63 + 2600]),
+        (2**63 - 1, 0, [2**63 - 1, 2**63 + 3599]),
+        (-(2**63), 60, [-(2**63) - 60, -(2**63)]),
+    ],
+)
+def test_a_span_past_int64_is_rejected(start, warmup, span):
+    # its timestamps wrapped around, or np.arange raised OverflowError
+    message = rf"^market 'a': span \[{span[0]}, {span[1]}\) does not fit in int64 seconds$"
+    spec = SynthMarketSpec("a", 4.0, 0.5)
+    with pytest.raises(InvariantError, match=message):
+        generate_with_warmup(spec, start=start, warmup=warmup)
+    if not warmup:
+        with pytest.raises(InvariantError, match=message):
+            generate(spec, start=start)
+
+
+def test_a_span_to_the_ends_of_int64_is_generated():
+    spec = SynthMarketSpec("a", 4.0, 0.5)
+    assert generate(spec, start=2**63 - 3600).timestamps[-1] == 2**63 - 60
+    assert generate_with_warmup(spec, start=-(2**63) + 60, warmup=60).first_ts == -(2**63)
+
+
 def test_exact_sample_moments():
     for seed in range(30):
         trace = generate(spec_of(mean=6.5, stddev=1.0), seed=seed)

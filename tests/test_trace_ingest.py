@@ -83,7 +83,8 @@ GOOD_PRICES = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, 3, "1.5"]),
     st.floats(0, 100, allow_nan=False),
 )
-# True is a price of 1.0 in JSON, and not a number in a CSV file
+# True is no price: not in JSON, where float() would read it as 1.0, and
+# not as the text of a CSV cell
 BAD_PRICES = st.sampled_from([-1.0, float("inf"), float("nan"), "cheap", "-inf", None, True])
 KNOWN = st.sampled_from(
     [
@@ -360,12 +361,11 @@ def meaning(key: str, value, suffix: str):
     read = number(value)
     if read is None:
         return None
+    if isinstance(read, bool):
+        return None  # a JSON true or false is neither a timestamp nor a price
     if key == "timestamp":
-        if isinstance(read, bool):
-            return None
         whole = not isinstance(read, float) or (math.isfinite(read) and read == int(read))
         return int(read) if whole and -(2**63) <= read < 2**63 else None
-    # True is a price of 1.0 in JSON (BAD_PRICES above)
     price = float(read) if abs(read) < 2**1024 else math.inf
     return price if math.isfinite(price) and price >= 0 else None
 
@@ -446,3 +446,19 @@ def test_ingest_names_a_hostile_json_lines_value_or_reads_what_it_means(edit):
 @given(hostile_trace_edits())
 def test_ingest_names_a_hostile_csv_value_or_reads_what_it_means(edit):
     check_hostile_trace_value("csv", *edit)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_ingest_rejects_a_bool_price(tmp_path, value):
+    # a bool is no price, as it is no timestamp; float() reads a JSON true
+    # as 1.0 without error, so the bulk price reader must look for it
+    records = [dict(record) for record in VALID_RECORDS]
+    records[1]["price"] = value
+    text = "".join(json.dumps(record) + "\n" for record in records)
+    (tmp_path / "catalog.csv").write_text(CATALOG_CSV)
+    code, messages, written, raw = ingest_outcome(tmp_path, text, "jsonl", "out")
+    expected = f"{raw}: line 2: field 'price': bad price {value}"
+    assert (code, messages, written) == (1, [expected], {})
+    for ingest in (ingest_traces, trace_oracle.ingest_files):
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            ingest([raw], CATALOG, "warn")
