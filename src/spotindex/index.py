@@ -8,7 +8,7 @@ import numpy as np
 
 from .catalog import VmSpec
 from .errors import CoverageError, GapError, OutOfRangeError, finite
-from .prices import fold_sum, is_capped, left_sum, step_slice, step_values, trailing_means, window_sums
+from .prices import fold_sum, is_capped, left_sum, step_slice, window_sums
 
 DEFAULT_PERIOD = 300
 
@@ -170,7 +170,8 @@ class IndexCurve:
     Breakpoints are the union of member price-change instants; between
     breakpoints every member price is constant, so the index is too. Members
     whose price sits on the provider cap are left out of both the mean and
-    the member count at that step.
+    the member count at that step. values[i] is the index on the step from
+    timestamps[i], NaN where it has no live member.
     """
 
     def __init__(self, traces, catalog, composition):
@@ -195,8 +196,10 @@ class IndexCurve:
             np.maximum(self._high, normalized, out=self._high, where=live)
         self.timestamps = stamps
         self._counts = counts
+        # how many steps before each step have no live member
+        self._gaps = np.concatenate(([0], np.cumsum(counts == 0)))
         with np.errstate(invalid="ignore", divide="ignore"):
-            self._values = np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
+            self.values = np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
 
     def _before_start(self, t: int) -> OutOfRangeError:
         return OutOfRangeError(f"index curve starts at {self.start}, asked for {t}")
@@ -211,13 +214,13 @@ class IndexCurve:
         return idx
 
     def value_at(self, t: int) -> float:
-        return float(self._values[self._step(t)])
+        return float(self.values[self._step(t)])
 
     def sample_at(self, t: int) -> IndexSample:
         idx = self._step(t)
         return IndexSample(
             t,
-            float(self._values[idx]),
+            float(self.values[idx]),
             float(self._low[idx]),
             float(self._high[idx]),
             int(self._counts[idx]),
@@ -233,7 +236,7 @@ class IndexCurve:
         for t, ok, value, low, high, n in zip(
             stamps.tolist(),
             live.tolist(),
-            self._values[idx].tolist(),
+            self.values[idx].tolist(),
             self._low[idx].tolist(),
             self._high[idx].tolist(),
             self._counts[idx].tolist(),
@@ -255,14 +258,14 @@ class IndexCurve:
         if gaps.size:
             at = max(t0, int(self.timestamps[span.start + int(gaps[0])]))
             raise GapError(f"no effective composition members at {at}")
-        return left_sum(widths * self._values[span])
+        return left_sum(widths * self.values[span])
 
     def integrals(self, t0, t1) -> np.ndarray:
         """integrate over every window [t0[i], t1[i]) with start <= t0[i] <
         t1[i], as floats, bit for bit where it is defined, and NaN where it
         raises GapError: a step with no live member holds NaN, and a
         window's sum adds each of its steps' values times a positive width."""
-        return window_sums(self.timestamps, self._values, t0, t1)
+        return window_sums(self.timestamps, self.values, t0, t1)
 
     def window_mean(self, t: int, window: int) -> float:
         """Time-weighted mean over [t - window, t), clipped to curve start."""
@@ -271,14 +274,18 @@ class IndexCurve:
             return self.value_at(t)
         return self.integrate(t0, t) / (t - t0)
 
-    def window_means(self, ticks, window: int) -> tuple[np.ndarray, np.ndarray]:
-        """value_at and window_mean at every tick from the curve start on,
-        bit for bit where they are defined, and NaN where they raise
-        GapError: a step with no live member holds NaN, and a window's sum
-        adds each of its steps' values times a positive width. Before the
-        curve start a value means nothing."""
-        t1, now = step_values(self.timestamps, self._values, self.start, ticks)
-        return now, trailing_means(self.timestamps, self._values, self.start, t1, window, now)
+    def window_defined(self, t1, window: int) -> np.ndarray:
+        """Whether the trailing window [t1 - window, t1) of each of t1,
+        ticks clipped to the curve start as step_values clips them, holds
+        no step with no live member, once clipped to the start: counted, by
+        two lookups in a prefix count, not summed. Where value_at(t1) is
+        defined, window_mean(t1, window) is defined exactly where this
+        holds: a step with no live member holds NaN, and a mean over a
+        window adds each of its steps' values, each at least 0 or NaN,
+        times a positive width."""
+        t0 = np.maximum(t1 - window, self.start)
+        lo = self.timestamps.searchsorted(t0, side="right") - 1
+        return self._gaps[self.timestamps.searchsorted(t1)] == self._gaps[lo]
 
 
 # (key, curve) of the last index_curve build
@@ -305,7 +312,8 @@ def index_curve(traces, catalog, composition) -> IndexCurve:
     last_key, curve = _last_curve
     if key != last_key:
         curve = IndexCurve(traces, catalog, composition)
-        for values in (curve.timestamps, curve._counts, curve._values, curve._low, curve._high):
+        arrays = (curve.timestamps, curve._counts, curve._gaps, curve.values, curve._low, curve._high)
+        for values in arrays:
             values.setflags(write=False)
         _last_curve = key, curve
     return curve

@@ -151,23 +151,32 @@ class MarketBlock:
     marks where a candidate is left out of the context's candidates (over
     max_price or, when caps count as revocations, on the cap), and `ok`
     where the market is defined at all; elsewhere the arrays mean nothing.
-    `means` and `stds`, the candidates' trailing-window mean and std
-    prices, are computed for every instant at once by `window_moments` on
-    the first read of either, by a policy or through a view of `market`; a
-    block whose moments nothing reads never computes them. window_moments
-    must not refer to what holds the block, such as the simulator's engine,
-    or the two form a reference cycle."""
+    Three arrays are computed for every instant at once on their first
+    read, by a policy or through `market`, and never where nothing reads
+    them: `index_reference`, which is `index_now` or, where
+    `window_reference` is given, what it returns, the index's
+    trailing-window means; and `means` and `stds`, the candidates'
+    trailing-window mean and std prices, both from one call of
+    `window_moments`. Neither callable may refer to what holds the block,
+    such as the simulator's engine, or the two form a reference cycle."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
     index_now: np.ndarray
-    index_reference: np.ndarray
+    # returns index_reference; None where that is index_now
+    window_reference: Callable[[], np.ndarray] | None
     prices: np.ndarray
     over: np.ndarray
     # returns (means, stds)
     window_moments: Callable[[], tuple[np.ndarray, np.ndarray]]
     horizon: int
     migration_seconds: float
+
+    @cached_property
+    def index_reference(self) -> np.ndarray:
+        if self.window_reference is None:
+            return self.index_now
+        return self.window_reference()
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +197,8 @@ class MarketBlock:
         """(views, index_now, index_reference) at instant k, what a
         PolicyContext takes from the market, or None where it is undefined.
         Each view reads its moments from cell (row, k) of the block on first
-        use."""
+        use; the reference is read here, so a context's market computes the
+        block's index_reference."""
         if not self.ok[k]:
             return None
         views = []

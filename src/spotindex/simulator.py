@@ -13,16 +13,20 @@ Reports are the same as a one-second loop would give.
 
 At an epoch tick, each working task's decision is read from the policy's
 DecisionTable for its VM and phase over the epoch table (_Engine._move_at):
-a move's target from its answer and its reason from the table's reason(k),
-and decide is asked only where the table answers ASK. _Engine._ask is the
+a move's target from its answer, its reason from the table's reason(k) and
+the prices and index it is logged at from the table's column k, and decide
+is asked only where the table answers ASK. _Engine._ask is the
 one path from an instant to a policy call, and keeps only its last answer,
 which the tasks that ask with an equal context at one instant share; so an
 answer must depend on its context alone. The market the policies see is
 built by one vectorized rule (_Engine._block), with one leave-out rule
 (_Engine._dropped): for a block of epoch ticks at a time (_Engine._epoch_table),
 or for one instant off the epoch grid (see _Engine._market), and no market
-is kept. A block computes its candidates' window moments, for all its ticks,
-only when a policy first reads one (_window_moments). The one-second
+is kept. A block computes its candidates' window moments (_window_moments)
+and, under the "window" reference, the index's window means, each for all
+its ticks, only when first read: a policy's table or a context's market
+reads them. Its mask counts the index's gap steps in each window
+(IndexCurve.window_defined) and sums none. The one-second
 reference in tests/reference_engine.py is this engine with the slow form of
 each shortcut: _next_instant, which also stands for the STAY answers and
 the crossings, _works_now, _market, which it computes with its own scalar
@@ -370,8 +374,17 @@ class _Engine:
             job.requirement.min_mem,
         )
         candidate_ids = {s.id for s in specs}
+        # per candidate id: its row in a market block
+        self._rows = {spec.id: row for row, spec in enumerate(specs)}
+        if forced_migrations is None:
+            forced_migrations = ()
+        elif not isinstance(forced_migrations, (list, tuple)):
+            raise SimulationError(
+                f"forced migrations must be a list or tuple of (t, task, vm) triples, "
+                f"got {forced_migrations!r}"
+            )
         forced = []
-        for entry in forced_migrations or []:
+        for entry in forced_migrations:
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise SimulationError(f"forced migration {entry!r} is not a (t, task, vm) triple")
             t, idx, target = entry
@@ -455,28 +468,33 @@ class _Engine:
         policy's decision table reads and whose row k becomes a context's
         market only when _market reads it (MarketBlock.market). The market is
         undefined (ok is False) before the index or a candidate's trace
-        starts, or where the index the reference mode reads is NaN, which a
-        step with no live member holds. `over` marks the candidates over
-        max_price or, under treat_cap_as_revocation, on the cap. The
-        candidates' window moments are left to _window_moments, on the
-        block's first read of them."""
+        starts, or where the index the reference mode reads is undefined:
+        at a step with no live member, which holds NaN, and under "window"
+        over a window that holds such a step (IndexCurve.window_defined).
+        `over` marks the candidates over max_price or, under
+        treat_cap_as_revocation, on the cap. The candidates' window moments
+        are left to _window_moments and, under "window", the index's window
+        means to trailing_means, each on the block's first read of them."""
         window = self.params.sigma_window
-        index_now, index_mean = self.curve.window_means(ticks, window)
-        ok = (ticks >= self.curve.start) & ~np.isnan(index_now)
+        curve = self.curve
+        t1, index_now = step_values(curve.timestamps, curve.values, curve.start, ticks)
+        ok = (ticks >= curve.start) & ~np.isnan(index_now)
+        reference = None
         if self.params.index_reference == "window":
-            reference = index_mean
-            ok &= ~np.isnan(index_mean)
-        else:
-            reference = index_now
+            ok &= curve.window_defined(t1, window)
+            reference = partial(
+                trailing_means, curve.timestamps, curve.values, curve.start, t1, window, index_now
+            )
         traces = tuple(self.traces[spec.id] for spec in self.candidates)
         clipped, prices = [], []
         for trace in traces:
             ok &= ticks >= trace.first_ts
-            t1, price = step_values(trace.timestamps, trace.prices, trace.first_ts, ticks)
-            clipped.append(t1)
+            clip, price = step_values(trace.timestamps, trace.prices, trace.first_ts, ticks)
+            clipped.append(clip)
             prices.append(price)
         prices = np.array(prices)
         over = np.array([self._dropped(spec.id, row) for spec, row in zip(self.candidates, prices)])
+        # the partials hold no reference to the engine, which holds the block
         return MarketBlock(
             tuple(self.candidates),
             ok,
@@ -484,7 +502,6 @@ class _Engine:
             reference,
             prices,
             over,
-            # holds no reference to the engine, which holds the block
             partial(_window_moments, traces, clipped, window, prices),
             horizon=self.params.horizon,
             migration_seconds=float(self.t_m),
@@ -599,12 +616,18 @@ class _Engine:
         self._open_hold(task, vm, t, working)
         return vm
 
-    def _start_migration(self, task: _Task, t: int, target: str, reason: str, forced: bool):
+    def _start_migration(
+        self, task: _Task, t: int, target: str, reason: str, forced: bool, quote=None
+    ):
+        """Start task's move to target at t. quote is (the source's price,
+        the target's, the index) at t where the epoch table gave them, and
+        None where they are to be looked up."""
         src = task.vm
-        price_src = self._price(src, t)
-        price_dst = self._price(target, t)
+        if quote is None:
+            quote = self._price(src, t), self._price(target, t), self.curve.value_at(t)
+        price_src, price_dst, index_now = quote
         sufficiency_ok = should_migrate(
-            self.curve.value_at(t),
+            index_now,
             normalize(self.catalog[src], price_src),
             normalize(self.catalog[target], price_dst),
         )
@@ -832,17 +855,19 @@ class _Engine:
             for task, works in zip(self.tasks, self._flags())
             if works and (move := self._move_at(t, task)) is not None
         ]
-        for task, (target, reason) in moves:
+        for task, (target, reason, quote) in moves:
             if target != task.vm:
-                self._start_migration(task, t, target, reason=reason, forced=False)
+                self._start_migration(task, t, target, reason=reason, forced=False, quote=quote)
 
     def _move_at(self, t: int, task: _Task):
-        """(target, reason) of the move that task's decision at epoch tick t
-        makes, or None where it stays: read from task's decision table, and
-        asked of the policy (_asked_move) only where that answers ASK. A
-        move's reason is the table's reason(k), asked only for a move. A
-        move to a candidate left out of the market at t ends the run as
-        _ask ends it for such a pick."""
+        """(target, reason, quote) of the move that task's decision at epoch
+        tick t makes, or None where it stays: read from task's decision
+        table, and asked of the policy (_asked_move) only where that answers
+        ASK. A move's reason is the table's reason(k), asked only for a
+        move, and its quote for _start_migration is the table's prices of
+        the held VM and the target and its index at k. A move to a
+        candidate left out of the market at t ends the run as _ask ends it
+        for such a pick."""
         table, k = self._epoch_table(t)
         phase = self.job.phase_at(task.work)
         decisions, answers, _ = self._decisions_of(task.vm, phase.cpu, phase.mem)
@@ -856,13 +881,16 @@ class _Engine:
         pick = table.specs[row].id
         if table.over[row, k]:
             raise self._not_a_candidate(pick, t, task)
-        return pick, decisions.reason(k)
+        prices = table.prices
+        quote = prices.item(self._rows[task.vm], k), prices.item(row, k), table.index_now.item(k)
+        return pick, decisions.reason(k), quote
 
     def _asked_move(self, t: int, task: _Task):
-        """_move_at, from the policy's decide asked on task's context."""
+        """_move_at, from the policy's decide asked on task's context, with
+        no quote."""
         decision = self._ask(self.policy.decide, t, task, task.vm)
         if decision.action == PolicyDecision.MIGRATE:
-            return decision.target, decision.reason
+            return decision.target, decision.reason, None
         return None
 
     # one second
@@ -1009,13 +1037,13 @@ def run_simulation(
     """Run one job under one policy over the given traces.
 
     `policy` may be a Policy instance or a registry name. forced_migrations
-    is a list of (t, task_index, target_vm_id) the engine executes
-    unconditionally, for experiments that script a move; each entry must be
-    a 3-item list or tuple of whole-number t and task_index, and each target
-    a candidate, which is checked before the run starts. At its time the
-    task must be working and the target not over max_price or on the cap,
-    and the run must not end before it; otherwise the run raises
-    SimulationError. The run itself is
+    is None, for none, or a list or tuple of (t, task_index, target_vm_id)
+    the engine executes unconditionally, for experiments that script a
+    move; each entry must be a 3-item list or tuple of whole-number t and
+    task_index, and each target a candidate, which is checked before the
+    run starts. At its time the task must be working and the target not
+    over max_price or on the cap, and the run must not end before it;
+    otherwise the run raises SimulationError. The run itself is
     deterministic; `seed` only tags the report with the traces' provenance.
     """
     if isinstance(policy, str):

@@ -19,7 +19,10 @@ tests/test_simulator.py, whose VM the shock puts above the index. Last, it
 hashes the error, type and message, that replay and ledger_from_report
 give for each malformed event and each report key case of
 tests/test_simulator.py, so that a change to a reader shows which of its
-located messages it changed.
+located messages it changed; and the error of a run under each policy and
+index reference whose decision ticks step over an index gap, where the
+window reference's trailing window crosses it (window_gap_lines).
+
 Save the output of the old source tree, then run it on the new one with
 that file as its argument:
 
@@ -31,7 +34,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 3,322 lines in about 7 s on a 2-core Xeon VM.
+argument it prints every line: 3,330 lines in about 8 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -47,7 +50,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from spotindex import BalancedPolicy, ledger_from_report, replay, run_simulation  # noqa: E402
+from spotindex import (  # noqa: E402
+    BalancedPolicy,
+    PricePoint,
+    PriceTrace,
+    ledger_from_report,
+    replay,
+    run_simulation,
+)
 from spotindex.policies import POLICIES  # noqa: E402
 
 from conftest import COMPOSITION, build_catalog, study_params, traces_for  # noqa: E402
@@ -164,12 +174,36 @@ def battery_lines():
             yield from report_lines(report, traces, catalog, label)
 
 
-def error_text(reader, report, traces) -> str:
+def error_text(call, *args, **kwargs) -> str:
     try:
-        reader(report, traces, CATALOG)
+        call(*args, **kwargs)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return "no error"
+
+
+def window_gap_lines():
+    """The error of a run under each policy and index reference whose index
+    has a gap, every member on its cap over [1300, 1360), which its
+    decision ticks, 300 s apart, step over. Under "window", the trailing
+    window of tick 1500, [1330, 1500), crosses the gap, so the market mask
+    raises IndexCurve.integrate's GapError at 1330; under "instant", the
+    run ends in billing's GapError at 1300. max_price 1000 keeps a capped
+    VM held."""
+    catalog = build_catalog()
+    traces = {}
+    for vm, trace in traces_for(3).items():
+        cap = 10.0 * catalog[vm].on_demand_price
+        points = dict(zip(trace.timestamps.tolist(), trace.prices.tolist()))
+        points[1360] = trace.price_at(1360)
+        points.update({t: cap for t in [*points, 1300] if 1300 <= t < 1360})
+        traces[vm] = PriceTrace(vm, [PricePoint(t, p) for t, p in sorted(points.items())])
+    job = replace(VARIANTS["v1"], name="gap", max_price=1000.0)
+    for reference in ("window", "instant"):
+        params = replace(study_params(), epoch=300, sigma_window=170, index_reference=reference)
+        for name in sorted(POLICIES):
+            text = error_text(run_simulation, job, name, traces, catalog, COMPOSITION, params)
+            yield f"{sha(text)}  error window gap {name} {reference}"
 
 
 def error_lines():
@@ -177,13 +211,13 @@ def error_lines():
     for n, (kind, key, value) in enumerate(MALFORMED_EVENTS):
         edited, _ = edit_event(report, kind, key, value)
         for reader in BOTH_READERS:
-            yield f"{sha(error_text(reader, edited, traces))}  error event case {n} {reader.__name__}"
+            yield f"{sha(error_text(reader, edited, traces, CATALOG))}  error event case {n} {reader.__name__}"
     for (key, value, _, readers), name in zip(REPORT_KEY_CASES, REPORT_KEY_IDS):
         edited = {k: v for k, v in report.items() if k != key}
         if value is not ...:
             edited[key] = value
         for reader in readers:
-            yield f"{sha(error_text(reader, edited, traces))}  error report {name} {reader.__name__}"
+            yield f"{sha(error_text(reader, edited, traces, CATALOG))}  error report {name} {reader.__name__}"
 
 
 def output_lines():
@@ -197,6 +231,7 @@ def output_lines():
     yield from battery_lines()
     yield from moving_lines()
     yield from error_lines()
+    yield from window_gap_lines()
 
 
 def by_label(lines) -> dict:

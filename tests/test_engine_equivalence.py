@@ -887,7 +887,7 @@ def loop_window_stats(trace, t, window):
 
 def loop_integrate(curve, t0, t1):
     total = 0
-    for a, b, value, i in loop_steps(curve.timestamps, curve._values, t0, t1):
+    for a, b, value, i in loop_steps(curve.timestamps, curve.values, t0, t1):
         if curve._counts[i] == 0:
             raise GapError(f"no effective composition members at {a}")
         total += (b - a) * value
@@ -1030,7 +1030,7 @@ def test_slice_sums_match_loops_bit_for_bit(drawn):
     # with an empty and a reversed window at each drawn window's start
     windows = [*windows, *((a, a) for a, _ in windows), *((a, a - 1) for a, _ in windows)]
     check_window_sums(trace.timestamps, trace.prices, with_step_windows(trace.timestamps, windows))
-    check_window_sums(curve.timestamps, curve._values, with_step_windows(curve.timestamps, windows))
+    check_window_sums(curve.timestamps, curve.values, with_step_windows(curve.timestamps, windows))
 
 
 # batched billing against each hold priced alone

@@ -9,13 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spotindex import (
+    POLICIES,
     Catalog,
     CoverageError,
     GapError,
     IndexCurve,
+    JobSpec,
     OutOfRangeError,
+    Phase,
     PricePoint,
     PriceTrace,
+    RunParams,
     VmSpec,
     compare_indices,
     denormalize,
@@ -23,7 +27,7 @@ from spotindex import (
     normalize,
     on_demand_index,
 )
-from spotindex import index
+from spotindex import index, simulator
 
 
 def spec(vm_id, cpu, mem, od, family="general"):
@@ -302,8 +306,9 @@ def test_index_matches_brute_force_oracle():
 @st.composite
 def capped_curves(draw):
     """An index of three members whose grids start apart, each capped alone
-    at some steps and all capped over one span [c0, c1), with ticks from the
-    curve start on, some of them in the span, and a window."""
+    at some steps and all capped over one span [c0, c1), and its traces and
+    catalog; an evenly spaced grid of ticks from up to 300 s before the
+    curve start, often into the span; a window; and an index reference."""
     specs = [spec("a", 2, 8, 1.0), spec("b", 4, 16, 2.5), spec("c", 8, 30, 4.0)]
     c0 = draw(st.integers(0, 2500))
     c1 = c0 + draw(st.integers(1, 600))
@@ -320,27 +325,65 @@ def capped_curves(draw):
                 price = cap
             points.append(PricePoint(t, price))
         traces[s.id] = PriceTrace(s.id, points)
-    curve = IndexCurve(traces, Catalog(specs), [s.id for s in specs])
-    ticks = draw(st.lists(st.integers(curve.start, 3500), min_size=1, max_size=60))
-    ticks += [t for t in range(c0, c1, 37) if t >= curve.start]
-    return curve, ticks, draw(st.integers(1, 1500))
+    catalog = Catalog(specs)
+    start = IndexCurve(traces, catalog, [s.id for s in specs]).start
+    first = draw(st.integers(start - 300, max(start, c1)))
+    ticks = first + draw(st.integers(1, 97)) * np.arange(draw(st.integers(1, 60)))
+    window = draw(st.integers(1, 1500))
+    return traces, catalog, ticks, window, draw(st.sampled_from(("window", "instant")))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(capped_curves())
-def test_window_means_read_a_gap_as_nan(drawn):
-    # window_means is value_at and window_mean at every tick, bit for bit,
-    # and NaN exactly where the scalar method raises GapError
-    curve, ticks, window = drawn
-    values, means = curve.window_means(ticks, window)
-    for t, value, mean in zip(ticks, values.tolist(), means.tolist()):
-        for got, scalar in ((value, curve.value_at), (mean, lambda t: curve.window_mean(t, window))):
+def test_a_block_reads_an_index_gap_as_nan_and_not_ok(drawn):
+    # a market block's index_now and its lazy index_reference are value_at
+    # and, under "window", window_mean at every tick from the curve start
+    # on, bit for bit, and NaN exactly where the scalar method raises
+    # GapError; the block's ok is False exactly where either method that
+    # the reference mode reads raises, and before the curve start. The
+    # curve's window_defined is where integrating the clipped window does
+    # not raise
+    traces, catalog, ticks, window, mode = drawn
+    job = JobSpec(name="gaps", phases=(Phase(60, 1.0, 1.0),))
+    params = RunParams(sigma_window=window, index_reference=mode)
+    engine = simulator._Engine(
+        job, POLICIES["static"](), traces, catalog, sorted(traces), params, None, None, None
+    )
+    curve = engine.curve
+    block = engine._block(ticks)
+    assert len(engine.candidates) == 3
+    columns = zip(
+        ticks.tolist(),
+        block.ok.tolist(),
+        block.index_now.tolist(),
+        block.index_reference.tolist(),
+        curve.window_defined(np.maximum(ticks, curve.start), window).tolist(),
+    )
+    for t, ok, value, reference, window_defined in columns:
+        if t < curve.start:
+            assert not ok
+            continue
+        try:
+            curve.integrate(max(t - window, curve.start), t)
+        except GapError:
+            assert not window_defined
+        else:
+            assert window_defined
+        defined = True
+        scalars = [(value, curve.value_at)]
+        if mode == "window":
+            scalars.append((reference, lambda t: curve.window_mean(t, window)))
+        else:
+            assert reference.hex() == value.hex()
+        for got, scalar in scalars:
             try:
                 expected = scalar(t)
             except GapError:
                 assert math.isnan(got)
+                defined = False
             else:
                 assert got.hex() == float(expected).hex()
+        assert ok == defined
 
 
 @st.composite
@@ -371,7 +414,7 @@ def test_curve_merges_member_stamps_as_np_unique_does(members):
 def curve_bits(curve) -> tuple:
     return curve.start, *(
         values.tobytes()
-        for values in (curve.timestamps, curve._counts, curve._values, curve._low, curve._high)
+        for values in (curve.timestamps, curve._counts, curve._gaps, curve.values, curve._low, curve._high)
     )
 
 
@@ -433,7 +476,7 @@ def test_index_curve_builds_anew_when_an_input_changes(change):
 def test_index_curve_arrays_reject_writes():
     catalog, traces, ids = shared_setup()
     curve = index.index_curve(traces, catalog, ids)
-    for values in (curve.timestamps, curve._counts, curve._values, curve._low, curve._high):
+    for values in (curve.timestamps, curve._counts, curve._gaps, curve.values, curve._low, curve._high):
         with pytest.raises(ValueError, match="read-only"):
             values[0] = values[1]
 

@@ -331,7 +331,7 @@ def test_decision_tables_ask_where_a_live_score_is_nan():
         (spec("a"), spec("b"), spec("c")),
         ok=np.ones(3, dtype=bool),
         index_now=np.full(3, 0.1),
-        index_reference=np.full(3, 0.1),
+        window_reference=None,
         prices=prices,
         over=np.zeros((3, 3), dtype=bool),
         window_moments=lambda: (prices, stds),

@@ -390,6 +390,22 @@ def test_forced_migration_entry_is_checked(entry, message):
         )
 
 
+@pytest.mark.parametrize(
+    "forced, shown",
+    [(5, "5"), ("abc", "'abc'"), ({(60, 0, "r4.xlarge"): 1}, "{(60, 0, 'r4.xlarge'): 1}")],
+    ids=["int", "str", "dict"],
+)
+def test_forced_migrations_must_be_a_list_or_tuple(forced, shown):
+    # an int ended in a raw TypeError, a str was read one character at a
+    # time and a dict by its keys
+    message = rf"^forced migrations must be a list or tuple of \(t, task, vm\) triples, got {re.escape(shown)}$"
+    with pytest.raises(SimulationError, match=message):
+        run_simulation(
+            baseline_job(), "static", traces_for(0), CATALOG, COMPOSITION,
+            params=study_params(), forced_migrations=forced,
+        )
+
+
 def test_forced_migration_at_a_whole_float_time_is_an_int():
     report = run_simulation(
         baseline_job(), "static", traces_for(0), CATALOG, COMPOSITION,
@@ -1206,10 +1222,11 @@ def test_billing_prices_each_vm_in_at_most_two_batches():
 
 
 def test_market_block_gathers_each_candidate_once():
-    # building a block makes one window_sums call, the index's. The first
-    # read of its moments, as the block's arrays or as a view's floats,
-    # adds one per candidate, whose prices' and their squares' sums cover
-    # the whole block; later reads add none
+    # building a block makes no window_sums call. The first read of its
+    # moments, as the block's arrays or as a view's floats, makes one per
+    # candidate, whose prices' and their squares' sums cover the whole
+    # block; the first read of its index reference, which a context's
+    # market makes, makes the index's; later reads add none
     engine = simulator._Engine(
         baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
         study_params(), None, None, None,
@@ -1220,20 +1237,26 @@ def test_market_block_gathers_each_candidate_once():
         calls.append(len(args[2]))
         return window_sums(*args, **kwargs)
 
-    first_reads = (lambda block: block.means, lambda block: block.market(0)[0][-1].window_std)
+    candidates = len(engine.candidates)
+    first_reads = (
+        (lambda block: block.means, candidates),
+        (lambda block: block.market(0)[0][-1].window_std, candidates + 1),
+    )
     with mock.patch.object(prices, "window_sums", counted):
         for ticks in (60 * np.arange(1, 65), np.array([90])):
-            for first_read in first_reads:
+            for first_read, count in first_reads:
                 calls.clear()
                 block = engine._block(ticks)
                 assert block.ok.all()
-                assert calls == [len(ticks)]
+                assert calls == []
                 first_read(block)
-                assert calls == [len(ticks)] * (len(engine.candidates) + 1)
-                block.stds, block.means
+                assert calls == [len(ticks)] * count
+                block.index_reference
+                assert calls == [len(ticks)] * (candidates + 1)
+                block.stds, block.means, block.index_reference
                 for view in block.market(len(ticks) - 1)[0]:
                     view.window_mean, view.window_std
-                assert calls == [len(ticks)] * (len(engine.candidates) + 1)
+                assert calls == [len(ticks)] * (candidates + 1)
 
 
 def test_a_market_view_is_the_view_its_four_fields_build():
@@ -1289,6 +1312,12 @@ def week_traces():
     )
 
 
+def week_job():
+    """A week of 12-hour phases, alternating between two sizes."""
+    phases = tuple(Phase(43200, 4.0, 16.0) if i % 2 == 0 else Phase(43200, 2.0, 8.0) for i in range(14))
+    return JobSpec(name="week", phases=phases, reference_capacity=(8.0, 32.0))
+
+
 @pytest.mark.parametrize("policy, computed", [("cost", 0), ("static", 1)])
 def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, computed):
     # cost reads prices alone; static reads the moments only in its first
@@ -1304,15 +1333,62 @@ def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, 
         moments.append(len(clipped[0]))
         return window_moments(traces, clipped, *rest)
 
-    phases = tuple(Phase(43200, 4.0, 16.0) if i % 2 == 0 else Phase(43200, 2.0, 8.0) for i in range(14))
-    job = JobSpec(name="week", phases=phases, reference_capacity=(8.0, 32.0))
     with mock.patch.object(simulator._Engine, "_block", built), mock.patch.object(
         simulator, "_window_moments", read
     ):
-        run_simulation(job, policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
+        run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
     # the week's 10,080 ticks take ten tables at least
     assert len(blocks) >= 10
     assert moments == blocks[:computed]
+
+
+@pytest.mark.parametrize("policy", ["cost", "static", "balanced"])
+def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(policy):
+    # cost and static read the window reference only through the context
+    # of their first select, at t=0; balanced's tables read it in every
+    # block
+    blocks, references = [], []
+    block, trailing_means = simulator._Engine._block, simulator.trailing_means
+
+    def built(engine, ticks):
+        blocks.append(len(ticks))
+        return block(engine, ticks)
+
+    def read(timestamps, values, start, t1, *rest, **kwargs):
+        if not kwargs.get("squares"):
+            references.append(len(t1))
+        return trailing_means(timestamps, values, start, t1, *rest, **kwargs)
+
+    with mock.patch.object(simulator._Engine, "_block", built), mock.patch.object(
+        simulator, "trailing_means", read
+    ):
+        run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
+    assert len(blocks) >= 10
+    assert references == (blocks if policy == "balanced" else blocks[:1])
+
+
+def test_a_table_move_is_quoted_at_the_prices_and_index_of_its_tick():
+    # cost answers its move at t=300 from its decision table, whose prices
+    # and index the engine hands to the move: the same bits as price_at and
+    # value_at, which the reference engine's asked move looks up. The Eq. 5
+    # check passes for this move (index 1.98 > 1.0 + 2 * 0.09, normalized),
+    # and would fail with source and target prices swapped
+    points = {
+        "m4.large": [(0, 20.0)],
+        "m4.2xlarge": [(0, 16.0)],
+        "c4.2xlarge": [(0, 20.0), (300, 1.0)],
+        "r4.xlarge": [(0, 20.0)],
+    }
+    traces = {vm: PriceTrace(vm, [PricePoint(*p) for p in steps]) for vm, steps in points.items()}
+    reports = [
+        run(one_phase_job(), "cost", traces, CATALOG, COMPOSITION, params=unit_params()).to_dict()
+        for run in (run_simulation, run_per_second)
+    ]
+    assert reports[0] == reports[1]
+    [move] = [event for event in reports[0]["events"] if event["event"] == "migrate"]
+    assert (move["t"], move["src"], move["dst"]) == (300, "m4.2xlarge", "c4.2xlarge")
+    assert move["sufficiency_ok"] is True
+    assert move["loss"] == (16.0 + 1.0) * 30 / 3600.0
 
 
 def test_net_equals_index_cost_minus_total_cost():
