@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -48,9 +49,16 @@ class VmSpec:
         if not isinstance(self.family, VmFamily):
             object.__setattr__(self, "family", VmFamily(self.family))
 
-    @property
+    @cached_property
     def capacity_scale(self) -> float:
+        """capacity_scale of this spec, computed on its first read."""
         return capacity_scale(self.cpu_capacity, self.mem_capacity)
+
+    def __getstate__(self):
+        # the cached scale is derived from the fields, so it is not pickled
+        state = dict(self.__dict__)
+        state.pop("capacity_scale", None)
+        return state
 
 
 def capacity_scale(cpu: float, mem: float) -> float:

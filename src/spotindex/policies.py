@@ -152,19 +152,22 @@ class MarketBlock:
     max_price or, when caps count as revocations, on the cap), and `ok`
     where the market is defined at all; elsewhere the arrays mean nothing.
     Three arrays are computed for every instant at once on their first
-    read, by a policy or through `market`, and never where nothing reads
-    them: `index_reference`, which is `index_now` or, where
-    `window_reference` is given, what it returns, the index's
-    trailing-window means; and `means` and `stds`, the candidates'
-    trailing-window mean and std prices, both from one call of
-    `window_moments`. Neither callable may refer to what holds the block,
-    such as the simulator's engine, or the two form a reference cycle."""
+    read by a policy, and never where nothing reads them: `index_reference`,
+    which is `index_now` or, where `window_reference` is given, what it
+    returns for every instant, the index's trailing-window means; and
+    `means` and `stds`, the candidates' trailing-window mean and std
+    prices, both from one call of `window_moments`. `market` reads the
+    moments of its views on their first use, and the reference of its
+    instant alone unless the block's is computed. Neither callable may
+    refer to what holds the block, such as the simulator's engine, or the
+    two form a reference cycle."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
     index_now: np.ndarray
-    # returns index_reference; None where that is index_now
-    window_reference: Callable[[], np.ndarray] | None
+    # returns index_reference at the instants a slice selects; None where
+    # that is index_now
+    window_reference: Callable[[slice], np.ndarray] | None
     prices: np.ndarray
     over: np.ndarray
     # returns (means, stds)
@@ -176,7 +179,7 @@ class MarketBlock:
     def index_reference(self) -> np.ndarray:
         if self.window_reference is None:
             return self.index_now
-        return self.window_reference()
+        return self.window_reference(slice(None))
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +200,8 @@ class MarketBlock:
         """(views, index_now, index_reference) at instant k, what a
         PolicyContext takes from the market, or None where it is undefined.
         Each view reads its moments from cell (row, k) of the block on first
-        use; the reference is read here, so a context's market computes the
-        block's index_reference."""
+        use. The reference is row k of the block's index_reference where
+        that is computed, and otherwise computed for instant k alone."""
         if not self.ok[k]:
             return None
         views = []
@@ -210,7 +213,11 @@ class MarketBlock:
                 state = {"spec": spec, "price": price, "_block": self, "_cell": (row, k)}
                 object.__setattr__(view, "__dict__", state)
                 views.append(view)
-        return tuple(views), float(self.index_now[k]), float(self.index_reference[k])
+        if self.window_reference is None or "index_reference" in self.__dict__:
+            reference = self.index_reference[k]
+        else:
+            [reference] = self.window_reference(slice(k, k + 1))
+        return tuple(views), float(self.index_now[k]), float(reference)
 
     def utilized(self, values: np.ndarray, cpu_used: float, mem_used: float) -> np.ndarray:
         """utilized_price of each candidate's row of values."""

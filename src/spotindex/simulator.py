@@ -9,7 +9,9 @@ task's decision table does not answer STAY, a held VM's price crossing over
 max_price or onto the cap, a stall end, a scripted migration, a task's last
 second of work), crediting the seconds in between as the same second
 repeated, so a migration is stepped where it starts and where it ends.
-Reports are the same as a one-second loop would give.
+Since every held VM's crossing is stepped, a revocation check asks that
+crossing cache whether the crossing is now (_Engine._held_crossed), with no
+price lookup. Reports are the same as a one-second loop would give.
 
 At an epoch tick, each working task's decision is read from the policy's
 DecisionTable for its VM and phase over the epoch table (_Engine._move_at):
@@ -24,12 +26,14 @@ built by one vectorized rule (_Engine._block), with one leave-out rule
 or for one instant off the epoch grid (see _Engine._market), and no market
 is kept. A block computes its candidates' window moments (_window_moments)
 and, under the "window" reference, the index's window means, each for all
-its ticks, only when first read: a policy's table or a context's market
-reads them. Its mask counts the index's gap steps in each window
-(IndexCurve.window_defined) and sums none. The one-second
-reference in tests/reference_engine.py is this engine with the slow form of
-each shortcut: _next_instant, which also stands for the STAY answers and
-the crossings, _works_now, _market, which it computes with its own scalar
+its ticks, only when first read: a policy's table reads them, or a
+context's market its moments; a context reads the index's window mean of
+its own tick alone, unless the block's are computed. Its mask counts the
+index's gap steps in each window (IndexCurve.window_defined) and sums none.
+The one-second reference in tests/reference_engine.py is this engine with
+the slow form of each shortcut: _next_instant, which also stands for the
+STAY answers and the crossings, _held_crossed, which looks up the held
+VM's price, _works_now, _market, which it computes with its own scalar
 code and leave-out rule, _move_at, which asks decide at every epoch tick,
 and _ask, which asks for every task.
 
@@ -327,6 +331,13 @@ def _window_moments(traces, clipped, window: int, prices: np.ndarray) -> tuple[n
     return means, np.sqrt(np.maximum(squares - means * means, 0.0))
 
 
+def _index_reference(timestamps, values, start, t1, window: int, now, rows: slice) -> np.ndarray:
+    """trailing_means at the ticks rows selects: a market block's
+    index_reference over all its ticks, or a lone tick's window, which
+    window_sums sums to the same bits."""
+    return trailing_means(timestamps, values, start, t1[rows], window, now[rows])
+
+
 class _Task:
     __slots__ = ("idx", "vm", "work", "state", "stall_until", "mig_dst", "holds")
 
@@ -462,6 +473,12 @@ class _Engine:
     def _crossed(self, vm: str, t: int) -> bool:
         return self._dropped(vm, self._price(vm, t))
 
+    def _held_crossed(self, vm: str, t: int) -> bool:
+        """_crossed, for a VM a task holds at t, at a second the engine
+        steps: read from the crossing cache, with no price lookup (see
+        _step for why the two agree)."""
+        return self._next_crossing(vm, t) == t
+
     def _block(self, ticks) -> MarketBlock:
         """The market at each of ticks, an int64 array evenly spaced by the
         epoch: the one market rule, vectorized, as the arrays that a
@@ -474,7 +491,7 @@ class _Engine:
         `over` marks the candidates over max_price or, under
         treat_cap_as_revocation, on the cap. The candidates' window moments
         are left to _window_moments and, under "window", the index's window
-        means to trailing_means, each on the block's first read of them."""
+        means to _index_reference, each on the block's first read of them."""
         window = self.params.sigma_window
         curve = self.curve
         t1, index_now = step_values(curve.timestamps, curve.values, curve.start, ticks)
@@ -483,7 +500,7 @@ class _Engine:
         if self.params.index_reference == "window":
             ok &= curve.window_defined(t1, window)
             reference = partial(
-                trailing_means, curve.timestamps, curve.values, curve.start, t1, window, index_now
+                _index_reference, curve.timestamps, curve.values, curve.start, t1, window, index_now
             )
         traces = tuple(self.traces[spec.id] for spec in self.candidates)
         clipped, prices = [], []
@@ -898,7 +915,18 @@ class _Engine:
     def _step(self, t: int, forced_queue: list):
         """Second t's steps before its work: stall ends, revocation checks
         against the prices now in force, scripted migrations, then the
-        policy decision tick."""
+        policy decision tick.
+
+        A held VM's check (_held_crossed) asks the crossing cache whether
+        its price crosses over max_price or onto the cap at t itself, not
+        what its price is. That answers as _crossed does, since a held VM
+        is never dropped at any second from its acquisition to t but at a
+        crossing, t's own among them: every acquisition takes a VM that is
+        not dropped at that instant (select's candidates, a table move's
+        over check in _move_at, an asked move's candidates, a forced
+        move's target checked by _crossed below), and _next_instant steps
+        at every crossing of a held VM, where this check revokes it or
+        aborts the move onto it."""
         for task in self.tasks:
             if task.state == MIGRATING and task.stall_until == t:
                 self._finish_migration(task, t)
@@ -909,12 +937,12 @@ class _Engine:
             if task.state == DONE:
                 continue
             if task.state == MIGRATING:
-                if self._crossed(task.vm, t):
+                if self._held_crossed(task.vm, t):
                     self._abort_migration(task, t, cause="src_price")
                     self._revoke(task, t)
-                elif self._crossed(task.mig_dst, t):
+                elif self._held_crossed(task.mig_dst, t):
                     self._abort_migration(task, t, cause="dst_price")
-            elif self._crossed(task.vm, t):
+            elif self._held_crossed(task.vm, t):
                 self._revoke(task, t)
 
         while forced_queue and forced_queue[0][0] == t:

@@ -9,7 +9,10 @@ writes its raw JSON lines and once with their keys in reverse order, so
 that both paths of the JSON-lines reader run; and a 3-task
 `long_running` job of the acceptance battery's `v3` shape under each
 policy, whose task 1 a scripted move puts on another VM than its peers, so
-that the tasks ask with different contexts at one instant. Once, it hashes
+that the tasks ask with different contexts at one instant; and runs in
+which a VM's price crossing onto its provider cap revokes it, shaped as the
+`study` and `bsp` cases, under treat_cap_as_revocation (cap_lines). Once,
+it hashes
 each of the acceptance battery's 750 reports, with their replays and
 ledgers, and the runs in which `balanced` and `avail` move, which no bench
 case or battery run makes: `balanced` with its Eq. 5 gate off, under either
@@ -34,7 +37,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 3,330 lines in about 8 s on a 2-core Xeon VM.
+argument it prints every line: 3,372 lines in about 12 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -174,6 +177,44 @@ def battery_lines():
             yield from report_lines(report, traces, catalog, label)
 
 
+def on_cap(traces, catalog, first: int, gap: int, width: int = 37) -> dict:
+    """traces with the i-th VM, in id order, on its provider cap over
+    [first + i * gap, first + i * gap + width)."""
+    capped = {}
+    for i, (vm, trace) in enumerate(sorted(traces.items())):
+        a = first + i * gap
+        cap = 10.0 * catalog[vm].on_demand_price
+        points = dict(zip(trace.timestamps.tolist(), trace.prices.tolist()))
+        points[a + width] = trace.price_at(a + width)
+        points.update({t: cap for t in [*points, a] if a <= t < a + width})
+        capped[vm] = PriceTrace(vm, [PricePoint(t, p) for t, p in sorted(points.items())])
+    return capped
+
+
+def cap_lines(seed: int, work_dir: Path):
+    """Runs under treat_cap_as_revocation whose markets each sit on their
+    cap for 37 s in turn, off the 60 s epoch grid, with max_price 1000
+    above every cap, so that only the cap revokes: the `study` case's v1
+    job at volatility 1.0 under each policy, and the `bsp` case under each
+    of its policies, on each case's first trace seed. At both seeds a cap
+    crossing revokes the held VM in most of these runs, the whole gang's
+    in the bsp runs."""
+    for name, first, gap in (("study", 611, 700), ("bsp", 413, 500)):
+        workload = make_workload(name, seed, work_dir / name, small=True)
+        workload.setup()
+        params = replace(workload.run_params, treat_cap_as_revocation=True)
+        for case in workload.cases():
+            if name == "study" and (case.job.name, case.traces_key[1]) != ("v1", 1.0):
+                continue
+            traces = on_cap(workload.traces[case.traces_key], workload.catalog, first, gap)
+            report = run_simulation(
+                replace(case.job, max_price=1000.0), case.policy, traces, workload.catalog,
+                COMPOSITION, params=params, seed=seed,
+            )
+            label = f"cap {name} seed={seed} {case.label}"
+            yield from report_lines(report, traces, workload.catalog, label)
+
+
 def error_text(call, *args, **kwargs) -> str:
     try:
         call(*args, **kwargs)
@@ -228,6 +269,7 @@ def output_lines():
             yield from traces_lines(seed, Path(tmp) / "traces")
             yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
             yield from multi_task_lines(seed)
+            yield from cap_lines(seed, Path(tmp) / "cap")
     yield from battery_lines()
     yield from moving_lines()
     yield from error_lines()

@@ -2,13 +2,17 @@
 next-event engine must reproduce report for report.
 
 `PerSecondEngine` is `spotindex.simulator._Engine` with the slow form of each
-of the engine's five shortcuts, and nothing else:
+of the engine's six shortcuts, and nothing else:
 
 - `_next_instant` returns t, so the loop never skips a second. It so
   also stands in for the two rules the engine's `_next_instant` skips by:
   the reference steps every epoch tick, those a decision table answers
   STAY among them, and checks every held VM's price every second, not only
   where it crosses over max_price or onto the cap;
+- `_held_crossed` looks up a held VM's price at t (`_Engine._crossed`) in
+  the step's revocation checks, instead of asking the engine's crossing
+  cache whether the price crosses at t, so the oracle checks that cache's
+  answer against a price lookup at every held VM's every second;
 - `_move_at` asks `decide` for every working task at every epoch tick,
   instead of reading the policy's decision table;
 - `_works_now` re-derives the BSP lockstep rule from the unfinished tasks
@@ -25,13 +29,13 @@ of the engine's five shortcuts, and nothing else:
 - `_ask` asks the policy for every task, instead of handing a task the last
   ask's answer when it asks with the same context.
 
-Everything else, the per-second step (`_Engine._step`), the work step and
-the finish, is the engine's own code, so the equivalence oracle in
-tests/test_engine_equivalence.py checks the shortcuts and cannot see the
-step's order or rules. Those are pinned by direct tests, each run through
-both engines: the step order by `test_step_order_*` there, the policy seam
-and scripted-move checks by the `test_policy_*` and `test_forced_*` tests in
-tests/test_simulator.py.
+Everything else, the per-second step (`_Engine._step`) but for its held
+VMs' check, the work step and the finish, is the engine's own code, so the
+equivalence oracle in tests/test_engine_equivalence.py checks the shortcuts
+and cannot see the step's order or rules. Those are pinned by direct
+tests, each run through both engines: the step order by `test_step_order_*`
+there, the policy seam and scripted-move checks by the `test_policy_*` and
+`test_forced_*` tests in tests/test_simulator.py.
 """
 
 from spotindex.policies import CandidateView, build_policy
@@ -70,6 +74,9 @@ class PerSecondEngine(_Engine):
                 continue
             views.append(CandidateView(spec, price, *window_stats(self.traces[spec.id], t, window)))
         return tuple(views), index_now, index_reference
+
+    def _held_crossed(self, vm, t):
+        return self._crossed(vm, t)
 
     def _move_at(self, t, task):
         return self._asked_move(t, task)

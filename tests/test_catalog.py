@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import io
 import json
 import math
+import pickle
 import random
 import re
 import tempfile
@@ -60,6 +62,22 @@ def test_capacity_scale_random():
         mem = rng.uniform(0.5, 1024.0)
         spec = make_spec(cpu=cpu, mem=mem)
         assert math.isclose(spec.capacity_scale, math.sqrt(cpu * mem), rel_tol=1e-12)
+
+
+def test_capacity_scale_is_computed_once_and_is_not_a_field():
+    # the scale is computed on a spec's first read of it and kept, and a
+    # spec that has read it compares, hashes, prints, pickles and converts
+    # as one that has not
+    spec, fresh = make_spec(cpu=8.0, mem=32.0), make_spec(cpu=8.0, mem=32.0)
+    pickled = pickle.dumps(spec)
+    with mock.patch.object(catalog_mod, "capacity_scale", wraps=catalog_mod.capacity_scale) as scale:
+        assert spec.capacity_scale == spec.capacity_scale == 16.0
+    assert scale.call_count == 1
+    assert spec == fresh and hash(spec) == hash(fresh) and repr(spec) == repr(fresh)
+    assert dataclasses.astuple(spec) == dataclasses.astuple(fresh)
+    assert pickle.dumps(spec) == pickled
+    assert pickle.loads(pickled) == spec and pickle.loads(pickled).capacity_scale == 16.0
+    assert dataclasses.replace(spec, cpu_capacity=2.0).capacity_scale == 8.0
 
 
 def test_spec_rejects_bad_numbers():

@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spotindex import (
@@ -314,6 +314,61 @@ def test_next_event_engine_matches_per_second_engine(scenario):
     check_scenario(scenario)
 
 
+def aborted_moves_in_a_partly_revoked_gang():
+    """The scenario of test_aborted_moves_in_a_partly_revoked_gang: task 1's
+    move's destination crosses over max_price mid-copy at t=110, then task
+    0's move's source at t=215."""
+    traces = flat_traces()
+    traces["r4.xlarge"] = PriceTrace(
+        "r4.xlarge", [PricePoint(0, 6.0), PricePoint(110, 30.0), PricePoint(150, 6.0)]
+    )
+    traces["m4.2xlarge"] = PriceTrace(
+        "m4.2xlarge", [PricePoint(0, 6.0), PricePoint(215, 30.0), PricePoint(300, 6.0)]
+    )
+    return {
+        "job": one_phase_job(kind="bsp", tasks=3, mem_footprint=20.0),
+        "policy": ("static", {}),
+        "traces": traces,
+        "params": unit_params(bsp_superstep=50),
+        "forced_migrations": [(50, 0, "m4.2xlarge"), (100, 1, "r4.xlarge"), (200, 0, "r4.xlarge")],
+    }
+
+
+class CheckedCrossings(_Engine):
+    """The engine, checking as each second's steps begin that every VM a
+    task holds is found over max_price or on the cap by the crossing cache
+    (_held_crossed) exactly where its price at t is (_crossed)."""
+
+    def _step(self, t, forced_queue):
+        for task in self.tasks:
+            for vm in task.holds:
+                assert self._held_crossed(vm, t) == self._crossed(vm, t), (t, task.idx, vm)
+        return super()._step(t, forced_queue)
+
+
+def run_checked(*args, **kwargs):
+    """run_simulation, on CheckedCrossings."""
+    with mock.patch("spotindex.simulator._Engine", CheckedCrossings):
+        return run_simulation(*args, **kwargs)
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scenarios())
+@example(aborted_moves_in_a_partly_revoked_gang())
+def test_a_held_vm_is_dropped_at_a_step_where_its_crossing_is(scenario):
+    # every acquisition takes a VM that is not dropped, and the engine
+    # steps at every held VM's crossing, where the check lets go of it: so
+    # the crossing cache answers each step's check as a price lookup does,
+    # caps, partial BSP revocations, aborted moves and forced moves among
+    # the scenarios; the example adds a move aborted by its destination
+    outcome(run_checked, scenario)
+
+
 # the decision tables against the scalar decide
 
 
@@ -528,6 +583,28 @@ def test_mutant_crossing_lookup_blind_to_the_cap_changes_the_report():
     )
 
 
+def one_second_late(self, vm, t):
+    # whether the price crossed at t - 1, which the engine did not step
+    return self._next_crossing(vm, t - 1) == t - 1
+
+
+def blind_to_the_destination(self, vm, t):
+    if any(task.mig_dst == vm for task in self.tasks):
+        return False
+    return self._next_crossing(vm, t) == t
+
+
+@pytest.mark.parametrize("mutant", [one_second_late, blind_to_the_destination])
+def test_mutant_held_vm_check_changes_the_report(mutant):
+    # the engine's check of a held VM that reads its crossing cache a
+    # second late never revokes it or aborts a move; one that skips a
+    # move's destination completes task 1's move onto r4.xlarge
+    check_mutant_changes_report(
+        aborted_moves_in_a_partly_revoked_gang(),
+        mock.patch.object(_Engine, "_held_crossed", mutant),
+    )
+
+
 # the decision tables read the formulas decide reads: a changed formula
 # changes both, so the engine still matches the reference
 
@@ -657,18 +734,10 @@ def test_bsp_gang_catches_up_after_partial_revocations():
 def test_aborted_moves_in_a_partly_revoked_gang():
     # task 0 moves off the shared VM; task 1's destination spikes mid-copy;
     # then task 0's source spikes mid-copy, which revokes task 0 alone
-    traces = flat_traces()
-    traces["r4.xlarge"] = PriceTrace(
-        "r4.xlarge", [PricePoint(0, 6.0), PricePoint(110, 30.0), PricePoint(150, 6.0)]
-    )
-    traces["m4.2xlarge"] = PriceTrace(
-        "m4.2xlarge", [PricePoint(0, 6.0), PricePoint(215, 30.0), PricePoint(300, 6.0)]
-    )
+    scenario = aborted_moves_in_a_partly_revoked_gang()
     report = both_engines(
-        one_phase_job(kind="bsp", tasks=3, mem_footprint=20.0),
-        "static", traces, CATALOG, COMPOSITION,
-        params=unit_params(bsp_superstep=50),
-        forced_migrations=[(50, 0, "m4.2xlarge"), (100, 1, "r4.xlarge"), (200, 0, "r4.xlarge")],
+        scenario["job"], "static", scenario["traces"], CATALOG, COMPOSITION,
+        params=scenario["params"], forced_migrations=scenario["forced_migrations"],
     )
     aborts = [(e["task"], e["cause"]) for e in report.events if e["event"] == "abort_migration"]
     assert aborts == [(1, "dst_price"), (0, "src_price")]

@@ -1225,8 +1225,9 @@ def test_market_block_gathers_each_candidate_once():
     # building a block makes no window_sums call. The first read of its
     # moments, as the block's arrays or as a view's floats, makes one per
     # candidate, whose prices' and their squares' sums cover the whole
-    # block; the first read of its index reference, which a context's
-    # market makes, makes the index's; later reads add none
+    # block; the first read of its index reference makes the index's. A
+    # context's market before that sums its own tick's index window alone,
+    # and after it none; later reads add none
     engine = simulator._Engine(
         baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
         study_params(), None, None, None,
@@ -1239,24 +1240,24 @@ def test_market_block_gathers_each_candidate_once():
 
     candidates = len(engine.candidates)
     first_reads = (
-        (lambda block: block.means, candidates),
-        (lambda block: block.market(0)[0][-1].window_std, candidates + 1),
+        (lambda block: block.means, []),
+        (lambda block: block.market(0)[0][-1].window_std, [1]),
     )
     with mock.patch.object(prices, "window_sums", counted):
         for ticks in (60 * np.arange(1, 65), np.array([90])):
-            for first_read, count in first_reads:
+            for first_read, lone in first_reads:
                 calls.clear()
                 block = engine._block(ticks)
                 assert block.ok.all()
                 assert calls == []
                 first_read(block)
-                assert calls == [len(ticks)] * count
+                assert calls == lone + [len(ticks)] * candidates
                 block.index_reference
-                assert calls == [len(ticks)] * (candidates + 1)
+                assert calls == lone + [len(ticks)] * (candidates + 1)
                 block.stds, block.means, block.index_reference
                 for view in block.market(len(ticks) - 1)[0]:
                     view.window_mean, view.window_std
-                assert calls == [len(ticks)] * (candidates + 1)
+                assert calls == lone + [len(ticks)] * (candidates + 1)
 
 
 def test_a_market_view_is_the_view_its_four_fields_build():
@@ -1345,26 +1346,29 @@ def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, 
 @pytest.mark.parametrize("policy", ["cost", "static", "balanced"])
 def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(policy):
     # cost and static read the window reference only through the context
-    # of their first select, at t=0; balanced's tables read it in every
-    # block
-    blocks, references = [], []
-    block, trailing_means = simulator._Engine._block, simulator.trailing_means
+    # of their first select, at t=0, which computes that tick's window
+    # alone and no block's; balanced's tables read it in every block
+    blocks, references, lone = [], [], []
+    block, index_reference = simulator._Engine._block, simulator._index_reference
 
     def built(engine, ticks):
         blocks.append(len(ticks))
         return block(engine, ticks)
 
-    def read(timestamps, values, start, t1, *rest, **kwargs):
-        if not kwargs.get("squares"):
+    def read(timestamps, values, start, t1, window, now, rows):
+        if rows == slice(None):
             references.append(len(t1))
-        return trailing_means(timestamps, values, start, t1, *rest, **kwargs)
+        else:
+            lone.append(t1[rows].tolist())
+        return index_reference(timestamps, values, start, t1, window, now, rows)
 
     with mock.patch.object(simulator._Engine, "_block", built), mock.patch.object(
-        simulator, "trailing_means", read
+        simulator, "_index_reference", read
     ):
         run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
     assert len(blocks) >= 10
-    assert references == (blocks if policy == "balanced" else blocks[:1])
+    assert references == (blocks if policy == "balanced" else [])
+    assert lone == [[0]]
 
 
 def test_a_table_move_is_quoted_at_the_prices_and_index_of_its_tick():
