@@ -65,44 +65,44 @@ def sharpe(index_reference, utilized_mean, sigma):
     return (index_reference - utilized_mean) / np.maximum(sigma, SIGMA_FLOOR)
 
 
-class _Moment:
-    """A CandidateView's window_mean or window_std, read from the view's
-    market block on first use. A non-data descriptor: a value in the view's
-    __dict__, which __init__ and a first read both set, wins over it, so
-    the attribute is a plain one from then on, and the view's other
-    attributes are never slowed (a __getattr__ would slow them all)."""
+class _FromBlock:
+    """A field that MarketBlock.context leaves to be read on first use, from
+    cell `_cell` of one array of the instance's block `_block`. A non-data
+    descriptor: a value in the instance's __dict__, which __init__ and a
+    first read both set, wins over it, so the field is a plain attribute
+    from then on, and no other attribute is slowed (a __getattr__ would
+    slow them all). A read that raises stores nothing, to raise again."""
+
+    def __init__(self, array: str):
+        self.array = array
 
     def __set_name__(self, owner, name):
         self.name = name
 
-    def __get__(self, view, owner=None):
-        if view is None or "_block" not in view.__dict__:
+    def __get__(self, instance, owner=None):
+        if instance is None or "_block" not in instance.__dict__:
             # the class's own attribute, which the dataclass takes for no
-            # default, or a view that has neither value nor block
+            # default, or an instance that has neither value nor block
             raise AttributeError(self.name)
-        state = view.__dict__
-        block, cell = state["_block"], state["_cell"]
-        # both values are read before the block is let go, so a read that
-        # raises leaves the view as it was, to raise the same on the next
-        state["window_mean"], state["window_std"] = block.means.item(cell), block.stds.item(cell)
-        del state["_block"], state["_cell"]
-        return state[self.name]
+        state = instance.__dict__
+        value = state[self.name] = getattr(state["_block"], self.array).item(state["_cell"])
+        return value
 
 
 @dataclass(frozen=True)
 class CandidateView:
     """Everything a policy may inspect about one candidate VM.
 
-    A view that MarketBlock.market builds holds its block, not window_mean
-    and window_std, until one of them is first read. That read takes both
-    from the block's means and stds, which the block computes on their own
-    first read, so a policy that never reads them never has them computed.
-    A view built directly holds the four fields as given."""
+    A view that MarketBlock.context builds holds its block, not window_mean
+    and window_std, and reads each from the block's means or stds on its
+    first use; the block computes those on their own first read, so a
+    policy that never reads them never has them computed. A view built
+    directly holds the four fields as given."""
 
     spec: VmSpec
     price: float
-    window_mean: float = _Moment()
-    window_std: float = _Moment()
+    window_mean: float = _FromBlock("means")
+    window_std: float = _FromBlock("stds")
 
     def normalized(self) -> float:
         return normalize(self.spec, self.price)
@@ -110,12 +110,16 @@ class CandidateView:
 
 @dataclass(frozen=True)
 class PolicyContext:
+    """Everything a policy may inspect at one instant. One that
+    MarketBlock.context builds reads index_reference from its block on
+    first use, as its views read their moments."""
+
     t: int
     candidates: tuple[CandidateView, ...]
     cpu_used: float
     mem_used: float
     index_now: float
-    index_reference: float
+    index_reference: float = _FromBlock("index_reference")
     horizon: int
     migration_seconds: float
     current: str | None = None
@@ -152,22 +156,22 @@ class MarketBlock:
     max_price or, when caps count as revocations, on the cap), and `ok`
     where the market is defined at all; elsewhere the arrays mean nothing.
     Three arrays are computed for every instant at once on their first
-    read by a policy, and never where nothing reads them: `index_reference`,
-    which is `index_now` or, where `window_reference` is given, what it
-    returns for every instant, the index's trailing-window means; and
-    `means` and `stds`, the candidates' trailing-window mean and std
-    prices, both from one call of `window_moments`. `market` reads the
-    moments of its views on their first use, and the reference of its
-    instant alone unless the block's is computed. Neither callable may
+    read, by a policy or through a context, and never where nothing reads
+    them: `index_reference`, which is `index_now` or, where
+    `window_reference` is given, what it returns, the index's
+    trailing-window means; and `means` and `stds`, the candidates'
+    trailing-window mean and std prices, both from one call of
+    `window_moments`. A context that `context` builds reads its index
+    reference and its views' moments from these arrays on their first use,
+    so it computes none that its policy does not read. Neither callable may
     refer to what holds the block, such as the simulator's engine, or the
     two form a reference cycle."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
     index_now: np.ndarray
-    # returns index_reference at the instants a slice selects; None where
-    # that is index_now
-    window_reference: Callable[[slice], np.ndarray] | None
+    # returns index_reference; None where that is index_now
+    window_reference: Callable[[], np.ndarray] | None
     prices: np.ndarray
     over: np.ndarray
     # returns (means, stds)
@@ -179,7 +183,7 @@ class MarketBlock:
     def index_reference(self) -> np.ndarray:
         if self.window_reference is None:
             return self.index_now
-        return self.window_reference(slice(None))
+        return self.window_reference()
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,12 +200,12 @@ class MarketBlock:
     def __len__(self):
         return len(self.ok)
 
-    def market(self, k: int):
-        """(views, index_now, index_reference) at instant k, what a
-        PolicyContext takes from the market, or None where it is undefined.
-        Each view reads its moments from cell (row, k) of the block on first
-        use. The reference is row k of the block's index_reference where
-        that is computed, and otherwise computed for instant k alone."""
+    def context(self, k: int, t: int, cpu_used: float, mem_used: float, current: str | None):
+        """The PolicyContext at instant k, which is t, asked at the given
+        utilization with current held, or None where the market is
+        undefined. The context reads its index reference from cell k of the
+        block, and each view its moments from cell (row, k), on first use;
+        PolicyContext's checks run as they do on a context built directly."""
         if not self.ok[k]:
             return None
         views = []
@@ -213,11 +217,16 @@ class MarketBlock:
                 state = {"spec": spec, "price": price, "_block": self, "_cell": (row, k)}
                 object.__setattr__(view, "__dict__", state)
                 views.append(view)
-        if self.window_reference is None or "index_reference" in self.__dict__:
-            reference = self.index_reference[k]
-        else:
-            [reference] = self.window_reference(slice(k, k + 1))
-        return tuple(views), float(self.index_now[k]), float(reference)
+        ctx = object.__new__(PolicyContext)
+        state = {
+            "t": t, "candidates": tuple(views), "cpu_used": cpu_used, "mem_used": mem_used,
+            "index_now": self.index_now.item(k), "horizon": self.horizon,
+            "migration_seconds": self.migration_seconds, "current": current,
+            "_block": self, "_cell": k,
+        }
+        object.__setattr__(ctx, "__dict__", state)
+        ctx.__post_init__()
+        return ctx
 
     def utilized(self, values: np.ndarray, cpu_used: float, mem_used: float) -> np.ndarray:
         """utilized_price of each candidate's row of values."""

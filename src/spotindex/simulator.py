@@ -23,19 +23,19 @@ which the tasks that ask with an equal context at one instant share; so an
 answer must depend on its context alone. The market the policies see is
 built by one vectorized rule (_Engine._block), with one leave-out rule
 (_Engine._dropped): for a block of epoch ticks at a time (_Engine._epoch_table),
-or for one instant off the epoch grid (see _Engine._market), and no market
+or for one instant off the epoch grid (see _Engine._context), and no market
 is kept. A block computes its candidates' window moments (_window_moments)
 and, under the "window" reference, the index's window means, each for all
-its ticks, only when first read: a policy's table reads them, or a
-context's market its moments; a context reads the index's window mean of
-its own tick alone, unless the block's are computed. Its mask counts the
-index's gap steps in each window (IndexCurve.window_defined) and sums none.
-The one-second reference in tests/reference_engine.py is this engine with
-the slow form of each shortcut: _next_instant, which also stands for the
-STAY answers and the crossings, _held_crossed, which looks up the held
-VM's price, _works_now, _market, which it computes with its own scalar
-code and leave-out rule, _move_at, which asks decide at every epoch tick,
-and _ask, which asks for every task.
+its ticks, only when first read: by a policy's table, or by a context,
+which reads its index reference and its views' moments from the block on
+first use (MarketBlock.context). Its mask counts the index's gap steps in
+each window (IndexCurve.window_defined) and sums none. The one-second
+reference in tests/reference_engine.py is this engine with the slow form of
+each shortcut: _next_instant, which also stands for the STAY answers and
+the crossings, _held_crossed, which looks up the held VM's price,
+_works_now, _context, which it computes with its own scalar code and
+leave-out rule, _move_at, which asks decide at every epoch tick, and _ask,
+which asks for every task.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
@@ -93,6 +93,11 @@ def _set_int(obj, key: str, name: str, **bounds):
     object.__setattr__(obj, key, exact(int, value, name))
 
 
+def _at_most(value, bound: int, name: str):
+    if value > bound:
+        raise InvariantError(f"{name} must be at most {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Phase:
     duration: int
@@ -109,8 +114,7 @@ def _task_count(tasks, name: str = "tasks") -> int:
     """tasks as an int from 1 to MAX_TASKS, or an InvariantError naming it."""
     finite(tasks, name, minimum=1, strict=False)
     tasks = exact(int, tasks, name)
-    if tasks > MAX_TASKS:
-        raise InvariantError(f"{name} must be at most {MAX_TASKS}, got {tasks!r}")
+    _at_most(tasks, MAX_TASKS, name)
     return tasks
 
 
@@ -239,7 +243,9 @@ class MigrationModel:
         _set_int(self, "revocation_restart", "migration revocation_restart", strict=False)
 
     def seconds(self, mem_footprint: float) -> int:
-        return int(math.ceil(max(self.rate * mem_footprint, self.fixed_floor)))
+        copy = self.rate * mem_footprint
+        finite(copy, "migration rate * mem_footprint", strict=False)
+        return int(math.ceil(max(copy, self.fixed_floor)))
 
 
 @dataclass(frozen=True)
@@ -256,6 +262,9 @@ class RunParams:
     def __post_init__(self):
         for key in ("epoch", "horizon", "sigma_window", "bsp_superstep"):
             _set_int(self, key, key)
+        # epoch steps, and sigma_window clips, a market block's int64 ticks
+        for key in ("epoch", "sigma_window"):
+            _at_most(getattr(self, key), 2**63 - 1, key)
         if self.index_reference not in ("window", "instant"):
             raise ValueError("index_reference must be 'window' or 'instant'")
         if self.max_wallclock is not None:
@@ -329,13 +338,6 @@ def _window_moments(traces, clipped, window: int, prices: np.ndarray) -> tuple[n
     squares = np.array([square for _, square in pairs])
     # an empty window's mean of p * p is price * price, so its std is 0.0
     return means, np.sqrt(np.maximum(squares - means * means, 0.0))
-
-
-def _index_reference(timestamps, values, start, t1, window: int, now, rows: slice) -> np.ndarray:
-    """trailing_means at the ticks rows selects: a market block's
-    index_reference over all its ticks, or a lone tick's window, which
-    window_sums sums to the same bits."""
-    return trailing_means(timestamps, values, start, t1[rows], window, now[rows])
 
 
 class _Task:
@@ -482,8 +484,8 @@ class _Engine:
     def _block(self, ticks) -> MarketBlock:
         """The market at each of ticks, an int64 array evenly spaced by the
         epoch: the one market rule, vectorized, as the arrays that a
-        policy's decision table reads and whose row k becomes a context's
-        market only when _market reads it (MarketBlock.market). The market is
+        policy's decision table reads and whose column k becomes a context
+        only when _context asks for it (MarketBlock.context). The market is
         undefined (ok is False) before the index or a candidate's trace
         starts, or where the index the reference mode reads is undefined:
         at a step with no live member, which holds NaN, and under "window"
@@ -491,7 +493,7 @@ class _Engine:
         `over` marks the candidates over max_price or, under
         treat_cap_as_revocation, on the cap. The candidates' window moments
         are left to _window_moments and, under "window", the index's window
-        means to _index_reference, each on the block's first read of them."""
+        means to trailing_means, each on the block's first read of them."""
         window = self.params.sigma_window
         curve = self.curve
         t1, index_now = step_values(curve.timestamps, curve.values, curve.start, ticks)
@@ -500,7 +502,7 @@ class _Engine:
         if self.params.index_reference == "window":
             ok &= curve.window_defined(t1, window)
             reference = partial(
-                _index_reference, curve.timestamps, curve.values, curve.start, t1, window, index_now
+                trailing_means, curve.timestamps, curve.values, curve.start, t1, window, index_now
             )
         traces = tuple(self.traces[spec.id] for spec in self.candidates)
         clipped, prices = [], []
@@ -550,20 +552,20 @@ class _Engine:
             self._decisions = {}
         return self._table, (t - self._table_first) // epoch
 
-    def _market(self, t: int) -> tuple:
-        """(views, index_now, index_reference) at t: what a context takes
-        from the market, which depends on t alone. An epoch tick, t = 0
-        among them, reads its row of the epoch table; any other instant gets
-        a one-row block of its own. Views are built only for the row read,
-        and no market is kept: _ask shares answers, not markets."""
+    def _context(self, t: int, phase: Phase, current: str | None) -> PolicyContext:
+        """The PolicyContext at t, asked at phase's cpu and mem with current
+        held. An epoch tick, t = 0 among them, reads its column of the epoch
+        table; any other instant gets a one-tick block of its own. Views are
+        built only for the column read, and no context is kept: _ask shares
+        answers, not contexts."""
         if t % self.params.epoch:
-            market = self._block(np.array([t])).market(0)
+            block, k = self._block(np.array([t])), 0
         else:
-            table, k = self._epoch_table(t)
-            market = table.market(k)
-        if market is None:
+            block, k = self._epoch_table(t)
+        ctx = block.context(k, t, phase.cpu, phase.mem, current)
+        if ctx is None:
             self._raise_undefined(t)
-        return market
+        return ctx
 
     def _ask(self, ask, t: int, task: _Task, current: str | None):
         """ask (the policy's select or decide) on task's context at t, or the
@@ -571,28 +573,16 @@ class _Engine:
         built from, which is the call, t, the phase's cpu and mem, and
         current. The tasks that share a context at one instant, a BSP gang
         at a decision tick, so share one call. A SelectionError from the
-        policy, or a pick or migration target that is not among the
-        context's candidates, ends the run as a SimulationError that names t
-        and the task."""
+        policy or the context's checks, or a pick or migration target that
+        is not among the context's candidates, ends the run as a
+        SimulationError that names t and the task."""
         phase = self.job.phase_at(task.work)
         key = (ask, t, phase.cpu, phase.mem, current)
         if key == self._asked:
             return self._answer
         try:
-            views, index_now, index_reference = self._market(t)
-            answer = ask(
-                PolicyContext(
-                    t=t,
-                    candidates=views,
-                    cpu_used=phase.cpu,
-                    mem_used=phase.mem,
-                    index_now=index_now,
-                    index_reference=index_reference,
-                    current=current,
-                    horizon=self.params.horizon,
-                    migration_seconds=float(self.t_m),
-                )
-            )
+            ctx = self._context(t, phase, current)
+            answer = ask(ctx)
         except SelectionError as exc:
             raise SimulationError(f"selection failed at t={t} for task {task.idx}: {exc}") from exc
         # a failed check below ends the run, so the answer kept is never read
@@ -603,7 +593,7 @@ class _Engine:
             pick = answer.target
         else:
             return answer
-        if all(view.spec.id != pick for view in views):
+        if all(view.spec.id != pick for view in ctx.candidates):
             raise self._not_a_candidate(pick, t, task)
         return answer
 

@@ -46,7 +46,7 @@ def build_catalog() -> Catalog:
     )
 
 
-def market_specs(volatility_scale: float = 1.0):
+def study_market_specs(volatility_scale: float = 1.0):
     return [
         SynthMarketSpec(
             vm_id=vm, mean=mean, stddev=std, volatility_scale=volatility_scale
@@ -57,7 +57,7 @@ def market_specs(volatility_scale: float = 1.0):
 
 def traces_for(seed: int, volatility_scale: float = 1.0):
     return generate_market_suite(
-        market_specs(volatility_scale), seed=seed, warmup=WARMUP
+        study_market_specs(volatility_scale), seed=seed, warmup=WARMUP
     )
 
 

@@ -11,8 +11,10 @@ that both paths of the JSON-lines reader run; and a 3-task
 policy, whose task 1 a scripted move puts on another VM than its peers, so
 that the tasks ask with different contexts at one instant; and runs in
 which a VM's price crossing onto its provider cap revokes it, shaped as the
-`study` and `bsp` cases, under treat_cap_as_revocation (cap_lines). Once,
-it hashes
+`study` and `bsp` cases, under treat_cap_as_revocation (cap_lines); and
+every `study` and `bsp` case again under a wrapper policy that forwards
+select and decide but has no decision tables, so that the engine asks
+decide on a context at every epoch tick (ask_lines). Once, it hashes
 each of the acceptance battery's 750 reports, with their replays and
 ledgers, and the runs in which `balanced` and `avail` move, which no bench
 case or battery run makes: `balanced` with its Eq. 5 gate off, under either
@@ -37,7 +39,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 3,372 lines in about 12 s on a 2-core Xeon VM.
+argument it prints every line: 4,284 lines in about 16 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -55,6 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from spotindex import (  # noqa: E402
     BalancedPolicy,
+    Policy,
     PricePoint,
     PriceTrace,
     ledger_from_report,
@@ -94,15 +97,39 @@ def sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def simulator_lines(name: str, seed: int, work_dir: Path):
+def simulator_lines(name: str, seed: int, work_dir: Path, wrap_policy=None, tag: str = ""):
+    """Each case's report, replay and ledger, under its policy as
+    wrap_policy wraps it, where given; tag starts each label."""
     workload = make_workload(name, seed, work_dir)
     workload.setup()
-    for op in workload.ops(lambda policy: policy, lambda _: contextlib.nullcontext()):
+    for op in workload.ops(wrap_policy or (lambda policy: policy), lambda _: contextlib.nullcontext()):
         report, totals, ledger, text = op.run()
-        label = f"{name} seed={seed} {op.label}"
+        label = f"{tag}{name} seed={seed} {op.label}"
         yield f"{sha(text.encode())}  {label} report"
         yield f"{sha(totals)}  {label} replay"
         yield f"{sha(ledger.to_dicts())}  {label} ledger"
+
+
+class Asking(Policy):
+    """Another policy's select and decide, with no decision tables of its
+    own: the default's answer ASK everywhere, so the engine asks decide, on
+    a context, at every epoch tick."""
+
+    def __init__(self, inner: Policy):
+        self.inner = inner
+        self.name = inner.name
+
+    def select(self, ctx):
+        return self.inner.select(ctx)
+
+    def decide(self, ctx):
+        return self.inner.decide(ctx)
+
+
+def ask_lines(seed: int, work_dir: Path):
+    """The `study` and `bsp` cases with each policy wrapped in Asking."""
+    for name in ("study", "bsp"):
+        yield from simulator_lines(name, seed, work_dir / name, Asking, "ask ")
 
 
 def traces_lines(seed: int, work_dir: Path, reordered: bool = False):
@@ -270,6 +297,7 @@ def output_lines():
             yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
             yield from multi_task_lines(seed)
             yield from cap_lines(seed, Path(tmp) / "cap")
+            yield from ask_lines(seed, Path(tmp) / "ask")
     yield from battery_lines()
     yield from moving_lines()
     yield from error_lines()

@@ -17,15 +17,16 @@ of the engine's six shortcuts, and nothing else:
   instead of reading the policy's decision table;
 - `_works_now` re-derives the BSP lockstep rule from the unfinished tasks
   for every task in every second, instead of reading the gang's low mark;
-- `_market` computes every context's market by its own scalar code, over
-  `window_stats` and `IndexCurve.window_mean`, never by the engine's one
-  vectorized rule (`_Engine._block`), and leaves out the candidates over
-  max_price or on the cap by a scalar rule of its own, not the engine's
-  `_dropped`, so the oracle checks that rule and its view filter against
-  independent code. Like the engine's, it keeps no market from one call to
-  the next. Where the market is undefined it raises at the first check that
-  fails: the index at t, under "window" the index over t's window, then
-  each candidate's price at t;
+- `_context` builds every context directly, as a plain `PolicyContext`
+  whose fields its own scalar code computes, over `window_stats` and
+  `IndexCurve.window_mean`, never from the engine's one vectorized rule
+  (`_Engine._block`) through `MarketBlock.context`, and leaves out the
+  candidates over max_price or on the cap by a scalar rule of its own, not
+  the engine's `_dropped`, so the oracle checks that rule, its view filter
+  and the block's lazy reads against independent code. Like the engine's,
+  it keeps no context from one call to the next. Where the market is
+  undefined it raises at the first check that fails: the index at t, under
+  "window" the index over t's window, then each candidate's price at t;
 - `_ask` asks the policy for every task, instead of handing a task the last
   ask's answer when it asks with the same context.
 
@@ -38,7 +39,7 @@ there, the policy seam and scripted-move checks by the `test_policy_*` and
 `test_forced_*` tests in tests/test_simulator.py.
 """
 
-from spotindex.policies import CandidateView, build_policy
+from spotindex.policies import CandidateView, PolicyContext, build_policy
 from spotindex.prices import is_capped
 from spotindex.simulator import DONE, WORKING, RunParams, _Engine, window_stats
 
@@ -58,7 +59,7 @@ class PerSecondEngine(_Engine):
                 return False
         return True
 
-    def _market(self, t):
+    def _context(self, t, phase, current):
         index_now = self.curve.value_at(t)
         window = self.params.sigma_window
         if self.params.index_reference == "window":
@@ -73,7 +74,17 @@ class PerSecondEngine(_Engine):
             if self.params.treat_cap_as_revocation and is_capped(price, spec):
                 continue
             views.append(CandidateView(spec, price, *window_stats(self.traces[spec.id], t, window)))
-        return tuple(views), index_now, index_reference
+        return PolicyContext(
+            t=t,
+            candidates=tuple(views),
+            cpu_used=phase.cpu,
+            mem_used=phase.mem,
+            index_now=index_now,
+            index_reference=index_reference,
+            horizon=self.params.horizon,
+            migration_seconds=float(self.t_m),
+            current=current,
+        )
 
     def _held_crossed(self, vm, t):
         return self._crossed(vm, t)

@@ -578,6 +578,40 @@ def test_simulate_non_finite_migration_option_is_a_domain_error(workspace, flag,
 
 
 @pytest.mark.parametrize(
+    "job, flag, value, message",
+    [
+        # each ended in a raw OverflowError: at the epoch table's ticks, at
+        # a window's start, and at a copy's seconds
+        (JOB_JSON, "--epoch", 2**63, f"epoch must be at most {2**63 - 1}, got {2**63}"),
+        (JOB_JSON, "--sigma-window", 2**63, f"sigma_window must be at most {2**63 - 1}, got {2**63}"),
+        (
+            {**JOB_JSON, "mem_footprint": 1e10},
+            "--migration-rate",
+            1e300,
+            "migration rate * mem_footprint must be finite and >= 0, got inf",
+        ),
+    ],
+)
+def test_simulate_value_that_overflows_the_run_is_a_domain_error(workspace, job, flag, value, message, caplog):
+    traces = workspace / "traces"
+    assert run(["synth", "--spec", workspace / "markets.json", "--out", traces]) == 0
+    (workspace / "job.json").write_text(json.dumps(job))
+    out = workspace / "report.json"
+    assert run(simulate_argv(workspace, traces, flag, value, "--out", out)) == 1
+    assert message in caplog.messages
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--epoch", "--sigma-window"])
+def test_simulate_runs_at_the_int64_bound(workspace, flag):
+    traces = workspace / "traces"
+    assert run(["synth", "--spec", workspace / "markets.json", "--out", traces]) == 0
+    out = workspace / "report.json"
+    assert run(simulate_argv(workspace, traces, flag, 2**63 - 1, "--out", out)) == 0
+    assert json.loads(out.read_text())["report"]["params"][flag[2:].replace("-", "_")] == 2**63 - 1
+
+
+@pytest.mark.parametrize(
     "spec, message",
     [
         ([1], "market 0 must be a JSON object, got 1"),

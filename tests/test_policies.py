@@ -343,8 +343,7 @@ def test_decision_tables_ask_where_a_live_score_is_nan():
         answered = [0, 1, 2] if policy is STATIC else [0, 2]
         assert [k for k, answer in enumerate(table.answers.tolist()) if answer != ASK] == answered
         for k in answered:
-            views, index_now, index_reference = block.market(k)
-            decision = policy.decide(ctx_of(views, "a", index_now, index_reference))
+            decision = policy.decide(block.context(k, 600, 4.0, 16.0, "a"))
             if decision.action == PolicyDecision.STAY:
                 assert table.answers[k] == STAY, (policy, k)
             else:

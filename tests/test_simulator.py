@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from spotindex import (
     CandidateView,
+    Catalog,
     GapError,
     IndexCurve,
     InvariantError,
@@ -22,6 +23,7 @@ from spotindex import (
     Phase,
     POLICIES,
     Policy,
+    PolicyContext,
     PolicyDecision,
     PricePoint,
     PriceTrace,
@@ -1222,12 +1224,12 @@ def test_billing_prices_each_vm_in_at_most_two_batches():
 
 
 def test_market_block_gathers_each_candidate_once():
-    # building a block makes no window_sums call. The first read of its
-    # moments, as the block's arrays or as a view's floats, makes one per
-    # candidate, whose prices' and their squares' sums cover the whole
-    # block; the first read of its index reference makes the index's. A
-    # context's market before that sums its own tick's index window alone,
-    # and after it none; later reads add none
+    # building a block, or a context of it, makes no window_sums call. The
+    # first read of its moments, as the block's arrays or as a view's
+    # floats, makes one per candidate, whose prices' and their squares'
+    # sums cover the whole block; the first read of its index reference,
+    # as the block's array or as a context's float, makes the index's;
+    # later reads, through any context of the block, add none
     engine = simulator._Engine(
         baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
         study_params(), None, None, None,
@@ -1239,30 +1241,41 @@ def test_market_block_gathers_each_candidate_once():
         return window_sums(*args, **kwargs)
 
     candidates = len(engine.candidates)
-    first_reads = (
-        (lambda block: block.means, []),
-        (lambda block: block.market(0)[0][-1].window_std, [1]),
-    )
     with mock.patch.object(prices, "window_sums", counted):
         for ticks in (60 * np.arange(1, 65), np.array([90])):
-            for first_read, lone in first_reads:
+
+            def context(block):
+                return block.context(len(ticks) - 1, int(ticks[-1]), 4.0, 16.0, None)
+
+            for through_context in (False, True):
                 calls.clear()
                 block = engine._block(ticks)
+                ctx = context(block)
                 assert block.ok.all()
                 assert calls == []
-                first_read(block)
-                assert calls == lone + [len(ticks)] * candidates
-                block.index_reference
-                assert calls == lone + [len(ticks)] * (candidates + 1)
+                if through_context:
+                    ctx.candidates[-1].window_std
+                else:
+                    block.means
+                assert calls == [len(ticks)] * candidates
+                if through_context:
+                    ctx.index_reference
+                else:
+                    block.index_reference
+                assert calls == [len(ticks)] * (candidates + 1)
                 block.stds, block.means, block.index_reference
-                for view in block.market(len(ticks) - 1)[0]:
-                    view.window_mean, view.window_std
-                assert calls == lone + [len(ticks)] * (candidates + 1)
+                for read in (ctx, context(block)):
+                    read.index_reference
+                    for view in read.candidates:
+                        view.window_mean, view.window_std
+                assert calls == [len(ticks)] * (candidates + 1)
 
 
 def test_a_market_view_is_the_view_its_four_fields_build():
     # a view that reads its moments from its block on first use keeps the
-    # dataclass's constructor, fields, equality, hash and immutability
+    # dataclass's constructor, fields, equality, hash and immutability, and
+    # so does a context that reads its index reference from its block: a
+    # fresh one equals, hashes and reprs as the one built from its fields
     engine = simulator._Engine(
         baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
         study_params(), None, None, None,
@@ -1271,35 +1284,76 @@ def test_a_market_view_is_the_view_its_four_fields_build():
     assert [f.name for f in dataclasses.fields(CandidateView)] == names
     with pytest.raises(TypeError):
         CandidateView(CATALOG["m4.large"], 6.0)
-    views = engine._block(60 * np.arange(1, 5)).market(1)[0]
-    for view in views:
+    block = engine._block(60 * np.arange(1, 5))
+    current = block.context(1, 120, 4.0, 16.0, None).candidates[-1].spec.id
+
+    def context():
+        return block.context(1, 120, 4.0, 16.0, current)
+
+    def build(view):
+        return CandidateView(*(getattr(view, name) for name in names))
+
+    for view in context().candidates:
         with pytest.raises(dataclasses.FrozenInstanceError):
             view.window_mean = 0.0
-        built = CandidateView(*(getattr(view, name) for name in names))
+        built = build(view)
         assert (view, hash(view), repr(view)) == (built, hash(built), repr(built))
+    fields = [f.name for f in dataclasses.fields(PolicyContext)]
+    assert fields == [
+        "t", "candidates", "cpu_used", "mem_used", "index_now", "index_reference",
+        "horizon", "migration_seconds", "current",
+    ]
+    values = {name: getattr(context(), name) for name in fields}
+    with pytest.raises(TypeError):
+        PolicyContext(**{name: value for name, value in values.items() if name != "index_reference"})
+    built = PolicyContext(**{**values, "candidates": tuple(map(build, values["candidates"]))})
+    assert context() == built
+    assert hash(context()) == hash(built)
+    assert repr(context()) == repr(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        context().index_reference = 0.0
+    # the checks of a context built directly run on one the block builds
+    with pytest.raises(SelectionError, match="'m3.large' is not among candidates at t=120"):
+        block.context(1, 120, 4.0, 16.0, "m3.large")
 
 
 def test_a_view_whose_moments_fail_raises_their_error_on_each_read():
     # a failed first read leaves the view holding its block, so the next
-    # read raises the same error, not a bare AttributeError
+    # read raises the same error, not a bare AttributeError; so does a
+    # context's failed read of its index reference
     engine = simulator._Engine(
         baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
         study_params(), None, None, None,
     )
     block = engine._block(60 * np.arange(1, 5))
-    failures = [RuntimeError("first"), RuntimeError("second")]
 
-    def window_moments():
-        if failures:
-            raise failures.pop(0)
-        return block.window_moments()
+    def failing(compute, what):
+        failures = [RuntimeError(f"{what} first"), RuntimeError(f"{what} second")]
 
-    view = dataclasses.replace(block, window_moments=window_moments).market(1)[0][0]
-    for message in ("first", "second"):
-        with pytest.raises(RuntimeError, match=message):
+        def read():
+            if failures:
+                raise failures.pop(0)
+            return compute()
+
+        return read
+
+    ctx = dataclasses.replace(
+        block,
+        window_moments=failing(block.window_moments, "moments"),
+        window_reference=failing(block.window_reference, "reference"),
+    ).context(1, 120, 4.0, 16.0, None)
+    view = ctx.candidates[0]
+    for attempt in ("first", "second"):
+        with pytest.raises(RuntimeError, match=f"moments {attempt}"):
             view.window_std
-    expected = block.market(1)[0][0]
-    assert (view.window_mean, view.window_std) == (expected.window_mean, expected.window_std)
+        with pytest.raises(RuntimeError, match=f"reference {attempt}"):
+            ctx.index_reference
+    expected = block.context(1, 120, 4.0, 16.0, None)
+    assert (view.window_mean, view.window_std, ctx.index_reference) == (
+        expected.candidates[0].window_mean,
+        expected.candidates[0].window_std,
+        expected.index_reference,
+    )
 
 
 def week_traces():
@@ -1343,32 +1397,31 @@ def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, 
     assert moments == blocks[:computed]
 
 
-@pytest.mark.parametrize("policy", ["cost", "static", "balanced"])
+@pytest.mark.parametrize("policy", ["cost", "static", "avail", "balanced"])
 def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(policy):
-    # cost and static read the window reference only through the context
-    # of their first select, at t=0, which computes that tick's window
-    # alone and no block's; balanced's tables read it in every block
-    blocks, references, lone = [], [], []
-    block, index_reference = simulator._Engine._block, simulator._index_reference
+    # a context reads the window reference from its block on first use, as
+    # a decision table does: cost and static read it nowhere, so compute
+    # none; avail's and balanced's tables read it in every block, and their
+    # select at t=0 in the first, which computes each block's once
+    blocks, references = [], []
+    block, trailing_means = simulator._Engine._block, simulator.trailing_means
 
     def built(engine, ticks):
         blocks.append(len(ticks))
         return block(engine, ticks)
 
-    def read(timestamps, values, start, t1, window, now, rows):
-        if rows == slice(None):
+    def read(timestamps, values, start, t1, window, now, squares=False):
+        # the candidates' moments ask for squares; the index's means do not
+        if not squares:
             references.append(len(t1))
-        else:
-            lone.append(t1[rows].tolist())
-        return index_reference(timestamps, values, start, t1, window, now, rows)
+        return trailing_means(timestamps, values, start, t1, window, now, squares=squares)
 
     with mock.patch.object(simulator._Engine, "_block", built), mock.patch.object(
-        simulator, "_index_reference", read
+        simulator, "trailing_means", read
     ):
         run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
     assert len(blocks) >= 10
-    assert references == (blocks if policy == "balanced" else [])
-    assert lone == [[0]]
+    assert references == (blocks if policy in ("avail", "balanced") else [])
 
 
 def test_a_table_move_is_quoted_at_the_prices_and_index_of_its_tick():
@@ -1503,3 +1556,89 @@ def test_run_trials_wraps_errors_with_trial_id():
             params=unit_params(),
         )
     assert "trial 1" in str(err.value)
+
+
+# power-of-two price scaling: a metamorphic property of the whole run
+
+MONEY = (
+    "total_cost", "productive_cost", "gain", "loss", "net", "index_cost_reference", "index_cost_held"
+)
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def study_run(job, policy, traces, catalog):
+    """The study setup's report of job under policy, normalized against the
+    on-demand baseline."""
+    report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=study_params())
+    return normalize_report(report, on_demand_baseline(job, catalog))
+
+
+def price_scaled(job, traces, catalog, factor):
+    """job, traces and catalog with every price in them times factor: each
+    trace price, each on-demand price and max_price where it is set."""
+    traces = {
+        vm: PriceTrace.from_arrays(vm, trace.timestamps.copy(), trace.prices * factor)
+        for vm, trace in traces.items()
+    }
+    catalog = Catalog(
+        [dataclasses.replace(spec, on_demand_price=spec.on_demand_price * factor) for spec in catalog]
+    )
+    if job.max_price is not None:
+        job = dataclasses.replace(job, max_price=job.max_price * factor)
+    return job, traces, catalog
+
+
+def check_scaled_reason(reason, scaled, factor):
+    """scaled is reason with each number in it times factor, to the six
+    significant digits a reason prints."""
+    assert NUMBER.split(scaled) == NUMBER.split(reason)
+    for a, b in zip(NUMBER.findall(reason), NUMBER.findall(scaled)):
+        assert math.isclose(float(a) * factor, float(b), rel_tol=1e-5), (reason, scaled)
+
+
+def check_scaled_report(report, scaled, factor):
+    """scaled is report but for its prices: every event is the same but for
+    its price, loss and reason, which scale by factor, every money total is
+    exactly factor times report's, and every ratio and count is the same."""
+    doc, other = report.to_dict(), scaled.to_dict()
+    events, scaled_events = doc.pop("events"), other.pop("events")
+    assert len(scaled_events) == len(events)
+    for event, moved in zip(events, scaled_events):
+        assert moved.keys() == event.keys()
+        for key, value in event.items():
+            if key in ("price", "loss"):
+                assert moved[key] == value * factor, (event, moved)
+            elif key == "reason":
+                check_scaled_reason(value, moved[key], factor)
+            else:
+                assert moved[key] == value, (event, moved)
+    for key in MONEY:
+        assert other.pop(key) == doc.pop(key) * factor, key
+    for params in (doc["params"], doc["params"]["job"]):
+        if params["max_price"] is not None:
+            params["max_price"] *= factor
+    assert other == doc
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 19),
+    volatility=st.sampled_from((1.0, 1.5)),
+    policy=st.sampled_from(sorted(POLICIES)),
+    k=st.sampled_from((1, -10, 20)),
+    max_price=st.sampled_from((None, 9.5)),
+)
+def test_scaling_every_price_by_a_power_of_two_scales_every_money_output(
+    seed, volatility, policy, k, max_price
+):
+    # The study setup's run, at volatility 1.0 and 1.5, with every price
+    # times 2**k. This checks k = -10, 1 and 20 only: scaling by a power of
+    # two is exact in binary floating point, so every comparison and every
+    # sum comes out the same, scaled. It stops holding for small enough k,
+    # since SIGMA_FLOOR and TIE_TOLERANCE are absolute: from k = -28 down,
+    # balanced's scores reach the floor and its picks change.
+    job = dataclasses.replace(baseline_job(), max_price=max_price)
+    traces, factor = traces_for(seed, volatility), 2.0**k
+    report = study_run(job, policy, traces, CATALOG)
+    job, traces, catalog = price_scaled(job, traces, CATALOG, factor)
+    check_scaled_report(report, study_run(job, policy, traces, catalog), factor)
