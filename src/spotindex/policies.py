@@ -146,6 +146,12 @@ class PolicyContext:
         return utilized_price(value, cpu_u, mem_u)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for values in arrays:
+        values.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True, eq=False)
 class MarketBlock:
     """The contexts of a block of instants as arrays, less the task's
@@ -165,7 +171,11 @@ class MarketBlock:
     reference and its views' moments from these arrays on their first use,
     so it computes none that its policy does not read. Neither callable may
     refer to what holds the block, such as the simulator's engine, or the
-    two form a reference cycle."""
+    two form a reference cycle. Every array, the three computed ones
+    included, is read-only, so writing into one raises: the simulator
+    shares a market's opening table, with whatever it has computed, among
+    the runs over that market, and a write would change what a later run
+    reads."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
@@ -179,15 +189,18 @@ class MarketBlock:
     horizon: int
     migration_seconds: float
 
+    def __post_init__(self):
+        _read_only(self.ok, self.index_now, self.prices, self.over)
+
     @cached_property
     def index_reference(self) -> np.ndarray:
         if self.window_reference is None:
             return self.index_now
-        return self.window_reference()
+        return _read_only(self.window_reference())[0]
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.window_moments()
+        return _read_only(*self.window_moments())
 
     @property
     def means(self) -> np.ndarray:

@@ -24,16 +24,17 @@ answer must depend on its context alone. The market the policies see is
 built by one vectorized rule (_Engine._block), with one leave-out rule
 (_Engine._dropped): for a block of epoch ticks at a time (_Engine._epoch_table),
 or for one instant off the epoch grid (see _Engine._context), and no market
-is kept. A block computes its candidates' window moments (_window_moments)
-and, under the "window" reference, the index's window means, each for all
-its ticks, only when first read: by a policy's table, or by a context,
-which reads its index reference and its views' moments from the block on
-first use (MarketBlock.context). Its mask counts the index's gap steps in
-each window (IndexCurve.window_defined) and sums none. The one-second
-reference in tests/reference_engine.py is this engine with the slow form of
-each shortcut: _next_instant, which also stands for the STAY answers and
-the crossings, _held_crossed, which looks up the held VM's price,
-_works_now, _context, which it computes with its own scalar code and
+is kept but the opening table, at t=0, which the runs over one market share
+(_Engine._opening_table). A block computes its candidates' window moments
+(_window_moments) and, under the "window" reference, the index's window
+means, each for all its ticks, only when first read: by a policy's table,
+or by a context, which reads its index reference and its views' moments
+from the block on first use (MarketBlock.context). Its mask counts the
+index's gap steps in each window (IndexCurve.window_defined) and sums none.
+The one-second reference in tests/reference_engine.py is this engine with
+the slow form of each shortcut: _next_instant, which also stands for the
+STAY answers and the crossings, _held_crossed, which looks up the held VM's
+price, _works_now, _context, which it computes with its own scalar code and
 leave-out rule, _move_at, which asks decide at every epoch tick, and _ask,
 which asks for every task.
 
@@ -63,7 +64,7 @@ import numpy as np
 from .billing import billed_holds, compute_totals
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
-from .index import IndexCurve, index_curve, normalize
+from .index import IndexCurve, _bits, index_curve, normalize
 from .policies import ASK, STAY, MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, step_values, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
@@ -82,6 +83,10 @@ DONE = "done"
 TABLE_TICKS = 1024
 # The most tasks a job may have: the engine visits every task at every stop.
 MAX_TASKS = 4096
+
+# (key, candidate traces, block) of the last opening table
+# _Engine._opening_table built
+_last_opening: tuple = ((), (), None)
 
 
 def _set_int(obj, key: str, name: str, **bounds):
@@ -542,15 +547,66 @@ class _Engine:
         table is refilled once t is past its end (ticks only move forward)
         with up to TABLE_TICKS ticks and none at or past the earliest second
         the run can end: the least-advanced task still has its remaining
-        work to do. A refill drops the decision tables of the old table."""
+        work to do. A refill drops the decision tables of the old table.
+        The opening table, at t=0, does not depend on the policy or the
+        job's phases, so the runs over one market share it
+        (_opening_table); a refill is the run's own."""
         epoch = self.params.epoch
         if t >= self._table_first + epoch * len(self._table):
             work = min(task.work for task in self.tasks if task.state != DONE)
             count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
-            self._table = self._block(t + epoch * np.arange(count))
+            if t == 0:
+                self._table = self._opening_table(count)
+            else:
+                self._table = self._block(t + epoch * np.arange(count))
             self._table_first = t
             self._decisions = {}
         return self._table, (t - self._table_first) // epoch
+
+    def _opening_table(self, count: int) -> MarketBlock:
+        """_block of the count epoch ticks from t=0, shared: the last block
+        this built, with whatever index reference and moments a run has
+        read of it since, when its key is as it was then; otherwise a new
+        block, which it keeps. The key is the index curve, by identity
+        (index_curve hands out one curve only while each member's VmSpec
+        and trace bits are as they were), the candidates' VmSpecs in order,
+        each non-member candidate's trace bits, max_price, the migration
+        time, the RunParams fields the block reads (epoch, horizon,
+        sigma_window, index_reference, treat_cap_as_revocation) and count.
+        The block's moments are read, on first use, from the candidate
+        trace objects it was built from, so it is shared only with a run
+        over those same objects; a run over equal-bit copies builds its
+        own. The entry holds that block and those traces until another
+        opening table replaces it. Every array of a block is read-only
+        (MarketBlock), so no run can change what a later run reads."""
+        global _last_opening
+        params = self.params
+        members = set(self.composition)
+        traces = tuple(self.traces[spec.id] for spec in self.candidates)
+        key = (
+            self.curve,
+            tuple(self.candidates),
+            tuple(
+                (_bits(trace.timestamps), _bits(trace.prices))
+                for spec, trace in zip(self.candidates, traces)
+                if spec.id not in members
+            ),
+            self.max_price,
+            self.t_m,
+            params.epoch,
+            params.horizon,
+            params.sigma_window,
+            params.index_reference,
+            params.treat_cap_as_revocation,
+            count,
+        )
+        # one read of the entry, so a thread that replaces it in between
+        # cannot hand this call another key's block
+        last_key, built_from, block = _last_opening
+        if key != last_key or any(old is not new for old, new in zip(built_from, traces)):
+            block = self._block(params.epoch * np.arange(count))
+            _last_opening = key, traces, block
+        return block
 
     def _context(self, t: int, phase: Phase, current: str | None) -> PolicyContext:
         """The PolicyContext at t, asked at phase's cpu and mem with current

@@ -1,6 +1,7 @@
 """Shared fixtures: the four-market replication setup and the acceptance
 summary printed after a run."""
 
+import math
 import re
 
 import pytest
@@ -15,6 +16,7 @@ from spotindex import (
     VmSpec,
     generate_market_suite,
 )
+from spotindex import simulator
 
 MARKET_ROWS = [
     ("m4.large", "general", 2.0, 8.0, 10.0, 4.5, 0.5),
@@ -26,6 +28,19 @@ MARKET_ROWS = [
 COMPOSITION = sorted(row[0] for row in MARKET_ROWS)
 
 WARMUP = 3600
+
+# One value of each kind that a hand-edited file may hold where it should
+# not, shared by the readers' hostile-value tests: whole numbers past the
+# float range, a string of more digits than int() reads by default, which a
+# test writes bare into a JSON file as a number json cannot read, -0.0, the
+# non-finite floats, a bool, a numeric string, null, empty containers and
+# deep ones.
+BIG = 10**400
+LONG = "9" * 5001
+HOSTILE = [
+    BIG, -BIG, LONG, -0.0, math.nan, math.inf, -math.inf, True, "5", None, [], {},
+    {"a": {"a": {"a": {"a": [[{}]]}}}}, [[[[[[{"a": [[{}]]}]]]]]],
+]
 
 
 def build_catalog() -> Catalog:
@@ -93,6 +108,14 @@ def job():
 @pytest.fixture(scope="session")
 def params():
     return study_params()
+
+
+@pytest.fixture(autouse=True)
+def empty_opening_cache(monkeypatch):
+    """Each test starts with no opening epoch table kept from an earlier
+    test's run (simulator._Engine._opening_table), so a test that counts
+    or wraps the blocks its run builds sees the opening one built."""
+    monkeypatch.setattr(simulator, "_last_opening", ((), (), None))
 
 
 # acceptance summary: one line per numbered criterion in test_acceptance.py

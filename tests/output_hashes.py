@@ -3,10 +3,13 @@ source leaves every output's bytes as they were.
 
 At seeds 0 and 7919, it hashes every case of the `study`, `week` and
 `bsp` benchmark workloads (bench/workloads.py): the report document the
-bench writes, the replay totals and the ledger; and every file the
-`traces` case writes, with its work directory masked, once as the bench
-writes its raw JSON lines and once with their keys in reverse order, so
-that both paths of the JSON-lines reader run; and a 3-task
+bench writes, the replay totals and the ledger, and the cases of the first
+`study` trace set once more in reverse order, after emptying the
+simulator's cache of opening epoch tables, under labels that start with
+"reversed" (reversed_lines), which must hash as the forward ones do; and
+every file the `traces` case writes, with its work directory masked, once
+as the bench writes its raw JSON lines and once with their keys in reverse
+order, so that both paths of the JSON-lines reader run; and a 3-task
 `long_running` job of the acceptance battery's `v3` shape under each
 policy, whose task 1 a scripted move puts on another VM than its peers, so
 that the tasks ask with different contexts at one instant; and runs in
@@ -39,7 +42,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 4,284 lines in about 16 s on a 2-core Xeon VM.
+argument it prints every line: 4,332 lines in about 11 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -64,6 +67,7 @@ from spotindex import (  # noqa: E402
     replay,
     run_simulation,
 )
+from spotindex import simulator  # noqa: E402
 from spotindex.policies import POLICIES  # noqa: E402
 
 from conftest import COMPOSITION, build_catalog, study_params, traces_for  # noqa: E402
@@ -97,12 +101,14 @@ def sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def simulator_lines(name: str, seed: int, work_dir: Path, wrap_policy=None, tag: str = ""):
+def simulator_lines(name: str, seed: int, work_dir: Path, wrap_policy=None, tag: str = "", order=None):
     """Each case's report, replay and ledger, under its policy as
-    wrap_policy wraps it, where given; tag starts each label."""
+    wrap_policy wraps it, where given; tag starts each label. order, where
+    given, maps the workload and its ops to the ops to run, in order."""
     workload = make_workload(name, seed, work_dir)
     workload.setup()
-    for op in workload.ops(wrap_policy or (lambda policy: policy), lambda _: contextlib.nullcontext()):
+    ops = workload.ops(wrap_policy or (lambda policy: policy), lambda _: contextlib.nullcontext())
+    for op in order(workload, ops) if order else ops:
         report, totals, ledger, text = op.run()
         label = f"{tag}{name} seed={seed} {op.label}"
         yield f"{sha(text.encode())}  {label} report"
@@ -130,6 +136,21 @@ def ask_lines(seed: int, work_dir: Path):
     """The `study` and `bsp` cases with each policy wrapped in Asking."""
     for name in ("study", "bsp"):
         yield from simulator_lines(name, seed, work_dir / name, Asking, "ask ")
+
+
+def first_set_reversed(workload, ops) -> list:
+    """The ops of the workload's first trace set, in reverse order."""
+    cases = workload.cases()
+    return [op for case, op in zip(cases, ops) if case.traces_key == cases[0].traces_key][::-1]
+
+
+def reversed_lines(seed: int, work_dir: Path):
+    """The `study` cases of its first trace set, both jobs under every
+    policy, in reverse order, after emptying the simulator's cache of
+    opening epoch tables: each must hash as its forward-order case does,
+    since a run may not depend on the runs before it over one market."""
+    simulator._last_opening = ((), (), None)
+    yield from simulator_lines("study", seed, work_dir, tag="reversed ", order=first_set_reversed)
 
 
 def traces_lines(seed: int, work_dir: Path, reordered: bool = False):
@@ -293,6 +314,7 @@ def output_lines():
         for seed in SEEDS:
             for name in ("study", "week", "bsp"):
                 yield from simulator_lines(name, seed, Path(tmp) / name)
+            yield from reversed_lines(seed, Path(tmp) / "reversed")
             yield from traces_lines(seed, Path(tmp) / "traces")
             yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
             yield from multi_task_lines(seed)

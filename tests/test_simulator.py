@@ -33,6 +33,7 @@ from spotindex import (
     SelectionError,
     SimReport,
     SimulationError,
+    SpotIndexError,
     SynthMarketSpec,
     aggregate_reports,
     generate_market_suite,
@@ -49,7 +50,7 @@ from spotindex.errors import exact
 from spotindex.prices import window_sums
 from spotindex.simulator import MAX_TASKS, window_stats
 
-from conftest import COMPOSITION, MARKET_ROWS, baseline_job, build_catalog, study_params, traces_for
+from conftest import BIG, COMPOSITION, HOSTILE, MARKET_ROWS, baseline_job, build_catalog, study_params, traces_for
 from reference_engine import run_per_second
 
 CATALOG = build_catalog()
@@ -1068,9 +1069,6 @@ def test_replay_and_ledger_name_an_empty_composition():
             reader({**report, "composition": []}, traces, CATALOG)
 
 
-BIG = 10**400  # a whole number beyond the float range
-
-
 def read_edited(reader, key, value):
     traces, report = located_run()
     return reader({**report, key: value}, traces, CATALOG)
@@ -1112,11 +1110,6 @@ def test_a_whole_number_beyond_the_float_range_fails_the_number_checks(call, err
         call()
 
 
-# one value of each kind a hand-edited report may hold where it should not
-HOSTILE = [
-    BIG, -BIG, -0.0, math.nan, math.inf, -math.inf, True, "5", None, [], {},
-    {"a": {"a": {"a": {"a": [[{}]]}}}},
-]
 READ_PATHS = ("events", "tasks", "composition", "params.reference_capacity")
 
 
@@ -1172,6 +1165,8 @@ def test_replay_and_ledger_name_a_hostile_value_or_read_what_it_means(edit):
         pattern = f"^report {re.escape(path)} "
         if path == "events" and value == []:  # a list of events, none a finish
             pattern = "^event log has no finish event for task 0$"
+        elif path == "events" and isinstance(value, list):  # whose first is not an object
+            pattern = f"^event 0 has no 'event' kind: {re.escape(repr(value[0]))}$"
         raising = (replay,) if parents else BOTH_READERS  # the ledger does not read params
     for reader in BOTH_READERS:
         if reader in raising:
@@ -1642,3 +1637,53 @@ def test_scaling_every_price_by_a_power_of_two_scales_every_money_output(
     report = study_run(job, policy, traces, CATALOG)
     job, traces, catalog = price_scaled(job, traces, CATALOG, factor)
     check_scaled_report(report, study_run(job, policy, traces, catalog), factor)
+
+
+def run_or_error(job, policy, traces, catalog) -> dict | str:
+    """The study setup's report of job under policy as a dict, or the
+    error that ends the run, as its type and message."""
+    try:
+        report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=study_params())
+    except SpotIndexError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return report.to_dict()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 19),
+    volatility=st.sampled_from((1.0, 1.5)),
+    policy=st.sampled_from(sorted(POLICIES)),
+    max_price=st.sampled_from((8.0, 9.5)),
+    vm=st.sampled_from(("a1.xlarge", "m4.4xlarge", "z1.xlarge")),
+    capacity=st.sampled_from(((4.0, 16.0), (8.0, 32.0), (64.0, 256.0))),
+    on_demand=st.sampled_from((0.5, 40.0)),
+    above=st.lists(st.floats(2.0**-40, 100.0), min_size=1, max_size=80),
+)
+def test_a_candidate_always_over_max_price_changes_nothing_but_the_candidates(
+    seed, volatility, policy, max_price, vm, capacity, on_demand, above
+):
+    # A VM outside the composition that fits the job, priced over max_price
+    # at every second of its trace from the first of the index's, is never
+    # in a context's candidates, so each policy answers as without it, the
+    # index is the same, and every output but the candidate list is the
+    # same bits. It sorts first, among or last of the others by id. Its
+    # on-demand price is no input of a run that sets max_price. Under
+    # max_price 8.0 a quarter of the runs end in an error, which must be
+    # the same too, and the rest migrate or are revoked.
+    job = dataclasses.replace(baseline_job(), max_price=max_price)
+    traces = traces_for(seed, volatility)
+    spec = dataclasses.replace(
+        CATALOG["m4.2xlarge"], id=vm, instance_type=vm, cpu_capacity=capacity[0],
+        mem_capacity=capacity[1], on_demand_price=on_demand,
+    )
+    start = int(traces["m4.large"].timestamps[0])
+    stamps = start + 60 * np.arange(len(above), dtype=np.int64)
+    extra = PriceTrace.from_arrays(vm, stamps, max_price + np.array(above))
+    without = run_or_error(job, policy, traces, CATALOG)
+    with_it = run_or_error(job, policy, {**traces, vm: extra}, Catalog([*CATALOG, spec]))
+    if isinstance(without, str):
+        assert with_it == without
+        return
+    assert with_it.pop("candidates") == sorted([*without.pop("candidates"), vm])
+    assert with_it == without

@@ -29,6 +29,7 @@ from spotindex.errors import ParseError
 from spotindex.prices import trace_files
 
 import trace_oracle
+from conftest import HOSTILE, LONG
 from test_cli import CATALOG_CSV
 from test_prices import make_catalog
 
@@ -305,12 +306,6 @@ def test_cli_outputs_match_the_per_record_path(tmp_path, monkeypatch):
 # ingest`: the CLI must exit 1 naming the file, the record's line and the
 # key, or exit 0 with the value read as what it means.
 
-# an int past int()'s default limit of 4,300 digits, which json cannot read
-LONG = "9" * 5001
-HOSTILE = [
-    10**400, -(10**400), LONG, -0.0, math.nan, math.inf, -math.inf, True, "5", None, [], {},
-    [[[[[[{"a": [[{}]]}]]]]]],
-]
 IDENTITY = ("vm_id", "instance_type", "zone")
 VALID_RECORDS = [
     {"timestamp": 0, "vm_id": "m4.large", "price": 4.5},
