@@ -8,7 +8,7 @@ import numpy as np
 
 from .catalog import VmSpec
 from .errors import CoverageError, GapError, OutOfRangeError, finite
-from .prices import fold_sum, is_capped, left_sum, step_slice, window_sums
+from .prices import fold_sum, is_capped, left_sum, read_only, step_slice, window_sums
 
 DEFAULT_PERIOD = 300
 
@@ -171,7 +171,7 @@ class IndexCurve:
     breakpoints every member price is constant, so the index is too. Members
     whose price sits on the provider cap are left out of both the mean and
     the member count at that step. values[i] is the index on the step from
-    timestamps[i], NaN where it has no live member.
+    timestamps[i], NaN where it has no live member. Its arrays are read-only.
     """
 
     def __init__(self, traces, catalog, composition):
@@ -200,6 +200,7 @@ class IndexCurve:
         self._gaps = np.concatenate(([0], np.cumsum(counts == 0)))
         with np.errstate(invalid="ignore", divide="ignore"):
             self.values = np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
+        read_only(self.timestamps, self._counts, self._gaps, self.values, self._low, self._high)
 
     def _before_start(self, t: int) -> OutOfRangeError:
         return OutOfRangeError(f"index curve starts at {self.start}, asked for {t}")
@@ -292,28 +293,19 @@ class IndexCurve:
 _last_curve: tuple = ((), None)
 
 
-def _bits(values: np.ndarray) -> tuple:
-    return values.dtype.str, values.tobytes()
-
-
 def index_curve(traces, catalog, composition) -> IndexCurve:
     """IndexCurve(traces, catalog, composition), shared: the last curve this
-    built when the composition, in order, each member's VmSpec, and each
-    member trace's timestamps and prices, bit for bit, are all as they were
-    then; otherwise a new curve, which it keeps. A run, its replay and its
-    ledger so build the curve once. The curve's arrays are read-only."""
+    built when the composition, in order, and each member's VmSpec and
+    (read-only) trace object are as they were then; otherwise a new curve,
+    which it keeps until another build replaces it. A run, its replay and
+    its ledger, handed the same trace objects, so build the curve once."""
     global _last_curve
     specs = _member_traces(traces, catalog, composition)
-    key = tuple(
-        (spec, _bits(traces[spec.id].timestamps), _bits(traces[spec.id].prices)) for spec in specs
-    )
+    key = tuple((spec, traces[spec.id]) for spec in specs)
     # one read of the entry, so a thread that replaces it in between
     # cannot hand this call another key's curve
     last_key, curve = _last_curve
     if key != last_key:
         curve = IndexCurve(traces, catalog, composition)
-        arrays = (curve.timestamps, curve._counts, curve._gaps, curve.values, curve._low, curve._high)
-        for values in arrays:
-            values.setflags(write=False)
         _last_curve = key, curve
     return curve

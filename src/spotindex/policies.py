@@ -27,6 +27,7 @@ import numpy as np
 from .catalog import VmSpec
 from .errors import SelectionError
 from .index import normalize
+from .prices import read_only
 from .tracking import migration_loss, should_migrate
 
 SIGMA_FLOOR = 1e-9
@@ -146,12 +147,6 @@ class PolicyContext:
         return utilized_price(value, cpu_u, mem_u)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for values in arrays:
-        values.setflags(write=False)
-    return arrays
-
-
 @dataclass(frozen=True, eq=False)
 class MarketBlock:
     """The contexts of a block of instants as arrays, less the task's
@@ -190,17 +185,17 @@ class MarketBlock:
     migration_seconds: float
 
     def __post_init__(self):
-        _read_only(self.ok, self.index_now, self.prices, self.over)
+        read_only(self.ok, self.index_now, self.prices, self.over)
 
     @cached_property
     def index_reference(self) -> np.ndarray:
         if self.window_reference is None:
             return self.index_now
-        return _read_only(self.window_reference())[0]
+        return read_only(self.window_reference())[0]
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        return _read_only(*self.window_moments())
+        return read_only(*self.window_moments())
 
     @property
     def means(self) -> np.ndarray:

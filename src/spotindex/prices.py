@@ -48,11 +48,20 @@ def _checked_point(vm_id: str, i: int, point: PricePoint) -> tuple[int, float]:
     return int(t), float(price)
 
 
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each made read-only, so that a write into one raises."""
+    for values in arrays:
+        values.setflags(write=False)
+    return arrays
+
+
 class PriceTrace:
     """Right-continuous step function of spot price over time for one VM.
 
     The price at time t is the price of the latest point with timestamp <= t;
     the last price persists indefinitely. Asking before the first point raises.
+    A trace is read-only, its arrays and attributes alike: the runs over the
+    same trace objects share their index curve and opening table.
     """
 
     def __init__(self, vm_id: str, points):
@@ -61,19 +70,27 @@ class PriceTrace:
         )
         if not pts:
             raise ValueError(f"trace for {vm_id!r} has no points")
+        stamps, prices = zip(*pts)
         self.vm_id = vm_id
-        self.timestamps = np.array([t for t, _ in pts], dtype=np.int64)
-        self.prices = np.array([price for _, price in pts], dtype=np.float64)
+        self.timestamps, self.prices = read_only(np.array(stamps, np.int64), np.array(prices, np.float64))
 
     @classmethod
     def from_arrays(cls, vm_id: str, timestamps: np.ndarray, prices: np.ndarray) -> "PriceTrace":
         """A trace over non-empty, sorted, distinct int64 timestamps and
-        their float64 prices, taken as they are."""
+        their float64 prices. It takes the arrays themselves, not copies,
+        and makes them read-only."""
         trace = cls.__new__(cls)
         trace.vm_id = vm_id
-        trace.timestamps = timestamps
-        trace.prices = prices
+        trace.timestamps, trace.prices = read_only(timestamps, prices)
         return trace
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"trace {self.vm_id!r} is read-only: {name} is already set")
+        super().__setattr__(name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"trace {self.vm_id!r} is read-only: {name} cannot be deleted")
 
     def __len__(self):
         return len(self.timestamps)

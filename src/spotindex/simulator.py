@@ -64,7 +64,7 @@ import numpy as np
 from .billing import billed_holds, compute_totals
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
-from .index import IndexCurve, _bits, index_curve, normalize
+from .index import IndexCurve, index_curve, normalize
 from .policies import ASK, STAY, MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, step_values, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
@@ -84,9 +84,8 @@ TABLE_TICKS = 1024
 # The most tasks a job may have: the engine visits every task at every stop.
 MAX_TASKS = 4096
 
-# (key, candidate traces, block) of the last opening table
-# _Engine._opening_table built
-_last_opening: tuple = ((), (), None)
+# (key, block) of the last opening table _Engine._opening_table built
+_last_opening: tuple = ((), None)
 
 
 def _set_int(obj, key: str, name: str, **bounds):
@@ -152,7 +151,7 @@ class JobSpec:
         if self.kind not in (LONG_RUNNING, BSP):
             raise ValueError(f"job kind must be '{LONG_RUNNING}' or '{BSP}'")
         if not self.phases:
-            raise ValueError("job needs at least one phase")
+            raise ValueError("phases must not be empty")
         object.__setattr__(self, "phases", tuple(self.phases))
         object.__setattr__(self, "phase_ends", tuple(accumulate(p.duration for p in self.phases)))
         object.__setattr__(self, "tasks", _task_count(self.tasks))
@@ -210,18 +209,27 @@ class JobSpec:
                 raise ValueError(f"{key} must be {what}, got {value!r}")
             return value
 
-        def floats(key):
-            pair = shaped(key, raw[key], 2, "a list of two numbers")
-            return tuple(exact(float, v, key) for v in pair)
+        def checked(key, kinds, values, names, strict=True):
+            """Each value as its kind, finite and > 0 (>= 0 unless strict),
+            or an InvariantError naming it `key name`."""
+            cast = [exact(kind, value, f"{key} {name}") for kind, value, name in zip(kinds, values, names)]
+            for value, name in zip(cast, names):
+                finite(value, f"{key} {name}", strict=strict)
+            return tuple(cast)
+
+        def floats(key, strict=True):
+            pair = [exact(float, v, key) for v in shaped(key, raw[key], 2, "a list of two numbers")]
+            return checked(key, (float, float), pair, ("cpu", "mem"), strict)
 
         def phase(i, entry):
-            d, c, m = shaped(f"phases[{i}]", entry, 3, "a [seconds, cpu, mem] list")
-            return Phase(exact(int, d, "phases"), exact(float, c, "phases"), exact(float, m, "phases"))
+            key = f"phases[{i}]"
+            values = shaped(key, entry, 3, "a [seconds, cpu, mem] list")
+            return Phase(*checked(key, (int, float, float), values, ("duration", "cpu", "mem")))
 
         casts = {
             "kind": lambda key: exact(str, raw[key], key),
             "tasks": lambda key: exact(int, raw[key], key),
-            "requirement": lambda key: ResourceRequirement(*floats(key)),
+            "requirement": lambda key: ResourceRequirement(*floats(key, strict=False)),
             "mem_footprint": lambda key: exact(float, raw[key], key),
             "max_price": lambda key: exact(float, raw[key], key),
             "reference_capacity": floats,
@@ -272,6 +280,9 @@ class RunParams:
             _at_most(getattr(self, key), 2**63 - 1, key)
         if self.index_reference not in ("window", "instant"):
             raise ValueError("index_reference must be 'window' or 'instant'")
+        exact(bool, self.treat_cap_as_revocation, "treat_cap_as_revocation")
+        if not isinstance(self.migration, MigrationModel):
+            raise InvariantError(f"migration must be a MigrationModel, got {self.migration!r}")
         if self.max_wallclock is not None:
             _set_int(self, "max_wallclock", "max_wallclock")
 
@@ -565,32 +576,16 @@ class _Engine:
 
     def _opening_table(self, count: int) -> MarketBlock:
         """_block of the count epoch ticks from t=0, shared: the last block
-        this built, with whatever index reference and moments a run has
-        read of it since, when its key is as it was then; otherwise a new
-        block, which it keeps. The key is the index curve, by identity
-        (index_curve hands out one curve only while each member's VmSpec
-        and trace bits are as they were), the candidates' VmSpecs in order,
-        each non-member candidate's trace bits, max_price, the migration
-        time, the RunParams fields the block reads (epoch, horizon,
-        sigma_window, index_reference, treat_cap_as_revocation) and count.
-        The block's moments are read, on first use, from the candidate
-        trace objects it was built from, so it is shared only with a run
-        over those same objects; a run over equal-bit copies builds its
-        own. The entry holds that block and those traces until another
-        opening table replaces it. Every array of a block is read-only
-        (MarketBlock), so no run can change what a later run reads."""
+        this built, with whatever a run has read of it since, when the run
+        is over the same trace objects (the index curve, and each candidate's
+        VmSpec and trace) with equal max_price, migration time, RunParams
+        fields the block reads and count; otherwise a new block, which it
+        keeps until another opening table replaces it."""
         global _last_opening
         params = self.params
-        members = set(self.composition)
-        traces = tuple(self.traces[spec.id] for spec in self.candidates)
         key = (
             self.curve,
-            tuple(self.candidates),
-            tuple(
-                (_bits(trace.timestamps), _bits(trace.prices))
-                for spec, trace in zip(self.candidates, traces)
-                if spec.id not in members
-            ),
+            tuple((spec, self.traces[spec.id]) for spec in self.candidates),
             self.max_price,
             self.t_m,
             params.epoch,
@@ -602,10 +597,10 @@ class _Engine:
         )
         # one read of the entry, so a thread that replaces it in between
         # cannot hand this call another key's block
-        last_key, built_from, block = _last_opening
-        if key != last_key or any(old is not new for old, new in zip(built_from, traces)):
+        last_key, block = _last_opening
+        if key != last_key:
             block = self._block(params.epoch * np.arange(count))
-            _last_opening = key, traces, block
+            _last_opening = key, block
         return block
 
     def _context(self, t: int, phase: Phase, current: str | None) -> PolicyContext:

@@ -16,7 +16,7 @@ from spotindex import (
     VmSpec,
     generate_market_suite,
 )
-from spotindex import simulator
+from spotindex import index, simulator
 
 MARKET_ROWS = [
     ("m4.large", "general", 2.0, 8.0, 10.0, 4.5, 0.5),
@@ -111,11 +111,13 @@ def params():
 
 
 @pytest.fixture(autouse=True)
-def empty_opening_cache(monkeypatch):
-    """Each test starts with no opening epoch table kept from an earlier
-    test's run (simulator._Engine._opening_table), so a test that counts
-    or wraps the blocks its run builds sees the opening one built."""
-    monkeypatch.setattr(simulator, "_last_opening", ((), (), None))
+def empty_market_caches(monkeypatch):
+    """Each test starts with no index curve (index.index_curve) and no
+    opening epoch table (simulator._Engine._opening_table) kept from an
+    earlier test's run, so a test that counts or wraps what its run builds
+    sees the curve and the opening table built."""
+    monkeypatch.setattr(index, "_last_curve", ((), None))
+    monkeypatch.setattr(simulator, "_last_opening", ((), None))
 
 
 # acceptance summary: one line per numbered criterion in test_acceptance.py

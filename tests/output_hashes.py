@@ -4,8 +4,8 @@ source leaves every output's bytes as they were.
 At seeds 0 and 7919, it hashes every case of the `study`, `week` and
 `bsp` benchmark workloads (bench/workloads.py): the report document the
 bench writes, the replay totals and the ledger, and the cases of the first
-`study` trace set once more in reverse order, after emptying the
-simulator's cache of opening epoch tables, under labels that start with
+`study` trace set once more in reverse order, after emptying the caches
+of the index curve and the opening epoch table, under labels that start with
 "reversed" (reversed_lines), which must hash as the forward ones do; and
 every file the `traces` case writes, with its work directory masked, once
 as the bench writes its raw JSON lines and once with their keys in reverse
@@ -67,7 +67,7 @@ from spotindex import (  # noqa: E402
     replay,
     run_simulation,
 )
-from spotindex import simulator  # noqa: E402
+from spotindex import index, simulator  # noqa: E402
 from spotindex.policies import POLICIES  # noqa: E402
 
 from conftest import COMPOSITION, build_catalog, study_params, traces_for  # noqa: E402
@@ -146,10 +146,11 @@ def first_set_reversed(workload, ops) -> list:
 
 def reversed_lines(seed: int, work_dir: Path):
     """The `study` cases of its first trace set, both jobs under every
-    policy, in reverse order, after emptying the simulator's cache of
-    opening epoch tables: each must hash as its forward-order case does,
+    policy, in reverse order, after emptying the index curve and opening
+    epoch table caches: each must hash as its forward-order case does,
     since a run may not depend on the runs before it over one market."""
-    simulator._last_opening = ((), (), None)
+    index._last_curve = ((), None)
+    simulator._last_opening = ((), None)
     yield from simulator_lines("study", seed, work_dir, tag="reversed ", order=first_set_reversed)
 
 

@@ -1,8 +1,13 @@
 import json
+import logging
 import math
+import re
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spotindex import (
     BalancedPolicy,
@@ -22,7 +27,7 @@ from spotindex import (
 from spotindex.cli import main
 from spotindex.synth import DEFAULT_SEED
 
-from conftest import MARKET_ROWS
+from conftest import HOSTILE, MARKET_ROWS
 
 CATALOG_CSV = (
     "id,instance_type,zone,region,family,cpu_capacity,mem_capacity,on_demand_price\n"
@@ -548,7 +553,7 @@ def test_simulate_balanced_options_match_the_library(workspace):
         ({k: v for k, v in JOB_JSON.items() if k != "phases"}, "phases"),
         ({**JOB_JSON, "max_price": float("nan")}, "max_price"),
         ({**JOB_JSON, "mem_footprint": float("inf")}, "mem_footprint"),
-        ({**JOB_JSON, "phases": [[600, float("nan"), 16.0]]}, "phase cpu"),
+        ({**JOB_JSON, "phases": [[600, float("nan"), 16.0]]}, "phases[0] cpu"),
         ({**JOB_JSON, "tasks": "x"}, "tasks"),
         # would build one task per task, until memory ran out
         ({**JOB_JSON, "tasks": 1e300}, "tasks"),
@@ -564,6 +569,93 @@ def test_simulate_malformed_job_is_a_located_domain_error(workspace, job, key, c
     assert run(simulate_argv(workspace, traces, "--out", out)) == 1
     assert f"job {workspace / 'job.json'}: {key} must be" in caplog.text
     assert not out.exists()
+
+
+# JOB_JSON with every key given, and each key path the job reader reads
+FULL_JOB = JobSpec.from_dict(JOB_JSON).to_dict()
+JOB_PATHS = [
+    *[(key,) for key in FULL_JOB],
+    ("phases", 0), *[("phases", 0, i) for i in range(3)],
+    *[(key, i) for key in ("requirement", "reference_capacity") for i in range(2)],
+]
+
+
+@pytest.fixture(scope="module")
+def hostile_workspace(tmp_path_factory):
+    workspace = tmp_path_factory.mktemp("hostile")
+    (workspace / "catalog.csv").write_text(CATALOG_CSV)
+    (workspace / "markets.json").write_text(json.dumps(MARKETS_JSON))
+    assert run(["synth", "--spec", workspace / "markets.json", "--out", workspace / "traces"]) == 0
+    return workspace
+
+
+@contextmanager
+def logged_errors():
+    """The messages of the errors the package logs inside the block."""
+    messages = []
+    handler = logging.Handler(logging.ERROR)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("spotindex")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def simulated(workspace, job) -> tuple[int, dict | None, list]:
+    """The exit code, the report and the error messages of `simulate` over
+    the job."""
+    (workspace / "job.json").write_text(json.dumps(job))
+    out = workspace / "report.json"
+    out.unlink(missing_ok=True)
+    with logged_errors() as messages:
+        code = run(simulate_argv(workspace, workspace / "traces", "--out", out))
+    return code, json.loads(out.read_text())["report"] if code == 0 else None, messages
+
+
+def edited_job(path, value) -> dict:
+    job = json.loads(json.dumps(FULL_JOB))
+    *parents, last = path
+    reached = job
+    for parent in parents:
+        reached = reached[parent]
+    reached[last] = value
+    return job
+
+
+def meaning(path, value) -> dict | None:
+    """The job that FULL_JOB with value at path means, where it means one: a
+    null key that has a default leaves it out, a string is a name, and -0.0
+    is a requirement of 0.0; None where the edit is an error."""
+    if path == ("name",):
+        return edited_job(path, value) if isinstance(value, str) else None
+    if len(path) == 1 and value is None and path != ("phases",):
+        return {key: v for key, v in FULL_JOB.items() if key != path[0]}
+    if path[0] == "requirement" and len(path) == 2 and type(value) is float and value == 0:
+        return edited_job(path, 0.0)
+    return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(JOB_PATHS), st.sampled_from(HOSTILE))
+def test_simulate_names_a_hostile_job_value_or_runs_what_it_means(hostile_workspace, path, value):
+    # exit 1 with a message that names the job file and the key, a phase's
+    # entries by their phase; or exit 0 with the report of what the value
+    # means
+    code, report, messages = simulated(hostile_workspace, edited_job(path, value))
+    meant = meaning(path, value)
+    if meant is not None:
+        assert (code, messages) == (0, [])
+        assert report == simulated(hostile_workspace, meant)[1]
+        return
+    name = f"phases[{path[1]}]" if path[0] == "phases" and len(path) > 1 else path[0]
+    if path == ("phases",) and isinstance(value, list) and value:  # whose first entry is no phase
+        name = "phases[0]"
+    job_file = re.escape(str(hostile_workspace / "job.json"))
+    assert code == 1
+    assert len(messages) == 1
+    assert re.fullmatch(f"job {job_file}: (job )?{re.escape(name)}( \\w+)? must .*", messages[0], re.S), messages
 
 
 @pytest.mark.parametrize("flag", ["--migration-rate", "--migration-floor"])

@@ -433,21 +433,30 @@ def shared_setup():
 def test_index_curve_reuses_the_curve_of_equal_inputs():
     catalog, traces, ids = shared_setup()
     curve = index.index_curve(traces, catalog, ids)
+    assert index.index_curve(dict(traces), Catalog(list(catalog)), list(ids)) is curve
+    assert curve_bits(curve) == curve_bits(IndexCurve(traces, catalog, ids))
+    # equal-bit copies are other trace objects
     copies = {vm: PriceTrace.from_arrays(vm, t.timestamps.copy(), t.prices.copy())
               for vm, t in traces.items()}
-    assert index.index_curve(copies, Catalog(list(catalog)), list(ids)) is curve
-    assert curve_bits(curve) == curve_bits(IndexCurve(traces, catalog, ids))
+    copied = index.index_curve(copies, catalog, ids)
+    assert copied is not curve
+    assert curve_bits(copied) == curve_bits(curve)
 
 
-def edit_price_in_place(catalog, traces, ids):
-    traces["c"].prices[1] = 6.2
-    return catalog, traces, ids
+def edited(traces, vm, k, price):
+    """traces with vm's trace replaced by a new one whose price k is price."""
+    prices = traces[vm].prices.copy()
+    prices[k] = price
+    return {**traces, vm: PriceTrace.from_arrays(vm, traces[vm].timestamps, prices)}
+
+
+def edit_price(catalog, traces, ids):
+    return catalog, edited(traces, "c", 1, 6.2), ids
 
 
 def unsign_a_zero_price(catalog, traces, ids):
     # -0.0 == 0.0, but the normalized low of its step keeps the sign
-    traces["a"].prices[2] = 0.0
-    return catalog, traces, ids
+    return catalog, edited(traces, "a", 2, 0.0), ids
 
 
 def move_the_cap(catalog, traces, ids):
@@ -460,10 +469,10 @@ def reorder(catalog, traces, ids):
     return catalog, traces, ids[::-1]
 
 
-@pytest.mark.parametrize("change", [edit_price_in_place, unsign_a_zero_price, move_the_cap, reorder])
+@pytest.mark.parametrize("change", [edit_price, unsign_a_zero_price, move_the_cap, reorder])
 def test_index_curve_builds_anew_when_an_input_changes(change):
     catalog, traces, ids = shared_setup()
-    traces["a"].prices[2] = -0.0
+    traces = edited(traces, "a", 2, -0.0)
     before = index.index_curve(traces, catalog, ids)
     kept = curve_bits(before)
     catalog, traces, ids = change(catalog, traces, ids)

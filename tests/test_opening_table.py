@@ -1,7 +1,8 @@
 """The opening epoch table that runs over one market share
-(simulator._Engine._opening_table): a run whose key is as the last build's
-reuses that block, one whose key differs in any part or whose traces are
-other objects builds its own, and no run can write into a shared block."""
+(simulator._Engine._opening_table): a run over the same trace objects whose
+key is as the last build's reuses that block, one whose key differs in any
+part, trace objects included, builds its own, and no run can write into a
+shared block or its traces."""
 
 import dataclasses
 import json
@@ -69,7 +70,7 @@ def cold(job, policy, traces, params=None, catalog=CATALOG) -> str:
     """The JSON of the run's report over an empty cache, which it leaves as
     it was."""
     kept = simulator._last_opening
-    simulator._last_opening = ((), (), None)
+    simulator._last_opening = ((), None)
     try:
         report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=params or study_params())
     finally:
@@ -95,10 +96,13 @@ def test_runs_over_one_market_share_one_opening_table(monkeypatch, order):
     assert builds == 1
 
 
-def in_place(vm, k, price):
+def repriced(vm, k, price):
+    """An edit that replaces vm's trace by a new one whose price k is price."""
+
     def edit(job, traces, params, catalog):
-        traces[vm].prices[k] = price
-        return job, traces, params, catalog
+        prices = traces[vm].prices.copy()
+        prices[k] = price
+        return job, {**traces, vm: PriceTrace.from_arrays(vm, traces[vm].timestamps, prices)}, params, catalog
 
     return edit
 
@@ -123,10 +127,10 @@ def run_seconds(seconds):
 
 
 # each changes one part of the key; the -0.0 edit follows a 0.0 one, so
-# the key differs from the last build's in the sign bit alone
+# its new trace differs from the last build's in the sign bit alone
 KEY_CHANGES = {
-    "non-member price in place": [in_place(EXTRA, 3, 5.25)],
-    "non-member price 0.0 to -0.0": [in_place(EXTRA, 3, 0.0), in_place(EXTRA, 3, -0.0)],
+    "non-member price": [repriced(EXTRA, 3, 5.25)],
+    "non-member price 0.0 to -0.0": [repriced(EXTRA, 3, 0.0), repriced(EXTRA, 3, -0.0)],
     "max_price": [replaced(dataclasses.replace(baseline_job(), max_price=8.0))],
     "sigma_window": [replaced(sigma_window=1800)],
     "index_reference": [replaced(index_reference="instant")],
@@ -154,14 +158,14 @@ def test_a_run_whose_key_differs_in_one_part_builds_its_own_opening_table(monkey
 
 def test_a_run_over_equal_bit_copies_builds_its_own_opening_table(monkeypatch):
     # the block reads its moments, on first use, from the trace objects of
-    # the run that built it: cost reads none, so the edit of that run's
-    # trace, made after its run, would reach balanced's moments over an
-    # equal-bit copy taken before the edit
+    # the run that built it: cost reads none, and those traces reject the
+    # edit that would otherwise reach a later run's moments
     traces = market()
     before = copied(traces)
     counted_run(monkeypatch, baseline_job(), "cost", traces)
     for vm in ("m4.2xlarge", EXTRA):
-        traces[vm].prices[:] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            traces[vm].prices[:] = 5.0
     produced, built = counted_run(monkeypatch, baseline_job(), "balanced", before)
     assert built == 1
     assert produced == cold(baseline_job(), "balanced", before)

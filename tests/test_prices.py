@@ -14,7 +14,9 @@ from spotindex import (
     ParseError,
     PricePoint,
     PriceTrace,
+    SynthMarketSpec,
     VmSpec,
+    generate_market_suite,
     ingest_traces,
     is_capped,
     load_trace_dir,
@@ -179,6 +181,31 @@ def test_ingest_csv_and_jsonl_round_trip(tmp_path):
     again = ingest_traces([out], make_catalog())
     assert np.array_equal(again["vm-a"].timestamps, traces["vm-a"].timestamps)
     assert np.array_equal(again["vm-a"].prices, traces["vm-a"].prices)
+
+
+def every_way_to_make_a_trace(tmp_path) -> list:
+    path = write_jsonl(tmp_path / "raw.jsonl", [{"timestamp": 0, "vm_id": "vm-a", "price": 1.5}])
+    return [
+        PriceTrace("vm-a", [PricePoint(0, 1.5), PricePoint(60, 2.5)]),
+        PriceTrace.from_arrays("vm-a", np.array([0, 60]), np.array([1.5, 2.5])),
+        ingest_traces([path], make_catalog())["vm-a"],
+        *generate_market_suite([SynthMarketSpec("vm-a", 2.0, 0.5)], warmup=600).values(),
+    ]
+
+
+def test_a_trace_rejects_writes_and_rebinding(tmp_path):
+    # the index curve and the opening table are shared among the runs over
+    # the same trace objects, so what a trace object holds may not change
+    for trace in every_way_to_make_a_trace(tmp_path):
+        for name in ("timestamps", "prices"):
+            values = getattr(trace, name)
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 7
+            with pytest.raises(AttributeError, match=f"^trace 'vm-a' is read-only: {name} is already set$"):
+                setattr(trace, name, values.copy())
+            with pytest.raises(AttributeError, match=f"^trace 'vm-a' is read-only: {name} cannot be deleted$"):
+                delattr(trace, name)
+            assert getattr(trace, name) is values
 
 
 def test_ingest_resolves_instance_zone(tmp_path):

@@ -140,6 +140,8 @@ def test_migration_model_seconds():
 
 # stands for a key left out of the job dict
 ABSENT = object()
+# the key path an error names, where it is not the key itself
+NAMED = {repr([[600.5, 4, 16]]): "phases[0] duration", repr([[600, True, 16]]): "phases[0] cpu"}
 
 
 @pytest.mark.parametrize(
@@ -163,7 +165,8 @@ def test_job_from_dict_rejects_values_a_cast_would_change(key, value):
     raw[key] = value
     if value is ABSENT:
         del raw[key]
-    with pytest.raises(ValueError, match=f"^{key} must be"):
+    named = NAMED.get(repr(value), key)
+    with pytest.raises(ValueError, match=f"^{re.escape(named)} must be"):
         JobSpec.from_dict(raw)
 
 
@@ -205,6 +208,11 @@ def test_non_finite_numbers_are_rejected_naming_the_field(field, value):
         ({"phases": 5}, "phases must be a list of [seconds, cpu, mem] lists, got 5"),
         ({"phases": [{"seconds": 600}]}, "phases[0] must be a [seconds, cpu, mem] list, got {'seconds': 600}"),
         ({"phases": [[600, 4, 16], "abc"]}, "phases[1] must be a [seconds, cpu, mem] list, got 'abc'"),
+        # each used to name "phase duration" and "phases" alone
+        ({"phases": [[10**400, 4, 16]]}, f"phases[0] duration must be finite and > 0, got {10**400}"),
+        ({"phases": [[600, 4, 16], [600, 10**400, 16]]}, f"phases[1] cpu must be float, got {10**400}"),
+        ({"phases": []}, "phases must not be empty"),
+        ({"requirement": [math.nan, 16]}, "requirement cpu must be finite and >= 0, got nan"),
         ([1], "job spec must be a JSON object, got [1]"),
     ],
 )
@@ -266,6 +274,22 @@ def test_run_params_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got -?(nan|inf)$"):
                 RunParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, None, np.True_])
+def test_treat_cap_as_revocation_must_be_a_bool(value):
+    # "no" ran with caps treated as revocations, and the report's params
+    # echoed "no"
+    with pytest.raises(InvariantError, match=f"^treat_cap_as_revocation must be bool, got {re.escape(repr(value))}$"):
+        RunParams(treat_cap_as_revocation=value)
+    assert RunParams(treat_cap_as_revocation=True).treat_cap_as_revocation is True
+
+
+@pytest.mark.parametrize("value", [None, 90, {"rate": 1.0}])
+def test_migration_must_be_a_migration_model(value):
+    # None ended in a raw AttributeError where the run first priced a copy
+    with pytest.raises(InvariantError, match=f"^migration must be a MigrationModel, got {re.escape(repr(value))}$"):
+        RunParams(migration=value)
 
 
 def test_interval_cost_value():
@@ -915,7 +939,6 @@ def test_a_span_that_overflows_int64_raises_out_of_range():
 
 
 def test_a_run_its_replay_and_its_ledger_build_one_index_curve(monkeypatch):
-    monkeypatch.setattr(index, "_last_curve", ((), None))
     build = IndexCurve.__init__
     builds = []
 
