@@ -208,12 +208,12 @@ def test_non_finite_numbers_are_rejected_naming_the_field(field, value):
         ({"phases": 5}, "phases must be a list of [seconds, cpu, mem] lists, got 5"),
         ({"phases": [{"seconds": 600}]}, "phases[0] must be a [seconds, cpu, mem] list, got {'seconds': 600}"),
         ({"phases": [[600, 4, 16], "abc"]}, "phases[1] must be a [seconds, cpu, mem] list, got 'abc'"),
+        ([1], "job spec must be a JSON object, got [1]"),
         # each used to name "phase duration" and "phases" alone
         ({"phases": [[10**400, 4, 16]]}, f"phases[0] duration must be finite and > 0, got {10**400}"),
         ({"phases": [[600, 4, 16], [600, 10**400, 16]]}, f"phases[1] cpu must be float, got {10**400}"),
         ({"phases": []}, "phases must not be empty"),
         ({"requirement": [math.nan, 16]}, "requirement cpu must be finite and >= 0, got nan"),
-        ([1], "job spec must be a JSON object, got [1]"),
     ],
 )
 def test_job_from_dict_names_the_key_of_a_malformed_shape(raw, message):
