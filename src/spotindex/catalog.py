@@ -9,13 +9,13 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
-from .errors import ConflictError, InvariantError, ParseError, finite
+from .errors import ConflictError, InvariantError, ParseError, exact, finite
 
 
 class VmFamily(str, Enum):
@@ -25,6 +25,10 @@ class VmFamily(str, Enum):
     STORAGE = "storage"
     ACCELERATED = "accelerated"
     OTHER = "other"
+
+
+# the VmSpec fields that must be str
+_TEXT_FIELDS = ("id", "instance_type", "zone", "region")
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,8 @@ class VmSpec:
     on_demand_price: float
 
     def __post_init__(self):
+        for key in _TEXT_FIELDS:
+            exact(str, getattr(self, key), key)
         if not self.id:
             raise InvariantError("vm id must be non-empty")
         finite(self.cpu_capacity, "cpu_capacity")
@@ -105,17 +111,9 @@ class Scope:
 
 GLOBAL_SCOPE = Scope()
 
-_FIELDS = (
-    "id",
-    "instance_type",
-    "zone",
-    "region",
-    "family",
-    "cpu_capacity",
-    "mem_capacity",
-    "on_demand_price",
-)
-_NUMERIC_FIELDS = ("cpu_capacity", "mem_capacity", "on_demand_price")
+_FIELDS = tuple(f.name for f in fields(VmSpec))
+# the fields a catalog file holds as numbers: all but the text and the family
+_NUMERIC_FIELDS = tuple(f for f in _FIELDS if f not in (*_TEXT_FIELDS, "family"))
 
 
 class Catalog:
@@ -153,6 +151,9 @@ class Catalog:
 
 
 def _record_to_spec(record: dict, source, line) -> VmSpec:
+    """The VmSpec of a catalog record. What VmSpec cannot know (a missing
+    value, a JSON value of the wrong shape, a number that does not parse,
+    an unknown family) raises ParseError naming source, line and field."""
     for field in _FIELDS:
         if record[field] in (None, ""):
             raise ParseError("missing value", source=source, line=line, field=field)
@@ -165,7 +166,7 @@ def _record_to_spec(record: dict, source, line) -> VmSpec:
     for field in _NUMERIC_FIELDS:
         try:
             values[field] = float(values[field])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # a whole number past the float range
             raise ParseError(
                 f"not a number: {record[field]!r}", source=source, line=line, field=field
             ) from None
@@ -179,16 +180,7 @@ def _record_to_spec(record: dict, source, line) -> VmSpec:
             field="family",
         )
     try:
-        return VmSpec(
-            id=str(values["id"]),
-            instance_type=str(values["instance_type"]),
-            zone=str(values["zone"]),
-            region=str(values["region"]),
-            family=VmFamily(family),
-            cpu_capacity=values["cpu_capacity"],
-            mem_capacity=values["mem_capacity"],
-            on_demand_price=values["on_demand_price"],
-        )
+        return VmSpec(**values)
     except InvariantError as exc:
         raise ParseError(str(exc), source=source, line=line) from None
 

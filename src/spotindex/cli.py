@@ -16,11 +16,12 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import __version__
 from .catalog import Scope, load_catalog
-from .errors import ConflictError, SpotIndexError, exact
+from .errors import ConflictError, SpotIndexError
 from .index import index_series
 from .policies import POLICIES, build_policy
 from .prices import ingest_traces, load_trace_dir, trace_files, write_trace_jsonl
@@ -168,30 +169,21 @@ def _write_traces(traces, out, manifest: dict) -> int:
 
 
 def _market_spec(path, i, entry) -> SynthMarketSpec:
-    """Entry i of the market spec list in file path; a malformed entry or a
-    bad value raises ValueError naming the file, the entry's index and its
-    key."""
+    """Entry i of the market spec list in file path, whose keys are
+    SynthMarketSpec's fields and are checked by it, so a value means here
+    what it means to the library; a malformed entry or a bad value raises
+    ValueError naming the file, the entry's index and its key."""
     where = f"market spec {path}: market {i}"
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be a JSON object, got {entry!r}")
-    for key in ("vm_id", "mean", "stddev"):
-        if key not in entry:
-            raise ValueError(f"{where} has no {key!r}")
-    if not isinstance(entry["vm_id"], str):
-        raise ValueError(f"{where}: vm_id must be a string, got {entry['vm_id']!r}")
-    optional = {
-        "change_period": int,
-        "duration": int,
-        "volatility_scale": float,
-        "enforce_sample_moments": bool,
-    }
+    given = {}
+    for f in fields(SynthMarketSpec):
+        if f.name in entry:
+            given[f.name] = entry[f.name]
+        elif f.default is MISSING:
+            raise ValueError(f"{where} has no {f.name!r}")
     try:
-        return SynthMarketSpec(
-            vm_id=entry["vm_id"],
-            mean=exact(float, entry["mean"], "mean"),
-            stddev=exact(float, entry["stddev"], "stddev"),
-            **{key: exact(kind, entry[key], key) for key, kind in optional.items() if key in entry},
-        )
+        return SynthMarketSpec(**given)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 

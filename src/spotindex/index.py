@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import VmSpec
-from .errors import CoverageError, GapError, OutOfRangeError, finite
+from .errors import CoverageError, GapError, OutOfRangeError, exact, finite
 from .prices import fold_sum, is_capped, left_sum, read_only, step_slice, window_sums
 
 DEFAULT_PERIOD = 300
@@ -92,8 +92,12 @@ def index_series(
 
     Instants before the curve starts, or where every member is capped, are
     recorded as gaps; a composition the curve cannot be built from raises.
+    start, end and period are whole seconds: a whole float such as 300.0 is
+    300, and a fraction raises InvariantError naming its argument.
     """
     finite(period, "period")
+    start, end = exact(int, start, "start"), exact(int, end, "end")
+    period = exact(int, period, "period")
     if end <= start:
         raise ValueError("end must be after start")
     samples, gaps = IndexCurve(traces, catalog, composition).sample_grid(range(start, end, period))

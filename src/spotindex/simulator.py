@@ -146,9 +146,9 @@ class JobSpec:
     phase_ends: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.name:
+        if not exact(str, self.name, "name"):
             raise ValueError("job name must be non-empty")
-        if self.kind not in (LONG_RUNNING, BSP):
+        if exact(str, self.kind, "kind") not in (LONG_RUNNING, BSP):
             raise ValueError(f"job kind must be '{LONG_RUNNING}' or '{BSP}'")
         if not self.phases:
             raise ValueError("phases must not be empty")
@@ -198,8 +198,10 @@ class JobSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "JobSpec":
         """The inverse of to_dict; an absent or null key takes the default,
-        and name and phases, which have none, must be given. A value of the
-        wrong shape or type (see exact) raises ValueError naming its key."""
+        and name and phases, which have none, must be given. JobSpec checks
+        name and kind; the numbers are cast here, so that a library caller's
+        4 stays 4. A value of the wrong shape or type (see exact) raises
+        ValueError naming its key."""
         if not isinstance(raw, dict):
             raise ValueError(f"job spec must be a JSON object, got {raw!r}")
 
@@ -227,7 +229,7 @@ class JobSpec:
             return Phase(*checked(key, (int, float, float), values, ("duration", "cpu", "mem")))
 
         casts = {
-            "kind": lambda key: exact(str, raw[key], key),
+            "kind": raw.get,
             "tasks": lambda key: exact(int, raw[key], key),
             "requirement": lambda key: ResourceRequirement(*floats(key, strict=False)),
             "mem_footprint": lambda key: exact(float, raw[key], key),
@@ -236,7 +238,7 @@ class JobSpec:
         }
         phases = shaped("phases", raw.get("phases"), None, "a list of [seconds, cpu, mem] lists")
         return cls(
-            name=exact(str, raw.get("name"), "name"),
+            name=raw.get("name"),
             phases=tuple(phase(i, entry) for i, entry in enumerate(phases)),
             **{key: cast(key) for key, cast in casts.items() if raw.get(key) is not None},
         )

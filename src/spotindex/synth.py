@@ -5,11 +5,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConflictError, InvariantError, finite
+from .errors import ConflictError, InvariantError, exact, finite
 from .prices import PriceTrace
 
 log = logging.getLogger(__name__)
@@ -20,7 +20,9 @@ DEFAULT_SEED = 0
 
 @dataclass(frozen=True)
 class SynthMarketSpec:
-    """One market's price process: target moments and change cadence."""
+    """One market's price process: target moments and change cadence. Each
+    field is stored as exact gives it for its annotated kind (60.0 is 60,
+    while 60.5 or "no" raises), and then its range is checked."""
 
     vm_id: str
     mean: float
@@ -31,6 +33,12 @@ class SynthMarketSpec:
     enforce_sample_moments: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.vm_id, str):
+            raise InvariantError(f"vm_id must be a string, got {self.vm_id!r}")
+        for f in fields(self)[1:]:
+            # each annotation is the name of its kind (postponed annotations)
+            kind = {"int": int, "float": float, "bool": bool}[f.type]
+            object.__setattr__(self, f.name, exact(kind, getattr(self, f.name), f.name))
         if not self.vm_id:
             raise ValueError("vm_id must be non-empty")
         finite(self.mean, "mean")
@@ -91,8 +99,7 @@ def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, sa
     something to clamp away. `salt` separates the randomness of otherwise
     identical calls (warmup block versus the run proper).
     """
-    # range() rejects a start, duration or period that is not an integer,
-    # which np.arange would truncate
+    start = exact(int, start, "start")
     grid = range(start, start + spec.duration, spec.change_period)
     if grid.start < -(2**63) or grid.stop > 2**63:
         raise InvariantError(
@@ -128,6 +135,7 @@ def generate_with_warmup(
     disturbing the run block (which is identical to a warmup-free generate).
     """
     finite(warmup, "warmup", strict=False)
+    warmup = exact(int, warmup, "warmup")
     run = generate(spec, seed=seed, start=start, salt=0)
     if warmup == 0:
         return run

@@ -1,6 +1,7 @@
 """Shared fixtures: the four-market replication setup and the acceptance
 summary printed after a run."""
 
+import json
 import math
 import re
 
@@ -41,6 +42,20 @@ HOSTILE = [
     BIG, -BIG, LONG, -0.0, math.nan, math.inf, -math.inf, True, "5", None, [], {},
     {"a": {"a": {"a": {"a": [[{}]]}}}}, [[[[[[{"a": [[{}]]}]]]]]],
 ]
+
+
+def json_text(value) -> str:
+    """value as the text of a JSON value; LONG bare, as no JSON reader reads it."""
+    return LONG if value is LONG else json.dumps(value)
+
+
+def csv_text(value) -> str:
+    """value as the text of a CSV cell."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, dict)):
+        return json.dumps(value)
+    return "" if value is None else str(value)
 
 
 def build_catalog() -> Catalog:

@@ -1,8 +1,11 @@
+import dataclasses
+import io
 import json
 import logging
 import math
 import re
-from contextlib import contextmanager
+import shutil
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import pytest
@@ -13,9 +16,12 @@ from spotindex import (
     BalancedPolicy,
     JobSpec,
     MigrationModel,
+    Phase,
     RunParams,
     SpotIndexError,
     SynthMarketSpec,
+    VmFamily,
+    VmSpec,
     generate_market_suite,
     load_catalog,
     load_trace_dir,
@@ -24,10 +30,11 @@ from spotindex import (
     run_simulation,
     write_trace_jsonl,
 )
+from spotindex.catalog import _FIELDS, _TEXT_FIELDS
 from spotindex.cli import main
 from spotindex.synth import DEFAULT_SEED
 
-from conftest import HOSTILE, MARKET_ROWS
+from conftest import HOSTILE, LONG, MARKET_ROWS, csv_text, json_text
 
 CATALOG_CSV = (
     "id,instance_type,zone,region,family,cpu_capacity,mem_capacity,on_demand_price\n"
@@ -968,3 +975,250 @@ def test_job_from_dict_raises_only_domain_errors(key):
             JobSpec.from_dict(value if key is None else {**FULL_JOB, key: value})
         except (ValueError, SpotIndexError):
             pass
+
+
+# One HOSTILE value at one key of a valid market spec, catalog or simulate
+# config, through the CLI; and each record's scalar fields given a HOSTILE
+# value by a library caller.
+
+# two short markets with every key given
+HOSTILE_MARKETS = [
+    {**FULL_MARKET, "vm_id": vm, "mean": mean, "stddev": std, "duration": 600}
+    for vm, _, _, _, _, mean, std in MARKET_ROWS[:2]
+]
+
+
+def with_value(doc, path, value) -> str:
+    """doc as JSON text with value at key path, a LONG value bare."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    reached = doc
+    for parent in parents:
+        reached = reached[parent]
+    reached[last] = "\0"
+    return json.dumps(doc).replace(json.dumps("\0"), json_text(value))
+
+
+def cli_outcome(argv) -> tuple:
+    """The exit code of the CLI over argv, the errors it logged, and the
+    last line it wrote to stderr, where argparse writes a usage error."""
+    stderr = io.StringIO()
+    with logged_errors() as messages, redirect_stderr(stderr):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, messages, stderr.getvalue().strip().rpartition("\n")[2]
+
+
+def synthesized(workspace, text: str) -> tuple:
+    """The outcome of spotindex synth over a spec file holding text, and
+    the bytes of each trace file it wrote."""
+    spec, out = workspace / "spec.json", workspace / "synth"
+    spec.write_text(text)
+    shutil.rmtree(out, ignore_errors=True)
+    code, messages, _ = cli_outcome(["synth", "--spec", spec, "--out", out])
+    return code, messages, {p.name: p.read_bytes() for p in sorted(out.glob("*.jsonl"))}
+
+
+def market_meaning(key: str, value):
+    """What value at key of a market spec means, as the plain value that
+    says it; None where it means nothing there: a string is a vm id, true
+    is enforce_sample_moments, and -0.0 is a stddev or volatility_scale of
+    0.0. null is no default here: a key given must hold a value."""
+    if key == "vm_id" and isinstance(value, str) and value is not LONG:
+        return value
+    if key == "enforce_sample_moments" and isinstance(value, bool):
+        return value
+    if key in ("stddev", "volatility_scale") and type(value) is float and value == 0:
+        return 0.0
+    return None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 1), st.sampled_from(sorted(FULL_MARKET)), st.sampled_from(HOSTILE))
+def test_synth_names_a_hostile_spec_value_or_writes_what_it_means(hostile_workspace, i, key, value):
+    # exit 1 with a message that names the spec file, the market and the
+    # key (only the file, for a value json cannot read); or exit 0 with the
+    # traces of what the value means
+    code, messages, written = synthesized(hostile_workspace, with_value(HOSTILE_MARKETS, (i, key), value))
+    meant = market_meaning(key, value)
+    if meant is not None:
+        assert (code, messages) == (0, [])
+        assert synthesized(hostile_workspace, with_value(HOSTILE_MARKETS, (i, key), meant)) == (0, [], written)
+        return
+    spec = re.escape(str(hostile_workspace / "spec.json"))
+    unread = "|.*digits.*" if value is LONG else ""
+    assert (code, len(messages)) == (1, 1), messages
+    assert re.fullmatch(f"market spec {spec}: (market {i}: {key} must .*{unread})", messages[0], re.S)
+
+
+CATALOG_RECORDS = [
+    dict(zip(_FIELDS, (vm, vm, "us-east-1a", "us-east-1", family, cpu, mem, od)))
+    for vm, family, cpu, mem, od, _, _ in MARKET_ROWS
+]
+
+
+def catalog_text(suffix: str, at, value) -> str:
+    """CATALOG_RECORDS as a CSV or JSON-lines file, with value at (record
+    index, field) at."""
+    i, key = at
+    if suffix == "jsonl":
+        lines = [json.dumps(r) for r in CATALOG_RECORDS]
+        lines[i] = with_value(CATALOG_RECORDS[i], (key,), value)
+        return "".join(line + "\n" for line in lines)
+    rows = [[{**r, key: value}[f] if n == i else r[f] for f in _FIELDS] for n, r in enumerate(CATALOG_RECORDS)]
+    return "".join(",".join(map(csv_text, row)) + "\n" for row in [list(_FIELDS), *rows])
+
+
+def catalog_meaning(key: str, value, suffix: str):
+    """What value at key of a catalog record means, as the plain value that
+    says it; None where it means nothing there: text where text is due,
+    and a JSON number or numeric text that is finite and > 0 where a
+    number is due."""
+    if suffix == "csv":
+        value = csv_text(value) or None
+    elif value is LONG:
+        return None  # not JSON
+    if key in _TEXT_FIELDS:
+        return value if isinstance(value, str) else None
+    if key == "family" or isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        return None
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        return None
+    return number if math.isfinite(number) and number > 0 else None
+
+
+def indexed(workspace, suffix: str, text: str) -> tuple:
+    """The outcome of spotindex index over a catalog file holding text, and
+    the sample rows it wrote."""
+    catalog, out = workspace / f"hostile.{suffix}", workspace / "index.csv"
+    catalog.write_text(text)
+    out.unlink(missing_ok=True)
+    argv = ["index", "--traces", workspace / "traces", "--catalog", catalog]
+    code, messages, _ = cli_outcome([*argv, "--start", 0, "--end", 3600, "--period", 600, "--out", out])
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")] if code == 0 else None
+    return code, messages, rows
+
+
+def check_hostile_catalog_value(workspace, suffix: str, at, value):
+    # exit 1 with a message that names the catalog file, the record's line
+    # and the field; or exit 0 with the index of what the value means
+    i, key = at
+    code, messages, rows = indexed(workspace, suffix, catalog_text(suffix, at, value))
+    meant = catalog_meaning(key, value, suffix)
+    if meant is not None:
+        assert (code, messages) == (0, [])
+        assert indexed(workspace, suffix, catalog_text(suffix, at, meant)) == (0, [], rows)
+        return
+    path = re.escape(str(workspace / f"hostile.{suffix}"))
+    line = i + 2 if suffix == "csv" else i + 1
+    unread = "|invalid JSON: .*" if suffix == "jsonl" and value is LONG else ""
+    assert (code, len(messages)) == (1, 1), messages
+    assert re.fullmatch(f"{path}: line {line}: (field '{key}': .*|{key} must .*{unread})", messages[0], re.S)
+
+
+CATALOG_EDITS = st.tuples(st.integers(0, len(MARKET_ROWS) - 1), st.sampled_from(_FIELDS))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(CATALOG_EDITS, st.sampled_from(HOSTILE))
+def test_a_hostile_csv_catalog_value_is_named_or_read_as_what_it_means(hostile_workspace, at, value):
+    check_hostile_catalog_value(hostile_workspace, "csv", at, value)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(CATALOG_EDITS, st.sampled_from(HOSTILE))
+def test_a_hostile_json_lines_catalog_value_is_named_or_read_as_what_it_means(hostile_workspace, at, value):
+    check_hostile_catalog_value(hostile_workspace, "jsonl", at, value)
+
+
+def hostile_config(workspace) -> dict:
+    """A simulate config that sets every option but --out, --events and the
+    balanced policy's."""
+    return {
+        "job": str(workspace / "job.json"),
+        "policy": "cost",
+        "traces": str(workspace / "traces"),
+        "catalog": str(workspace / "catalog.csv"),
+        "composition": "m4.large,r4.xlarge",
+        "epoch": 300,
+        "horizon": 3600,
+        "sigma_window": 3600,
+        "index_reference": "window",
+        "bsp_superstep": 300,
+        "migration_rate": 1.0,
+        "migration_floor": 0.0,
+        "restart": 90,
+        "cap_as_revocation": False,
+        "max_wallclock": 7200,
+        "region": "us-east-1",
+        "zone": "us-east-1a",
+        "family": "general",
+        "unknown": "warn",
+        "seed": 0,
+    }
+
+
+def simulated_with(workspace, *argv) -> tuple:
+    """The outcome of spotindex simulate with argv, and its report."""
+    out = workspace / "config-report.json"
+    out.unlink(missing_ok=True)
+    code, messages, usage = cli_outcome(["simulate", *argv, "--out", out])
+    return code, messages, usage, json.loads(out.read_text())["report"] if code == 0 else None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(hostile_config(Path()))), st.sampled_from(HOSTILE))
+def test_a_hostile_config_value_means_what_it_means_after_its_flag(hostile_workspace, key, value):
+    # a config value is the words that would follow its flag: a string or
+    # number one word, a list several, true a switch, false or null none.
+    # So each outcome, an exit 2 usage error naming the flag included, is
+    # that of the words on the command line; a value json cannot read is an
+    # exit 1 error naming the config file.
+    (hostile_workspace / "job.json").write_text(json.dumps(JOB_JSON))
+    config = hostile_workspace / "config.json"
+    config.write_text(with_value(hostile_config(hostile_workspace), (key,), value))
+    outcome = simulated_with(hostile_workspace, "--config", config)
+    if value is LONG:
+        code, [message] = outcome[:2]
+        assert code == 1 and message.startswith(f"config {config}: "), message
+        return
+    words = []
+    for name, given_value in {**hostile_config(hostile_workspace), key: value}.items():
+        flag = "--" + name.replace("_", "-")
+        if given_value is True:
+            words.append(flag)
+        elif isinstance(given_value, list):
+            words += [flag, *map(str, given_value)]
+        elif given_value is not None and given_value is not False:
+            words.append(f"{flag}={given_value}")
+    assert outcome == simulated_with(hostile_workspace, *words)
+
+
+# each record's fields that hold one value, and the kind each is cast to
+SCALAR_KINDS = {"str": str, "int": int, "float": float, "bool": bool, "float | None": float, "VmFamily": VmFamily}
+RECORDS = {
+    SynthMarketSpec: dict(vm_id="m", mean=6.5, stddev=1.0),
+    VmSpec: CATALOG_RECORDS[0],
+    JobSpec: dict(name="j", phases=(Phase(60, 1.0, 1.0),)),
+}
+
+
+@pytest.mark.parametrize(
+    "record, key",
+    [(cls, f.name) for cls in RECORDS for f in dataclasses.fields(cls) if f.init and f.type in SCALAR_KINDS],
+)
+def test_a_record_names_a_hostile_field_or_holds_its_cast_value(record, key):
+    # as the readers above do, since they build the same records
+    kind = SCALAR_KINDS[{f.name: f.type for f in dataclasses.fields(record)}[key]]
+    for value in HOSTILE:
+        try:
+            built = record(**{**RECORDS[record], key: value})
+        except ValueError as exc:  # InvariantError is one
+            assert re.match(f"(job )?{key} must |.* is not a valid VmFamily$", str(exc)), (value, exc)
+            continue
+        meant = record(**RECORDS[record]) if value is None else record(**{**RECORDS[record], key: kind(value)})
+        assert built == meant and type(getattr(built, key)) is type(getattr(meant, key)), value

@@ -14,6 +14,7 @@ from spotindex import (
     CoverageError,
     GapError,
     IndexCurve,
+    InvariantError,
     JobSpec,
     OutOfRangeError,
     Phase,
@@ -144,6 +145,22 @@ def test_index_series_grid_and_gaps():
         index_series(traces, catalog, ["a"], 0, 300, 300).mean()
     with pytest.raises(ValueError, match="^sample grid must be strictly increasing$"):
         dataclasses.replace(series, samples=series.samples[::-1])
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [((0.5, 900, 300), "start"), ((0, 900.5, 300), "end"), ((0, 600, 1.5), "period"), (("0", 900, 300), "start")],
+)
+def test_index_series_names_an_argument_that_is_not_whole_seconds(args, key):
+    # each once ended in range()'s raw TypeError; a whole float means its int
+    catalog = Catalog([spec("a", 1.0, 1.0, 1.0)])
+    traces = {"a": PriceTrace("a", [PricePoint(0, 2.0), PricePoint(450, 3.0)])}
+    value = dict(zip(("start", "end", "period"), args))[key]
+    with pytest.raises(InvariantError, match=rf"^{key} must be int, got {re.escape(repr(value))}$"):
+        index_series(traces, catalog, ["a"], *args)
+    whole = index_series(traces, catalog, ["a"], 0.0, 900.0, 300.0)
+    assert whole == index_series(traces, catalog, ["a"], 0, 900, 300)
+    assert [s.timestamp for s in whole.samples] == [0, 300, 600]
 
 
 def test_on_demand_index_value():

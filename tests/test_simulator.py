@@ -1710,3 +1710,59 @@ def test_a_candidate_always_over_max_price_changes_nothing_but_the_candidates(
         return
     assert with_it.pop("candidates") == sorted([*without.pop("candidates"), vm])
     assert with_it == without
+
+
+# order-preserving renaming of VM ids: a metamorphic property of the whole run
+
+
+def renamed_market(job, traces, catalog, composition, new_id):
+    """The inputs with every VM id, and each VM's instance type, which is
+    its id here, renamed by new_id."""
+    traces = {new_id(vm): PriceTrace.from_arrays(new_id(vm), t.timestamps, t.prices) for vm, t in traces.items()}
+    catalog = Catalog(
+        [dataclasses.replace(spec, id=new_id(spec.id), instance_type=new_id(spec.id)) for spec in catalog]
+    )
+    return job, traces, catalog, [new_id(vm) for vm in composition]
+
+
+def renamed_text(doc, names: dict) -> str:
+    """doc as JSON text with each name in it replaced by names[name], in
+    one pass."""
+    pattern = re.compile("|".join(map(re.escape, sorted(names, key=len, reverse=True))))
+    return pattern.sub(lambda m: names[m.group()], json.dumps(doc, sort_keys=True))
+
+
+@st.composite
+def order_preserving_names(draw):
+    """A map of COMPOSITION's ids that keeps their sort order: a prefix on
+    each, or each one's rank after a prefix."""
+    prefix = draw(st.text(alphabet="aqz0-_.~", min_size=1, max_size=3))
+    ranked = draw(st.booleans())
+    return {vm: f"{prefix}{k:02d}" if ranked else prefix + vm for k, vm in enumerate(COMPOSITION)}
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 9),
+    volatility=st.sampled_from((1.0, 1.5)),
+    policy=st.sampled_from(sorted(POLICIES)),
+    max_price=st.sampled_from((None, 9.5)),
+    names=order_preserving_names(),
+)
+def test_renaming_vm_ids_in_their_order_renames_every_output(seed, volatility, policy, max_price, names):
+    # ties go to the smallest id, so a renaming that keeps the ids' order
+    # keeps every tie, and each output is the same up to the names: the
+    # report, its replay and its ledger
+    assert sorted(names.values()) == [names[vm] for vm in COMPOSITION]
+    job = dataclasses.replace(baseline_job(), max_price=max_price)
+    inputs = (job, traces_for(seed, volatility), CATALOG, COMPOSITION)
+    outputs = []
+    for job, traces, catalog, composition in (inputs, renamed_market(*inputs, names.get)):
+        try:
+            report = run_simulation(job, policy, traces, catalog, composition, params=study_params())
+        except SpotIndexError as exc:
+            outputs.append(f"{type(exc).__name__}: {exc}")
+            continue
+        doc = report.to_dict()
+        outputs.append([doc, replay(doc, traces, catalog), ledger_from_report(doc, traces, catalog).to_dicts()])
+    assert renamed_text(outputs[0], names) == json.dumps(outputs[1], sort_keys=True)

@@ -66,12 +66,30 @@ def test_generate_shape_and_grid():
 
 
 @pytest.mark.parametrize(
-    "spec, start", [(spec_of(change_period=60.5), 0), (spec_of(duration=300.0), 0), (spec_of(), 0.5)]
+    "spec, start", [(dict(change_period=60.5), 0), (dict(duration=300.0), 0), ({}, 0.5)]
 )
 def test_a_grid_that_is_not_whole_seconds_is_rejected(spec, start):
-    # the grid is never truncated to whole seconds
-    with pytest.raises(TypeError):
-        generate(spec, start=start)
+    # the grid is never truncated to whole seconds: a fraction raises an
+    # InvariantError naming it, where it once reached range()'s raw
+    # TypeError; a whole float, once also a TypeError, means its int
+    fractions = [f"{k} must be int, got {v}" for k, v in {**spec, "start": start}.items() if v % 1]
+    if fractions:
+        with pytest.raises(InvariantError, match=f"^{re.escape(fractions[0])}$"):
+            generate(spec_of(**spec), start=start)
+        return
+    whole = generate(spec_of(**spec), start=start)
+    meant = generate(spec_of(**{k: int(v) for k, v in spec.items()}), start=int(start))
+    assert whole.timestamps.tolist() == meant.timestamps.tolist() == list(range(0, 300, 60))
+    assert whole.prices.tobytes() == meant.prices.tobytes()
+
+
+@pytest.mark.parametrize("start, warmup", [(0.5, 0), (0, 0.5), (True, 0), (0, math.nan)])
+def test_a_start_or_warmup_that_is_not_whole_seconds_names_it(start, warmup):
+    # each but the nan warmup reached range()'s raw TypeError, or ran at
+    # start 1 for True
+    key, value = ("start", start) if start else ("warmup", warmup)
+    with pytest.raises(InvariantError, match=rf"^{key} must be .*, got {value}$"):
+        generate_with_warmup(spec_of(), start=start, warmup=warmup)
 
 
 @pytest.mark.parametrize(

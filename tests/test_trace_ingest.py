@@ -29,7 +29,7 @@ from spotindex.errors import ParseError
 from spotindex.prices import trace_files
 
 import trace_oracle
-from conftest import HOSTILE, LONG
+from conftest import HOSTILE, LONG, csv_text, json_text
 from test_cli import CATALOG_CSV
 from test_prices import make_catalog
 
@@ -313,18 +313,6 @@ VALID_RECORDS = [
     {"timestamp": 0, "instance_type": "c4.2xlarge", "zone": "us-east-1a", "price": 6.5},
     {"timestamp": 120, "vm_id": "r4.xlarge", "price": 7.0},
 ]
-
-
-def json_text(value) -> str:
-    return LONG if value is LONG else json.dumps(value)
-
-
-def csv_text(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (list, dict)):
-        return json.dumps(value)
-    return "" if value is None else str(value)
 
 
 def number(value):
