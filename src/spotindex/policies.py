@@ -39,6 +39,13 @@ STAY = -1
 ASK = -2
 CPU_FLOOR_FRACTION = 0.05
 MEM_FLOOR_GB = 0.05
+# Where every price that the candidates' windows read is below it, no
+# score is NaN: a price squared times a window's width of at most 2**63 s
+# stays below 1e220, so the moments are finite, and so are their utilized
+# prices, below 1e100 / sqrt(5e-324) < 1e263, wherever the floored
+# utilization's cpu * mem is above 0. The index reference, >= 0 and never
+# NaN where the market is defined, then makes each score finite or +inf.
+WINDOW_BOUND = 1e100
 
 
 def floored_utilization(spec: VmSpec, cpu_used: float, mem_used: float) -> tuple[float, float]:
@@ -67,15 +74,16 @@ def sharpe(index_reference, utilized_mean, sigma):
 
 
 class _FromBlock:
-    """A field that MarketBlock.context leaves to be read on first use, from
-    cell `_cell` of one array of the instance's block `_block`. A non-data
-    descriptor: a value in the instance's __dict__, which __init__ and a
-    first read both set, wins over it, so the field is a plain attribute
-    from then on, and no other attribute is slowed (a __getattr__ would
-    slow them all). A read that raises stores nothing, to raise again."""
+    """A field that MarketBlock.context leaves to be read on first use, as
+    read(block, *cell) of the instance's block `_block` and cell `_cell`: a
+    view's (row, k), a context's (k,). A non-data descriptor: a value in
+    the instance's __dict__, which __init__ and a first read both set, wins
+    over it, so the field is a plain attribute from then on, and no other
+    attribute is slowed (a __getattr__ would slow them all). A read that
+    raises stores nothing, to raise again."""
 
-    def __init__(self, array: str):
-        self.array = array
+    def __init__(self, read: Callable[..., float]):
+        self.read = read
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -86,7 +94,7 @@ class _FromBlock:
             # default, or an instance that has neither value nor block
             raise AttributeError(self.name)
         state = instance.__dict__
-        value = state[self.name] = getattr(state["_block"], self.array).item(state["_cell"])
+        value = state[self.name] = self.read(state["_block"], *state["_cell"])
         return value
 
 
@@ -95,15 +103,15 @@ class CandidateView:
     """Everything a policy may inspect about one candidate VM.
 
     A view that MarketBlock.context builds holds its block, not window_mean
-    and window_std, and reads each from the block's means or stds on its
-    first use; the block computes those on their own first read, so a
-    policy that never reads them never has them computed. A view built
-    directly holds the four fields as given."""
+    and window_std, and reads each from the block's moments at its own
+    instant on its first use (MarketBlock.moments_at), so a policy that
+    never reads them never has them computed. A view built directly holds
+    the four fields as given."""
 
     spec: VmSpec
     price: float
-    window_mean: float = _FromBlock("means")
-    window_std: float = _FromBlock("stds")
+    window_mean: float = _FromBlock(lambda block, row, k: block.moments_at(k)[0].item(row))
+    window_std: float = _FromBlock(lambda block, row, k: block.moments_at(k)[1].item(row))
 
     def normalized(self) -> float:
         return normalize(self.spec, self.price)
@@ -112,15 +120,16 @@ class CandidateView:
 @dataclass(frozen=True)
 class PolicyContext:
     """Everything a policy may inspect at one instant. One that
-    MarketBlock.context builds reads index_reference from its block on
-    first use, as its views read their moments."""
+    MarketBlock.context builds reads index_reference from its block at its
+    own instant on first use (MarketBlock.reference_at), as its views read
+    their moments."""
 
     t: int
     candidates: tuple[CandidateView, ...]
     cpu_used: float
     mem_used: float
     index_now: float
-    index_reference: float = _FromBlock("index_reference")
+    index_reference: float = _FromBlock(lambda block, k: block.reference_at(k))
     horizon: int
     migration_seconds: float
     current: str | None = None
@@ -156,18 +165,25 @@ class MarketBlock:
     marks where a candidate is left out of the context's candidates (over
     max_price or, when caps count as revocations, on the cap), and `ok`
     where the market is defined at all; elsewhere the arrays mean nothing.
-    Three arrays are computed for every instant at once on their first
-    read, by a policy or through a context, and never where nothing reads
-    them: `index_reference`, which is `index_now` or, where
-    `window_reference` is given, what it returns, the index's
-    trailing-window means; and `means` and `stds`, the candidates'
-    trailing-window mean and std prices, both from one call of
-    `window_moments`. A context that `context` builds reads its index
-    reference and its views' moments from these arrays on their first use,
-    so it computes none that its policy does not read. Neither callable may
-    refer to what holds the block, such as the simulator's engine, or the
-    two form a reference cycle. Every array, the three computed ones
-    included, is read-only, so writing into one raises: the simulator
+    Three arrays are computed for every instant at once on a policy's first
+    read of them, and never where nothing reads them: `index_reference`,
+    which is `index_now` or, where `window_reference` is given, what it
+    returns, the index's trailing-window means; and `means` and `stds`, the
+    candidates' trailing-window mean and std prices, both from one call of
+    `window_moments`. Each callable takes the slice of instants to compute.
+    A context that `context` builds reads its index reference and its
+    views' moments at its own instant k on their first use (reference_at,
+    moments_at): column k of these arrays where they are computed, and
+    otherwise instant k's own, computed alone and kept per instant; a lone
+    window sums as the whole arrays' do, so both give the same bits. So a
+    context computes nothing that its policy does not read, and nothing
+    for the block's other instants. `bounded`, where given, returns whether
+    no score formed from the block can be NaN, as where every price that
+    the candidates' windows read is below WINDOW_BOUND; it is called only
+    on a policy's first read of scores_defined. No callable
+    may refer to what holds the block, such as the simulator's engine, or
+    the two form a reference cycle. Every array, the computed
+    ones included, is read-only, so writing into one raises: the simulator
     shares a market's opening table, with whatever it has computed, among
     the runs over that market, and a write would change what a later run
     reads."""
@@ -175,27 +191,65 @@ class MarketBlock:
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
     index_now: np.ndarray
-    # returns index_reference; None where that is index_now
-    window_reference: Callable[[], np.ndarray] | None
+    # returns index_reference at a slice of instants; None where that is
+    # index_now
+    window_reference: Callable[[slice], np.ndarray] | None
     prices: np.ndarray
     over: np.ndarray
-    # returns (means, stds)
-    window_moments: Callable[[], tuple[np.ndarray, np.ndarray]]
+    # returns (means, stds) at a slice of instants
+    window_moments: Callable[[slice], tuple[np.ndarray, np.ndarray]]
     horizon: int
     migration_seconds: float
+    bounded: Callable[[], bool] | None = None
 
     def __post_init__(self):
         read_only(self.ok, self.index_now, self.prices, self.over)
 
+    def _reference(self, ticks: slice) -> np.ndarray:
+        if self.window_reference is None:
+            return self.index_now[ticks]
+        return read_only(self.window_reference(ticks))[0]
+
     @cached_property
     def index_reference(self) -> np.ndarray:
-        if self.window_reference is None:
-            return self.index_now
-        return read_only(self.window_reference())[0]
+        return self._reference(slice(None))
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        return read_only(*self.window_moments())
+        return read_only(*self.window_moments(slice(None)))
+
+    @cached_property
+    def _columns(self) -> dict:
+        # ("moments", k) and ("reference", k): instant k's own, computed
+        # alone for a context while the whole arrays are not
+        return {}
+
+    def moments_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The candidates' means and stds at instant k, a row each."""
+        if "_moments" in self.__dict__:
+            means, stds = self._moments
+            return means[:, k], stds[:, k]
+        columns = self._columns
+        if ("moments", k) not in columns:
+            means, stds = self.window_moments(slice(k, k + 1))
+            columns["moments", k] = read_only(means[:, 0], stds[:, 0])
+        return columns["moments", k]
+
+    def reference_at(self, k: int) -> float:
+        """index_reference at instant k."""
+        if "index_reference" in self.__dict__:
+            return self.index_reference.item(k)
+        columns = self._columns
+        if ("reference", k) not in columns:
+            columns["reference", k] = self._reference(slice(k, k + 1)).item()
+        return columns["reference", k]
+
+    @cached_property
+    def scores_defined(self) -> bool:
+        """Whether `bounded` is given and holds, computed on first read: no
+        score formed from the block's prices, moments and index reference
+        is then NaN."""
+        return self.bounded is not None and self.bounded()
 
     @property
     def means(self) -> np.ndarray:
@@ -211,9 +265,9 @@ class MarketBlock:
     def context(self, k: int, t: int, cpu_used: float, mem_used: float, current: str | None):
         """The PolicyContext at instant k, which is t, asked at the given
         utilization with current held, or None where the market is
-        undefined. The context reads its index reference from cell k of the
-        block, and each view its moments from cell (row, k), on first use;
-        PolicyContext's checks run as they do on a context built directly."""
+        undefined. The context reads its index reference at instant k, and
+        each view its moments at (its row, k), on first use; PolicyContext's
+        checks run as they do on a context built directly."""
         if not self.ok[k]:
             return None
         views = []
@@ -230,7 +284,7 @@ class MarketBlock:
             "t": t, "candidates": tuple(views), "cpu_used": cpu_used, "mem_used": mem_used,
             "index_now": self.index_now.item(k), "horizon": self.horizon,
             "migration_seconds": self.migration_seconds, "current": current,
-            "_block": self, "_cell": k,
+            "_block": self, "_cell": (k,),
         }
         object.__setattr__(ctx, "__dict__", state)
         ctx.__post_init__()
@@ -290,8 +344,12 @@ def _lowest(scores: dict[str, float]) -> str:
 
 
 def _highest(scores: dict[str, float]) -> str:
-    """The smallest id whose score is within TIE_TOLERANCE of the highest."""
+    """The smallest id whose score is within TIE_TOLERANCE of the highest;
+    a SelectionError where max takes a NaN for the highest, which no score
+    is within."""
     best = max(scores.values())
+    if math.isnan(best):
+        raise SelectionError(f"no highest score among {sorted(scores)}: a score is NaN")
     return min(vm for vm, score in scores.items() if score >= best - TIE_TOLERANCE)
 
 
@@ -524,20 +582,29 @@ class BalancedPolicy(Policy):
         return PolicyDecision(PolicyDecision.STAY, reason="sufficiency condition", scores=scores)
 
     def decisions(self, block, current, cpu_used, mem_used):
+        """Under the Eq. 5 gate, the gate is asked first: where no held
+        instant has another candidate that passes it, decide stays at every
+        held instant whatever the scores, so the table answers so without
+        reading the moments or the index reference. That holds only where
+        no score is NaN (a NaN makes decide's max depend on the order of the
+        scores), so only a block whose scores_defined holds takes this way.
+        Otherwise the table scores every instant, as decide does."""
         i, held, live = _held(block, current)
-        mean = block.utilized(block.means, cpu_used, mem_used)
-        sigma = block.utilized(block.stds, cpu_used, mem_used)
-        score = sharpe(block.index_reference, mean, sigma)
         others = live.copy()
         others[i] = False
-        alone = ~others.any(axis=0)
-        target, best = _highest_rows(score, others)
-        already = score[i] >= best - TIE_TOLERANCE
         if self.sufficiency == "eq5":
             normalized = block.normalized()
             gate = should_migrate(block.index_now, normalized[i], normalized)
+            if not (held & (gate & others).any(axis=0)).any() and block.scores_defined:
+                return _table(held, False, STAY, _no_move)
         else:
             gate = np.ones_like(others)
+        mean = block.utilized(block.means, cpu_used, mem_used)
+        sigma = block.utilized(block.stds, cpu_used, mem_used)
+        score = sharpe(block.index_reference, mean, sigma)
+        alone = ~others.any(axis=0)
+        target, best = _highest_rows(score, others)
+        already = score[i] >= best - TIE_TOLERANCE
         if self.target_rule == "sharpe":
             passes = np.take_along_axis(gate, target[None], axis=0)[0]
         else:

@@ -27,9 +27,9 @@ or for one instant off the epoch grid (see _Engine._context), and no market
 is kept but the opening table, at t=0, which the runs over one market share
 (_Engine._opening_table). A block computes its candidates' window moments
 (_window_moments) and, under the "window" reference, the index's window
-means, each for all its ticks, only when first read: by a policy's table,
-or by a context, which reads its index reference and its views' moments
-from the block on first use (MarketBlock.context). Its mask counts the
+means, only when first read: for all its ticks by a policy's table, or for
+one tick by a context, which reads its index reference and its views'
+moments at its own tick on first use (MarketBlock.context). Its mask counts the
 index's gap steps in each window (IndexCurve.window_defined) and sums none.
 The one-second reference in tests/reference_engine.py is this engine with
 the slow form of each shortcut: _next_instant, which also stands for the
@@ -65,7 +65,18 @@ from .billing import billed_holds, compute_totals
 from .catalog import Catalog, ResourceRequirement, Scope, filter_candidates
 from .errors import InvariantError, SelectionError, SimulationError, SpotIndexError, exact, finite
 from .index import IndexCurve, index_curve, normalize
-from .policies import ASK, STAY, MarketBlock, Policy, PolicyContext, PolicyDecision, build_policy
+from .policies import (
+    ASK,
+    CPU_FLOOR_FRACTION,
+    MEM_FLOOR_GB,
+    STAY,
+    WINDOW_BOUND,
+    MarketBlock,
+    Policy,
+    PolicyContext,
+    PolicyDecision,
+    build_policy,
+)
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, step_values, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
 
@@ -150,6 +161,10 @@ class JobSpec:
             raise ValueError("job name must be non-empty")
         if exact(str, self.kind, "kind") not in (LONG_RUNNING, BSP):
             raise ValueError(f"job kind must be '{LONG_RUNNING}' or '{BSP}'")
+        if not isinstance(self.phases, (tuple, list)) or not all(
+            isinstance(phase, Phase) for phase in self.phases
+        ):
+            raise InvariantError(f"phases must be a list of Phase, got {self.phases!r}")
         if not self.phases:
             raise ValueError("phases must not be empty")
         object.__setattr__(self, "phases", tuple(self.phases))
@@ -158,6 +173,8 @@ class JobSpec:
         finite(self.mem_footprint, "mem_footprint")
         if self.max_price is not None:
             finite(self.max_price, "max_price")
+        if not isinstance(self.requirement, (ResourceRequirement, type(None))):
+            raise InvariantError(f"requirement must be a ResourceRequirement, got {self.requirement!r}")
         if self.requirement is None:
             object.__setattr__(
                 self,
@@ -168,6 +185,10 @@ class JobSpec:
                 ),
             )
         if self.reference_capacity is not None:
+            if not isinstance(self.reference_capacity, (tuple, list)) or len(self.reference_capacity) != 2:
+                raise InvariantError(
+                    f"reference_capacity must be a (cpu, mem) pair, got {self.reference_capacity!r}"
+                )
             cpu, mem = self.reference_capacity
             finite(cpu, "reference_capacity cpu")
             finite(mem, "reference_capacity mem")
@@ -342,13 +363,16 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     return mean, math.sqrt(max(left_sum(prices * prices * widths) / span - mean * mean, 0.0))
 
 
-def _window_moments(traces, clipped, window: int, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_moments(
+    traces, clipped, window: int, prices: np.ndarray, ticks: slice
+) -> tuple[np.ndarray, np.ndarray]:
     """The window means and stds of each of traces at its clipped ticks,
-    given its prices there (step_values' pair, a row each): the moments of
-    _Engine._block, whose scalar reference is window_stats."""
+    given its prices there (step_values' pair, a row each), at the slice
+    ticks of them: the moments of _Engine._block, whose scalar reference is
+    window_stats."""
     pairs = [
         trailing_means(
-            trace.timestamps, trace.prices, trace.first_ts, t1, window, now, squares=True
+            trace.timestamps, trace.prices, trace.first_ts, t1[ticks], window, now[ticks], squares=True
         )
         for trace, t1, now in zip(traces, clipped, prices)
     ]
@@ -356,6 +380,25 @@ def _window_moments(traces, clipped, window: int, prices: np.ndarray) -> tuple[n
     squares = np.array([square for _, square in pairs])
     # an empty window's mean of p * p is price * price, so its std is 0.0
     return means, np.sqrt(np.maximum(squares - means * means, 0.0))
+
+
+def _window_reference(curve: IndexCurve, t1, window: int, now: np.ndarray, ticks: slice) -> np.ndarray:
+    """The index's window means at its clipped ticks t1, where it is now, at
+    the slice ticks of them: _Engine._block's reference under "window"."""
+    return trailing_means(curve.timestamps, curve.values, curve.start, t1[ticks], window, now[ticks])
+
+
+def _below_bound(specs, traces, clipped, window: int) -> bool:
+    """Whether no score formed from a block can be NaN (policies.
+    WINDOW_BOUND): each of traces is below the bound from its first window,
+    [clipped[0] - window, clipped to its start), through its last tick, and
+    each of specs has a floored utilization whose cpu * mem is above 0."""
+    for trace, t1 in zip(traces, clipped):
+        stamps = trace.timestamps
+        lo = stamps.searchsorted(max(int(t1[0]) - window, trace.first_ts), side="right") - 1
+        if (trace.prices[lo : stamps.searchsorted(t1[-1], side="right")] >= WINDOW_BOUND).any():
+            return False
+    return all(CPU_FLOOR_FRACTION * spec.cpu_capacity * MEM_FLOOR_GB > 0 for spec in specs)
 
 
 class _Task:
@@ -511,7 +554,10 @@ class _Engine:
         `over` marks the candidates over max_price or, under
         treat_cap_as_revocation, on the cap. The candidates' window moments
         are left to _window_moments and, under "window", the index's window
-        means to trailing_means, each on the block's first read of them."""
+        means to _window_reference, each on the block's first read of them,
+        at every tick or at the one a context reads; and the check that the
+        candidates' windows read no price at WINDOW_BOUND or above to
+        _below_bound, on a policy's first read of scores_defined."""
         window = self.params.sigma_window
         curve = self.curve
         t1, index_now = step_values(curve.timestamps, curve.values, curve.start, ticks)
@@ -519,10 +565,9 @@ class _Engine:
         reference = None
         if self.params.index_reference == "window":
             ok &= curve.window_defined(t1, window)
-            reference = partial(
-                trailing_means, curve.timestamps, curve.values, curve.start, t1, window, index_now
-            )
-        traces = tuple(self.traces[spec.id] for spec in self.candidates)
+            reference = partial(_window_reference, curve, t1, window, index_now)
+        specs = tuple(self.candidates)
+        traces = tuple(self.traces[spec.id] for spec in specs)
         clipped, prices = [], []
         for trace in traces:
             ok &= ticks >= trace.first_ts
@@ -530,10 +575,10 @@ class _Engine:
             clipped.append(clip)
             prices.append(price)
         prices = np.array(prices)
-        over = np.array([self._dropped(spec.id, row) for spec, row in zip(self.candidates, prices)])
+        over = np.array([self._dropped(spec.id, row) for spec, row in zip(specs, prices)])
         # the partials hold no reference to the engine, which holds the block
         return MarketBlock(
-            tuple(self.candidates),
+            specs,
             ok,
             index_now,
             reference,
@@ -542,6 +587,7 @@ class _Engine:
             partial(_window_moments, traces, clipped, window, prices),
             horizon=self.params.horizon,
             migration_seconds=float(self.t_m),
+            bounded=partial(_below_bound, specs, traces, clipped, window),
         )
 
     def _raise_undefined(self, t: int):

@@ -12,6 +12,8 @@ from spotindex import (
     JobSpec,
     MigrationModel,
     Phase,
+    PricePoint,
+    PriceTrace,
     RunParams,
     SynthMarketSpec,
     VmSpec,
@@ -89,6 +91,15 @@ def traces_for(seed: int, volatility_scale: float = 1.0):
     return generate_market_suite(
         study_market_specs(volatility_scale), seed=seed, warmup=WARMUP
     )
+
+
+def priced_over(traces, vm: str, t0: int, t1: int, price: float) -> dict:
+    """traces with vm's price set to `price` over [t0, t1)."""
+    trace = traces[vm]
+    points = dict(zip(trace.timestamps.tolist(), trace.prices.tolist()))
+    points[t1] = trace.price_at(t1)
+    points.update({t: price for t in [*points, t0] if t0 <= t < t1})
+    return {**traces, vm: PriceTrace(vm, [PricePoint(t, p) for t, p in sorted(points.items())])}
 
 
 def baseline_job() -> JobSpec:

@@ -17,7 +17,10 @@ which a VM's price crossing onto its provider cap revokes it, shaped as the
 `study` and `bsp` cases, under treat_cap_as_revocation (cap_lines); and
 every `study` and `bsp` case again under a wrapper policy that forwards
 select and decide but has no decision tables, so that the engine asks
-decide on a context at every epoch tick (ask_lines). Once, it hashes
+decide on a context at every epoch tick (ask_lines); and `balanced` with
+its Eq. 5 gate on, under either target rule, on the battery's `v1` job
+over traces whose index a dear m4.large, outside the candidates, lifts
+until the gate passes and `balanced` moves (moving_eq5_lines). Once, it hashes
 each of the acceptance battery's 750 reports, with their replays and
 ledgers, and the runs in which `balanced` and `avail` move, which no bench
 case or battery run makes: `balanced` with its Eq. 5 gate off, under either
@@ -27,7 +30,8 @@ tests/test_simulator.py, whose VM the shock puts above the index. Last, it
 hashes the error, type and message, that replay and ledger_from_report
 give for each malformed event and each report key case of
 tests/test_simulator.py, so that a change to a reader shows which of its
-located messages it changed; and the error of a run under each policy and
+located messages it changed; the error of a `balanced` run whose every
+score is NaN, every market priced 1e200; and the error of a run under each policy and
 index reference whose decision ticks step over an index gap, where the
 window reference's trailing window crosses it (window_gap_lines).
 
@@ -42,7 +46,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 4,332 lines in about 11 s on a 2-core Xeon VM.
+argument it prints every line: 4,345 lines in about 11 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -55,6 +59,8 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -70,7 +76,7 @@ from spotindex import (  # noqa: E402
 from spotindex import index, simulator  # noqa: E402
 from spotindex.policies import POLICIES  # noqa: E402
 
-from conftest import COMPOSITION, build_catalog, study_params, traces_for  # noqa: E402
+from conftest import COMPOSITION, build_catalog, priced_over, study_params, traces_for  # noqa: E402
 from test_acceptance import VARIANTS, run_battery  # noqa: E402
 from test_simulator import (  # noqa: E402
     BOTH_READERS,
@@ -216,6 +222,21 @@ def moving_lines():
     yield from report_lines(report, traces, catalog, "moving avail price shock m4.2xlarge")
 
 
+def moving_eq5_lines(seed: int):
+    """The v1 job under balanced with its Eq. 5 gate on, under each target
+    rule, over traces_for(seed) with m4.large, which the index holds but
+    the job's requirement leaves out, at 90 from t=600 on: the index then
+    pays for moves between the candidates, and balanced makes them."""
+    catalog = build_catalog()
+    traces = priced_over(traces_for(seed), "m4.large", 600, 3600, 90.0)
+    for rule in ("sharpe", "first_feasible"):
+        report = run_simulation(
+            VARIANTS["v1"], BalancedPolicy(target_rule=rule), traces, catalog, COMPOSITION,
+            params=study_params(), seed=seed,
+        )
+        yield from report_lines(report, traces, catalog, f"moving balanced/{rule}/eq5 m4.large at 90 seed={seed}")
+
+
 def battery_lines():
     catalog = build_catalog()
     for key, cell in run_battery(catalog, study_params()).items():
@@ -297,6 +318,13 @@ def window_gap_lines():
 
 
 def error_lines():
+    # every market at 1e200 under a max_price above it: every balanced
+    # score is NaN
+    traces = {vm: PriceTrace(vm, [PricePoint(0, 1e200)]) for vm in COMPOSITION}
+    job = replace(VARIANTS["v1"], max_price=1e300)
+    with np.errstate(all="ignore"):
+        text = error_text(run_simulation, job, "balanced", traces, build_catalog(), COMPOSITION, study_params())
+    yield f"{sha(text)}  error balanced scores NaN"
     traces, report = located_run()
     for n, (kind, key, value) in enumerate(MALFORMED_EVENTS):
         edited, _ = edit_event(report, kind, key, value)
@@ -319,6 +347,7 @@ def output_lines():
             yield from traces_lines(seed, Path(tmp) / "traces")
             yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
             yield from multi_task_lines(seed)
+            yield from moving_eq5_lines(seed)
             yield from cap_lines(seed, Path(tmp) / "cap")
             yield from ask_lines(seed, Path(tmp) / "ask")
     yield from battery_lines()

@@ -8,15 +8,19 @@ import shutil
 from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spotindex import (
     BalancedPolicy,
+    InvariantError,
     JobSpec,
     MigrationModel,
     Phase,
+    PricePoint,
+    PriceTrace,
     RunParams,
     SpotIndexError,
     SynthMarketSpec,
@@ -1209,16 +1213,58 @@ RECORDS = {
 
 @pytest.mark.parametrize(
     "record, key",
-    [(cls, f.name) for cls in RECORDS for f in dataclasses.fields(cls) if f.init and f.type in SCALAR_KINDS],
+    [(cls, f.name) for cls in RECORDS for f in dataclasses.fields(cls) if f.init and f.type in SCALAR_KINDS]
+    # JobSpec's composite fields, which the job reader shapes before it
+    # builds the job
+    + [(JobSpec, key) for key in ("phases", "requirement", "reference_capacity")],
 )
 def test_a_record_names_a_hostile_field_or_holds_its_cast_value(record, key):
     # as the readers above do, since they build the same records
-    kind = SCALAR_KINDS[{f.name: f.type for f in dataclasses.fields(record)}[key]]
+    kind = SCALAR_KINDS.get({f.name: f.type for f in dataclasses.fields(record)}[key])
     for value in HOSTILE:
         try:
             built = record(**{**RECORDS[record], key: value})
         except ValueError as exc:  # InvariantError is one
             assert re.match(f"(job )?{key} must |.* is not a valid VmFamily$", str(exc)), (value, exc)
             continue
+        # a composite field holds no hostile value but None, its default
+        assert kind is not None or value is None, value
         meant = record(**RECORDS[record]) if value is None else record(**{**RECORDS[record], key: kind(value)})
         assert built == meant and type(getattr(built, key)) is type(getattr(meant, key)), value
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("phases", 5),
+        ("phases", [(60, 1.0, 1.0)]),
+        ("requirement", 5),
+        ("requirement", (1.0, 1.0)),
+        ("reference_capacity", 5),
+        ("reference_capacity", (8.0,)),
+    ],
+)
+def test_a_job_spec_names_a_composite_field_of_another_shape(key, value):
+    # each was a raw TypeError, or (requirement) a job that failed later
+    with pytest.raises(InvariantError, match=f"^{key} must be "):
+        JobSpec(**{**RECORDS[JobSpec], key: value})
+
+
+def test_simulate_balanced_with_nan_scores_is_a_located_error(workspace):
+    # every market at 1e200 under a max_price above it: every window's
+    # squares overflow, so every balanced score is NaN, and its select at
+    # t=0 fails with a located error, where it was min()'s raw ValueError
+    traces = workspace / "traces"
+    traces.mkdir()
+    for vm, *_ in MARKET_ROWS:
+        write_trace_jsonl(PriceTrace(vm, [PricePoint(0, 1e200)]), traces / f"{vm}.jsonl")
+    (workspace / "job.json").write_text(json.dumps({**JOB_JSON, "max_price": 1e300}))
+    out = workspace / "report.json"
+    with np.errstate(all="ignore"), logged_errors() as messages:
+        code = run(simulate_argv(workspace, traces, "--policy", "balanced", "--out", out))
+    assert code == 1
+    assert messages == [
+        "selection failed at t=0 for task 0: no highest score among "
+        "['c4.2xlarge', 'm4.2xlarge', 'r4.xlarge']: a score is NaN"
+    ]
+    assert not out.exists()

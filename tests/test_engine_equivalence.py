@@ -54,8 +54,9 @@ from spotindex.billing import billed_holds, interval_cost
 from spotindex.index import denormalize
 from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
 from spotindex.simulator import DONE, _Engine, window_stats
+from spotindex.tracking import should_migrate
 
-from conftest import COMPOSITION, baseline_job, build_catalog, study_params, traces_for
+from conftest import COMPOSITION, baseline_job, build_catalog, priced_over, study_params, traces_for
 from reference_engine import PerSecondEngine, run_per_second
 from test_simulator import Choosing, flat_traces, one_phase_job, unit_params
 
@@ -449,6 +450,45 @@ def test_stays_mask_covers_only_ticks_that_stay(name, options, scenario):
     # a table's STAY answers are its stays mask, and cover exactly the
     # ticks where decide stays
     check_decisions(scenario, build_policy(name, **options))
+
+
+def test_balanced_tables_score_where_the_eq5_gate_passes_at_one_tick():
+    # m4.large, which the job's requirement keeps out of the candidates but
+    # the index holds, priced 90 over [1200, 1260): the index at tick 1200
+    # alone pays for a move between any two candidates (Eq. 5). So
+    # balanced's table scores the block, where it reads no moments without
+    # the spike, and answers as decide does at every tick; the run moves
+    # at t=1200, on both engines
+    traces = priced_over(traces_for(0), "m4.large", 1200, 1260, 90.0)
+    job, params = baseline_job(), study_params()
+    ticks = params.epoch * np.arange(1, 3 * job.total_work // params.epoch + 1)
+
+    def block_of(traces):
+        args = (job, build_policy("balanced"), traces, CATALOG, COMPOSITION, params, None, None, None)
+        return _Engine(*args)._block(ticks)
+
+    block, plain = block_of(traces), block_of(traces_for(0))
+    normalized = block.normalized()
+    for i in range(len(block.specs)):
+        others = ~block.over
+        others[i] = False
+        gate = should_migrate(block.index_now, normalized[i], normalized)
+        passes = block.ok & ~block.over[i] & (gate & others).any(axis=0)
+        assert ticks[passes].tolist() == [1200]
+    for read in (plain, block):
+        build_policy("balanced").decisions(read, "r4.xlarge", 4.0, 16.0)
+    assert ("_moments" in plain.__dict__, "_moments" in block.__dict__) == (False, True)
+    scenario = {"job": job, "traces": traces, "params": params, "forced_migrations": []}
+    for rule in ("sharpe", "first_feasible"):
+        policy = build_policy("balanced", target_rule=rule)
+        check_decisions(scenario, policy)
+        reports = [
+            run(job, policy, traces, CATALOG, COMPOSITION, params=params).to_dict()
+            for run in (run_simulation, run_per_second)
+        ]
+        assert reports[0] == reports[1]
+        moves = [(e["t"], e["src"], e["dst"]) for e in reports[0]["events"] if e["event"] == "migrate"]
+        assert moves == [(1200, "r4.xlarge", "c4.2xlarge")]
 
 
 def test_a_study_run_never_asks_decide():

@@ -44,13 +44,25 @@ from spotindex import (
     run_simulation,
     run_trials,
 )
-from spotindex import billing, index, prices, simulator
+from spotindex import billing, index, policies, prices, simulator
 from spotindex.billing import interval_cost
 from spotindex.errors import exact
+from spotindex.policies import ASK, STAY, BalancedPolicy, sharpe
 from spotindex.prices import window_sums
 from spotindex.simulator import MAX_TASKS, window_stats
+from spotindex.tracking import should_migrate
 
-from conftest import BIG, COMPOSITION, HOSTILE, MARKET_ROWS, baseline_job, build_catalog, study_params, traces_for
+from conftest import (
+    BIG,
+    COMPOSITION,
+    HOSTILE,
+    MARKET_ROWS,
+    baseline_job,
+    build_catalog,
+    priced_over,
+    study_params,
+    traces_for,
+)
 from reference_engine import run_per_second
 
 CATALOG = build_catalog()
@@ -1242,12 +1254,14 @@ def test_billing_prices_each_vm_in_at_most_two_batches():
 
 
 def test_market_block_gathers_each_candidate_once():
-    # building a block, or a context of it, makes no window_sums call. The
-    # first read of its moments, as the block's arrays or as a view's
-    # floats, makes one per candidate, whose prices' and their squares'
-    # sums cover the whole block; the first read of its index reference,
-    # as the block's array or as a context's float, makes the index's;
-    # later reads, through any context of the block, add none
+    # building a block, or a context of it, makes no window_sums call. A
+    # view's first read of its moments makes one lone window per candidate
+    # at its tick, which every view at that tick then reads, and a
+    # context's first read of its index reference the index's lone window
+    # at its tick. The first read of the block's arrays, as a decision
+    # table reads them, makes one call per candidate, whose prices' and
+    # their squares' sums cover the whole block, and the index's one; once
+    # the arrays exist, reads through any context of the block add none
     engine = simulator._Engine(
         baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
         study_params(), None, None, None,
@@ -1262,8 +1276,8 @@ def test_market_block_gathers_each_candidate_once():
     with mock.patch.object(prices, "window_sums", counted):
         for ticks in (60 * np.arange(1, 65), np.array([90])):
 
-            def context(block):
-                return block.context(len(ticks) - 1, int(ticks[-1]), 4.0, 16.0, None)
+            def context(block, k=len(ticks) - 1):
+                return block.context(k, int(ticks[k]), 4.0, 16.0, None)
 
             for through_context in (False, True):
                 calls.clear()
@@ -1271,22 +1285,28 @@ def test_market_block_gathers_each_candidate_once():
                 ctx = context(block)
                 assert block.ok.all()
                 assert calls == []
+                lone = []
                 if through_context:
                     ctx.candidates[-1].window_std
-                else:
-                    block.means
-                assert calls == [len(ticks)] * candidates
-                if through_context:
+                    assert calls == [1] * candidates
+                    context(block).candidates[0].window_mean
                     ctx.index_reference
-                else:
-                    block.index_reference
-                assert calls == [len(ticks)] * (candidates + 1)
+                    context(block).index_reference
+                    assert calls == [1] * (candidates + 1)
+                    if len(ticks) > 1:
+                        context(block, 0).candidates[0].window_mean
+                        assert calls == [1] * (2 * candidates + 1)
+                    lone = calls[:]
+                block.means
+                assert calls == lone + [len(ticks)] * candidates
+                block.index_reference
+                assert calls == lone + [len(ticks)] * (candidates + 1)
                 block.stds, block.means, block.index_reference
-                for read in (ctx, context(block)):
+                for read in (ctx, context(block), context(block, 0)):
                     read.index_reference
                     for view in read.candidates:
                         view.window_mean, view.window_std
-                assert calls == [len(ticks)] * (candidates + 1)
+                assert calls == lone + [len(ticks)] * (candidates + 1)
 
 
 def test_a_market_view_is_the_view_its_four_fields_build():
@@ -1348,10 +1368,10 @@ def test_a_view_whose_moments_fail_raises_their_error_on_each_read():
     def failing(compute, what):
         failures = [RuntimeError(f"{what} first"), RuntimeError(f"{what} second")]
 
-        def read():
+        def read(ticks):
             if failures:
                 raise failures.pop(0)
-            return compute()
+            return compute(ticks)
 
         return read
 
@@ -1374,6 +1394,126 @@ def test_a_view_whose_moments_fail_raises_their_error_on_each_read():
     )
 
 
+@st.composite
+def block_markets(draw):
+    """Traces of random steps from t=0 for the four markets, run params,
+    a tick count, and whether contexts read before the block's arrays."""
+    price = st.floats(0.5, 60.0)
+    traces = {}
+    for vm in COMPOSITION:
+        steps = draw(st.lists(st.tuples(st.integers(1, 4000), price), max_size=30, unique_by=lambda s: s[0]))
+        traces[vm] = PriceTrace(vm, [PricePoint(0, draw(price)), *(PricePoint(*step) for step in steps)])
+    params = RunParams(
+        epoch=draw(st.sampled_from((7, 60, 300))),
+        sigma_window=draw(st.sampled_from((1, 45, 600, 3600))),
+        index_reference=draw(st.sampled_from(("window", "instant"))),
+    )
+    return traces, params, draw(st.integers(1, 40)), draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(block_markets())
+def test_a_context_reads_the_bits_of_the_block_arrays_whichever_is_read_first(market):
+    # a context computes its tick's moments and index reference alone, as
+    # lone windows, where the block's arrays are not computed, and reads
+    # their column where they are: both give the arrays' bits
+    traces, params, count, contexts_first = market
+    job = dataclasses.replace(baseline_job(), max_price=1000.0)
+    engine = simulator._Engine(
+        job, POLICIES["cost"](), traces, CATALOG, COMPOSITION, params, None, None, None
+    )
+    ticks = params.epoch * np.arange(count)
+    block = engine._block(ticks)
+
+    def arrays():
+        return block.means, block.stds, block.index_reference
+
+    if not contexts_first:
+        arrays()
+    read = []
+    for k, t in enumerate(ticks.tolist()):
+        ctx = block.context(k, t, 4.0, 16.0, None)
+        assert len(ctx.candidates) == len(block.specs)
+        read.append((ctx.index_reference, [(v.window_mean, v.window_std) for v in ctx.candidates]))
+    means, stds, reference = arrays()
+    for k, (ref, moments) in enumerate(read):
+        assert ref.hex() == reference.item(k).hex()
+        for row, (mean, std) in enumerate(moments):
+            assert (mean.hex(), std.hex()) == (means.item(row, k).hex(), stds.item(row, k).hex())
+
+
+def test_a_balanced_run_whose_scores_are_nan_is_a_located_error():
+    # every market at 1e200, under a max_price above it: the squares of a
+    # window's prices overflow, so every std, and so every score, is NaN.
+    # balanced's select has no highest score and says so, where it ended in
+    # min()'s raw ValueError; the other policies read no score that is NaN
+    traces = {vm: PriceTrace(vm, [PricePoint(0, 1e200)]) for vm in COMPOSITION}
+    job = dataclasses.replace(baseline_job(), max_price=1e300)
+    with np.errstate(all="ignore"):
+        for name in ("static", "cost", "avail"):
+            run_simulation(job, name, traces, CATALOG, COMPOSITION, params=study_params())
+        with pytest.raises(SimulationError) as err:
+            run_simulation(job, "balanced", traces, CATALOG, COMPOSITION, params=study_params())
+    assert str(err.value) == (
+        "selection failed at t=0 for task 0: no highest score among "
+        "['c4.2xlarge', 'm4.2xlarge', 'r4.xlarge']: a score is NaN"
+    )
+
+
+def test_a_block_priced_above_the_bound_asks_where_a_score_is_nan():
+    # c4.2xlarge, a candidate outside the index, at 1e200 over [600, 1200):
+    # its windows' squares overflow there, so its score is NaN wherever its
+    # window holds that price. The Eq. 5 gate blocks every move of the
+    # block, but the block's prices are not below WINDOW_BOUND, so
+    # balanced's table scores it and asks decide where a score is NaN,
+    # where decide may raise. Below the bound it would answer STAY there
+    traces = priced_over(traces_for(0), "c4.2xlarge", 600, 1200, 1e200)
+    composition = [vm for vm in COMPOSITION if vm != "c4.2xlarge"]
+    job = dataclasses.replace(baseline_job(), max_price=1e300)
+    engine = simulator._Engine(
+        job, POLICIES["balanced"](), traces, CATALOG, composition, study_params(), None, None, None,
+    )
+    ticks = 60 * np.arange(1, 61)
+    block = engine._block(ticks)
+    assert not block.scores_defined
+    current = "r4.xlarge"
+    i = [spec.id for spec in block.specs].index(current)
+    normalized = block.normalized()
+    others = ~block.over
+    others[i] = False
+    assert not (should_migrate(block.index_now, normalized[i], normalized) & others).any()
+    with np.errstate(all="ignore"):
+        score = sharpe(
+            block.index_reference,
+            block.utilized(block.means, 4.0, 16.0),
+            block.utilized(block.stds, 4.0, 16.0),
+        )
+        nan = np.isnan(score).any(axis=0)
+        assert nan.any() and not nan.all()
+        for policy in (POLICIES["balanced"](), BalancedPolicy(target_rule="first_feasible")):
+            table = policy.decisions(block, current, 4.0, 16.0)
+            assert (table.answers == np.where(nan, ASK, STAY)).all()
+            bounded = dataclasses.replace(block, bounded=lambda: True)
+            assert (policy.decisions(bounded, current, 4.0, 16.0).answers == STAY).all()
+        # the sharpe rule's decide has no highest score there
+        k = int(nan.argmax())
+        with pytest.raises(SelectionError, match="a score is NaN"):
+            POLICIES["balanced"]().decide(block.context(k, int(ticks[k]), 4.0, 16.0, current))
+
+
+def test_a_block_promises_no_scores_where_a_utilized_price_would_divide_by_zero():
+    # a VM of 5e-324 cpus, asked at 5e-324 cpus and 0.01 GB: the floored
+    # utilization's cpu * mem underflows to 0.0, so utilized_price divides
+    # by zero, and no block over it may skip its scores, whatever its prices
+    tiny = dataclasses.replace(CATALOG["r4.xlarge"], id="tiny", cpu_capacity=5e-324)
+    trace = PriceTrace("tiny", [PricePoint(0, 6.0)])
+    ticks = np.array([0, 60])
+    assert simulator._below_bound((CATALOG["r4.xlarge"],), (trace,), (ticks,), 600)
+    assert not simulator._below_bound((tiny,), (trace,), (ticks,), 600)
+    with pytest.raises(ZeroDivisionError):
+        policies.utilized_price(6.0, *policies.floored_utilization(tiny, 5e-324, 0.01))
+
+
 def week_traces():
     return generate_market_suite(
         [
@@ -1394,7 +1534,7 @@ def week_job():
 @pytest.mark.parametrize("policy, computed", [("cost", 0), ("static", 1)])
 def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, computed):
     # cost reads prices alone; static reads the moments only in its first
-    # select, and its decide reads none
+    # select, at t=0 alone, and its decide reads none
     blocks, moments = [], []
     block, window_moments = simulator._Engine._block, simulator._window_moments
 
@@ -1402,9 +1542,10 @@ def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, 
         blocks.append(len(ticks))
         return block(engine, ticks)
 
-    def read(traces, clipped, *rest):
-        moments.append(len(clipped[0]))
-        return window_moments(traces, clipped, *rest)
+    def read(traces, clipped, window, prices, ticks):
+        # how many of the block's ticks the call computes
+        moments.append(len(clipped[0][ticks]))
+        return window_moments(traces, clipped, window, prices, ticks)
 
     with mock.patch.object(simulator._Engine, "_block", built), mock.patch.object(
         simulator, "_window_moments", read
@@ -1412,15 +1553,17 @@ def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, 
         run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
     # the week's 10,080 ticks take ten tables at least
     assert len(blocks) >= 10
-    assert moments == blocks[:computed]
+    assert moments == [1] * computed
 
 
 @pytest.mark.parametrize("policy", ["cost", "static", "avail", "balanced"])
 def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(policy):
-    # a context reads the window reference from its block on first use, as
-    # a decision table does: cost and static read it nowhere, so compute
-    # none; avail's and balanced's tables read it in every block, and their
-    # select at t=0 in the first, which computes each block's once
+    # a context reads the window reference from its block at its own tick
+    # on first use: cost and static read it nowhere, so compute none; the
+    # select of avail and balanced at t=0 computes tick 0's alone, and
+    # avail's table reads it in every block, which computes each block's
+    # once. balanced's table asks Eq. 5 first, which passes at no tick of
+    # the week, so it reads no reference
     blocks, references = [], []
     block, trailing_means = simulator._Engine._block, simulator.trailing_means
 
@@ -1439,7 +1582,7 @@ def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(
     ):
         run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
     assert len(blocks) >= 10
-    assert references == (blocks if policy in ("avail", "balanced") else [])
+    assert references == {"avail": [1, *blocks], "balanced": [1]}.get(policy, [])
 
 
 def test_a_table_move_is_quoted_at_the_prices_and_index_of_its_tick():
