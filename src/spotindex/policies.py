@@ -39,13 +39,6 @@ STAY = -1
 ASK = -2
 CPU_FLOOR_FRACTION = 0.05
 MEM_FLOOR_GB = 0.05
-# Where every price that the candidates' windows read is below it, no
-# score is NaN: a price squared times a window's width of at most 2**63 s
-# stays below 1e220, so the moments are finite, and so are their utilized
-# prices, below 1e100 / sqrt(5e-324) < 1e263, wherever the floored
-# utilization's cpu * mem is above 0. The index reference, >= 0 and never
-# NaN where the market is defined, then makes each score finite or +inf.
-WINDOW_BOUND = 1e100
 
 
 def floored_utilization(spec: VmSpec, cpu_used: float, mem_used: float) -> tuple[float, float]:
@@ -62,7 +55,7 @@ def floored_utilization(spec: VmSpec, cpu_used: float, mem_used: float) -> tuple
 
 def utilized_price(price: float, cpu_used: float, mem_used: float) -> float:
     """Price per unit of sqrt(cpu * mem) actually used, not provisioned."""
-    if cpu_used <= 0 or mem_used <= 0:
+    if not (cpu_used > 0 and mem_used > 0 and cpu_used * mem_used > 0):
         raise ValueError("utilization must be positive; apply floors first")
     return price / math.sqrt(cpu_used * mem_used)
 
@@ -177,16 +170,12 @@ class MarketBlock:
     otherwise instant k's own, computed alone and kept per instant; a lone
     window sums as the whole arrays' do, so both give the same bits. So a
     context computes nothing that its policy does not read, and nothing
-    for the block's other instants. `bounded`, where given, returns whether
-    no score formed from the block can be NaN, as where every price that
-    the candidates' windows read is below WINDOW_BOUND; it is called only
-    on a policy's first read of scores_defined. No callable
-    may refer to what holds the block, such as the simulator's engine, or
-    the two form a reference cycle. Every array, the computed
-    ones included, is read-only, so writing into one raises: the simulator
-    shares a market's opening table, with whatever it has computed, among
-    the runs over that market, and a write would change what a later run
-    reads."""
+    for the block's other instants. No callable may refer to what holds the
+    block, such as the simulator's engine, or the two form a reference
+    cycle. Every array, the computed ones included, is read-only, so
+    writing into one raises: the simulator shares a market's opening table,
+    with whatever it has computed, among the runs over that market, and a
+    write would change what a later run reads."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
@@ -200,7 +189,6 @@ class MarketBlock:
     window_moments: Callable[[slice], tuple[np.ndarray, np.ndarray]]
     horizon: int
     migration_seconds: float
-    bounded: Callable[[], bool] | None = None
 
     def __post_init__(self):
         read_only(self.ok, self.index_now, self.prices, self.over)
@@ -243,13 +231,6 @@ class MarketBlock:
         if ("reference", k) not in columns:
             columns["reference", k] = self._reference(slice(k, k + 1)).item()
         return columns["reference", k]
-
-    @cached_property
-    def scores_defined(self) -> bool:
-        """Whether `bounded` is given and holds, computed on first read: no
-        score formed from the block's prices, moments and index reference
-        is then NaN."""
-        return self.bounded is not None and self.bounded()
 
     @property
     def means(self) -> np.ndarray:
@@ -570,32 +551,33 @@ class BalancedPolicy(Policy):
             return PolicyDecision(PolicyDecision.STAY, reason="no alternative", scores=scores)
         if current_score >= max(others.values()) - TIE_TOLERANCE:
             return PolicyDecision(PolicyDecision.STAY, reason="score already best", scores=scores)
+        passing = {
+            vm
+            for vm in others
+            if self.sufficiency == "off"
+            or should_migrate(ctx.index_now, current.normalized(), ctx.view(vm).normalized())
+        }
         if self.target_rule == "sharpe":
-            pool = [_highest(others)]
+            pool = [_highest(others)] if passing else []
         else:
             pool = sorted(vm for vm, s in others.items() if s > current_score + TIE_TOLERANCE)
         for vm in pool:
-            if self.sufficiency == "off" or should_migrate(
-                ctx.index_now, current.normalized(), ctx.view(vm).normalized()
-            ):
+            if vm in passing:
                 return PolicyDecision(PolicyDecision.MIGRATE, vm, self._MOVING, scores)
         return PolicyDecision(PolicyDecision.STAY, reason="sufficiency condition", scores=scores)
 
     def decisions(self, block, current, cpu_used, mem_used):
-        """Under the Eq. 5 gate, the gate is asked first: where no held
-        instant has another candidate that passes it, decide stays at every
-        held instant whatever the scores, so the table answers so without
-        reading the moments or the index reference. That holds only where
-        no score is NaN (a NaN makes decide's max depend on the order of the
-        scores), so only a block whose scores_defined holds takes this way.
-        Otherwise the table scores every instant, as decide does."""
+        """Under the Eq. 5 gate, the gate is asked first, as decide asks it
+        before picking a target: where no held instant has another candidate
+        that passes it, decide stays at every held instant, so the table
+        answers so without reading the moments or the index reference."""
         i, held, live = _held(block, current)
         others = live.copy()
         others[i] = False
         if self.sufficiency == "eq5":
             normalized = block.normalized()
             gate = should_migrate(block.index_now, normalized[i], normalized)
-            if not (held & (gate & others).any(axis=0)).any() and block.scores_defined:
+            if not (held & (gate & others).any(axis=0)).any():
                 return _table(held, False, STAY, _no_move)
         else:
             gate = np.ones_like(others)

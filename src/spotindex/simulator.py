@@ -67,15 +67,13 @@ from .errors import InvariantError, SelectionError, SimulationError, SpotIndexEr
 from .index import IndexCurve, index_curve, normalize
 from .policies import (
     ASK,
-    CPU_FLOOR_FRACTION,
-    MEM_FLOOR_GB,
     STAY,
-    WINDOW_BOUND,
     MarketBlock,
     Policy,
     PolicyContext,
     PolicyDecision,
     build_policy,
+    floored_utilization,
 )
 from .prices import PriceTrace, fold_sum, is_capped, left_sum, step_values, trailing_means
 from .tracking import TrackingLedger, migration_loss, should_migrate
@@ -388,19 +386,6 @@ def _window_reference(curve: IndexCurve, t1, window: int, now: np.ndarray, ticks
     return trailing_means(curve.timestamps, curve.values, curve.start, t1[ticks], window, now[ticks])
 
 
-def _below_bound(specs, traces, clipped, window: int) -> bool:
-    """Whether no score formed from a block can be NaN (policies.
-    WINDOW_BOUND): each of traces is below the bound from its first window,
-    [clipped[0] - window, clipped to its start), through its last tick, and
-    each of specs has a floored utilization whose cpu * mem is above 0."""
-    for trace, t1 in zip(traces, clipped):
-        stamps = trace.timestamps
-        lo = stamps.searchsorted(max(int(t1[0]) - window, trace.first_ts), side="right") - 1
-        if (trace.prices[lo : stamps.searchsorted(t1[-1], side="right")] >= WINDOW_BOUND).any():
-            return False
-    return all(CPU_FLOOR_FRACTION * spec.cpu_capacity * MEM_FLOOR_GB > 0 for spec in specs)
-
-
 class _Task:
     __slots__ = ("idx", "vm", "work", "state", "stall_until", "mig_dst", "holds")
 
@@ -439,6 +424,14 @@ class _Engine:
         missing = [s.id for s in specs if s.id not in traces]
         if missing:
             raise SimulationError(f"candidates without price traces: {missing}")
+        for spec in specs:
+            for n, phase in enumerate(job.phases):
+                cpu_u, mem_u = floored_utilization(spec, phase.cpu, phase.mem)
+                if not cpu_u * mem_u > 0:
+                    raise SimulationError(
+                        f"candidate {spec.id!r} at phases[{n}] (cpu {phase.cpu!r}, mem {phase.mem!r}): "
+                        f"floored utilization {cpu_u!r} * {mem_u!r} is not above 0"
+                    )
         self.candidates = specs
         self.max_price = cheapest if job.max_price is None else job.max_price
         self.t_m = params.migration.seconds(job.mem_footprint)
@@ -555,9 +548,7 @@ class _Engine:
         treat_cap_as_revocation, on the cap. The candidates' window moments
         are left to _window_moments and, under "window", the index's window
         means to _window_reference, each on the block's first read of them,
-        at every tick or at the one a context reads; and the check that the
-        candidates' windows read no price at WINDOW_BOUND or above to
-        _below_bound, on a policy's first read of scores_defined."""
+        at every tick or at the one a context reads."""
         window = self.params.sigma_window
         curve = self.curve
         t1, index_now = step_values(curve.timestamps, curve.values, curve.start, ticks)
@@ -587,7 +578,6 @@ class _Engine:
             partial(_window_moments, traces, clipped, window, prices),
             horizon=self.params.horizon,
             migration_seconds=float(self.t_m),
-            bounded=partial(_below_bound, specs, traces, clipped, window),
         )
 
     def _raise_undefined(self, t: int):

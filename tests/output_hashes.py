@@ -20,10 +20,13 @@ select and decide but has no decision tables, so that the engine asks
 decide on a context at every epoch tick (ask_lines); and `balanced` with
 its Eq. 5 gate on, under either target rule, on the battery's `v1` job
 over traces whose index a dear m4.large, outside the candidates, lifts
-until the gate passes and `balanced` moves (moving_eq5_lines). Once, it hashes
-each of the acceptance battery's 750 reports, with their replays and
-ledgers, and the runs in which `balanced` and `avail` move, which no bench
-case or battery run makes: `balanced` with its Eq. 5 gate off, under either
+until the gate passes and `balanced` moves (moving_eq5_lines); and the
+same runs over traces in which c4.2xlarge, a candidate outside the index,
+is priced 1e200 for ten minutes, where its scores are NaN and the gate
+blocks every move (nan_score_lines). Once, it hashes each of the
+acceptance battery's 750 reports, with their replays and ledgers, and the
+runs in which `balanced` and `avail` move, which no bench case or battery
+run makes: `balanced` with its Eq. 5 gate off, under either
 target rule, on the battery's `v1` job at volatility 1.5 (and in the 3-task
 case above at both seeds), and `avail` on the price-shock traces of
 tests/test_simulator.py, whose VM the shock puts above the index. Last, it
@@ -31,9 +34,11 @@ hashes the error, type and message, that replay and ledger_from_report
 give for each malformed event and each report key case of
 tests/test_simulator.py, so that a change to a reader shows which of its
 located messages it changed; the error of a `balanced` run whose every
-score is NaN, every market priced 1e200; and the error of a run under each policy and
-index reference whose decision ticks step over an index gap, where the
-window reference's trailing window crosses it (window_gap_lines).
+score is NaN, every market priced 1e200; the error of a run under each
+policy whose candidate's floored utilization underflows to 0; and the
+error of a run under each policy and index reference whose decision
+ticks step over an index gap, where the window reference's trailing
+window crosses it (window_gap_lines).
 
 Save the output of the old source tree, then run it on the new one with
 that file as its argument:
@@ -46,7 +51,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 4,345 lines in about 11 s on a 2-core Xeon VM.
+argument it prints every line: 4,361 lines in about 11 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -66,6 +71,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from spotindex import (  # noqa: E402
     BalancedPolicy,
+    Catalog,
+    JobSpec,
+    Phase,
     Policy,
     PricePoint,
     PriceTrace,
@@ -237,6 +245,24 @@ def moving_eq5_lines(seed: int):
         yield from report_lines(report, traces, catalog, f"moving balanced/{rule}/eq5 m4.large at 90 seed={seed}")
 
 
+def nan_score_lines(seed: int):
+    """The v1 job under balanced with its Eq. 5 gate on, under each target
+    rule, over traces_for(seed) with c4.2xlarge, a candidate outside the
+    index, at 1e200 over [600, 1200) under max_price 1e300: its scores are
+    NaN there, where the gate blocks every move, so both rules stay."""
+    catalog = build_catalog()
+    traces = priced_over(traces_for(seed), "c4.2xlarge", 600, 1200, 1e200)
+    composition = [vm for vm in COMPOSITION if vm != "c4.2xlarge"]
+    job = replace(VARIANTS["v1"], max_price=1e300)
+    for rule in ("sharpe", "first_feasible"):
+        with np.errstate(all="ignore"):
+            report = run_simulation(
+                job, BalancedPolicy(target_rule=rule), traces, catalog, composition,
+                params=study_params(), seed=seed,
+            )
+        yield from report_lines(report, traces, catalog, f"nan scores balanced/{rule}/eq5 c4.2xlarge at 1e200 seed={seed}")
+
+
 def battery_lines():
     catalog = build_catalog()
     for key, cell in run_battery(catalog, study_params()).items():
@@ -325,6 +351,13 @@ def error_lines():
     with np.errstate(all="ignore"):
         text = error_text(run_simulation, job, "balanced", traces, build_catalog(), COMPOSITION, study_params())
     yield f"{sha(text)}  error balanced scores NaN"
+    # a candidate whose floored utilization's cpu * mem underflows to 0.0
+    tiny = replace(CATALOG["r4.xlarge"], id="tiny", cpu_capacity=5e-324)
+    traces = {vm: PriceTrace(vm, [PricePoint(0, 6.0)]) for vm in [*COMPOSITION, "tiny"]}
+    job = JobSpec(name="tiny", phases=(Phase(600, 5e-324, 0.01),), mem_footprint=4.0)
+    for name in sorted(POLICIES):
+        text = error_text(run_simulation, job, name, traces, Catalog([*CATALOG, tiny]), COMPOSITION, study_params())
+        yield f"{sha(text)}  error floored utilization underflows {name}"
     traces, report = located_run()
     for n, (kind, key, value) in enumerate(MALFORMED_EVENTS):
         edited, _ = edit_event(report, kind, key, value)
@@ -348,6 +381,7 @@ def output_lines():
             yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
             yield from multi_task_lines(seed)
             yield from moving_eq5_lines(seed)
+            yield from nan_score_lines(seed)
             yield from cap_lines(seed, Path(tmp) / "cap")
             yield from ask_lines(seed, Path(tmp) / "ask")
     yield from battery_lines()

@@ -34,6 +34,7 @@ from spotindex import (
     Policy,
     PriceTrace,
     RunParams,
+    SelectionError,
     SimulationError,
     SpotIndexError,
     VmSpec,
@@ -69,6 +70,9 @@ POLICY_CHOICES = (
     ("balanced", {"target_rule": "first_feasible"}),
     ("balanced", {"sufficiency": "off"}),
 )
+CHOICE_PARAMS = [
+    pytest.param(*choice, id="-".join([choice[0], *choice[1].values()])) for choice in POLICY_CHOICES
+]
 TARGETS = ("c4.2xlarge", "m4.2xlarge", "r4.xlarge")
 
 
@@ -400,9 +404,13 @@ def check_decisions(scenario, policy):
     candidate held at each phase's utilization, policy's decision table
     answers as decide does: STAY where decide stays, and where it moves the
     row of its target, with reason(k) decide's reason; and the table
-    answers ASK exactly where no context can hold the candidate."""
+    answers ASK where no context can hold the candidate and, where one can,
+    only where a live score is NaN, which decide then reports or raises as
+    a SelectionError. The index is over the scenario's "composition",
+    where given."""
     job, params = scenario["job"], scenario["params"]
-    args = (job, policy, scenario["traces"], CATALOG, COMPOSITION, params, None, None, None)
+    composition = scenario.get("composition", COMPOSITION)
+    args = (job, policy, scenario["traces"], CATALOG, composition, params, None, None, None)
     engine = _Engine(*args)
     reference = PerSecondEngine(*args)
     ticks = params.epoch * np.arange(1, 3 * job.total_work // params.epoch + 1)
@@ -422,23 +430,28 @@ def check_decisions(scenario, policy):
             for k, (t, answer) in enumerate(zip(ticks.tolist(), table.answers.tolist())):
                 ctx = contexts[t]
                 held = ctx is not None and any(v.spec.id == spec.id for v in ctx.candidates)
-                assert (answer != ASK) == held, (t, spec.id, phase)
                 if not held:
+                    assert answer == ASK, (t, spec.id, phase)
                     continue
                 ctx = dataclasses.replace(
                     ctx, cpu_used=phase.cpu, mem_used=phase.mem, current=spec.id
                 )
-                decision = policy.decide(ctx)
+                try:
+                    decision = policy.decide(ctx)
+                except SelectionError as exc:
+                    assert answer == ASK and "a score is NaN" in str(exc), (t, spec.id, phase)
+                    continue
+                if answer == ASK:
+                    # a held tick is left to decide only where a live score is NaN
+                    assert any(math.isnan(score) for _, score in decision.scores), (t, spec.id, phase)
+                    continue
                 moved = decision.action == PolicyDecision.MIGRATE
                 assert answer == (rows[decision.target] if moved else STAY), (t, spec.id, phase)
                 if moved:
                     assert table.reason(k) == decision.reason, (t, spec.id, phase)
 
 
-@pytest.mark.parametrize(
-    "name, options",
-    [pytest.param(*choice, id="-".join([choice[0], *choice[1].values()])) for choice in POLICY_CHOICES],
-)
+@pytest.mark.parametrize("name, options", CHOICE_PARAMS)
 @settings(
     max_examples=40,
     deadline=None,
@@ -489,6 +502,39 @@ def test_balanced_tables_score_where_the_eq5_gate_passes_at_one_tick():
         assert reports[0] == reports[1]
         moves = [(e["t"], e["src"], e["dst"]) for e in reports[0]["events"] if e["event"] == "migrate"]
         assert moves == [(1200, "r4.xlarge", "c4.2xlarge")]
+
+
+@pytest.mark.parametrize("seed", (0, 7919))
+@pytest.mark.parametrize("name, options", CHOICE_PARAMS)
+def test_tables_and_engines_agree_where_a_candidate_outside_the_index_has_nan_scores(
+    name, options, seed
+):
+    # c4.2xlarge, a candidate outside the index, at 1e200 over [600, 1200)
+    # under max_price 1e300: its windows' squares overflow, so its std, and
+    # every score that reads it, is NaN there. Each table answers as decide
+    # does, leaving to decide the held ticks where a live score is NaN, and
+    # both engines end the run alike. balanced's Eq. 5 gate blocks every
+    # move there, so its sharpe rule runs to first_feasible's report; with
+    # the gate off, decide meets the NaN score and the run ends in its error
+    composition = [vm for vm in COMPOSITION if vm != "c4.2xlarge"]
+    job, params = dataclasses.replace(baseline_job(), max_price=1e300), study_params()
+    traces = priced_over(traces_for(seed), "c4.2xlarge", 600, 1200, 1e200)
+
+    def ending(run, policy):
+        try:
+            report = run(job, policy, traces, CATALOG, composition, params=params, seed=seed)
+        except SpotIndexError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return report.to_dict()
+
+    policy = build_policy(name, **options)
+    with np.errstate(all="ignore"):
+        scenario = {"job": job, "traces": traces, "params": params, "composition": composition}
+        check_decisions(scenario, policy)
+        report = ending(run_simulation, policy)
+        assert report == ending(run_per_second, policy)
+        if (name, options) == ("balanced", {}):
+            assert report == ending(run_simulation, build_policy(name, target_rule="first_feasible"))
 
 
 def test_a_study_run_never_asks_decide():

@@ -1460,13 +1460,13 @@ def test_a_balanced_run_whose_scores_are_nan_is_a_located_error():
     )
 
 
-def test_a_block_priced_above_the_bound_asks_where_a_score_is_nan():
+def test_a_gate_blocked_block_stays_where_a_score_is_nan():
     # c4.2xlarge, a candidate outside the index, at 1e200 over [600, 1200):
     # its windows' squares overflow there, so its score is NaN wherever its
     # window holds that price. The Eq. 5 gate blocks every move of the
-    # block, but the block's prices are not below WINDOW_BOUND, so
-    # balanced's table scores it and asks decide where a score is NaN,
-    # where decide may raise. Below the bound it would answer STAY there
+    # block, and decide asks it before picking a target, so decide stays at
+    # every tick and balanced's table answers STAY everywhere under either
+    # target rule without reading the moments or the index reference
     traces = priced_over(traces_for(0), "c4.2xlarge", 600, 1200, 1e200)
     composition = [vm for vm in COMPOSITION if vm != "c4.2xlarge"]
     job = dataclasses.replace(baseline_job(), max_price=1e300)
@@ -1475,14 +1475,17 @@ def test_a_block_priced_above_the_bound_asks_where_a_score_is_nan():
     )
     ticks = 60 * np.arange(1, 61)
     block = engine._block(ticks)
-    assert not block.scores_defined
     current = "r4.xlarge"
     i = [spec.id for spec in block.specs].index(current)
     normalized = block.normalized()
     others = ~block.over
     others[i] = False
     assert not (should_migrate(block.index_now, normalized[i], normalized) & others).any()
+    rules = [BalancedPolicy(target_rule=rule) for rule in ("sharpe", "first_feasible")]
     with np.errstate(all="ignore"):
+        for policy in rules:
+            assert (policy.decisions(block, current, 4.0, 16.0).answers == STAY).all()
+        assert {"_moments", "index_reference"}.isdisjoint(block.__dict__)
         score = sharpe(
             block.index_reference,
             block.utilized(block.means, 4.0, 16.0),
@@ -1490,27 +1493,28 @@ def test_a_block_priced_above_the_bound_asks_where_a_score_is_nan():
         )
         nan = np.isnan(score).any(axis=0)
         assert nan.any() and not nan.all()
-        for policy in (POLICIES["balanced"](), BalancedPolicy(target_rule="first_feasible")):
-            table = policy.decisions(block, current, 4.0, 16.0)
-            assert (table.answers == np.where(nan, ASK, STAY)).all()
-            bounded = dataclasses.replace(block, bounded=lambda: True)
-            assert (policy.decisions(bounded, current, 4.0, 16.0).answers == STAY).all()
-        # the sharpe rule's decide has no highest score there
-        k = int(nan.argmax())
-        with pytest.raises(SelectionError, match="a score is NaN"):
-            POLICIES["balanced"]().decide(block.context(k, int(ticks[k]), 4.0, 16.0, current))
+        for policy in rules:
+            for k, t in enumerate(ticks.tolist()):
+                decision = policy.decide(block.context(k, t, 4.0, 16.0, current))
+                assert decision.action == PolicyDecision.STAY, (policy, t)
 
 
-def test_a_block_promises_no_scores_where_a_utilized_price_would_divide_by_zero():
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_a_candidate_whose_floored_utilization_underflows_is_a_located_error(name):
     # a VM of 5e-324 cpus, asked at 5e-324 cpus and 0.01 GB: the floored
-    # utilization's cpu * mem underflows to 0.0, so utilized_price divides
-    # by zero, and no block over it may skip its scores, whatever its prices
+    # utilization's cpu * mem underflows to 0.0, so its utilized price
+    # would divide by zero. The run says so before it starts, under every
+    # policy, where it ended in a raw ZeroDivisionError at its first select
     tiny = dataclasses.replace(CATALOG["r4.xlarge"], id="tiny", cpu_capacity=5e-324)
-    trace = PriceTrace("tiny", [PricePoint(0, 6.0)])
-    ticks = np.array([0, 60])
-    assert simulator._below_bound((CATALOG["r4.xlarge"],), (trace,), (ticks,), 600)
-    assert not simulator._below_bound((tiny,), (trace,), (ticks,), 600)
-    with pytest.raises(ZeroDivisionError):
+    traces = {**flat_traces(), "tiny": PriceTrace("tiny", [PricePoint(0, 6.0)])}
+    job = one_phase_job(phases=(Phase(600, 5e-324, 0.01),))
+    with pytest.raises(SimulationError) as err:
+        run_simulation(job, name, traces, Catalog([*CATALOG, tiny]), COMPOSITION, params=unit_params())
+    assert str(err.value) == (
+        "candidate 'tiny' at phases[0] (cpu 5e-324, mem 0.01): "
+        "floored utilization 5e-324 * 0.05 is not above 0"
+    )
+    with pytest.raises(ValueError, match="utilization must be positive"):
         policies.utilized_price(6.0, *policies.floored_utilization(tiny, 5e-324, 0.01))
 
 
