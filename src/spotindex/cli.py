@@ -66,7 +66,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
 
     Each value is parsed as the words that would follow its flag, so the
     flag's type and choices apply: a string or number is one word, a list is
-    several, true gives a switch, and false or null leaves the option unset.
+    several (an empty list is a usage error, not the bare flag), true gives
+    a switch, and false or null leaves the option unset.
     Every option defaults to None so a config value is distinguishable from
     an explicit flag; built-in defaults are applied by the handlers after
     this merge.
@@ -77,6 +78,8 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         flag = "--in" if dest == "inputs" else "--" + dest.replace("_", "-")
         if dest not in vars(args) or dest in NOT_OPTIONS:
             parser.error(f"config key {key!r} does not match any {args.command} option")
+        if value == []:
+            parser.error(f"config key {key!r} is an empty list")
         if value is True:
             words.append(flag)
         elif isinstance(value, list):

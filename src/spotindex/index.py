@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -293,23 +294,20 @@ class IndexCurve:
         return self._gaps[self.timestamps.searchsorted(t1)] == self._gaps[lo]
 
 
-# (key, curve) of the last index_curve build
-_last_curve: tuple = ((), None)
-
-
 def index_curve(traces, catalog, composition) -> IndexCurve:
-    """IndexCurve(traces, catalog, composition), shared: the last curve this
-    built when the composition, in order, and each member's VmSpec and
-    (read-only) trace object are as they were then; otherwise a new curve,
-    which it keeps until another build replaces it. A run, its replay and
-    its ledger, handed the same trace objects, so build the curve once."""
-    global _last_curve
+    """IndexCurve(traces, catalog, composition), shared by _shared_curve
+    over the composition's (VmSpec, trace) pairs. A run, its replay and its
+    ledger, handed the same trace objects, so build the curve once."""
     specs = _member_traces(traces, catalog, composition)
-    key = tuple((spec, traces[spec.id]) for spec in specs)
-    # one read of the entry, so a thread that replaces it in between
-    # cannot hand this call another key's curve
-    last_key, curve = _last_curve
-    if key != last_key:
-        curve = IndexCurve(traces, catalog, composition)
-        _last_curve = key, curve
-    return curve
+    return _shared_curve(tuple((spec, traces[spec.id]) for spec in specs))
+
+
+@lru_cache(maxsize=1)
+def _shared_curve(members) -> IndexCurve:
+    """The IndexCurve of members, (VmSpec, read-only trace) pairs in
+    composition order, shared: the last curve this built, for a call whose
+    members are equal to its own (each VmSpec equal, each trace the same
+    object); otherwise a new curve, which it keeps until another build
+    replaces it."""
+    specs = {spec.id: spec for spec, _ in members}
+    return IndexCurve({spec.id: trace for spec, trace in members}, specs, list(specs))

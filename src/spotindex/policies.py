@@ -28,7 +28,7 @@ from .catalog import VmSpec
 from .errors import SelectionError
 from .index import normalize
 from .prices import read_only
-from .tracking import migration_loss, should_migrate
+from .tracking import horizon_saving, migration_loss, should_migrate
 
 SIGMA_FLOOR = 1e-9
 TIE_TOLERANCE = 1e-9
@@ -437,7 +437,7 @@ class CostCentricPolicy(Policy):
         current = ctx.view(ctx.current)
         score = self._scores(ctx)
         best = ctx.view(_lowest(score))
-        saving = (current.price - best.price) * ctx.horizon / 3600.0
+        saving = horizon_saving(current.price, best.price, ctx.horizon)
         cost = migration_loss(current.price, best.price, ctx.migration_seconds)
         scores = tuple(score.items())
         if best is current:
@@ -453,7 +453,7 @@ class CostCentricPolicy(Policy):
         best = _lowest_rows(score, live)
         price = block.prices
         best_price = np.take_along_axis(price, best[None], axis=0)[0]
-        saving = (price[i] - best_price) * block.horizon / 3600.0
+        saving = horizon_saving(price[i], best_price, block.horizon)
         cost = migration_loss(price[i], best_price, block.migration_seconds)
         moves = (best != i) & (saving > cost)
 

@@ -21,11 +21,11 @@ is asked only where the table answers ASK. _Engine._ask is the
 one path from an instant to a policy call, and keeps only its last answer,
 which the tasks that ask with an equal context at one instant share; so an
 answer must depend on its context alone. The market the policies see is
-built by one vectorized rule (_Engine._block), with one leave-out rule
-(_Engine._dropped): for a block of epoch ticks at a time (_Engine._epoch_table),
-or for one instant off the epoch grid (see _Engine._context), and no market
-is kept but the opening table, at t=0, which the runs over one market share
-(_Engine._opening_table). A block computes its candidates' window moments
+built by one vectorized rule (_market_block), with one leave-out rule
+(_dropped): for a block of epoch ticks at a time (_Engine._epoch_table), or
+for one instant off the epoch grid (see _Engine._context), and no market is
+kept but the opening table, at t=0, which the runs over one market share
+(_opening_block). A block computes its candidates' window moments
 (_window_moments) and, under the "window" reference, the index's window
 means, only when first read: for all its ticks by a policy's table, or for
 one tick by a context, which reads its index reference and its views'
@@ -56,7 +56,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
@@ -92,9 +92,6 @@ DONE = "done"
 TABLE_TICKS = 1024
 # The most tasks a job may have: the engine visits every task at every stop.
 MAX_TASKS = 4096
-
-# (key, block) of the last opening table _Engine._opening_table built
-_last_opening: tuple = ((), None)
 
 
 def _set_int(obj, key: str, name: str, **bounds):
@@ -350,7 +347,7 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
 
     The window is clipped to the trace start; with no lookback at all the
     instantaneous price stands in and the std is zero. The scalar reference
-    for _window_moments, the candidates' moments in _Engine._block.
+    for _window_moments, the candidates' moments in _market_block.
     """
     t0 = max(t - window, int(trace.first_ts))
     if t <= t0:
@@ -366,7 +363,7 @@ def _window_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The window means and stds of each of traces at its clipped ticks,
     given its prices there (step_values' pair, a row each), at the slice
-    ticks of them: the moments of _Engine._block, whose scalar reference is
+    ticks of them: the moments of _market_block, whose scalar reference is
     window_stats."""
     pairs = [
         trailing_means(
@@ -382,8 +379,72 @@ def _window_moments(
 
 def _window_reference(curve: IndexCurve, t1, window: int, now: np.ndarray, ticks: slice) -> np.ndarray:
     """The index's window means at its clipped ticks t1, where it is now, at
-    the slice ticks of them: _Engine._block's reference under "window"."""
+    the slice ticks of them: _market_block's reference under "window"."""
     return trailing_means(curve.timestamps, curve.values, curve.start, t1[ticks], window, now[ticks])
+
+
+def _dropped(spec, prices, max_price: float, cap_rule: bool):
+    """Whether spec's VM at a price, or at each of an array of prices, is
+    left out of the market: over max_price or, under cap_rule
+    (treat_cap_as_revocation), on the cap."""
+    over = prices > max_price
+    if cap_rule:
+        over |= is_capped(prices, spec)
+    return over
+
+
+def _market_block(
+    curve: IndexCurve, members, max_price, cap_rule, window, reference, horizon, t_m, ticks
+) -> MarketBlock:
+    """The market at each of ticks, an int64 array evenly spaced by the
+    epoch, over the index curve and members, the candidates' (VmSpec, trace)
+    pairs in id order: the one market rule, vectorized, as the arrays a
+    policy's decision table reads and whose column k becomes a context only
+    when asked for (MarketBlock.context). The market is undefined (ok is
+    False) before the index or a candidate's trace starts, or where the index
+    the reference mode reads is undefined: at a step with no live member,
+    which holds NaN, and under "window" over a window that holds such a step
+    (IndexCurve.window_defined). `over` marks the candidates _dropped leaves
+    out. The candidates' window moments (_window_moments) and, under
+    "window", the index's window means (_window_reference) are computed on
+    the block's first read of them, at every tick or at the one a context
+    reads."""
+    t1, index_now = step_values(curve.timestamps, curve.values, curve.start, ticks)
+    ok = (ticks >= curve.start) & ~np.isnan(index_now)
+    index_reference = None
+    if reference == "window":
+        ok &= curve.window_defined(t1, window)
+        index_reference = partial(_window_reference, curve, t1, window, index_now)
+    specs, traces = zip(*members)
+    clipped, prices = [], []
+    for trace in traces:
+        ok &= ticks >= trace.first_ts
+        clip, price = step_values(trace.timestamps, trace.prices, trace.first_ts, ticks)
+        clipped.append(clip)
+        prices.append(price)
+    prices = np.array(prices)
+    over = np.array([_dropped(spec, row, max_price, cap_rule) for spec, row in zip(specs, prices)])
+    return MarketBlock(
+        specs,
+        ok,
+        index_now,
+        index_reference,
+        prices,
+        over,
+        partial(_window_moments, traces, clipped, window, prices),
+        horizon=horizon,
+        migration_seconds=float(t_m),
+    )
+
+
+@lru_cache(maxsize=1)
+def _opening_block(*market, epoch: int, count: int) -> MarketBlock:
+    """_market_block of the count epoch ticks from t=0 over market, shared:
+    the last block this built, with whatever a run has read of it since,
+    for a call whose arguments are equal to its own (the index curve and
+    each candidate's trace the same objects, each VmSpec equal); otherwise
+    a new block, which it keeps until another replaces it."""
+    return _market_block(*market, epoch * np.arange(count))
 
 
 class _Task:
@@ -439,6 +500,17 @@ class _Engine:
         self.reference_capacity = job.reference_capacity or (
             job.requirement.min_cpu,
             job.requirement.min_mem,
+        )
+        # _market_block's arguments but the ticks
+        self._market = (
+            self.curve,
+            tuple((spec, traces[spec.id]) for spec in specs),
+            self.max_price,
+            params.treat_cap_as_revocation,
+            params.sigma_window,
+            params.index_reference,
+            params.horizon,
+            self.t_m,
         )
         candidate_ids = {s.id for s in specs}
         # per candidate id: its row in a market block
@@ -518,13 +590,8 @@ class _Engine:
         return self.traces[vm].price_at(t)
 
     def _dropped(self, vm: str, prices):
-        """Whether vm at a price, or at each of an array of prices, is left
-        out of the market: over max_price or, under treat_cap_as_revocation,
-        on the cap."""
-        over = prices > self.max_price
-        if self.params.treat_cap_as_revocation:
-            over |= is_capped(prices, self.catalog[vm])
-        return over
+        """_dropped, for vm under this run's max_price and cap rule."""
+        return _dropped(self.catalog[vm], prices, self.max_price, self.params.treat_cap_as_revocation)
 
     def _crossed(self, vm: str, t: int) -> bool:
         return self._dropped(vm, self._price(vm, t))
@@ -536,49 +603,8 @@ class _Engine:
         return self._next_crossing(vm, t) == t
 
     def _block(self, ticks) -> MarketBlock:
-        """The market at each of ticks, an int64 array evenly spaced by the
-        epoch: the one market rule, vectorized, as the arrays that a
-        policy's decision table reads and whose column k becomes a context
-        only when _context asks for it (MarketBlock.context). The market is
-        undefined (ok is False) before the index or a candidate's trace
-        starts, or where the index the reference mode reads is undefined:
-        at a step with no live member, which holds NaN, and under "window"
-        over a window that holds such a step (IndexCurve.window_defined).
-        `over` marks the candidates over max_price or, under
-        treat_cap_as_revocation, on the cap. The candidates' window moments
-        are left to _window_moments and, under "window", the index's window
-        means to _window_reference, each on the block's first read of them,
-        at every tick or at the one a context reads."""
-        window = self.params.sigma_window
-        curve = self.curve
-        t1, index_now = step_values(curve.timestamps, curve.values, curve.start, ticks)
-        ok = (ticks >= curve.start) & ~np.isnan(index_now)
-        reference = None
-        if self.params.index_reference == "window":
-            ok &= curve.window_defined(t1, window)
-            reference = partial(_window_reference, curve, t1, window, index_now)
-        specs = tuple(self.candidates)
-        traces = tuple(self.traces[spec.id] for spec in specs)
-        clipped, prices = [], []
-        for trace in traces:
-            ok &= ticks >= trace.first_ts
-            clip, price = step_values(trace.timestamps, trace.prices, trace.first_ts, ticks)
-            clipped.append(clip)
-            prices.append(price)
-        prices = np.array(prices)
-        over = np.array([self._dropped(spec.id, row) for spec, row in zip(specs, prices)])
-        # the partials hold no reference to the engine, which holds the block
-        return MarketBlock(
-            specs,
-            ok,
-            index_now,
-            reference,
-            prices,
-            over,
-            partial(_window_moments, traces, clipped, window, prices),
-            horizon=self.params.horizon,
-            migration_seconds=float(self.t_m),
-        )
+        """The market at each of ticks (_market_block)."""
+        return _market_block(*self._market, ticks)
 
     def _raise_undefined(self, t: int):
         """Raise the domain error of the first check that fails at t, where a
@@ -599,47 +625,18 @@ class _Engine:
         work to do. A refill drops the decision tables of the old table.
         The opening table, at t=0, does not depend on the policy or the
         job's phases, so the runs over one market share it
-        (_opening_table); a refill is the run's own."""
+        (_opening_block); a refill is the run's own."""
         epoch = self.params.epoch
         if t >= self._table_first + epoch * len(self._table):
             work = min(task.work for task in self.tasks if task.state != DONE)
             count = max(1, min(TABLE_TICKS, -(-(self.total_work - work) // epoch)))
             if t == 0:
-                self._table = self._opening_table(count)
+                self._table = _opening_block(*self._market, epoch=epoch, count=count)
             else:
                 self._table = self._block(t + epoch * np.arange(count))
             self._table_first = t
             self._decisions = {}
         return self._table, (t - self._table_first) // epoch
-
-    def _opening_table(self, count: int) -> MarketBlock:
-        """_block of the count epoch ticks from t=0, shared: the last block
-        this built, with whatever a run has read of it since, when the run
-        is over the same trace objects (the index curve, and each candidate's
-        VmSpec and trace) with equal max_price, migration time, RunParams
-        fields the block reads and count; otherwise a new block, which it
-        keeps until another opening table replaces it."""
-        global _last_opening
-        params = self.params
-        key = (
-            self.curve,
-            tuple((spec, self.traces[spec.id]) for spec in self.candidates),
-            self.max_price,
-            self.t_m,
-            params.epoch,
-            params.horizon,
-            params.sigma_window,
-            params.index_reference,
-            params.treat_cap_as_revocation,
-            count,
-        )
-        # one read of the entry, so a thread that replaces it in between
-        # cannot hand this call another key's block
-        last_key, block = _last_opening
-        if key != last_key:
-            block = self._block(params.epoch * np.arange(count))
-            _last_opening = key, block
-        return block
 
     def _context(self, t: int, phase: Phase, current: str | None) -> PolicyContext:
         """The PolicyContext at t, asked at phase's cpu and mem with current

@@ -54,6 +54,12 @@ def migration_loss(price_src: float, price_dst: float, t_m: float) -> float:
     return (price_src + price_dst) * t_m / 3600.0
 
 
+def horizon_saving(price_src: float, price_dst: float, horizon: float) -> float:
+    """Money saved by paying price_dst instead of price_src over a planning
+    horizon of `horizon` seconds."""
+    return (price_src - price_dst) * horizon / 3600.0
+
+
 def should_migrate(index_value: float, src_normalized: float, dst_normalized: float) -> bool:
     """Sufficient condition for a migration to pay for itself.
 

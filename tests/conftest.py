@@ -137,13 +137,13 @@ def params():
 
 
 @pytest.fixture(autouse=True)
-def empty_market_caches(monkeypatch):
-    """Each test starts with no index curve (index.index_curve) and no
-    opening epoch table (simulator._Engine._opening_table) kept from an
-    earlier test's run, so a test that counts or wraps what its run builds
-    sees the curve and the opening table built."""
-    monkeypatch.setattr(index, "_last_curve", ((), None))
-    monkeypatch.setattr(simulator, "_last_opening", ((), None))
+def empty_market_caches():
+    """Each test starts with no index curve (index._shared_curve) and no
+    opening epoch table (simulator._opening_block) kept from an earlier
+    test's run, so a test that counts or wraps what its run builds sees the
+    curve and the opening table built."""
+    index._shared_curve.cache_clear()
+    simulator._opening_block.cache_clear()
 
 
 # acceptance summary: one line per numbered criterion in test_acceptance.py

@@ -163,8 +163,8 @@ def reversed_lines(seed: int, work_dir: Path):
     policy, in reverse order, after emptying the index curve and opening
     epoch table caches: each must hash as its forward-order case does,
     since a run may not depend on the runs before it over one market."""
-    index._last_curve = ((), None)
-    simulator._last_opening = ((), None)
+    index._shared_curve.cache_clear()
+    simulator._opening_block.cache_clear()
     yield from simulator_lines("study", seed, work_dir, tag="reversed ", order=first_set_reversed)
 
 

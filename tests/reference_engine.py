@@ -20,7 +20,7 @@ of the engine's six shortcuts, and nothing else:
 - `_context` builds every context directly, as a plain `PolicyContext`
   whose fields its own scalar code computes, over `window_stats` and
   `IndexCurve.window_mean`, never from the engine's one vectorized rule
-  (`_Engine._block`) through `MarketBlock.context`, and leaves out the
+  (`_market_block`) through `MarketBlock.context`, and leaves out the
   candidates over max_price or on the cap by a scalar rule of its own, not
   the engine's `_dropped`, so the oracle checks that rule, its view filter
   and the block's lazy reads against independent code. Like the engine's,

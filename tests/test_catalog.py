@@ -521,6 +521,33 @@ def test_canonical_blocks_read_as_json_loads_reads_each_line(tmp_path, near):
                 assert read_flat(block_reader, path) == read_flat(oracle_reader, path), (block, lines)
 
 
+def test_record_blocks_read_on_past_an_error_block_give_the_next_file(tmp_path):
+    # an error block is its file's last: a reader that goes on past it gets
+    # the next file's blocks, and no more of the file that failed, whose
+    # third line is a block of its own
+    empty, bad, good = tmp_path / "empty.csv", tmp_path / "bad.jsonl", tmp_path / "good.csv"
+    empty.write_text("")
+    bad.write_text(f"{trace_line()}\n{{not json\n{trace_line()}\n")
+    good.write_text("timestamp,vm_id,price\n0,m4.large,4.5\n")
+    fields = {"timestamp": None, "vm_id": None}
+    with mock.patch.object(catalog_mod, "_BLOCK", 2):
+        read = [
+            (path.name, list(lines), columns, error and str(error))
+            for path, lines, columns, error in catalog_mod.record_blocks([empty, bad, good], fields)
+        ]
+    assert read == [
+        ("empty.csv", [], {"timestamp": [], "vm_id": []}, f"{empty}: empty file"),
+        (
+            "bad.jsonl",
+            [1],
+            {"timestamp": [60], "vm_id": ["vm-a"]},
+            f"{bad}: line 2: invalid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+        ("good.csv", [2], {"timestamp": ["0"], "vm_id": ["m4.large"]}, None),
+    ]
+
+
 def test_canonical_regex_takes_only_what_json_reads_unchanged():
     # so the table test reads each of these on the regex path, alone and in
     # a canonical block

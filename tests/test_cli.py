@@ -226,6 +226,35 @@ def test_config_pin_migration_is_usage_error(workspace, capsys):
     assert "'pin_migration'" in capsys.readouterr().err
 
 
+def test_config_empty_list_for_force_is_usage_error(workspace, capsys):
+    # an empty list is no words, not the bare flag: the reports of two jobs
+    # are not tabulated
+    a, b = workspace / "a.json", workspace / "b.json"
+    a.write_text(json.dumps({"report": {"job": "one", "policy": "static"}}))
+    b.write_text(json.dumps({"report": {"job": "two", "policy": "static"}}))
+    config = workspace / "force.json"
+    config.write_text(json.dumps({"force": []}))
+    out = workspace / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        run(["report", "--in", a, b, "--config", config, "--out", out])
+    assert err.value.code == 2
+    assert "config key 'force' is an empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_empty_list_for_cap_as_revocation_is_usage_error(workspace, capsys):
+    traces = workspace / "traces"
+    run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])
+    config = workspace / "cap.json"
+    config.write_text(json.dumps({"cap_as_revocation": []}))
+    out = workspace / "report.json"
+    with pytest.raises(SystemExit) as err:
+        run(simulate_argv(workspace, traces, "--out", out, "--config", config))
+    assert err.value.code == 2
+    assert "config key 'cap_as_revocation' is an empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_index_warns_of_its_gap_samples(workspace, caplog):
     # the synth traces start at 0, so the samples before it are gaps
     traces = workspace / "traces"
@@ -1181,7 +1210,8 @@ def test_a_hostile_config_value_means_what_it_means_after_its_flag(hostile_works
     # number one word, a list several, true a switch, false or null none.
     # So each outcome, an exit 2 usage error naming the flag included, is
     # that of the words on the command line; a value json cannot read is an
-    # exit 1 error naming the config file.
+    # exit 1 error naming the config file, and an empty list, which would
+    # be the bare flag, an exit 2 usage error naming its key.
     (hostile_workspace / "job.json").write_text(json.dumps(JOB_JSON))
     config = hostile_workspace / "config.json"
     config.write_text(with_value(hostile_config(hostile_workspace), (key,), value))
@@ -1193,6 +1223,11 @@ def test_a_hostile_config_value_means_what_it_means_after_its_flag(hostile_works
     words = []
     for name, given_value in {**hostile_config(hostile_workspace), key: value}.items():
         flag = "--" + name.replace("_", "-")
+        if given_value == []:
+            code, messages, usage, _ = outcome
+            assert (code, messages) == (2, []), outcome
+            assert usage.endswith(f"error: config key {name!r} is an empty list"), usage
+            return
         if given_value is True:
             words.append(flag)
         elif isinstance(given_value, list):

@@ -50,7 +50,7 @@ from spotindex.policies import (
     PolicyDecision,
     build_policy,
 )
-from spotindex import billing, policies
+from spotindex import billing, policies, simulator
 from spotindex.billing import billed_holds, interval_cost
 from spotindex.index import denormalize
 from spotindex.prices import WINDOW_CELLS, left_sum, step_slice, window_sums
@@ -722,14 +722,19 @@ def free_migration(price_src, price_dst, t_m):
     return 0.0 * (price_src + price_dst)
 
 
+def saving_over_a_day(price_src, price_dst, horizon):
+    return (price_src - price_dst) * 86400 / 3600.0
+
+
 @pytest.mark.parametrize(
     "policy, formula, patched",
     [
         (("balanced", {}), "should_migrate", gate_that_always_passes),
         (("balanced", {"sufficiency": "off"}), "sharpe", sharpe_floored_at_one),
         (("cost", {}), "migration_loss", free_migration),
+        (("cost", {}), "horizon_saving", saving_over_a_day),
     ],
-    ids=["should_migrate", "sharpe", "migration_loss"],
+    ids=["should_migrate", "sharpe", "migration_loss", "horizon_saving"],
 )
 def test_stays_masks_follow_a_changed_formula(policy, formula, patched):
     changed = False
@@ -1467,15 +1472,15 @@ def test_a_custom_policy_reads_the_moments_of_window_stats():
         name="revoked", phases=baseline_job().phases, max_price=8.0, reference_capacity=(8.0, 32.0)
     )
     ticks_of = {}
-    build = _Engine._block
+    build = simulator._market_block
 
-    def recorded(engine, ticks):
-        block = build(engine, ticks)
-        ticks_of[id(block)] = ticks.tolist()
+    def recorded(*market_and_ticks):
+        block = build(*market_and_ticks)
+        ticks_of[id(block)] = market_and_ticks[-1].tolist()
         return block
 
     policy = ReadingMoments()
-    with mock.patch.object(_Engine, "_block", recorded):
+    with mock.patch.object(simulator, "_market_block", recorded):
         run_simulation(job, policy, traces, CATALOG, COMPOSITION, params=params)
 
     def expected(vm, t):

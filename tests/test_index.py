@@ -240,6 +240,8 @@ def test_curve_integrate_additive_and_window_mean():
     assert curve.window_mean(50, 500) == pytest.approx(2.0)
     with pytest.raises(OutOfRangeError):
         curve.value_at(-1)
+    with pytest.raises(OutOfRangeError, match="^index curve starts at 0, asked for -1$"):
+        curve.integrate(-1, 100)
 
 
 def brute_force_sample(points, catalog, members, t):

@@ -1,10 +1,11 @@
 """The opening epoch table that runs over one market share
-(simulator._Engine._opening_table): a run over the same trace objects whose
-key is as the last build's reuses that block, one whose key differs in any
-part, trace objects included, builds its own, and no run can write into a
-shared block or its traces."""
+(simulator._opening_block): a run over the same trace objects whose key is
+as the last build's reuses that block, one whose key differs in any part,
+trace objects included, builds its own, and no run can write into a shared
+block or its traces."""
 
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -54,27 +55,26 @@ def twelve_phases():
 def counted_run(monkeypatch, job, policy, traces, params=None, catalog=CATALOG):
     """The JSON of the run's report, and how many opening tables it built."""
     built = []
-    block = simulator._Engine._block
+    block = simulator._market_block
 
-    def counted(engine, ticks):
+    def counted(*market_and_ticks):
+        ticks = market_and_ticks[-1]
         built.append(int(ticks[0]) == 0 and len(ticks) > 1)
-        return block(engine, ticks)
+        return block(*market_and_ticks)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simulator._Engine, "_block", counted)
+        patch.setattr(simulator, "_market_block", counted)
         report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=params or study_params())
     return json.dumps(report.to_dict(), sort_keys=True), sum(built)
 
 
 def cold(job, policy, traces, params=None, catalog=CATALOG) -> str:
     """The JSON of the run's report over an empty cache, which it leaves as
-    it was."""
-    kept = simulator._last_opening
-    simulator._last_opening = ((), None)
-    try:
+    it was: the run reads a cache of its own."""
+    empty = functools.lru_cache(maxsize=1)(simulator._opening_block.__wrapped__)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_opening_block", empty)
         report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=params or study_params())
-    finally:
-        simulator._last_opening = kept
     return json.dumps(report.to_dict(), sort_keys=True)
 
 

@@ -9,6 +9,7 @@ from spotindex import (
     BalancedPolicy,
     CandidateView,
     CostCentricPolicy,
+    Policy,
     PolicyContext,
     PolicyDecision,
     SelectionError,
@@ -261,6 +262,36 @@ def test_first_feasible_moves_when_top_score_is_gated():
     moved = BalancedPolicy(target_rule="first_feasible").decide(ctx)
     assert moved.action == PolicyDecision.MIGRATE
     assert moved.target == "cheap"
+
+
+def test_the_base_policy_has_no_rule_and_its_table_asks_everywhere():
+    # a Policy that overrides neither rule raises on each; its default
+    # table answers ASK at every instant and, having no move to state,
+    # raises where asked for one's reason
+    from spotindex.policies import ASK, MarketBlock
+
+    base = Policy()
+    assert repr(base) == "Policy()"
+    ctx = ctx_of([view("a", 4.0)], current="a")
+    with pytest.raises(NotImplementedError):
+        base.select(ctx)
+    with pytest.raises(NotImplementedError):
+        base.decide(ctx)
+    block = MarketBlock(
+        (spec("a"),),
+        ok=np.ones(2, dtype=bool),
+        index_now=np.ones(2),
+        window_reference=None,
+        prices=np.full((1, 2), 4.0),
+        over=np.zeros((1, 2), dtype=bool),
+        window_moments=None,
+        horizon=300,
+        migration_seconds=30.0,
+    )
+    table = base.decisions(block, "a", 4.0, 16.0)
+    assert table.answers.tolist() == [ASK, ASK]
+    with pytest.raises(ValueError, match="^instant 1 is answered with no move$"):
+        table.reason(1)
 
 
 def test_build_policy():

@@ -65,6 +65,8 @@ def test_price_before_first_raises():
         trace.price_at(99)
     with pytest.raises(OutOfRangeError, match="^trace 'x' starts at 100, asked for 99$"):
         trace.values_at([100, 99])
+    with pytest.raises(OutOfRangeError, match="^trace 'x' starts at 100, asked for 99$"):
+        trace.steps(99, 200)
 
 
 @pytest.mark.parametrize(

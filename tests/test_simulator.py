@@ -677,6 +677,28 @@ def test_policy_decision_table_of_the_wrong_shape_is_rejected():
             )
 
 
+def test_a_table_row_where_the_market_is_undefined_ends_the_run_as_asking_there_does():
+    # the index's one member, outside the candidates, sits on its cap over
+    # [120, 180), so the market is undefined at the epoch tick 120 while the
+    # held VM is still a candidate. decide's move to the held VM is none,
+    # so both runs reach t=120, where a table that answers a row ends the
+    # run in the domain error that asking decide there ends it in, before
+    # billing, whose index integral would raise the same
+    traces = flat_traces()
+    traces["m4.large"] = PriceTrace("m4.large", [PricePoint(0, 6.0), PricePoint(120, 100.0), PricePoint(180, 6.0)])
+    messages = []
+    for asked in ("decide", "table"):
+        with pytest.raises(GapError) as err, mock.patch.object(
+            simulator, "compute_totals", side_effect=AssertionError("the run reached billing")
+        ):
+            run_simulation(
+                one_phase_job(), Choosing(asked, "c4.2xlarge"), traces, CATALOG, ["m4.large"],
+                params=unit_params(),
+            )
+        messages.append(str(err.value))
+    assert messages == ["no effective composition members at 120"] * 2
+
+
 # (shocked vm, max_price) -> policy -> (migrations, revocations,
 # cost/index, availability)
 SHOCK_OUTCOMES = {
@@ -1540,18 +1562,18 @@ def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, 
     # cost reads prices alone; static reads the moments only in its first
     # select, at t=0 alone, and its decide reads none
     blocks, moments = [], []
-    block, window_moments = simulator._Engine._block, simulator._window_moments
+    block, window_moments = simulator._market_block, simulator._window_moments
 
-    def built(engine, ticks):
-        blocks.append(len(ticks))
-        return block(engine, ticks)
+    def built(*market_and_ticks):
+        blocks.append(len(market_and_ticks[-1]))
+        return block(*market_and_ticks)
 
     def read(traces, clipped, window, prices, ticks):
         # how many of the block's ticks the call computes
         moments.append(len(clipped[0][ticks]))
         return window_moments(traces, clipped, window, prices, ticks)
 
-    with mock.patch.object(simulator._Engine, "_block", built), mock.patch.object(
+    with mock.patch.object(simulator, "_market_block", built), mock.patch.object(
         simulator, "_window_moments", read
     ):
         run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
@@ -1569,11 +1591,11 @@ def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(
     # once. balanced's table asks Eq. 5 first, which passes at no tick of
     # the week, so it reads no reference
     blocks, references = [], []
-    block, trailing_means = simulator._Engine._block, simulator.trailing_means
+    block, trailing_means = simulator._market_block, simulator.trailing_means
 
-    def built(engine, ticks):
-        blocks.append(len(ticks))
-        return block(engine, ticks)
+    def built(*market_and_ticks):
+        blocks.append(len(market_and_ticks[-1]))
+        return block(*market_and_ticks)
 
     def read(timestamps, values, start, t1, window, now, squares=False):
         # the candidates' moments ask for squares; the index's means do not
@@ -1581,7 +1603,7 @@ def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(
             references.append(len(t1))
         return trailing_means(timestamps, values, start, t1, window, now, squares=squares)
 
-    with mock.patch.object(simulator._Engine, "_block", built), mock.patch.object(
+    with mock.patch.object(simulator, "_market_block", built), mock.patch.object(
         simulator, "trailing_means", read
     ):
         run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
