@@ -5,10 +5,14 @@ order: stall ends, revocation checks, scripted migrations, policy decisions
 at epoch ticks, then work. The engine advances by next event: after a second
 whose works flags the next second would take again, it skips straight to the
 next second at which something can change (an epoch tick that a working
-task's decision table does not answer STAY, a held VM's price crossing over
-max_price or onto the cap, a stall end, a scripted migration, a task's last
-second of work), crediting the seconds in between as the same second
-repeated, so a migration is stepped where it starts and where it ends.
+task's decision table, for its phase at that tick, does not answer STAY, a
+held VM's price crossing over max_price or onto the cap, a stall end, a
+scripted migration, a task's last second of work), crediting the seconds in
+between as the same second repeated, so a migration is stepped where it
+starts and where it ends. The decision ticks are looked for across phase
+boundaries, up to the first of the other stops, asking for each task's
+tables in the order that stepping at each boundary's tick would
+(_next_decision).
 Since every held VM's crossing is stepped, a revocation check asks that
 crossing cache whether the crossing is now (_Engine._held_crossed), with no
 price lookup. Reports are the same as a one-second loop would give.
@@ -485,12 +489,16 @@ class _Engine:
         missing = [s.id for s in specs if s.id not in traces]
         if missing:
             raise SimulationError(f"candidates without price traces: {missing}")
+        # per distinct (cpu, mem), in first-occurrence order: its first phase
+        firsts = {}
+        for n, phase in enumerate(job.phases):
+            firsts.setdefault((phase.cpu, phase.mem), n)
         for spec in specs:
-            for n, phase in enumerate(job.phases):
-                cpu_u, mem_u = floored_utilization(spec, phase.cpu, phase.mem)
+            for (cpu, mem), n in firsts.items():
+                cpu_u, mem_u = floored_utilization(spec, cpu, mem)
                 if not cpu_u * mem_u > 0:
                     raise SimulationError(
-                        f"candidate {spec.id!r} at phases[{n}] (cpu {phase.cpu!r}, mem {phase.mem!r}): "
+                        f"candidate {spec.id!r} at phases[{n}] (cpu {cpu!r}, mem {mem!r}): "
                         f"floored utilization {cpu_u!r} * {mem_u!r} is not above 0"
                     )
         self.candidates = specs
@@ -880,31 +888,48 @@ class _Engine:
             found = self._decisions[key] = (table, answers.tolist(), until)
         return found
 
-    def _next_decision(self, t: int, flags: list) -> int:
+    def _next_decision(self, t: int, flags: list, bound: int) -> int:
         """The first epoch tick from t on at which some working task may not
-        stay. Within the epoch table, that is the first tick that a working
-        task's decision table does not answer STAY, or that its next phase
-        boundary reaches, since the table holds for one phase's cpu and mem;
-        otherwise the table's end, where _epoch_table refills it. Past the
-        table's end, the first tick from t on."""
+        stay, or, where that comes later, the first tick at or past bound,
+        the first of _next_instant's other stops. The epoch table's end,
+        where _epoch_table refills it, is a stop, and a tick past it is one.
+
+        A decision table holds for one phase's cpu and mem, so the tasks go
+        on together as a loop that stepped at each phase boundary's tick
+        would: from second s, each task's table for its phase at s, in task
+        order up to the first whose stop is the next tick, gives the tick
+        at which its answer is not STAY or its phase ends; at the first such
+        tick before bound, each task's table for its phase there; and where
+        all of them stay, on from the second after it. A run so asks
+        Policy.decisions for the same (vm, cpu, mem) keys, in the same
+        order, as a loop that steps at each boundary's tick: a custom
+        policy may raise on a key it is never asked for."""
         epoch = self.params.epoch
-        tick = -(-t // epoch) * epoch
-        first = self._table_first
-        k = (tick - first) // epoch
-        stop = len(self._table)
-        if k >= stop:
-            return tick
-        ends = self.job.phase_ends
-        for task, works in zip(self.tasks, flags):
-            if not works:
-                continue
-            i = bisect_right(ends, task.work)
-            phase, end = self.job.phases[i], ends[i]
-            boundary = int(-(-(t + end - task.work - first) // epoch))
-            stop = min(stop, boundary, self._decisions_of(task.vm, phase.cpu, phase.mem)[2][k])
-            if stop <= k:
+        first, count = self._table_first, len(self._table)
+        phases, ends = self.job.phases, self.job.phase_ends
+        working = [task for task, works in zip(self.tasks, flags) if works]
+        s = t
+        while True:
+            tick = -(-s // epoch) * epoch
+            k = (tick - first) // epoch
+            if k >= count:
                 return tick
-        return first + epoch * stop
+            stop = count
+            for task in working:
+                work = task.work + s - t
+                i = bisect_right(ends, work)
+                boundary = -(-(s + ends[i] - work - first) // epoch)
+                stop = min(stop, boundary, self._decisions_of(task.vm, phases[i].cpu, phases[i].mem)[2][k])
+                if stop == k:
+                    break
+            tick = first + epoch * stop
+            if stop == count or tick >= bound:
+                return tick
+            for task in working:
+                phase = self.job.phase_at(task.work + tick - t)
+                if self._decisions_of(task.vm, phase.cpu, phase.mem)[1][stop] != STAY:
+                    return tick
+            s = tick + 1
 
     def _next_instant(self, t: int, flags: list, forced_queue, limit: int) -> int:
         """The first second from t on whose steps can differ from those of
@@ -913,8 +938,9 @@ class _Engine:
         next decision that may move a task (_next_decision), the next
         crossing of a held VM, the next stall end or scripted migration,
         the furthest task's last second and a held-back BSP task's
-        rejoining."""
-        nxt = min(limit + 1, self._next_decision(t, flags))
+        rejoining. All but the decision are found first, and bound how far
+        _next_decision looks."""
+        nxt = limit + 1
         if forced_queue and forced_queue[0][0] >= t:
             nxt = min(nxt, forced_queue[0][0])
         working = [task.work for task, works in zip(self.tasks, flags) if works]
@@ -933,12 +959,15 @@ class _Engine:
                 nxt = min(nxt, t + min(idle) - top)
         for task in self.tasks:
             if nxt <= t:
-                return t
+                break
             if task.state in (MIGRATING, RESTARTING):
                 nxt = min(nxt, task.stall_until)
             for vm in task.holds:
                 nxt = min(nxt, self._next_crossing(vm, t))
-        return max(nxt, t)
+        # asked even where another stop is now: a loop that steps at each
+        # phase boundary's tick asks each task's table for its phase at t
+        # here (see _next_decision)
+        return max(min(nxt, self._next_decision(t, flags, nxt)), t)
 
     def _decide(self, t: int):
         """Each working task's decision at epoch tick t, then the moves they

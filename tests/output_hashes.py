@@ -12,7 +12,11 @@ as the bench writes its raw JSON lines and once with their keys in reverse
 order, so that both paths of the JSON-lines reader run; and a 3-task
 `long_running` job of the acceptance battery's `v3` shape under each
 policy, whose task 1 a scripted move puts on another VM than its peers, so
-that the tasks ask with different contexts at one instant; and runs in
+that the tasks ask with different contexts at one instant; and a job of
+14 phases over three sizes, under each policy, alone and as a BSP gang,
+whose phase boundaries fall off the epoch grid, several phases shorter
+than an epoch, so that the engine looks across several boundaries between
+two decisions (multi_phase_lines); and runs in
 which a VM's price crossing onto its provider cap revokes it, shaped as the
 `study` and `bsp` cases, under treat_cap_as_revocation (cap_lines); and
 every `study` and `bsp` case again under a wrapper policy that forwards
@@ -51,7 +55,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 4,361 lines in about 11 s on a 2-core Xeon VM.
+argument it prints every line: 4,409 lines in about 9 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -208,6 +212,32 @@ def multi_task_lines(seed: int):
             params=study_params(), forced_migrations=[move], seed=seed,
         )
         yield from report_lines(report, traces, catalog, f"multi-task v3x3 {name} seed={seed}")
+
+
+# 14 phases over three sizes, 3,055 s of work: boundaries off the 60 s
+# epoch grid, five phases shorter than an epoch, and a size that recurs
+MULTI_PHASES = (130, 20, 70, 45, 100, 15, 15, 200, 610, 35, 290, 500, 25, 1000)
+MULTI_SIZES = ((4.0, 16.0), (2.0, 8.0), (3.0, 12.0))
+
+
+def multi_phase_lines(seed: int):
+    """A job of MULTI_PHASES, its sizes cycling through MULTI_SIZES, over
+    traces_for(seed) under each policy: one task, and a 4-task BSP gang
+    under max_price 9.0. cost moves in both at both seeds, and avail moves
+    the gang after revocations."""
+    catalog = build_catalog()
+    traces = traces_for(seed)
+    job = JobSpec(
+        name="multi-phase",
+        phases=tuple(Phase(d, *MULTI_SIZES[i % 3]) for i, d in enumerate(MULTI_PHASES)),
+        mem_footprint=4.0,
+        reference_capacity=(8.0, 32.0),
+    )
+    gang = replace(job, name="multi-phase-bsp4", kind="bsp", tasks=4, max_price=9.0)
+    for run in (job, gang):
+        for name in sorted(POLICIES):
+            report = run_simulation(run, name, traces, catalog, COMPOSITION, params=study_params(), seed=seed)
+            yield from report_lines(report, traces, catalog, f"{run.name} {name} seed={seed}")
 
 
 def moving_lines():
@@ -380,6 +410,7 @@ def output_lines():
             yield from traces_lines(seed, Path(tmp) / "traces")
             yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
             yield from multi_task_lines(seed)
+            yield from multi_phase_lines(seed)
             yield from moving_eq5_lines(seed)
             yield from nan_score_lines(seed)
             yield from cap_lines(seed, Path(tmp) / "cap")

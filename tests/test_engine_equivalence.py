@@ -152,10 +152,13 @@ def scenarios(draw):
     alone = kind == "bsp" and draw(st.booleans())
     superstep = draw(st.integers(10, 90))
     slow = st.integers(superstep + 1, 2 * superstep)
+    # up to 6 phases of two sizes, some shorter than an epoch: the engine
+    # then looks across several phase boundaries, and repeated sizes,
+    # between two decisions, some of them between two ticks
     phases = tuple(
         Phase(draw(st.integers(20, 150)), cpu, mem)
         for cpu, mem in draw(
-            st.lists(st.sampled_from(((2.0, 8.0), (4.0, 16.0))), min_size=1, max_size=3)
+            st.lists(st.sampled_from(((2.0, 8.0), (4.0, 16.0))), min_size=1, max_size=6)
         )
     )
     job = JobSpec(

@@ -1521,21 +1521,38 @@ def test_a_gate_blocked_block_stays_where_a_score_is_nan():
                 assert decision.action == PolicyDecision.STAY, (policy, t)
 
 
+UNDERFLOWING_JOBS = {
+    0: {"phases": (Phase(600, 5e-324, 0.01),)},
+    # the size first asked for at phases[2], and again at phases[4]; the
+    # sizes before it pass
+    2: {
+        "phases": tuple(
+            Phase(100, cpu, mem)
+            for cpu, mem in ((1.0, 1.0), (2.0, 1.0), (5e-324, 0.01), (1.0, 1.0), (5e-324, 0.01))
+        ),
+        "requirement": ResourceRequirement(min_cpu=5e-324, min_mem=0.01),
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(POLICIES))
 def test_a_candidate_whose_floored_utilization_underflows_is_a_located_error(name):
     # a VM of 5e-324 cpus, asked at 5e-324 cpus and 0.01 GB: the floored
     # utilization's cpu * mem underflows to 0.0, so its utilized price
     # would divide by zero. The run says so before it starts, under every
-    # policy, where it ended in a raw ZeroDivisionError at its first select
+    # policy, naming the first phase at that size, where it ended in a raw
+    # ZeroDivisionError at its first select
     tiny = dataclasses.replace(CATALOG["r4.xlarge"], id="tiny", cpu_capacity=5e-324)
     traces = {**flat_traces(), "tiny": PriceTrace("tiny", [PricePoint(0, 6.0)])}
-    job = one_phase_job(phases=(Phase(600, 5e-324, 0.01),))
-    with pytest.raises(SimulationError) as err:
-        run_simulation(job, name, traces, Catalog([*CATALOG, tiny]), COMPOSITION, params=unit_params())
-    assert str(err.value) == (
-        "candidate 'tiny' at phases[0] (cpu 5e-324, mem 0.01): "
-        "floored utilization 5e-324 * 0.05 is not above 0"
-    )
+    for n, fields in UNDERFLOWING_JOBS.items():
+        with pytest.raises(SimulationError) as err:
+            run_simulation(
+                one_phase_job(**fields), name, traces, Catalog([*CATALOG, tiny]), COMPOSITION, params=unit_params()
+            )
+        assert str(err.value) == (
+            f"candidate 'tiny' at phases[{n}] (cpu 5e-324, mem 0.01): "
+            "floored utilization 5e-324 * 0.05 is not above 0"
+        )
     with pytest.raises(ValueError, match="utilization must be positive"):
         policies.utilized_price(6.0, *policies.floored_utilization(tiny, 5e-324, 0.01))
 
@@ -1609,6 +1626,105 @@ def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(
         run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
     assert len(blocks) >= 10
     assert references == {"avail": [1, *blocks], "balanced": [1]}.get(policy, [])
+
+
+SIZES = {"big": (4.0, 16.0), "small": (2.0, 8.0), "mid": (3.0, 12.0)}
+
+
+def sized_job(phases, **fields):
+    """A job of (duration, size name) phases, sized as SIZES names them."""
+    return JobSpec(
+        name="sized",
+        phases=tuple(Phase(duration, *SIZES[size]) for duration, size in phases),
+        mem_footprint=4.0,
+        reference_capacity=(8.0, 32.0),
+        **fields,
+    )
+
+
+# 12 phases of 300 s, alternating between two sizes
+TWELVE = [(300, "small" if i % 2 else "big") for i in range(12)]
+# boundaries off the 60 s epoch grid, five phases shorter than an epoch
+OFF_GRID = [(130, "big"), (20, "small"), (70, "mid"), (45, "small"), (100, "big"), (15, "mid"), (15, "small"), (200, "big")]
+GANGS = {"single": {}, "bsp3": {"kind": "bsp", "tasks": 3}}
+
+
+def counted_run(job, policy, traces, table_ticks=simulator.TABLE_TICKS):
+    """The seconds a run under unit_params steps (_Engine._step), and the
+    (vm, cpu, mem) keys its policy's decisions is asked for, in order, with
+    each epoch table at most table_ticks ticks long."""
+    steps, keys = [], []
+    step = simulator._Engine._step
+    policy = policies.build_policy(policy)
+    decisions = policy.decisions
+
+    def stepped(engine, t, forced_queue):
+        steps.append(t)
+        return step(engine, t, forced_queue)
+
+    def asked(block, current, cpu_used, mem_used):
+        keys.append((current, (cpu_used, mem_used)))
+        return decisions(block, current, cpu_used, mem_used)
+
+    policy.decisions = asked
+    with mock.patch.object(simulator._Engine, "_step", stepped), mock.patch.object(
+        simulator, "TABLE_TICKS", table_ticks
+    ):
+        run_simulation(job, policy, traces, CATALOG, COMPOSITION, params=unit_params())
+    return steps, keys
+
+
+@pytest.mark.parametrize("gang", sorted(GANGS))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_a_never_moving_multi_phase_run_steps_at_its_first_and_last_second(policy, gang):
+    # over flat prices every table answers STAY, so the engine looks across
+    # all 11 phase boundaries and steps only at t=0 and at the second that
+    # completes the work, where a loop that steps at each boundary's tick
+    # takes 13 steps; and it asks for the tables that loop asks for
+    steps, keys = counted_run(sized_job(TWELVE, **GANGS[gang]), policy, flat_traces())
+    assert steps == [0, 3599]
+    assert keys == [("c4.2xlarge", SIZES["big"]), ("c4.2xlarge", SIZES["small"])]
+
+
+# (phases, traces, table ticks, gangs, the seconds stepped, the keys
+# asked for, as (vm, size name) pairs), where the keys are those that a
+# loop stepping at each phase boundary's tick asks for
+ASKED = {
+    # tables of 3 ticks, refilled at 180, 360 and 540, where that loop also
+    # steps at 240, 300 and 420; the mid and small phases over [365, 395)
+    # hold no tick, and no table is asked for them
+    "off-grid": (
+        OFF_GRID,
+        flat_traces(),
+        3,
+        sorted(GANGS),
+        [0, 180, 360, 540, 594],
+        [("c4.2xlarge", size) for size in ("big", "mid", "small", "big", "big", "big")],
+    ),
+    # c4.2xlarge, over max_price over [450, 900), is revoked at 450,
+    # inside the phase that starts at 300, and the task restarts on
+    # m4.2xlarge at 540, rolled back to work 300; the table ends at 3600.
+    # That loop takes 16 steps
+    "crossing": (
+        TWELVE,
+        priced_over(flat_traces(), "c4.2xlarge", 450, 900, 100.0),
+        simulator.TABLE_TICKS,
+        ["single"],
+        [0, 450, 540, 3600, 3839],
+        [("c4.2xlarge", "big"), ("c4.2xlarge", "small"), *(("m4.2xlarge", s) for s in ("small", "big", "small"))],
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("case, gang", [(case, gang) for case, spec in ASKED.items() for gang in spec[3]])
+def test_a_run_asks_for_the_tables_a_loop_stepping_at_each_phase_boundary_asks_for(case, gang, policy):
+    # a custom policy may raise on a key it is never asked for, so looking
+    # across phase boundaries asks for no key, and in no order, that a loop
+    # stepping at each boundary's tick does not
+    phases, traces, table_ticks, _, steps, keys = ASKED[case]
+    asked = counted_run(sized_job(phases, **GANGS[gang]), policy, traces, table_ticks)
+    assert asked == (steps, [(vm, SIZES[size]) for vm, size in keys])
 
 
 def test_a_table_move_is_quoted_at_the_prices_and_index_of_its_tick():
