@@ -203,8 +203,7 @@ class IndexCurve:
         self._counts = counts
         # how many steps before each step have no live member
         self._gaps = np.concatenate(([0], np.cumsum(counts == 0)))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.values = np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
+        self.values = np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
         read_only(self.timestamps, self._counts, self._gaps, self.values, self._low, self._high)
 
     def _before_start(self, t: int) -> OutOfRangeError:

@@ -96,15 +96,14 @@ class CandidateView:
     """Everything a policy may inspect about one candidate VM.
 
     A view that MarketBlock.context builds holds its block, not window_mean
-    and window_std, and reads each from the block's moments at its own
-    instant on its first use (MarketBlock.moments_at), so a policy that
-    never reads them never has them computed. A view built directly holds
-    the four fields as given."""
+    and window_std, and reads each on its first use from its cell of the
+    block's means and stds, so a policy that never reads them never has
+    them computed. A view built directly holds the four fields as given."""
 
     spec: VmSpec
     price: float
-    window_mean: float = _FromBlock(lambda block, row, k: block.moments_at(k)[0].item(row))
-    window_std: float = _FromBlock(lambda block, row, k: block.moments_at(k)[1].item(row))
+    window_mean: float = _FromBlock(lambda block, row, k: block.means.item(row, k))
+    window_std: float = _FromBlock(lambda block, row, k: block.stds.item(row, k))
 
     def normalized(self) -> float:
         return normalize(self.spec, self.price)
@@ -113,16 +112,16 @@ class CandidateView:
 @dataclass(frozen=True)
 class PolicyContext:
     """Everything a policy may inspect at one instant. One that
-    MarketBlock.context builds reads index_reference from its block at its
-    own instant on first use (MarketBlock.reference_at), as its views read
-    their moments."""
+    MarketBlock.context builds reads index_reference on first use from its
+    instant's cell of the block's index_reference, as its views read their
+    moments."""
 
     t: int
     candidates: tuple[CandidateView, ...]
     cpu_used: float
     mem_used: float
     index_now: float
-    index_reference: float = _FromBlock(lambda block, k: block.reference_at(k))
+    index_reference: float = _FromBlock(lambda block, k: block.index_reference.item(k))
     horizon: int
     migration_seconds: float
     current: str | None = None
@@ -163,74 +162,42 @@ class MarketBlock:
     which is `index_now` or, where `window_reference` is given, what it
     returns, the index's trailing-window means; and `means` and `stds`, the
     candidates' trailing-window mean and std prices, both from one call of
-    `window_moments`. Each callable takes the slice of instants to compute.
-    A context that `context` builds reads its index reference and its
-    views' moments at its own instant k on their first use (reference_at,
-    moments_at): column k of these arrays where they are computed, and
-    otherwise instant k's own, computed alone and kept per instant; a lone
-    window sums as the whole arrays' do, so both give the same bits. So a
-    context computes nothing that its policy does not read, and nothing
-    for the block's other instants. No callable may refer to what holds the
-    block, such as the simulator's engine, or the two form a reference
-    cycle. Every array, the computed ones included, is read-only, so
-    writing into one raises: the simulator shares a market's opening table,
-    with whatever it has computed, among the runs over that market, and a
-    write would change what a later run reads."""
+    `window_moments`. A context that `context` builds reads its index
+    reference and its views' moments from column k of these arrays on
+    their first use, so its first such read computes that array for every
+    instant of the block: the simulator so gives a pick a block of the
+    pick's instant alone, and a decision its column of the epoch table,
+    whose arrays the policy's decision table reads anyway. No callable may
+    refer to what holds the block, such as the simulator's engine, or the
+    two form a reference cycle. Every array, the computed ones included,
+    is read-only, so writing into one raises: the simulator shares a
+    market's opening table, with whatever it has computed, among the runs
+    over that market, and a write would change what a later run reads."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
     index_now: np.ndarray
-    # returns index_reference at a slice of instants; None where that is
-    # index_now
-    window_reference: Callable[[slice], np.ndarray] | None
+    # returns index_reference; None where that is index_now
+    window_reference: Callable[[], np.ndarray] | None
     prices: np.ndarray
     over: np.ndarray
-    # returns (means, stds) at a slice of instants
-    window_moments: Callable[[slice], tuple[np.ndarray, np.ndarray]]
+    # returns (means, stds)
+    window_moments: Callable[[], tuple[np.ndarray, np.ndarray]]
     horizon: int
     migration_seconds: float
 
     def __post_init__(self):
         read_only(self.ok, self.index_now, self.prices, self.over)
 
-    def _reference(self, ticks: slice) -> np.ndarray:
-        if self.window_reference is None:
-            return self.index_now[ticks]
-        return read_only(self.window_reference(ticks))[0]
-
     @cached_property
     def index_reference(self) -> np.ndarray:
-        return self._reference(slice(None))
+        if self.window_reference is None:
+            return self.index_now
+        return read_only(self.window_reference())[0]
 
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
-        return read_only(*self.window_moments(slice(None)))
-
-    @cached_property
-    def _columns(self) -> dict:
-        # ("moments", k) and ("reference", k): instant k's own, computed
-        # alone for a context while the whole arrays are not
-        return {}
-
-    def moments_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The candidates' means and stds at instant k, a row each."""
-        if "_moments" in self.__dict__:
-            means, stds = self._moments
-            return means[:, k], stds[:, k]
-        columns = self._columns
-        if ("moments", k) not in columns:
-            means, stds = self.window_moments(slice(k, k + 1))
-            columns["moments", k] = read_only(means[:, 0], stds[:, 0])
-        return columns["moments", k]
-
-    def reference_at(self, k: int) -> float:
-        """index_reference at instant k."""
-        if "index_reference" in self.__dict__:
-            return self.index_reference.item(k)
-        columns = self._columns
-        if ("reference", k) not in columns:
-            columns["reference", k] = self._reference(slice(k, k + 1)).item()
-        return columns["reference", k]
+        return read_only(*self.window_moments())
 
     @property
     def means(self) -> np.ndarray:
@@ -246,9 +213,10 @@ class MarketBlock:
     def context(self, k: int, t: int, cpu_used: float, mem_used: float, current: str | None):
         """The PolicyContext at instant k, which is t, asked at the given
         utilization with current held, or None where the market is
-        undefined. The context reads its index reference at instant k, and
-        each view its moments at (its row, k), on first use; PolicyContext's
-        checks run as they do on a context built directly."""
+        undefined. The context reads its index reference from column k of
+        the block's arrays, and each view its moments from cell (its row,
+        k), on first use; PolicyContext's checks run as they do on a
+        context built directly."""
         if not self.ok[k]:
             return None
         views = []

@@ -26,15 +26,15 @@ one path from an instant to a policy call, and keeps only its last answer,
 which the tasks that ask with an equal context at one instant share; so an
 answer must depend on its context alone. The market the policies see is
 built by one vectorized rule (_market_block), with one leave-out rule
-(_dropped): for a block of epoch ticks at a time (_Engine._epoch_table), or
-for one instant off the epoch grid (see _Engine._context), and no market is
-kept but the opening table, at t=0, which the runs over one market share
+(_dropped): for a block of epoch ticks at a time (_Engine._epoch_table),
+which tables and decisions read, or for the one instant of a pick (see
+_Engine._context), and no market is kept but the two at t=0, the opening
+table and the picks' one-tick block, which the runs over one market share
 (_opening_block). A block computes its candidates' window moments
 (_window_moments) and, under the "window" reference, the index's window
-means, only when first read: for all its ticks by a policy's table, or for
-one tick by a context, which reads its index reference and its views'
-moments at its own tick on first use (MarketBlock.context). Its mask counts the
-index's gap steps in each window (IndexCurve.window_defined) and sums none.
+means, for all its ticks when first read, by a policy's table or by a
+context (MarketBlock.context). Its mask counts the index's gap steps in
+each window (IndexCurve.window_defined) and sums none.
 The one-second reference in tests/reference_engine.py is this engine with
 the slow form of each shortcut: _next_instant, which also stands for the
 STAY answers and the crossings, _held_crossed, which looks up the held VM's
@@ -362,17 +362,12 @@ def window_stats(trace: PriceTrace, t: int, window: int) -> tuple[float, float]:
     return mean, math.sqrt(max(left_sum(prices * prices * widths) / span - mean * mean, 0.0))
 
 
-def _window_moments(
-    traces, clipped, window: int, prices: np.ndarray, ticks: slice
-) -> tuple[np.ndarray, np.ndarray]:
+def _window_moments(traces, clipped, window: int, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The window means and stds of each of traces at its clipped ticks,
-    given its prices there (step_values' pair, a row each), at the slice
-    ticks of them: the moments of _market_block, whose scalar reference is
-    window_stats."""
+    given its prices there (step_values' pair, a row each): the moments of
+    _market_block, whose scalar reference is window_stats."""
     pairs = [
-        trailing_means(
-            trace.timestamps, trace.prices, trace.first_ts, t1[ticks], window, now[ticks], squares=True
-        )
+        trailing_means(trace.timestamps, trace.prices, trace.first_ts, t1, window, now, squares=True)
         for trace, t1, now in zip(traces, clipped, prices)
     ]
     means = np.array([mean for mean, _ in pairs])
@@ -381,10 +376,10 @@ def _window_moments(
     return means, np.sqrt(np.maximum(squares - means * means, 0.0))
 
 
-def _window_reference(curve: IndexCurve, t1, window: int, now: np.ndarray, ticks: slice) -> np.ndarray:
-    """The index's window means at its clipped ticks t1, where it is now, at
-    the slice ticks of them: _market_block's reference under "window"."""
-    return trailing_means(curve.timestamps, curve.values, curve.start, t1[ticks], window, now[ticks])
+def _window_reference(curve: IndexCurve, t1, window: int, now: np.ndarray) -> np.ndarray:
+    """The index's window means at its clipped ticks t1, where it is now:
+    _market_block's reference under "window"."""
+    return trailing_means(curve.timestamps, curve.values, curve.start, t1, window, now)
 
 
 def _dropped(spec, prices, max_price: float, cap_rule: bool):
@@ -410,9 +405,8 @@ def _market_block(
     which holds NaN, and under "window" over a window that holds such a step
     (IndexCurve.window_defined). `over` marks the candidates _dropped leaves
     out. The candidates' window moments (_window_moments) and, under
-    "window", the index's window means (_window_reference) are computed on
-    the block's first read of them, at every tick or at the one a context
-    reads."""
+    "window", the index's window means (_window_reference) are computed at
+    every tick on the block's first read of them."""
     t1, index_now = step_values(curve.timestamps, curve.values, curve.start, ticks)
     ok = (ticks >= curve.start) & ~np.isnan(index_now)
     index_reference = None
@@ -441,13 +435,15 @@ def _market_block(
     )
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _opening_block(*market, epoch: int, count: int) -> MarketBlock:
     """_market_block of the count epoch ticks from t=0 over market, shared:
-    the last block this built, with whatever a run has read of it since,
-    for a call whose arguments are equal to its own (the index curve and
-    each candidate's trace the same objects, each VmSpec equal); otherwise
-    a new block, which it keeps until another replaces it."""
+    one of the last two blocks this built, with whatever a run has read of
+    it since, for a call whose arguments are equal to its own (the index
+    curve and each candidate's trace the same objects, each VmSpec equal);
+    otherwise a new block, which it keeps until two others replace it. A
+    run asks for two: its opening epoch table, and the one-tick block of
+    its picks at t=0 (count 1)."""
     return _market_block(*market, epoch * np.arange(count))
 
 
@@ -648,14 +644,21 @@ class _Engine:
 
     def _context(self, t: int, phase: Phase, current: str | None) -> PolicyContext:
         """The PolicyContext at t, asked at phase's cpu and mem with current
-        held. An epoch tick, t = 0 among them, reads its column of the epoch
-        table; any other instant gets a one-tick block of its own. Views are
-        built only for the column read, and no context is kept: _ask shares
-        answers, not contexts."""
-        if t % self.params.epoch:
+        held. A decision (current held), which the engine asks only at an
+        epoch tick, reads its column of the epoch table, whose window
+        arrays the policy's decision table reads anyway. A pick (current
+        None) gets a one-tick block, so that its first read of a window
+        statistic computes one window per candidate, not one per tick of
+        the table: at t=0 the one the runs over one market share
+        (_opening_block), elsewhere its own. Views are built only for the
+        column read, and no context is kept: _ask shares answers, not
+        contexts."""
+        if current is not None:
+            block, k = self._epoch_table(t)
+        elif t:
             block, k = self._block(np.array([t])), 0
         else:
-            block, k = self._epoch_table(t)
+            block, k = _opening_block(*self._market, epoch=self.params.epoch, count=1), 0
         ctx = block.context(k, t, phase.cpu, phase.mem, current)
         if ctx is None:
             self._raise_undefined(t)
@@ -1085,6 +1088,8 @@ class _Engine:
             limit = 10 * self.total_work + 86400
         forced_queue = list(self.forced)
 
+        # the opening table, filled here since no pick reads it (_context)
+        self._epoch_table(0)
         for task in self.tasks:
             self._acquire(task, 0, "initial", working=True)
 

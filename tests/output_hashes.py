@@ -19,9 +19,10 @@ than an epoch, so that the engine looks across several boundaries between
 two decisions (multi_phase_lines); and runs in
 which a VM's price crossing onto its provider cap revokes it, shaped as the
 `study` and `bsp` cases, under treat_cap_as_revocation (cap_lines); and
-every `study` and `bsp` case again under a wrapper policy that forwards
-select and decide but has no decision tables, so that the engine asks
-decide on a context at every epoch tick (ask_lines); and `balanced` with
+every `study`, `week` and `bsp` case again under a wrapper policy that
+forwards select and decide but has no decision tables, so that the engine
+asks decide on a context at every epoch tick, over tables of up to 1,024
+ticks in `week` (ask_lines); and `balanced` with
 its Eq. 5 gate on, under either target rule, on the battery's `v1` job
 over traces whose index a dear m4.large, outside the candidates, lifts
 until the gate passes and `balanced` moves (moving_eq5_lines); and the
@@ -55,7 +56,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 4,409 lines in about 9 s on a 2-core Xeon VM.
+argument it prints every line: 4,421 lines in about 10 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -78,7 +79,6 @@ from spotindex import (  # noqa: E402
     Catalog,
     JobSpec,
     Phase,
-    Policy,
     PricePoint,
     PriceTrace,
     ledger_from_report,
@@ -92,6 +92,7 @@ from conftest import COMPOSITION, build_catalog, priced_over, study_params, trac
 from test_acceptance import VARIANTS, run_battery  # noqa: E402
 from test_simulator import (  # noqa: E402
     BOTH_READERS,
+    Asking,
     CATALOG,
     MALFORMED_EVENTS,
     REPORT_KEY_CASES,
@@ -134,25 +135,10 @@ def simulator_lines(name: str, seed: int, work_dir: Path, wrap_policy=None, tag:
         yield f"{sha(ledger.to_dicts())}  {label} ledger"
 
 
-class Asking(Policy):
-    """Another policy's select and decide, with no decision tables of its
-    own: the default's answer ASK everywhere, so the engine asks decide, on
-    a context, at every epoch tick."""
-
-    def __init__(self, inner: Policy):
-        self.inner = inner
-        self.name = inner.name
-
-    def select(self, ctx):
-        return self.inner.select(ctx)
-
-    def decide(self, ctx):
-        return self.inner.decide(ctx)
-
-
 def ask_lines(seed: int, work_dir: Path):
-    """The `study` and `bsp` cases with each policy wrapped in Asking."""
-    for name in ("study", "bsp"):
+    """The `study`, `week` and `bsp` cases with each policy wrapped in
+    Asking."""
+    for name in ("study", "week", "bsp"):
         yield from simulator_lines(name, seed, work_dir / name, Asking, "ask ")
 
 

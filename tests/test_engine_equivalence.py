@@ -1375,9 +1375,11 @@ def test_market_matches_the_reference_market_every_second(index_reference):
     # members sit on the cap; r4.xlarge is also capped alone for a while and
     # c4.2xlarge priced over max_price. m4.4xlarge, a candidate outside the
     # index, starts at t=501. At every second, epoch tick or not, the
-    # engine's market must equal the reference's bit for bit, or raise the
-    # same error; so must the rest of the context. Under "instant", the
-    # seconds whose window holds the gap but whose index is live are served.
+    # engine's pick context, read from a one-tick block, must equal the
+    # reference's bit for bit, or raise the same error; so must, at every
+    # epoch tick, its decision context with a candidate held, read from
+    # the epoch table. Under "instant", the seconds whose window holds the
+    # gap but whose index is live are served.
     extra = VmSpec(
         id="m4.4xlarge",
         instance_type="m4.4xlarge",
@@ -1408,29 +1410,41 @@ def test_market_matches_the_reference_market_every_second(index_reference):
     engine = _Engine(*args, None, None, None)
     reference = PerSecondEngine(*args, None, None, None)
     [phase] = args[0].phases
-    served, gappy_windows, blocks = 0, 0, set()
-    for t in range(1800):
-        table = engine._table
+
+    def checked(t, current):
+        """The reference's context at t with current held, having checked
+        the engine's against it, or None where both raise the same error."""
         try:
-            expected = context_bits(reference._context(t, phase, None))
+            expected = reference._context(t, phase, current)
         except SpotIndexError as exc:
             with pytest.raises(SpotIndexError, match=f"^{re.escape(str(exc))}$") as raised:
-                engine._context(t, phase, None)
+                engine._context(t, phase, current)
             assert type(raised.value) is type(exc)
-        else:
-            assert context_bits(engine._context(t, phase, None)) == expected
+            return None
+        assert context_bits(engine._context(t, phase, current)) == context_bits(expected)
+        return expected
+
+    served, decided, gappy_windows, blocks = 0, 0, 0, set()
+    held = COMPOSITION[0]
+    for t in range(1800):
+        table = engine._table
+        ctx = checked(t, None)
+        if ctx is not None:
             served += 1
             try:
                 reference.curve.window_mean(t, 30)
             except GapError:
                 gappy_windows += 1
-        if t % 3:
-            # a one-row block leaves the epoch table alone
-            assert engine._table is table
-        blocks.add(engine._table_first)
+            held = ctx.candidates[t // 3 % len(ctx.candidates)].spec.id
+        # a pick's one-tick block leaves the epoch table alone
+        assert engine._table is table
+        if t % 3 == 0:
+            decided += checked(t, held) is not None
+            blocks.add(engine._table_first)
     # the 600 s job's tables hold 200 ticks each
     assert blocks == {0, 600, 1200}
     assert served > 1200
+    assert decided > 400
     assert (gappy_windows > 0) == (index_reference == "instant")
 
 

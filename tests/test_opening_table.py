@@ -1,8 +1,8 @@
-"""The opening epoch table that runs over one market share
-(simulator._opening_block): a run over the same trace objects whose key is
-as the last build's reuses that block, one whose key differs in any part,
-trace objects included, builds its own, and no run can write into a shared
-block or its traces."""
+"""The opening epoch table that runs over one market share, and the
+one-tick block of their picks at t=0 (simulator._opening_block): a run over
+the same trace objects whose key is as an earlier build's reuses that
+block, one whose key differs in any part, trace objects included, builds
+its own, and no run can write into a shared block or its traces."""
 
 import dataclasses
 import functools
@@ -53,25 +53,27 @@ def twelve_phases():
 
 
 def counted_run(monkeypatch, job, policy, traces, params=None, catalog=CATALOG):
-    """The JSON of the run's report, and how many opening tables it built."""
+    """The JSON of the run's report, and how many opening tables and t=0
+    pick blocks it built."""
     built = []
     block = simulator._market_block
 
     def counted(*market_and_ticks):
         ticks = market_and_ticks[-1]
-        built.append(int(ticks[0]) == 0 and len(ticks) > 1)
+        if int(ticks[0]) == 0:
+            built.append(len(ticks) > 1)
         return block(*market_and_ticks)
 
     with monkeypatch.context() as patch:
         patch.setattr(simulator, "_market_block", counted)
         report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=params or study_params())
-    return json.dumps(report.to_dict(), sort_keys=True), sum(built)
+    return json.dumps(report.to_dict(), sort_keys=True), (built.count(True), built.count(False))
 
 
 def cold(job, policy, traces, params=None, catalog=CATALOG) -> str:
     """The JSON of the run's report over an empty cache, which it leaves as
     it was: the run reads a cache of its own."""
-    empty = functools.lru_cache(maxsize=1)(simulator._opening_block.__wrapped__)
+    empty = functools.lru_cache(maxsize=2)(simulator._opening_block.__wrapped__)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_opening_block", empty)
         report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=params or study_params())
@@ -83,17 +85,17 @@ def test_runs_over_one_market_share_one_opening_table(monkeypatch, order):
     # the bench's study shape, both jobs under every policy over one trace
     # dict, with a candidate outside the composition: a 1-hour job's table
     # of 60 ticks is the whole run's, so every table after the first is
-    # read from the first run's block, with the moments and index reference
-    # that earlier runs computed
+    # read from the first run's block, and every t=0 pick from its one-tick
+    # block, with the moments and index reference that earlier runs computed
     traces = market(3)
     cases = [(job, policy) for job in (baseline_job(), twelve_phases()) for policy in sorted(POLICIES)]
     expected = [cold(job, policy, traces) for job, policy in cases]
-    builds = 0
+    builds = []
     for (job, policy), report in list(zip(cases, expected))[::order]:
         produced, built = counted_run(monkeypatch, job, policy, traces)
         assert produced == report, (job.name, policy)
-        builds += built
-    assert builds == 1
+        builds.append(built)
+    assert builds == [(1, 1)] + [(0, 0)] * (len(cases) - 1)
 
 
 def repriced(vm, k, price):
@@ -142,17 +144,18 @@ KEY_CHANGES = {
 }
 
 
-@pytest.mark.parametrize("edits", KEY_CHANGES.values(), ids=KEY_CHANGES.keys())
-def test_a_run_whose_key_differs_in_one_part_builds_its_own_opening_table(monkeypatch, edits):
+@pytest.mark.parametrize("part, edits", KEY_CHANGES.items(), ids=KEY_CHANGES.keys())
+def test_a_run_whose_key_differs_in_one_part_builds_its_own_opening_table(monkeypatch, part, edits):
     # balanced reads the moments and the index reference, so a shared block
-    # of another key would hand the run wrong ones
+    # of another key would hand the run wrong ones. The total work sets the
+    # table's tick count alone, so the t=0 pick block is shared across it
     job, traces, params, catalog = baseline_job(), market(), study_params(), CATALOG
     assert EXTRA in [spec.id for spec in simulator._candidates(job, catalog, None)[0]]
     counted_run(monkeypatch, job, "balanced", traces, params, catalog)
     for edit in edits:
         job, traces, params, catalog = edit(job, traces, params, catalog)
         produced, built = counted_run(monkeypatch, job, "balanced", traces, params, catalog)
-        assert built == 1
+        assert built == (1, int(part != "total work"))
         assert produced == cold(job, "balanced", traces, params, catalog)
 
 
@@ -167,7 +170,7 @@ def test_a_run_over_equal_bit_copies_builds_its_own_opening_table(monkeypatch):
         with pytest.raises(ValueError, match="read-only"):
             traces[vm].prices[:] = 5.0
     produced, built = counted_run(monkeypatch, baseline_job(), "balanced", before)
-    assert built == 1
+    assert built == (1, 1)
     assert produced == cold(baseline_job(), "balanced", before)
 
 

@@ -368,7 +368,7 @@ def test_decision_tables_ask_where_a_live_score_is_nan():
         window_reference=None,
         prices=prices,
         over=np.zeros((3, 3), dtype=bool),
-        window_moments=lambda ticks: (prices[:, ticks], stds[:, ticks]),
+        window_moments=lambda: (prices, stds),
         horizon=300,
         migration_seconds=30.0,
     )

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spotindex import (
+    AvailabilityAwarePolicy,
     CandidateView,
     Catalog,
     GapError,
@@ -1276,14 +1277,13 @@ def test_billing_prices_each_vm_in_at_most_two_batches():
 
 
 def test_market_block_gathers_each_candidate_once():
-    # building a block, or a context of it, makes no window_sums call. A
-    # view's first read of its moments makes one lone window per candidate
-    # at its tick, which every view at that tick then reads, and a
-    # context's first read of its index reference the index's lone window
-    # at its tick. The first read of the block's arrays, as a decision
-    # table reads them, makes one call per candidate, whose prices' and
-    # their squares' sums cover the whole block, and the index's one; once
-    # the arrays exist, reads through any context of the block add none
+    # building a block, or a context of it, makes no window_sums call. The
+    # first read of the candidates' moments, by a context's view as by a
+    # decision table, computes them for the whole block: one call per
+    # candidate, whose prices' and their squares' sums cover every tick;
+    # the first read of the index reference, by a context or the block, the
+    # index's one. Once the arrays exist, no read through any context of
+    # the block adds a call
     engine = simulator._Engine(
         baseline_job(), POLICIES["cost"](), traces_for(3), CATALOG, COMPOSITION,
         study_params(), None, None, None,
@@ -1297,6 +1297,7 @@ def test_market_block_gathers_each_candidate_once():
     candidates = len(engine.candidates)
     with mock.patch.object(prices, "window_sums", counted):
         for ticks in (60 * np.arange(1, 65), np.array([90])):
+            whole = [len(ticks)] * candidates
 
             def context(block, k=len(ticks) - 1):
                 return block.context(k, int(ticks[k]), 4.0, 16.0, None)
@@ -1307,28 +1308,23 @@ def test_market_block_gathers_each_candidate_once():
                 ctx = context(block)
                 assert block.ok.all()
                 assert calls == []
-                lone = []
                 if through_context:
                     ctx.candidates[-1].window_std
-                    assert calls == [1] * candidates
-                    context(block).candidates[0].window_mean
+                    assert calls == whole
+                    context(block, 0).candidates[0].window_mean
+                    assert calls == whole
                     ctx.index_reference
-                    context(block).index_reference
-                    assert calls == [1] * (candidates + 1)
-                    if len(ticks) > 1:
-                        context(block, 0).candidates[0].window_mean
-                        assert calls == [1] * (2 * candidates + 1)
-                    lone = calls[:]
-                block.means
-                assert calls == lone + [len(ticks)] * candidates
-                block.index_reference
-                assert calls == lone + [len(ticks)] * (candidates + 1)
+                else:
+                    block.means
+                    assert calls == whole
+                    block.index_reference
+                assert calls == [*whole, len(ticks)]
                 block.stds, block.means, block.index_reference
                 for read in (ctx, context(block), context(block, 0)):
                     read.index_reference
                     for view in read.candidates:
                         view.window_mean, view.window_std
-                assert calls == lone + [len(ticks)] * (candidates + 1)
+                assert calls == [*whole, len(ticks)]
 
 
 def test_a_market_view_is_the_view_its_four_fields_build():
@@ -1390,10 +1386,10 @@ def test_a_view_whose_moments_fail_raises_their_error_on_each_read():
     def failing(compute, what):
         failures = [RuntimeError(f"{what} first"), RuntimeError(f"{what} second")]
 
-        def read(ticks):
+        def read():
             if failures:
                 raise failures.pop(0)
-            return compute(ticks)
+            return compute()
 
         return read
 
@@ -1418,8 +1414,8 @@ def test_a_view_whose_moments_fail_raises_their_error_on_each_read():
 
 @st.composite
 def block_markets(draw):
-    """Traces of random steps from t=0 for the four markets, run params,
-    a tick count, and whether contexts read before the block's arrays."""
+    """Traces of random steps from t=0 for the four markets, run params and
+    a tick count."""
     price = st.floats(0.5, 60.0)
     traces = {}
     for vm in COMPOSITION:
@@ -1430,16 +1426,17 @@ def block_markets(draw):
         sigma_window=draw(st.sampled_from((1, 45, 600, 3600))),
         index_reference=draw(st.sampled_from(("window", "instant"))),
     )
-    return traces, params, draw(st.integers(1, 40)), draw(st.booleans())
+    return traces, params, draw(st.integers(1, 40))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(block_markets())
-def test_a_context_reads_the_bits_of_the_block_arrays_whichever_is_read_first(market):
-    # a context computes its tick's moments and index reference alone, as
-    # lone windows, where the block's arrays are not computed, and reads
-    # their column where they are: both give the arrays' bits
-    traces, params, count, contexts_first = market
+def test_a_one_tick_block_reads_the_bits_of_the_table_column(market):
+    # a pick reads the one-tick block of its instant, whose moments and
+    # index reference are each a lone window, and a decision reads its
+    # column of the epoch table: a lone window sums as a table's windows
+    # do, so both give the table arrays' bits
+    traces, params, count = market
     job = dataclasses.replace(baseline_job(), max_price=1000.0)
     engine = simulator._Engine(
         job, POLICIES["cost"](), traces, CATALOG, COMPOSITION, params, None, None, None
@@ -1447,21 +1444,15 @@ def test_a_context_reads_the_bits_of_the_block_arrays_whichever_is_read_first(ma
     ticks = params.epoch * np.arange(count)
     block = engine._block(ticks)
 
-    def arrays():
-        return block.means, block.stds, block.index_reference
-
-    if not contexts_first:
-        arrays()
-    read = []
-    for k, t in enumerate(ticks.tolist()):
-        ctx = block.context(k, t, 4.0, 16.0, None)
+    def read(ctx):
+        """ctx's index reference and views' moments, as exact text."""
         assert len(ctx.candidates) == len(block.specs)
-        read.append((ctx.index_reference, [(v.window_mean, v.window_std) for v in ctx.candidates]))
-    means, stds, reference = arrays()
-    for k, (ref, moments) in enumerate(read):
-        assert ref.hex() == reference.item(k).hex()
-        for row, (mean, std) in enumerate(moments):
-            assert (mean.hex(), std.hex()) == (means.item(row, k).hex(), stds.item(row, k).hex())
+        return repr([ctx.index_reference, *((v.window_mean, v.window_std) for v in ctx.candidates)])
+
+    for k, t in enumerate(ticks.tolist()):
+        column = [block.index_reference.item(k), *zip(block.means[:, k].tolist(), block.stds[:, k].tolist())]
+        assert read(block.context(k, t, 4.0, 16.0, None)) == repr(column)
+        assert read(engine._block(np.array([t])).context(0, t, 4.0, 16.0, None)) == repr(column)
 
 
 def test_a_balanced_run_whose_scores_are_nan_is_a_located_error():
@@ -1577,7 +1568,7 @@ def week_job():
 @pytest.mark.parametrize("policy, computed", [("cost", 0), ("static", 1)])
 def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, computed):
     # cost reads prices alone; static reads the moments only in its first
-    # select, at t=0 alone, and its decide reads none
+    # select, whose block holds t=0 alone, and its tables read none
     blocks, moments = [], []
     block, window_moments = simulator._market_block, simulator._window_moments
 
@@ -1585,10 +1576,10 @@ def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, 
         blocks.append(len(market_and_ticks[-1]))
         return block(*market_and_ticks)
 
-    def read(traces, clipped, window, prices, ticks):
-        # how many of the block's ticks the call computes
-        moments.append(len(clipped[0][ticks]))
-        return window_moments(traces, clipped, window, prices, ticks)
+    def read(traces, clipped, window, prices):
+        # how many ticks the call computes
+        moments.append(len(clipped[0]))
+        return window_moments(traces, clipped, window, prices)
 
     with mock.patch.object(simulator, "_market_block", built), mock.patch.object(
         simulator, "_window_moments", read
@@ -1601,12 +1592,12 @@ def test_a_week_run_computes_the_moments_of_the_blocks_its_policy_reads(policy, 
 
 @pytest.mark.parametrize("policy", ["cost", "static", "avail", "balanced"])
 def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(policy):
-    # a context reads the window reference from its block at its own tick
-    # on first use: cost and static read it nowhere, so compute none; the
-    # select of avail and balanced at t=0 computes tick 0's alone, and
-    # avail's table reads it in every block, which computes each block's
-    # once. balanced's table asks Eq. 5 first, which passes at no tick of
-    # the week, so it reads no reference
+    # a block computes the window reference where it is first read: cost
+    # and static read it nowhere, so compute none; the select of avail and
+    # balanced at t=0 reads the one-tick block that follows the opening
+    # table, and avail's table reads it in every epoch table, which
+    # computes each table's once. balanced's table asks Eq. 5 first, which
+    # passes at no tick of the week, so it reads no reference
     blocks, references = [], []
     block, trailing_means = simulator._market_block, simulator.trailing_means
 
@@ -1624,8 +1615,95 @@ def test_a_week_run_computes_the_index_reference_of_the_blocks_its_policy_reads(
         simulator, "trailing_means", read
     ):
         run_simulation(week_job(), policy, week_traces(), CATALOG, COMPOSITION, params=study_params())
+    assert len(blocks) >= 10 and blocks[1] == 1
+    opening, pick, *refills = blocks
+    assert references == {"avail": [pick, opening, *refills], "balanced": [pick]}.get(policy, [])
+
+
+def counted_windows(job, policy, traces, calls=None):
+    """The tick counts of the blocks a run builds, in order, and the window
+    counts of its window_sums calls, each as (windows, squares), appended
+    to calls: a candidate's moments ask for squares, the index's means do
+    not."""
+    blocks, calls = [], [] if calls is None else calls
+    block = simulator._market_block
+
+    def built(*market_and_ticks):
+        blocks.append(len(market_and_ticks[-1]))
+        return block(*market_and_ticks)
+
+    def counted(timestamps, values, t0, t1, squares=False):
+        calls.append((len(t0), squares))
+        return window_sums(timestamps, values, t0, t1, squares=squares)
+
+    with mock.patch.object(simulator, "_market_block", built), mock.patch.object(
+        prices, "window_sums", counted
+    ):
+        run_simulation(job, policy, traces, CATALOG, COMPOSITION, params=study_params())
+    return blocks, calls
+
+
+class PickCounted(AvailabilityAwarePolicy):
+    """avail, which keeps the window_sums calls each select makes."""
+
+    def __init__(self, calls):
+        super().__init__()
+        self.calls = calls
+        self.picks = []
+
+    def select(self, ctx):
+        before = len(self.calls)
+        answer = super().select(ctx)
+        self.picks.append(self.calls[before:])
+        return answer
+
+
+def test_a_pick_at_t0_computes_one_window_per_candidate_not_the_opening_table():
+    # the bsp shape: an 8-task gang whose 1-hour job opens a 60-tick table.
+    # The gang's one select at t=0 reads every candidate's moments and the
+    # index reference from the one-tick block that follows the opening
+    # table: one lone window each, where a read of the opening table would
+    # compute all 60 ticks of each. avail's decision tables read the
+    # opening table's index reference, which is computed once, for all 60
+    job = dataclasses.replace(baseline_job(), kind="bsp", tasks=8)
+    calls = []
+    policy = PickCounted(calls)
+    blocks, _ = counted_windows(job, policy, traces_for(3), calls)
+    candidates = len(simulator._candidates(job, CATALOG, None)[0])
+    assert blocks[:2] == [60, 1]
+    [pick] = policy.picks
+    assert sorted(pick) == [(1, False)] + [(1, True)] * candidates
+    assert calls[len(pick):] == [(60, False)]
+
+
+class Asking(Policy):
+    """Another policy's select and decide, with no decision tables of its
+    own: the default's answer ASK everywhere, so the engine asks decide, on
+    a context, at every epoch tick."""
+
+    def __init__(self, inner: Policy):
+        self.inner = inner
+        self.name = inner.name
+
+    def select(self, ctx):
+        return self.inner.select(ctx)
+
+    def decide(self, ctx):
+        return self.inner.decide(ctx)
+
+
+def test_a_week_of_decisions_computes_each_tables_moments_once():
+    # a decision reads its column of the epoch table, so the first of a
+    # table's 1,024 decisions computes the table's moments, one window_sums
+    # call per candidate over all its ticks, and the other decisions none;
+    # the t=0 pick, before them, computes its one-tick block's
+    blocks, calls = counted_windows(week_job(), Asking(AvailabilityAwarePolicy()), week_traces())
+    candidates = len(simulator._candidates(week_job(), CATALOG, None)[0])
     assert len(blocks) >= 10
-    assert references == {"avail": [1, *blocks], "balanced": [1]}.get(policy, [])
+    opening, pick, *refills = blocks
+    assert (opening, pick) == (simulator.TABLE_TICKS, 1)
+    computed = [n for n, squares in calls if squares]
+    assert computed == [n for n in (pick, opening, *refills) for _ in range(candidates)]
 
 
 SIZES = {"big": (4.0, 16.0), "small": (2.0, 8.0), "mid": (3.0, 12.0)}
@@ -2051,3 +2129,65 @@ def test_renaming_vm_ids_in_their_order_renames_every_output(seed, volatility, p
         doc = report.to_dict()
         outputs.append([doc, replay(doc, traces, catalog), ledger_from_report(doc, traces, catalog).to_dicts()])
     assert renamed_text(outputs[0], names) == json.dumps(outputs[1], sort_keys=True)
+
+
+# splitting a phase in two: a metamorphic property of the whole run
+
+
+def split_outputs(job, policy, traces) -> str:
+    """The study setup's report of job under policy, less its job echo,
+    with its replay and ledger, as JSON text; or the error that ends the
+    run, as its type and message."""
+    try:
+        report = study_run(job, policy, traces, CATALOG)
+    except SpotIndexError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    doc = report.to_dict()
+    outputs = [replay(doc, traces, CATALOG), ledger_from_report(doc, traces, CATALOG).to_dicts()]
+    del doc["params"]["job"]
+    return json.dumps([doc, *outputs], sort_keys=True)
+
+
+@st.composite
+def split_jobs(draw):
+    """A job of up to four phases sized from SIZES, one task or a 3-task
+    BSP gang, and the same job with one of its phases cut in two at a
+    second inside it."""
+    phases = draw(
+        st.lists(st.tuples(st.integers(2, 1200), st.sampled_from(sorted(SIZES))), min_size=1, max_size=4)
+    )
+    i = draw(st.integers(0, len(phases) - 1))
+    duration, size = phases[i]
+    cut = draw(st.integers(1, duration - 1))
+    split = [*phases[:i], (cut, size), (duration - cut, size), *phases[i + 1:]]
+    fields = {"max_price": draw(st.sampled_from((None, 9.5)))}
+    if draw(st.booleans()):
+        fields.update(kind="bsp", tasks=3)
+    return sized_job(phases, **fields), sized_job(split, **fields)
+
+
+@settings(max_examples=160, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 9),
+    volatility=st.sampled_from((1.0, 1.5)),
+    policy=st.sampled_from([*sorted(POLICIES), BalancedPolicy(sufficiency="off")]),
+    jobs=split_jobs(),
+    shock=st.tuples(st.sampled_from(COMPOSITION), st.integers(0, 3000), st.integers(1, 600)),
+)
+def test_splitting_a_phase_in_two_changes_no_output_but_the_job_echo(seed, volatility, policy, jobs, shock):
+    # Two consecutive phases of one cpu and mem ask for the decision tables
+    # of the phase they split, so the engine, which looks for decision
+    # ticks across phase boundaries, must step, move and bill the same:
+    # every output but the job echo keeps its bits. That holds for a BSP
+    # gang, which rolls back to its superstep barrier, where a split does
+    # not move it. A revoked long_running task rolls back to the start of
+    # its phase, which the split may move, so its work lost and all that
+    # follows may change: such runs are left out. One VM is priced over
+    # every max_price for a while, which revokes it where it is held.
+    job, split = jobs
+    vm, start, width = shock
+    traces = priced_over(traces_for(seed, volatility), vm, start, start + width, 1000.0)
+    whole = split_outputs(job, policy, traces)
+    if job.kind != "bsp" and '"event": "revoke"' in whole:
+        return
+    assert split_outputs(split, policy, traces) == whole
