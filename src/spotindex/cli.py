@@ -33,7 +33,7 @@ from .simulator import (
     on_demand_baseline,
     run_simulation,
 )
-from .synth import DEFAULT_SEED, SynthMarketSpec, generate_market_suite
+from .synth import DEFAULT_SEED, SynthMarketSpec, checked_seed, generate_market_suite
 
 log = logging.getLogger(__name__)
 
@@ -232,11 +232,13 @@ def cmd_synth(args, parser) -> int:
         raise ValueError(f"market spec {args.spec} must hold a list of markets")
     specs = [_market_spec(args.spec, i, entry) for i, entry in enumerate(raw)]
     options = _given(args, seed="seed", start="start", warmup="warmup")
+    # checked before the markets are, so that its error does not name the spec file
+    options["seed"] = checked_seed(options.get("seed", DEFAULT_SEED))
     try:
         traces = generate_market_suite(specs, **options)
     except (ValueError, SpotIndexError) as exc:
         raise ValueError(f"market spec {args.spec}: {exc}") from exc
-    manifest = _provenance(args, seed=options.get("seed", DEFAULT_SEED))
+    manifest = _provenance(args, seed=options["seed"])
     written = _write_traces(traces, args.out, manifest)
     log.info("wrote %d synthetic traces into %s", written, args.out)
     return 0

@@ -7,14 +7,14 @@ import logging
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import compress
+from itertools import compress, islice
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantError, OutOfRangeError, ParseError, finite
-from .catalog import VmSpec, record_blocks
+from .catalog import _BLOCK, VmSpec, record_blocks
 
 log = logging.getLogger(__name__)
 
@@ -530,15 +530,15 @@ def ingest_traces(paths, catalog, on_unknown: str = "warn") -> dict[str, PriceTr
 def write_trace_jsonl(trace: PriceTrace, path) -> None:
     """Write a trace in the canonical JSON-lines form (sorted, collapsed):
     each line is what json.dumps(point, sort_keys=True) gives, with every
-    number formatted by the json encoder."""
+    number formatted by the json encoder. Each block of _BLOCK lines goes
+    out in one write."""
     vm_id = json.dumps(trace.vm_id)
     prices = json.dumps(trace.prices.tolist())[1:-1].split(", ")
     stamps = json.dumps(trace.timestamps.tolist())[1:-1].split(", ")
+    points = zip(prices, stamps)
     with open(path, "w") as fh:
-        fh.writelines(
-            f'{{"price": {price}, "timestamp": {stamp}, "vm_id": {vm_id}}}\n'
-            for price, stamp in zip(prices, stamps)
-        )
+        while block := list(islice(points, _BLOCK)):
+            fh.write("".join(f'{{"price": {p}, "timestamp": {t}, "vm_id": {vm_id}}}\n' for p, t in block))
 
 
 def trace_files(directory) -> list[Path]:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -35,10 +36,8 @@ class SynthMarketSpec:
     def __post_init__(self):
         if not isinstance(self.vm_id, str):
             raise InvariantError(f"vm_id must be a string, got {self.vm_id!r}")
-        for f in fields(self)[1:]:
-            # each annotation is the name of its kind (postponed annotations)
-            kind = {"int": int, "float": float, "bool": bool}[f.type]
-            object.__setattr__(self, f.name, exact(kind, getattr(self, f.name), f.name))
+        for name, kind in _SPEC_KINDS:
+            object.__setattr__(self, name, exact(kind, getattr(self, name), name))
         if not self.vm_id:
             raise ValueError("vm_id must be non-empty")
         finite(self.mean, "mean")
@@ -61,13 +60,27 @@ class SynthMarketSpec:
         return self.target_std * math.sqrt(3.0)
 
 
-def _market_rng(seed: int, vm_id: str, salt: int = 0) -> np.random.Generator:
+# each field after vm_id with the kind its annotation names (postponed annotations)
+_KINDS = {"int": int, "float": float, "bool": bool}
+_SPEC_KINDS = [(f.name, _KINDS[f.type]) for f in fields(SynthMarketSpec)[1:]]
+
+
+def checked_seed(seed) -> int:
+    """seed as an int: a whole number >= 0 of any size, numpy integers
+    included, where 7.0 means 7; a boolean, a string, a fraction, None or a
+    negative number raises an InvariantError naming seed."""
+    if isinstance(seed, Integral) and not isinstance(seed, bool):
+        seed = int(seed)
+    seed = exact(int, seed, "seed")
+    if seed < 0:
+        raise InvariantError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _seed_words(vm_id: str) -> np.ndarray:
     # Sub-seed keyed by vm_id so reordering market specs never changes traces.
-    digest = hashlib.sha256(vm_id.encode("utf-8")).digest()
-    words = [int(w) for w in np.frombuffer(digest, dtype=np.uint32)]
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, salt] + words))
-    )
+    # SeedSequence takes a uint32 array's words as it takes a list of them.
+    return np.frombuffer(hashlib.sha256(vm_id.encode("utf-8")).digest(), dtype=np.uint32)
 
 
 def _exact_moments(values: np.ndarray, mean: float, std: float) -> np.ndarray:
@@ -77,14 +90,44 @@ def _exact_moments(values: np.ndarray, mean: float, std: float) -> np.ndarray:
     of them scaled by the power of two that brings that bound into
     [0.5, 1), then scaled back: exact, so the result is the same bits as
     unscaled moments, but the squares stay finite for a spread near the
-    float range's top."""
+    float range's top; they are summed as ndarray.mean and .std sum them."""
     scale = math.ldexp(1.0, -math.frexp(abs(mean) + 2.0 * std)[1])
     scaled = values * scale
-    spread = scaled.std() / scale
+    center = scaled.sum() / len(values)
+    deviations = scaled - center
+    spread = math.sqrt((deviations * deviations).sum() / len(values)) / scale
     # one draw, or draws all equal at float resolution: nothing to rescale
     if std == 0.0 or spread == 0.0:
         return np.full_like(values, mean)
-    return mean + (values - scaled.mean() / scale) * (std / spread)
+    return mean + (values - center / scale) * (std / spread)
+
+
+def _draw(spec: SynthMarketSpec, seed: int, words: np.ndarray, start: int, duration: int, salt: int):
+    """The timestamps and prices of spec's market over [start, start + duration); see generate."""
+    grid = range(start, start + duration, spec.change_period)
+    if grid.start < -(2**63) or grid.stop > 2**63:
+        raise InvariantError(
+            f"market {spec.vm_id!r}: span [{grid.start}, {grid.stop}) does not fit in int64 seconds"
+        )
+    stamps = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, salt, words])))
+    values = rng.uniform(spec.mean - spec.half_width, spec.mean + spec.half_width, len(grid))
+    if spec.enforce_sample_moments:
+        values = _exact_moments(values, spec.mean, spec.target_std)
+    low = values.min()
+    if not low >= 0:  # a negative price, or a NaN, which min gives if any draw is one
+        negatives = values < 0
+        if np.any(values < -NEGATIVE_PRICE_TOLERANCE):
+            raise InvariantError(
+                f"market {spec.vm_id!r} produced price {float(low)}; "
+                "shrink stddev or volatility_scale to leave headroom above zero"
+            )
+        if np.any(negatives):
+            log.warning(
+                "market %s: clamped %d tiny negative prices", spec.vm_id, int(negatives.sum())
+            )
+            values = np.where(negatives, 0.0, values)
+    return stamps, values
 
 
 def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, salt: int = 0) -> PriceTrace:
@@ -100,29 +143,9 @@ def generate(spec: SynthMarketSpec, seed: int = DEFAULT_SEED, start: int = 0, sa
     identical calls (warmup block versus the run proper).
     """
     start = exact(int, start, "start")
-    grid = range(start, start + spec.duration, spec.change_period)
-    if grid.start < -(2**63) or grid.stop > 2**63:
-        raise InvariantError(
-            f"market {spec.vm_id!r}: span [{grid.start}, {grid.stop}) does not fit in int64 seconds"
-        )
-    stamps = np.arange(grid.start, grid.stop, grid.step, dtype=np.int64)
-    rng = _market_rng(seed, spec.vm_id, salt)
-    values = rng.uniform(spec.mean - spec.half_width, spec.mean + spec.half_width, len(stamps))
-    if spec.enforce_sample_moments:
-        values = _exact_moments(values, spec.mean, spec.target_std)
-    negatives = values < 0
-    if np.any(values < -NEGATIVE_PRICE_TOLERANCE):
-        worst = float(values.min())
-        raise InvariantError(
-            f"market {spec.vm_id!r} produced price {worst}; "
-            "shrink stddev or volatility_scale to leave headroom above zero"
-        )
-    if np.any(negatives):
-        log.warning(
-            "market %s: clamped %d tiny negative prices", spec.vm_id, int(negatives.sum())
-        )
-        values = np.where(negatives, 0.0, values)
-    return PriceTrace.from_arrays(spec.vm_id, stamps, values)
+    seed = checked_seed(seed)
+    words = _seed_words(spec.vm_id)
+    return PriceTrace.from_arrays(spec.vm_id, *_draw(spec, seed, words, start, spec.duration, salt))
 
 
 def generate_with_warmup(
@@ -136,15 +159,14 @@ def generate_with_warmup(
     """
     finite(warmup, "warmup", strict=False)
     warmup = exact(int, warmup, "warmup")
-    run = generate(spec, seed=seed, start=start, salt=0)
-    if warmup == 0:
-        return run
-    head = generate(replace(spec, duration=warmup), seed=seed, start=start - warmup, salt=1)
-    return PriceTrace.from_arrays(
-        spec.vm_id,
-        np.concatenate([head.timestamps, run.timestamps]),
-        np.concatenate([head.prices, run.prices]),
-    )
+    start = exact(int, start, "start")
+    seed = checked_seed(seed)
+    words = _seed_words(spec.vm_id)
+    stamps, prices = _draw(spec, seed, words, start, spec.duration, 0)
+    if warmup:
+        head_stamps, head_prices = _draw(spec, seed, words, start - warmup, warmup, 1)
+        stamps, prices = np.concatenate([head_stamps, stamps]), np.concatenate([head_prices, prices])
+    return PriceTrace.from_arrays(spec.vm_id, stamps, prices)
 
 
 def generate_market_suite(
@@ -155,6 +177,7 @@ def generate_market_suite(
     Markets draw from independent sub-streams of the master seed; changing
     one spec never alters another market's trace.
     """
+    seed = checked_seed(seed)
     traces: dict[str, PriceTrace] = {}
     for spec in specs:
         if spec.vm_id in traces:

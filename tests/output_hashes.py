@@ -28,7 +28,10 @@ over traces whose index a dear m4.large, outside the candidates, lifts
 until the gate passes and `balanced` moves (moving_eq5_lines); and the
 same runs over traces in which c4.2xlarge, a candidate outside the index,
 is priced 1e200 for ten minutes, where its scores are NaN and the gate
-blocks every move (nan_score_lines). Once, it hashes each of the
+blocks every move (nan_score_lines); and the trace that
+generate_market_suite makes of each valid case of the warmup oracle of
+tests/test_synth.py, at the case's start and warmup (synth_lines), so
+that every CI job compares the bits of synthesis. Once, it hashes each of the
 acceptance battery's 750 reports, with their replays and ledgers, and the
 runs in which `balanced` and `avail` move, which no bench case or battery
 run makes: `balanced` with its Eq. 5 gate off, under either
@@ -39,7 +42,8 @@ hashes the error, type and message, that replay and ledger_from_report
 give for each malformed event and each report key case of
 tests/test_simulator.py, so that a change to a reader shows which of its
 located messages it changed; the error of a `balanced` run whose every
-score is NaN, every market priced 1e200; the error of a run under each
+score is NaN, every market priced 1e200; the error of the warmup
+oracle's case whose warmup block leaves int64; the error of a run under each
 policy whose candidate's floored utilization underflows to 0; and the
 error of a run under each policy and index reference whose decision
 ticks step over an index gap, where the window reference's trailing
@@ -56,7 +60,7 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 4,421 lines in about 10 s on a 2-core Xeon VM.
+argument it prints every line: 4,434 lines in about 10 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
@@ -81,6 +85,7 @@ from spotindex import (  # noqa: E402
     Phase,
     PricePoint,
     PriceTrace,
+    generate_market_suite,
     ledger_from_report,
     replay,
     run_simulation,
@@ -90,6 +95,7 @@ from spotindex.policies import POLICIES  # noqa: E402
 
 from conftest import COMPOSITION, build_catalog, priced_over, study_params, traces_for  # noqa: E402
 from test_acceptance import VARIANTS, run_battery  # noqa: E402
+from test_synth import WARMUP_CASES, WARMUP_PAST_INT64  # noqa: E402
 from test_simulator import (  # noqa: E402
     BOTH_READERS,
     Asking,
@@ -327,6 +333,14 @@ def cap_lines(seed: int, work_dir: Path):
             yield from report_lines(report, traces, workload.catalog, label)
 
 
+def synth_lines(seed: int):
+    """The trace generate_market_suite makes of each spec of
+    tests/test_synth.py's warmup cases, at its start and warmup."""
+    for name, (spec, start, warmup) in WARMUP_CASES.items():
+        [trace] = generate_market_suite([spec], seed=seed, start=start, warmup=warmup).values()
+        yield f"{sha(trace.timestamps.tobytes() + trace.prices.tobytes())}  synth {name} seed={seed}"
+
+
 def error_text(call, *args, **kwargs) -> str:
     try:
         call(*args, **kwargs)
@@ -367,6 +381,9 @@ def error_lines():
     with np.errstate(all="ignore"):
         text = error_text(run_simulation, job, "balanced", traces, build_catalog(), COMPOSITION, study_params())
     yield f"{sha(text)}  error balanced scores NaN"
+    spec, start, warmup = WARMUP_PAST_INT64
+    text = error_text(generate_market_suite, [spec], start=start, warmup=warmup)
+    yield f"{sha(text)}  error synth warmup past int64"
     # a candidate whose floored utilization's cpu * mem underflows to 0.0
     tiny = replace(CATALOG["r4.xlarge"], id="tiny", cpu_capacity=5e-324)
     traces = {vm: PriceTrace(vm, [PricePoint(0, 6.0)]) for vm in [*COMPOSITION, "tiny"]}
@@ -401,6 +418,7 @@ def output_lines():
             yield from nan_score_lines(seed)
             yield from cap_lines(seed, Path(tmp) / "cap")
             yield from ask_lines(seed, Path(tmp) / "ask")
+            yield from synth_lines(seed)
     yield from battery_lines()
     yield from moving_lines()
     yield from error_lines()

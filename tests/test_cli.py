@@ -286,6 +286,16 @@ def test_synth_span_past_int64_exits_1(workspace, start, caplog):
     assert not out.exists()
 
 
+def test_synth_negative_seed_names_the_seed_not_the_spec_file(workspace, caplog):
+    # it once printed numpy's "expected non-negative integer" as the spec
+    # file's error
+    out = workspace / "out"
+    assert run(["synth", "--spec", workspace / "markets.json", "--seed", -1, "--out", out]) == 1
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message == "seed must be >= 0, got -1"
+    assert not out.exists()
+
+
 def test_index_misspelled_member_is_domain_error(workspace):
     traces = workspace / "traces"
     run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])

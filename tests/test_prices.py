@@ -185,6 +185,19 @@ def test_ingest_csv_and_jsonl_round_trip(tmp_path):
     assert np.array_equal(again["vm-a"].prices, traces["vm-a"].prices)
 
 
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_written_lines_are_json_dumps_of_each_point_across_write_blocks(tmp_path, n):
+    # the writer formats and writes 1,024 lines at a time
+    rng = np.random.default_rng(n)
+    stamps = np.cumsum(rng.integers(1, 10**6, n)) - 2**40
+    prices = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-30, 30, n)
+    trace = PriceTrace.from_arrays('vm/\u00e4 "a"', stamps, prices)
+    write_trace_jsonl(trace, tmp_path / "t.jsonl")
+    points = [{"price": p, "timestamp": t, "vm_id": trace.vm_id} for t, p in zip(stamps.tolist(), prices.tolist())]
+    expected = "".join(json.dumps(point, sort_keys=True) + "\n" for point in points)
+    assert (tmp_path / "t.jsonl").read_bytes() == expected.encode()
+
+
 def every_way_to_make_a_trace(tmp_path) -> list:
     path = write_jsonl(tmp_path / "raw.jsonl", [{"timestamp": 0, "vm_id": "vm-a", "price": 1.5}])
     return [

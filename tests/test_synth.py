@@ -2,10 +2,11 @@ import hashlib
 import logging
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spotindex import (
@@ -23,6 +24,25 @@ from spotindex.synth import _exact_moments
 
 def spec_of(vm_id="m", mean=6.5, stddev=1.0, **kw):
     return SynthMarketSpec(vm_id=vm_id, mean=mean, stddev=stddev, **kw)
+
+
+def trace_digest(trace) -> str:
+    return hashlib.sha256(trace.timestamps.tobytes() + trace.prices.tobytes()).hexdigest()
+
+
+# the warmup oracle's fixed cases, name -> (spec, start, warmup), each valid
+# at seeds 0, 2 and 7919; at seed 2 the run block of "clamped" (the spec of
+# test_tiny_negative_prices_are_clamped_with_a_warning) clamps a price
+WARMUP_CASES = {
+    "moments off": (spec_of(duration=600, enforce_sample_moments=False), 0, 3600),
+    "volatility 0": (spec_of(duration=600, volatility_scale=0.0), 0, 600),
+    "no warmup": (spec_of(duration=600), 0, 0),
+    "warmup below one period": (spec_of(duration=600), 30, 59),
+    "warmup off the period": (spec_of(duration=600), 0, 150),
+    "clamped": (spec_of(mean=0.1, stddev=0.1, duration=120), 0, 120),
+}
+# a run block within int64 after a warmup block that leaves it
+WARMUP_PAST_INT64 = (spec_of(duration=600), -(2**63) + 30, 60)
 
 
 def test_spec_validation():
@@ -194,6 +214,74 @@ def test_benchmark_traces_keep_their_bytes(spec, seed, digest):
     assert hashlib.sha256(trace.timestamps.tobytes() + trace.prices.tobytes()).hexdigest() == digest
 
 
+def moments_reference(values, mean, std):
+    """_exact_moments with the moments that ndarray.std and .mean take."""
+    scale = math.ldexp(1.0, -math.frexp(abs(mean) + 2.0 * std)[1])
+    scaled = values * scale
+    spread = scaled.std() / scale
+    if std == 0.0 or spread == 0.0:
+        return np.full_like(values, mean)
+    return mean + (values - scaled.mean() / scale) * (std / spread)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.integers(1, 300), st.integers(1, 5000)),
+    st.floats(1e-300, 1e300),
+    st.one_of(st.just(0.0), st.floats(1e-18, 0.5)),
+    st.integers(0, 2**32),
+)
+def test_exact_moments_are_the_bits_of_ndarray_mean_and_std(n, mean, ratio, seed):
+    # draws of mean +- sqrt(3) * std, as generate makes them, over lengths
+    # on both sides of numpy's pairwise-summation blocks
+    std = mean * ratio
+    values = np.random.default_rng(seed).uniform(mean - std * math.sqrt(3.0), mean + std * math.sqrt(3.0), n)
+    assert _exact_moments(values, mean, std).tobytes() == moments_reference(values, mean, std).tobytes()
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (True, "seed must be int, got True"),
+        ("7", "seed must be int, got '7'"),
+        (0.5, "seed must be int, got 0.5"),
+        (math.inf, "seed must be int, got inf"),
+        (None, "seed must be int, got None"),
+        (-1, "seed must be >= 0, got -1"),
+        (np.int64(-1), "seed must be >= 0, got -1"),
+    ],
+)
+def test_a_seed_that_is_not_a_whole_number_at_least_0_names_it(seed, message):
+    # True ran at seed 1 and "7" at seed 7; -1 reached numpy's raw
+    # ValueError, and 0.5, inf and None raw TypeErrors
+    for call in (generate, generate_with_warmup):
+        with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+            call(spec_of(), seed=seed)
+    # the suite checks its seed before any market, so none need be given
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        generate_market_suite([], seed=seed)
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (7, "ee501f4673d166ab165bde9b74b0682dff83e9e5f8bf316919e536f31167c77b"),
+        (7.0, "ee501f4673d166ab165bde9b74b0682dff83e9e5f8bf316919e536f31167c77b"),
+        (np.int64(7), "ee501f4673d166ab165bde9b74b0682dff83e9e5f8bf316919e536f31167c77b"),
+        (2**64 - 1, "1325b876cfaee9cdb4476e3e12f58d6b2aec75ec2e779498f694524c9b00906f"),
+        (np.uint64(2**64 - 1), "1325b876cfaee9cdb4476e3e12f58d6b2aec75ec2e779498f694524c9b00906f"),
+        (2**200 + 3, "22cf39f2b15f7b8242134247dbae4a80370ad708455bc105042753e9d1629243"),
+    ],
+)
+def test_a_whole_seed_gives_the_bytes_of_its_int(seed, expected):
+    # the digests of what these ints gave before the seed was checked, when
+    # 7.0 raised a TypeError
+    spec = spec_of(duration=600)
+    assert trace_digest(generate_with_warmup(spec, seed=seed, warmup=300)) == expected
+    assert trace_digest(generate_market_suite([spec], seed=seed, warmup=300)["m"]) == expected
+    assert trace_digest(generate(spec, seed=seed)) == trace_digest(generate(spec, seed=int(seed)))
+
+
 def test_negative_prices_rejected():
     with pytest.raises(InvariantError):
         generate(spec_of(mean=0.5, stddev=5.0), seed=0)
@@ -222,6 +310,93 @@ def test_warmup_preserves_run_block():
     assert head.mean() == pytest.approx(6.5, abs=1e-12)
     with pytest.raises(ValueError):
         generate_with_warmup(spec, seed=4, warmup=-1)
+
+
+def warmed_reference(spec, seed, start, warmup):
+    """generate_with_warmup built from generate: the run block after a
+    warmup block that generate draws from the spec replaced to last warmup
+    seconds, at start - warmup with salt 1."""
+    run = generate(spec, seed=seed, start=start)
+    if warmup == 0:
+        return run
+    head = generate(replace(spec, duration=warmup), seed=seed, start=start - warmup, salt=1)
+    return PriceTrace.from_arrays(
+        spec.vm_id,
+        np.concatenate([head.timestamps, run.timestamps]),
+        np.concatenate([head.prices, run.prices]),
+    )
+
+
+class Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def outcome(call, *args):
+    """The bytes of call(*args)'s trace, or its error's type and message,
+    and the messages it logged to spotindex.synth."""
+    logger, handler = logging.getLogger("spotindex.synth"), Messages()
+    logger.addHandler(handler)
+    try:
+        trace = call(*args)
+        result = (trace.timestamps.tobytes(), trace.prices.tobytes())
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    finally:
+        logger.removeHandler(handler)
+    return result, handler.messages
+
+
+def with_warmup_cases(test):
+    """test with an example of each warmup case and of WARMUP_PAST_INT64,
+    each at seed 2."""
+    for spec, start, warmup in [*WARMUP_CASES.values(), WARMUP_PAST_INT64]:
+        test = example(spec, 2, start, warmup)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.builds(
+        spec_of,
+        vm_id=st.sampled_from(["m", "c4.2xlarge"]),
+        mean=st.floats(0.05, 10.0),
+        stddev=st.floats(0.0, 5.0),
+        change_period=st.integers(1, 900),
+        duration=st.integers(1, 7200),
+        volatility_scale=st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+        enforce_sample_moments=st.booleans(),
+    ),
+    st.one_of(st.integers(0, 2**32), st.integers(0, 2**70)),
+    st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.integers(-(2**63), -(2**63) + 7200),
+        st.integers(2**63 - 7200, 2**63),
+    ),
+    st.integers(0, 7200),
+)
+@with_warmup_cases
+def test_a_warmed_trace_is_its_run_block_after_a_block_of_its_spec(spec, seed, start, warmup):
+    # generate_with_warmup draws its warmup block without building the
+    # replaced spec; it must give what that spec gave, bit for bit, and the
+    # same error and clamp warnings in the same order
+    assert outcome(generate_with_warmup, spec, seed, start, warmup) == outcome(
+        warmed_reference, spec, seed, start, warmup
+    )
+
+
+def test_the_warmup_cases_are_what_they_say():
+    for spec, start, warmup in WARMUP_CASES.values():
+        for seed in (0, 2, 7919):
+            generate_with_warmup(spec, seed, start, warmup)
+    _, messages = outcome(generate_with_warmup, WARMUP_CASES["clamped"][0], 2, 0, 120)
+    assert messages == ["market m: clamped 1 tiny negative prices"]
+    with pytest.raises(InvariantError, match="does not fit in int64 seconds"):
+        generate_with_warmup(WARMUP_PAST_INT64[0], 2, *WARMUP_PAST_INT64[1:])
 
 
 def test_suite_independence_and_order():
