@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import Scope, load_catalog
-from .errors import ConflictError, SpotIndexError
+from .errors import ConflictError, SpotIndexError, finite
 from .index import index_series
 from .policies import POLICIES, build_policy
 from .prices import ingest_traces, load_trace_dir, trace_files, write_trace_jsonl
@@ -232,8 +232,10 @@ def cmd_synth(args, parser) -> int:
         raise ValueError(f"market spec {args.spec} must hold a list of markets")
     specs = [_market_spec(args.spec, i, entry) for i, entry in enumerate(raw)]
     options = _given(args, seed="seed", start="start", warmup="warmup")
-    # checked before the markets are, so that its error does not name the spec file
+    # checked before the markets are, so that their errors do not name the spec file
     options["seed"] = checked_seed(options.get("seed", DEFAULT_SEED))
+    if "warmup" in options:
+        finite(options["warmup"], "warmup", strict=False)
     try:
         traces = generate_market_suite(specs, **options)
     except (ValueError, SpotIndexError) as exc:

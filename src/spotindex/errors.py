@@ -83,10 +83,11 @@ def finite(value, name: str, minimum=0, strict: bool = True):
     """An InvariantError naming `name` unless value is a real number (not a
     boolean), finite (a whole number beyond the float range is not), and
     above minimum (or equal to it, when not strict)."""
+    # plain floats and ints skip the abstract Real check, which is slow
+    plain = type(value) is float or type(value) is int
     try:
         ok = (
-            isinstance(value, Real)
-            and not isinstance(value, bool)
+            (plain or isinstance(value, Real) and not isinstance(value, bool))
             and math.isfinite(value)
             and (value > minimum if strict else value >= minimum)
         )

@@ -339,6 +339,8 @@ def _parse_price(value, source, line) -> float:
 # from 0001 on (numpy takes year 0000, which datetime rejects). numpy warns
 # about the `Z`, so it gets the text without it.
 _STRICT_ISO = re.compile(r"(?!0000)\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
+# values of that form joined by newlines
+_ISO_COLUMN = re.compile(rf"(?:{_STRICT_ISO.pattern}\n)*{_STRICT_ISO.pattern}", re.ASCII)
 # the value of an absent timestamp or price key
 _MISSING = object()
 # each field a trace record is read for, and its value when absent
@@ -366,16 +368,30 @@ def _scalar(parse, values, indices, out, source, lines):
 def _timestamps(values, source, lines):
     """Epoch seconds for a column of raw timestamps, and _scalar's result.
 
-    Plain ints and strict ISO strings are converted in bulk; every other
-    value, every int of a column with one outside int64, and every ISO
-    string of a column numpy rejects (Feb 30, hour 24, ...), goes through
-    _parse_timestamp.
+    A column of plain ints is one int64 array, unless numpy raises
+    OverflowError for one outside int64. A column of strings is strict ISO
+    when one match over them joined by newlines, 21 characters a value
+    less one, holds. Otherwise plain ints and strict ISO strings are
+    converted in bulk; every other value, every int of a column with one
+    outside int64, and every ISO string of a column numpy rejects (Feb 30,
+    hour 24, ...), goes through _parse_timestamp.
     """
-    stamps = np.zeros(len(values), dtype=np.int64)
-    ints = np.array([type(v) is int for v in values], dtype=bool)
-    isos = np.array(
-        [type(v) is str and _STRICT_ISO.fullmatch(v) is not None for v in values], dtype=bool
-    )
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        try:
+            return np.array(values, dtype=np.int64), None
+        except OverflowError:
+            pass
+    n = len(values)
+    stamps = np.zeros(n, dtype=np.int64)
+    joined = "\n".join(values) if kinds == {str} else ""
+    if len(joined) == 21 * n - 1 and _ISO_COLUMN.fullmatch(joined):
+        ints, isos = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    else:
+        ints = np.array([type(v) is int for v in values], dtype=bool)
+        isos = np.array(
+            [type(v) is str and _STRICT_ISO.fullmatch(v) is not None for v in values], dtype=bool
+        )
     if ints.any():
         try:
             stamps[ints] = list(compress(values, ints))
@@ -409,8 +425,12 @@ def _prices(values, source, lines):
 
 
 def _parse_columns(path: Path, lines, columns):
-    """Check one file's columns record by record, in the order a record's
-    checks run: timestamp and price present, timestamp, price, identity.
+    """Check one block's columns as checking it record by record would, in
+    the order a record's checks run: timestamp and price present,
+    timestamp, price, identity. Columns are checked whole (_timestamps,
+    _prices), and a vm_id column of non-empty strings is the keys as it
+    stands; a column that fails that is checked value by value, on its
+    original values, so every message and the record it names stay.
 
     Returns (timestamps, prices, keys, error) for the records before the
     first one that fails a check, and that record's error (None if every
@@ -427,14 +447,16 @@ def _parse_columns(path: Path, lines, columns):
     prices, failure = _prices(columns["price"], path, lines)
     if failure:
         failures.append((failure[0], 3, failure[1]))
-    keys = [
-        str(vm_id) if vm_id else (str(itype), str(zone)) if itype and zone else None
-        for vm_id, itype, zone in zip(columns["vm_id"], columns["instance_type"], columns["zone"])
-    ]
-    if None in keys:
-        i = keys.index(None)
-        message = "record needs either vm_id or instance_type + zone"
-        failures.append((i, 4, ParseError(message, path, lines[i], "vm_id")))
+    keys = columns["vm_id"]
+    if not all(keys) or set(map(type, keys)) != {str}:
+        keys = [
+            str(vm_id) if vm_id else (str(itype), str(zone)) if itype and zone else None
+            for vm_id, itype, zone in zip(keys, columns["instance_type"], columns["zone"])
+        ]
+        if None in keys:
+            i = keys.index(None)
+            message = "record needs either vm_id or instance_type + zone"
+            failures.append((i, 4, ParseError(message, path, lines[i], "vm_id")))
     if not failures:
         return stamps, prices, keys, None
     cut, _, error = min(failures, key=lambda failure: failure[:2])
@@ -461,6 +483,8 @@ def ingest_traces(paths, catalog, on_unknown: str = "warn") -> dict[str, PriceTr
     timestamps keep the record read last, in file order (with a warning);
     consecutive points at an unchanged price collapse. Files are read in
     the order given, and none after the one with the first error.
+    A block whose records all name one VM, as a canonical file's do, is
+    coded with one lookup, not one per record.
     """
     if on_unknown not in ("warn", "error"):
         raise ValueError(f"on_unknown must be 'warn' or 'error', got {on_unknown!r}")
@@ -471,10 +495,14 @@ def ingest_traces(paths, catalog, on_unknown: str = "warn") -> dict[str, PriceTr
     for path, lines, columns, read_error in record_blocks(paths, _TRACE_FIELDS):
         stamps, prices, keys, error = _parse_columns(path, lines, columns)
         error = error or read_error
-        for key in set(keys).difference(codes_of):
+        distinct = set(keys)
+        for key in distinct.difference(codes_of):
             codes_of[key] = len(resolved)
             resolved.append(_resolve(key, catalog))
-        codes = np.fromiter(map(codes_of.__getitem__, keys), dtype=np.intp, count=len(keys))
+        if len(distinct) == 1:
+            codes = np.full(len(keys), codes_of[keys[0]], dtype=np.intp)
+        else:
+            codes = np.fromiter(map(codes_of.__getitem__, keys), dtype=np.intp, count=len(keys))
         if on_unknown == "error":
             unknown = np.array([vm_id is None for vm_id, _ in resolved], dtype=bool)[codes]
             if unknown.any():

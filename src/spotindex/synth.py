@@ -178,6 +178,7 @@ def generate_market_suite(
     one spec never alters another market's trace.
     """
     seed = checked_seed(seed)
+    finite(warmup, "warmup", strict=False)
     traces: dict[str, PriceTrace] = {}
     for spec in specs:
         if spec.vm_id in traces:

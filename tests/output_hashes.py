@@ -8,8 +8,12 @@ bench writes, the replay totals and the ledger, and the cases of the first
 of the index curve and the opening epoch table, under labels that start with
 "reversed" (reversed_lines), which must hash as the forward ones do; and
 every file the `traces` case writes, with its work directory masked, once
-as the bench writes its raw JSON lines and once with their keys in reverse
-order, so that both paths of the JSON-lines reader run; and a 3-task
+as the bench writes its raw JSON lines, once with their keys in reverse
+order, so that both paths of the JSON-lines reader run, and once from
+one JSON-lines file in which the four markets take turns and one CSV file
+of epoch-second text (mix_raw_traces), so that ingest codes blocks of
+several VMs and reads timestamps that are not ISO text value by value,
+where the bench's files take the whole-column checks; and a 3-task
 `long_running` job of the acceptance battery's `v3` shape under each
 policy, whose task 1 a scripted move puts on another VM than its peers, so
 that the tasks ask with different contexts at one instant; and a job of
@@ -47,7 +51,9 @@ oracle's case whose warmup block leaves int64; the error of a run under each
 policy whose candidate's floored utilization underflows to 0; and the
 error of a run under each policy and index reference whose decision
 ticks step over an index gap, where the window reference's trailing
-window crosses it (window_gap_lines).
+window crosses it (window_gap_lines); and the error of ingest_traces for
+a block whose columns each hold one type, failed by the block's last
+line, once for each whole-column check (ingest_error_lines).
 
 Save the output of the old source tree, then run it on the new one with
 that file as its argument:
@@ -60,18 +66,21 @@ text after the hash, which is unique to each line. It prints how many labels
 are equal, changed, missing from the new tree and new in it, and the first
 changed or missing label, old and new; it exits 1 only on a changed or
 missing label, so a case added since the old tree shows as new. Without an
-argument it prints every line: 4,434 lines in about 10 s on a 2-core Xeon VM.
+argument it prints every line: 4,452 lines in about 10 s on a 2-core Xeon VM.
 
 It reads bench/workloads.py and changes nothing under bench/. Its name keeps
 pytest from collecting it.
 """
 
 import contextlib
+import csv
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
 from dataclasses import replace
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +95,7 @@ from spotindex import (  # noqa: E402
     PricePoint,
     PriceTrace,
     generate_market_suite,
+    ingest_traces,
     ledger_from_report,
     replay,
     run_simulation,
@@ -164,18 +174,50 @@ def reversed_lines(seed: int, work_dir: Path):
     yield from simulator_lines("study", seed, work_dir, tag="reversed ", order=first_set_reversed)
 
 
-def traces_lines(seed: int, work_dir: Path, reordered: bool = False):
-    """The `traces` case's outputs; reordered, with the keys of its raw JSON
-    lines reversed, so that ingest reads them line by line, not as
-    canonical blocks."""
+def mix_raw_traces(raw_dir: Path):
+    """Rewrite the `traces` case's raw files as two: the first half of each
+    market's records in one JSON-lines file, the four markets taking turns,
+    and the second halves in one CSV file with epoch-second text for
+    timestamps. Each record names its VM as its original file did."""
+    markets = []
+    for path in sorted(raw_dir.iterdir()):
+        if path.suffix == ".jsonl":
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+        else:
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                row["price"] = float(row["price"])
+                row["timestamp"] = int(datetime.fromisoformat(row["timestamp"][:-1] + "+00:00").timestamp())
+        markets.append(rows)
+        path.unlink()
+    halves = [(rows[: len(rows) // 2], rows[len(rows) // 2 :]) for rows in markets]
+    turns = itertools.zip_longest(*(first for first, _ in halves))
+    with open(raw_dir / "mixed.jsonl", "w") as fh:
+        fh.writelines(json.dumps(row) + "\n" for turn in turns for row in turn if row)
+    fields = ["timestamp", "vm_id", "instance_type", "zone", "price"]
+    with open(raw_dir / "mixed.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields)
+        writer.writeheader()
+        for _, second in halves:
+            writer.writerows({**row, "timestamp": str(row["timestamp"]), "price": repr(row["price"])} for row in second)
+
+
+def traces_lines(seed: int, work_dir: Path, variant: str = ""):
+    """The `traces` case's outputs. Variant "reordered" reverses the keys of
+    its raw JSON lines, so that ingest reads them line by line, not as
+    canonical blocks; "mixed" rewrites them with mix_raw_traces, so that
+    ingest codes blocks of several VMs and reads timestamps that are not
+    ISO text value by value."""
     workload = make_workload("traces", seed, work_dir)
     workload.setup()
-    name = "traces"
-    if reordered:
-        name = "traces reordered"
+    name = f"traces {variant}".strip()
+    if variant == "reordered":
         for path in sorted(workload.raw_dir.glob("*.jsonl")):
             records = map(json.loads, path.read_text().splitlines())
             path.write_text("".join(json.dumps(dict(reversed(r.items()))) + "\n" for r in records))
+    elif variant == "mixed":
+        mix_raw_traces(workload.raw_dir)
     workload.prepare()
     [op] = workload.ops(None, None)
     ingest, index = op.run()
@@ -373,6 +415,30 @@ def window_gap_lines():
             yield f"{sha(text)}  error window gap {name} {reference}"
 
 
+def ingest_error_lines(work_dir: Path):
+    """The error ingest_traces gives for a block of 1,024 canonical lines,
+    or of CSV rows with strict ISO timestamps, whose columns each hold one
+    type, where the last line's value fails the column's check."""
+    lines = [f'{{"price": {1.0 + k / 8!r}, "timestamp": {60 * k}, "vm_id": "m4.large"}}' for k in range(1024)]
+    faults = {
+        "timestamp past int64": ("jsonl", lines[:-1] + [lines[-1].replace("61380", str(2**63))]),
+        "price 1e999": ("jsonl", lines[:-1] + [lines[-1].replace("128.875", "1e999")]),
+        "empty vm id": ("jsonl", lines[:-1] + [lines[-1].replace('"m4.large"', '""')]),
+        "ISO Feb 30": (
+            "csv",
+            ["timestamp,vm_id,price"]
+            + [f"2017-01-01T{k // 60:02d}:{k % 60:02d}:00Z,m4.large,{1.0 + k / 8!r}" for k in range(1023)]
+            + ["2017-02-30T00:00:00Z,m4.large,1.5"],
+        ),
+    }
+    work_dir.mkdir()
+    for name, (suffix, text) in faults.items():
+        path = work_dir / f"raw.{suffix}"
+        path.write_text("".join(line + "\n" for line in text))
+        message = error_text(ingest_traces, [path], build_catalog()).replace(str(work_dir), "<work>")
+        yield f"{sha(message)}  error ingest {name} at a block's last line"
+
+
 def error_lines():
     # every market at 1e200 under a max_price above it: every balanced
     # score is NaN
@@ -411,7 +477,8 @@ def output_lines():
                 yield from simulator_lines(name, seed, Path(tmp) / name)
             yield from reversed_lines(seed, Path(tmp) / "reversed")
             yield from traces_lines(seed, Path(tmp) / "traces")
-            yield from traces_lines(seed, Path(tmp) / "traces", reordered=True)
+            yield from traces_lines(seed, Path(tmp) / "traces", "reordered")
+            yield from traces_lines(seed, Path(tmp) / "traces", "mixed")
             yield from multi_task_lines(seed)
             yield from multi_phase_lines(seed)
             yield from moving_eq5_lines(seed)
@@ -422,6 +489,8 @@ def output_lines():
     yield from battery_lines()
     yield from moving_lines()
     yield from error_lines()
+    with tempfile.TemporaryDirectory() as tmp:
+        yield from ingest_error_lines(Path(tmp) / "ingest")
     yield from window_gap_lines()
 
 

@@ -296,6 +296,15 @@ def test_synth_negative_seed_names_the_seed_not_the_spec_file(workspace, caplog)
     assert not out.exists()
 
 
+def test_synth_negative_warmup_names_the_warmup_not_the_spec_file(workspace, caplog):
+    # it once printed "market spec markets.json: warmup must be ..."
+    out = workspace / "out"
+    assert run(["synth", "--spec", workspace / "markets.json", "--warmup", -1, "--out", out]) == 1
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message == "warmup must be finite and >= 0, got -1"
+    assert not out.exists()
+
+
 def test_index_misspelled_member_is_domain_error(workspace):
     traces = workspace / "traces"
     run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])

@@ -3,6 +3,8 @@ import logging
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from spotindex import (
     generate_market_suite,
     generate_with_warmup,
 )
+from spotindex.errors import finite
 from spotindex.synth import _exact_moments
 
 
@@ -441,3 +444,55 @@ def test_trace_arrays_are_what_price_points_give(
     reference = PriceTrace(spec.vm_id, points)
     assert trace.timestamps.tobytes() == reference.timestamps.tobytes()
     assert trace.prices.tobytes() == reference.prices.tobytes()
+
+
+def finite_reference(value, name, minimum=0, strict=True):
+    """errors.finite as it was before its plain float and int fast path."""
+    try:
+        ok = (
+            isinstance(value, Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (value > minimum if strict else value >= minimum)
+        )
+    except OverflowError:
+        ok = False
+    if not ok:
+        bound = f"{'>' if strict else '>='} {minimum}"
+        raise InvariantError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+class Seconds(int):
+    pass
+
+
+FINITE_VALUES = [
+    0, 1, -1, 7, 2**53 + 1, 2**1024, -(2**1024), 10**400,
+    0.0, -0.0, 0.5, -0.5, 1.0, 1e308, 5e-324, math.nan, math.inf, -math.inf,
+    True, False, np.bool_(True),
+    np.float64(0.5), np.float64(-0.0), np.float64(math.nan), np.float64(math.inf), np.float32(2.5),
+    np.int64(3), np.int64(-3), np.uint64(2**64 - 1),
+    Fraction(1, 3), Fraction(-1, 3), Fraction(0), Seconds(4),
+    "1", None, 1 + 0j,
+]
+
+
+def finite_outcome(check, value, minimum, strict):
+    try:
+        check(value, "x", minimum=minimum, strict=strict)
+    except Exception as exc:  # the type and the message are compared, whatever they are
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("minimum", [0, -1, 0.5, 1])
+def test_finite_accepts_and_words_every_value_as_the_real_check_did(minimum, strict):
+    outcomes = [
+        (value, finite_outcome(finite, value, minimum, strict)) for value in FINITE_VALUES
+    ]
+    assert outcomes == [
+        (value, finite_outcome(finite_reference, value, minimum, strict)) for value in FINITE_VALUES
+    ]
+    # the table holds values on both sides of the check
+    assert {outcome is None for _, outcome in outcomes} == {True, False}

@@ -13,6 +13,7 @@ import math
 import re
 import shutil
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import partial
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from spotindex import SynthMarketSpec, generate_market_suite, ingest_traces, write_trace_jsonl
 from spotindex import catalog as catalog_mod
-from spotindex import cli
+from spotindex import cli, prices
 from spotindex.errors import ParseError
 from spotindex.prices import trace_files
 
@@ -445,3 +446,132 @@ def test_ingest_rejects_a_bool_price(tmp_path, value):
     for ingest in (ingest_traces, trace_oracle.ingest_files):
         with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
             ingest([raw], CATALOG, "warn")
+
+
+# Blocks that take each whole-column check of prices._parse_columns and
+# ingest_traces, and then fail inside it, against the per-record reader: the
+# same traces, exception text and warnings. A whole-column check that fails
+# must hand its column's original values to the per-value checks.
+
+STEPS = range(6)
+
+
+def canonical_line(t, price="1.5", vm='"vm-a"') -> str:
+    """A line in write_trace_jsonl's form, each value given as its JSON text."""
+    return f'{{"price": {price}, "timestamp": {t}, "vm_id": {vm}}}'
+
+
+def canonical_file(**at) -> str:
+    """Six canonical lines a minute apart, line i's values replaced as at[i]
+    says, with keys p (price), t (timestamp) and vm."""
+    lines = []
+    for i in STEPS:
+        edit = at.get(f"i{i}", {})
+        lines.append(canonical_line(edit.get("t", 60 * i), edit.get("p", f"{1.0 + i / 4!r}"), edit.get("vm", '"vm-a"')))
+    return "".join(line + "\n" for line in lines)
+
+
+def iso_csv(*edits) -> str:
+    """Six CSV rows of strict ISO timestamps a minute apart, row i's
+    timestamp replaced by the text of edits' (i, text) pairs."""
+    stamps = [iso(60 * i) for i in STEPS]
+    for i, text in edits:
+        stamps[i] = text
+    rows = [{"timestamp": stamp, "vm_id": "vm-a", "price": repr(1.0 + i / 4)} for i, stamp in enumerate(stamps)]
+    return ",".join(FIELDS) + "\n" + "".join(csv_line(row) + "\n" for row in rows)
+
+
+# name: (the whole-column check a case aims at, the side of it that the
+# case's block takes, file suffix, file text). A block "passes" the check,
+# "fails" it on a value although its column holds one type (or its block
+# one VM), or holds "another type" (or several VMs) and never takes it.
+WHOLE_COLUMN_CASES = {
+    "int timestamps": ("int timestamps", "passes", "jsonl", canonical_file()),
+    # the largest int64 that is a float: _parse_timestamp, which the
+    # per-record path runs, reads a larger int as no whole number
+    "int timestamps at the int64 bounds": (
+        "int timestamps", "passes", "jsonl", canonical_file(i0={"t": -(2**63)}, i5={"t": 2**63 - 1024}),
+    ),
+    "timestamp 2**63": ("int timestamps", "fails", "jsonl", canonical_file(i2={"t": 2**63})),
+    "timestamp -(2**63) - 1": ("int timestamps", "fails", "jsonl", canonical_file(i5={"t": -(2**63) - 1})),
+    "true among int timestamps": ("int timestamps", "another type", "jsonl", canonical_file(i3={"t": "true"})),
+    "ISO timestamps": ("ISO timestamps", "passes", "csv", iso_csv()),
+    "ISO Feb 30": ("ISO timestamps", "fails", "csv", iso_csv((2, "2017-02-30T00:00:00Z"))),
+    "ISO value with an embedded newline": (
+        "ISO timestamps", "fails", "csv", iso_csv((3, "2017-01-01T00:00:00Z\n2017-01-01T00:01:00Z")),
+    ),
+    "21-character ISO value": ("ISO timestamps", "fails", "csv", iso_csv((1, " " + iso(60)))),
+    "epoch-second strings": ("ISO timestamps", "fails", "csv", iso_csv(*((i, str(60 * i)) for i in STEPS))),
+    "float prices": ("float prices", "passes", "jsonl", canonical_file()),
+    "price 1e999 first": ("float prices", "fails", "jsonl", canonical_file(i0={"p": "1e999"})),
+    "price 1e999 in the middle": ("float prices", "fails", "jsonl", canonical_file(i3={"p": "1e999"})),
+    "price 1e999 last": ("float prices", "fails", "jsonl", canonical_file(i5={"p": "1e999"})),
+    "true among float prices": ("float prices", "another type", "jsonl", canonical_file(i4={"p": "true"})),
+    "int price among floats": ("float prices", "another type", "jsonl", canonical_file(i2={"p": "3"})),
+    "vm ids": ("vm ids", "passes", "jsonl", canonical_file()),
+    "empty vm id": ("vm ids", "fails", "jsonl", canonical_file(i2={"vm": '""'})),
+    "empty vm id last": ("vm ids", "fails", "jsonl", canonical_file(i5={"vm": '""'})),
+    "empty vm id with instance type and zone": (
+        "vm ids",
+        "fails",
+        "jsonl",
+        canonical_file().replace(
+            canonical_line(120, "1.5"),
+            '{"instance_type": "m4.large", "price": 1.5, "timestamp": 120, "vm_id": "", "zone": "z2"}',
+        ),
+    ),
+    "one VM": ("one VM", "passes", "jsonl", canonical_file()),
+    "one unknown VM": ("one VM", "fails", "jsonl", canonical_file(**{f"i{i}": {"vm": '"ghost"'} for i in STEPS})),
+    "two VMs in one block": ("one VM", "another type", "jsonl", canonical_file(i1={"vm": '"vm-b"'}, i4={"vm": '"vm-b"'})),
+    "an unknown VM among known": ("one VM", "another type", "jsonl", canonical_file(i5={"vm": '"ghost"'})),
+}
+
+
+def qualifies(columns) -> set:
+    """The whole-column checks a block's columns qualify for, by the one
+    type each column's values share, and by one vm id for the block."""
+    kinds = {field: set(map(type, values)) for field, values in columns.items()}
+    checks = set()
+    if kinds["timestamp"] == {int}:
+        checks.add("int timestamps")
+    if kinds["timestamp"] == {str}:
+        checks.add("ISO timestamps")
+    if kinds["price"] == {float}:
+        checks.add("float prices")
+    if kinds["vm_id"] == {str}:
+        checks.add("vm ids")
+        if len(set(columns["vm_id"])) == 1:
+            checks.add("one VM")
+    return checks
+
+
+def case_files(tmp: Path, name: str) -> list[Path]:
+    *_, suffix, text = WHOLE_COLUMN_CASES[name]
+    path = tmp / f"case.{suffix}"
+    path.write_text(text)
+    return [path]
+
+
+@pytest.mark.parametrize("block", [1, 4, 1024])
+@pytest.mark.parametrize("on_unknown", ["warn", "error"])
+@pytest.mark.parametrize("name", sorted(WHOLE_COLUMN_CASES))
+def test_a_whole_column_check_and_its_fallback_match_the_per_record_path(tmp_path, name, on_unknown, block):
+    paths = case_files(tmp_path, name)
+    with patched(catalog_mod, "_BLOCK", block):
+        assert outcome(ingest_traces, paths, on_unknown) == outcome(trace_oracle.ingest_files, paths, on_unknown)
+
+
+def test_each_whole_column_check_is_passed_and_failed(tmp_path):
+    # every case's file is one block at the default block size
+    taken = {}
+    for name, (check, side, _, _) in WHOLE_COLUMN_CASES.items():
+        [(_, _, columns, _)] = catalog_mod.record_blocks(case_files(tmp_path, name), prices._TRACE_FIELDS)
+        assert (check in qualifies(columns)) == (side != "another type"), name
+        taken.setdefault(check, Counter())[side] += 1
+    assert {check: dict(sides) for check, sides in taken.items()} == {
+        "int timestamps": {"passes": 2, "fails": 2, "another type": 1},
+        "ISO timestamps": {"passes": 1, "fails": 4},
+        "float prices": {"passes": 1, "fails": 3, "another type": 2},
+        "vm ids": {"passes": 1, "fails": 3},
+        "one VM": {"passes": 1, "fails": 1, "another type": 2},
+    }
