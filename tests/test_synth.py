@@ -265,6 +265,13 @@ def test_a_seed_that_is_not_a_whole_number_at_least_0_names_it(seed, message):
         generate_market_suite([], seed=seed)
 
 
+@pytest.mark.parametrize("warmup", [-1, math.nan, math.inf, True, "60", None])
+def test_the_suite_checks_its_warmup_before_any_market(warmup):
+    message = f"warmup must be finite and >= 0, got {warmup!r}"
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        generate_market_suite([], warmup=warmup)
+
+
 @pytest.mark.parametrize(
     "seed, expected",
     [
