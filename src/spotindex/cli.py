@@ -67,11 +67,14 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     Each value is parsed as the words that would follow its flag, so the
     flag's type and choices apply: a string or number is one word, a list is
     several (an empty list is a usage error, not the bare flag), true gives
-    a switch, and false or null leaves the option unset.
+    a switch, and false or null leaves the option unset. A value that its
+    flag rejects, by type or choices, is a usage error that names the
+    config file and the key.
     Every option defaults to None so a config value is distinguishable from
     an explicit flag; built-in defaults are applied by the handlers after
     this merge.
     """
+    command = parser.commands[args.command]
     words = [args.command]
     for key, value in _load_config(args.config).items():
         dest = {"in": "inputs"}.get(key, key.replace("-", "_"))
@@ -81,15 +84,33 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         if value == []:
             parser.error(f"config key {key!r} is an empty list")
         if value is True:
-            words.append(flag)
+            given = [flag]
         elif isinstance(value, list):
-            words += [flag, *map(str, value)]
+            given = [flag, *map(str, value)]
         elif value is not None and value is not False:
-            words.append(f"{flag}={value}")
+            given = [f"{flag}={value}"]
+        else:
+            continue
+        _check_words(command, given, f"config {args.config} key {key!r}")
+        words += given
     for dest, value in vars(parser.parse_args(words)).items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
     return args
+
+
+def _check_words(command: argparse.ArgumentParser, words: list, where: str):
+    """Parse words with a command's parser, as that parser would in the
+    whole command line, and make an error that rejects one of their values
+    (an ArgumentError: a type or choices check) a usage error of command's
+    that names `where`. Every other word is left to the whole parse."""
+    command.exit_on_error = False
+    try:
+        command.parse_known_args(words)
+    except argparse.ArgumentError as exc:
+        command.error(f"{where}: {exc}")
+    finally:
+        command.exit_on_error = True
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -437,6 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file of option defaults")
     p.set_defaults(func=cmd_report)
 
+    # each command's parser, by name (_merge_config)
+    parser.commands = sub.choices
     return parser
 
 

@@ -4,9 +4,11 @@ Policies are pure decision rules: they look at a PolicyContext snapshot
 (current prices, trailing-window statistics, the index) and answer either
 "which VM do I start on" (select) or "do I stay or move" (decide). An
 answer must depend on its context alone: the simulator hands one answer to
-every task that asks with an equal context at one instant. A policy may
-also answer decide for a whole MarketBlock of instants at once, as a
-DecisionTable (decisions): at each instant it stays, moves to a candidate,
+every task that asks with an equal context at one instant, and keeps a
+policy's decision tables and its picks at t=0 for the later runs over one
+market with an equal policy (Policy). A policy may also answer decide for
+a whole MarketBlock of instants at once, as a DecisionTable (decisions):
+at each instant it stays, moves to a candidate,
 or leaves the simulator to ask decide there, and of a move it gives only
 the reason decide states, not decide's whole PolicyDecision. The built-in
 policies answer every instant where the market is defined and the held VM
@@ -172,7 +174,13 @@ class MarketBlock:
     two form a reference cycle. Every array, the computed ones included,
     is read-only, so writing into one raises: the simulator shares a
     market's opening table, with whatever it has computed, among the runs
-    over that market, and a write would change what a later run reads."""
+    over that market, and a write would change what a later run reads.
+
+    The simulator keeps on a block what it has checked of each policy's
+    answers over it (`kept`): the decision tables of a block of decision
+    ticks, and the picks at t=0 of a one-tick pick block. A run handed a
+    shared block so reuses what an equal policy (Policy.__eq__) answered
+    there in an earlier run."""
 
     specs: tuple[VmSpec, ...]
     ok: np.ndarray
@@ -209,6 +217,17 @@ class MarketBlock:
 
     def __len__(self):
         return len(self.ok)
+
+    @cached_property
+    def _kept(self) -> dict:
+        return {}
+
+    def kept(self, policy: "Policy") -> dict:
+        """The dict in which the simulator keeps policy's answers over this
+        block, the same for every policy equal to it: its decision tables
+        keyed by (current, cpu_used, mem_used), or its picks keyed by
+        (cpu_used, mem_used)."""
+        return self._kept.setdefault(policy, {})
 
     def context(self, k: int, t: int, cpu_used: float, mem_used: float, current: str | None):
         """The PolicyContext at instant k, which is t, asked at the given
@@ -342,7 +361,18 @@ class Policy:
     """A VM selection (`select`) and migration (`decide`) rule. Each
     answer must depend on its context alone, since the simulator asks once
     for all the tasks that ask with an equal context at one instant and
-    hands each the same answer."""
+    hands each the same answer.
+
+    The same holds across runs: the simulator keeps a policy's decision
+    tables and its picks at t=0 on the market block they were asked over
+    (MarketBlock.kept), and the runs over one market share their opening
+    blocks, so a later run with an equal policy reads them, not asking
+    again. An instance of exactly one of the built-in classes (POLICIES)
+    equals another of the same class with the same options; every other
+    policy, a subclass of a built-in among them, equals only itself, so a
+    user policy shares its answers only when the same object runs again.
+    The simulator keys the kept answers by the policy, so a subclass that
+    defines __eq__ must define a __hash__ to match."""
 
     name = "base"
 
@@ -363,8 +393,26 @@ class Policy:
         out must be answered ASK. This default answers ASK everywhere."""
         return DecisionTable(np.full(len(block), ASK), _no_move)
 
+    def _options(self) -> tuple:
+        """The options an instance of a built-in class is built with."""
+        return ()
+
+    def __eq__(self, other):
+        return self is other or (
+            type(self) is type(other) and _built_in(self) and self._options() == other._options()
+        )
+
+    def __hash__(self):
+        return hash((type(self), self._options())) if _built_in(self) else object.__hash__(self)
+
     def __repr__(self):
         return f"{type(self).__name__}()"
+
+
+def _built_in(policy: Policy) -> bool:
+    """Whether policy is an instance of exactly one of the built-in classes."""
+    cls = type(policy)
+    return POLICIES.get(cls.name) is cls
 
 
 class StaticPolicy(Policy):
@@ -497,6 +545,9 @@ class BalancedPolicy(Policy):
             raise ValueError(f"sufficiency must be 'eq5' or 'off', got {sufficiency!r}")
         self.target_rule = target_rule
         self.sufficiency = sufficiency
+
+    def _options(self):
+        return self.target_rule, self.sufficiency
 
     @staticmethod
     def _scores(ctx: PolicyContext) -> dict[str, float]:

@@ -30,17 +30,22 @@ built by one vectorized rule (_market_block), with one leave-out rule
 which tables and decisions read, or for the one instant of a pick (see
 _Engine._context), and no market is kept but the two at t=0, the opening
 table and the picks' one-tick block, which the runs over one market share
-(_opening_block). A block computes its candidates' window moments
-(_window_moments) and, under the "window" reference, the index's window
-means, for all its ticks when first read, by a policy's table or by a
-context (MarketBlock.context). Its mask counts the index's gap steps in
-each window (IndexCurve.window_defined) and sums none.
+(_opening_block). The decision tables are kept on the table they were
+built over (_Engine._decisions_of), and the picks at t=0 on the one-tick
+block (_Engine._pick), each once it passes the engine's checks, per
+policy (MarketBlock.kept): a run handed a shared block reads what an
+equal policy answered there in an earlier run, so an answer must depend
+on its context alone across runs too. A block computes its candidates'
+window moments (_window_moments) and, under the "window" reference, the
+index's window means, for all its ticks when first read, by a policy's
+table or by a context (MarketBlock.context). Its mask counts the index's
+gap steps in each window (IndexCurve.window_defined) and sums none.
 The one-second reference in tests/reference_engine.py is this engine with
 the slow form of each shortcut: _next_instant, which also stands for the
 STAY answers and the crossings, _held_crossed, which looks up the held VM's
 price, _works_now, _context, which it computes with its own scalar code and
-leave-out rule, _move_at, which asks decide at every epoch tick, and _ask,
-which asks for every task.
+leave-out rule, _move_at, which asks decide at every epoch tick, _ask,
+which asks for every task, and _pick, which asks select at t=0 too.
 
 The engine records every VM holding as (t0, t1, vm, working) segments plus
 acquire/migrate/revoke/finish events, and derives every run output afterwards
@@ -443,7 +448,10 @@ def _opening_block(*market, epoch: int, count: int) -> MarketBlock:
     curve and each candidate's trace the same objects, each VmSpec equal);
     otherwise a new block, which it keeps until two others replace it. A
     run asks for two: its opening epoch table, and the one-tick block of
-    its picks at t=0 (count 1)."""
+    its picks at t=0 (count 1). With a block, a run shares what the runs
+    before it kept on it of an equal policy's answers (MarketBlock.kept):
+    its decision tables on the opening table, its picks on the one-tick
+    block."""
     return _market_block(*market, epoch * np.arange(count))
 
 
@@ -552,10 +560,9 @@ class _Engine:
         # the epoch table: the market at _table_first, _table_first + epoch, ...
         self._table = ()
         self._table_first = 0
-        # per (vm, cpu, mem): the policy's decision table over the epoch
-        # table, its answers, and per tick index the first from it on that
-        # is not answered STAY (_decisions_of)
-        self._decisions = {}
+        # the policy's decision tables kept on the epoch table
+        # (_decisions_of), fetched once per fill
+        self._tables = {}
         # the last ask's key and answer (_ask)
         self._asked = None
         self._answer = None
@@ -626,10 +633,12 @@ class _Engine:
         table is refilled once t is past its end (ticks only move forward)
         with up to TABLE_TICKS ticks and none at or past the earliest second
         the run can end: the least-advanced task still has its remaining
-        work to do. A refill drops the decision tables of the old table.
-        The opening table, at t=0, does not depend on the policy or the
-        job's phases, so the runs over one market share it
-        (_opening_block); a refill is the run's own."""
+        work to do. The opening table, at t=0, does not depend on the
+        policy or the job's phases, so the runs over one market share it
+        (_opening_block), and with it the decision tables that an equal
+        policy's runs have kept on it; a refill, and the tables kept on it,
+        are the run's own. Each fill fetches the policy's tables from the
+        table once (MarketBlock.kept), so no decision hashes the policy."""
         epoch = self.params.epoch
         if t >= self._table_first + epoch * len(self._table):
             work = min(task.work for task in self.tasks if task.state != DONE)
@@ -639,8 +648,13 @@ class _Engine:
             else:
                 self._table = self._block(t + epoch * np.arange(count))
             self._table_first = t
-            self._decisions = {}
+            self._tables = self._table.kept(self.policy)
         return self._table, (t - self._table_first) // epoch
+
+    def _pick_block(self) -> MarketBlock:
+        """The one-tick block of the picks at t=0, which the runs over one
+        market share (_opening_block)."""
+        return _opening_block(*self._market, epoch=self.params.epoch, count=1)
 
     def _context(self, t: int, phase: Phase, current: str | None) -> PolicyContext:
         """The PolicyContext at t, asked at phase's cpu and mem with current
@@ -658,7 +672,7 @@ class _Engine:
         elif t:
             block, k = self._block(np.array([t])), 0
         else:
-            block, k = _opening_block(*self._market, epoch=self.params.epoch, count=1), 0
+            block, k = self._pick_block(), 0
         ctx = block.context(k, t, phase.cpu, phase.mem, current)
         if ctx is None:
             self._raise_undefined(t)
@@ -702,10 +716,25 @@ class _Engine:
 
     # state transitions
 
+    def _pick(self, t: int, task: _Task) -> str:
+        """The VM the policy selects for task at t (_ask). A pick at t=0,
+        once it has passed _ask's checks, is kept on the shared one-tick
+        block (MarketBlock.kept) by the phase's cpu and mem, and read from
+        there by every later ask of it, by this run's other tasks and by
+        the runs over one market with an equal policy."""
+        if t:
+            return self._ask(self.policy.select, t, task, None)
+        phase = self.job.phase_at(task.work)
+        picks = self._pick_block().kept(self.policy)
+        key = (phase.cpu, phase.mem)
+        if key not in picks:
+            picks[key] = self._ask(self.policy.select, t, task, None)
+        return picks[key]
+
     def _acquire(self, task: _Task, t: int, reason: str, working: bool) -> str:
-        """The VM the policy selects for task at t, acquired and its hold
-        opened."""
-        vm = self._ask(self.policy.select, t, task, None)
+        """The VM the policy selects for task at t (_pick), acquired and
+        its hold opened."""
+        vm = self._pick(t, task)
         task.vm = vm
         self.events.append(
             {
@@ -869,9 +898,12 @@ class _Engine:
         """The policy's decision table over the epoch table, holding vm at
         this cpu and mem; its answers as a list; per index k of the epoch
         table, and one past its end, the first index from k on that it does
-        not answer STAY. Computed once per table."""
+        not answer STAY. Built once per table and policy: kept on the table
+        (_epoch_table) once it passes the check below, for this run and, on
+        a shared opening table, for the runs after it with an equal policy;
+        a table that fails it is not kept, so a later run raises again."""
         key = (vm, cpu, mem)
-        found = self._decisions.get(key)
+        found = self._tables.get(key)
         if found is None:
             count, rows = len(self._table), len(self.candidates)
             table = self.policy.decisions(self._table, vm, cpu, mem)
@@ -888,7 +920,7 @@ class _Engine:
             indices = np.arange(count + 1)
             indices[:count][answers == STAY] = count
             until = np.minimum.accumulate(indices[::-1])[::-1].tolist()
-            found = self._decisions[key] = (table, answers.tolist(), until)
+            found = self._tables[key] = (table, answers.tolist(), until)
         return found
 
     def _next_decision(self, t: int, flags: list, bound: int) -> int:

@@ -2,7 +2,7 @@
 next-event engine must reproduce report for report.
 
 `PerSecondEngine` is `spotindex.simulator._Engine` with the slow form of each
-of the engine's six shortcuts, and nothing else:
+of the engine's seven shortcuts, and nothing else:
 
 - `_next_instant` returns t, so the loop never skips a second. It so
   also stands in for the two rules the engine's `_next_instant` skips by:
@@ -28,7 +28,13 @@ of the engine's six shortcuts, and nothing else:
   undefined it raises at the first check that fails: the index at t, under
   "window" the index over t's window, then each candidate's price at t;
 - `_ask` asks the policy for every task, instead of handing a task the last
-  ask's answer when it asks with the same context.
+  ask's answer when it asks with the same context;
+- `_pick` asks `select` at t=0 too, instead of reading the pick that this
+  run's first task, or an earlier run with an equal policy over the same
+  market, kept on the shared one-tick block (`MarketBlock.kept`). Its
+  `_move_at` so never reads a decision table, nor `_pick` a kept pick, and
+  each of its runs checks the answers the engine keeps across runs against
+  the policy's own `select` and `decide`.
 
 Everything else, the per-second step (`_Engine._step`) but for its held
 VMs' check, the work step and the finish, is the engine's own code, so the
@@ -95,6 +101,9 @@ class PerSecondEngine(_Engine):
     def _ask(self, ask, t, task, current):
         self._asked = None
         return super()._ask(ask, t, task, current)
+
+    def _pick(self, t, task):
+        return self._ask(self.policy.select, t, task, None)
 
 
 def run_per_second(

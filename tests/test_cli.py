@@ -523,6 +523,29 @@ def test_config_value_gets_its_flags_parsing(workspace, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, rejected",
+    [
+        ("epoch", -0.0, "argument --epoch: invalid int value: '-0.0'"),
+        ("index_reference", "both", "argument --index-reference: invalid choice: 'both'"),
+        ("cap_as_revocation", "yes", "argument --cap-as-revocation: ignored explicit argument 'yes'"),
+    ],
+)
+def test_a_config_value_its_flag_rejects_names_the_file_and_key(workspace, capsys, key, value, rejected):
+    traces = workspace / "traces"
+    run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])
+    path = workspace / "config.json"
+    path.write_text(json.dumps({"epoch": 60, key: value}))
+    out = workspace / "report.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        run(simulate_argv(workspace, traces, "--out", out, "--config", path))
+    assert err.value.code == 2
+    assert not out.exists()
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"spotindex simulate: error: config {path} key {key!r}: {rejected}"), last
+
+
 def test_config_values_match_their_flags(workspace):
     traces = workspace / "traces"
     run(["synth", "--spec", workspace / "markets.json", "--seed", 1, "--out", traces])
@@ -1228,9 +1251,11 @@ def test_a_hostile_config_value_means_what_it_means_after_its_flag(hostile_works
     # a config value is the words that would follow its flag: a string or
     # number one word, a list several, true a switch, false or null none.
     # So each outcome, an exit 2 usage error naming the flag included, is
-    # that of the words on the command line; a value json cannot read is an
-    # exit 1 error naming the config file, and an empty list, which would
-    # be the bare flag, an exit 2 usage error naming its key.
+    # that of the words on the command line, but that a value the flag
+    # rejects (argparse's "argument --flag: ..." error) also names the
+    # config file and its key; a value json cannot read is an exit 1 error
+    # naming the config file, and an empty list, which would be the bare
+    # flag, an exit 2 usage error naming its key.
     (hostile_workspace / "job.json").write_text(json.dumps(JOB_JSON))
     config = hostile_workspace / "config.json"
     config.write_text(with_value(hostile_config(hostile_workspace), (key,), value))
@@ -1253,7 +1278,10 @@ def test_a_hostile_config_value_means_what_it_means_after_its_flag(hostile_works
             words += [flag, *map(str, given_value)]
         elif given_value is not None and given_value is not False:
             words.append(f"{flag}={given_value}")
-    assert outcome == simulated_with(hostile_workspace, *words)
+    code, messages, usage, report = simulated_with(hostile_workspace, *words)
+    if code == 2:
+        usage = usage.replace(": error: argument ", f": error: config {config} key {key!r}: argument ")
+    assert outcome == (code, messages, usage, report)
 
 
 # each record's fields that hold one value, and the kind each is cast to

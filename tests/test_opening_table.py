@@ -2,15 +2,25 @@
 one-tick block of their picks at t=0 (simulator._opening_block): a run over
 the same trace objects whose key is as an earlier build's reuses that
 block, one whose key differs in any part, trace objects included, builds
-its own, and no run can write into a shared block or its traces."""
+its own, and no run can write into a shared block or its traces. A run
+handed a shared block reuses the decision tables and the t=0 picks that
+an equal policy's runs kept on it (MarketBlock.kept), and builds only the
+ones they did not."""
 
+import contextlib
 import dataclasses
 import functools
+import importlib.util
 import json
+import sys
+import weakref
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spotindex import (
+    BalancedPolicy,
     Catalog,
     CostCentricPolicy,
     MigrationModel,
@@ -18,13 +28,18 @@ from spotindex import (
     POLICIES,
     PriceTrace,
     ResourceRequirement,
+    SimulationError,
+    StaticPolicy,
     SynthMarketSpec,
+    build_policy,
     generate_market_suite,
     run_simulation,
 )
 from spotindex import simulator
+from spotindex.policies import DecisionTable
 
 from conftest import COMPOSITION, MARKET_ROWS, WARMUP, baseline_job, build_catalog, study_params
+from test_engine_equivalence import Recording
 
 # a candidate of the baseline job outside the composition
 EXTRA = "x1.2xlarge"
@@ -52,49 +67,106 @@ def twelve_phases():
     return dataclasses.replace(baseline_job(), name="twelve", phases=phases)
 
 
-def counted_run(monkeypatch, job, policy, traces, params=None, catalog=CATALOG):
-    """The JSON of the run's report, and how many opening tables and t=0
-    pick blocks it built."""
-    built = []
-    block = simulator._market_block
+# every opening table that a counted run has built
+OPENING = weakref.WeakSet()
+
+
+@contextlib.contextmanager
+def counting():
+    """Count, while in the block, the opening tables and the t=0 pick
+    blocks built, as two lists of one entry per build, and each built-in
+    policy's decision tables built, as (name, current, cpu, mem, whether
+    over an opening table, not a refill), and its select calls, by name."""
+    counts = {"tables": [], "picks": [], "decisions": [], "select": []}
+    build_block = simulator._market_block
 
     def counted(*market_and_ticks):
         ticks = market_and_ticks[-1]
+        block = build_block(*market_and_ticks)
         if int(ticks[0]) == 0:
-            built.append(len(ticks) > 1)
-        return block(*market_and_ticks)
+            counts["tables" if len(ticks) > 1 else "picks"].append(len(ticks))
+            if len(ticks) > 1:
+                OPENING.add(block)
+        return block
 
-    with monkeypatch.context() as patch:
-        patch.setattr(simulator, "_market_block", counted)
-        report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=params or study_params())
-    return json.dumps(report.to_dict(), sort_keys=True), (built.count(True), built.count(False))
-
-
-def cold(job, policy, traces, params=None, catalog=CATALOG) -> str:
-    """The JSON of the run's report over an empty cache, which it leaves as
-    it was: the run reads a cache of its own."""
-    empty = functools.lru_cache(maxsize=2)(simulator._opening_block.__wrapped__)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_market_block", counted)
+        for cls in POLICIES.values():
+
+            def decisions(self, block, current, cpu_used, mem_used, build=cls.decisions):
+                counts["decisions"].append((self.name, current, cpu_used, mem_used, block in OPENING))
+                return build(self, block, current, cpu_used, mem_used)
+
+            def select(self, ctx, pick=cls.select):
+                counts["select"].append(self.name)
+                return pick(self, ctx)
+
+            patch.setattr(cls, "decisions", decisions)
+            patch.setattr(cls, "select", select)
+        yield counts
+
+
+def counted_run(job, policy, traces, params=None, catalog=CATALOG, counts=None):
+    """The JSON of the run's report, and how many opening tables and t=0
+    pick blocks it built; counts, where given, is a dict that takes all
+    that `counting` counts."""
+    with counting() as counted:
+        report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=params or study_params())
+    if counts is not None:
+        counts.update(counted)
+    return json.dumps(report.to_dict(), sort_keys=True), (len(counted["tables"]), len(counted["picks"]))
+
+
+def cold(job, policy, traces, params=None, catalog=CATALOG, counts=None) -> str:
+    """The JSON of the run's report over an empty cache, which it leaves as
+    it was: the run reads a cache of its own. counts, where given, takes
+    all that `counting` counts of the run."""
+    empty = functools.lru_cache(maxsize=2)(simulator._opening_block.__wrapped__)
+    with pytest.MonkeyPatch.context() as patch, counting() as counted:
         patch.setattr(simulator, "_opening_block", empty)
         report = run_simulation(job, policy, traces, catalog, COMPOSITION, params=params or study_params())
+    if counts is not None:
+        counts.update(counted)
     return json.dumps(report.to_dict(), sort_keys=True)
 
 
-@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
-def test_runs_over_one_market_share_one_opening_table(monkeypatch, order):
-    # the bench's study shape, both jobs under every policy over one trace
-    # dict, with a candidate outside the composition: a 1-hour job's table
-    # of 60 ticks is the whole run's, so every table after the first is
-    # read from the first run's block, and every t=0 pick from its one-tick
-    # block, with the moments and index reference that earlier runs computed
+ORDERS = {
+    "forward": lambda cases: cases,
+    "reversed": lambda cases: cases[::-1],
+    "policy-major": lambda cases: sorted(cases, key=lambda case: case[1]),
+}
+
+
+@pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+def test_runs_over_one_market_share_one_opening_table(order):
+    # the study shape over one trace dict, with a candidate outside the
+    # composition: a 1-hour job's table of 60 ticks is the whole run's, so
+    # every table after the first is read from the first run's block, and
+    # every t=0 pick from its one-tick block, with the moments and index
+    # reference that earlier runs computed. Each run builds only the
+    # decision tables that the runs before it under its policy did not
+    # keep on the opening table (a cost run that moves stalls, and its
+    # last ticks are a refill of its own), and asks select at t=0 only
+    # where none of them did: both jobs open at 4 cpus and 16 GB. Each
+    # report is the one it gives alone, in any order of the runs, from an
+    # empty cache
     traces = market(3)
     cases = [(job, policy) for job in (baseline_job(), twelve_phases()) for policy in sorted(POLICIES)]
-    expected = [cold(job, policy, traces) for job, policy in cases]
-    builds = []
-    for (job, policy), report in list(zip(cases, expected))[::order]:
-        produced, built = counted_run(monkeypatch, job, policy, traces)
-        assert produced == report, (job.name, policy)
+    alone = [{} for _ in cases]
+    expected = [cold(job, policy, traces, counts=counts) for (job, policy), counts in zip(cases, alone)]
+    simulator._opening_block.cache_clear()
+    builds, kept, tables = [], {}, 0
+    for job, policy in order(cases):
+        counts, own = {}, alone[cases.index((job, policy))]
+        produced, built = counted_run(job, policy, traces, counts=counts)
+        assert produced == expected[cases.index((job, policy))], (job.name, policy)
         builds.append(built)
+        assert own["select"] == [policy]
+        assert counts["select"] == ([] if policy in kept else [policy])
+        assert counts["decisions"] == [key for key in own["decisions"] if key not in kept.get(policy, [])]
+        kept.setdefault(policy, []).extend(key for key in own["decisions"] if key[-1])
+        tables += len(counts["decisions"])
+    assert tables < sum(len(own["decisions"]) for own in alone)
     assert builds == [(1, 1)] + [(0, 0)] * (len(cases) - 1)
 
 
@@ -145,31 +217,31 @@ KEY_CHANGES = {
 
 
 @pytest.mark.parametrize("part, edits", KEY_CHANGES.items(), ids=KEY_CHANGES.keys())
-def test_a_run_whose_key_differs_in_one_part_builds_its_own_opening_table(monkeypatch, part, edits):
+def test_a_run_whose_key_differs_in_one_part_builds_its_own_opening_table(part, edits):
     # balanced reads the moments and the index reference, so a shared block
     # of another key would hand the run wrong ones. The total work sets the
     # table's tick count alone, so the t=0 pick block is shared across it
     job, traces, params, catalog = baseline_job(), market(), study_params(), CATALOG
     assert EXTRA in [spec.id for spec in simulator._candidates(job, catalog, None)[0]]
-    counted_run(monkeypatch, job, "balanced", traces, params, catalog)
+    counted_run(job, "balanced", traces, params, catalog)
     for edit in edits:
         job, traces, params, catalog = edit(job, traces, params, catalog)
-        produced, built = counted_run(monkeypatch, job, "balanced", traces, params, catalog)
+        produced, built = counted_run(job, "balanced", traces, params, catalog)
         assert built == (1, int(part != "total work"))
         assert produced == cold(job, "balanced", traces, params, catalog)
 
 
-def test_a_run_over_equal_bit_copies_builds_its_own_opening_table(monkeypatch):
+def test_a_run_over_equal_bit_copies_builds_its_own_opening_table():
     # the block reads its moments, on first use, from the trace objects of
     # the run that built it: cost reads none, and those traces reject the
     # edit that would otherwise reach a later run's moments
     traces = market()
     before = copied(traces)
-    counted_run(monkeypatch, baseline_job(), "cost", traces)
+    counted_run(baseline_job(), "cost", traces)
     for vm in ("m4.2xlarge", EXTRA):
         with pytest.raises(ValueError, match="read-only"):
             traces[vm].prices[:] = 5.0
-    produced, built = counted_run(monkeypatch, baseline_job(), "balanced", before)
+    produced, built = counted_run(baseline_job(), "balanced", before)
     assert built == (1, 1)
     assert produced == cold(baseline_job(), "balanced", before)
 
@@ -206,3 +278,102 @@ def test_a_policy_cannot_write_into_a_shared_table(write):
         run_simulation(baseline_job(), Writing(write), traces, CATALOG, COMPOSITION, params=study_params())
     report = run_simulation(baseline_job(), "balanced", traces, CATALOG, COMPOSITION, params=study_params())
     assert json.dumps(report.to_dict(), sort_keys=True) == expected
+
+
+def test_balanced_under_each_gate_keeps_its_own_tables_and_picks():
+    # balanced with the Eq. 5 gate on and off are unequal policies: the
+    # second builds every table and pick it asks for, and a new instance
+    # equal to it builds none
+    traces = market()
+    runs = [BalancedPolicy(), BalancedPolicy(sufficiency="off"), BalancedPolicy(sufficiency="off")]
+    alone, shared = [], []
+    for policy in runs:
+        alone.append({})
+        cold(baseline_job(), policy, traces, counts=alone[-1])
+    for policy in runs:
+        shared.append({})
+        counted_run(baseline_job(), policy, traces, counts=shared[-1])
+    assert [len(counts["select"]) for counts in shared] == [1, 1, 0]
+    assert [counts["decisions"] for counts in shared[:2]] == [counts["decisions"] for counts in alone[:2]]
+    assert shared[2]["decisions"] == [key for key in alone[2]["decisions"] if not key[-1]]
+
+
+def test_a_policy_that_is_not_a_built_in_shares_with_itself_alone():
+    # two Recording wrappers of equal built-ins are unequal, so the second
+    # builds its own tables and asks its own pick, and logs the same asks;
+    # the same wrapper run again reads what it kept
+    traces = market()
+    alone = {}
+    cold(baseline_job(), Recording(build_policy("cost")), traces, counts=alone)
+    first, second = Recording(build_policy("cost")), Recording(build_policy("cost"))
+    runs = [first, second, first]
+    shared = [{} for _ in runs]
+    for policy, counts in zip(runs, shared):
+        counted_run(baseline_job(), policy, traces, counts=counts)
+    assert [len(counts["select"]) for counts in shared] == [1, 1, 0]
+    assert [counts["decisions"] for counts in shared[:2]] == [alone["decisions"]] * 2
+    assert shared[2]["decisions"] == [key for key in alone["decisions"] if not key[-1]]
+    assert second.asked == first.asked[: len(second.asked)]
+
+
+class Misshapen(StaticPolicy):
+    """static, whose decision tables have one answer too many."""
+
+    def __init__(self):
+        self.built = 0
+
+    def decisions(self, block, current, cpu_used, mem_used):
+        self.built += 1
+        return DecisionTable(np.full(len(block) + 1, -1), str)
+
+
+class Elsewhere(StaticPolicy):
+    """static, whose picks are no candidate."""
+
+    def __init__(self):
+        self.picked = 0
+
+    def select(self, ctx):
+        self.picked += 1
+        return "nowhere"
+
+
+@pytest.mark.parametrize("policy, count", [(Misshapen(), "built"), (Elsewhere(), "picked")], ids=["table", "pick"])
+def test_an_answer_that_fails_the_engines_check_is_not_kept(policy, count):
+    # the same policy object, run twice over one market, raises the same
+    # located error twice: its failed table or pick was not kept for the
+    # second run to read
+    traces = market()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SimulationError) as err:
+            run_simulation(baseline_job(), policy, traces, CATALOG, COMPOSITION, params=study_params())
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    assert getattr(policy, count) == 2
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def test_a_study_rotation_builds_each_policys_tables_and_picks_once_per_market(monkeypatch, tmp_path):
+    # the bench's study rotation at seed 0: 16 trace sets of 8 runs each,
+    # v1 then v3 under each policy. The v3 runs read the tables and the
+    # t=0 pick that the v1 run under their policy kept on the shared
+    # blocks: 198 decision tables and 64 picks in all, where each run
+    # building its own gave 362 and 128
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    study = workloads.make_workload("study", 0, tmp_path)
+    study.setup()
+    simulator._opening_block.cache_clear()
+    with counting() as counts:
+        for op in study.ops(lambda policy: policy, lambda name: contextlib.nullcontext()):
+            op.run()
+    sets = len(study.trace_specs())
+    assert sets == 16
+    assert len(counts["decisions"]) / sets <= 12.4
+    assert len(counts["select"]) == 4 * sets

@@ -383,3 +383,39 @@ def test_decision_tables_ask_where_a_live_score_is_nan():
             else:
                 assert table.answers[k] == "abc".index(decision.target), (policy, k)
                 assert table.reason(k) == decision.reason, (policy, k)
+
+
+class Subclassed(CostCentricPolicy):
+    """cost, as a class of its own."""
+
+
+class Named(Policy):
+    """A user policy named as a built-in."""
+
+    name = "cost"
+
+
+def test_built_in_policies_equal_by_class_and_options():
+    # the simulator keeps a policy's tables and picks by the policy, so the
+    # runs of equal policies share them: instances of exactly one built-in
+    # class with the same options are equal, any other policy only itself
+    for name in POLICIES:
+        assert build_policy(name) == build_policy(name)
+        assert hash(build_policy(name)) == hash(build_policy(name))
+        assert all(build_policy(name) != build_policy(other) for other in POLICIES if other != name)
+    options = [
+        {"target_rule": rule, "sufficiency": gate}
+        for rule in ("sharpe", "first_feasible")
+        for gate in ("eq5", "off")
+    ]
+    for a in options:
+        for b in options:
+            assert (BalancedPolicy(**a) == BalancedPolicy(**b)) == (a == b)
+    assert BalancedPolicy() == BalancedPolicy(target_rule="sharpe", sufficiency="eq5")
+    for policy in (Subclassed(), Named(), Policy()):
+        assert policy == policy
+        assert hash(policy) == hash(policy)
+        assert policy != type(policy)()
+    assert Subclassed() != CostCentricPolicy() and CostCentricPolicy() != Subclassed()
+    assert Named() != CostCentricPolicy()
+    assert CostCentricPolicy() != "cost"
